@@ -58,7 +58,7 @@ def form_to_text(q: QuadraticForm, var: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_checks(only=args.only, seed=args.seed, workers=args.threads)
+    results = verify.run_checks(only=args.only, seed=args.seed)
     if args.json:
         payload = {
             "entries": [
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="run a single check by id")
     p.add_argument("--seed", type=int, default=_seed_default())
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("classify-lattice", help="list the classified lattice types")
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input values, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,13 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 On top of that sit Gaussian rationals, dense matrices, exact null spaces,
 symmetric congruence diagonalization and signatures of real symmetric
 matrices.  No floating point enters this module.
+
+Entries are stored as Gaussian rationals, but the matrix kernels compute
+over the Gaussian integers: ``_lift`` clears the denominators of each row,
+products accumulate in Python ints, and elimination is fraction-free
+(Bareiss 1968, Math. Comp. 22), so every intermediate entry stays a minor
+of the lifted input.  ``_drop`` turns the result back into one Fraction per
+output entry.
 """
 
 from __future__ import annotations
@@ -11,8 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
+from math import lcm, prod
+from operator import mul
 
 _GAUSS_RE = re.compile(
     r"""^\s*(?P<sign>[+-]?)\s*
@@ -163,6 +170,134 @@ ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))
 
 
+# ---------------------------------------------------------------------------
+# the Gaussian-integer core: a Gaussian integer is a Python int when the
+# whole matrix is real, and an (re, im) pair of ints otherwise
+
+
+def _lift(rows, common: bool = False):
+    """Clear denominators: (real, dens, ints) with rows[i] == ints[i] / dens[i].
+
+    ``real`` tells whether every entry is real, and so which kind of
+    Gaussian integer ``ints`` holds; with ``common`` every row shares one
+    denominator.
+    """
+    res = [[x.re.as_integer_ratio() for x in row] for row in rows]
+    ims = [[x.im.as_integer_ratio() for x in row] for row in rows]
+    real = not any(n for row in ims for n, _ in row)
+    parts = res if real else map(list.__add__, res, ims)
+    dens = [lcm(*[d for _, d in row]) for row in parts]
+    if common:
+        dens = [lcm(*dens)] * len(dens)
+    out = [[n * (den // d) for n, d in row] for den, row in zip(dens, res)]
+    if not real:
+        out = [
+            list(zip(nums, [n * (den // d) for n, d in row]))
+            for nums, den, row in zip(out, dens, ims)
+        ]
+    return real, dens, out
+
+
+def _pairs(rows):
+    """Real Gaussian integers as (re, 0) pairs."""
+    return [[(x, 0) for x in row] for row in rows]
+
+
+def _drop(rows, dens, real: bool):
+    """Rows of Gaussian rationals ints[i] / dens[i]; a den may be a pair if not real."""
+    if real:
+        return [
+            [GaussianRational(Fraction(x, d)) if x else ZERO for x in row]
+            for row, d in zip(rows, dens)
+        ]
+    out = []
+    for row, d in zip(rows, dens):
+        dr, di = d if isinstance(d, tuple) else (d, 0)
+        n = dr * dr + di * di  # x / d = x * conj(d) / |d|^2
+        out.append(
+            [
+                GaussianRational(Fraction(xr * dr + xi * di, n), Fraction(xi * dr - xr * di, n))
+                if xr or xi else ZERO
+                for xr, xi in row
+            ]
+        )
+    return out
+
+
+def _gauss_row_product(row, b, ncols: int):
+    """row * b for Gaussian-integer pairs, skipping the zero entries of row."""
+    sr = [0] * ncols
+    si = [0] * ncols
+    for (xr, xi), brow in zip(row, b):
+        if xr or xi:
+            for j, (yr, yi) in enumerate(brow):
+                sr[j] += xr * yr - xi * yi
+                si[j] += xr * yi + xi * yr
+    return list(zip(sr, si))
+
+
+def _combine_z(p, row, f, lead, prev, start):
+    """(p*row - f*lead) / prev from column ``start`` on, over Z; exact."""
+    if not f:
+        if p == prev:
+            return row
+        return row[:start] + [p * a // prev for a in row[start:]]
+    return row[:start] + [(p * a - f * b) // prev for a, b in zip(row[start:], lead[start:])]
+
+
+def _combine_zi(p, row, f, lead, prev, start):
+    """(p*row - f*lead) / prev from column ``start`` on, over Z[i]; exact."""
+    if p == prev and f == (0, 0):
+        return row
+    pr, pi = p
+    fr, fi = f
+    qr, qi = prev
+    n = qr * qr + qi * qi
+    out = row[:start]
+    for (ar, ai), (br, bi) in zip(row[start:], lead[start:]):
+        xr = pr * ar - pi * ai - fr * br + fi * bi
+        xi = pr * ai + pi * ar - fr * bi - fi * br
+        out.append(((xr * qr + xi * qi) // n, (xi * qr - xr * qi) // n))
+    return out
+
+
+def _eliminate(m, ncols: int, real: bool, reduce: bool):
+    """Fraction-free elimination of Gaussian-integer rows, in place.
+
+    Every step rewrites each row it touches as (p*row - f*lead) / prev, with
+    p the new pivot, f the row's entry in the pivot column and prev the
+    pivot of the step before; the division is exact because every entry is
+    a minor of the input.  Without ``reduce`` only the rows below a pivot
+    are cleared (Bareiss); with it the rows above too (Gauss-Jordan), and
+    then every pivot row ends with the last pivot in its pivot column.
+    Returns the pivot columns, the last pivot and the number of row swaps.
+    """
+    combine = _combine_z if real else _combine_zi
+    zero = 0 if real else (0, 0)
+    prev = 1 if real else (1, 0)
+    pivots = []
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        lead = m[r]
+        p = lead[c]
+        for i in range(0 if reduce else r + 1, len(m)):
+            if i != r:
+                m[i] = combine(p, m[i], m[i][c], lead, prev, 0 if i < r else c)
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, prev, swaps
+
+
 class Matrix:
     """Dense immutable matrix over Q(i), row major."""
 
@@ -216,24 +351,19 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
+        return Matrix._raw(
+            [a + b if a and b else a or b for a, b in zip(ra, rb)]
+            for ra, rb in zip(self._e, other._e)
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
+        return Matrix._raw(
+            [a - b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self._e])
+        return Matrix._raw([-a for a in row] for row in self._e)
 
     def _check_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -243,15 +373,18 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("incompatible shapes for product")
-            out = [[ZERO] * other.cols for _ in range(self.rows)]
-            for i, row in enumerate(self._e):
-                acc = out[i]
-                for k, a in enumerate(row):
-                    if a:
-                        for j, b in enumerate(other._e[k]):
-                            if b:
-                                acc[j] = acc[j] + a * b
-            return Matrix._raw(out)
+            real_a, dens, a = _lift(self._e)
+            real_b, dens_b, b = _lift(other._e, common=True)
+            db = dens_b[0] if dens_b else 1
+            real = real_a and real_b
+            if not real:
+                a, b = (_pairs(a) if real_a else a), (_pairs(b) if real_b else b)
+            if real:
+                cols = list(zip(*b))
+                out = [[sum(map(mul, row, col)) for col in cols] for row in a]
+            else:
+                out = [_gauss_row_product(row, b, other.cols) for row in a]
+            return Matrix._raw(_drop(out, [d * db for d in dens], real))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -259,13 +392,13 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = gauss(c)
-        return Matrix([[c * a for a in row] for row in self._e])
+        return Matrix._raw([c * a if a else a for a in row] for row in self._e)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._e)))
+        return Matrix._raw(zip(*self._e))
 
     def conjugate(self) -> "Matrix":
-        return Matrix([[a.conjugate() for a in row] for row in self._e])
+        return Matrix._raw([a.conjugate() for a in row] for row in self._e)
 
     def trace(self) -> GaussianRational:
         return sum((self._e[i][i] for i in range(min(self.rows, self.cols))), ZERO)
@@ -283,54 +416,29 @@ class Matrix:
         return all(a.is_real for row in self._e for a in row)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix([[self._e[i][j] for j in col_idx] for i in row_idx])
+        return Matrix._raw([self._e[i][j] for j in col_idx] for i in row_idx)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        m = [list(row) for row in self._e]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [inv * a if a else a for a in m[r]]
-            lead = m[r]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b if b else a for a, b in zip(m[i], lead)]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix._raw(m), tuple(pivots)
+        real, _, m = _lift(self._e)
+        pivots, last, _ = _eliminate(m, self.cols, real, reduce=True)
+        rank = len(pivots)
+        zero_rows = [[ZERO] * self.cols for _ in range(self.rows - rank)]
+        return Matrix._raw(_drop(m[:rank], [last] * rank, real) + zero_rows), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        real, _, m = _lift(self._e)
+        return len(_eliminate(m, self.cols, real, reduce=False)[0])
 
     def det(self) -> GaussianRational:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self._e]
-        n = self.rows
-        det = ONE
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot is None:
-                return ZERO
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = ONE / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        real, dens, m = _lift(self._e)
+        pivots, last, swaps = _eliminate(m, self.cols, real, reduce=False)
+        if len(pivots) < self.rows:
+            return ZERO
+        det = _drop([[last]], [prod(dens)], real)[0][0]
+        return -det if swaps % 2 else det
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(a) for a in row) for row in self._e)
@@ -353,7 +461,7 @@ def kernel(m: Matrix) -> list[Matrix]:
 
 def solve(m: Matrix, rhs: Matrix):
     """One exact solution of m*x = rhs (column), or None if inconsistent."""
-    aug = Matrix([list(row) + [rhs[i, 0]] for i, row in enumerate(m.entries())])
+    aug = Matrix._raw(row + (rhs[i, 0],) for i, row in enumerate(m.entries()))
     red, pivots = aug.rref()
     if m.cols in pivots:
         return None
@@ -401,48 +509,59 @@ def _require_real_symmetric(a: Matrix) -> None:
 def congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
     """Exact congruence P^T * a * P = D with D diagonal and P invertible.
 
-    Symmetric Gaussian elimination; a zero diagonal pivot with a nonzero
-    off-diagonal partner is repaired by the classical e_k -> e_k + e_j
-    substitution, which stays exact over the rationals.
+    Symmetric fraction-free elimination on the integer matrix den*a: each
+    step replaces column and row j by (p*col_j - f*col_k) / prev, the
+    Bareiss update, so P stays integral and D[k, k] = prev * p / den, which
+    has the sign of the pivot p / prev of rational elimination.  A zero
+    diagonal pivot with a nonzero off-diagonal partner is repaired by the
+    classical e_k -> e_k + e_j substitution.  D is one diagonal form
+    congruent to a, not a canonical one.
     """
     _require_real_symmetric(a)
     n = a.rows
-    m = [[x.re for x in row] for row in a.entries()]
-    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    _, dens, w = _lift(a.entries(), common=True)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of P
+    diag = []
+    prev = 1
 
-    def add_col(dst, src, f):
-        # column op  col_dst += f*col_src  paired with the matching row op
-        for i in range(n):
-            m[i][dst] += f * m[i][src]
-        for i in range(n):
-            m[dst][i] += f * m[src][i]
-        for i in range(n):
-            p[i][dst] += f * p[i][src]
+    def add_col(dst, src):
+        # column op  col_dst += col_src  paired with the matching row op
+        for row in w:
+            row[dst] += row[src]
+        w[dst] = [x + y for x, y in zip(w[dst], w[src])]
+        cols[dst] = [x + y for x, y in zip(cols[dst], cols[src])]
 
     def swap_cols(i, j):
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
+        for row in w:
+            row[i], row[j] = row[j], row[i]
+        w[i], w[j] = w[j], w[i]
+        cols[i], cols[j] = cols[j], cols[i]
 
     for k in range(n):
-        if not m[k][k]:
-            j = next((j for j in range(k + 1, n) if m[j][j]), None)
+        if not w[k][k]:
+            j = next((j for j in range(k + 1, n) if w[j][j]), None)
             if j is not None:
                 swap_cols(k, j)
             else:
-                j = next((j for j in range(k + 1, n) if m[k][j]), None)
+                j = next((j for j in range(k + 1, n) if w[k][j]), None)
                 if j is None:
-                    continue  # row/column already clear
-                add_col(k, j, Fraction(1))
-        piv = m[k][k]
+                    diag.append(0)  # row/column already clear
+                    continue
+                add_col(k, j)
+        piv = w[k][k]
+        diag.append(prev * piv)
+        lead, col_k = w[k], cols[k]
         for j in range(k + 1, n):
-            if m[k][j]:
-                add_col(j, k, -m[k][j] / piv)
+            f = lead[j]
+            w[j] = _combine_z(piv, w[j], f, lead, prev, k + 1)
+            cols[j] = _combine_z(piv, cols[j], f, col_k, prev, 0)
+        prev = piv
 
-    d = Matrix([[m[i][j] if i == j else 0 for j in range(n)] for i in range(n)])
-    return d, Matrix(p)
+    den = dens[0] if dens else 1
+    d = [[ZERO] * n for _ in range(n)]
+    for k, x in enumerate(diag):
+        d[k][k] = GaussianRational(Fraction(x, den)) if x else ZERO
+    return Matrix._raw(d), Matrix._raw(_drop(zip(*cols), [1] * n, real=True))
 
 
 def signature(a: Matrix) -> Signature:

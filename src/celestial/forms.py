@@ -282,16 +282,15 @@ def _embed(q: QuadraticForm, coords) -> QuadraticForm:
     return QuadraticForm(Matrix(m), q.frame)
 
 
-def _random_sl2(rng: random.Random) -> Matrix:
-    """A generic determinant-1 matrix from three random unipotent shears."""
-    def frac():
-        return Fraction(rng.randint(1, 5) * rng.choice((1, -1)), rng.randint(1, 3))
+def random_fraction(rng: random.Random) -> Fraction:
+    """A small nonzero rational: +-(1..5) / (1..3)."""
+    return Fraction(rng.randint(1, 5) * rng.choice((1, -1)), rng.randint(1, 3))
 
-    a, b, c = frac(), frac(), frac()
-    upper = Matrix([[1, a], [0, 1]])
-    lower = Matrix([[1, 0], [b, 1]])
-    upper2 = Matrix([[1, c], [0, 1]])
-    return upper * lower * upper2
+
+def random_sl2(rng: random.Random) -> Matrix:
+    """A generic determinant-1 matrix from three random unipotent shears."""
+    a, b, c = (random_fraction(rng) for _ in range(3))
+    return Matrix([[1, a], [0, 1]]) * Matrix([[1, 0], [b, 1]]) * Matrix([[1, c], [0, 1]])
 
 
 def _is_monomial(m: Matrix) -> bool:
@@ -301,8 +300,7 @@ def _is_monomial(m: Matrix) -> bool:
 
 
 def rigidity_sample_check(
-    c: FamilyCoeffs, c_prime: FamilyCoeffs, trials: int = 100, seed: int = 0,
-    workers: int = 1,
+    c: FamilyCoeffs, c_prime: FamilyCoeffs, trials: int = 100, seed: int = 0
 ) -> bool:
     """Sampled necessary condition for rigidity of the family coordinates.
 
@@ -320,22 +318,15 @@ def rigidity_sample_check(
     def one_trial(k: int) -> bool:
         trial_rng = random.Random(f"rigidity:{seed}:{k}")
         while True:
-            phi1 = _random_sl2(trial_rng)
-            phi2 = _random_sl2(trial_rng)
+            phi1 = random_sl2(trial_rng)
+            phi2 = random_sl2(trial_rng)
             if not (_is_monomial(phi1) and _is_monomial(phi2)):
                 break
         s = rep_S(phi1, phi2)
         moved = QuadraticForm(s.transpose() * a_c.matrix * s, "y")
         return not span.contains(moved)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(k) for k in range(trials)]
-    if not all(results):
+    if not all(one_trial(k) for k in range(trials)):
         return False
 
     # diagonal torus elements must preserve each member with unchanged

@@ -15,11 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .exact import (
     GaussianRational,
     Matrix,
     Signature,
+    _drop,
+    _lift,
     gauss,
     signature,
     ZERO,
@@ -325,6 +329,7 @@ def _horn_transform():
     return _ext_matmul(alpha, mu)
 
 
+@lru_cache(maxsize=1)
 def cyclide_pipeline() -> tuple[FormSpan, FormSpan]:
     """Quadric pencils of the standard spindle and horn cyclides in S^3.
 
@@ -553,14 +558,16 @@ def so3_invariant_form() -> QuadraticForm:
 def veronese_signature_witnesses(height: int = 1) -> frozenset[Signature]:
     """Normalized signatures realized by small combinations of the generators."""
     _, span = veronese_data()
+    n, k = span.dim, len(span.basis)
+    # lift all generators over one denominator, then combine them in integers
+    _, dens, ints = _lift([row for q in span.basis for row in q.matrix.entries()], common=True)
+    # at[i][j]: the lifted entries of every generator at position (i, j)
+    at = [[[ints[g * n + i][j] for g in range(k)] for j in range(n)] for i in range(n)]
     found = set()
     coeff_range = range(-height, height + 1)
-    for coeffs in itertools.product(coeff_range, repeat=len(span.basis)):
+    for coeffs in itertools.product(coeff_range, repeat=k):
         if not any(coeffs):
             continue
-        m = Matrix.zero(6, 6)
-        for c, q in zip(coeffs, span.basis):
-            if c:
-                m = m + q.matrix.scale(c)
-        found.add(signature(m))
+        rows = [[sum(map(mul, coeffs, gens)) for gens in row] for row in at]
+        found.add(signature(Matrix._raw(_drop(rows, dens[:n], real=True))))
     return frozenset(found)

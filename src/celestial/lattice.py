@@ -310,19 +310,6 @@ _ROW_NAMES = {
     (2, 0, 0): "2-sphere",
 }
 
-# circles through a general point, for each named type (None = infinitely many)
-CIRCLE_COUNTS = {
-    "dS": 2,
-    "dP6": 3,
-    "weak dP6": 2,
-    "Veronese surface": None,
-    "ring cyclide": 4,
-    "spindle cyclide": 2,
-    "horn cyclide": 2,
-    "2-sphere": None,
-}
-
-
 @dataclass(frozen=True)
 class LatticeClass:
     """One classified lattice type with its table data."""

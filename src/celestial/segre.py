@@ -337,11 +337,6 @@ def mu_transform(i: int, q: QuadraticForm, coords=None) -> QuadraticForm:
     return QuadraticForm(m.transpose() * q.matrix * m, "x")
 
 
-def transform_span(span: FormSpan, m: Matrix, frame: str) -> FormSpan:
-    basis = tuple(QuadraticForm(m.transpose() * q.matrix * m, frame) for q in span.basis)
-    return FormSpan(basis, frame, span.coords)
-
-
 def _poly_substitute(exps, g: Matrix) -> dict[tuple[int, ...], GaussianRational]:
     """Expand the monomial x^exps after the substitution x -> g*x."""
     nvars = g.rows

@@ -8,7 +8,9 @@ derive all randomness from that seed.
 
 from __future__ import annotations
 
+import os
 import random
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from .segre import (
     torus_sigma,
 )
 from . import forms, geometry, lattice, liealg, sampling
+from .forms import random_fraction, random_sl2
 
 EXPECTED_I2_DIMENSIONS = {
     "a": 20, "b": 9, "c": 9, "d": 6, "e": 2, "f": 2, "g": 2, "h": 1,
@@ -182,14 +185,14 @@ class CheckResult:
         return "pass" if self.ok else "fail"
 
 
-def _ideal_dimensions(seed: int, workers: int):
+def _ideal_dimensions(seed: int):
     dims = {tag: i2_dimension_check(tag, seed=7 + seed) for tag in "abcdefgh"}
     ok = dims == EXPECTED_I2_DIMENSIONS
     detail = " ".join(f"{t}:{d}" for t, d in dims.items())
     return ok, detail
 
 
-def _invariant_forms(seed: int, workers: int):
+def _invariant_forms(seed: int):
     ambient = i2_segre()
     named = liealg.NAMED_ALGEBRAS
     results = []
@@ -242,7 +245,7 @@ _FAMILY_CASES = [
 ]
 
 
-def _family_rows(seed: int, workers: int):
+def _family_rows(seed: int):
     checked = 0
     for coeffs, ctype, moduli in _FAMILY_CASES:
         rec = forms.classify_family(forms.FamilyCoeffs(*coeffs))
@@ -255,7 +258,7 @@ def _family_rows(seed: int, workers: int):
     return True, f"{checked} support patterns"
 
 
-def _hyperquadric_signatures(seed: int, workers: int):
+def _hyperquadric_signatures(seed: int):
     s0, s3 = forms.corollary_iqf_check()
     q0, q3 = forms.corollary_forms()
     shape_ok = (
@@ -266,7 +269,7 @@ def _hyperquadric_signatures(seed: int, workers: int):
     return ok, f"signatures {s0} and {s3}"
 
 
-def _lattice_classes(seed: int, workers: int):
+def _lattice_classes(seed: int):
     raw = lattice.classify_grid()
     if len(raw) != 10:
         return False, f"{len(raw)} raw classes"
@@ -285,7 +288,7 @@ def _lattice_classes(seed: int, workers: int):
     return True, "10 raw classes, 8 named; widths 2 and 4 reproduced"
 
 
-def _cyclide_pipeline(seed: int, workers: int):
+def _cyclide_pipeline(seed: int):
     x_s, x_h = geometry.cyclide_pipeline()
     if not x_s.equals(expected_spindle_pencil()):
         return False, "spindle pencil mismatch"
@@ -316,7 +319,7 @@ def _combination(span: FormSpan, coeffs) -> QuadraticForm:
     return QuadraticForm(m, span.frame)
 
 
-def _dynkin_strings(seed: int, workers: int):
+def _dynkin_strings(seed: int):
     rendered = {}
     for tag, cfg in geometry.BLOWUP_CONFIGS.items():
         rendered[tag] = geometry.dynkin(geometry.b_classes(cfg)).render()
@@ -325,7 +328,7 @@ def _dynkin_strings(seed: int, workers: int):
     return ok, detail
 
 
-def _veronese_signatures(seed: int, workers: int):
+def _veronese_signatures(seed: int):
     witnesses = geometry.veronese_signature_witnesses()
     required = {
         Signature(1, 2, 3), Signature(1, 3, 2), Signature(1, 5, 0),
@@ -343,20 +346,11 @@ def _veronese_signatures(seed: int, workers: int):
     return True, f"{len(witnesses)} rank-stratified signatures, all five required present"
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 5) * rng.choice((1, -1)), rng.randint(1, 3))
-
-
 def _random_gauss(rng: random.Random) -> GaussianRational:
     return GaussianRational(
-        _random_fraction(rng),
-        _random_fraction(rng) if rng.random() < 0.5 else Fraction(0),
+        random_fraction(rng),
+        random_fraction(rng) if rng.random() < 0.5 else Fraction(0),
     )
-
-
-def _random_sl2(rng: random.Random) -> Matrix:
-    a, b, c = (_random_fraction(rng) for _ in range(3))
-    return Matrix([[1, a], [0, 1]]) * Matrix([[1, 0], [b, 1]]) * Matrix([[1, c], [0, 1]])
 
 
 def _random_lie(rng: random.Random) -> liealg.LieElement:
@@ -374,19 +368,19 @@ def _random_congruence(rng: random.Random, n: int) -> Matrix:
         if i == j:
             continue
         shear = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        shear[i][j] = _random_fraction(rng)
+        shear[i][j] = random_fraction(rng)
         m = m * Matrix(shear)
     return m
 
 
-def _property_suite(seed: int, workers: int):
+def _property_suite(seed: int):
     rng = random.Random(f"properties:{seed}")
     checks = []
 
     # the symmetric-square action is a group homomorphism
     for _ in range(20):
-        phi = (_random_sl2(rng), _random_sl2(rng))
-        psi = (_random_sl2(rng), _random_sl2(rng))
+        phi = (random_sl2(rng), random_sl2(rng))
+        psi = (random_sl2(rng), random_sl2(rng))
         lhs = rep_S(phi[0] * psi[0], phi[1] * psi[1])
         checks.append(lhs == rep_S(*phi) * rep_S(*psi))
 
@@ -414,7 +408,7 @@ def _property_suite(seed: int, workers: int):
         sym = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                sym[i][j] = sym[j][i] = _random_fraction(rng) if rng.random() < 0.8 else Fraction(0)
+                sym[i][j] = sym[j][i] = random_fraction(rng) if rng.random() < 0.8 else Fraction(0)
         a = Matrix(sym)
         p = _random_congruence(rng, n)
         checks.append(signature(p.transpose() * a * p) == signature(a))
@@ -439,20 +433,16 @@ def _property_suite(seed: int, workers: int):
     return ok, f"{sum(checks)}/{len(checks)} properties hold"
 
 
-def _rigidity(seed: int, workers: int):
+def _rigidity(seed: int):
     c = forms.FamilyCoeffs(1, 1, 1, 1)
-    same = forms.rigidity_sample_check(c, c, trials=100, seed=seed, workers=workers)
-    scaled = forms.rigidity_sample_check(
-        c, c.scale(3), trials=5, seed=seed + 1, workers=workers
-    )
-    other = forms.rigidity_sample_check(
-        c, forms.FamilyCoeffs(1, 2, 1, 1), trials=5, seed=seed + 2, workers=workers
-    )
+    same = forms.rigidity_sample_check(c, c, trials=100, seed=seed)
+    scaled = forms.rigidity_sample_check(c, c.scale(3), trials=5, seed=seed + 1)
+    other = forms.rigidity_sample_check(c, forms.FamilyCoeffs(1, 2, 1, 1), trials=5, seed=seed + 2)
     ok = same and scaled and other
     return ok, "100 trials left the family span; torus action fixed coefficients"
 
 
-def _sample_residuals(seed: int, workers: int):
+def _sample_residuals(seed: int):
     worst = {}
     for surface, resolution in (
         ("dp6", 40), ("ring", 12), ("spindle", 24), ("horn", 24), ("veronese", 24)
@@ -479,7 +469,13 @@ CHECKS = (
 )
 
 
-def run_checks(only: str | None = None, seed: int = 0, workers: int = 1) -> list[CheckResult]:
+def _describe_crash(exc: Exception) -> str:
+    """`TypeName: message @ file:line`, naming where the exception was raised."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{type(exc).__name__}: {exc} @ {os.path.basename(where.filename)}:{where.lineno}"
+
+
+def run_checks(only: str | None = None, seed: int = 0) -> list[CheckResult]:
     """Run all verification checks (or one of them) and collect results."""
     known = {check_id for check_id, _, _ in CHECKS}
     if only is not None and only not in known:
@@ -489,8 +485,8 @@ def run_checks(only: str | None = None, seed: int = 0, workers: int = 1) -> list
         if only is not None and check_id != only:
             continue
         try:
-            ok, detail = fn(seed, workers)
+            ok, detail = fn(seed)
         except Exception as exc:  # a crash is a failing check, not a crash of the suite
-            ok, detail = False, f"error: {exc}"
+            ok, detail = False, _describe_crash(exc)
         out.append(CheckResult(check_id, ref, ok, detail))
     return out

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -165,3 +166,40 @@ def test_outputs_are_byte_stable(capsys):
     _, third = _run(capsys, "classify-lattice", "--json")
     _, fourth = _run(capsys, "classify-lattice", "--json")
     assert third == fourth
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--surface", "ring", "--resolution", "5", "--proj", "{missing}",
+         "--out", "{tmp}/x.csv"],
+        ["sample", "--surface", "ring", "--resolution", "5", "--out", "{missing}/x.csv"],
+        ["invariant-forms", "--algebra", "{missing}", "--ambient", "segre"],
+        ["invariant-forms", "--algebra", "{missing}", "--ambient", "veronese"],
+    ],
+    ids=["missing-proj", "unwritable-out", "missing-algebra", "missing-veronese-algebra"],
+)
+def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    missing = str(tmp_path / "does-not-exist")
+    code = main([a.format(missing=missing, tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert "does-not-exist" in _one_line_error(capsys)
+
+
+def test_crashing_check_names_type_and_place(monkeypatch):
+    from celestial import verify
+
+    def crash(seed):
+        return {}["missing"]
+
+    monkeypatch.setattr(verify, "CHECKS", (("boom", "a check that raises", crash),))
+    (result,) = verify.run_checks()
+    assert not result.ok
+    assert re.fullmatch(r"KeyError: 'missing' @ test_cli\.py:\d+", result.detail)

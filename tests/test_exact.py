@@ -1,4 +1,9 @@
-"""Field laws and exact linear algebra."""
+"""Field laws and exact linear algebra.
+
+The matrix kernels compute over the Gaussian integers.  The Fraction
+implementation they replaced lives on below as an oracle, and the
+properties at the end compare the two, and both with sympy when installed.
+"""
 
 from fractions import Fraction
 
@@ -12,6 +17,7 @@ from celestial.exact import (
     Matrix,
     ONE,
     Signature,
+    ZERO,
     congruence_diagonalize,
     gauss,
     kernel,
@@ -176,3 +182,249 @@ def test_matrix_determinant_and_rank():
     assert m.det() == gauss(-2)
     assert m.rank() == 2
     assert Matrix([[1, 2], [2, 4]]).rank() == 1
+
+
+# ---------------------------------------------------------------------------
+# the Fraction implementation, kept as the oracle for the Gaussian-integer core
+
+
+def oracle_mul(a, b):
+    out = [[ZERO] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        out[i][j] = out[i][j] + x * y
+    return out
+
+
+def oracle_rref(rows):
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [inv * a if a else a for a in m[r]]
+        lead = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, tuple(pivots)
+
+
+def oracle_det(rows):
+    m = [list(row) for row in rows]
+    n = len(m)
+    det = ONE
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c]
+        inv = ONE / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def oracle_kernel(rows, ncols):
+    red, pivots = oracle_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def oracle_congruence_diagonal(rows):
+    """Diagonal of the rational symmetric elimination (pivots, not minors)."""
+    n = len(rows)
+    m = [[x.re for x in row] for row in rows]
+
+    def add_col(dst, src, f):
+        for i in range(n):
+            m[i][dst] += f * m[i][src]
+        for i in range(n):
+            m[dst][i] += f * m[src][i]
+
+    def swap_cols(i, j):
+        for r in range(n):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        m[i], m[j] = m[j], m[i]
+
+    for k in range(n):
+        if not m[k][k]:
+            j = next((j for j in range(k + 1, n) if m[j][j]), None)
+            if j is not None:
+                swap_cols(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if m[k][j]), None)
+                if j is None:
+                    continue
+                add_col(k, j, Fraction(1))
+        piv = m[k][k]
+        for j in range(k + 1, n):
+            if m[k][j]:
+                add_col(j, k, -m[k][j] / piv)
+    return [m[i][i] for i in range(n)]
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+# ---------------------------------------------------------------------------
+# matrices: real or Gaussian, full rank or not, with repeated and zero rows
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def matrices(draw, real=None, rows=None, cols=None):
+    real = draw(st.booleans()) if real is None else real
+    rows = draw(st.integers(1, 5)) if rows is None else rows
+    cols = draw(st.integers(1, 6)) if cols is None else cols
+    im = st.just(Fraction(0)) if real else small_rationals
+    entry = st.builds(GaussianRational, small_rationals, im)
+
+    def grid(n, m):
+        return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+
+    shape = draw(st.sampled_from(("plain", "low-rank", "repeated-row", "zero-row")))
+    if shape == "low-rank" and min(rows, cols) > 1:
+        r = draw(st.integers(1, min(rows, cols) - 1))
+        return Matrix(oracle_mul(grid(rows, r), grid(r, cols)))
+    out = grid(rows, cols)
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+    if shape == "repeated-row":
+        out[i] = list(out[j])
+    elif shape == "zero-row":
+        out[i] = [ZERO] * cols
+    return Matrix(out)
+
+
+@st.composite
+def square_matrices(draw, real=None):
+    n = draw(st.integers(1, 5))
+    return draw(matrices(real=real, rows=n, cols=n))
+
+
+@st.composite
+def symmetric_matrices(draw, zero_diagonal=None):
+    n = draw(st.integers(1, 6))
+    zero_diagonal = draw(st.booleans()) if zero_diagonal is None else zero_diagonal
+    sym = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            sym[i][j] = sym[j][i] = draw(st.one_of(st.just(Fraction(0)), small_rationals))
+    return Matrix(sym)
+
+
+@given(matrices())
+@settings(deadline=None)
+def test_rref_rank_kernel_match_the_fraction_oracle(m):
+    red, pivots = m.rref()
+    old_red, old_pivots = oracle_rref(m.entries())
+    assert pivots == old_pivots
+    assert red == Matrix(old_red)
+    assert m.rank() == len(old_pivots)
+    assert [v.column_vector() for v in kernel(m)] == [tuple(v) for v in oracle_kernel(m.entries(), m.cols)]
+
+
+@given(matrices(), st.data())
+@settings(deadline=None)
+def test_solve_matches_the_fraction_oracle(m, data):
+    rhs = data.draw(matrices(rows=m.rows, cols=1))
+    x = solve(m, rhs)
+    red, pivots = oracle_rref([list(row) + [rhs[i, 0]] for i, row in enumerate(m.entries())])
+    if m.cols in pivots:
+        assert x is None
+    else:
+        expected = [ZERO] * m.cols
+        for r, p in enumerate(pivots):
+            expected[p] = red[r][m.cols]
+        assert x == Matrix.column(expected)
+        assert m * x == rhs
+
+
+@given(square_matrices())
+@settings(deadline=None)
+def test_det_matches_the_fraction_oracle(m):
+    assert m.det() == oracle_det(m.entries())
+
+
+@given(matrices(), st.data())
+@settings(deadline=None)
+def test_product_matches_the_fraction_oracle(a, data):
+    b = data.draw(matrices(rows=a.cols))
+    assert a * b == Matrix(oracle_mul(a.entries(), b.entries()))
+
+
+@given(symmetric_matrices())
+@settings(deadline=None)
+def test_congruence_keeps_the_oracle_signs(a):
+    d, p = congruence_diagonalize(a)
+    assert p.transpose() * a * p == d
+    assert p.det()
+    assert all(not d[i, j] for i in range(a.rows) for j in range(a.cols) if i != j)
+    assert [_sign(d[i, i].re) for i in range(a.rows)] == [
+        _sign(x) for x in oracle_congruence_diagonal(a.entries())
+    ]
+
+
+def _sympy(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(
+        [[sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im) for x in row] for row in m.entries()]
+    )
+
+
+@given(matrices())
+@settings(max_examples=40, deadline=None)
+def test_rank_matches_sympy(m):
+    assert m.rank() == _sympy(m).rank()
+
+
+@given(square_matrices())
+@settings(max_examples=40, deadline=None)
+def test_det_matches_sympy(m):
+    import sympy
+
+    det = sympy.expand(_sympy(m).det())
+    assert m.det() == GaussianRational(Fraction(str(sympy.re(det))), Fraction(str(sympy.im(det))))
+
+
+@given(symmetric_matrices())
+@settings(max_examples=40, deadline=None)
+def test_inertia_matches_sympy(a):
+    import sympy
+
+    # all roots of the characteristic polynomial are real, so Descartes'
+    # rule of signs counts the positive ones exactly
+    coeffs = [c for c in sympy.Poly(_sympy(a).charpoly().as_expr()).all_coeffs()]
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
+    nonzero = [c for c in coeffs if c]
+    pos = sum(1 for x, y in zip(nonzero, nonzero[1:]) if x * y < 0)
+    neg = a.rows - pos - zero
+    assert signature(a) == Signature(min(pos, neg), max(pos, neg), zero)
