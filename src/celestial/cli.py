@@ -25,7 +25,11 @@ from . import forms, geometry, lattice, liealg, sampling, verify
 
 
 def _seed_default() -> int:
-    return int(os.environ.get("CELESTIAL_SEED", "0"))
+    raw = os.environ.get("CELESTIAL_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CELESTIAL_SEED must be an integer, not {raw!r}") from None
 
 
 def _form_to_json(q: QuadraticForm) -> list[list[str]]:
@@ -130,21 +134,39 @@ def _parse_algebra(name_or_path: str, ambient: str):
 
 
 def _algebra_from_file(path: str, size: int = 2):
+    """Algebra elements from a JSON file {"elements": [...]}.
+
+    An sl2+sl2 element (size 2) is a [left, right] pair of 2x2 matrices, a
+    Veronese element (size 3) one 3x3 matrix; entries are integers or Q(i)
+    strings such as "1/2-i".
+    """
     with open(path) as fh:
         data = json.load(fh)
-    elements = []
-    for entry in data["elements"]:
-        if size == 2:
-            left, right = entry
-            elements.append(
-                liealg.LieElement(
-                    Matrix([[gauss(x) for x in row] for row in left]),
-                    Matrix([[gauss(x) for x in row] for row in right]),
-                )
-            )
-        else:
-            elements.append(Matrix([[gauss(x) for x in row] for row in entry]))
-    return elements
+    if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
+        raise ValueError(f"{path}: expected a JSON object with an \"elements\" list")
+    if size == 2:
+        pairs = (_json_element(e, (2, 2, 2), "[left, right] pair of 2x2 matrices")
+                 for e in data["elements"])
+        return [liealg.LieElement(Matrix(left), Matrix(right)) for left, right in pairs]
+    return [Matrix(_json_element(e, (3, 3), "3x3 matrix")) for e in data["elements"]]
+
+
+def _json_element(element, shape, what: str):
+    """Nested JSON lists of the given shape, with the leaves coerced into Q(i)."""
+
+    def build(value, dims):
+        if dims:
+            if not isinstance(value, list) or len(value) != dims[0]:
+                raise ValueError(f"algebra element {element!r} is not a {what}")
+            return [build(v, dims[1:]) for v in value]
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(f"algebra entry {value!r} is neither an integer nor a Q(i) string")
+        try:
+            return gauss(value)
+        except ZeroDivisionError:
+            raise ValueError(f"algebra entry {value!r} divides by zero") from None
+
+    return build(element, shape)
 
 
 def _cmd_invariant_forms(args) -> int:
@@ -257,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # the --seed default reads CELESTIAL_SEED
         return args.fn(args)
     except (ValueError, OSError) as exc:  # bad input values, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)

@@ -415,9 +415,6 @@ class Matrix:
     def is_real(self) -> bool:
         return all(a.is_real for row in self._e for a in row)
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix._raw([self._e[i][j] for j in col_idx] for i in row_idx)
-
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         real, _, m = _lift(self._e)

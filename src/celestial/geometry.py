@@ -4,9 +4,10 @@ Three independent computations live here.  The divisor-class lattice of a
 blown-up quadric surface turns each blowup configuration into a set of
 (-2)-classes whose intersection graph spells out the singular locus as a
 Dynkin string.  The spindle and horn cyclides are produced explicitly by
-pulling toric models through printed coordinate changes (which involve
-sqrt(2), handled in an exact quadratic extension) and verified against
-their stereographic cone and cylinder images.  Finally the same invariant
+pulling toric models through printed coordinate changes T = T0 + sqrt(2)*T1
+(two Q(i) matrices, so the congruence stays in the exact core) and verified
+against their stereographic cone and cylinder images, whose exact points
+live in the quadratic extension Q(i, sqrt 2).  Finally the same invariant
 form machinery runs for the Veronese surface in P^5 with its sl3 symmetry.
 """
 
@@ -219,12 +220,12 @@ EXPECTED_SINGULAR_STRINGS = {
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic with sqrt(2)
+# exact points with sqrt(2)
 
 
 @dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(2) with Gaussian-rational a and b."""
+    """a + b*sqrt(2) with Gaussian-rational a and b: the coordinates of model points."""
 
     a: GaussianRational = ZERO
     b: GaussianRational = ZERO
@@ -280,53 +281,32 @@ SQRT2 = QuadExt(ZERO, ONE)
 HALF_SQRT2 = QuadExt(ZERO, gauss(Fraction(1, 2)))  # 1/sqrt(2)
 
 
-def _ext_matmul(rows_a, rows_b):
-    cols = list(zip(*rows_b))
-    return [
-        [sum((x * y for x, y in zip(row, col)), QuadExt()) for col in cols]
-        for row in rows_a
-    ]
+def _sqrt2_congruence(form: QuadraticForm, t0: Matrix, t1: Matrix) -> QuadraticForm:
+    """T^T A T for T = t0 + sqrt(2)*t1 over Q(i); the sqrt(2) part must cancel.
+
+    That part is t0^T A t1 + t1^T A t0, the cross term plus its transpose
+    because A is symmetric; what remains is t0^T A t0 + 2 * t1^T A t1.
+    """
+    a = form.matrix
+    cross = t0.transpose() * a * t1
+    if cross != -cross.transpose():
+        raise ValueError("congruence did not eliminate sqrt(2)")
+    return QuadraticForm(t0.transpose() * a * t0 + (t1.transpose() * a * t1).scale(2), "x")
 
 
-def _ext_congruence(form: QuadraticForm, t_rows) -> QuadraticForm:
-    """T^T A T over Q(i, sqrt 2); the result must land back in Q(i)."""
-    a_rows = [[QuadExt.of(x) for x in row] for row in form.matrix.entries()]
-    res = _ext_matmul(_ext_matmul([list(r) for r in zip(*t_rows)], a_rows), t_rows)
-    out = []
-    for row in res:
-        out_row = []
-        for x in row:
-            if not x.is_rational:
-                raise ValueError("congruence did not eliminate sqrt(2)")
-            out_row.append(x.a)
-        out.append(out_row)
-    return QuadraticForm(Matrix(out), "x")
-
-
-# spindle model: coordinates (x0, x1, x2, x3, x4)
-def _spindle_transform():
-    mu = [[QuadExt.of(x) for x in row] for row in mu_matrix(1, (0, 1, 2, 3, 4)).entries()]
-    alpha = [
-        [QuadExt(), QuadExt(), QuadExt(), QuadExt(), QuadExt.of(1)],
-        [QuadExt(), QuadExt.of(1), QuadExt(), QuadExt(), QuadExt()],
-        [QuadExt(), QuadExt(), QuadExt.of(1), QuadExt(), QuadExt()],
-        [HALF_SQRT2, QuadExt(), QuadExt(), -HALF_SQRT2, QuadExt()],
-        [HALF_SQRT2, QuadExt(), QuadExt(), HALF_SQRT2, QuadExt()],
-    ]
-    return _ext_matmul(alpha, mu)
-
-
-# horn model: coordinates (x0, x3, x4, x6, x7), in that order
-def _horn_transform():
-    mu = [[QuadExt.of(x) for x in row] for row in mu_matrix(1, (0, 3, 4, 6, 7)).entries()]
-    alpha = [
-        [QuadExt(), QuadExt(), HALF_SQRT2, QuadExt(), QuadExt()],
-        [QuadExt(), QuadExt.of(1), QuadExt(), QuadExt(), QuadExt()],
-        [QuadExt.of(-1), QuadExt.of(-1), QuadExt(), QuadExt(), QuadExt()],
-        [QuadExt(), QuadExt(), QuadExt(), QuadExt.of(1), QuadExt()],
-        [QuadExt(), QuadExt(), QuadExt(), QuadExt(), QuadExt.of(1)],
-    ]
-    return _ext_matmul(alpha, mu)
+# the printed coordinate changes alpha = alpha0 + sqrt(2)*alpha1 of the
+# spindle model on (x0, x1, x2, x3, x4) and the horn model on (x0, x3, x4,
+# x6, x7), in that order; each is applied after mu_1
+_Z = [0] * 5
+_H = Fraction(1, 2)
+_SPINDLE_ALPHA = (
+    [[0, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], _Z, _Z],
+    [_Z, _Z, _Z, [_H, 0, 0, -_H, 0], [_H, 0, 0, _H, 0]],
+)
+_HORN_ALPHA = (
+    [_Z, [0, 1, 0, 0, 0], [-1, -1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+    [[0, 0, _H, 0, 0], _Z, _Z, _Z, _Z],
+)
 
 
 @lru_cache(maxsize=1)
@@ -337,12 +317,11 @@ def cyclide_pipeline() -> tuple[FormSpan, FormSpan]:
     each resulting pencil must contain the 3-sphere form x0^2 - sum x_i^2.
     """
     spans = []
-    for drop, transform in (
-        ({5, 6, 7, 8}, _spindle_transform()),
-        ({1, 2, 5, 8}, _horn_transform()),
-    ):
+    for drop, alpha in (({5, 6, 7, 8}, _SPINDLE_ALPHA), ({1, 2, 5, 8}, _HORN_ALPHA)):
         _, y_span = toric_projection(drop)
-        forms = tuple(_ext_congruence(q, transform) for q in y_span.basis)
+        mu = mu_matrix(1, y_span.coords)
+        t0, t1 = Matrix(alpha[0]) * mu, Matrix(alpha[1]) * mu
+        forms = tuple(_sqrt2_congruence(q, t0, t1) for q in y_span.basis)
         span = FormSpan(forms, "x", y_span.coords)
         if sphere_member(span) is None:
             raise RuntimeError("cyclide pencil misses the 3-sphere form")
@@ -392,15 +371,6 @@ def horn_point(t: Fraction, u: Fraction):
     )
 
 
-def _ext_eval(form: QuadraticForm, point) -> QuadExt:
-    total = QuadExt()
-    for i, row in enumerate(form.matrix.entries()):
-        for j, a in enumerate(row):
-            if a:
-                total = total + QuadExt.of(a) * point[i] * point[j]
-    return total
-
-
 @dataclass(frozen=True)
 class StereographicReport:
     """Outcome of the cone/cylinder verification on a rational grid."""
@@ -415,7 +385,10 @@ class StereographicReport:
         return self.ok
 
 
-def stereographic_check(grid: int = 7) -> StereographicReport:
+_STEREO_GRID = 7  # grid points per parameter
+
+
+def stereographic_check() -> StereographicReport:
     """Project the cyclide models to 3-space and fit their circular shapes.
 
     The spindle image must satisfy X^2 + Y^2 = c Z^2 (a circular cone) and
@@ -424,8 +397,8 @@ def stereographic_check(grid: int = 7) -> StereographicReport:
     grid points hitting the projection center are skipped and counted.
     """
     x_s, x_h = cyclide_pipeline()
-    ts = [Fraction(k, grid) for k in range(1, grid + 1)]
-    us = [Fraction(k, 3) for k in range(1, grid + 1)]
+    ts = [Fraction(k, _STEREO_GRID) for k in range(1, _STEREO_GRID + 1)]
+    us = [Fraction(k, 3) for k in range(1, _STEREO_GRID + 1)]
     skipped = 0
     samples = 0
 
@@ -433,7 +406,7 @@ def stereographic_check(grid: int = 7) -> StereographicReport:
     for t, u in itertools.product(ts, us):
         p = spindle_point(t, u)
         for q in x_s.basis:
-            if _ext_eval(q, p):
+            if q.evaluate(p):
                 return StereographicReport(False, None, None, samples, skipped)
         chart = p[0] - p[3]
         if not chart:
@@ -453,7 +426,7 @@ def stereographic_check(grid: int = 7) -> StereographicReport:
     for t, u in itertools.product(ts, us):
         p = horn_point(t, u)
         for q in x_h.basis:
-            if _ext_eval(q, p):
+            if q.evaluate(p):
                 return StereographicReport(False, None, None, samples, skipped)
         chart = p[0] + p[1]
         if not chart:
@@ -555,7 +528,10 @@ def so3_invariant_form() -> QuadraticForm:
     return q.scale(ONE / lead)
 
 
-def veronese_signature_witnesses(height: int = 1) -> frozenset[Signature]:
+_WITNESS_HEIGHT = 1  # largest absolute generator coefficient tried
+
+
+def veronese_signature_witnesses() -> frozenset[Signature]:
     """Normalized signatures realized by small combinations of the generators."""
     _, span = veronese_data()
     n, k = span.dim, len(span.basis)
@@ -564,7 +540,7 @@ def veronese_signature_witnesses(height: int = 1) -> frozenset[Signature]:
     # at[i][j]: the lifted entries of every generator at position (i, j)
     at = [[[ints[g * n + i][j] for g in range(k)] for j in range(n)] for i in range(n)]
     found = set()
-    coeff_range = range(-height, height + 1)
+    coeff_range = range(-_WITNESS_HEIGHT, _WITNESS_HEIGHT + 1)
     for coeffs in itertools.product(coeff_range, repeat=k):
         if not any(coeffs):
             continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 Point = tuple[int, int]
@@ -263,23 +264,17 @@ class LatticeType:
         return LatticeType(polygon, involution, stable_directions(polygon, involution))
 
 
-def _unimodular_search_matrices(bound: int = 3):
-    rng = range(-bound, bound + 1)
-    out = []
-    for a, b, c, d in itertools.product(rng, rng, rng, rng):
-        if a * d - b * c in (1, -1):
-            out.append(((a, b), (c, d)))
-    return out
+_UNIMODULAR_BOUND = 3  # largest absolute entry of the searched matrices
 
 
-_UNIMODULAR_CACHE: list[IntMatrix] | None = None
-
-
-def _unimodular_matrices() -> list[IntMatrix]:
-    global _UNIMODULAR_CACHE
-    if _UNIMODULAR_CACHE is None:
-        _UNIMODULAR_CACHE = _unimodular_search_matrices(3)
-    return _UNIMODULAR_CACHE
+@lru_cache(maxsize=1)
+def _unimodular_matrices() -> tuple[IntMatrix, ...]:
+    rng = range(-_UNIMODULAR_BOUND, _UNIMODULAR_BOUND + 1)
+    return tuple(
+        ((a, b), (c, d))
+        for a, b, c, d in itertools.product(rng, rng, rng, rng)
+        if a * d - b * c in (1, -1)
+    )
 
 
 def unimodular_equivalent(a: LatticeType, b: LatticeType) -> bool:
@@ -435,7 +430,6 @@ def classify_grid() -> list[LatticeClass]:
     return out
 
 
-def merged_classes(raw: list[LatticeClass] | None = None) -> list[LatticeClass]:
-    """The eight named classes after merging the extra dS involutions."""
-    raw = classify_grid() if raw is None else raw
+def merged_classes(raw: list[LatticeClass]) -> list[LatticeClass]:
+    """The eight named classes of ``classify_grid()`` after merging the extra dS involutions."""
     return [c for c in raw if c.merges_with is None]

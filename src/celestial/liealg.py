@@ -186,28 +186,17 @@ def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
     """
     if not ambient.basis:
         return ambient
-    n = ambient.dim
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-    rows: list[list[GaussianRational]] = []
+    rows = []
     for d in tangents:
         dt = d.transpose()
-        cols = [dt * q.matrix + q.matrix * d for q in ambient.basis]
-        for i, j in idx:
-            row = [c[i, j] for c in cols]
-            if any(row):
-                rows.append(row)
+        # coefficient vectors of D^T A + A D, one per basis form A; a row of
+        # the system is one coefficient position across the basis
+        vecs = [QuadraticForm(dt * q.matrix + q.matrix * d).vec() for q in ambient.basis]
+        rows.extend(row for row in zip(*vecs) if any(row))
     if not rows:
         return ambient.reduced()
-    combos = kernel(Matrix(rows))
-    forms = []
-    for v in combos:
-        coeffs = v.column_vector()
-        m = Matrix.zero(n, n)
-        for c, q in zip(coeffs, ambient.basis):
-            if c:
-                m = m + q.matrix.scale(c)
-        forms.append(QuadraticForm(m, ambient.frame))
-    return FormSpan(tuple(forms), ambient.frame, ambient.coords).reduced()
+    forms = tuple(ambient.combination(v.column_vector()) for v in kernel(Matrix(rows)))
+    return FormSpan(forms, ambient.frame, ambient.coords).reduced()
 
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
@@ -251,12 +240,8 @@ def real_basis(space: FormSpan, i: int) -> FormSpan:
     forms = []
     for v in fixed:
         vec = v.column_vector()
-        m = Matrix.zero(space.dim, space.dim)
-        for j, q in enumerate(space.basis):
-            c = GaussianRational(vec[j].re, vec[k + j].re)
-            if c:
-                m = m + q.matrix.scale(c)
-        forms.append(QuadraticForm(m, space.frame))
+        coeffs = [GaussianRational(vec[j].re, vec[k + j].re) for j in range(k)]
+        forms.append(space.combination(coeffs))
     # no echelon normalization here: rescaling by complex units would break
     # the fixedness under the antilinear action that this basis certifies
     out = FormSpan(tuple(forms), space.frame, space.coords)
@@ -265,16 +250,15 @@ def real_basis(space: FormSpan, i: int) -> FormSpan:
     return out
 
 
-def _alpha_instances(alphas):
-    return [gauss(a) for a in alphas]
+_CATALOG_ALPHAS = (gauss(1), gauss(2), I)
 
 
-def subalgebra_catalog(alphas=(1, 2, I)) -> list[tuple[str, Subalgebra]]:
+def subalgebra_catalog() -> list[tuple[str, Subalgebra]]:
     """The classified subalgebras of sl2+sl2, up to complex conjugation.
 
-    One-parameter families are instantiated at the given alpha values; the
-    continuum is not enumerated.  Every entry is verified to be closed under
-    the bracket on construction.
+    One-parameter families are instantiated at alpha = 1, 2 and i; the
+    continuum is not enumerated.  Every entry is verified to be closed
+    under the bracket on construction.
     """
     out: list[tuple[str, Subalgebra]] = []
 
@@ -285,7 +269,7 @@ def subalgebra_catalog(alphas=(1, 2, I)) -> list[tuple[str, Subalgebra]]:
     add("s1", S1)
     add("t1+t2", T1 + T2)
     add("t1+s2", T1 + S2)
-    for a in _alpha_instances(alphas):
+    for a in _CATALOG_ALPHAS:
         add(f"s1+{a}s2", S1 + a * S2)
     add("t1,s1", T1, S1)
     add("t1,t2", T1, T2)
@@ -293,12 +277,12 @@ def subalgebra_catalog(alphas=(1, 2, I)) -> list[tuple[str, Subalgebra]]:
     add("s1,s2", S1, S2)
     add("s1+t2,t1", S1 + T2, T1)
     add("t1+t2,s1+s2", T1 + T2, S1 + S2)
-    for a in _alpha_instances(alphas):
+    for a in _CATALOG_ALPHAS:
         add(f"s1+{a}s2,t1", S1 + a * S2, T1)
     add("t1,q1,s1", T1, Q1, S1)
     add("t1,s1,t2", T1, S1, T2)
     add("t1,s1,s2", T1, S1, S2)
-    for a in _alpha_instances(alphas):
+    for a in _CATALOG_ALPHAS:
         add(f"s1+{a}s2,t1,t2", S1 + a * S2, T1, T2)
     add("t1+t2,q1+q2,s1+s2", T1 + T2, Q1 + Q2, S1 + S2)
     add("t1,s1,t2,s2", T1, S1, T2, S2)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exact import Matrix, GaussianRational, gauss, solve, ZERO, ONE, I
 
@@ -117,13 +117,13 @@ class QuadraticForm:
     def is_real(self) -> bool:
         return self.matrix.is_real
 
-    def evaluate(self, point) -> GaussianRational:
-        v = [gauss(x) for x in point]
+    def evaluate(self, point):
+        """The value at a point whose coordinates lie in any ring containing Q(i)."""
         total = ZERO
         for i, row in enumerate(self.matrix.entries()):
             for j, a in enumerate(row):
                 if a:
-                    total = total + a * v[i] * v[j]
+                    total = total + a * point[i] * point[j]
         return total
 
     def scale(self, c) -> "QuadraticForm":
@@ -154,9 +154,13 @@ def form_from_difference(pair, dim: int, frame: str = "y") -> QuadraticForm:
     return form_from_pairs([((a, b), 1), ((c, d), -1)], dim, frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormSpan:
-    """A linearly independent list of quadratic forms in one frame."""
+    """A linearly independent list of quadratic forms in one frame.
+
+    Spans compare with ``equals``; ``==`` and ``hash`` go by identity, so a
+    span is a cheap cache key.
+    """
 
     basis: tuple[QuadraticForm, ...]
     frame: str = "y"
@@ -166,10 +170,8 @@ class FormSpan:
         if self.coords is None:
             dim = self.basis[0].dim if self.basis else 0
             object.__setattr__(self, "coords", tuple(range(dim)))
-        if self.basis:
-            rows = Matrix([q.vec() for q in self.basis])
-            if rows.rank() != len(self.basis):
-                raise ValueError("form span basis is linearly dependent")
+        if self.basis and self.coefficients.rank() != len(self.basis):
+            raise ValueError("form span basis is linearly dependent")
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -178,56 +180,57 @@ class FormSpan:
     def dim(self) -> int:
         return self.basis[0].dim if self.basis else len(self.coords)
 
+    @cached_property
+    def coefficients(self) -> Matrix:
+        """The coefficient vectors of the basis forms, one row per form."""
+        return Matrix([q.vec() for q in self.basis])
+
+    def _form(self, vec) -> QuadraticForm:
+        """The form in this frame with the given upper-triangle coefficient vector."""
+        n = self.dim
+        m = [[ZERO] * n for _ in range(n)]
+        it = iter(vec)
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = next(it)
+        return QuadraticForm(Matrix._raw(m), self.frame)
+
+    def combination(self, coeffs) -> QuadraticForm:
+        """The form sum_k coeffs[k] * basis[k]."""
+        (vec,) = (Matrix([list(coeffs)]) * self.coefficients).entries()
+        return self._form(vec)
+
     def contains(self, q: QuadraticForm) -> bool:
-        if not self.basis:
-            return not any(q.vec())
-        m = Matrix(list(zip(*[b.vec() for b in self.basis])))
-        return solve(m, Matrix.column(q.vec())) is not None
+        return self.coordinates_of(q) is not None
 
     def coordinates_of(self, q: QuadraticForm):
         """Coefficients of q in this basis, or None if outside the span."""
         if not self.basis:
-            return None
-        m = Matrix(list(zip(*[b.vec() for b in self.basis])))
-        sol = solve(m, Matrix.column(q.vec()))
+            return None if any(q.vec()) else ()
+        sol = solve(self.coefficients.transpose(), Matrix.column(q.vec()))
         return None if sol is None else sol.column_vector()
 
     def reduced(self) -> "FormSpan":
         """Canonical basis (reduced row echelon on coefficient vectors)."""
         if not self.basis:
             return self
-        red, pivots = Matrix([q.vec() for q in self.basis]).rref()
-        n = self.dim
-        idx = [(i, j) for i in range(n) for j in range(i, n)]
-        forms = []
-        for r in range(len(pivots)):
-            m = [[ZERO] * n for _ in range(n)]
-            for (i, j), a in zip(idx, red.entries()[r]):
-                m[i][j] = a
-                m[j][i] = a
-            forms.append(QuadraticForm(Matrix(m), self.frame))
-        return FormSpan(tuple(forms), self.frame, self.coords)
+        red, pivots = self.coefficients.rref()
+        forms = tuple(self._form(vec) for vec in red.entries()[: len(pivots)])
+        return FormSpan(forms, self.frame, self.coords)
 
     def equals(self, other: "FormSpan") -> bool:
         if len(self.basis) != len(other.basis) or self.dim != other.dim:
             return False
-        mine = Matrix([q.vec() for q in self.basis]).rref()[0]
-        theirs = Matrix([q.vec() for q in other.basis]).rref()[0]
-        return mine == theirs
+        return self.coefficients.rref()[0] == other.coefficients.rref()[0]
 
-    def validate_on(self, param: MonomialParam, samples=None) -> None:
+    def validate_on(self, param: MonomialParam) -> None:
         """Check every basis form vanishes on enough parametrized points."""
-        if samples is None:
-            samples = [
-                (Fraction(a), Fraction(b))
-                for a in range(2, 2 + max(2, len(self.basis) + 1))
-                for b in (2, 3)
-            ]
-        for s, u in samples:
-            pt = param.eval(s, u)
-            for q in self.basis:
-                if q.evaluate(pt):
-                    raise ValueError("form span does not annihilate its parametrization")
+        for a in range(2, 2 + max(2, len(self.basis) + 1)):
+            for b in (2, 3):
+                pt = param.eval(Fraction(a), Fraction(b))
+                for q in self.basis:
+                    if q.evaluate(pt):
+                        raise ValueError("form span does not annihilate its parametrization")
 
 
 @lru_cache(maxsize=1)
@@ -235,10 +238,6 @@ def i2_segre() -> FormSpan:
     """The 20-dimensional space of quadrics through the double Segre surface."""
     basis = tuple(form_from_difference(p, 9) for p in SEGRE_QUADRIC_PAIRS)
     return FormSpan(basis, "y")
-
-
-def eval_param(p: MonomialParam, s, u) -> tuple[GaussianRational, ...]:
-    return p.eval(s, u)
 
 
 def normalize_point(point) -> tuple[GaussianRational, ...]:
@@ -444,7 +443,10 @@ def toric_projection(drop) -> tuple[MonomialParam, FormSpan]:
     return param, FormSpan(tuple(forms), "y", keep)
 
 
-def i2_dimension(param: MonomialParam, seed: int = 7, samples: int = 60) -> int:
+_I2_SAMPLES = 60  # evaluation points; five more than the quadratic monomials if that is more
+
+
+def i2_dimension(param: MonomialParam, seed: int = 7) -> int:
     """Dimension of the degree-2 part of the ideal, from evaluation-matrix nullity.
 
     This recomputes the dimension from scratch: evaluate all quadratic
@@ -457,7 +459,7 @@ def i2_dimension(param: MonomialParam, seed: int = 7, samples: int = 60) -> int:
     monos = [(i, j) for i in range(n) for j in range(i, n)]
     rng = random.Random(f"i2-dim:{seed}:{param.coords}")
     rows = []
-    for _ in range(max(samples, len(monos) + 5)):
+    for _ in range(max(_I2_SAMPLES, len(monos) + 5)):
         s = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
         u = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
         pt = param.eval(s, u)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +204,54 @@ def test_crashing_check_names_type_and_place(monkeypatch):
     (result,) = verify.run_checks()
     assert not result.ok
     assert re.fullmatch(r"KeyError: 'missing' @ test_cli\.py:\d+", result.detail)
+
+
+_PAIR = [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+
+
+@pytest.mark.parametrize(
+    "ambient, content",
+    [
+        ("segre", {"x": 1}),
+        ("segre", [1, 2]),
+        ("segre", {"elements": 5}),
+        ("segre", {"elements": [1]}),
+        ("segre", {"elements": [[[[1.5, 0], [0, 0]], [[0, 0], [0, 0]]]]}),
+        ("segre", {"elements": [[[["1/0", 0], [0, 0]], [[0, 0], [0, 0]]]]}),
+        ("segre", {"elements": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]]]}),
+        ("segre", {"elements": [_PAIR[0]]}),
+        ("segre", {"elements": [[_PAIR[0], _PAIR[1][:1]]]}),
+        ("veronese", {"x": 1}),
+        ("veronese", {"elements": [1]}),
+        ("veronese", {"elements": [[[0, 1, 0], [0, 0, 0]]]}),
+        ("veronese", {"elements": [[[0, 1], [0, 0], [0, 0]]]}),
+        ("veronese", {"elements": [[[0, 1.5, 0], [0, 0, 0], [0, 0, 0]]]}),
+        ("veronese", {"elements": [_PAIR]}),
+    ],
+    ids=[
+        "no-elements", "not-an-object", "elements-not-a-list", "element-not-a-pair",
+        "float-entry", "zero-denominator", "bool-entry", "lone-matrix", "short-row",
+        "veronese-no-elements", "veronese-element-not-a-matrix", "veronese-2x3",
+        "veronese-3x2", "veronese-float-entry", "veronese-segre-pair",
+    ],
+)
+def test_malformed_algebra_file_exits_2_with_one_line(tmp_path, capsys, ambient, content):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(content))
+    code = main(["invariant-forms", "--algebra", str(path), "--ambient", ambient])
+    assert code == 2
+    _one_line_error(capsys)
+
+
+def test_bad_seed_environment_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("CELESTIAL_SEED", "abc")
+    code = main(["family", "--coeffs", "1,1,1,1"])
+    assert code == 2
+    assert "CELESTIAL_SEED" in _one_line_error(capsys)
+
+
+def test_full_verify_json_matches_the_reference_bytes(capsys):
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_seed0.json"
+    code, out = _run(capsys, "verify", "--json", "--seed", "0")
+    assert code == 0
+    assert out == reference.read_text()

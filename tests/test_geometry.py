@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from celestial.exact import Signature, gauss, signature
+from celestial.exact import Matrix, Signature, gauss, signature
 from celestial import geometry
 from celestial.geometry import (
     BLOWUP_CONFIGS,
@@ -28,7 +28,7 @@ from celestial.geometry import (
     veronese_invariant_forms,
     veronese_signature_witnesses,
 )
-from celestial.segre import form_from_pairs, FormSpan
+from celestial.segre import form_from_pairs, FormSpan, QuadraticForm
 
 
 def test_pairing_values():
@@ -134,12 +134,23 @@ def test_cyclide_pipeline_matches_the_printed_pencils():
 
 
 def test_cyclide_pencils_contain_the_three_sphere():
-    from celestial.verify import _combination
-
     for span in cyclide_pipeline():
         coords = sphere_member(span)
         assert coords is not None
-        assert signature(_combination(span, coords).matrix) == Signature(1, 4, 0)
+        assert signature(span.combination(coords).matrix) == Signature(1, 4, 0)
+
+
+def test_sqrt2_congruence_rejects_a_surviving_sqrt2_part():
+    a = QuadraticForm(Matrix.identity(2), "y")
+    t0 = Matrix.identity(2)
+    t1 = Matrix([[0, 1], [1, 0]])
+    # T = t0 + sqrt(2)*t1 with t1 symmetric: T^T A T keeps 2*sqrt(2)*t1
+    with pytest.raises(ValueError, match="did not eliminate sqrt"):
+        geometry._sqrt2_congruence(a, t0, t1)
+    # an antisymmetric t1 cancels: T^T T = I + 2 * t1^T t1
+    skew = Matrix([[0, 1], [-1, 0]])
+    q = geometry._sqrt2_congruence(a, t0, skew)
+    assert q.matrix == Matrix.identity(2).scale(3)
 
 
 def test_pencils_annihilate_their_parametrizations():
@@ -148,10 +159,10 @@ def test_pencils_annihilate_their_parametrizations():
         for u in (Fraction(1, 3), Fraction(2), Fraction(7, 2)):
             sp = geometry.spindle_point(t, u)
             for q in x_s.basis:
-                assert not geometry._ext_eval(q, sp)
+                assert not q.evaluate(sp)
             hp = geometry.horn_point(t, u)
             for q in x_h.basis:
-                assert not geometry._ext_eval(q, hp)
+                assert not q.evaluate(hp)
 
 
 def test_stereographic_images_are_a_cone_and_a_cylinder():

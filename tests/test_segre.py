@@ -11,7 +11,6 @@ from celestial.segre import (
     SEGRE_PARAM,
     FormSpan,
     apply_sigma,
-    eval_param,
     form_from_pairs,
     i2_dimension_check,
     i2_segre,
@@ -25,24 +24,24 @@ from celestial.segre import (
 
 
 def test_eval_param_at_torus_identity():
-    assert eval_param(SEGRE_PARAM, 1, 1) == tuple(gauss(1) for _ in range(9))
+    assert SEGRE_PARAM.eval(1, 1) == tuple(gauss(1) for _ in range(9))
 
 
 def test_eval_param_exact_values():
-    pt = eval_param(SEGRE_PARAM, 2, 1)
+    pt = SEGRE_PARAM.eval(2, 1)
     expected = [1, 2, Fraction(1, 2), 1, 1, 2, Fraction(1, 2), 2, Fraction(1, 2)]
     assert pt == tuple(gauss(x) for x in expected)
 
 
 def test_eval_param_rejects_zero():
     with pytest.raises(ValueError):
-        eval_param(SEGRE_PARAM, 0, 1)
+        SEGRE_PARAM.eval(0, 1)
 
 
 def test_ideal_has_dimension_twenty_and_annihilates_points():
     span = i2_segre()
     assert len(span) == 20
-    pt = eval_param(SEGRE_PARAM, 3, 5)
+    pt = SEGRE_PARAM.eval(3, 5)
     assert all(not q.evaluate(pt) for q in span.basis)
 
 
@@ -50,7 +49,7 @@ def test_ideal_vanishes_on_deterministic_grid():
     span = i2_segre()
     for a in range(1, 8):
         for b in range(1, 8):
-            pt = eval_param(SEGRE_PARAM, Fraction(a, 3), Fraction(b, 5))
+            pt = SEGRE_PARAM.eval(Fraction(a, 3), Fraction(b, 5))
             for q in span.basis:
                 assert not q.evaluate(pt)
 
@@ -65,20 +64,20 @@ def test_ideal_dimension_recomputation_table():
 def test_sigma_commutes_with_the_parametrization():
     s, u = gauss("2"), gauss("-1+3i")
     for i in range(4):
-        lhs = apply_sigma(i, eval_param(SEGRE_PARAM, s, u))
-        rhs = eval_param(SEGRE_PARAM, *torus_sigma(i, s, u))
+        lhs = apply_sigma(i, SEGRE_PARAM.eval(s, u))
+        rhs = SEGRE_PARAM.eval(*torus_sigma(i, s, u))
         assert normalize_point(lhs) == normalize_point(rhs)
 
 
 def test_sigma_three_swaps_factors():
     s, u = gauss(2), gauss(5)
-    lhs = apply_sigma(3, eval_param(SEGRE_PARAM, s, u))
-    rhs = eval_param(SEGRE_PARAM, u.conjugate(), s.conjugate())
+    lhs = apply_sigma(3, SEGRE_PARAM.eval(s, u))
+    rhs = SEGRE_PARAM.eval(u.conjugate(), s.conjugate())
     assert normalize_point(lhs) == normalize_point(rhs)
 
 
 def test_sigma_is_an_involution_on_points_and_forms():
-    pt = eval_param(SEGRE_PARAM, gauss("2+i"), gauss("3-2i"))
+    pt = SEGRE_PARAM.eval(gauss("2+i"), gauss("3-2i"))
     for i in range(4):
         assert apply_sigma(i, apply_sigma(i, pt)) == pt
         for q in i2_segre().basis:
