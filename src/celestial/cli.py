@@ -121,16 +121,22 @@ def _cmd_classify_lattice(args) -> int:
     return 0
 
 
-def _parse_algebra(name_or_path: str, ambient: str):
+def _named_algebras(ambient: str) -> dict:
     if ambient == "segre":
-        if name_or_path in liealg.NAMED_ALGEBRAS:
-            return list(liealg.NAMED_ALGEBRAS[name_or_path])
-        return _algebra_from_file(name_or_path)
-    if name_or_path == "so3":
-        return geometry.so3_basis()
-    if name_or_path == "sl3":
-        return list(geometry.SL3_BASIS.values())
-    return _algebra_from_file(name_or_path, size=3)
+        return liealg.NAMED_ALGEBRAS
+    return {"so3": geometry.so3_basis(), "sl3": tuple(geometry.SL3_BASIS.values())}
+
+
+def _parse_algebra(name_or_path: str, ambient: str):
+    named = _named_algebras(ambient)
+    if name_or_path in named:
+        return list(named[name_or_path])
+    if name_or_path in _named_algebras("veronese" if ambient == "segre" else "segre"):
+        raise ValueError(
+            f"algebra {name_or_path!r} does not act on the {ambient} ambient, which "
+            f"accepts {', '.join(named)} or a JSON file"
+        )
+    return _algebra_from_file(name_or_path, size=2 if ambient == "segre" else 3)
 
 
 def _algebra_from_file(path: str, size: int = 2):
@@ -187,7 +193,7 @@ def _cmd_invariant_forms(args) -> int:
         var = {"y": "y", "x": "x"}
     else:
         if args.sigma not in (None, 0):
-            raise SystemExit("the Veronese ambient only carries the plain real structure (sigma 0)")
+            raise ValueError("the Veronese ambient only carries the plain real structure (sigma 0)")
         algebra = _parse_algebra(args.algebra, "veronese")
         spans = {"y": geometry.veronese_invariant_forms(algebra)}
         var = {"y": "y"}
@@ -204,10 +210,15 @@ def _cmd_invariant_forms(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    tokens = args.coeffs.split(",")
     try:
-        coeffs = forms.FamilyCoeffs(*(Fraction(tok) for tok in args.coeffs.split(",")))
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise SystemExit(f"bad coefficient vector: {exc}")
+        if len(tokens) != 4:
+            raise ValueError(f"expected four coefficients c1,c3,c5,c7, got {len(tokens)}")
+        coeffs = forms.FamilyCoeffs(*(Fraction(tok) for tok in tokens))
+    except ZeroDivisionError:
+        raise ValueError(f"bad coefficient vector {args.coeffs!r}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"bad coefficient vector {args.coeffs!r}: {exc}") from None
     record = forms.classify_family(coeffs)
     if args.json:
         print(json.dumps(record.to_json(), indent=2, sort_keys=True))

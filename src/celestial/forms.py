@@ -247,6 +247,9 @@ def _make_record(circles, degree, ambient, singular, moduli, m_eq_aut, name):
     )
 
 
+_FIXED_NAMES = ("Veronese surface", "spindle cyclide", "horn cyclide", "2-sphere")
+
+
 def fixed_records() -> list[CelestialRecord]:
     """The four classification rows that do not move in a family.
 
@@ -265,12 +268,8 @@ def fixed_records() -> list[CelestialRecord]:
     for q in horn_span.basis:
         if not horn_sym.contains(_embed(q, horn_span.coords)):
             raise RuntimeError("horn quadrics are not symmetry-invariant")
-    return [
-        CelestialRecord(INFINITY, 4, 4, "", "PSO(3)", 0, False, "Veronese surface"),
-        CelestialRecord(2, 4, 3, "rA1+rA1+A1+A1", "PSO(2)xPSX(1)", 0, True, "spindle cyclide"),
-        CelestialRecord(2, 4, 3, "rA3+A1+A1", "PSO(2)xPSE(1)", 0, True, "horn cyclide"),
-        CelestialRecord(INFINITY, 2, 2, "", "PSO(3,1)", 0, True, "2-sphere"),
-    ]
+    rows = {r.name: r for r in CLASSIFICATION_TABLE}
+    return [rows[name] for name in _FIXED_NAMES]
 
 
 def _embed(q: QuadraticForm, coords) -> QuadraticForm:

@@ -17,14 +17,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .exact import (
     GaussianRational,
     Matrix,
     Signature,
-    _drop,
-    _lift,
     gauss,
     signature,
     ZERO,
@@ -467,8 +464,9 @@ VERONESE_QUADRIC_PAIRS = (
     ((1, 3), (2, 5)),
 )
 
-# degree-2 monomials in (s, t, u) matching the coordinate order above
-VERONESE_MONOMIALS = ((0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0), (0, 2, 0))
+# degree-2 monomials in (s, t, u) matching the coordinate order above: the
+# homogenized exponents
+VERONESE_MONOMIALS = tuple((a, b, 2 - a - b) for a, b in VERONESE_EXPONENTS)
 
 
 def veronese_data() -> tuple[MonomialParam, FormSpan]:
@@ -534,16 +532,6 @@ _WITNESS_HEIGHT = 1  # largest absolute generator coefficient tried
 def veronese_signature_witnesses() -> frozenset[Signature]:
     """Normalized signatures realized by small combinations of the generators."""
     _, span = veronese_data()
-    n, k = span.dim, len(span.basis)
-    # lift all generators over one denominator, then combine them in integers
-    _, dens, ints = _lift([row for q in span.basis for row in q.matrix.entries()], common=True)
-    # at[i][j]: the lifted entries of every generator at position (i, j)
-    at = [[[ints[g * n + i][j] for g in range(k)] for j in range(n)] for i in range(n)]
-    found = set()
     coeff_range = range(-_WITNESS_HEIGHT, _WITNESS_HEIGHT + 1)
-    for coeffs in itertools.product(coeff_range, repeat=k):
-        if not any(coeffs):
-            continue
-        rows = [[sum(map(mul, coeffs, gens)) for gens in row] for row in at]
-        found.add(signature(Matrix._raw(_drop(rows, dens[:n], real=True))))
-    return frozenset(found)
+    rows = [c for c in itertools.product(coeff_range, repeat=len(span)) if any(c)]
+    return frozenset(signature(q.matrix) for q in span.combinations(rows))

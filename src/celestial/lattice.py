@@ -400,34 +400,19 @@ def classify_grid() -> list[LatticeClass]:
     trivial one through automorphisms of the surface itself, so they name
     the same surface.
     """
-    survivors: list[LatticeType] = []
+    matched = set()
     for poly in grid_polygons():
         for inv in STANDARD_INVOLUTIONS:
-            if _survives(poly, inv) is not None:
-                survivors.append(LatticeType.of(poly, inv))
-
-    classes: list[list[LatticeType]] = []
-    for lt in survivors:
-        for group in classes:
-            if unimodular_equivalent(group[0], lt):
-                group.append(lt)
-                break
-        else:
-            classes.append([lt])
-
-    out: list[LatticeClass] = []
-    for group in classes:
-        match = [c for c in CANONICAL_CLASSES if unimodular_equivalent(c.lattice_type, group[0])]
-        if len(match) != 1:
-            raise RuntimeError(
-                f"grid class {group[0]} matches {len(match)} canonical classes"
-            )
-        out.append(match[0])
-    if len(out) != len(CANONICAL_CLASSES):
-        raise RuntimeError(f"expected {len(CANONICAL_CLASSES)} raw classes, found {len(out)}")
-    order = {c.table_ref: k for k, c in enumerate(CANONICAL_CLASSES)}
-    out.sort(key=lambda c: order[c.table_ref])
-    return out
+            if _survives(poly, inv) is None:
+                continue
+            lt = LatticeType.of(poly, inv)
+            match = [c for c in CANONICAL_CLASSES if unimodular_equivalent(c.lattice_type, lt)]
+            if len(match) != 1:
+                raise RuntimeError(f"grid class {lt} matches {len(match)} canonical classes")
+            matched.add(match[0].table_ref)
+    if len(matched) != len(CANONICAL_CLASSES):
+        raise RuntimeError(f"expected {len(CANONICAL_CLASSES)} raw classes, found {len(matched)}")
+    return [c for c in CANONICAL_CLASSES if c.table_ref in matched]
 
 
 def merged_classes(raw: list[LatticeClass]) -> list[LatticeClass]:

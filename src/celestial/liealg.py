@@ -18,7 +18,7 @@ from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
     QuadraticForm,
-    TENSOR_POS,
+    Y_FACTORS,
     apply_sigma,
     monomial_rep_derivative,
 )
@@ -124,22 +124,17 @@ def d_rep(m: LieElement) -> Matrix:
     """Derivative at the identity of the symmetric-square action on P^8.
 
     Computed once per factor on the degree-2 monomial basis and assembled as
-    D_left x I + I x D_right, then permuted into the frozen y order.
+    D_left x I + I x D_right in the frozen y order.
     """
-    dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS)
-    dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS)
-    out = [[ZERO] * 9 for _ in range(9)]
-    for a in range(9):
-        ia, ja = divmod(TENSOR_POS[a], 3)
-        for b in range(9):
-            ib, jb = divmod(TENSOR_POS[b], 3)
-            val = ZERO
-            if ja == jb:
-                val = val + dl[ia, ib]
-            if ia == ib:
-                val = val + dr[ja, jb]
-            out[a][b] = val
-    return Matrix(out)
+    dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS).entries()
+    dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS).entries()
+    left = Matrix._raw(
+        [dl[f][h] if g == k else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS
+    )
+    right = Matrix._raw(
+        [dr[g][k] if f == h else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS
+    )
+    return left + right
 
 
 def span_contains(elements, x: LieElement) -> bool:

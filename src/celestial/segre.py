@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import Matrix, GaussianRational, gauss, solve, ZERO, ONE, I
+from .lattice import CANONICAL_CLASSES, STANDARD_INVOLUTIONS
 
 # torus exponents of y_0 .. y_8, in the frozen coordinate order
 Y_EXPONENTS: tuple[tuple[int, int], ...] = (
@@ -34,32 +35,26 @@ SEGRE_QUADRIC_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((0, 5), (1, 3)), ((0, 6), (2, 4)), ((0, 7), (1, 4)), ((0, 8), (2, 3)),
 )
 
-# sigma_i sends y to the point whose k-th coordinate is conj(y[PERM[k]])
-SIGMA_PERMS: tuple[tuple[int, ...], ...] = (
-    (0, 1, 2, 3, 4, 5, 6, 7, 8),
-    (0, 2, 1, 3, 4, 8, 7, 6, 5),
-    (0, 2, 1, 4, 3, 6, 5, 8, 7),
-    (0, 3, 4, 1, 2, 5, 6, 8, 7),
+# sigma_i sends y to the point whose k-th coordinate is conj(y[PERM[k]]); on
+# the torus it is the lattice involution STANDARD_INVOLUTIONS[i] composed with
+# conjugation, so y_k goes to conj(y_j) with exponent(j) = inv(exponent(k))
+SIGMA_PERMS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(Y_EXPONENTS.index(inv.apply(e)) for e in Y_EXPONENTS)
+    for inv in STANDARD_INVOLUTIONS
 )
 
-# position of y_k in the tensor basis (s^2,st,t^2) x (u^2,uw,w^2)
-TENSOR_POS: tuple[int, ...] = (4, 1, 7, 3, 5, 0, 8, 2, 6)
+# y_k = (s^2, st, t^2)[f] * (u^2, uw, w^2)[g] for (f, g) = Y_FACTORS[k]
+Y_FACTORS: tuple[tuple[int, int], ...] = tuple((1 - a, 1 - b) for a, b in Y_EXPONENTS)
 
 DEGREE2_MONOMIALS_2VARS: tuple[tuple[int, int], ...] = ((2, 0), (1, 1), (0, 2))
 
 
 def torus_sigma(i: int, s: GaussianRational, u: GaussianRational):
-    """The involution sigma_i on the torus: entrywise rules on (s, u)."""
+    """The involution sigma_i on the torus: its lattice matrix applied to (conj s, conj u)."""
+    if i not in range(len(STANDARD_INVOLUTIONS)):
+        raise ValueError("sigma index must be 0..3")
     cs, cu = s.conjugate(), u.conjugate()
-    if i == 0:
-        return cs, cu
-    if i == 1:
-        return ONE / cs, cu
-    if i == 2:
-        return ONE / cs, ONE / cu
-    if i == 3:
-        return cu, cs
-    raise ValueError("sigma index must be 0..3")
+    return tuple(cs**a * cu**b for a, b in STANDARD_INVOLUTIONS[i].m)
 
 
 @dataclass(frozen=True)
@@ -195,10 +190,13 @@ class FormSpan:
                 m[i][j] = m[j][i] = next(it)
         return QuadraticForm(Matrix._raw(m), self.frame)
 
+    def combinations(self, rows) -> list[QuadraticForm]:
+        """The forms sum_k row[k] * basis[k], one per coefficient row, in one product."""
+        return [self._form(vec) for vec in (Matrix(rows) * self.coefficients).entries()]
+
     def combination(self, coeffs) -> QuadraticForm:
         """The form sum_k coeffs[k] * basis[k]."""
-        (vec,) = (Matrix([list(coeffs)]) * self.coefficients).entries()
-        return self._form(vec)
+        return self.combinations([list(coeffs)])[0]
 
     def contains(self, q: QuadraticForm) -> bool:
         return self.coordinates_of(q) is not None
@@ -336,37 +334,6 @@ def mu_transform(i: int, q: QuadraticForm, coords=None) -> QuadraticForm:
     return QuadraticForm(m.transpose() * q.matrix * m, "x")
 
 
-def _poly_substitute(exps, g: Matrix) -> dict[tuple[int, ...], GaussianRational]:
-    """Expand the monomial x^exps after the substitution x -> g*x."""
-    nvars = g.rows
-    acc: dict[tuple[int, ...], GaussianRational] = {tuple([0] * nvars): ONE}
-    for k, e in enumerate(exps):
-        for _ in range(e):
-            nxt: dict[tuple[int, ...], GaussianRational] = {}
-            for mono, c in acc.items():
-                for l in range(nvars):
-                    if g[k, l]:
-                        m = list(mono)
-                        m[l] += 1
-                        key = tuple(m)
-                        nxt[key] = nxt.get(key, ZERO) + c * g[k, l]
-            acc = nxt
-    return acc
-
-
-def monomial_rep(g: Matrix, monomials) -> Matrix:
-    """Matrix of the substitution action of g on a monomial basis."""
-    index = {m: i for i, m in enumerate(monomials)}
-    out = [[ZERO] * len(monomials) for _ in monomials]
-    for r, exps in enumerate(monomials):
-        for mono, c in _poly_substitute(exps, g).items():
-            if c:
-                if mono not in index:
-                    raise ValueError("substitution leaves the monomial basis")
-                out[r][index[mono]] = c
-    return Matrix(out)
-
-
 def monomial_rep_derivative(g: Matrix, monomials) -> Matrix:
     """Derivative at the identity of the monomial action of exp(t*g)."""
     index = {m: i for i, m in enumerate(monomials)}
@@ -388,19 +355,13 @@ def monomial_rep_derivative(g: Matrix, monomials) -> Matrix:
     return Matrix(out)
 
 
-def _kron3(a: Matrix, b: Matrix) -> Matrix:
-    out = [[ZERO] * 9 for _ in range(9)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    out[3 * i + j][3 * k + l] = a[i, k] * b[j, l]
-    return Matrix(out)
-
-
-def _tensor_to_y(m9: Matrix) -> Matrix:
-    return Matrix(
-        [[m9[TENSOR_POS[a], TENSOR_POS[b]] for b in range(9)] for a in range(9)]
+def _sym2(phi: Matrix) -> tuple[tuple[GaussianRational, ...], ...]:
+    """Rows of the substitution action of phi on (s^2, st, t^2)."""
+    (a, b), (c, d) = phi.entries()
+    return (
+        (a * a, 2 * a * b, b * b),
+        (a * c, a * d + b * c, b * d),
+        (c * c, 2 * c * d, d * d),
     )
 
 
@@ -415,9 +376,10 @@ def rep_S(phi1: Matrix, phi2: Matrix) -> Matrix:
             raise ValueError("factors must be 2x2")
         if not phi.det():
             raise ValueError("singular factor")
-    s1 = monomial_rep(phi1, DEGREE2_MONOMIALS_2VARS)
-    s2 = monomial_rep(phi2, DEGREE2_MONOMIALS_2VARS)
-    return _tensor_to_y(_kron3(s1, s2))
+    s1, s2 = _sym2(phi1), _sym2(phi2)
+    return Matrix._raw(
+        [s1[f][h] * s2[g][k] for h, k in Y_FACTORS] for f, g in Y_FACTORS
+    )
 
 
 def toric_projection(drop) -> tuple[MonomialParam, FormSpan]:
@@ -474,9 +436,7 @@ def i2_dimension_check(tag: str, seed: int = 7) -> int:
     The monomial parametrization is rebuilt from the lattice points of the
     classified polygon, so this is independent of any stored generator list.
     """
-    from . import lattice
-
-    cls = next((c for c in lattice.CANONICAL_CLASSES if c.table_ref == tag), None)
+    cls = next((c for c in CANONICAL_CLASSES if c.table_ref == tag), None)
     if cls is None:
         raise ValueError(f"unknown lattice class {tag!r}")
     pts = cls.lattice_type.polygon.lattice_points()

@@ -81,8 +81,9 @@ def test_family_ring(capsys):
 
 
 def test_family_rejects_bad_input(capsys):
-    with pytest.raises(SystemExit):
-        main(["family", "--coeffs", "1,bananas,0,1"])
+    code = main(["family", "--coeffs", "1,bananas,0,1"])
+    assert code == 2
+    assert "bananas" in _one_line_error(capsys)
     code = main(["family", "--coeffs", "1,-1,1,1"])
     assert code == 2
 
@@ -255,3 +256,36 @@ def test_full_verify_json_matches_the_reference_bytes(capsys):
     code, out = _run(capsys, "verify", "--json", "--seed", "0")
     assert code == 0
     assert out == reference.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["family", "--coeffs", "1,1,1"], "four coefficients"),
+        (["family", "--coeffs", "1,1,1,1,1"], "four coefficients"),
+        (["family", "--coeffs", "0,0,0,0"], "must not all vanish"),
+        (["family", "--coeffs", "1/0,1,1,1"], "zero denominator"),
+        (["invariant-forms", "--algebra", "so3", "--ambient", "veronese", "--sigma", "1"],
+         "sigma 0"),
+    ],
+    ids=["three-coeffs", "five-coeffs", "all-zero", "zero-denominator", "veronese-sigma"],
+)
+def test_bad_values_exit_2_with_one_line(capsys, argv, needle):
+    assert main(argv) == 2
+    assert needle in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "name, ambient, accepted",
+    [
+        ("so3", "segre", "so2xso2, so2xsx1, so2xse1, sl2xsl2"),
+        ("sl3", "segre", "so2xso2, so2xsx1, so2xse1, sl2xsl2"),
+        ("so2xso2", "veronese", "so3, sl3"),
+        ("sl2xsl2", "veronese", "so3, sl3"),
+    ],
+)
+def test_algebra_of_the_other_ambient_names_the_accepted_ones(capsys, name, ambient, accepted):
+    code = main(["invariant-forms", "--algebra", name, "--ambient", ambient])
+    assert code == 2
+    err = _one_line_error(capsys)
+    assert repr(name) in err and accepted in err and "No such file" not in err

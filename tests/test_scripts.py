@@ -1,0 +1,37 @@
+"""The command line scripts under scripts/ run to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, expect, files",
+    [
+        ("scan_family_grid.py", ["--max-height", "1"], "admissible coefficient vectors", []),
+        ("print_invariant_tables.py", [], "== classification records ==", []),
+        ("export_surface_clouds.py", ["--resolution", "4", "--out-dir", "clouds"], "dp6 dense",
+         ["clouds/dp6_dense.csv", "clouds/ring.ply"]),
+    ],
+)
+def test_script_exits_0(tmp_path, name, args, expect, files):
+    proc = _run_script(name, *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout
+    assert all((tmp_path / f).is_file() for f in files)

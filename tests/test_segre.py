@@ -76,6 +76,50 @@ def test_sigma_three_swaps_factors():
     assert normalize_point(lhs) == normalize_point(rhs)
 
 
+def test_derived_sigma_permutations_match_the_printed_tables():
+    assert segre.SIGMA_PERMS == (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8),
+        (0, 2, 1, 3, 4, 8, 7, 6, 5),
+        (0, 2, 1, 4, 3, 6, 5, 8, 7),
+        (0, 3, 4, 1, 2, 5, 6, 8, 7),
+    )
+
+
+def test_derived_torus_sigma_matches_the_entrywise_rules():
+    s, u = gauss("2+i"), gauss("-1/3+2i")
+    cs, cu = s.conjugate(), u.conjugate()
+    assert torus_sigma(0, s, u) == (cs, cu)
+    assert torus_sigma(1, s, u) == (1 / cs, cu)
+    assert torus_sigma(2, s, u) == (1 / cs, 1 / cu)
+    assert torus_sigma(3, s, u) == (cu, cs)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            torus_sigma(bad, s, u)
+
+
+def test_derived_tensor_positions_match_the_printed_table():
+    # position of y_k in the tensor basis (s^2,st,t^2) x (u^2,uw,w^2)
+    assert tuple(3 * f + g for f, g in segre.Y_FACTORS) == (4, 1, 7, 3, 5, 0, 8, 2, 6)
+
+
+def test_derived_veronese_monomials_match_the_printed_table():
+    from celestial.geometry import VERONESE_MONOMIALS
+
+    assert VERONESE_MONOMIALS == (
+        (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0), (0, 2, 0),
+    )
+
+
+def test_span_combinations_are_the_coefficient_sums():
+    span = i2_segre()
+    rows = [[k % 3 - 1 for k in range(j, j + 20)] for j in range(4)] + [[gauss("1/2-i")] * 20]
+    for row, q in zip(rows, span.combinations(rows), strict=True):
+        total = Matrix.zero(9, 9)
+        for c, form in zip(row, span.basis):
+            total = total + form.matrix.scale(c)
+        assert q.matrix == total
+
+
 def test_sigma_is_an_involution_on_points_and_forms():
     pt = SEGRE_PARAM.eval(gauss("2+i"), gauss("3-2i"))
     for i in range(4):
