@@ -15,21 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .exact import Matrix, gauss
 from .segre import FormSpan, QuadraticForm, i2_segre, mu_transform
 from . import forms, geometry, lattice, liealg, sampling, verify
-
-
-def _seed_default() -> int:
-    raw = os.environ.get("CELESTIAL_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CELESTIAL_SEED must be an integer, not {raw!r}") from None
 
 
 def _form_to_json(q: QuadraticForm) -> list[list[str]]:
@@ -257,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--only", help="run a single check by id")
-    p.add_argument("--seed", type=int, default=_seed_default())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # the --seed default reads CELESTIAL_SEED
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:  # bad input values, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)

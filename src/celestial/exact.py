@@ -385,10 +385,7 @@ class Matrix:
             else:
                 out = [_gauss_row_product(row, b, other.cols) for row in a]
             return Matrix._raw(_drop(out, [d * db for d in dens], real))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return NotImplemented
 
     def scale(self, c) -> "Matrix":
         c = gauss(c)

@@ -158,22 +158,6 @@ class CelestialRecord:
     moebius_equals_full_aut: bool
     name: str
 
-    def __post_init__(self):
-        if self.key() not in {r.key() for r in CLASSIFICATION_TABLE}:
-            raise ValueError(f"record does not match any classification row: {self}")
-
-    def key(self):
-        return (
-            self.circles,
-            self.degree,
-            self.ambient,
-            self.singular_locus,
-            self.group_name,
-            self.moduli_dim,
-            self.moebius_equals_full_aut,
-            self.name,
-        )
-
     def celestial_type(self) -> tuple[float, int, int]:
         return (self.circles, self.degree, self.ambient)
 
@@ -189,42 +173,31 @@ class CelestialRecord:
         }
 
 
-def _row(circles, degree, ambient, singular, group, moduli, m_eq_aut, name):
-    rec = object.__new__(CelestialRecord)
-    for field, value in zip(
-        ("circles", "degree", "ambient", "singular_locus", "group_name",
-         "moduli_dim", "moebius_equals_full_aut", "name"),
-        (circles, degree, ambient, singular, group, moduli, m_eq_aut, name),
-    ):
-        object.__setattr__(rec, field, value)
-    return rec
-
-
 # the eight classification rows; singular loci use the rendering of
 # geometry.DynkinString ("rA1" = real node, "A3" = complex tacnode, ...)
 CLASSIFICATION_TABLE: tuple[CelestialRecord, ...] = (
-    _row(2, 8, 7, "", "PSO(2)xPSO(2)", 3, False, "double Segre surface"),
-    _row(2, 8, 5, "", "PSO(2)xPSO(2)", 2, False, "projected dS"),
-    _row(3, 6, 5, "", "PSO(2)xPSO(2)", 2, True, "dP6"),
-    _row(INFINITY, 4, 4, "", "PSO(3)", 0, False, "Veronese surface"),
-    _row(4, 4, 3, "A1+A1+A1+A1", "PSO(2)xPSO(2)", 1, True, "ring cyclide"),
-    _row(2, 4, 3, "rA1+rA1+A1+A1", "PSO(2)xPSX(1)", 0, True, "spindle cyclide"),
-    _row(2, 4, 3, "rA3+A1+A1", "PSO(2)xPSE(1)", 0, True, "horn cyclide"),
-    _row(INFINITY, 2, 2, "", "PSO(3,1)", 0, True, "2-sphere"),
+    CelestialRecord(2, 8, 7, "", "PSO(2)xPSO(2)", 3, False, "double Segre surface"),
+    CelestialRecord(2, 8, 5, "", "PSO(2)xPSO(2)", 2, False, "projected dS"),
+    CelestialRecord(3, 6, 5, "", "PSO(2)xPSO(2)", 2, True, "dP6"),
+    CelestialRecord(INFINITY, 4, 4, "", "PSO(3)", 0, False, "Veronese surface"),
+    CelestialRecord(4, 4, 3, "A1+A1+A1+A1", "PSO(2)xPSO(2)", 1, True, "ring cyclide"),
+    CelestialRecord(2, 4, 3, "rA1+rA1+A1+A1", "PSO(2)xPSX(1)", 0, True, "spindle cyclide"),
+    CelestialRecord(2, 4, 3, "rA3+A1+A1", "PSO(2)xPSE(1)", 0, True, "horn cyclide"),
+    CelestialRecord(INFINITY, 2, 2, "", "PSO(3,1)", 0, True, "2-sphere"),
 )
 
 
 def classify_family(c: FamilyCoeffs) -> CelestialRecord:
     """Map a family member to its classification row.
 
-    The ambient dimension is recomputed independently as rank(Q_c) - 2 and
-    must agree with the row; the moduli dimension counts the projective
-    freedom left in the family after fixing the support.
+    The ambient dimension is recomputed as rank(Q_c) - 2, the rank read off
+    the kernel that gives the vertex, and must agree with the row; the
+    moduli dimension counts the projective freedom left in the family after
+    fixing the support.
     """
     moebius_pair(c)  # the member must define a valid pair at all
-    vanishing, _ = singular_support(c)
-    x_form = family_form(c, "x")
-    n = signature(x_form.matrix).rank - 2
+    vanishing, vertex_dim = singular_support(c)
+    n = 9 - (vertex_dim + 1) - 2
     moduli = 3 - len(vanishing)
     if not vanishing:
         rec = _make_record(2, 8, 7, "", 3, False, "double Segre surface")
@@ -242,9 +215,12 @@ def classify_family(c: FamilyCoeffs) -> CelestialRecord:
 
 
 def _make_record(circles, degree, ambient, singular, moduli, m_eq_aut, name):
-    return CelestialRecord(
+    rec = CelestialRecord(
         circles, degree, ambient, singular, "PSO(2)xPSO(2)", moduli, m_eq_aut, name
     )
+    if rec not in CLASSIFICATION_TABLE:
+        raise ValueError(f"record does not match any classification row: {rec}")
+    return rec
 
 
 _FIXED_NAMES = ("Veronese surface", "spindle cyclide", "horn cyclide", "2-sphere")

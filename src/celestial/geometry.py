@@ -48,12 +48,6 @@ class NSClass:
 
     coeffs: tuple[int, int, int, int, int, int]
 
-    def __add__(self, other: "NSClass") -> "NSClass":
-        return NSClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "NSClass":
-        return NSClass(tuple(-a for a in self.coeffs))
-
     def conjugate(self) -> "NSClass":
         """The real structure swaps e1 <-> e2 and e3 <-> e4."""
         l0, l1, e1, e2, e3, e4 = self.coeffs
@@ -240,12 +234,6 @@ class QuadExt:
     def __sub__(self, other) -> "QuadExt":
         other = QuadExt.of(other)
         return QuadExt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other) -> "QuadExt":
-        return QuadExt.of(other) - self
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b)
 
     def __mul__(self, other) -> "QuadExt":
         other = QuadExt.of(other)

@@ -293,18 +293,6 @@ def unimodular_equivalent(a: LatticeType, b: LatticeType) -> bool:
     return False
 
 
-# expected surface rows keyed by (degree, interior, singular count); the
-# ring/spindle pair shares a key and is split by the direction count
-_ROW_NAMES = {
-    (8, 1, 0): "dS",
-    (6, 1, 0): "dP6",
-    (6, 1, 1): "weak dP6",
-    (4, 0, 0): "Veronese surface",
-    (4, 1, 4): "ring-or-spindle",
-    (4, 1, 3): "horn cyclide",
-    (2, 0, 0): "2-sphere",
-}
-
 @dataclass(frozen=True)
 class LatticeClass:
     """One classified lattice type with its table data."""
@@ -354,6 +342,12 @@ def _canonical_table() -> list[LatticeClass]:
 
 CANONICAL_CLASSES: tuple[LatticeClass, ...] = tuple(_canonical_table())
 
+# (degree, interior, singular count) of the canonical classes
+_ROW_KEYS = frozenset(
+    (c.degree, c.interior, c.lattice_type.polygon.singular_vertex_count())
+    for c in CANONICAL_CLASSES
+)
+
 _ALLOWED_COUNTS = {(0, 4), (0, 6), (1, 4), (1, 6), (1, 8)}
 
 _GRID = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
@@ -372,24 +366,21 @@ def grid_polygons() -> list[LatticePolygon]:
     return list(seen.values())
 
 
-def _survives(poly: LatticePolygon, inv: UnimodularInvolution) -> str | None:
-    """Name of the surface row a candidate pair belongs to, or None."""
+def _survives(poly: LatticePolygon, inv: UnimodularInvolution) -> bool:
+    """Whether a candidate pair passes every filter of the classification."""
     i, b = lattice_counts(poly)
     if (i, b) not in _ALLOWED_COUNTS:
-        return None
+        return False
     if not inv.preserves(poly):
-        return None
+        return False
     if forbidden_edge(poly, inv):
-        return None
+        return False
     d = 2 * i + b - 2
     global_min = minimal_width_directions(poly)
     stable_min = [v for v in global_min if inv.fixes_direction(v)]
     if d != 2 and len(stable_min) < 2:
-        return None
-    name = _ROW_NAMES.get((d, i, poly.singular_vertex_count()))
-    if name == "ring-or-spindle":
-        name = "ring cyclide" if len(stable_min) >= 4 else "spindle cyclide"
-    return name
+        return False
+    return (d, i, poly.singular_vertex_count()) in _ROW_KEYS
 
 
 def classify_grid() -> list[LatticeClass]:
@@ -403,7 +394,7 @@ def classify_grid() -> list[LatticeClass]:
     matched = set()
     for poly in grid_polygons():
         for inv in STANDARD_INVOLUTIONS:
-            if _survives(poly, inv) is None:
+            if not _survives(poly, inv):
                 continue
             lt = LatticeType.of(poly, inv)
             match = [c for c in CANONICAL_CLASSES if unimodular_equivalent(c.lattice_type, lt)]

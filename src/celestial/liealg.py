@@ -52,12 +52,6 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         return LieElement(self.left + other.left, self.right + other.right)
 
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self.left - other.left, self.right - other.right)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(-self.left, -self.right)
-
     def scale(self, c) -> "LieElement":
         return LieElement(self.left.scale(c), self.right.scale(c))
 

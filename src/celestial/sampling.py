@@ -14,48 +14,7 @@ from dataclasses import dataclass
 from .segre import mu_transform, toric_projection
 from . import geometry
 
-SURFACES = ("dp6", "ring", "spindle", "horn", "veronese")
-
 _TAN_CUTOFF = 1e8
-
-
-def _real_float_forms(span, mu_index, coords):
-    """Real and imaginary parts of the transformed quadrics, as float rows."""
-    out = []
-    for q in span.basis:
-        xq = mu_transform(mu_index, q, coords)
-        re = [[float(a.re) for a in row] for row in xq.matrix.entries()]
-        im = [[float(a.im) for a in row] for row in xq.matrix.entries()]
-        for mat in (re, im):
-            if any(any(row) for row in mat):
-                out.append(mat)
-    return out
-
-
-def _float_forms(span):
-    out = []
-    for q in span.basis:
-        if not q.is_real:
-            raise ValueError("expected a real form span")
-        out.append([[float(a.re) for a in row] for row in q.matrix.entries()])
-    return out
-
-
-def surface_quadrics(surface: str) -> list[list[list[float]]]:
-    """The defining quadrics of a sample surface, as float matrices."""
-    if surface == "dp6":
-        _, span = toric_projection({5, 6})
-        return _real_float_forms(span, 2, span.coords)
-    if surface == "ring":
-        _, span = toric_projection({1, 2, 5, 6})
-        return _real_float_forms(span, 2, span.coords)
-    if surface == "spindle":
-        return _float_forms(geometry.cyclide_pipeline()[0])
-    if surface == "horn":
-        return _float_forms(geometry.cyclide_pipeline()[1])
-    if surface == "veronese":
-        return _float_forms(geometry.veronese_data()[1])
-    raise ValueError(f"unknown surface {surface!r}")
 
 
 def _dp6_point(a: float, b: float):
@@ -96,13 +55,39 @@ def _veronese_point(a: float, b: float):
     return (1.0, s * t, s, t, s * s, t * t)
 
 
-_PARAMS = {
-    "dp6": _dp6_point,
-    "ring": _ring_point,
-    "spindle": _spindle_point,
-    "horn": _horn_point,
-    "veronese": _veronese_point,
+def _toric_forms(removed):
+    """The quadrics of a toric projection, moved to the x frame of sigma_2."""
+    _, span = toric_projection(removed)
+    return [mu_transform(2, q, span.coords) for q in span.basis]
+
+
+# each surface: its float parametrization and its exact defining quadrics
+_SURFACES = {
+    "dp6": (_dp6_point, lambda: _toric_forms({5, 6})),
+    "ring": (_ring_point, lambda: _toric_forms({1, 2, 5, 6})),
+    "spindle": (_spindle_point, lambda: geometry.cyclide_pipeline()[0].basis),
+    "horn": (_horn_point, lambda: geometry.cyclide_pipeline()[1].basis),
+    "veronese": (_veronese_point, lambda: geometry.veronese_data()[1].basis),
 }
+
+SURFACES = tuple(_SURFACES)
+
+
+def surface_quadrics(surface: str) -> list[list[list[float]]]:
+    """The defining quadrics of a sample surface, as float matrices.
+
+    Each exact form contributes its nonzero real and imaginary parts, since
+    a real point must satisfy both.
+    """
+    if surface not in _SURFACES:
+        raise ValueError(f"unknown surface {surface!r}")
+    out = []
+    for q in _SURFACES[surface][1]():
+        rows = q.matrix.entries()
+        for part in ([[a.re for a in row] for row in rows], [[a.im for a in row] for row in rows]):
+            if any(map(any, part)):
+                out.append([[float(x) for x in row] for row in part])
+    return out
 
 
 def surface_points(surface: str, resolution: int):
@@ -113,7 +98,7 @@ def surface_points(surface: str, resolution: int):
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    param = _PARAMS[surface]
+    param = _SURFACES[surface][0]
     pts = []
     skipped = 0
     for i in range(resolution):

@@ -221,30 +221,12 @@ class FormSpan:
             return False
         return self.coefficients.rref()[0] == other.coefficients.rref()[0]
 
-    def validate_on(self, param: MonomialParam) -> None:
-        """Check every basis form vanishes on enough parametrized points."""
-        for a in range(2, 2 + max(2, len(self.basis) + 1)):
-            for b in (2, 3):
-                pt = param.eval(Fraction(a), Fraction(b))
-                for q in self.basis:
-                    if q.evaluate(pt):
-                        raise ValueError("form span does not annihilate its parametrization")
-
 
 @lru_cache(maxsize=1)
 def i2_segre() -> FormSpan:
     """The 20-dimensional space of quadrics through the double Segre surface."""
     basis = tuple(form_from_difference(p, 9) for p in SEGRE_QUADRIC_PAIRS)
     return FormSpan(basis, "y")
-
-
-def normalize_point(point) -> tuple[GaussianRational, ...]:
-    """Scale a projective point so its first nonzero coordinate is 1."""
-    pt = [gauss(x) for x in point]
-    lead = next((x for x in pt if x), None)
-    if lead is None:
-        raise ValueError("zero vector is not a projective point")
-    return tuple(x / lead for x in pt)
 
 
 def sigma_matrix(i: int) -> Matrix:

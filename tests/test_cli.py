@@ -244,13 +244,6 @@ def test_malformed_algebra_file_exits_2_with_one_line(tmp_path, capsys, ambient,
     _one_line_error(capsys)
 
 
-def test_bad_seed_environment_exits_2_with_one_line(monkeypatch, capsys):
-    monkeypatch.setenv("CELESTIAL_SEED", "abc")
-    code = main(["family", "--coeffs", "1,1,1,1"])
-    assert code == 2
-    assert "CELESTIAL_SEED" in _one_line_error(capsys)
-
-
 def test_full_verify_json_matches_the_reference_bytes(capsys):
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_seed0.json"
     code, out = _run(capsys, "verify", "--json", "--seed", "0")
@@ -289,3 +282,47 @@ def test_algebra_of_the_other_ambient_names_the_accepted_ones(capsys, name, ambi
     assert code == 2
     err = _one_line_error(capsys)
     assert repr(name) in err and accepted in err and "No such file" not in err
+
+
+def test_classify_lattice_text(capsys):
+    code, out = _run(capsys, "classify-lattice")
+    assert code == 0
+    assert out.splitlines() == [
+        "a    dS                 i=1 b=8 d=8  circles: down right",
+        "b    dP6                i=1 b=6 d=6  circles: down down-right right",
+        "c    weak dP6           i=1 b=6 d=6  circles: down right",
+        "d    Veronese surface   i=0 b=6 d=4  circles: down down-right right",
+        "e    ring cyclide       i=1 b=4 d=4  circles: down down-right right down-left",
+        "f    spindle cyclide    i=1 b=4 d=4  circles: down right",
+        "g    horn cyclide       i=1 b=4 d=4  circles: down right",
+        "h    2-sphere           i=0 b=4 d=2  circles: down-right down-left",
+    ]
+
+
+def test_family_text(capsys):
+    code, out = _run(capsys, "family", "--coeffs", "1,1,0,1")
+    assert code == 0
+    assert out.splitlines() == [
+        "dP6: type (3,6,5)",
+        "  singular locus : smooth",
+        "  symmetry group : PSO(2)xPSO(2)",
+        "  moduli dim     : 2",
+        "  group is full  : True",
+    ]
+
+
+def test_invariant_forms_text(capsys):
+    code, out = _run(capsys, "invariant-forms", "--algebra", "so2xso2", "--sigma", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "frame y: 4 generator(s)",
+        "  (1)*y0^2 + (-1)*y7*y8",
+        "  (2)*y1*y2 + (-2)*y7*y8",
+        "  (2)*y3*y4 + (-2)*y7*y8",
+        "  (2)*y5*y6 + (-2)*y7*y8",
+        "frame x: 4 generator(s)",
+        "  (1/4)*x0^2 + (-1)*x7^2 + (-1)*x8^2",
+        "  (2)*x1^2 + (2)*x2^2 + (-2)*x7^2 + (-2)*x8^2",
+        "  (2)*x3^2 + (2)*x4^2 + (-2)*x7^2 + (-2)*x8^2",
+        "  (2)*x5^2 + (2)*x6^2 + (-2)*x7^2 + (-2)*x8^2",
+    ]

@@ -130,11 +130,15 @@ def test_fixed_records():
 
 
 def test_every_record_matches_a_classification_row():
-    keys = {r.key() for r in forms.CLASSIFICATION_TABLE}
     for coeffs in ((1, 1, 1, 1), (0, 1, 1, 1), (1, 1, 0, 1), (0, 1, 0, 1)):
-        assert classify_family(FamilyCoeffs(*coeffs)).key() in keys
+        assert classify_family(FamilyCoeffs(*coeffs)) in forms.CLASSIFICATION_TABLE
     for rec in fixed_records():
-        assert rec.key() in keys
+        assert rec in forms.CLASSIFICATION_TABLE
+
+
+def test_a_record_off_the_table_is_rejected():
+    with pytest.raises(ValueError, match="does not match any classification row"):
+        forms._make_record(2, 8, 7, "", 2, False, "double Segre surface")
 
 
 def test_moebius_pair_validation():
