@@ -5,12 +5,13 @@ On top of that sit Gaussian rationals, dense matrices, exact null spaces,
 symmetric congruence diagonalization and signatures of real symmetric
 matrices.  No floating point enters this module.
 
-Entries are stored as Gaussian rationals, but the matrix kernels compute
-over the Gaussian integers: ``_lift`` clears the denominators of each row,
-products accumulate in Python ints, and elimination is fraction-free
+A matrix is stored over the Gaussian integers: each row is a tuple of
+Gaussian integers over one positive denominator (``_lift`` clears the
+denominators of given entries), and every operation computes on that form.
+Products accumulate in Python ints, and elimination is fraction-free
 (Bareiss 1968, Math. Comp. 22), so every intermediate entry stays a minor
-of the lifted input.  ``_drop`` turns the result back into one Fraction per
-output entry.
+of the lifted input.  ``_drop`` makes the Gaussian-rational entries, once
+per matrix, when they are first read.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from itertools import chain
+from math import gcd, isqrt, lcm, prod
+from operator import itemgetter, mul
 
 _GAUSS_RE = re.compile(
     r"""^\s*(?P<sign>[+-]?)\s*
@@ -175,83 +177,137 @@ I = GaussianRational(Fraction(0), Fraction(1))
 # whole matrix is real, and an (re, im) pair of ints otherwise
 
 
-def _lift(rows, common: bool = False):
+def _ratios(x):
+    """(re, im) of an element of Q(i), each as an (int numerator, int denominator) ratio."""
+    if isinstance(x, GaussianRational):
+        return x.re.as_integer_ratio(), x.im.as_integer_ratio()
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio(), (0, 1)
+    return _ratios(gauss(x))
+
+
+def _lift(rows):
     """Clear denominators: (real, dens, ints) with rows[i] == ints[i] / dens[i].
 
-    ``real`` tells whether every entry is real, and so which kind of
-    Gaussian integer ``ints`` holds; with ``common`` every row shares one
-    denominator.
+    Entries are anything ``gauss`` accepts.  ``real`` tells whether every
+    entry is real, and so which kind of Gaussian integer ``ints`` holds.
+    Each den is the lcm of its row's reduced denominators, so it is coprime
+    to the row: the canonical form.
     """
-    res = [[x.re.as_integer_ratio() for x in row] for row in rows]
-    ims = [[x.im.as_integer_ratio() for x in row] for row in rows]
-    real = not any(n for row in ims for n, _ in row)
-    parts = res if real else map(list.__add__, res, ims)
-    dens = [lcm(*[d for _, d in row]) for row in parts]
-    if common:
-        dens = [lcm(*dens)] * len(dens)
-    out = [[n * (den // d) for n, d in row] for den, row in zip(dens, res)]
-    if not real:
-        out = [
-            list(zip(nums, [n * (den // d) for n, d in row]))
-            for nums, den, row in zip(out, dens, ims)
-        ]
-    return real, dens, out
+    parts = [[_ratios(x) for x in row] for row in rows]
+    real = not any(n for row in parts for _, (n, _) in row)
+    dens, out = [], []
+    for row in parts:
+        if real:
+            den = lcm(*[d for (_, d), _ in row])
+            out.append(tuple(n * (den // d) for (n, d), _ in row))
+        else:
+            den = lcm(*[d for entry in row for _, d in entry])
+            out.append(tuple((a * (den // b), c * (den // d)) for (a, b), (c, d) in row))
+        dens.append(den)
+    return real, tuple(dens), tuple(out)
+
+
+def _drop(real: bool, dens, rows):
+    """Rows of Gaussian rationals ints[i] / dens[i], for positive int dens."""
+    if real:
+        return tuple(
+            tuple(GaussianRational(Fraction(x, d)) if x else ZERO for x in row)
+            for row, d in zip(rows, dens)
+        )
+    return tuple(
+        tuple(
+            GaussianRational(Fraction(xr, d), Fraction(xi, d)) if xr or xi else ZERO
+            for xr, xi in row
+        )
+        for row, d in zip(rows, dens)
+    )
+
+
+def _canonical(real: bool, dens, rows):
+    """The canonical lifted form of rows[i] / dens[i] (nonzero int dens).
+
+    ``real`` becomes exact (no pair rows without an imaginary part), and
+    each row is divided by its common factor with its den, made positive;
+    a zero row becomes zeros over 1.
+    """
+    if not real and not any(map(itemgetter(1), chain.from_iterable(rows))):
+        real = True
+        rows = [[xr for xr, _ in row] for row in rows]
+    out_dens, out_rows = [], []
+    for d, row in zip(dens, rows):
+        g = gcd(d, *row) if real else gcd(d, *chain.from_iterable(row))
+        if d < 0:
+            g = -g
+        if g != 1:
+            d //= g
+            row = [x // g for x in row] if real else [(xr // g, xi // g) for xr, xi in row]
+        out_dens.append(d)
+        out_rows.append(tuple(row))
+    return real, tuple(out_dens), tuple(out_rows)
 
 
 def _pairs(rows):
     """Real Gaussian integers as (re, 0) pairs."""
-    return [[(x, 0) for x in row] for row in rows]
+    return tuple(tuple((x, 0) for x in row) for row in rows)
 
 
-def _drop(rows, dens, real: bool):
-    """Rows of Gaussian rationals ints[i] / dens[i]; a den may be a pair if not real."""
+def _scaled(row, f: int, real: bool):
+    """row * f for an int f; row itself if f is 1."""
+    if f == 1:
+        return row
     if real:
-        return [
-            [GaussianRational(Fraction(x, d)) if x else ZERO for x in row]
-            for row, d in zip(rows, dens)
-        ]
-    out = []
-    for row, d in zip(rows, dens):
-        dr, di = d if isinstance(d, tuple) else (d, 0)
-        n = dr * dr + di * di  # x / d = x * conj(d) / |d|^2
-        out.append(
-            [
-                GaussianRational(Fraction(xr * dr + xi * di, n), Fraction(xi * dr - xr * di, n))
-                if xr or xi else ZERO
-                for xr, xi in row
-            ]
-        )
-    return out
+        return [x * f for x in row]
+    return [(xr * f, xi * f) for xr, xi in row]
 
 
-def _gauss_row_product(row, b, ncols: int):
-    """row * b for Gaussian-integer pairs, skipping the zero entries of row."""
+def _over(real: bool, rows, dens):
+    """(int dens, rows) of rows[i] / dens[i] for nonzero Gaussian integers dens[i]."""
+    if real:
+        return list(dens), rows
+    out_dens, out_rows = [], []
+    for (pr, pi), row in zip(dens, rows):  # x / p = x * conj(p) / |p|^2
+        out_dens.append(pr * pr + pi * pi)
+        out_rows.append([(xr * pr + xi * pi, xi * pr - xr * pi) for xr, xi in row])
+    return out_dens, out_rows
+
+
+def _gauss_row_product(row, b, ncols: int, real_row: bool):
+    """row * b for Gaussian-integer pairs b, skipping the zero entries of row.
+
+    The entries of row are ints if ``real_row``, else pairs.
+    """
     sr = [0] * ncols
     si = [0] * ncols
-    for (xr, xi), brow in zip(row, b):
-        if xr or xi:
+    for x, brow in zip(row, b):
+        xr, xi = (x, 0) if real_row else x
+        if xi:
             for j, (yr, yi) in enumerate(brow):
                 sr[j] += xr * yr - xi * yi
                 si[j] += xr * yi + xi * yr
+        elif xr:
+            for j, (yr, yi) in enumerate(brow):
+                sr[j] += xr * yr
+                si[j] += xr * yi
     return list(zip(sr, si))
 
 
-def _combine_z(p, row, f, lead, prev, start):
-    """(p*row - f*lead) / prev from column ``start`` on, over Z; exact."""
+def _combine_z(p, row, f, lead, q, start):
+    """(p*row - f*lead) / q from column ``start`` on, over Z; exact."""
     if not f:
-        if p == prev:
+        if p == q:
             return row
-        return row[:start] + [p * a // prev for a in row[start:]]
-    return row[:start] + [(p * a - f * b) // prev for a, b in zip(row[start:], lead[start:])]
+        return row[:start] + [p * a // q for a in row[start:]]
+    return row[:start] + [(p * a - f * b) // q for a, b in zip(row[start:], lead[start:])]
 
 
-def _combine_zi(p, row, f, lead, prev, start):
-    """(p*row - f*lead) / prev from column ``start`` on, over Z[i]; exact."""
-    if p == prev and f == (0, 0):
+def _combine_zi(p, row, f, lead, q, start):
+    """(p*row - f*lead) / q from column ``start`` on, over Z[i]; exact."""
+    if p == q and f == (0, 0):
         return row
     pr, pi = p
     fr, fi = f
-    qr, qi = prev
+    qr, qi = q
     n = qr * qr + qi * qi
     out = row[:start]
     for (ar, ai), (br, bi) in zip(row[start:], lead[start:]):
@@ -261,20 +317,32 @@ def _combine_zi(p, row, f, lead, prev, start):
     return out
 
 
-def _eliminate(m, ncols: int, real: bool, reduce: bool):
-    """Fraction-free elimination of Gaussian-integer rows, in place.
+def _nonzero_pairs(row) -> bool:
+    return any(map(any, row))
 
-    Every step rewrites each row it touches as (p*row - f*lead) / prev, with
-    p the new pivot, f the row's entry in the pivot column and prev the
-    pivot of the step before; the division is exact because every entry is
-    a minor of the input.  Without ``reduce`` only the rows below a pivot
-    are cleared (Bareiss); with it the rows above too (Gauss-Jordan), and
-    then every pivot row ends with the last pivot in its pivot column.
-    Returns the pivot columns, the last pivot and the number of row swaps.
+
+def _eliminate(rows, ncols: int, real: bool, reduce: bool):
+    """Fraction-free elimination of Gaussian-integer rows.
+
+    This is Bareiss elimination with each row left at the last step that
+    rewrote it.  A step with pivot p rewrites a row whose entry f in the
+    pivot column is nonzero as (p*row - f*lead) / q, with q the pivot the
+    row was last rewritten with (1 at first), and leaves the other rows
+    alone.  The result is the row of the classical scheme, which would have
+    scaled the row by prev/q in the skipped steps, so the division is exact:
+    every entry is a minor of the input.  Without ``reduce`` only the rows
+    below a pivot are cleared; with it the rows above too (Gauss-Jordan),
+    and then each pivot row over its q is a row of the reduced echelon
+    form.  A row that is or becomes zero is dropped: it can never become a
+    pivot row, and callers read only the pivot rows.  Returns the pivot rows,
+    their q, the pivot columns, the last pivot and the number of row swaps.
     """
     combine = _combine_z if real else _combine_zi
+    nonzero = any if real else _nonzero_pairs
     zero = 0 if real else (0, 0)
     prev = 1 if real else (1, 0)
+    m = [list(row) for row in rows if nonzero(row)]
+    levels = [prev] * len(m)
     pivots = []
     swaps = 0
     r = 0
@@ -286,38 +354,69 @@ def _eliminate(m, ncols: int, real: bool, reduce: bool):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            levels[r], levels[piv] = levels[piv], levels[r]
             swaps += 1
+        if levels[r] != prev:  # the skipped scalings of the pivot row
+            m[r] = combine(prev, m[r], zero, m[r], levels[r], 0)
         lead = m[r]
         p = lead[c]
-        for i in range(0 if reduce else r + 1, len(m)):
-            if i != r:
-                m[i] = combine(p, m[i], m[i][c], lead, prev, 0 if i < r else c)
-        prev = p
+        if reduce:
+            for i in range(r):
+                f = m[i][c]
+                if f != zero:
+                    m[i] = combine(p, m[i], f, lead, levels[i], 0)
+                    levels[i] = p
+        below, below_levels = [], []
+        for row, q in zip(m[r + 1 :], levels[r + 1 :]):
+            f = row[c]
+            if f != zero:
+                row, q = combine(p, row, f, lead, q, c), p
+                if not nonzero(row):
+                    continue
+            below.append(row)
+            below_levels.append(q)
+        m[r + 1 :], levels[r + 1 :] = below, below_levels
+        levels[r] = prev = p
         pivots.append(c)
         r += 1
-    return pivots, prev, swaps
+    return m[:r], levels[:r], pivots, prev, swaps
 
 
 class Matrix:
-    """Dense immutable matrix over Q(i), row major."""
+    """Dense immutable matrix over Q(i), row major.
 
-    __slots__ = ("rows", "cols", "_e")
+    A matrix is held lifted: each row is a tuple of Gaussian integers over
+    one positive denominator coprime to them, and ``_real`` says whether
+    every entry is real (the integers are ints) or not ((re, im) pairs).
+    This form is canonical, so equality and hashing read it directly, and
+    every operation below computes on it.  The Gaussian-rational entries
+    are made once, on first access.
+    """
+
+    __slots__ = ("rows", "cols", "_real", "_dens", "_ints", "_e")
 
     def __init__(self, entries):
-        self._e = tuple(tuple(gauss(x) for x in row) for row in entries)
-        self.rows = len(self._e)
-        self.cols = len(self._e[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self._e):
+        rows = [list(row) for row in entries]
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+        if any(len(row) != self.cols for row in rows):
             raise ValueError("ragged rows")
+        self._real, self._dens, self._ints = _lift(rows)
+        self._e = None
 
     @classmethod
-    def _raw(cls, rows):
-        # internal fast path: rows must already hold GaussianRational entries
+    def _make(cls, real, dens, ints, cols):
+        # internal: (real, dens, ints) must already be canonical
         obj = object.__new__(cls)
-        obj._e = tuple(tuple(row) for row in rows)
-        obj.rows = len(obj._e)
-        obj.cols = len(obj._e[0]) if obj._e else 0
+        obj.rows = len(ints)
+        obj.cols = cols
+        obj._real, obj._dens, obj._ints, obj._e = real, dens, ints, None
         return obj
+
+    @classmethod
+    def _lifted(cls, real, dens, rows, cols):
+        # internal: rows[i] / dens[i] for any nonzero int dens
+        return cls._make(*_canonical(real, dens, rows), cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -331,138 +430,234 @@ class Matrix:
     def column(entries) -> "Matrix":
         return Matrix([[x] for x in entries])
 
+    @staticmethod
+    def stack(mats) -> "Matrix":
+        """The rows of the given matrices, one below the other."""
+        mats = tuple(mats)
+        cols = mats[0].cols
+        if any(m.cols != cols for m in mats):
+            raise ValueError("shape mismatch")
+        real = all(m._real for m in mats)
+        rows = tuple(
+            row for m in mats for row in (m._ints if real or not m._real else _pairs(m._ints))
+        )
+        return Matrix._make(real, tuple(d for m in mats for d in m._dens), rows, cols)
+
+    @staticmethod
+    def symmetric(vec: "Matrix") -> "Matrix":
+        """The symmetric matrix whose upper triangle, row by row, is the one-row ``vec``."""
+        n = (isqrt(8 * vec.cols + 1) - 1) // 2
+        if vec.rows != 1 or n * (n + 1) // 2 != vec.cols:
+            raise ValueError("not an upper-triangle vector")
+        zero = 0 if vec._real else (0, 0)
+        m = [[zero] * n for _ in range(n)]
+        it = iter(vec._ints[0])
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = next(it)
+        return Matrix._lifted(vec._real, vec._dens * n, m, n)
+
+    def upper(self) -> "Matrix":
+        """The entries on and above the diagonal, row by row, as one row."""
+        rows, den = self._common()
+        vec = [x for i, row in enumerate(rows) for x in row[i:]]
+        return Matrix._lifted(self._real, (den,), (vec,), len(vec))
+
+    def row(self, i: int) -> "Matrix":
+        """Row i as a one-row matrix."""
+        return Matrix._lifted(self._real, self._dens[i : i + 1], self._ints[i : i + 1], self.cols)
+
+    def _common(self):
+        """(rows, den): the rows over one common denominator."""
+        den = lcm(*self._dens)
+        return [_scaled(row, den // d, self._real) for d, row in zip(self._dens, self._ints)], den
+
     def entries(self):
+        if self._e is None:
+            self._e = _drop(self._real, self._dens, self._ints)
         return self._e
 
     def column_vector(self) -> tuple:
         if self.cols != 1:
             raise ValueError("not a column vector")
-        return tuple(row[0] for row in self._e)
+        return tuple(row[0] for row in self.entries())
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
-        return self._e[i][j]
+        return self.entries()[i][j]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._e == other._e
+        return (
+            isinstance(other, Matrix)
+            and self.cols == other.cols
+            and self._dens == other._dens
+            and self._ints == other._ints
+        )
 
     def __hash__(self) -> int:
-        return hash(self._e)
+        return hash((self.cols, self._dens, self._ints))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix._raw(
-            [a + b if a and b else a or b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._e, other._e)
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
         self._check_shape(other)
-        return Matrix._raw(
-            [a - b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)
-        )
+        real = self._real and other._real
+        a = self._ints if real or not self._real else _pairs(self._ints)
+        b = other._ints if real or not other._real else _pairs(other._ints)
+        dens, rows = [], []
+        for da, ra, db, rb in zip(self._dens, a, other._dens, b):
+            d = lcm(da, db)
+            fa, fb = d // da, sign * (d // db)
+            if real:
+                rows.append([x * fa + y * fb for x, y in zip(ra, rb)])
+            else:
+                rows.append(
+                    [(xr * fa + yr * fb, xi * fa + yi * fb) for (xr, xi), (yr, yi) in zip(ra, rb)]
+                )
+            dens.append(d)
+        return Matrix._lifted(real, dens, rows, self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._raw([-a for a in row] for row in self._e)
+        if self._real:
+            rows = tuple(tuple(-x for x in row) for row in self._ints)
+        else:
+            rows = tuple(tuple((-xr, -xi) for xr, xi in row) for row in self._ints)
+        return Matrix._make(self._real, self._dens, rows, self.cols)
 
     def _check_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("incompatible shapes for product")
-            real_a, dens, a = _lift(self._e)
-            real_b, dens_b, b = _lift(other._e, common=True)
-            db = dens_b[0] if dens_b else 1
-            real = real_a and real_b
-            if not real:
-                a, b = (_pairs(a) if real_a else a), (_pairs(b) if real_b else b)
-            if real:
-                cols = list(zip(*b))
-                out = [[sum(map(mul, row, col)) for col in cols] for row in a]
-            else:
-                out = [_gauss_row_product(row, b, other.cols) for row in a]
-            return Matrix._raw(_drop(out, [d * db for d in dens], real))
-        return NotImplemented
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("incompatible shapes for product")
+        b, db = other._common()
+        real = self._real and other._real
+        if real:
+            cols = list(zip(*b))
+            out = [[sum(map(mul, row, col)) for col in cols] for row in self._ints]
+        else:
+            b = _pairs(b) if other._real else b
+            out = [_gauss_row_product(row, b, other.cols, self._real) for row in self._ints]
+        return Matrix._lifted(real, [d * db for d in self._dens], out, other.cols)
 
     def scale(self, c) -> "Matrix":
-        c = gauss(c)
-        return Matrix._raw([c * a if a else a for a in row] for row in self._e)
+        c_real, (cd,), ((c,),) = _lift(((gauss(c),),))
+        dens = [d * cd for d in self._dens]
+        if c_real and self._real:
+            return Matrix._lifted(True, dens, [[c * x for x in row] for row in self._ints], self.cols)
+        cr, ci = (c, 0) if c_real else c
+        a = _pairs(self._ints) if self._real else self._ints
+        rows = [[(cr * xr - ci * xi, cr * xi + ci * xr) for xr, xi in row] for row in a]
+        return Matrix._lifted(False, dens, rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(zip(*self._e))
+        rows, den = self._common()
+        return Matrix._lifted(self._real, [den] * self.cols, list(zip(*rows)), self.rows)
 
     def conjugate(self) -> "Matrix":
-        return Matrix._raw([a.conjugate() for a in row] for row in self._e)
+        if self._real:
+            return self
+        rows = tuple(tuple((xr, -xi) for xr, xi in row) for row in self._ints)
+        return Matrix._make(False, self._dens, rows, self.cols)
 
     def trace(self) -> GaussianRational:
-        return sum((self._e[i][i] for i in range(min(self.rows, self.cols))), ZERO)
+        return sum((self[i, i] for i in range(min(self.rows, self.cols))), ZERO)
 
     @property
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self._e[i][j] == self._e[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
+        # entry (i, j) is a[i][j] / d[i]
+        a, d, n = self._ints, self._dens, self.rows
+        if n != self.cols:
+            return False
+        if self._real:
+            return all(
+                a[i][j] * d[j] == a[j][i] * d[i] for i in range(n) for j in range(i + 1, n)
+            )
+        return all(
+            a[i][j][0] * d[j] == a[j][i][0] * d[i] and a[i][j][1] * d[j] == a[j][i][1] * d[i]
+            for i in range(n)
+            for j in range(i + 1, n)
         )
 
     @property
     def is_real(self) -> bool:
-        return all(a.is_real for row in self._e for a in row)
+        return self._real
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        real, _, m = _lift(self._e)
-        pivots, last, _ = _eliminate(m, self.cols, real, reduce=True)
+        m, levels, pivots, _, _ = _eliminate(self._ints, self.cols, self._real, reduce=True)
         rank = len(pivots)
-        zero_rows = [[ZERO] * self.cols for _ in range(self.rows - rank)]
-        return Matrix._raw(_drop(m[:rank], [last] * rank, real) + zero_rows), tuple(pivots)
+        dens, rows = _over(self._real, m, levels)
+        zero = 0 if self._real else (0, 0)
+        rows += [[zero] * self.cols] * (self.rows - rank)
+        dens += [1] * (self.rows - rank)
+        return Matrix._lifted(self._real, dens, rows, self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        real, _, m = _lift(self._e)
-        return len(_eliminate(m, self.cols, real, reduce=False)[0])
+        return len(_eliminate(self._ints, self.cols, self._real, reduce=False)[2])
 
     def det(self) -> GaussianRational:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        real, dens, m = _lift(self._e)
-        pivots, last, swaps = _eliminate(m, self.cols, real, reduce=False)
+        _, _, pivots, last, swaps = _eliminate(self._ints, self.cols, self._real, reduce=False)
         if len(pivots) < self.rows:
             return ZERO
-        det = _drop([[last]], [prod(dens)], real)[0][0]
+        det = _drop(self._real, (prod(self._dens),), ((last,),))[0][0]
         return -det if swaps % 2 else det
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(a) for a in row) for row in self._e)
+        body = "; ".join(", ".join(str(a) for a in row) for row in self.entries())
         return f"Matrix[{body}]"
+
+
+def _column(real: bool, values, dens) -> Matrix:
+    """The column vector values[i] / dens[i], for nonzero Gaussian integers dens[i]."""
+    dens, rows = _over(real, [[x] for x in values], dens)
+    return Matrix._lifted(real, dens, rows, 1)
 
 
 def kernel(m: Matrix) -> list[Matrix]:
     """Exact basis of the right null space {v : m*v = 0}, as column vectors."""
-    red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
+    real = m._real
+    zero, one = (0, 1) if real else ((0, 0), (1, 0))
+    rows, levels, pivots, _, _ = _eliminate(m._ints, m.cols, real, reduce=True)
     basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
-        basis.append(Matrix.column(v))
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v, dens = [zero] * m.cols, [one] * m.cols
+        v[f] = one
+        for row, q, p in zip(rows, levels, pivots):
+            v[p] = -row[f] if real else (-row[f][0], -row[f][1])
+            dens[p] = q
+        basis.append(_column(real, v, dens))
     return basis
 
 
 def solve(m: Matrix, rhs: Matrix):
     """One exact solution of m*x = rhs (column), or None if inconsistent."""
-    aug = Matrix._raw(row + (rhs[i, 0],) for i, row in enumerate(m.entries()))
-    red, pivots = aug.rref()
+    if (rhs.rows, rhs.cols) != (m.rows, 1):
+        raise ValueError("right-hand side must be one column as tall as the matrix")
+    real = m._real and rhs._real
+    a = m._ints if real or not m._real else _pairs(m._ints)
+    b = rhs._ints if real or not rhs._real else _pairs(rhs._ints)
+    aug = []
+    for da, ra, db, rb in zip(m._dens, a, rhs._dens, b):
+        d = lcm(da, db)
+        aug.append([*_scaled(ra, d // da, real), *_scaled(rb, d // db, real)])
+    rows, levels, pivots, _, _ = _eliminate(aug, m.cols + 1, real, reduce=True)
     if m.cols in pivots:
         return None
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r, m.cols]
-    return Matrix.column(x)
+    zero, one = (0, 1) if real else ((0, 0), (1, 0))
+    x, dens = [zero] * m.cols, [one] * m.cols
+    for row, q, p in zip(rows, levels, pivots):
+        x[p], dens[p] = row[m.cols], q
+    return _column(real, x, dens)
 
 
 @dataclass(frozen=True, slots=True)
@@ -513,7 +708,8 @@ def congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
     """
     _require_real_symmetric(a)
     n = a.rows
-    _, dens, w = _lift(a.entries(), common=True)
+    rows, den = a._common()
+    w = [list(row) for row in rows]
     cols = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of P
     diag = []
     prev = 1
@@ -551,16 +747,16 @@ def congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
             cols[j] = _combine_z(piv, cols[j], f, col_k, prev, 0)
         prev = piv
 
-    den = dens[0] if dens else 1
-    d = [[ZERO] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]
     for k, x in enumerate(diag):
-        d[k][k] = GaussianRational(Fraction(x, den)) if x else ZERO
-    return Matrix._raw(d), Matrix._raw(_drop(zip(*cols), [1] * n, real=True))
+        d[k][k] = x
+    return Matrix._lifted(True, [den] * n, d, n), Matrix._lifted(True, [1] * n, list(zip(*cols)), n)
 
 
 def signature(a: Matrix) -> Signature:
     """Normalized inertia of a real symmetric matrix, via exact congruence."""
     d, _ = congruence_diagonalize(a)
-    pos = sum(1 for i in range(a.rows) if d[i, i].re > 0)
-    neg = sum(1 for i in range(a.rows) if d[i, i].re < 0)
+    diag = [d._ints[i][i] for i in range(a.rows)]  # over positive denominators
+    pos = sum(1 for x in diag if x > 0)
+    neg = sum(1 for x in diag if x < 0)
     return Signature(pos, neg, a.rows - pos - neg).normalized()

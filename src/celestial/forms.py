@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .exact import Matrix, Signature, gauss, kernel, signature, ZERO
+from .exact import Matrix, Signature, gauss, signature, ZERO
 from .segre import (
     FormSpan,
     QuadraticForm,
@@ -96,8 +97,9 @@ def singular_support(c: FamilyCoeffs) -> tuple[frozenset[int], int]:
     vanishing = frozenset(i for x, i in zip(coeffs, FAMILY_INDICES) if not x)
     if len(vanishing) > 2:
         raise ValueError("at most two coefficients may vanish")
-    ker = kernel(family_form(c, "x").matrix)
-    dim = len(ker) - 1
+    # the vertex is the projectivized kernel of the real form, and its
+    # dimension the number of zero squares of its congruence, less one
+    dim = moebius_pair(c).real_signature.zero - 1
     if dim != 2 * len(vanishing) - 1:
         raise RuntimeError("vertex dimension disagrees with the support pattern")
     return vanishing, dim
@@ -121,10 +123,14 @@ class MoebiusPair:
             raise ValueError("surface must be 'segre' or 'veronese'")
         if not self.span.contains(self.quadric):
             raise ValueError("quadric does not vanish on the surface")
-        real = self.real_form()
-        sig = signature(real.matrix)
+        sig = self.real_signature
         if sig.pos != 1:
             raise ValueError(f"quadric has signature {sig}, not a sphere form")
+
+    @cached_property
+    def real_signature(self) -> Signature:
+        """Normalized signature of the real form, from one congruence."""
+        return signature(self.real_form().matrix)
 
     def real_form(self) -> QuadraticForm:
         if self.surface == "segre":
@@ -191,12 +197,11 @@ def classify_family(c: FamilyCoeffs) -> CelestialRecord:
     """Map a family member to its classification row.
 
     The ambient dimension is recomputed as rank(Q_c) - 2, the rank read off
-    the kernel that gives the vertex, and must agree with the row; the
+    the signature that gives the vertex, and must agree with the row; the
     moduli dimension counts the projective freedom left in the family after
     fixing the support.
     """
-    moebius_pair(c)  # the member must define a valid pair at all
-    vanishing, vertex_dim = singular_support(c)
+    vanishing, vertex_dim = singular_support(c)  # also checks the Moebius pair
     n = 9 - (vertex_dim + 1) - 2
     moduli = 3 - len(vanishing)
     if not vanishing:

@@ -17,7 +17,6 @@ from .exact import Matrix, GaussianRational, gauss, kernel, ZERO, I
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
-    QuadraticForm,
     Y_FACTORS,
     apply_sigma,
     monomial_rep_derivative,
@@ -122,10 +121,10 @@ def d_rep(m: LieElement) -> Matrix:
     """
     dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS).entries()
     dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS).entries()
-    left = Matrix._raw(
+    left = Matrix(
         [dl[f][h] if g == k else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS
     )
-    right = Matrix._raw(
+    right = Matrix(
         [dr[g][k] if f == h else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS
     )
     return left + right
@@ -170,22 +169,22 @@ class Subalgebra:
 def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
     """Forms A in the ambient span with D^T A + A D = 0 for every tangent D.
 
-    The kernel is computed inside the coefficient space of the ambient span,
-    never in the full space of symmetric matrices.
+    The kernel is computed inside the coefficient space of the span, never
+    in the full space of symmetric matrices, and each tangent only cuts down
+    the span left by the ones before it.  Every basis form A is symmetric,
+    so D^T A + A D = (AD)^T + AD costs one product.
     """
-    if not ambient.basis:
-        return ambient
-    rows = []
+    span = ambient
     for d in tangents:
-        dt = d.transpose()
-        # coefficient vectors of D^T A + A D, one per basis form A; a row of
-        # the system is one coefficient position across the basis
-        vecs = [QuadraticForm(dt * q.matrix + q.matrix * d).vec() for q in ambient.basis]
-        rows.extend(row for row in zip(*vecs) if any(row))
-    if not rows:
-        return ambient.reduced()
-    forms = tuple(ambient.combination(v.column_vector()) for v in kernel(Matrix(rows)))
-    return FormSpan(forms, ambient.frame, ambient.coords).reduced()
+        if not span.basis:
+            break
+        # one row per coefficient position, one column per basis form
+        system = Matrix.stack(
+            (p.transpose() + p).upper() for p in (q.matrix * d for q in span.basis)
+        ).transpose()
+        ker = [v.column_vector() for v in kernel(system)]
+        span = FormSpan(tuple(span.combinations(ker)) if ker else (), span.frame, span.coords)
+    return span.reduced()
 
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:

@@ -113,16 +113,23 @@ def surface_points(surface: str, resolution: int):
     return pts, skipped
 
 
+def sparse_forms(forms) -> list[list[tuple[int, int, float]]]:
+    """Each float matrix as its nonzero (i, j, a) entries, in row-major order.
+
+    Symmetric pairs stay separate terms, so ``residual`` adds the same
+    products in the same order as a loop over the dense matrix.
+    """
+    return [[(i, j, a) for i, row in enumerate(mat) for j, a in enumerate(row) if a] for mat in forms]
+
+
 def residual(forms, point) -> float:
-    """Largest normalized quadric residual |p^T A p| / |p|^2 over the forms."""
+    """Largest normalized quadric residual |p^T A p| / |p|^2 over the sparse forms."""
     norm = sum(x * x for x in point)
     worst = 0.0
-    for mat in forms:
+    for terms in forms:
         val = 0.0
-        for i, row in enumerate(mat):
-            for j, a in enumerate(row):
-                if a:
-                    val += a * point[i] * point[j]
+        for i, j, a in terms:
+            val += a * point[i] * point[j]
         worst = max(worst, abs(val) / norm)
     return worst
 
@@ -147,7 +154,7 @@ def sample(surface: str, resolution: int, projection=None) -> PointCloud:
     """Sample, verify residuals, and project a surface to 3-space."""
     if surface not in SURFACES:
         raise ValueError(f"unknown surface {surface!r}")
-    forms = surface_quadrics(surface)
+    forms = sparse_forms(surface_quadrics(surface))
     pts, skipped = surface_points(surface, resolution)
     dim = len(pts[0])
     proj = default_projection(dim) if projection is None else projection

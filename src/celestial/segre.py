@@ -126,8 +126,7 @@ class QuadraticForm:
 
     def vec(self) -> tuple[GaussianRational, ...]:
         """Upper-triangle coefficient vector (the span coordinates)."""
-        n = self.dim
-        return tuple(self.matrix[i, j] for i in range(n) for j in range(i, n))
+        return self.matrix.upper().entries()[0]
 
 
 def form_from_pairs(terms, dim: int, frame: str = "y") -> QuadraticForm:
@@ -178,21 +177,16 @@ class FormSpan:
     @cached_property
     def coefficients(self) -> Matrix:
         """The coefficient vectors of the basis forms, one row per form."""
-        return Matrix([q.vec() for q in self.basis])
+        return Matrix.stack(q.matrix.upper() for q in self.basis)
 
-    def _form(self, vec) -> QuadraticForm:
-        """The form in this frame with the given upper-triangle coefficient vector."""
-        n = self.dim
-        m = [[ZERO] * n for _ in range(n)]
-        it = iter(vec)
-        for i in range(n):
-            for j in range(i, n):
-                m[i][j] = m[j][i] = next(it)
-        return QuadraticForm(Matrix._raw(m), self.frame)
+    def _forms(self, coeffs: Matrix, count: int) -> list[QuadraticForm]:
+        """The forms in this frame whose upper-triangle coefficient vectors are the first rows."""
+        return [QuadraticForm(Matrix.symmetric(coeffs.row(i)), self.frame) for i in range(count)]
 
     def combinations(self, rows) -> list[QuadraticForm]:
         """The forms sum_k row[k] * basis[k], one per coefficient row, in one product."""
-        return [self._form(vec) for vec in (Matrix(rows) * self.coefficients).entries()]
+        coeffs = Matrix(rows) * self.coefficients
+        return self._forms(coeffs, coeffs.rows)
 
     def combination(self, coeffs) -> QuadraticForm:
         """The form sum_k coeffs[k] * basis[k]."""
@@ -203,9 +197,10 @@ class FormSpan:
 
     def coordinates_of(self, q: QuadraticForm):
         """Coefficients of q in this basis, or None if outside the span."""
+        vec = q.matrix.upper()
         if not self.basis:
-            return None if any(q.vec()) else ()
-        sol = solve(self.coefficients.transpose(), Matrix.column(q.vec()))
+            return None if any(vec.entries()[0]) else ()
+        sol = solve(self.coefficients.transpose(), vec.transpose())
         return None if sol is None else sol.column_vector()
 
     def reduced(self) -> "FormSpan":
@@ -213,8 +208,7 @@ class FormSpan:
         if not self.basis:
             return self
         red, pivots = self.coefficients.rref()
-        forms = tuple(self._form(vec) for vec in red.entries()[: len(pivots)])
-        return FormSpan(forms, self.frame, self.coords)
+        return FormSpan(tuple(self._forms(red, len(pivots))), self.frame, self.coords)
 
     def equals(self, other: "FormSpan") -> bool:
         if len(self.basis) != len(other.basis) or self.dim != other.dim:
@@ -290,9 +284,12 @@ def mu_matrix(i: int, coords=None) -> Matrix:
     Restriction is only legal when the kept y-coordinates involve only kept
     x-coordinates; the standard toric projections all satisfy this.
     """
+    return _mu_matrix(i, tuple(range(9)) if coords is None else tuple(coords))
+
+
+@lru_cache(maxsize=None)
+def _mu_matrix(i: int, coords: tuple[int, ...]) -> Matrix:
     rows = _mu_rows(i)
-    if coords is None:
-        coords = tuple(range(9))
     pos = {c: k for k, c in enumerate(coords)}
     out = [[ZERO] * len(coords) for _ in coords]
     for c in coords:
@@ -359,7 +356,7 @@ def rep_S(phi1: Matrix, phi2: Matrix) -> Matrix:
         if not phi.det():
             raise ValueError("singular factor")
     s1, s2 = _sym2(phi1), _sym2(phi2)
-    return Matrix._raw(
+    return Matrix(
         [s1[f][h] * s2[g][k] for h, k in Y_FACTORS] for f, g in Y_FACTORS
     )
 
@@ -401,12 +398,20 @@ def i2_dimension(param: MonomialParam, seed: int = 7) -> int:
 
     n = len(param)
     monos = [(i, j) for i in range(n) for j in range(i, n)]
+    a_exps, b_exps = zip(*param.exponents)
+    amin, amax, bmin, bmax = min(a_exps), max(a_exps), min(b_exps), max(b_exps)
     rng = random.Random(f"i2-dim:{seed}:{param.coords}")
     rows = []
     for _ in range(max(_I2_SAMPLES, len(monos) + 5)):
         s = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
         u = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
-        pt = param.eval(s, u)
+        # the point s^a u^b times sn^-amin sd^amax un^-bmin ud^bmax, in integers;
+        # the scale multiplies the row by a nonzero constant, so the rank stays
+        (sn, sd), (un, ud) = s.as_integer_ratio(), u.as_integer_ratio()
+        pt = [
+            sn ** (a - amin) * sd ** (amax - a) * un ** (b - bmin) * ud ** (bmax - b)
+            for a, b in param.exponents
+        ]
         rows.append([pt[i] * pt[j] for i, j in monos])
     m = Matrix(rows)
     return m.cols - m.rank()

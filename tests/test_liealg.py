@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from celestial.exact import GaussianRational, I, Matrix, gauss
+from celestial.exact import GaussianRational, I, Matrix, gauss, kernel
 from celestial import liealg
 from celestial.liealg import (
     E,
@@ -24,9 +26,10 @@ from celestial.liealg import (
     is_subalgebra,
     lie_sigma,
     real_basis,
+    solve_invariant,
     subalgebra_catalog,
 )
-from celestial.segre import FormSpan, apply_sigma, form_from_pairs, i2_segre, rep_S
+from celestial.segre import FormSpan, QuadraticForm, apply_sigma, form_from_pairs, i2_segre, rep_S
 
 
 def test_bracket_structure_constants():
@@ -220,3 +223,61 @@ def test_real_basis_rejects_unclosed_spans():
     lone = FormSpan((form_from_pairs([((1, 1), 1), ((5, 7), -1)], 9),), "y")
     with pytest.raises(ValueError):
         real_basis(lone, 3)
+
+
+# ---------------------------------------------------------------------------
+# the two-product solver that the lifted one replaced, kept as the reference
+
+
+def reference_solve_invariant(tangents, ambient):
+    if not ambient.basis:
+        return ambient
+    rows = []
+    for d in tangents:
+        dt = d.transpose()
+        vecs = [QuadraticForm(dt * q.matrix + q.matrix * d).vec() for q in ambient.basis]
+        rows.extend(row for row in zip(*vecs) if any(row))
+    if not rows:
+        return ambient.reduced()
+    forms = tuple(ambient.combination(v.column_vector()) for v in kernel(Matrix(rows)))
+    return FormSpan(forms, ambient.frame, ambient.coords).reduced()
+
+
+def _same_reduced_span(elements):
+    tangents = [d_rep(x) for x in elements]
+    new = solve_invariant(tangents, i2_segre())
+    old = reference_solve_invariant(tangents, i2_segre())
+    assert [q.matrix for q in new.basis] == [q.matrix for q in old.basis]
+    assert [q.matrix.entries() for q in new.basis] == [q.matrix.entries() for q in old.basis]
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_entries = st.one_of(
+    st.builds(GaussianRational, _small),  # real
+    st.builds(GaussianRational, _small, _small),
+)
+
+
+@st.composite
+def _sl2(draw):
+    a, b, c = draw(_entries), draw(_entries), draw(_entries)
+    return Matrix([[a, b], [c, -a]])
+
+
+_elements = st.builds(LieElement, _sl2(), _sl2())
+
+
+@given(st.lists(_elements, min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_solver_matches_the_two_product_reference(elements):
+    _same_reduced_span(elements)
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [algebra.basis for _, algebra in subalgebra_catalog()]
+    + list(liealg.NAMED_ALGEBRAS.values()),
+    ids=[name for name, _ in subalgebra_catalog()] + list(liealg.NAMED_ALGEBRAS),
+)
+def test_solver_matches_the_reference_on_the_catalog(elements):
+    _same_reduced_span(elements)

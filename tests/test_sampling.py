@@ -20,3 +20,26 @@ def test_surface_quadrics_keep_both_parts_of_complex_forms():
 def test_unknown_surface_is_rejected():
     with pytest.raises(ValueError, match="unknown surface"):
         sampling.surface_quadrics("klein-bottle")
+
+
+def _dense_residual(forms, point):
+    """The dense loop that the sparse residual replaced, kept as the reference."""
+    norm = sum(x * x for x in point)
+    worst = 0.0
+    for mat in forms:
+        val = 0.0
+        for i, row in enumerate(mat):
+            for j, a in enumerate(row):
+                if a:
+                    val += a * point[i] * point[j]
+        worst = max(worst, abs(val) / norm)
+    return worst
+
+
+@pytest.mark.parametrize("surface", sampling.SURFACES)
+def test_sparse_residual_is_the_dense_one_bit_for_bit(surface):
+    forms = sampling.surface_quadrics(surface)
+    sparse = sampling.sparse_forms(forms)
+    pts, _ = sampling.surface_points(surface, 24)
+    for p in pts:
+        assert sampling.residual(sparse, p) == _dense_residual(forms, p)
