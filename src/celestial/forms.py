@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .exact import Matrix, Signature, gauss, signature, ZERO
 from .segre import (
     FormSpan,
     QuadraticForm,
-    form_from_pairs,
     i2_segre,
     mu_transform,
     rep_S,
@@ -61,6 +60,7 @@ class FamilyCoeffs:
 
 
 # the four generators y0^2 - y_i y_{i+1}, i = 1, 3, 5, 7, in that order
+@lru_cache(maxsize=1)
 def family_basis() -> FormSpan:
     span = i2_segre()
     return FormSpan(span.basis[:4], "y")
@@ -68,12 +68,7 @@ def family_basis() -> FormSpan:
 
 def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
     """The quadric of the family member, in the y frame or its real x frame."""
-    terms = []
-    for coeff, i in zip(c.as_tuple(), FAMILY_INDICES):
-        if coeff:
-            terms.append(((0, 0), coeff))
-            terms.append(((i, i + 1), -coeff))
-    q = form_from_pairs(terms, 9)
+    q = family_basis().combination(c.as_tuple())
     if frame == "y":
         return q
     if frame == "x":

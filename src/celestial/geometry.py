@@ -31,10 +31,10 @@ from .segre import (
     FormSpan,
     MonomialParam,
     QuadraticForm,
-    form_from_difference,
     monomial_rep_derivative,
     mu_matrix,
     toric_projection,
+    toric_quadrics,
 )
 from .liealg import solve_invariant
 
@@ -236,7 +236,9 @@ class QuadExt:
         return QuadExt(self.a - other.a, self.b - other.b)
 
     def __mul__(self, other) -> "QuadExt":
-        other = QuadExt.of(other)
+        if not isinstance(other, QuadExt):
+            other = gauss(other)
+            return QuadExt(self.a * other, self.b * other)
         return QuadExt(
             self.a * other.a + gauss(2) * self.b * other.b,
             self.a * other.b + self.b * other.a,
@@ -443,27 +445,16 @@ VERONESE_EXPONENTS: tuple[tuple[int, int], ...] = (
     (0, 0), (1, 1), (1, 0), (0, 1), (2, 0), (0, 2),
 )
 
-VERONESE_QUADRIC_PAIRS = (
-    ((1, 1), (4, 5)),
-    ((0, 1), (2, 3)),
-    ((2, 2), (0, 4)),
-    ((3, 3), (0, 5)),
-    ((1, 2), (3, 4)),
-    ((1, 3), (2, 5)),
-)
-
 # degree-2 monomials in (s, t, u) matching the coordinate order above: the
 # homogenized exponents
 VERONESE_MONOMIALS = tuple((a, b, 2 - a - b) for a, b in VERONESE_EXPONENTS)
 
 
+@lru_cache(maxsize=1)
 def veronese_data() -> tuple[MonomialParam, FormSpan]:
     """The Veronese parametrization of P^5 and its 6 quadric generators."""
     param = MonomialParam(VERONESE_EXPONENTS)
-    span = FormSpan(
-        tuple(form_from_difference(p, 6) for p in VERONESE_QUADRIC_PAIRS), "y"
-    )
-    return param, span
+    return param, toric_quadrics(param)
 
 
 def _sl3(entries) -> Matrix:

@@ -26,15 +26,6 @@ Y_EXPONENTS: tuple[tuple[int, int], ...] = (
     (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
 )
 
-# the 20 differences y_a*y_b - y_c*y_d spanning the quadrics through the surface
-SEGRE_QUADRIC_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((0, 0), (1, 2)), ((0, 0), (3, 4)), ((0, 0), (5, 6)), ((0, 0), (7, 8)),
-    ((1, 1), (5, 7)), ((2, 2), (6, 8)), ((3, 3), (5, 8)), ((4, 4), (6, 7)),
-    ((0, 1), (4, 5)), ((0, 2), (3, 6)), ((0, 3), (2, 5)), ((0, 4), (1, 6)),
-    ((0, 1), (3, 7)), ((0, 2), (4, 8)), ((0, 3), (1, 8)), ((0, 4), (2, 7)),
-    ((0, 5), (1, 3)), ((0, 6), (2, 4)), ((0, 7), (1, 4)), ((0, 8), (2, 3)),
-)
-
 # sigma_i sends y to the point whose k-th coordinate is conj(y[PERM[k]]); on
 # the torus it is the lattice involution STANDARD_INVOLUTIONS[i] composed with
 # conjugation, so y_k goes to conj(y_j) with exponent(j) = inv(exponent(k))
@@ -113,12 +104,18 @@ class QuadraticForm:
         return self.matrix.is_real
 
     def evaluate(self, point):
-        """The value at a point whose coordinates lie in any ring containing Q(i)."""
+        """The value at a point whose coordinates lie in any ring containing Q(i).
+
+        Summed as sum_i p_i * (sum_j a_ij p_j): one product of two coordinates per row.
+        """
         total = ZERO
-        for i, row in enumerate(self.matrix.entries()):
-            for j, a in enumerate(row):
+        for p, row in zip(point, self.matrix.entries()):
+            inner = ZERO
+            for a, q in zip(row, point):
                 if a:
-                    total = total + a * point[i] * point[j]
+                    inner = inner + a * q
+            if inner:
+                total = total + p * inner
         return total
 
     def scale(self, c) -> "QuadraticForm":
@@ -141,11 +138,6 @@ def form_from_pairs(terms, dim: int, frame: str = "y") -> QuadraticForm:
             m[a][b] = m[a][b] + half
             m[b][a] = m[b][a] + half
     return QuadraticForm(Matrix(m), frame)
-
-
-def form_from_difference(pair, dim: int, frame: str = "y") -> QuadraticForm:
-    (a, b), (c, d) = pair
-    return form_from_pairs([((a, b), 1), ((c, d), -1)], dim, frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +171,11 @@ class FormSpan:
         """The coefficient vectors of the basis forms, one row per form."""
         return Matrix.stack(q.matrix.upper() for q in self.basis)
 
+    @cached_property
+    def _columns(self) -> Matrix:
+        """The coefficient vectors as columns, the system ``coordinates_of`` solves."""
+        return self.coefficients.transpose()
+
     def _forms(self, coeffs: Matrix, count: int) -> list[QuadraticForm]:
         """The forms in this frame whose upper-triangle coefficient vectors are the first rows."""
         return [QuadraticForm(Matrix.symmetric(coeffs.row(i)), self.frame) for i in range(count)]
@@ -200,7 +197,7 @@ class FormSpan:
         vec = q.matrix.upper()
         if not self.basis:
             return None if any(vec.entries()[0]) else ()
-        sol = solve(self.coefficients.transpose(), vec.transpose())
+        sol = solve(self._columns, vec.transpose())
         return None if sol is None else sol.column_vector()
 
     def reduced(self) -> "FormSpan":
@@ -216,11 +213,35 @@ class FormSpan:
         return self.coefficients.rref()[0] == other.coefficients.rref()[0]
 
 
+def toric_quadrics(param: MonomialParam) -> FormSpan:
+    """The quadrics through a toric surface, read off its lattice points.
+
+    Distinct Laurent monomials are linearly independent, so the degree-2
+    ideal is spanned by the binomials y_a y_b - y_c y_d with
+    e_a + e_b = e_c + e_d (Sturmfels, Groebner Bases and Convex Polytopes,
+    ch. 4), and a fiber of k pairs (a <= b) of the sum map gives k - 1 of
+    them.  Each fiber's least pair is its root; every other pair is a leaf,
+    and the form is root - leaf.  The forms are sorted by (root, leaf).
+    """
+    points = param.exponents
+    diffs = {(a - c, b - d) for (a, b) in points for (c, d) in points}
+    if Matrix([list(v) for v in diffs]).rank() < 2:
+        raise ValueError("lattice points span a degenerate (1-dimensional) parametrization")
+    n = len(points)
+    fibers: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a in range(n):
+        for b in range(a, n):
+            key = (points[a][0] + points[b][0], points[a][1] + points[b][1])
+            fibers.setdefault(key, []).append((a, b))
+    edges = sorted((pairs[0], leaf) for pairs in fibers.values() for leaf in pairs[1:])
+    basis = tuple(form_from_pairs([(root, 1), (leaf, -1)], n) for root, leaf in edges)
+    return FormSpan(basis, "y", param.coords)
+
+
 @lru_cache(maxsize=1)
 def i2_segre() -> FormSpan:
     """The 20-dimensional space of quadrics through the double Segre surface."""
-    basis = tuple(form_from_difference(p, 9) for p in SEGRE_QUADRIC_PAIRS)
-    return FormSpan(basis, "y")
+    return toric_quadrics(SEGRE_PARAM)
 
 
 def sigma_matrix(i: int) -> Matrix:
@@ -362,26 +383,16 @@ def rep_S(phi1: Matrix, phi2: Matrix) -> Matrix:
 
 
 def toric_projection(drop) -> tuple[MonomialParam, FormSpan]:
-    """Omit coordinates of the monomial parametrization and restrict the ideal.
+    """Omit coordinates of the monomial parametrization, with its quadrics.
 
-    The restricted span keeps exactly the quadric generators that avoid every
-    dropped variable, re-indexed to the surviving coordinates.
+    The span is ``toric_quadrics`` of the kept lattice points, so it keeps
+    exactly the generators that avoid every dropped variable, re-indexed
+    to the surviving coordinates.
     """
     drop = frozenset(drop)
     keep = tuple(k for k in range(9) if k not in drop)
-    exps = [Y_EXPONENTS[k] for k in keep]
-    diffs = {(a - c, b - d) for (a, b) in exps for (c, d) in exps}
-    if Matrix([list(v) for v in diffs]).rank() < 2:
-        raise ValueError("projection leaves a degenerate (1-dimensional) parametrization")
-    param = MonomialParam(tuple(exps), keep)
-    pos = {c: k for k, c in enumerate(keep)}
-    forms = []
-    for (a, b), (c, d) in SEGRE_QUADRIC_PAIRS:
-        if {a, b, c, d} <= set(keep):
-            forms.append(
-                form_from_difference(((pos[a], pos[b]), (pos[c], pos[d])), len(keep))
-            )
-    return param, FormSpan(tuple(forms), "y", keep)
+    param = MonomialParam(tuple(Y_EXPONENTS[k] for k in keep), keep)
+    return param, toric_quadrics(param)
 
 
 _I2_SAMPLES = 60  # evaluation points; five more than the quadratic monomials if that is more
@@ -417,14 +428,9 @@ def i2_dimension(param: MonomialParam, seed: int = 7) -> int:
     return m.cols - m.rank()
 
 
-def i2_dimension_check(tag: str, seed: int = 7) -> int:
-    """Ideal dimension for a named lattice class, recomputed from scratch.
-
-    The monomial parametrization is rebuilt from the lattice points of the
-    classified polygon, so this is independent of any stored generator list.
-    """
+def class_param(tag: str) -> MonomialParam:
+    """The monomial parametrization by the lattice points of a named lattice class."""
     cls = next((c for c in CANONICAL_CLASSES if c.table_ref == tag), None)
     if cls is None:
         raise ValueError(f"unknown lattice class {tag!r}")
-    pts = cls.lattice_type.polygon.lattice_points()
-    return i2_dimension(MonomialParam(tuple(pts)), seed=seed)
+    return MonomialParam(cls.lattice_type.polygon.lattice_points())

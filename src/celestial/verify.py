@@ -20,11 +20,13 @@ from .segre import (
     QuadraticForm,
     SEGRE_PARAM,
     apply_sigma,
+    class_param,
     form_from_pairs,
-    i2_dimension_check,
+    i2_dimension,
     i2_segre,
     mu_transform,
     rep_S,
+    toric_quadrics,
     torus_sigma,
 )
 from . import forms, geometry, lattice, liealg, sampling
@@ -186,8 +188,11 @@ class CheckResult:
 
 
 def _ideal_dimensions(seed: int):
-    dims = {tag: i2_dimension_check(tag, seed=7 + seed) for tag in "abcdefgh"}
-    ok = dims == EXPECTED_I2_DIMENSIONS
+    """Binomial basis length == random-point nullity == the table, per class."""
+    params = {tag: class_param(tag) for tag in "abcdefgh"}
+    dims = {tag: i2_dimension(p, seed=7 + seed) for tag, p in params.items()}
+    counts = {tag: len(toric_quadrics(p)) for tag, p in params.items()}
+    ok = counts == dims == EXPECTED_I2_DIMENSIONS
     detail = " ".join(f"{t}:{d}" for t, d in dims.items())
     return ok, detail
 

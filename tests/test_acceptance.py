@@ -16,7 +16,8 @@ from celestial.segre import (
     FormSpan,
     apply_sigma,
     form_from_pairs,
-    i2_dimension_check,
+    class_param,
+    i2_dimension,
     i2_segre,
     mu_transform,
     rep_S,
@@ -31,7 +32,7 @@ def _report(num, label):
 
 
 def test_criterion_01_ideal_dimensions():
-    dims = tuple(i2_dimension_check(tag) for tag in "abcdefgh")
+    dims = tuple(i2_dimension(class_param(tag)) for tag in "abcdefgh")
     assert dims == (20, 9, 9, 6, 2, 2, 2, 1)
     _report(1, f"ideal dimensions {dims} recomputed from evaluation nullity")
 

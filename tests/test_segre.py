@@ -1,25 +1,67 @@
 """The double Segre surface: parametrization, quadrics, real structures."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from celestial.exact import Matrix, gauss
-from celestial import segre
+from celestial import geometry, segre, verify
 from celestial.segre import (
     SEGRE_PARAM,
     FormSpan,
+    MonomialParam,
     apply_sigma,
+    class_param,
     form_from_pairs,
-    i2_dimension_check,
+    i2_dimension,
     i2_segre,
     mu_matrix,
     mu_transform,
     rep_S,
     toric_projection,
+    toric_quadrics,
     torus_sigma,
 )
+
+# the generator lists once printed in the package, y_a*y_b - y_c*y_d per pair
+SEGRE_QUADRIC_PAIRS = (
+    ((0, 0), (1, 2)), ((0, 0), (3, 4)), ((0, 0), (5, 6)), ((0, 0), (7, 8)),
+    ((1, 1), (5, 7)), ((2, 2), (6, 8)), ((3, 3), (5, 8)), ((4, 4), (6, 7)),
+    ((0, 1), (4, 5)), ((0, 2), (3, 6)), ((0, 3), (2, 5)), ((0, 4), (1, 6)),
+    ((0, 1), (3, 7)), ((0, 2), (4, 8)), ((0, 3), (1, 8)), ((0, 4), (2, 7)),
+    ((0, 5), (1, 3)), ((0, 6), (2, 4)), ((0, 7), (1, 4)), ((0, 8), (2, 3)),
+)
+VERONESE_QUADRIC_PAIRS = (
+    ((1, 1), (4, 5)), ((0, 1), (2, 3)), ((2, 2), (0, 4)),
+    ((3, 3), (0, 5)), ((1, 2), (3, 4)), ((1, 3), (2, 5)),
+)
+
+
+def _difference(pair, dim):
+    (a, b), (c, d) = pair
+    return form_from_pairs([((a, b), 1), ((c, d), -1)], dim).matrix
+
+
+def _binomial_count(points):
+    n = len(points)
+    sums = {
+        (points[a][0] + points[b][0], points[a][1] + points[b][1])
+        for a in range(n)
+        for b in range(a, n)
+    }
+    return n * (n + 1) // 2 - len(sums)
+
+
+def _binomial_terms(q):
+    """The (pair, sign) of the two monomials of a binomial form."""
+    m = q.matrix
+    terms = [((i, j), m[i, j].re > 0) for i in range(q.dim) for j in range(i, q.dim) if m[i, j]]
+    assert len(terms) == 2 and terms[0][1] != terms[1][1]
+    return terms
 
 
 def test_eval_param_at_torus_identity():
@@ -54,10 +96,91 @@ def test_ideal_vanishes_on_deterministic_grid():
 
 
 def test_ideal_dimension_recomputation_table():
-    dims = {tag: i2_dimension_check(tag) for tag in "abcdefgh"}
+    dims = {tag: i2_dimension(class_param(tag)) for tag in "abcdefgh"}
     assert dims == {"a": 20, "b": 9, "c": 9, "d": 6, "e": 2, "f": 2, "g": 2, "h": 1}
     # stored generator list is validated against the recomputation
     assert len(i2_segre()) == dims["a"]
+
+
+def test_derived_segre_quadrics_match_the_printed_pairs():
+    derived = [q.matrix for q in i2_segre().basis]
+    assert set(derived) == {_difference(p, 9) for p in SEGRE_QUADRIC_PAIRS}
+    # family_basis() is basis[:4]: y0^2 - y1y2, y0^2 - y3y4, y0^2 - y5y6, y0^2 - y7y8
+    assert derived[:4] == [_difference(p, 9) for p in SEGRE_QUADRIC_PAIRS[:4]]
+
+
+def test_derived_veronese_quadrics_match_the_printed_pairs_up_to_sign():
+    derived = {q.matrix for q in geometry.veronese_data()[1].basis}
+    printed = [_difference(p, 6) for p in VERONESE_QUADRIC_PAIRS]
+    assert len(derived) == len(printed)
+    assert all(m in derived or m.scale(-1) in derived for m in printed)
+
+
+@pytest.mark.parametrize("drop", [{5, 6}, {1, 2, 5, 6}, {5, 6, 7, 8}, {1, 2, 5, 8}])
+def test_used_projections_keep_the_order_of_the_restricted_pairs(drop):
+    _, span = toric_projection(drop)
+    pos = {c: k for k, c in enumerate(span.coords)}
+    restricted = [
+        _difference(((pos[a], pos[b]), (pos[c], pos[d])), len(pos))
+        for (a, b), (c, d) in SEGRE_QUADRIC_PAIRS
+        if {a, b, c, d} <= pos.keys()
+    ]
+    assert [q.matrix for q in span.basis] == restricted
+
+
+def test_every_projection_has_the_full_binomial_span():
+    rng = random.Random(11)
+    spans = 0
+    for size in range(10):
+        for drop in itertools.combinations(range(9), size):
+            try:
+                param, span = toric_projection(drop)
+            except ValueError:
+                continue
+            spans += 1
+            assert len(span) == _binomial_count(param.exponents) == i2_dimension(param)
+            s, u = (Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in "su")
+            pt = param.eval(s, u)
+            assert not any(q.evaluate(pt) for q in span.basis)
+    assert spans == 458
+
+
+_small_points = st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=7)
+
+
+@given(_small_points)
+@settings(max_examples=25, deadline=None)
+def test_binomial_span_matches_the_nullity(points):
+    points = sorted(points)
+    x0, y0 = points[0]
+    assume(any(
+        (x1 - x0) * (y2 - y0) != (x2 - x0) * (y1 - y0)
+        for (x1, y1), (x2, y2) in itertools.combinations(points, 2)
+    ))
+    param = MonomialParam(tuple(points))
+    span = toric_quadrics(param)
+    assert len(span) == _binomial_count(points) == i2_dimension(param)
+    for q in span.basis:
+        ((a, b), _), ((c, d), _) = _binomial_terms(q)
+        assert points[a][0] + points[b][0] == points[c][0] + points[d][0]
+        assert points[a][1] + points[b][1] == points[c][1] + points[d][1]
+
+
+def test_the_square_classes_have_twenty_binomials():
+    assert [len(toric_quadrics(class_param(t))) for t in ("a", "a'", "a''")] == [20, 20, 20]
+
+
+def test_lemma_i2_fails_when_a_binomial_count_is_off(monkeypatch):
+    real = verify.toric_quadrics
+
+    def one_short(param):
+        span = real(param)
+        return FormSpan(span.basis[1:]) if param == class_param("e") else span
+
+    monkeypatch.setattr(verify, "toric_quadrics", one_short)
+    (result,) = verify.run_checks(only="lemma-i2")
+    assert not result.ok
+    assert result.detail == "a:20 b:9 c:9 d:6 e:2 f:2 g:2 h:1"
 
 
 def test_sigma_commutes_with_the_parametrization():
