@@ -6,22 +6,23 @@ invariant quadratic form bases of the named symmetry algebras in both
 frames, and the eight classification records.
 """
 
-from celestial import forms, lattice, liealg
+from celestial import forms, lattice, liealg, verify
 from celestial.cli import form_to_text
 from celestial.segre import FormSpan, i2_segre, mu_transform
 
 
 def main() -> None:
     print("== lattice types ==")
-    for cls in lattice.classify_grid():
+    rows, unmatched = verify.match_lattice_rows(lattice.classify_grid())
+    for row in rows:
         dirs = " ".join(
-            lattice.ARROWS.get(d, str(d)) for d in sorted(cls.directions)
+            lattice.ARROWS.get(d, str(d)) for d in sorted(row.lattice_type.directions)
         )
-        merge = f" (same surface as {cls.merges_with})" if cls.merges_with else ""
-        print(
-            f"  {cls.table_ref:<4} {cls.name:<18} i={cls.interior} "
-            f"b={cls.boundary} d={cls.degree}  {dirs}{merge}"
-        )
+        merge = f" (same surface as {row.merges_with})" if row.merges_with else ""
+        i, b, d = row.computed_counts()
+        print(f"  {row.ref:<4} {row.name:<18} i={i} b={b} d={d}  {dirs}{merge}")
+    for lt in unmatched:
+        print(f"  {verify.unmatched_orbit(lt)}")
 
     print("\n== invariant quadratic forms ==")
     ambient = i2_segre()

@@ -80,19 +80,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify_lattice(args) -> int:
-    raw = lattice.classify_grid()
-    classes = raw if args.raw else lattice.merged_classes(raw)
+    rows, unmatched = verify.match_lattice_rows(lattice.classify_grid())
+    for lt in unmatched:
+        print(f"error: {verify.unmatched_orbit(lt)}", file=sys.stderr)
     payload = []
-    for c in classes:
+    for row in rows:
+        if row.merges_with and not args.raw:
+            continue
+        lt = row.lattice_type
         payload.append(
             {
-                "table_ref": c.table_ref,
-                "name": c.name,
-                "polygon_vertices": [list(v) for v in c.lattice_type.polygon.vertices],
-                "involution_matrix": [list(r) for r in c.lattice_type.involution.m],
-                "directions": sorted(list(d) for d in c.directions),
-                "counts": {"i": c.interior, "b": c.boundary, "d": c.degree},
-                "merges_with": c.merges_with,
+                "table_ref": row.ref,
+                "name": row.name,
+                "polygon_vertices": [list(v) for v in lt.polygon.vertices],
+                "involution_matrix": [list(r) for r in lt.involution.m],
+                "directions": sorted(list(d) for d in lt.directions),
+                "counts": dict(zip("ibd", row.computed_counts())),
+                "merges_with": row.merges_with,
             }
         )
     if args.json:
@@ -109,7 +113,7 @@ def _cmd_classify_lattice(args) -> int:
                 f"i={counts['i']} b={counts['b']} d={counts['d']}  "
                 f"circles: {dirs}{merge}"
             )
-    return 0
+    return 1 if unmatched else 0
 
 
 def _named_algebras(ambient: str) -> dict:

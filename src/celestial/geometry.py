@@ -200,16 +200,6 @@ def dynkin(classes: frozenset[NSClass]) -> DynkinString:
     return DynkinString.of(comps)
 
 
-EXPECTED_SINGULAR_STRINGS = {
-    "a": "",
-    "b": "",
-    "c": "rA1",
-    "d": "A1+A1+A1+A1",
-    "e": "rA1+rA1+A1+A1",
-    "f": "rA3+A1+A1",
-}
-
-
 # ---------------------------------------------------------------------------
 # exact points with sqrt(2)
 

@@ -4,9 +4,10 @@ A toric surface with an antiholomorphic involution leaves behind a convex
 lattice polygon together with a linear involution of Z^2 preserving it;
 the directions of minimal lattice width that the involution fixes up to
 sign record the toric families of circles on the surface.  This module
-enumerates every such pair inside the centered 3x3 grid and reduces them,
-up to unimodular equivalence compatible with the involutions, to the ten
-raw classes that collapse onto eight named surface types.
+enumerates every such pair inside the centered 3x3 grid, keeps those that
+pass filters computed from the pair itself, and returns one representative
+per orbit under unimodular equivalence compatible with the involutions.
+It reads no table: the paper's rows and names live in ``verify``.
 """
 
 from __future__ import annotations
@@ -293,63 +294,6 @@ def unimodular_equivalent(a: LatticeType, b: LatticeType) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class LatticeClass:
-    """One classified lattice type with its table data."""
-
-    table_ref: str
-    name: str
-    lattice_type: LatticeType
-    interior: int
-    boundary: int
-    degree: int
-    merges_with: str | None = None
-
-    @property
-    def directions(self) -> frozenset[Point]:
-        return self.lattice_type.directions
-
-
-def _canonical_table() -> list[LatticeClass]:
-    square = convex_hull([(-1, -1), (1, -1), (1, 1), (-1, 1)])
-    hexagon = convex_hull([(-1, 1), (0, 1), (1, 0), (1, -1), (0, -1), (-1, 0)])
-    pentagon = convex_hull([(-1, 0), (0, 1), (1, 0), (1, -1), (-1, -1)])
-    triangle = convex_hull([(-1, 1), (1, -1), (-1, -1)])
-    diamond = convex_hull([(-1, 0), (0, 1), (1, 0), (0, -1)])
-    horn_triangle = convex_hull([(-1, -1), (0, 1), (1, -1)])
-    unit_square = convex_hull([(-1, -1), (0, -1), (0, 0), (-1, 0)])
-
-    rows = [
-        ("a", "dS", square, SIGMA_0, None),
-        ("b", "dP6", hexagon, SIGMA_2, None),
-        ("c", "weak dP6", pentagon, SIGMA_1, None),
-        ("d", "Veronese surface", triangle, SIGMA_0, None),
-        ("e", "ring cyclide", diamond, SIGMA_2, None),
-        ("f", "spindle cyclide", diamond, SIGMA_1, None),
-        ("g", "horn cyclide", horn_triangle, SIGMA_1, None),
-        ("h", "2-sphere", unit_square, SIGMA_3, None),
-        ("a'", "dS", square, SIGMA_1, "a"),
-        ("a''", "dS", square, SIGMA_2, "a"),
-    ]
-    out = []
-    for ref, name, poly, inv, merges in rows:
-        i, b = lattice_counts(poly)
-        out.append(
-            LatticeClass(ref, name, LatticeType.of(poly, inv), i, b, degree(poly), merges)
-        )
-    return out
-
-
-CANONICAL_CLASSES: tuple[LatticeClass, ...] = tuple(_canonical_table())
-
-# (degree, interior, singular count) of the canonical classes
-_ROW_KEYS = frozenset(
-    (c.degree, c.interior, c.lattice_type.polygon.singular_vertex_count())
-    for c in CANONICAL_CLASSES
-)
-
-_ALLOWED_COUNTS = {(0, 4), (0, 6), (1, 4), (1, 6), (1, 8)}
-
 _GRID = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
 
 
@@ -367,45 +311,34 @@ def grid_polygons() -> list[LatticePolygon]:
 
 
 def _survives(poly: LatticePolygon, inv: UnimodularInvolution) -> bool:
-    """Whether a candidate pair passes every filter of the classification."""
-    i, b = lattice_counts(poly)
-    if (i, b) not in _ALLOWED_COUNTS:
-        return False
+    """Whether a candidate pair passes every filter, each computed from the pair."""
+    # the real structure maps the surface, hence its polygon, to itself
     if not inv.preserves(poly):
         return False
+    # a fixed primitive edge is a real line, and the sphere contains none
     if forbidden_edge(poly, inv):
         return False
-    d = 2 * i + b - 2
-    global_min = minimal_width_directions(poly)
-    stable_min = [v for v in global_min if inv.fixes_direction(v)]
-    if d != 2 and len(stable_min) < 2:
-        return False
-    return (d, i, poly.singular_vertex_count()) in _ROW_KEYS
+    # degree 2 spans a P^3, so the surface is S^2 itself: a smooth quadric,
+    # never the cone P(1,1,2) (the triangle with one singular vertex)
+    if degree(poly) == 2:
+        return poly.singular_vertex_count() == 0
+    # two circles through a general point: two involution-fixed directions of
+    # minimal width, each a pencil of conics
+    return sum(map(inv.fixes_direction, minimal_width_directions(poly))) >= 2
 
 
-def classify_grid() -> list[LatticeClass]:
+def classify_grid() -> list[LatticeType]:
     """Classify all involution-polygon pairs in the centered 3x3 grid.
 
-    Returns the ten raw classes; the two extra dS rows carry a
-    ``merges_with`` marker because their involutions are conjugate to the
-    trivial one through automorphisms of the surface itself, so they name
-    the same surface.
+    Returns one ``LatticeType`` per unimodular orbit of the surviving
+    pairs: the first survivor of each orbit, in grid order.  Naming the
+    orbits is left to the caller (``verify.match_lattice_rows``).
     """
-    matched = set()
+    orbits: list[LatticeType] = []
     for poly in grid_polygons():
         for inv in STANDARD_INVOLUTIONS:
-            if not _survives(poly, inv):
-                continue
-            lt = LatticeType.of(poly, inv)
-            match = [c for c in CANONICAL_CLASSES if unimodular_equivalent(c.lattice_type, lt)]
-            if len(match) != 1:
-                raise RuntimeError(f"grid class {lt} matches {len(match)} canonical classes")
-            matched.add(match[0].table_ref)
-    if len(matched) != len(CANONICAL_CLASSES):
-        raise RuntimeError(f"expected {len(CANONICAL_CLASSES)} raw classes, found {len(matched)}")
-    return [c for c in CANONICAL_CLASSES if c.table_ref in matched]
-
-
-def merged_classes(raw: list[LatticeClass]) -> list[LatticeClass]:
-    """The eight named classes of ``classify_grid()`` after merging the extra dS involutions."""
-    return [c for c in raw if c.merges_with is None]
+            if _survives(poly, inv):
+                lt = LatticeType.of(poly, inv)
+                if not any(unimodular_equivalent(o, lt) for o in orbits):
+                    orbits.append(lt)
+    return orbits

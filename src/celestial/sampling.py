@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .segre import mu_transform, toric_projection
 from . import geometry
@@ -55,16 +56,17 @@ def _veronese_point(a: float, b: float):
     return (1.0, s * t, s, t, s * s, t * t)
 
 
-def _toric_forms(removed):
+@lru_cache(maxsize=None)
+def _toric_forms(removed: frozenset[int]):
     """The quadrics of a toric projection, moved to the x frame of sigma_2."""
     _, span = toric_projection(removed)
-    return [mu_transform(2, q, span.coords) for q in span.basis]
+    return tuple(mu_transform(2, q, span.coords) for q in span.basis)
 
 
 # each surface: its float parametrization and its exact defining quadrics
 _SURFACES = {
-    "dp6": (_dp6_point, lambda: _toric_forms({5, 6})),
-    "ring": (_ring_point, lambda: _toric_forms({1, 2, 5, 6})),
+    "dp6": (_dp6_point, lambda: _toric_forms(frozenset({5, 6}))),
+    "ring": (_ring_point, lambda: _toric_forms(frozenset({1, 2, 5, 6}))),
     "spindle": (_spindle_point, lambda: geometry.cyclide_pipeline()[0].basis),
     "horn": (_horn_point, lambda: geometry.cyclide_pipeline()[1].basis),
     "veronese": (_veronese_point, lambda: geometry.veronese_data()[1].basis),

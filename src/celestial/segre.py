@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import Matrix, GaussianRational, gauss, solve, ZERO, ONE, I
-from .lattice import CANONICAL_CLASSES, STANDARD_INVOLUTIONS
+from .lattice import STANDARD_INVOLUTIONS
 
 # torus exponents of y_0 .. y_8, in the frozen coordinate order
 Y_EXPONENTS: tuple[tuple[int, int], ...] = (
@@ -426,11 +426,3 @@ def i2_dimension(param: MonomialParam, seed: int = 7) -> int:
         rows.append([pt[i] * pt[j] for i, j in monos])
     m = Matrix(rows)
     return m.cols - m.rank()
-
-
-def class_param(tag: str) -> MonomialParam:
-    """The monomial parametrization by the lattice points of a named lattice class."""
-    cls = next((c for c in CANONICAL_CLASSES if c.table_ref == tag), None)
-    if cls is None:
-        raise ValueError(f"unknown lattice class {tag!r}")
-    return MonomialParam(cls.lattice_type.polygon.lattice_points())

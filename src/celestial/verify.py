@@ -13,14 +13,15 @@ import random
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import GaussianRational, Matrix, Signature, gauss, signature
 from .segre import (
     FormSpan,
+    MonomialParam,
     QuadraticForm,
     SEGRE_PARAM,
     apply_sigma,
-    class_param,
     form_from_pairs,
     i2_dimension,
     i2_segre,
@@ -31,10 +32,7 @@ from .segre import (
 )
 from . import forms, geometry, lattice, liealg, sampling
 from .forms import random_fraction, random_sl2
-
-EXPECTED_I2_DIMENSIONS = {
-    "a": 20, "b": 9, "c": 9, "d": 6, "e": 2, "f": 2, "g": 2, "h": 1,
-}
+from .lattice import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
 
 
 def _span(term_lists, dim, frame) -> FormSpan:
@@ -160,19 +158,93 @@ def expected_horn_pencil() -> FormSpan:
     )
 
 
-EXPECTED_LATTICE_TABLE = {
-    # ref: (name, interior, boundary, degree, directions)
-    "a": ("dS", 1, 8, 8, {(1, 0), (0, 1)}),
-    "b": ("dP6", 1, 6, 6, {(1, 0), (0, 1), (1, -1)}),
-    "c": ("weak dP6", 1, 6, 6, {(1, 0), (0, 1)}),
-    "d": ("Veronese surface", 0, 6, 4, {(1, 0), (0, 1), (1, -1)}),
-    "e": ("ring cyclide", 1, 4, 4, {(1, 0), (0, 1), (1, 1), (1, -1)}),
-    "f": ("spindle cyclide", 1, 4, 4, {(1, 0), (0, 1)}),
-    "g": ("horn cyclide", 1, 4, 4, {(1, 0), (0, 1)}),
-    "h": ("2-sphere", 0, 4, 2, {(1, 1), (1, -1)}),
-    "a'": ("dS", 1, 8, 8, {(1, 0), (0, 1)}),
-    "a''": ("dS", 1, 8, 8, {(1, 0), (0, 1)}),
+@dataclass(frozen=True)
+class LatticeRow:
+    """One row of the paper's lattice table, as printed."""
+
+    ref: str
+    name: str
+    vertices: tuple[lattice.Point, ...]
+    involution: lattice.UnimodularInvolution
+    counts: tuple[int, int, int]  # (interior, boundary, degree)
+    directions: tuple[lattice.Point, ...]
+    i2_dimension: int
+    merges_with: str | None  # the row naming the same surface, if any
+
+    @cached_property
+    def lattice_type(self) -> lattice.LatticeType:
+        """The printed polygon and involution, with their computed circle directions."""
+        return lattice.LatticeType.of(lattice.LatticePolygon(self.vertices), self.involution)
+
+    def computed_counts(self) -> tuple[int, int, int]:
+        """(interior, boundary, degree) computed from the printed polygon."""
+        poly = self.lattice_type.polygon
+        return (*lattice.lattice_counts(poly), lattice.degree(poly))
+
+
+_SQUARE = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+_DIAMOND = ((-1, 0), (0, -1), (1, 0), (0, 1))
+
+# the ten raw lattice classes; a' and a'' carry involutions conjugate to the
+# trivial one through automorphisms of the surface, so they name surface a
+LATTICE_TABLE: tuple[LatticeRow, ...] = tuple(LatticeRow(*row) for row in (
+    # ref, name, polygon vertices, involution, (i, b, d), circle directions, dim I2, merges_with
+    ("a", "dS", _SQUARE, SIGMA_0, (1, 8, 8), ((1, 0), (0, 1)), 20, None),
+    ("b", "dP6", ((-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)), SIGMA_2, (1, 6, 6),
+     ((1, 0), (0, 1), (1, -1)), 9, None),
+    ("c", "weak dP6", ((-1, -1), (1, -1), (1, 0), (0, 1), (-1, 0)), SIGMA_1, (1, 6, 6),
+     ((1, 0), (0, 1)), 9, None),
+    ("d", "Veronese surface", ((-1, -1), (1, -1), (-1, 1)), SIGMA_0, (0, 6, 4),
+     ((1, 0), (0, 1), (1, -1)), 6, None),
+    ("e", "ring cyclide", _DIAMOND, SIGMA_2, (1, 4, 4), ((1, 0), (0, 1), (1, 1), (1, -1)), 2, None),
+    ("f", "spindle cyclide", _DIAMOND, SIGMA_1, (1, 4, 4), ((1, 0), (0, 1)), 2, None),
+    ("g", "horn cyclide", ((-1, -1), (1, -1), (0, 1)), SIGMA_1, (1, 4, 4), ((1, 0), (0, 1)), 2, None),
+    ("h", "2-sphere", ((-1, -1), (0, -1), (0, 0), (-1, 0)), SIGMA_3, (0, 4, 2),
+     ((1, 1), (1, -1)), 1, None),
+    ("a'", "dS", _SQUARE, SIGMA_1, (1, 8, 8), ((1, 0), (0, 1)), 20, "a"),
+    ("a''", "dS", _SQUARE, SIGMA_2, (1, 8, 8), ((1, 0), (0, 1)), 20, "a"),
+))
+
+# singular loci of the blowup configurations a-f (geometry.BLOWUP_CONFIGS)
+EXPECTED_SINGULAR_STRINGS = {
+    "a": "",
+    "b": "",
+    "c": "rA1",
+    "d": "A1+A1+A1+A1",
+    "e": "rA1+rA1+A1+A1",
+    "f": "rA3+A1+A1",
 }
+
+
+def match_lattice_rows(orbits) -> tuple[list[LatticeRow], list[lattice.LatticeType]]:
+    """Name computed lattice orbits by ``LATTICE_TABLE``.
+
+    Returns the rows some orbit is unimodular equivalent to, in table
+    order, and the orbits that match no row.
+    """
+    matched, unmatched = set(), []
+    for lt in orbits:
+        row = next(
+            (r for r in LATTICE_TABLE if lattice.unimodular_equivalent(r.lattice_type, lt)), None
+        )
+        if row is None:
+            unmatched.append(lt)
+        else:
+            matched.add(row.ref)
+    return [r for r in LATTICE_TABLE if r.ref in matched], unmatched
+
+
+def unmatched_orbit(lt: lattice.LatticeType) -> str:
+    """The failure text for a computed orbit that no table row names."""
+    return f"orbit {lt.polygon.vertices} {lt.involution.m} matches no table row"
+
+
+def class_param(tag: str) -> MonomialParam:
+    """The monomial parametrization by the lattice points of a lattice table row."""
+    for row in LATTICE_TABLE:
+        if row.ref == tag:
+            return MonomialParam(row.lattice_type.polygon.lattice_points())
+    raise ValueError(f"unknown lattice class {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -189,11 +261,15 @@ class CheckResult:
 
 def _ideal_dimensions(seed: int):
     """Binomial basis length == random-point nullity == the table, per class."""
-    params = {tag: class_param(tag) for tag in "abcdefgh"}
+    expected = {row.ref: row.i2_dimension for row in LATTICE_TABLE if row.merges_with is None}
+    params = {tag: class_param(tag) for tag in expected}
     dims = {tag: i2_dimension(p, seed=7 + seed) for tag, p in params.items()}
     counts = {tag: len(toric_quadrics(p)) for tag, p in params.items()}
-    ok = counts == dims == EXPECTED_I2_DIMENSIONS
+    ok = counts == dims == expected
     detail = " ".join(f"{t}:{d}" for t, d in dims.items())
+    off = [f"{t}:{n}" for t, n in counts.items() if n != expected[t]]
+    if off:  # only on failure, so a passing detail keeps its bytes
+        detail += "; binomials " + " ".join(off)
     return ok, detail
 
 
@@ -275,18 +351,16 @@ def _hyperquadric_signatures(seed: int):
 
 
 def _lattice_classes(seed: int):
-    raw = lattice.classify_grid()
-    if len(raw) != 10:
-        return False, f"{len(raw)} raw classes"
-    merged = lattice.merged_classes(raw)
-    if len(merged) != 8:
-        return False, f"{len(merged)} merged classes"
-    for cls in raw:
-        name, i, b, d, dirs = EXPECTED_LATTICE_TABLE[cls.table_ref]
-        if (cls.name, cls.interior, cls.boundary, cls.degree) != (name, i, b, d):
-            return False, f"class {cls.table_ref} has wrong table data"
-        if set(cls.directions) != dirs:
-            return False, f"class {cls.table_ref} has directions {set(cls.directions)}"
+    rows, unmatched = match_lattice_rows(lattice.classify_grid())
+    if unmatched:
+        return False, "; ".join(map(unmatched_orbit, unmatched))
+    if len(rows) != len(LATTICE_TABLE):
+        return False, f"{len(rows)} raw classes"
+    for row in LATTICE_TABLE:
+        if row.computed_counts() != row.counts:
+            return False, f"class {row.ref} has wrong table data"
+        if row.lattice_type.directions != set(row.directions):
+            return False, f"class {row.ref} has directions {set(row.lattice_type.directions)}"
     hexagon = lattice.convex_hull([(-1, 1), (0, 1), (1, 0), (1, -1), (0, -1), (-1, 0)])
     if lattice.width(hexagon, (1, -1)) != 2 or lattice.width(hexagon, (1, 1)) != 4:
         return False, "hexagon widths are wrong"
@@ -320,7 +394,7 @@ def _dynkin_strings(seed: int):
     rendered = {}
     for tag, cfg in geometry.BLOWUP_CONFIGS.items():
         rendered[tag] = geometry.dynkin(geometry.b_classes(cfg)).render()
-    ok = rendered == geometry.EXPECTED_SINGULAR_STRINGS
+    ok = rendered == EXPECTED_SINGULAR_STRINGS
     detail = " ".join(f"{t}:[{s}]" for t, s in sorted(rendered.items()))
     return ok, detail
 

@@ -16,13 +16,13 @@ from celestial.segre import (
     FormSpan,
     apply_sigma,
     form_from_pairs,
-    class_param,
     i2_dimension,
     i2_segre,
     mu_transform,
     rep_S,
     torus_sigma,
 )
+from celestial.verify import class_param
 
 SEED = 0
 
@@ -91,14 +91,14 @@ def test_criterion_04_hyperquadric_signatures():
 
 
 def test_criterion_05_lattice_enumeration():
-    raw = lattice.classify_grid()
+    raw, unmatched = verify.match_lattice_rows(lattice.classify_grid())
+    assert unmatched == []
     assert len(raw) == 10
-    merged = lattice.merged_classes(raw)
+    merged = [row for row in raw if row.merges_with is None]
     assert len(merged) == 8
-    for cls in raw:
-        name, i, b, d, dirs = verify.EXPECTED_LATTICE_TABLE[cls.table_ref]
-        assert (cls.name, cls.interior, cls.boundary, cls.degree) == (name, i, b, d)
-        assert set(cls.directions) == dirs
+    for row in raw:
+        assert row.computed_counts() == row.counts
+        assert set(row.lattice_type.directions) == set(row.directions)
     hexagon = lattice.convex_hull(
         [(-1, 1), (0, 1), (1, 0), (1, -1), (0, -1), (-1, 0)]
     )
@@ -127,7 +127,7 @@ def test_criterion_07_dynkin_strings():
         tag: geometry.dynkin(geometry.b_classes(cfg)).render()
         for tag, cfg in geometry.BLOWUP_CONFIGS.items()
     }
-    assert rendered == geometry.EXPECTED_SINGULAR_STRINGS
+    assert rendered == verify.EXPECTED_SINGULAR_STRINGS
     _report(7, "singular loci of configurations a-f match, underlines included")
 
 

@@ -9,7 +9,6 @@ from celestial import geometry
 from celestial.geometry import (
     BLOWUP_CONFIGS,
     EXCEPTIONAL,
-    EXPECTED_SINGULAR_STRINGS,
     L0,
     L1,
     NSClass,
@@ -29,6 +28,7 @@ from celestial.geometry import (
     veronese_signature_witnesses,
 )
 from celestial.segre import form_from_pairs, FormSpan, QuadraticForm
+from celestial.verify import EXPECTED_SINGULAR_STRINGS
 
 
 def test_pairing_values():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celestial import lattice
+from celestial import lattice, verify
 from celestial.lattice import (
     SIGMA_0,
     SIGMA_1,
@@ -187,29 +187,39 @@ def test_stable_directions_of_the_two_sphere():
 
 
 def test_classify_grid_classes_and_merge():
-    raw = lattice.classify_grid()
+    raw, unmatched = verify.match_lattice_rows(lattice.classify_grid())
+    assert unmatched == []
     assert len(raw) == 10
-    merged = lattice.merged_classes(raw)
-    assert [c.table_ref for c in merged] == list("abcdefgh")
-    by_ref = {c.table_ref: c for c in raw}
+    merged = [row for row in raw if row.merges_with is None]
+    assert [row.ref for row in merged] == list("abcdefgh")
+    by_ref = {row.ref: row for row in raw}
     assert by_ref["a'"].merges_with == "a"
     assert by_ref["a''"].merges_with == "a"
     assert by_ref["e"].lattice_type.involution == SIGMA_2
     assert by_ref["f"].lattice_type.involution == SIGMA_1
-    assert set(by_ref["e"].directions) == {(1, 0), (0, 1), (1, 1), (1, -1)}
-    assert set(by_ref["h"].directions) == {(1, 1), (1, -1)}
-    names = {c.table_ref: c.name for c in raw}
+    assert set(by_ref["e"].lattice_type.directions) == {(1, 0), (0, 1), (1, 1), (1, -1)}
+    assert set(by_ref["h"].lattice_type.directions) == {(1, 1), (1, -1)}
+    names = {row.ref: row.name for row in raw}
     assert names["b"] == "dP6"
     assert names["c"] == "weak dP6"
     assert names["g"] == "horn cyclide"
 
 
 def test_classified_involutions_preserve_their_polygons():
-    for cls in lattice.classify_grid():
-        lt = cls.lattice_type
+    for lt in lattice.classify_grid():
         assert lt.involution.preserves(lt.polygon)
         for d in lt.directions:
             assert lt.involution.fixes_direction(d)
+
+
+# the quadric cone P(1,1,2): degree-2 triangles with one singular vertex,
+# each with the one involution that preserves it without fixing a short edge
+CONE_PAIRS = [
+    (convex_hull([(-1, -1), (1, -1), (0, 0)]), SIGMA_1),
+    (convex_hull([(-1, 0), (0, -1), (1, 0)]), SIGMA_1),
+    (convex_hull([(-1, 0), (1, 0), (0, 1)]), SIGMA_1),
+    (convex_hull([(-1, 1), (0, 0), (1, 1)]), SIGMA_1),
+]
 
 
 def test_excluded_candidates():
@@ -222,3 +232,37 @@ def test_excluded_candidates():
     assert not lattice._survives(VERONESE_TRIANGLE, SIGMA_3)
     # with the trivial involution the same triangle is the smooth model
     assert lattice._survives(VERONESE_TRIANGLE, SIGMA_0)
+    # the cone passes every other filter, and only the degree-2 rule rejects it
+    for poly, inv in CONE_PAIRS:
+        assert degree(poly) == 2 and poly.singular_vertex_count() == 1
+        assert inv.preserves(poly) and not forbidden_edge(poly, inv)
+        assert not lattice._survives(poly, inv)
+    assert lattice._survives(UNIT_SQUARE, SIGMA_3)
+
+
+def _all_directions(poly, bound=None):
+    return frozenset(lattice._candidate_directions(poly, bound))
+
+
+@pytest.mark.parametrize(
+    "owner, name, replacement, extra_orbits",
+    [
+        (lattice, "forbidden_edge", lambda poly, inv: False, 14),
+        (lattice.LatticePolygon, "singular_vertex_count", lambda poly: 0, 2),
+        (lattice, "minimal_width_directions", _all_directions, 5),
+    ],
+    ids=["forbidden-edge", "cone", "minimal-width"],
+)
+def test_lattice_classes_fails_without_each_filter(
+    monkeypatch, owner, name, replacement, extra_orbits
+):
+    monkeypatch.setattr(owner, name, replacement)
+    (result,) = verify.run_checks(only="lattice-classes")
+    assert not result.ok
+    # every extra orbit is named, none is reported as a crash
+    orbits = result.detail.split("; ")
+    assert len(orbits) == extra_orbits
+    for text in orbits:
+        assert text.startswith("orbit ((") and text.endswith(")) matches no table row")
+    if name == "singular_vertex_count":
+        assert orbits[0] == "orbit ((-1, -1), (1, -1), (0, 0)) ((-1, 0), (0, 1)) matches no table row"
