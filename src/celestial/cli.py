@@ -55,16 +55,15 @@ def form_to_text(q: QuadraticForm, var: str) -> str:
 def _cmd_verify(args) -> int:
     results = verify.run_checks(only=args.only, seed=args.seed)
     if args.json:
+        entries = [
+            {"check_id": r.check_id, "ref": r.ref, "status": r.status, "detail": r.detail}
+            for r in results
+        ]
+        if args.timings:
+            for entry, r in zip(entries, results):
+                entry["elapsed_s"] = round(r.elapsed_s, 4)
         payload = {
-            "entries": [
-                {
-                    "check_id": r.check_id,
-                    "ref": r.ref,
-                    "status": r.status,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "entries": entries,
             "summary": {
                 "pass": sum(r.ok for r in results),
                 "fail": sum(not r.ok for r in results),
@@ -73,7 +72,8 @@ def _cmd_verify(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for r in results:
-            print(f"{'PASS' if r.ok else 'FAIL'}  {r.check_id:<24} {r.detail}")
+            elapsed = f"{r.elapsed_s:7.3f}s  " if args.timings else ""
+            print(f"{'PASS' if r.ok else 'FAIL'}  {r.check_id:<24} {elapsed}{r.detail}")
         npass = sum(r.ok for r in results)
         print(f"{npass}/{len(results)} checks passed")
     return 0 if all(r.ok for r in results) else 1
@@ -254,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="run a single check by id")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--timings", action="store_true", help="report the wall time of each check")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("classify-lattice", help="list the classified lattice types")

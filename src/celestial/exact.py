@@ -557,6 +557,35 @@ class Matrix:
         rows = [[(cr * xr - ci * xi, cr * xi + ci * xr) for xr, xi in row] for row in a]
         return Matrix._lifted(False, dens, rows, self.cols)
 
+    def kron(self, other: "Matrix") -> "Matrix":
+        """The Kronecker product.
+
+        Entry (i*other.rows + k, j*other.cols + l) is self[i, j] * other[k, l].
+        """
+        real = self._real and other._real
+        a = self._ints if real or not self._real else _pairs(self._ints)
+        b = other._ints if real or not other._real else _pairs(other._ints)
+        dens, rows = [], []
+        for da, ra in zip(self._dens, a):
+            for db, rb in zip(other._dens, b):
+                dens.append(da * db)
+                if real:
+                    rows.append([x * y for x in ra for y in rb])
+                else:
+                    rows.append(
+                        [(xr * yr - xi * yi, xr * yi + xi * yr) for xr, xi in ra for yr, yi in rb]
+                    )
+        return Matrix._lifted(real, dens, rows, self.cols * other.cols)
+
+    def reindex(self, rows, cols) -> "Matrix":
+        """The matrix whose entry (a, b) is self[rows[a], cols[b]]."""
+        rows, cols = tuple(rows), tuple(cols)
+        out = tuple(tuple(self._ints[i][j] for j in cols) for i in rows)
+        dens = tuple(self._dens[i] for i in rows)
+        if sorted(rows) == list(range(self.rows)) and sorted(cols) == list(range(self.cols)):
+            return Matrix._make(self._real, dens, out, len(cols))  # a permutation stays canonical
+        return Matrix._lifted(self._real, dens, out, len(cols))
+
     def transpose(self) -> "Matrix":
         rows, den = self._common()
         return Matrix._lifted(self._real, [den] * self.cols, list(zip(*rows)), self.rows)
@@ -568,7 +597,15 @@ class Matrix:
         return Matrix._make(False, self._dens, rows, self.cols)
 
     def trace(self) -> GaussianRational:
-        return sum((self[i, i] for i in range(min(self.rows, self.cols))), ZERO)
+        """The sum of the diagonal, taken over the lcm of its rows' denominators."""
+        diag = range(min(self.rows, self.cols))
+        den = lcm(*(self._dens[i] for i in diag))
+        terms = [(self._ints[i][i], den // self._dens[i]) for i in diag]
+        if self._real:
+            total = sum(x * f for x, f in terms)
+        else:
+            total = (sum(x * f for (x, _), f in terms), sum(y * f for (_, y), f in terms))
+        return _drop(self._real, (den,), ((total,),))[0][0]
 
     @property
     def is_symmetric(self) -> bool:

@@ -263,9 +263,13 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 
 def random_sl2(rng: random.Random) -> Matrix:
-    """A generic determinant-1 matrix from three random unipotent shears."""
+    """A generic determinant-1 matrix from three random unipotent shears.
+
+    The product [[1, a], [0, 1]] [[1, 0], [b, 1]] [[1, c], [0, 1]], written out.
+    """
     a, b, c = (random_fraction(rng) for _ in range(3))
-    return Matrix([[1, a], [0, 1]]) * Matrix([[1, 0], [b, 1]]) * Matrix([[1, c], [0, 1]])
+    ab = 1 + a * b
+    return Matrix([[ab, a + c * ab], [b, b * c + 1]])
 
 
 def _is_monomial(m: Matrix) -> bool:

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact import (
     GaussianRational,
@@ -236,26 +237,14 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "QuadExt":
-        other = QuadExt.of(other)
-        n = other.a * other.a - gauss(2) * other.b * other.b
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i, sqrt 2)")
-        return self * QuadExt(other.a / n, -other.b / n)
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
 
     def __str__(self) -> str:
         return f"({self.a})+({self.b})*sqrt2"
 
 
 SQRT2 = QuadExt(ZERO, ONE)
-HALF_SQRT2 = QuadExt(ZERO, gauss(Fraction(1, 2)))  # 1/sqrt(2)
 
 
 def _sqrt2_congruence(form: QuadraticForm, t0: Matrix, t1: Matrix) -> QuadraticForm:
@@ -316,35 +305,35 @@ def sphere_member(span: FormSpan):
     return span.coordinates_of(sphere)
 
 
-def _unit_circle_point(t: Fraction) -> tuple[GaussianRational, GaussianRational]:
+def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
     """Rational point (re, im) on the unit circle from the slope parameter."""
     den = 1 + t * t
-    return gauss(Fraction(1 - t * t, den)), gauss(Fraction(2 * t, den))
+    return (1 - t * t) / den, 2 * t / den
 
 
 def spindle_point(t: Fraction, u: Fraction):
     """Exact point of the spindle model over Q(i, sqrt 2)."""
-    re, im = _unit_circle_point(t)
-    uu = gauss(u)
+    re, im = _unit_circle_point(Fraction(t))
+    u = Fraction(u)
     return (
-        HALF_SQRT2 * QuadExt.of(uu + 1 / uu),
-        QuadExt.of(re),
-        QuadExt.of(im),
-        HALF_SQRT2 * QuadExt.of(1 / uu - uu),
-        QuadExt.of(1),
+        QuadExt(ZERO, gauss((u + 1 / u) / 2)),  # (u + 1/u) / sqrt(2)
+        QuadExt(gauss(re)),
+        QuadExt(gauss(im)),
+        QuadExt(ZERO, gauss((1 / u - u) / 2)),  # (1/u - u) / sqrt(2)
+        QuadExt(ONE),
     )
 
 
 def horn_point(t: Fraction, u: Fraction):
     """Exact point of the horn model over Q(i, sqrt 2)."""
-    re, im = _unit_circle_point(t)
-    uu = gauss(u)
+    re, im = _unit_circle_point(Fraction(t))
+    u = Fraction(u)
     return (
-        QuadExt.of(-uu - 1 / uu),
-        QuadExt.of(uu),
+        QuadExt(gauss(-u - 1 / u)),
+        QuadExt(gauss(u)),
         SQRT2,
-        QuadExt.of(im / uu),
-        QuadExt.of(re / uu),
+        QuadExt(gauss(im / u)),
+        QuadExt(gauss(re / u)),
     )
 
 
@@ -365,6 +354,84 @@ class StereographicReport:
 _STEREO_GRID = 7  # grid points per parameter
 
 
+def _integer_point(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integer vectors (A, B) with p = (A + sqrt(2)*B) / den for one positive den.
+
+    The model points are real, so A and B are plain ints; as homogeneous
+    coordinates, A + sqrt(2)*B is the same point as p.
+    """
+    parts = [z for x in p for z in (x.a, x.b)]
+    if not all(z.is_real for z in parts):
+        raise ValueError("model point is not real")
+    den = lcm(*(z.re.denominator for z in parts))
+    ints = [z.re.numerator * (den // z.re.denominator) for z in parts]
+    return tuple(ints[0::2]), tuple(ints[1::2])
+
+
+def _vanishes(span: FormSpan, points) -> bool:
+    """Every form of the span is zero at every integer point A + sqrt(2)*B.
+
+    With w = 1 on the diagonal and 2 off it, q(A + sqrt(2)*B) is the sum
+    over i <= j of w q_ij (A_i A_j + 2 B_i B_j), plus sqrt(2) times the sum
+    of w q_ij (A_i B_j + B_i A_j).  sqrt(2) is not in Q(i), so both sums
+    vanish: one product of the points' monomial rows with the coefficient
+    columns of the span for each part.
+    """
+    n = span.dim
+    monomials = [(i, j, 1 if i == j else 2) for i in range(n) for j in range(i, n)]
+    rational = [[w * (a[i] * a[j] + 2 * b[i] * b[j]) for i, j, w in monomials] for a, b in points]
+    sqrt2 = [[w * (a[i] * b[j] + b[i] * a[j]) for i, j, w in monomials] for a, b in points]
+    columns = span.coefficients.transpose()
+    zero = Matrix.zero(len(points), len(span))
+    return Matrix(rational) * columns == zero and Matrix(sqrt2) * columns == zero
+
+
+# a + b*sqrt(2) as the int pair (a, b)
+def _mul2(x, y):
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _add2(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _quotient2(num, den) -> tuple[Fraction, Fraction]:
+    """num / den in Q(sqrt 2) as (rational part, sqrt(2) part), for int pairs, den != 0."""
+    top = _mul2(num, (den[0], -den[1]))
+    norm = den[0] * den[0] - 2 * den[1] * den[1]
+    return Fraction(top[0], norm), Fraction(top[1], norm)
+
+
+def _spindle_shape(p):
+    """(chart, X^2 + Y^2, Z^2) of the projection (X, Y, Z) = (p1, p2, p4) / chart."""
+    chart = (p[0][0] - p[3][0], p[0][1] - p[3][1])
+    return chart, _add2(_mul2(p[1], p[1]), _mul2(p[2], p[2])), _mul2(p[4], p[4])
+
+
+def _horn_shape(p):
+    """(chart, Y^2 + Z^2, chart^2) of the projection (Y, Z) = (p4, p3) / chart."""
+    chart = _add2(p[0], p[1])
+    return chart, _add2(_mul2(p[4], p[4]), _mul2(p[3], p[3])), _mul2(chart, chart)
+
+
+def _fit(points, shape):
+    """The one value num / den that shape takes at all points off the projection center.
+
+    Returns (value or None, skipped): None when the values differ, the
+    denominator vanishes, or every point is skipped.
+    """
+    values, skipped = set(), 0
+    for a, b in points:
+        chart, num, den = shape(list(zip(a, b)))
+        if chart == (0, 0):
+            skipped += 1
+        elif den == (0, 0):
+            return None, skipped
+        else:
+            values.add(_quotient2(num, den))
+    return (values.pop() if len(values) == 1 else None), skipped
+
+
 def stereographic_check() -> StereographicReport:
     """Project the cyclide models to 3-space and fit their circular shapes.
 
@@ -372,60 +439,26 @@ def stereographic_check() -> StereographicReport:
     the horn image must satisfy Y^2 + Z^2 = r^2 independently of the axis
     coordinate (a circular cylinder), identically over a rational grid;
     grid points hitting the projection center are skipped and counted.
+    Each model point is first checked to lie on its pencil.
     """
     x_s, x_h = cyclide_pipeline()
     ts = [Fraction(k, _STEREO_GRID) for k in range(1, _STEREO_GRID + 1)]
     us = [Fraction(k, 3) for k in range(1, _STEREO_GRID + 1)]
-    skipped = 0
-    samples = 0
+    grid = list(itertools.product(ts, us))
+    spindle = [_integer_point(spindle_point(t, u)) for t, u in grid]
+    horn = [_integer_point(horn_point(t, u)) for t, u in grid]
+    if not (_vanishes(x_s, spindle) and _vanishes(x_h, horn)):
+        return StereographicReport(False, None, None, 0, 0)
+    cone_c, skipped_s = _fit(spindle, _spindle_shape)
+    radius, skipped_h = _fit(horn, _horn_shape)
+    skipped = skipped_s + skipped_h
 
-    cone_c: QuadExt | None = None
-    for t, u in itertools.product(ts, us):
-        p = spindle_point(t, u)
-        for q in x_s.basis:
-            if q.evaluate(p):
-                return StereographicReport(False, None, None, samples, skipped)
-        chart = p[0] - p[3]
-        if not chart:
-            skipped += 1
-            continue
-        samples += 1
-        x, y, z = p[1] / chart, p[2] / chart, p[4] / chart
-        if not z:
-            return StereographicReport(False, None, None, samples, skipped)
-        c = (x * x + y * y) / (z * z)
-        if cone_c is None:
-            cone_c = c
-        elif c != cone_c:
-            return StereographicReport(False, None, None, samples, skipped)
+    def _positive_rational(v) -> Fraction | None:
+        return v[0] if v is not None and not v[1] and v[0] > 0 else None
 
-    radius: QuadExt | None = None
-    for t, u in itertools.product(ts, us):
-        p = horn_point(t, u)
-        for q in x_h.basis:
-            if q.evaluate(p):
-                return StereographicReport(False, None, None, samples, skipped)
-        chart = p[0] + p[1]
-        if not chart:
-            skipped += 1
-            continue
-        samples += 1
-        y, z = p[4] / chart, p[3] / chart
-        r2 = y * y + z * z
-        if radius is None:
-            radius = r2
-        elif r2 != radius:
-            return StereographicReport(False, None, None, samples, skipped)
-
-    def _positive_rational(v: QuadExt) -> Fraction | None:
-        if not v.is_rational or not v.a.is_real or v.a.re <= 0:
-            return None
-        return v.a.re
-
-    cone = _positive_rational(cone_c) if cone_c is not None else None
-    r_sq = _positive_rational(radius) if radius is not None else None
+    cone, r_sq = _positive_rational(cone_c), _positive_rational(radius)
     ok = cone is not None and r_sq is not None
-    return StereographicReport(ok, cone, r_sq, samples, skipped)
+    return StereographicReport(ok, cone, r_sq, len(spindle) + len(horn) - skipped, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +532,16 @@ _WITNESS_HEIGHT = 1  # largest absolute generator coefficient tried
 
 
 def veronese_signature_witnesses() -> frozenset[Signature]:
-    """Normalized signatures realized by small combinations of the generators."""
+    """Normalized signatures realized by small combinations of the generators.
+
+    ``Signature.normalized`` is invariant under q -> -q, so only the
+    coefficient rows whose first nonzero entry is positive are diagonalized:
+    their negatives give the same signatures.
+    """
     _, span = veronese_data()
     coeff_range = range(-_WITNESS_HEIGHT, _WITNESS_HEIGHT + 1)
-    rows = [c for c in itertools.product(coeff_range, repeat=len(span)) if any(c)]
+    rows = [
+        c for c in itertools.product(coeff_range, repeat=len(span))
+        if next((x for x in c if x), 0) > 0
+    ]
     return frozenset(signature(q.matrix) for q in span.combinations(rows))

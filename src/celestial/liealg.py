@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import Matrix, GaussianRational, gauss, kernel, ZERO, I
-from .segre import (
-    DEGREE2_MONOMIALS_2VARS,
-    FormSpan,
-    Y_FACTORS,
-    apply_sigma,
-    monomial_rep_derivative,
-)
+from .exact import Matrix, GaussianRational, gauss, kernel, I
+from .segre import FormSpan, apply_sigma, sym2_derivative, y_order
 
 
 def _m2(a, b, c, d) -> Matrix:
@@ -32,6 +26,7 @@ _T = _m2(0, 1, 0, 0)
 _Q = _m2(0, 0, 1, 0)
 _S = _m2(1, 0, 0, -1)
 _R = _m2(0, -1, 1, 0)
+_I3 = Matrix.identity(3)
 
 
 @dataclass(frozen=True)
@@ -116,18 +111,10 @@ def lie_sigma(i: int, m: LieElement) -> LieElement:
 def d_rep(m: LieElement) -> Matrix:
     """Derivative at the identity of the symmetric-square action on P^8.
 
-    Computed once per factor on the degree-2 monomial basis and assembled as
-    D_left x I + I x D_right in the frozen y order.
+    By the product rule it is D_left (x) I + I (x) D_right in the frozen y
+    order, with D the derivative of each factor's action on (s^2, st, t^2).
     """
-    dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS).entries()
-    dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS).entries()
-    left = Matrix(
-        [dl[f][h] if g == k else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS
-    )
-    right = Matrix(
-        [dr[g][k] if f == h else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS
-    )
-    return left + right
+    return y_order(sym2_derivative(m.left).kron(_I3) + _I3.kron(sym2_derivative(m.right)))
 
 
 def span_contains(elements, x: LieElement) -> bool:
@@ -185,6 +172,32 @@ def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
         ker = [v.column_vector() for v in kernel(system)]
         span = FormSpan(tuple(span.combinations(ker)) if ker else (), span.frame, span.coords)
     return span.reduced()
+
+
+def span_stabilizer(span: FormSpan) -> list[LieElement]:
+    """A basis of the x in sl2+sl2 with D_x^T A + A D_x in the span for each basis form A.
+
+    One linear system: the unknowns are the coordinates of x in FULL_BASIS
+    and, for each basis form A_m, the coordinates c_mn of its image in the
+    span, with sum_j x_j (D_j^T A_m + A_m D_j) - sum_n c_mn A_n = 0.  The
+    basis is independent, so x fixes c, and the x parts of the kernel are a
+    basis of the stabilizer.
+    """
+    tangents = [d_rep(x) for x in FULL_BASIS]
+    k = len(span)
+    negated = [-span.coefficients.row(n) for n in range(k)]
+    zero = Matrix.zero(1, span.coefficients.cols)
+    blocks = []
+    for m, a in enumerate(span.basis):
+        # one column per unknown: x_1..x_6, then c_m'n for m' = 0..k-1, n = 0..k-1
+        images = [(p.transpose() + p).upper() for p in (a.matrix * d for d in tangents)]
+        coords = [negated[n] if row == m else zero for row in range(k) for n in range(k)]
+        blocks.append(Matrix.stack(images + coords).transpose())
+    out = []
+    for v in kernel(Matrix.stack(blocks)):
+        x = v.column_vector()[: len(FULL_BASIS)]
+        out.append(sum((c * b for c, b in zip(x, FULL_BASIS) if c), E))
+    return out
 
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:

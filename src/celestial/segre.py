@@ -37,8 +37,6 @@ SIGMA_PERMS: tuple[tuple[int, ...], ...] = tuple(
 # y_k = (s^2, st, t^2)[f] * (u^2, uw, w^2)[g] for (f, g) = Y_FACTORS[k]
 Y_FACTORS: tuple[tuple[int, int], ...] = tuple((1 - a, 1 - b) for a, b in Y_EXPONENTS)
 
-DEGREE2_MONOMIALS_2VARS: tuple[tuple[int, int], ...] = ((2, 0), (1, 1), (0, 2))
-
 
 def torus_sigma(i: int, s: GaussianRational, u: GaussianRational):
     """The involution sigma_i on the torus: its lattice matrix applied to (conj s, conj u)."""
@@ -355,31 +353,47 @@ def monomial_rep_derivative(g: Matrix, monomials) -> Matrix:
     return Matrix(out)
 
 
-def _sym2(phi: Matrix) -> tuple[tuple[GaussianRational, ...], ...]:
-    """Rows of the substitution action of phi on (s^2, st, t^2)."""
-    (a, b), (c, d) = phi.entries()
-    return (
-        (a * a, 2 * a * b, b * b),
-        (a * c, a * d + b * c, b * d),
-        (c * c, 2 * c * d, d * d),
-    )
+# (s, t) (x) (s, t) has rows ss, st, ts, tt; the rows ss, st, tt of phi (x) phi,
+# with the columns st and ts added, are the action of phi on (s^2, st, t^2)
+_SYM2_ROWS = (0, 1, 3)
+_SYM2_FOLD = Matrix([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
+_I2 = Matrix.identity(2)
+
+# y_k is row 3f + g of (s^2, st, t^2) (x) (u^2, uw, w^2), for (f, g) = Y_FACTORS[k]
+_Y_KRON = tuple(3 * f + g for f, g in Y_FACTORS)
+
+
+def y_order(m: Matrix) -> Matrix:
+    """A 9x9 matrix on (s^2, st, t^2) (x) (u^2, uw, w^2), moved to the frozen y order."""
+    return m.reindex(_Y_KRON, _Y_KRON)
+
+
+def sym2(phi: Matrix) -> Matrix:
+    """The substitution action of a 2x2 matrix phi on (s^2, st, t^2)."""
+    return phi.kron(phi).reindex(_SYM2_ROWS, range(4)) * _SYM2_FOLD
+
+
+def sym2_derivative(g: Matrix) -> Matrix:
+    """The derivative of ``sym2`` at the identity in the direction g.
+
+    It is g (x) I + I (x) g, the product rule on phi (x) phi, folded like ``sym2``.
+    """
+    return (g.kron(_I2) + _I2.kron(g)).reindex(_SYM2_ROWS, range(4)) * _SYM2_FOLD
 
 
 def rep_S(phi1: Matrix, phi2: Matrix) -> Matrix:
     """Symmetric-square representation of a 2x2 matrix pair on P^8.
 
     The returned 9x9 matrix M satisfies M * lift(p) = lift(phi(p)) for every
-    point p of P^1 x P^1, in the frozen y coordinate order.
+    point p of P^1 x P^1, in the frozen y coordinate order: it is
+    Sym^2 phi1 (x) Sym^2 phi2, reindexed.
     """
     for phi in (phi1, phi2):
         if phi.rows != 2 or phi.cols != 2:
             raise ValueError("factors must be 2x2")
         if not phi.det():
             raise ValueError("singular factor")
-    s1, s2 = _sym2(phi1), _sym2(phi2)
-    return Matrix(
-        [s1[f][h] * s2[g][k] for h, k in Y_FACTORS] for f, g in Y_FACTORS
-    )
+    return y_order(sym2(phi1).kron(sym2(phi2)))
 
 
 def toric_projection(drop) -> tuple[MonomialParam, FormSpan]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import os
 import random
+import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -253,6 +254,7 @@ class CheckResult:
     ref: str
     ok: bool
     detail: str
+    elapsed_s: float = field(default=0.0, compare=False)  # wall time of the check
 
     @property
     def status(self) -> str:
@@ -505,6 +507,14 @@ def _property_suite(seed: int):
 
 
 def _rigidity(seed: int):
+    # exact: the Lie algebra of the stabilizer of the family span is the
+    # diagonal torus; the trials below test finite group elements, which the
+    # identity component does not cover
+    torus = (liealg.S1, liealg.S2)
+    stabilizer = liealg.span_stabilizer(forms.family_basis())
+    dim = len(stabilizer)
+    if dim != len(torus) or not all(liealg.span_contains(stabilizer, x) for x in torus):
+        return False, f"the family span has a {dim}-dimensional stabilizer, not the torus"
     c = forms.FamilyCoeffs(1, 1, 1, 1)
     same = forms.rigidity_sample_check(c, c, trials=100, seed=seed)
     scaled = forms.rigidity_sample_check(c, c.scale(3), trials=5, seed=seed + 1)
@@ -555,9 +565,10 @@ def run_checks(only: str | None = None, seed: int = 0) -> list[CheckResult]:
     for check_id, ref, fn in CHECKS:
         if only is not None and check_id != only:
             continue
+        start = time.perf_counter()
         try:
             ok, detail = fn(seed)
         except Exception as exc:  # a crash is a failing check, not a crash of the suite
             ok, detail = False, _describe_crash(exc)
-        out.append(CheckResult(check_id, ref, ok, detail))
+        out.append(CheckResult(check_id, ref, ok, detail, time.perf_counter() - start))
     return out

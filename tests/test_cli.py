@@ -244,11 +244,38 @@ def test_malformed_algebra_file_exits_2_with_one_line(tmp_path, capsys, ambient,
     _one_line_error(capsys)
 
 
+_VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_seed0.json"
+
+
 def test_full_verify_json_matches_the_reference_bytes(capsys):
-    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_seed0.json"
     code, out = _run(capsys, "verify", "--json", "--seed", "0")
     assert code == 0
-    assert out == reference.read_text()
+    assert out == _VERIFY_REFERENCE.read_text()
+
+
+@pytest.mark.parametrize("seed", [1, 3, 17])
+def test_other_seeds_give_the_same_verify_bytes(capsys, seed):
+    # no detail prints a seeded value, so the random streams may change
+    # only what is checked, never the output
+    code, out = _run(capsys, "verify", "--json", "--seed", str(seed))
+    assert code == 0
+    assert out == _VERIFY_REFERENCE.read_text()
+
+
+def test_verify_timings_add_one_field_and_one_column(capsys):
+    code, out = _run(capsys, "verify", "--only", "dynkin-singularities", "--json", "--timings")
+    assert code == 0
+    (entry,) = json.loads(out)["entries"]
+    assert set(entry) == {"check_id", "ref", "status", "detail", "elapsed_s"}
+    assert isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] >= 0
+    _, plain = _run(capsys, "verify", "--only", "dynkin-singularities")
+    code, timed = _run(capsys, "verify", "--only", "dynkin-singularities", "--timings")
+    assert code == 0
+    line, plain_line = timed.splitlines()[0], plain.splitlines()[0]
+    # "PASS", two spaces, the id padded to 24 and a space, then the seconds column
+    assert re.fullmatch(r" *\d+\.\d{3}s  ", line[31:41])
+    assert line[:31] + line[41:] == plain_line
+    assert timed.splitlines()[1:] == plain.splitlines()[1:]
 
 
 @pytest.mark.parametrize(

@@ -512,3 +512,52 @@ def test_a_skipped_row_is_brought_up_to_date_when_it_becomes_the_pivot(unit):
     m = Matrix([[2, 1, 0], [0, 0, 3], [4, 5, 1]]).scale(unit)
     _check_against_the_oracle(m)
     assert m.det() == oracle_det(m.entries()) != ZERO
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker product, reindexing and the trace, against the same oracle
+
+
+def oracle_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+@given(matrices(), matrices())
+@settings(max_examples=50, deadline=None)
+def test_kron_matches_the_fraction_oracle(a, b):
+    k = a.kron(b)
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    assert k.entries() == tuple(map(tuple, oracle_kron(a.entries(), b.entries())))
+    assert k == Matrix(oracle_kron(a.entries(), b.entries()))
+
+
+@given(matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_reindex_matches_the_fraction_oracle(m, data):
+    # permutations, or any rows and columns, repeated or left out, in any order
+    if data.draw(st.booleans()):
+        rows = data.draw(st.permutations(range(m.rows)))
+        cols = data.draw(st.permutations(range(m.cols)))
+    else:
+        rows = data.draw(st.lists(st.integers(0, m.rows - 1), min_size=1, max_size=6))
+        cols = data.draw(st.lists(st.integers(0, m.cols - 1), min_size=1, max_size=6))
+    expected = [[m.entries()[i][j] for j in cols] for i in rows]
+    out = m.reindex(rows, cols)
+    assert out.entries() == tuple(map(tuple, expected))
+    assert out == Matrix(expected) and out.is_real == Matrix(expected).is_real
+
+
+@given(matrices(real=False))
+@settings(max_examples=50, deadline=None)
+def test_trace_matches_the_fraction_oracle(m):
+    expected = ZERO
+    for i in range(min(m.rows, m.cols)):
+        expected = expected + m.entries()[i][i]
+    assert m.trace() == expected
+
+
+def test_trace_of_complex_matrices():
+    m = Matrix([["1/2+i", 3], [0, "-1/3-2i"]])
+    assert m.trace() == GaussianRational(Fraction(1, 6), Fraction(-1))
+    assert Matrix([["i", 1], [2, "-i"]]).trace() == ZERO
+    assert Matrix([[Fraction(1, 4), 0, 0], [0, Fraction(3, 4), 5]]).trace() == ONE

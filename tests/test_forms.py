@@ -1,12 +1,13 @@
 """The hyperquadric family and the classification records."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from celestial.exact import Matrix, Signature, gauss, signature
-from celestial import forms
+from celestial import forms, verify
 from celestial.forms import (
     INFINITY,
     FamilyCoeffs,
@@ -15,10 +16,12 @@ from celestial.forms import (
     corollary_iqf_check,
     family_form,
     fixed_records,
+    random_fraction,
+    random_sl2,
     rigidity_sample_check,
     singular_support,
 )
-from celestial.segre import form_from_pairs, i2_segre, mu_transform, rep_S
+from celestial.segre import FormSpan, QuadraticForm, form_from_pairs, i2_segre, mu_transform, rep_S
 
 
 def test_family_coeffs_reject_zero():
@@ -232,3 +235,21 @@ def test_corollary_source_form_lies_in_the_ideal():
     inv = forms.liealg.invariant_forms(forms.liealg.FULL_BASIS, span)
     assert len(inv) == 1
     assert span.contains(inv.basis[0])
+
+
+def test_closed_form_random_sl2_matches_the_three_shears():
+    rng, ref = random.Random("sl2-stream"), random.Random("sl2-stream")
+    for _ in range(200):
+        a, b, c = (random_fraction(ref) for _ in range(3))
+        shears = Matrix([[1, a], [0, 1]]) * Matrix([[1, 0], [b, 1]]) * Matrix([[1, c], [0, 1]])
+        assert random_sl2(rng) == shears
+    assert rng.getstate() == ref.getstate()  # the stream is drawn the same way
+
+
+def test_rigidity_check_fails_for_a_span_with_another_stabilizer(monkeypatch):
+    basis = i2_segre().basis
+    wrong = FormSpan(basis[:3] + (QuadraticForm(basis[3].matrix + basis[4].matrix, "y"),))
+    monkeypatch.setattr(forms, "family_basis", lambda: wrong)
+    (result,) = verify.run_checks(only="rigidity-sampling")
+    assert not result.ok
+    assert result.detail == "the family span has a 1-dimensional stabilizer, not the torus"

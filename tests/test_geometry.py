@@ -1,5 +1,6 @@
 """Divisor classes, cyclide models, and the Veronese track."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -102,7 +103,6 @@ def test_quadratic_extension_field():
     x = QuadExt.of(gauss(Fraction(1, 2))) + SQRT2
     y = x * x
     assert y == QuadExt.of(gauss(Fraction(9, 4))) + SQRT2
-    assert (x / x) == QuadExt.of(gauss(1))
     assert SQRT2 * SQRT2 == QuadExt.of(gauss(2))
     assert not (x - x)
 
@@ -214,3 +214,51 @@ def test_single_generator_witness():
     # the generator comparing the square of one coordinate with a product
     q = span.basis[2]
     assert signature(q.matrix) == Signature(1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer-point evaluation against QuadExt evaluation
+
+_OUTSIDE = (
+    form_from_pairs([((0, 0), 1)], 5, "x"),
+    form_from_pairs([((0, 1), 1), ((2, 4), -3)], 5, "x"),
+    form_from_pairs([((1, 1), 1), ((2, 2), 1), ((4, 4), -1), ((0, 3), 1)], 5, "x"),
+    form_from_pairs([((i, i), 1) for i in range(5)], 5, "x"),
+)
+
+
+@pytest.mark.parametrize(
+    "index, point", [(0, geometry.spindle_point), (1, geometry.horn_point)], ids=["spindle", "horn"]
+)
+def test_integer_points_vanish_exactly_where_the_quadext_points_do(index, point):
+    pencil = cyclide_pipeline()[index]
+    grid = [(Fraction(t, 5), Fraction(u, 4)) for t in (-3, 1, 2, 7) for u in (1, 3, 6, -5)]
+    points = [point(t, u) for t, u in grid]
+    ints = [geometry._integer_point(p) for p in points]
+    for a, b in ints:
+        assert all(isinstance(x, int) for x in a + b)
+    assert geometry._vanishes(pencil, ints)
+    for q in pencil.basis + _OUTSIDE:
+        one = FormSpan((q,), "x")
+        for p, pt in zip(points, ints):
+            assert geometry._vanishes(one, [pt]) == (not q.evaluate(p))
+    # a form outside the pencil fails on the whole grid
+    for q in _OUTSIDE:
+        assert any(q.evaluate(p) for p in points)
+        assert not geometry._vanishes(FormSpan(pencil.basis[:1] + (q,), "x"), ints)
+
+
+def test_integer_point_keeps_the_projective_point():
+    p = geometry.spindle_point(Fraction(2, 3), Fraction(5, 2))
+    a, b = geometry._integer_point(p)
+    den = a[4]  # the last spindle coordinate is 1
+    assert den > 0 and b[4] == 0
+    assert all(QuadExt(gauss(ai), gauss(bi)) == x * den for x, ai, bi in zip(p, a, b))
+
+
+def test_halved_witnesses_equal_the_full_set():
+    _, span = veronese_data()
+    rows = [c for c in itertools.product((-1, 0, 1), repeat=len(span)) if any(c)]
+    full = frozenset(signature(q.matrix) for q in span.combinations(rows))
+    assert len(rows) == 728
+    assert veronese_signature_witnesses() == full

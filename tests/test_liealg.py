@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celestial.exact import GaussianRational, I, Matrix, gauss, kernel
+from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss, kernel
 from celestial import liealg
 from celestial.liealg import (
     E,
@@ -27,9 +27,20 @@ from celestial.liealg import (
     lie_sigma,
     real_basis,
     solve_invariant,
+    span_stabilizer,
     subalgebra_catalog,
 )
-from celestial.segre import FormSpan, QuadraticForm, apply_sigma, form_from_pairs, i2_segre, rep_S
+from celestial.segre import (
+    Y_FACTORS,
+    FormSpan,
+    QuadraticForm,
+    apply_sigma,
+    form_from_pairs,
+    i2_segre,
+    monomial_rep_derivative,
+    rep_S,
+    sym2_derivative,
+)
 
 
 def test_bracket_structure_constants():
@@ -281,3 +292,57 @@ def test_solver_matches_the_two_product_reference(elements):
 )
 def test_solver_matches_the_reference_on_the_catalog(elements):
     _same_reduced_span(elements)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-rational assembly of the tangent action that the Kronecker
+# product replaced, kept as the reference
+
+
+def reference_d_rep(m):
+    dl = monomial_rep_derivative(m.left, ((2, 0), (1, 1), (0, 2))).entries()
+    dr = monomial_rep_derivative(m.right, ((2, 0), (1, 1), (0, 2))).entries()
+    left = Matrix([dl[f][h] if g == k else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS)
+    right = Matrix([dr[g][k] if f == h else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS)
+    return left + right
+
+
+@given(_elements)
+@settings(max_examples=80, deadline=None)
+def test_d_rep_matches_the_gaussian_rational_reference(x):
+    assert d_rep(x) == reference_d_rep(x)
+
+
+@given(_sl2())
+@settings(max_examples=50, deadline=None)
+def test_sym2_derivative_matches_the_monomial_derivative(g):
+    assert sym2_derivative(g) == monomial_rep_derivative(g, ((2, 0), (1, 1), (0, 2)))
+
+
+def test_d_rep_matches_the_reference_on_the_catalog():
+    for _, algebra in subalgebra_catalog():
+        for x in algebra.basis:
+            assert d_rep(x) == reference_d_rep(x)
+
+
+# ---------------------------------------------------------------------------
+# the infinitesimal stabilizer of a span
+
+
+def test_the_family_span_is_stabilized_by_the_torus_alone():
+    stabilizer = span_stabilizer(FormSpan(i2_segre().basis[:4]))
+    assert len(stabilizer) == 2
+    assert all(liealg.span_contains(stabilizer, x) for x in (S1, S2))
+
+
+def test_the_whole_ideal_is_stabilized_by_everything():
+    stabilizer = span_stabilizer(i2_segre())
+    assert len(stabilizer) == 6
+
+
+def test_a_span_off_the_torus_weights_has_a_smaller_stabilizer():
+    basis = i2_segre().basis
+    mixed = QuadraticForm(basis[3].matrix + basis[4].matrix)
+    stabilizer = span_stabilizer(FormSpan(basis[:3] + (mixed,)))
+    assert len(stabilizer) == 1
+    assert not liealg.span_contains(stabilizer, S1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from celestial.exact import Matrix, gauss
+from celestial.exact import GaussianRational, Matrix, gauss
 from celestial import geometry, segre, verify
 from celestial.segre import (
     SEGRE_PARAM,
@@ -322,6 +322,72 @@ def test_rep_scaling_factor():
 def test_rep_rejects_singular_factors():
     with pytest.raises(ValueError):
         rep_S(Matrix([[1, 1], [1, 1]]), Matrix.identity(2))
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-rational assembly that the Kronecker product replaced, kept as
+# the reference
+
+
+def reference_sym2(phi):
+    (a, b), (c, d) = phi.entries()
+    return (
+        (a * a, 2 * a * b, b * b),
+        (a * c, a * d + b * c, b * d),
+        (c * c, 2 * c * d, d * d),
+    )
+
+
+def reference_rep_S(phi1, phi2):
+    for phi in (phi1, phi2):
+        if phi.rows != 2 or phi.cols != 2:
+            raise ValueError("factors must be 2x2")
+        if not phi.det():
+            raise ValueError("singular factor")
+    s1, s2 = reference_sym2(phi1), reference_sym2(phi2)
+    return Matrix([s1[f][h] * s2[g][k] for h, k in segre.Y_FACTORS] for f, g in segre.Y_FACTORS)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_entries = st.one_of(
+    st.builds(GaussianRational, _small),  # real
+    st.builds(GaussianRational, _small, _small),
+)
+
+
+@st.composite
+def _two_by_two(draw):
+    rows = [[draw(_entries), draw(_entries)], [draw(_entries), draw(_entries)]]
+    if draw(st.booleans()):  # make it singular: row 1 a multiple of row 0
+        f = draw(_entries)
+        rows[1] = [f * x for x in rows[0]]
+    return Matrix(rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(_two_by_two(), _two_by_two())
+@settings(max_examples=80, deadline=None)
+def test_rep_matches_the_gaussian_rational_reference(phi1, phi2):
+    assert _outcome(rep_S, phi1, phi2) == _outcome(reference_rep_S, phi1, phi2)
+
+
+def test_rep_reference_covers_singular_factors():
+    singular = Matrix([[1, "i"], ["i", -1]])
+    assert not singular.det()
+    for pair in ((singular, Matrix.identity(2)), (Matrix.identity(2), singular)):
+        assert _outcome(rep_S, *pair) == "ValueError: singular factor"
+        assert _outcome(reference_rep_S, *pair) == "ValueError: singular factor"
+
+
+def test_sym2_is_the_action_on_the_quadratic_monomials():
+    phi = Matrix([["1+i", 2], [Fraction(1, 3), "-i"]])
+    assert segre.sym2(phi) == Matrix(reference_sym2(phi))
 
 
 def _random_sl2(rng):
