@@ -580,11 +580,8 @@ class Matrix:
     def reindex(self, rows, cols) -> "Matrix":
         """The matrix whose entry (a, b) is self[rows[a], cols[b]]."""
         rows, cols = tuple(rows), tuple(cols)
-        out = tuple(tuple(self._ints[i][j] for j in cols) for i in rows)
-        dens = tuple(self._dens[i] for i in rows)
-        if sorted(rows) == list(range(self.rows)) and sorted(cols) == list(range(self.cols)):
-            return Matrix._make(self._real, dens, out, len(cols))  # a permutation stays canonical
-        return Matrix._lifted(self._real, dens, out, len(cols))
+        out = [[self._ints[i][j] for j in cols] for i in rows]
+        return Matrix._lifted(self._real, [self._dens[i] for i in rows], out, len(cols))
 
     def transpose(self) -> "Matrix":
         rows, den = self._common()

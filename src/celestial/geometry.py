@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .exact import (
     GaussianRational,
@@ -237,6 +236,13 @@ class QuadExt:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "QuadExt":
+        other = QuadExt.of(other)
+        n = other.a * other.a - gauss(2) * other.b * other.b
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(i, sqrt 2)")
+        return self * QuadExt(other.a / n, -other.b / n)
+
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
@@ -312,7 +318,7 @@ def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def spindle_point(t: Fraction, u: Fraction):
-    """Exact point of the spindle model over Q(i, sqrt 2)."""
+    """Exact point of the spindle model over Q(i, sqrt 2), the reference for its integer form."""
     re, im = _unit_circle_point(Fraction(t))
     u = Fraction(u)
     return (
@@ -325,7 +331,7 @@ def spindle_point(t: Fraction, u: Fraction):
 
 
 def horn_point(t: Fraction, u: Fraction):
-    """Exact point of the horn model over Q(i, sqrt 2)."""
+    """Exact point of the horn model over Q(i, sqrt 2), the reference for its integer form."""
     re, im = _unit_circle_point(Fraction(t))
     u = Fraction(u)
     return (
@@ -354,18 +360,30 @@ class StereographicReport:
 _STEREO_GRID = 7  # grid points per parameter
 
 
-def _integer_point(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Integer vectors (A, B) with p = (A + sqrt(2)*B) / den for one positive den.
+def _spindle_integer_point(t: Fraction, u: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``spindle_point(t, u)`` as integer vectors (A, B): the point is A + sqrt(2)*B.
 
-    The model points are real, so A and B are plain ints; as homogeneous
-    coordinates, A + sqrt(2)*B is the same point as p.
+    With t = p/q and u = r/s it is ``spindle_point`` times 2rs(p^2 + q^2).
     """
-    parts = [z for x in p for z in (x.a, x.b)]
-    if not all(z.is_real for z in parts):
-        raise ValueError("model point is not real")
-    den = lcm(*(z.re.denominator for z in parts))
-    ints = [z.re.numerator * (den // z.re.denominator) for z in parts]
-    return tuple(ints[0::2]), tuple(ints[1::2])
+    p, q, r, s = t.numerator, t.denominator, u.numerator, u.denominator
+    n = p * p + q * q
+    return (
+        (0, 2 * r * s * (q * q - p * p), 4 * r * s * p * q, 0, 2 * r * s * n),
+        (n * (r * r + s * s), 0, 0, n * (s * s - r * r), 0),
+    )
+
+
+def _horn_integer_point(t: Fraction, u: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``horn_point(t, u)`` as integer vectors (A, B): the point is A + sqrt(2)*B.
+
+    With t = p/q and u = r/s it is ``horn_point`` times rs(p^2 + q^2).
+    """
+    p, q, r, s = t.numerator, t.denominator, u.numerator, u.denominator
+    n = p * p + q * q
+    return (
+        (-n * (r * r + s * s), n * r * r, 0, 2 * p * q * s * s, (q * q - p * p) * s * s),
+        (0, 0, r * s * n, 0, 0),
+    )
 
 
 def _vanishes(span: FormSpan, points) -> bool:
@@ -381,9 +399,8 @@ def _vanishes(span: FormSpan, points) -> bool:
     monomials = [(i, j, 1 if i == j else 2) for i in range(n) for j in range(i, n)]
     rational = [[w * (a[i] * a[j] + 2 * b[i] * b[j]) for i, j, w in monomials] for a, b in points]
     sqrt2 = [[w * (a[i] * b[j] + b[i] * a[j]) for i, j, w in monomials] for a, b in points]
-    columns = span.coefficients.transpose()
     zero = Matrix.zero(len(points), len(span))
-    return Matrix(rational) * columns == zero and Matrix(sqrt2) * columns == zero
+    return Matrix(rational) * span.columns == zero and Matrix(sqrt2) * span.columns == zero
 
 
 # a + b*sqrt(2) as the int pair (a, b)
@@ -445,8 +462,8 @@ def stereographic_check() -> StereographicReport:
     ts = [Fraction(k, _STEREO_GRID) for k in range(1, _STEREO_GRID + 1)]
     us = [Fraction(k, 3) for k in range(1, _STEREO_GRID + 1)]
     grid = list(itertools.product(ts, us))
-    spindle = [_integer_point(spindle_point(t, u)) for t, u in grid]
-    horn = [_integer_point(horn_point(t, u)) for t, u in grid]
+    spindle = [_spindle_integer_point(t, u) for t, u in grid]
+    horn = [_horn_integer_point(t, u) for t, u in grid]
     if not (_vanishes(x_s, spindle) and _vanishes(x_h, horn)):
         return StereographicReport(False, None, None, 0, 0)
     cone_c, skipped_s = _fit(spindle, _spindle_shape)

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import Matrix, GaussianRational, gauss, kernel, I
-from .segre import FormSpan, apply_sigma, sym2_derivative, y_order
+from .segre import (
+    DEGREE2_MONOMIALS_2VARS,
+    FormSpan,
+    apply_sigma,
+    monomial_rep_derivative,
+    y_order,
+)
 
 
 def _m2(a, b, c, d) -> Matrix:
@@ -114,7 +120,9 @@ def d_rep(m: LieElement) -> Matrix:
     By the product rule it is D_left (x) I + I (x) D_right in the frozen y
     order, with D the derivative of each factor's action on (s^2, st, t^2).
     """
-    return y_order(sym2_derivative(m.left).kron(_I3) + _I3.kron(sym2_derivative(m.right)))
+    dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS)
+    dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS)
+    return y_order(dl.kron(_I3) + _I3.kron(dr))
 
 
 def span_contains(elements, x: LieElement) -> bool:

@@ -37,6 +37,8 @@ SIGMA_PERMS: tuple[tuple[int, ...], ...] = tuple(
 # y_k = (s^2, st, t^2)[f] * (u^2, uw, w^2)[g] for (f, g) = Y_FACTORS[k]
 Y_FACTORS: tuple[tuple[int, int], ...] = tuple((1 - a, 1 - b) for a, b in Y_EXPONENTS)
 
+DEGREE2_MONOMIALS_2VARS: tuple[tuple[int, int], ...] = ((2, 0), (1, 1), (0, 2))
+
 
 def torus_sigma(i: int, s: GaussianRational, u: GaussianRational):
     """The involution sigma_i on the torus: its lattice matrix applied to (conj s, conj u)."""
@@ -170,7 +172,7 @@ class FormSpan:
         return Matrix.stack(q.matrix.upper() for q in self.basis)
 
     @cached_property
-    def _columns(self) -> Matrix:
+    def columns(self) -> Matrix:
         """The coefficient vectors as columns, the system ``coordinates_of`` solves."""
         return self.coefficients.transpose()
 
@@ -195,7 +197,7 @@ class FormSpan:
         vec = q.matrix.upper()
         if not self.basis:
             return None if any(vec.entries()[0]) else ()
-        sol = solve(self._columns, vec.transpose())
+        sol = solve(self.columns, vec.transpose())
         return None if sol is None else sol.column_vector()
 
     def reduced(self) -> "FormSpan":
@@ -332,32 +334,61 @@ def mu_transform(i: int, q: QuadraticForm, coords=None) -> QuadraticForm:
     return QuadraticForm(m.transpose() * q.matrix * m, "x")
 
 
+@lru_cache(maxsize=None)
+def _degree2_frame(monomials) -> tuple[tuple[int, ...], Matrix]:
+    """Where the degree-2 monomials sit in x (x) x.
+
+    Entry k*n + l of x (x) x is x_k x_l.  Returns the entries k*n + l (k <= l)
+    that are the monomials, in their order, and the fold matrix sending
+    entry k*n + l to the monomial x_k x_l.
+    """
+    n = len(monomials[0])
+
+    def exponents(k, l):
+        e = [0] * n
+        e[k] += 1
+        e[l] += 1
+        return tuple(e)
+
+    index = {m: c for c, m in enumerate(monomials)}
+    if len(index) != len(monomials) or set(index) != {
+        exponents(k, l) for k in range(n) for l in range(k, n)
+    }:
+        raise ValueError("monomials must be all the degree-2 monomials in their variables")
+    pairs = [[k for k in range(n) for _ in range(e[k])] for e in monomials]
+    rows = tuple(k * n + l for k, l in pairs)
+    fold = Matrix(
+        [[int(index[exponents(k, l)] == c) for c in range(len(monomials))]
+         for k in range(n) for l in range(n)]
+    )
+    return rows, fold
+
+
+_identity = lru_cache(maxsize=None)(Matrix.identity)
+
+
+def _on_degree2(tensor: Matrix, monomials) -> Matrix:
+    """An operator on x (x) x, read on the degree-2 monomials in x."""
+    rows, fold = _degree2_frame(tuple(monomials))
+    if tensor.rows != len(monomials[0]) ** 2:
+        raise ValueError("matrix size does not match the monomial variables")
+    return tensor.reindex(rows, range(tensor.cols)) * fold
+
+
+def sym2(phi: Matrix) -> Matrix:
+    """The substitution action of a 2x2 matrix phi on (s^2, st, t^2): phi (x) phi folded."""
+    return _on_degree2(phi.kron(phi), DEGREE2_MONOMIALS_2VARS)
+
+
 def monomial_rep_derivative(g: Matrix, monomials) -> Matrix:
-    """Derivative at the identity of the monomial action of exp(t*g)."""
-    index = {m: i for i, m in enumerate(monomials)}
-    nvars = g.rows
-    out = [[ZERO] * len(monomials) for _ in monomials]
-    for r, exps in enumerate(monomials):
-        for k in range(nvars):
-            if not exps[k]:
-                continue
-            for l in range(nvars):
-                if g[k, l]:
-                    m = list(exps)
-                    m[k] -= 1
-                    m[l] += 1
-                    key = tuple(m)
-                    if key not in index:
-                        raise ValueError("derivative leaves the monomial basis")
-                    out[r][index[key]] = out[r][index[key]] + gauss(exps[k]) * g[k, l]
-    return Matrix(out)
+    """Derivative at the identity of the action of exp(t*g) on degree-2 monomials.
 
+    By the product rule on exp(t*g) (x) exp(t*g) it is g (x) I + I (x) g,
+    folded onto the monomials like ``sym2``.
+    """
+    one = _identity(g.rows)
+    return _on_degree2(g.kron(one) + one.kron(g), monomials)
 
-# (s, t) (x) (s, t) has rows ss, st, ts, tt; the rows ss, st, tt of phi (x) phi,
-# with the columns st and ts added, are the action of phi on (s^2, st, t^2)
-_SYM2_ROWS = (0, 1, 3)
-_SYM2_FOLD = Matrix([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
-_I2 = Matrix.identity(2)
 
 # y_k is row 3f + g of (s^2, st, t^2) (x) (u^2, uw, w^2), for (f, g) = Y_FACTORS[k]
 _Y_KRON = tuple(3 * f + g for f, g in Y_FACTORS)
@@ -366,19 +397,6 @@ _Y_KRON = tuple(3 * f + g for f, g in Y_FACTORS)
 def y_order(m: Matrix) -> Matrix:
     """A 9x9 matrix on (s^2, st, t^2) (x) (u^2, uw, w^2), moved to the frozen y order."""
     return m.reindex(_Y_KRON, _Y_KRON)
-
-
-def sym2(phi: Matrix) -> Matrix:
-    """The substitution action of a 2x2 matrix phi on (s^2, st, t^2)."""
-    return phi.kron(phi).reindex(_SYM2_ROWS, range(4)) * _SYM2_FOLD
-
-
-def sym2_derivative(g: Matrix) -> Matrix:
-    """The derivative of ``sym2`` at the identity in the direction g.
-
-    It is g (x) I + I (x) g, the product rule on phi (x) phi, folded like ``sym2``.
-    """
-    return (g.kron(_I2) + _I2.kron(g)).reindex(_SYM2_ROWS, range(4)) * _SYM2_FOLD
 
 
 def rep_S(phi1: Matrix, phi2: Matrix) -> Matrix:

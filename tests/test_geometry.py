@@ -103,6 +103,7 @@ def test_quadratic_extension_field():
     x = QuadExt.of(gauss(Fraction(1, 2))) + SQRT2
     y = x * x
     assert y == QuadExt.of(gauss(Fraction(9, 4))) + SQRT2
+    assert (x / x) == QuadExt.of(gauss(1))
     assert SQRT2 * SQRT2 == QuadExt.of(gauss(2))
     assert not (x - x)
 
@@ -227,14 +228,18 @@ _OUTSIDE = (
 )
 
 
-@pytest.mark.parametrize(
-    "index, point", [(0, geometry.spindle_point), (1, geometry.horn_point)], ids=["spindle", "horn"]
-)
-def test_integer_points_vanish_exactly_where_the_quadext_points_do(index, point):
+_MODELS = [
+    (0, geometry.spindle_point, geometry._spindle_integer_point),
+    (1, geometry.horn_point, geometry._horn_integer_point),
+]
+_GRID = [(Fraction(t, 5), Fraction(u, 4)) for t in (-3, 1, 2, 7) for u in (1, 3, 6, -5)]
+
+
+@pytest.mark.parametrize("index, point, integer_point", _MODELS, ids=["spindle", "horn"])
+def test_integer_points_vanish_exactly_where_the_quadext_points_do(index, point, integer_point):
     pencil = cyclide_pipeline()[index]
-    grid = [(Fraction(t, 5), Fraction(u, 4)) for t in (-3, 1, 2, 7) for u in (1, 3, 6, -5)]
-    points = [point(t, u) for t, u in grid]
-    ints = [geometry._integer_point(p) for p in points]
+    points = [point(t, u) for t, u in _GRID]
+    ints = [integer_point(t, u) for t, u in _GRID]
     for a, b in ints:
         assert all(isinstance(x, int) for x in a + b)
     assert geometry._vanishes(pencil, ints)
@@ -248,12 +253,15 @@ def test_integer_points_vanish_exactly_where_the_quadext_points_do(index, point)
         assert not geometry._vanishes(FormSpan(pencil.basis[:1] + (q,), "x"), ints)
 
 
-def test_integer_point_keeps_the_projective_point():
-    p = geometry.spindle_point(Fraction(2, 3), Fraction(5, 2))
-    a, b = geometry._integer_point(p)
-    den = a[4]  # the last spindle coordinate is 1
-    assert den > 0 and b[4] == 0
-    assert all(QuadExt(gauss(ai), gauss(bi)) == x * den for x, ai, bi in zip(p, a, b))
+@pytest.mark.parametrize("index, point, integer_point", _MODELS, ids=["spindle", "horn"])
+def test_integer_point_is_a_multiple_of_the_quadext_point(index, point, integer_point):
+    for t, u in _GRID:
+        p = point(t, u)
+        a, b = integer_point(t, u)
+        k = next(k for k, x in enumerate(p) if x)
+        scale = QuadExt(gauss(a[k]), gauss(b[k])) / p[k]
+        assert scale and not scale.b  # a nonzero rational multiple
+        assert all(QuadExt(gauss(ai), gauss(bi)) == x * scale for x, ai, bi in zip(p, a, b))
 
 
 def test_halved_witnesses_equal_the_full_set():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss, kernel
 from celestial import liealg
+from celestial.geometry import VERONESE_MONOMIALS
 from celestial.liealg import (
     E,
     FULL_BASIS,
@@ -39,7 +40,6 @@ from celestial.segre import (
     i2_segre,
     monomial_rep_derivative,
     rep_S,
-    sym2_derivative,
 )
 
 
@@ -298,10 +298,28 @@ def test_solver_matches_the_reference_on_the_catalog(elements):
 # the Gaussian-rational assembly of the tangent action that the Kronecker
 # product replaced, kept as the reference
 
+_SYM2_MONOMIALS = ((2, 0), (1, 1), (0, 2))
+
+
+def reference_monomial_derivative(g, monomials):
+    """The derivative of the monomial action of exp(t*g), entry by entry."""
+    index = {m: i for i, m in enumerate(monomials)}
+    out = [[ZERO] * len(monomials) for _ in monomials]
+    for r, exps in enumerate(monomials):
+        for k in range(g.rows):
+            for l in range(g.rows):
+                if exps[k] and g[k, l]:
+                    m = list(exps)
+                    m[k] -= 1
+                    m[l] += 1
+                    c = index[tuple(m)]
+                    out[r][c] = out[r][c] + gauss(exps[k]) * g[k, l]
+    return Matrix(out)
+
 
 def reference_d_rep(m):
-    dl = monomial_rep_derivative(m.left, ((2, 0), (1, 1), (0, 2))).entries()
-    dr = monomial_rep_derivative(m.right, ((2, 0), (1, 1), (0, 2))).entries()
+    dl = reference_monomial_derivative(m.left, _SYM2_MONOMIALS).entries()
+    dr = reference_monomial_derivative(m.right, _SYM2_MONOMIALS).entries()
     left = Matrix([dl[f][h] if g == k else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS)
     right = Matrix([dr[g][k] if f == h else ZERO for h, k in Y_FACTORS] for f, g in Y_FACTORS)
     return left + right
@@ -315,8 +333,29 @@ def test_d_rep_matches_the_gaussian_rational_reference(x):
 
 @given(_sl2())
 @settings(max_examples=50, deadline=None)
-def test_sym2_derivative_matches_the_monomial_derivative(g):
-    assert sym2_derivative(g) == monomial_rep_derivative(g, ((2, 0), (1, 1), (0, 2)))
+def test_monomial_derivative_matches_the_reference_in_two_variables(g):
+    assert monomial_rep_derivative(g, _SYM2_MONOMIALS) == reference_monomial_derivative(
+        g, _SYM2_MONOMIALS
+    )
+
+
+@given(st.lists(_entries, min_size=9, max_size=9))
+@settings(max_examples=50, deadline=None)
+def test_monomial_derivative_matches_the_reference_on_the_veronese_monomials(entries):
+    g = Matrix([entries[0:3], entries[3:6], entries[6:9]])
+    assert monomial_rep_derivative(g, VERONESE_MONOMIALS) == reference_monomial_derivative(
+        g, VERONESE_MONOMIALS
+    )
+
+
+@pytest.mark.parametrize(
+    "monomials",
+    [((2, 0), (1, 1)), ((2, 0), (1, 1), (0, 2), (2, 0)), ((3, 0), (2, 1), (1, 2), (0, 3))],
+    ids=["missing", "repeated", "cubic"],
+)
+def test_monomial_derivative_needs_every_degree2_monomial(monomials):
+    with pytest.raises(ValueError):
+        monomial_rep_derivative(Matrix([[1, 2], [3, -1]]), monomials)
 
 
 def test_d_rep_matches_the_reference_on_the_catalog():
