@@ -29,7 +29,7 @@ def main() -> None:
     for name, sigma in (("so2xso2", 2), ("so2xsx1", 1), ("so2xse1", 1), ("sl2xsl2", 0)):
         span = liealg.invariant_forms(liealg.NAMED_ALGEBRAS[name], ambient)
         fixed = liealg.real_basis(span, sigma)
-        x_span = FormSpan(tuple(mu_transform(sigma, q) for q in fixed.basis), "x")
+        x_span = FormSpan(tuple(mu_transform(sigma, q) for q in fixed.basis))
         print(f"  {name} (real frame of sigma_{sigma}):")
         for q in x_span.basis:
             print(f"    {form_to_text(q, 'x')}")

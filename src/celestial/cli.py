@@ -31,9 +31,9 @@ def _form_to_json(q: QuadraticForm) -> list[list[str]]:
     ]
 
 
-def _span_to_json(span: FormSpan) -> dict:
+def _span_to_json(frame: str, span: FormSpan) -> dict:
     return {
-        "frame": span.frame,
+        "frame": frame,
         "coords": list(span.coords),
         "basis": [_form_to_json(q) for q in span.basis],
     }
@@ -177,30 +177,26 @@ def _cmd_invariant_forms(args) -> int:
         spans = {"y": span}
         if args.sigma is not None:
             fixed = liealg.real_basis(span, args.sigma)
-            x_span = FormSpan(
-                tuple(mu_transform(args.sigma, q) for q in fixed.basis), "x"
-            )
+            x_span = FormSpan(tuple(mu_transform(args.sigma, q) for q in fixed.basis))
             spans["x"] = x_span
             if not all(q.is_real for q in x_span.basis):
                 print("warning: complex residue in the x frame; "
                       "the algebra is not compatible with this real structure",
                       file=sys.stderr)
-        var = {"y": "y", "x": "x"}
     else:
         if args.sigma not in (None, 0):
             raise ValueError("the Veronese ambient only carries the plain real structure (sigma 0)")
         algebra = _parse_algebra(args.algebra, "veronese")
         spans = {"y": geometry.veronese_invariant_forms(algebra)}
-        var = {"y": "y"}
 
     if args.json:
-        print(json.dumps({k: _span_to_json(s) for k, s in spans.items()},
+        print(json.dumps({k: _span_to_json(k, s) for k, s in spans.items()},
                          indent=2, sort_keys=True))
     else:
         for frame, span in spans.items():
             print(f"frame {frame}: {len(span)} generator(s)")
             for q in span.basis:
-                print(f"  {form_to_text(q, var[frame])}")
+                print(f"  {form_to_text(q, frame)}")
     return 0
 
 

@@ -63,7 +63,7 @@ class FamilyCoeffs:
 @lru_cache(maxsize=1)
 def family_basis() -> FormSpan:
     span = i2_segre()
-    return FormSpan(span.basis[:4], "y")
+    return FormSpan(span.basis[:4])
 
 
 def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
@@ -254,7 +254,7 @@ def _embed(q: QuadraticForm, coords) -> QuadraticForm:
     for a, ca in enumerate(coords):
         for b, cb in enumerate(coords):
             m[ca][cb] = q.matrix[a, b]
-    return QuadraticForm(Matrix(m), q.frame)
+    return QuadraticForm(Matrix(m))
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -302,7 +302,7 @@ def rigidity_sample_check(
             if not (_is_monomial(phi1) and _is_monomial(phi2)):
                 break
         s = rep_S(phi1, phi2)
-        moved = QuadraticForm(s.transpose() * a_c.matrix * s, "y")
+        moved = QuadraticForm(s.transpose() * a_c.matrix * s)
         return not span.contains(moved)
 
     if not all(one_trial(k) for k in range(trials)):
@@ -314,7 +314,7 @@ def rigidity_sample_check(
         phi1 = Matrix([[alpha, 0], [0, 1 / alpha]])
         phi2 = Matrix([[beta, 0], [0, 1 / beta]])
         s = rep_S(phi1, phi2)
-        moved = QuadraticForm(s.transpose() * a_c.matrix * s, "y")
+        moved = QuadraticForm(s.transpose() * a_c.matrix * s)
         coords = span.coordinates_of(moved)
         if coords is None or not _proportional(coords, [gauss(x) for x in c.as_tuple()]):
             return False

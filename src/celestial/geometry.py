@@ -263,7 +263,7 @@ def _sqrt2_congruence(form: QuadraticForm, t0: Matrix, t1: Matrix) -> QuadraticF
     cross = t0.transpose() * a * t1
     if cross != -cross.transpose():
         raise ValueError("congruence did not eliminate sqrt(2)")
-    return QuadraticForm(t0.transpose() * a * t0 + (t1.transpose() * a * t1).scale(2), "x")
+    return QuadraticForm(t0.transpose() * a * t0 + (t1.transpose() * a * t1).scale(2))
 
 
 # the printed coordinate changes alpha = alpha0 + sqrt(2)*alpha1 of the
@@ -294,7 +294,7 @@ def cyclide_pipeline() -> tuple[FormSpan, FormSpan]:
         mu = mu_matrix(1, y_span.coords)
         t0, t1 = Matrix(alpha[0]) * mu, Matrix(alpha[1]) * mu
         forms = tuple(_sqrt2_congruence(q, t0, t1) for q in y_span.basis)
-        span = FormSpan(forms, "x", y_span.coords)
+        span = FormSpan(forms, coords=y_span.coords)
         if sphere_member(span) is None:
             raise RuntimeError("cyclide pencil misses the 3-sphere form")
         spans.append(span)
@@ -305,8 +305,7 @@ def sphere_member(span: FormSpan):
     """Coefficients putting x0^2 - x1^2 - ... - x_k^2 in the span, if any."""
     k = span.dim
     sphere = QuadraticForm(
-        Matrix([[1 if (i, j) == (0, 0) else -1 if i == j else 0 for j in range(k)] for i in range(k)]),
-        "x",
+        Matrix([[1 if (i, j) == (0, 0) else -1 if i == j else 0 for j in range(k)] for i in range(k)])
     )
     return span.coordinates_of(sphere)
 
@@ -497,19 +496,15 @@ def veronese_data() -> tuple[MonomialParam, FormSpan]:
     return param, toric_quadrics(param)
 
 
-def _sl3(entries) -> Matrix:
-    return Matrix(entries)
-
-
 SL3_BASIS = {
-    "a1": _sl3([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
-    "a2": _sl3([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
-    "a3": _sl3([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
-    "b1": _sl3([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
-    "b2": _sl3([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
-    "b3": _sl3([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
-    "c1": _sl3([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-    "c2": _sl3([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    "a1": Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    "a2": Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+    "a3": Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+    "b1": Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+    "b2": Matrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+    "b3": Matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+    "c1": Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+    "c2": Matrix([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
 }
 
 

@@ -333,6 +333,13 @@ def classify_grid() -> list[LatticeType]:
     Returns one ``LatticeType`` per unimodular orbit of the surviving
     pairs: the first survivor of each orbit, in grid order.  Naming the
     orbits is left to the caller (``verify.match_lattice_rows``).
+
+    Orbits are taken under linear maps only (``unimodular_equivalent``),
+    without translations.  In the centered grid that is enough: the
+    candidate orbits that an involution-compatible translation joins all
+    fail ``_survives``, and the only ones that get past the edge rule, the
+    four degree-2 cones under sigma_1, fail the degree-2 rule.  A larger
+    grid would count translates as separate orbits.
     """
     orbits: list[LatticeType] = []
     for poly in grid_polygons():

@@ -96,9 +96,8 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
 
 
 def _swap_conj(m: Matrix) -> Matrix:
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    return _m2(d.conjugate(), c.conjugate(), b.conjugate(), a.conjugate())
+    """[[a, b], [c, d]] -> [[conj d, conj c], [conj b, conj a]]."""
+    return m.conjugate().reindex((1, 0), (1, 0))
 
 
 def lie_sigma(i: int, m: LieElement) -> LieElement:
@@ -178,7 +177,7 @@ def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
             (p.transpose() + p).upper() for p in (q.matrix * d for q in span.basis)
         ).transpose()
         ker = [v.column_vector() for v in kernel(system)]
-        span = FormSpan(tuple(span.combinations(ker)) if ker else (), span.frame, span.coords)
+        span = FormSpan(tuple(span.combinations(ker)) if ker else (), coords=span.coords)
     return span.reduced()
 
 
@@ -253,7 +252,7 @@ def real_basis(space: FormSpan, i: int) -> FormSpan:
         forms.append(space.combination(coeffs))
     # no echelon normalization here: rescaling by complex units would break
     # the fixedness under the antilinear action that this basis certifies
-    out = FormSpan(tuple(forms), space.frame, space.coords)
+    out = FormSpan(tuple(forms), coords=space.coords)
     if len(out.basis) != k:
         raise ValueError("fixed locus has unexpected dimension")
     return out

@@ -86,10 +86,14 @@ SEGRE_PARAM = MonomialParam(Y_EXPONENTS)
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """A symmetric matrix over Q(i) in a named coordinate frame."""
+    """A quadratic form: a symmetric matrix over Q(i).
+
+    The form does not record its coordinates.  Forms are written in the
+    torus coordinates y unless ``mu_transform`` moved them to the real
+    frame x of some sigma_i; the caller that made a form knows which.
+    """
 
     matrix: Matrix
-    frame: str = "y"
 
     def __post_init__(self):
         if not self.matrix.is_symmetric:
@@ -119,14 +123,14 @@ class QuadraticForm:
         return total
 
     def scale(self, c) -> "QuadraticForm":
-        return QuadraticForm(self.matrix.scale(c), self.frame)
+        return QuadraticForm(self.matrix.scale(c))
 
     def vec(self) -> tuple[GaussianRational, ...]:
         """Upper-triangle coefficient vector (the span coordinates)."""
         return self.matrix.upper().entries()[0]
 
 
-def form_from_pairs(terms, dim: int, frame: str = "y") -> QuadraticForm:
+def form_from_pairs(terms, dim: int) -> QuadraticForm:
     """Build sum of c * y_a y_b from ((a, b), c) items."""
     m = [[ZERO] * dim for _ in range(dim)]
     for (a, b), c in terms:
@@ -137,20 +141,20 @@ def form_from_pairs(terms, dim: int, frame: str = "y") -> QuadraticForm:
             half = c / gauss(2)
             m[a][b] = m[a][b] + half
             m[b][a] = m[b][a] + half
-    return QuadraticForm(Matrix(m), frame)
+    return QuadraticForm(Matrix(m))
 
 
 @dataclass(frozen=True, eq=False)
 class FormSpan:
-    """A linearly independent list of quadratic forms in one frame.
+    """A linearly independent list of quadratic forms on the same coordinates.
 
-    Spans compare with ``equals``; ``==`` and ``hash`` go by identity, so a
-    span is a cheap cache key.
+    ``coords`` (keyword-only) labels those coordinates by their indices
+    among the nine of P^8.  Spans compare with ``equals``; ``==`` and
+    ``hash`` go by identity, so a span is a cheap cache key.
     """
 
     basis: tuple[QuadraticForm, ...]
-    frame: str = "y"
-    coords: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
+    coords: tuple[int, ...] = field(default=None, kw_only=True)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.coords is None:
@@ -177,8 +181,8 @@ class FormSpan:
         return self.coefficients.transpose()
 
     def _forms(self, coeffs: Matrix, count: int) -> list[QuadraticForm]:
-        """The forms in this frame whose upper-triangle coefficient vectors are the first rows."""
-        return [QuadraticForm(Matrix.symmetric(coeffs.row(i)), self.frame) for i in range(count)]
+        """The forms whose upper-triangle coefficient vectors are the first rows."""
+        return [QuadraticForm(Matrix.symmetric(coeffs.row(i))) for i in range(count)]
 
     def combinations(self, rows) -> list[QuadraticForm]:
         """The forms sum_k row[k] * basis[k], one per coefficient row, in one product."""
@@ -205,7 +209,7 @@ class FormSpan:
         if not self.basis:
             return self
         red, pivots = self.coefficients.rref()
-        return FormSpan(tuple(self._forms(red, len(pivots))), self.frame, self.coords)
+        return FormSpan(tuple(self._forms(red, len(pivots))), coords=self.coords)
 
     def equals(self, other: "FormSpan") -> bool:
         if len(self.basis) != len(other.basis) or self.dim != other.dim:
@@ -235,7 +239,7 @@ def toric_quadrics(param: MonomialParam) -> FormSpan:
             fibers.setdefault(key, []).append((a, b))
     edges = sorted((pairs[0], leaf) for pairs in fibers.values() for leaf in pairs[1:])
     basis = tuple(form_from_pairs([(root, 1), (leaf, -1)], n) for root, leaf in edges)
-    return FormSpan(basis, "y", param.coords)
+    return FormSpan(basis, coords=param.coords)
 
 
 @lru_cache(maxsize=1)
@@ -244,26 +248,20 @@ def i2_segre() -> FormSpan:
     return toric_quadrics(SEGRE_PARAM)
 
 
-def sigma_matrix(i: int) -> Matrix:
-    perm = SIGMA_PERMS[i]
-    return Matrix(
-        [[1 if j == perm[k] else 0 for j in range(9)] for k in range(9)]
-    )
-
-
 def apply_sigma(i: int, obj):
     """Apply sigma_i to a point tuple or to a QuadraticForm.
 
     On points the coordinates are permuted and conjugated.  On forms this is
     the induced antilinear action A -> L^T conj(A) L, whose fixed vectors are
-    the forms defined over the reals of the sigma_i frame.
+    the forms defined over the reals of the sigma_i frame.  L has
+    L[k, perm[k]] = 1 and perm is an involution, so the product is the
+    reindex (L^T conj(A) L)[a, b] = conj(A)[perm[a], perm[b]].
     """
     perm = SIGMA_PERMS[i]
     if isinstance(obj, QuadraticForm):
         if obj.dim != 9:
             raise ValueError("sigma acts on 9x9 forms")
-        l = sigma_matrix(i)
-        return QuadraticForm(l.transpose() * obj.matrix.conjugate() * l, obj.frame)
+        return QuadraticForm(obj.matrix.conjugate().reindex(perm, perm))
     pt = [gauss(x) for x in obj]
     return tuple(pt[perm[k]].conjugate() for k in range(9))
 
@@ -331,7 +329,7 @@ def mu_transform(i: int, q: QuadraticForm, coords=None) -> QuadraticForm:
     m = mu_matrix(i, coords)
     if m.rows != q.dim:
         raise ValueError("form dimension does not match the coordinate subset")
-    return QuadraticForm(m.transpose() * q.matrix * m, "x")
+    return QuadraticForm(m.transpose() * q.matrix * m)
 
 
 @lru_cache(maxsize=None)

@@ -36,11 +36,8 @@ from .forms import random_fraction, random_sl2
 from .lattice import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
 
 
-def _span(term_lists, dim, frame) -> FormSpan:
-    return FormSpan(
-        tuple(form_from_pairs(terms, dim, frame) for terms in term_lists),
-        frame,
-    )
+def _span(term_lists, dim) -> FormSpan:
+    return FormSpan(tuple(form_from_pairs(terms, dim) for terms in term_lists))
 
 
 def expected_rotation_invariants_y() -> FormSpan:
@@ -52,7 +49,6 @@ def expected_rotation_invariants_y() -> FormSpan:
             [((0, 0), 1), ((7, 8), -1)],
         ],
         9,
-        "y",
     )
 
 
@@ -64,7 +60,6 @@ def expected_rotation_invariants_x2() -> FormSpan:
             for i in (1, 3, 5, 7)
         ],
         9,
-        "x",
     )
 
 
@@ -77,7 +72,6 @@ def expected_spindle_invariants_x1() -> FormSpan:
             [((0, 0), 1), ((5, 7), -1), ((6, 8), -1)],
         ],
         9,
-        "x",
     )
 
 
@@ -90,7 +84,6 @@ def expected_horn_invariants_y() -> FormSpan:
             [((1, 2), 2), ((5, 6), -1), ((7, 8), -1)],
         ],
         9,
-        "y",
     )
 
 
@@ -103,19 +96,13 @@ def expected_horn_invariants_x1() -> FormSpan:
             [((1, 1), 1), ((2, 2), 1), ((5, 7), -1), ((6, 8), -1)],
         ],
         9,
-        "x",
     )
 
 
 def expected_full_invariant_y() -> QuadraticForm:
+    """The sl2+sl2-invariant form; under sigma_0 (mu_0 = identity) also its x-frame shape."""
     return form_from_pairs(
-        [((0, 0), 2), ((1, 2), -2), ((3, 4), -2), ((5, 6), 1), ((7, 8), 1)], 9, "y"
-    )
-
-
-def expected_full_invariant_x0() -> QuadraticForm:
-    return form_from_pairs(
-        [((0, 0), 2), ((1, 2), -2), ((3, 4), -2), ((5, 6), 1), ((7, 8), 1)], 9, "x"
+        [((0, 0), 2), ((1, 2), -2), ((3, 4), -2), ((5, 6), 1), ((7, 8), 1)], 9
     )
 
 
@@ -123,7 +110,6 @@ def expected_full_invariant_x3() -> QuadraticForm:
     return form_from_pairs(
         [((0, 0), 2), ((2, 3), -4), ((1, 4), -4), ((5, 6), 1), ((7, 7), 1), ((8, 8), 1)],
         9,
-        "x",
     )
 
 
@@ -131,7 +117,6 @@ def expected_rotation_invariant_veronese() -> QuadraticForm:
     return form_from_pairs(
         [((1, 1), 1), ((2, 2), 1), ((3, 3), 1), ((0, 4), -1), ((0, 5), -1), ((4, 5), -1)],
         6,
-        "y",
     )
 
 
@@ -143,7 +128,6 @@ def expected_spindle_pencil() -> FormSpan:
             [((0, 0), 1), ((3, 3), -1), ((4, 4), -2)],
         ],
         5,
-        "x",
     )
 
 
@@ -155,7 +139,6 @@ def expected_horn_pencil() -> FormSpan:
             [((0, 0), 1), ((0, 1), 2), ((1, 1), 1), ((3, 3), -1), ((4, 4), -1)],
         ],
         5,
-        "x",
     )
 
 
@@ -282,30 +265,26 @@ def _invariant_forms(seed: int):
 
     rot = liealg.invariant_forms(named["so2xso2"], ambient)
     results.append(rot.equals(expected_rotation_invariants_y()))
-    rot_x = FormSpan(tuple(mu_transform(2, q) for q in rot.basis), "x")
+    rot_x = FormSpan(tuple(mu_transform(2, q) for q in rot.basis))
     results.append(rot_x.equals(expected_rotation_invariants_x2()))
 
     sx = liealg.invariant_forms(named["so2xsx1"], ambient)
     results.append(sx.equals(expected_rotation_invariants_y()))
-    sx_x = FormSpan(tuple(mu_transform(1, q) for q in sx.basis), "x")
+    sx_x = FormSpan(tuple(mu_transform(1, q) for q in sx.basis))
     results.append(sx_x.equals(expected_spindle_invariants_x1()))
 
     se = liealg.invariant_forms(named["so2xse1"], ambient)
     results.append(se.equals(expected_horn_invariants_y()))
-    se_x = FormSpan(tuple(mu_transform(1, q) for q in se.basis), "x")
+    se_x = FormSpan(tuple(mu_transform(1, q) for q in se.basis))
     results.append(se_x.equals(expected_horn_invariants_x1()))
 
     full = liealg.invariant_forms(named["sl2xsl2"], ambient)
     results.append(len(full) == 1)
-    results.append(
-        full.equals(FormSpan((expected_full_invariant_y(),), "y"))
-    )
+    results.append(full.equals(FormSpan((expected_full_invariant_y(),))))
 
     vero_rot = geometry.veronese_invariant_forms(geometry.so3_basis())
     results.append(len(vero_rot) == 1)
-    results.append(
-        vero_rot.equals(FormSpan((expected_rotation_invariant_veronese(),), "y"))
-    )
+    results.append(vero_rot.equals(FormSpan((expected_rotation_invariant_veronese(),))))
     results.append(len(geometry.veronese_invariant_forms(geometry.SL3_BASIS.values())) == 0)
 
     ok = all(results)
@@ -345,7 +324,7 @@ def _hyperquadric_signatures(seed: int):
     s0, s3 = forms.corollary_iqf_check()
     q0, q3 = forms.corollary_forms()
     shape_ok = (
-        q0.matrix.scale(2 / q0.matrix[0, 0]) == expected_full_invariant_x0().matrix
+        q0.matrix.scale(2 / q0.matrix[0, 0]) == expected_full_invariant_y().matrix
         and q3.matrix.scale(2 / q3.matrix[0, 0]) == expected_full_invariant_x3().matrix
     )
     ok = (s0, s3) == (Signature(4, 5, 0), Signature(3, 6, 0)) and shape_ok

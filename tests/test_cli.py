@@ -353,3 +353,18 @@ def test_invariant_forms_text(capsys):
         "  (2)*x3^2 + (2)*x4^2 + (-2)*x7^2 + (-2)*x8^2",
         "  (2)*x5^2 + (2)*x6^2 + (-2)*x7^2 + (-2)*x8^2",
     ]
+
+
+_INVARIANT_FORMS_REFERENCE = (
+    Path(__file__).resolve().parent / "reference" / "invariant_forms_so2xsx1_sigma1.json"
+)
+
+
+def test_invariant_forms_json_matches_the_reference_bytes(capsys):
+    # both frames, each with its "frame" key taken from the key it is listed under
+    code = main(["invariant-forms", "--algebra", "so2xsx1", "--sigma", "1", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == _INVARIANT_FORMS_REFERENCE.read_text()
+    payload = json.loads(captured.out)
+    assert {k: v["frame"] for k, v in payload.items()} == {"x": "x", "y": "y"}

@@ -39,7 +39,7 @@ def test_family_form_all_ones_is_the_seven_sphere():
 def test_family_form_rank_three_member():
     q = family_form(FamilyCoeffs(1, 0, 0, 0), "x")
     expected = form_from_pairs(
-        [((0, 0), Fraction(1, 4)), ((1, 1), -1), ((2, 2), -1)], 9, "x"
+        [((0, 0), Fraction(1, 4)), ((1, 1), -1), ((2, 2), -1)], 9
     )
     assert q.matrix == expected.matrix
 
@@ -191,7 +191,7 @@ def test_rigidity_identity_and_torus():
 
     torus = rep_S(Matrix([[2, 0], [0, Fraction(1, 2)]]), Matrix.identity(2))
     moved = torus.transpose() * q.matrix * torus
-    coords = span.coordinates_of(forms.QuadraticForm(moved, "y"))
+    coords = span.coordinates_of(forms.QuadraticForm(moved))
     assert coords == tuple(gauss(1) for _ in range(4))
 
 
@@ -200,7 +200,7 @@ def test_rigidity_unipotent_leaves_the_span():
     span = forms.family_basis()
     shear = rep_S(Matrix([[1, 1], [0, 1]]), Matrix.identity(2))
     q = family_form(c, "y")
-    moved = forms.QuadraticForm(shear.transpose() * q.matrix * shear, "y")
+    moved = forms.QuadraticForm(shear.transpose() * q.matrix * shear)
     assert not span.contains(moved)
 
 
@@ -218,12 +218,11 @@ def test_corollary_signatures():
 def test_corollary_forms_match_the_printed_shapes():
     q0, q3 = corollary_forms()
     printed0 = form_from_pairs(
-        [((0, 0), 2), ((1, 2), -2), ((3, 4), -2), ((5, 6), 1), ((7, 8), 1)], 9, "x"
+        [((0, 0), 2), ((1, 2), -2), ((3, 4), -2), ((5, 6), 1), ((7, 8), 1)], 9
     )
     printed3 = form_from_pairs(
         [((0, 0), 2), ((2, 3), -4), ((1, 4), -4), ((5, 6), 1), ((7, 7), 1), ((8, 8), 1)],
         9,
-        "x",
     )
     assert q0.matrix.scale(2 / q0.matrix[0, 0]) == printed0.matrix
     assert q3.matrix.scale(2 / q3.matrix[0, 0]) == printed3.matrix
@@ -248,7 +247,7 @@ def test_closed_form_random_sl2_matches_the_three_shears():
 
 def test_rigidity_check_fails_for_a_span_with_another_stabilizer(monkeypatch):
     basis = i2_segre().basis
-    wrong = FormSpan(basis[:3] + (QuadraticForm(basis[3].matrix + basis[4].matrix, "y"),))
+    wrong = FormSpan(basis[:3] + (QuadraticForm(basis[3].matrix + basis[4].matrix),))
     monkeypatch.setattr(forms, "family_basis", lambda: wrong)
     (result,) = verify.run_checks(only="rigidity-sampling")
     assert not result.ok

@@ -112,21 +112,18 @@ def test_cyclide_pipeline_matches_the_printed_pencils():
     x_s, x_h = cyclide_pipeline()
     spindle_expected = FormSpan(
         (
-            form_from_pairs([((1, 1), 1), ((2, 2), 1), ((4, 4), -1)], 5, "x"),
-            form_from_pairs([((0, 0), 1), ((3, 3), -1), ((4, 4), -2)], 5, "x"),
+            form_from_pairs([((1, 1), 1), ((2, 2), 1), ((4, 4), -1)], 5),
+            form_from_pairs([((0, 0), 1), ((3, 3), -1), ((4, 4), -2)], 5),
         ),
-        "x",
     )
     horn_expected = FormSpan(
         (
-            form_from_pairs([((2, 2), 1), ((0, 1), 2), ((1, 1), 2)], 5, "x"),
+            form_from_pairs([((2, 2), 1), ((0, 1), 2), ((1, 1), 2)], 5),
             form_from_pairs(
                 [((0, 0), 1), ((0, 1), 2), ((1, 1), 1), ((3, 3), -1), ((4, 4), -1)],
                 5,
-                "x",
             ),
         ),
-        "x",
     )
     assert x_s.equals(spindle_expected)
     assert x_h.equals(horn_expected)
@@ -142,7 +139,7 @@ def test_cyclide_pencils_contain_the_three_sphere():
 
 
 def test_sqrt2_congruence_rejects_a_surviving_sqrt2_part():
-    a = QuadraticForm(Matrix.identity(2), "y")
+    a = QuadraticForm(Matrix.identity(2))
     t0 = Matrix.identity(2)
     t1 = Matrix([[0, 1], [1, 0]])
     # T = t0 + sqrt(2)*t1 with t1 symmetric: T^T A T keeps 2*sqrt(2)*t1
@@ -221,10 +218,10 @@ def test_single_generator_witness():
 # the integer-point evaluation against QuadExt evaluation
 
 _OUTSIDE = (
-    form_from_pairs([((0, 0), 1)], 5, "x"),
-    form_from_pairs([((0, 1), 1), ((2, 4), -3)], 5, "x"),
-    form_from_pairs([((1, 1), 1), ((2, 2), 1), ((4, 4), -1), ((0, 3), 1)], 5, "x"),
-    form_from_pairs([((i, i), 1) for i in range(5)], 5, "x"),
+    form_from_pairs([((0, 0), 1)], 5),
+    form_from_pairs([((0, 1), 1), ((2, 4), -3)], 5),
+    form_from_pairs([((1, 1), 1), ((2, 2), 1), ((4, 4), -1), ((0, 3), 1)], 5),
+    form_from_pairs([((i, i), 1) for i in range(5)], 5),
 )
 
 
@@ -244,13 +241,13 @@ def test_integer_points_vanish_exactly_where_the_quadext_points_do(index, point,
         assert all(isinstance(x, int) for x in a + b)
     assert geometry._vanishes(pencil, ints)
     for q in pencil.basis + _OUTSIDE:
-        one = FormSpan((q,), "x")
+        one = FormSpan((q,))
         for p, pt in zip(points, ints):
             assert geometry._vanishes(one, [pt]) == (not q.evaluate(p))
     # a form outside the pencil fails on the whole grid
     for q in _OUTSIDE:
         assert any(q.evaluate(p) for p in points)
-        assert not geometry._vanishes(FormSpan(pencil.basis[:1] + (q,), "x"), ints)
+        assert not geometry._vanishes(FormSpan(pencil.basis[:1] + (q,)), ints)
 
 
 @pytest.mark.parametrize("index, point, integer_point", _MODELS, ids=["spindle", "horn"])

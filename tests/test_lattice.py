@@ -240,6 +240,62 @@ def test_excluded_candidates():
     assert lattice._survives(UNIT_SQUARE, SIGMA_3)
 
 
+_TRANSLATIONS = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+
+
+def _affine_equivalent(a, b):
+    """Whether some x -> m x + t maps a onto b with m sigma_a = sigma_b m and sigma_b t = t."""
+    va, vb = set(a.polygon.vertices), set(b.polygon.vertices)
+    for m in lattice._unimodular_matrices():
+        if lattice._mat_mul(m, a.involution.m) != lattice._mat_mul(b.involution.m, m):
+            continue
+        moved = {(m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in va}
+        for t in _TRANSLATIONS:
+            if b.involution.apply(t) == t and {(x + t[0], y + t[1]) for x, y in moved} == vb:
+                return True
+    return False
+
+
+def test_no_compatible_affine_map_joins_two_classified_orbits():
+    orbits = lattice.classify_grid()
+    assert len(orbits) == 10
+    for a, b in itertools.combinations(orbits, 2):
+        assert not _affine_equivalent(a, b)
+
+
+def test_orbits_that_a_translation_joins_all_fail_the_filters():
+    # the affine search sees translates: (0, 1) moves one sigma_1 cone onto
+    # another that no linear map reaches
+    a, b = (LatticeType.of(poly, inv) for poly, inv in (CONE_PAIRS[0], CONE_PAIRS[2]))
+    assert not unimodular_equivalent(a, b) and _affine_equivalent(a, b)
+    orbits = []
+    for poly in lattice.grid_polygons():
+        for inv in lattice.STANDARD_INVOLUTIONS:
+            if inv.preserves(poly):
+                lt = LatticeType.of(poly, inv)
+                orbit = next((o for o in orbits if unimodular_equivalent(o[0], lt)), None)
+                if orbit is None:
+                    orbits.append([lt])
+                else:
+                    orbit.append(lt)
+    # affine unimodular maps keep the area, hence the degree
+    joined = {
+        k
+        for i, j in itertools.combinations(range(len(orbits)), 2)
+        if degree(orbits[i][0].polygon) == degree(orbits[j][0].polygon)
+        and _affine_equivalent(orbits[i][0], orbits[j][0])
+        for k in (i, j)
+    }
+    members = [lt for k in joined for lt in orbits[k]]
+    assert not any(lattice._survives(lt.polygon, lt.involution) for lt in members)
+    # only the four cones get past the edge rule, and the degree-2 rule stops them
+    assert {
+        (lt.polygon, lt.involution)
+        for lt in members
+        if not forbidden_edge(lt.polygon, lt.involution)
+    } == set(CONE_PAIRS)
+
+
 def _all_directions(poly, bound=None):
     return frozenset(lattice._candidate_directions(poly, bound))
 

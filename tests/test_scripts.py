@@ -35,3 +35,11 @@ def test_script_exits_0(tmp_path, name, args, expect, files):
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
     assert all((tmp_path / f).is_file() for f in files)
+
+
+def test_print_invariant_tables_matches_the_reference_bytes(tmp_path):
+    # the x-frame tables pass through real_basis, so they pin apply_sigma
+    # for sigma 0, 1 and 2 as well
+    proc = _run_script("print_invariant_tables.py", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (ROOT / "tests" / "reference" / "print_invariant_tables.txt").read_text()

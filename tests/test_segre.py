@@ -267,11 +267,46 @@ def test_ideal_span_is_sigma_closed():
             assert span.contains(apply_sigma(i, q))
 
 
+def _sigma_by_products(i, q):
+    """L^T conj(A) L with L the 9x9 permutation matrix of sigma_i: the reference for apply_sigma."""
+    perm = segre.SIGMA_PERMS[i]
+    l = Matrix([[1 if j == perm[k] else 0 for j in range(9)] for k in range(9)])
+    return l.transpose() * q.matrix.conjugate() * l
+
+
+NON_REAL_FORMS = (
+    form_from_pairs([((0, 0), "1+i"), ((1, 2), "-2i"), ((5, 7), "1/3")], 9),
+    form_from_pairs([((k, (2 * k + 1) % 9), GaussianRational(Fraction(k - 4), Fraction(k + 1, 3))) for k in range(9)], 9),
+    i2_segre().combination([gauss("1/2-i") ** k for k in range(20)]),
+)
+
+
+def test_sigma_on_forms_is_the_permutation_product():
+    for i in range(4):
+        for q in i2_segre().basis + NON_REAL_FORMS:
+            assert apply_sigma(i, q).matrix == _sigma_by_products(i, q)
+
+
+def test_sigma_rejects_forms_off_p8():
+    with pytest.raises(ValueError):
+        apply_sigma(1, form_from_pairs([((0, 1), 1)], 5))
+
+
+def test_form_span_coords_are_keyword_only():
+    basis = i2_segre().basis[:2]
+    for stale in ("x", tuple(range(9))):
+        with pytest.raises(TypeError):
+            FormSpan(basis, stale)
+    with pytest.raises(TypeError):
+        segre.QuadraticForm(basis[0].matrix, "y")
+    assert FormSpan(basis, coords=tuple(range(1, 10))).coords == tuple(range(1, 10))
+
+
 def test_mu_two_moves_the_first_generator_to_a_real_frame():
     q = i2_segre().basis[0]  # vanishing difference on the first pair
     xq = mu_transform(2, q)
     expected = form_from_pairs(
-        [((0, 0), Fraction(1, 4)), ((1, 1), -1), ((2, 2), -1)], 9, "x"
+        [((0, 0), Fraction(1, 4)), ((1, 1), -1), ((2, 2), -1)], 9
     )
     assert xq.matrix == expected.matrix
     assert xq.is_real
@@ -282,7 +317,7 @@ def test_mu_two_sum_is_the_sphere_equation():
     for q in i2_segre().basis[:4]:
         total = total + mu_transform(2, q).matrix
     expected = form_from_pairs(
-        [((0, 0), 1)] + [((k, k), -1) for k in range(1, 9)], 9, "x"
+        [((0, 0), 1)] + [((k, k), -1) for k in range(1, 9)], 9
     )
     assert total == expected.matrix
 
@@ -431,7 +466,7 @@ def test_rep_preserves_the_ideal_span():
     for _ in range(5):
         m = rep_S(_random_sl2(rng), _random_sl2(rng))
         for q in span.basis[:7]:
-            moved = segre.QuadraticForm(m.transpose() * q.matrix * m, "y")
+            moved = segre.QuadraticForm(m.transpose() * q.matrix * m)
             assert span.contains(moved)
 
 
@@ -455,7 +490,6 @@ def test_toric_projection_spindle_and_horn_spans():
             form_from_pairs([((0, 0), 1), ((1, 2), -1)], 5),
             form_from_pairs([((0, 0), 1), ((3, 4), -1)], 5),
         ),
-        "y",
     )
     assert spindle.equals(expected)
 
@@ -467,7 +501,6 @@ def test_toric_projection_spindle_and_horn_spans():
             form_from_pairs([((0, 0), 1), ((1, 2), -1)], 5),
             form_from_pairs([((2, 2), 1), ((3, 4), -1)], 5),
         ),
-        "y",
     )
     assert horn.equals(expected_h)
 
@@ -481,5 +514,5 @@ def test_mu_transform_of_projected_span_is_exact():
     param, span = toric_projection({5, 6, 7, 8})
     q = span.basis[0]
     xq = mu_transform(1, q, span.coords)
-    expected = form_from_pairs([((0, 0), 1), ((1, 1), -1), ((2, 2), -1)], 5, "x")
+    expected = form_from_pairs([((0, 0), 1), ((1, 1), -1), ((2, 2), -1)], 5)
     assert xq.matrix == expected.matrix
