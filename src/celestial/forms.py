@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 
 from .exact import Matrix, Signature, gauss, signature, ZERO
@@ -53,10 +53,6 @@ class FamilyCoeffs:
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.c1, self.c3, self.c5, self.c7)
-
-    def scale(self, f) -> "FamilyCoeffs":
-        f = Fraction(f)
-        return FamilyCoeffs(*(f * c for c in self.as_tuple()))
 
 
 # the four generators y0^2 - y_i y_{i+1}, i = 1, 3, 5, 7, in that order
@@ -94,56 +90,24 @@ def singular_support(c: FamilyCoeffs) -> tuple[frozenset[int], int]:
         raise ValueError("at most two coefficients may vanish")
     # the vertex is the projectivized kernel of the real form, and its
     # dimension the number of zero squares of its congruence, less one
-    dim = moebius_pair(c).real_signature.zero - 1
+    dim = moebius_pair(c).zero - 1
     if dim != 2 * len(vanishing) - 1:
         raise RuntimeError("vertex dimension disagrees with the support pattern")
     return vanishing, dim
 
 
-@dataclass(frozen=True)
-class MoebiusPair:
-    """A model surface with an invariant hyperquadric of sphere signature.
+def moebius_pair(c: FamilyCoeffs) -> Signature:
+    """Normalized signature of the real form of a family member.
 
-    The quadric must lie in the quadric ideal of the surface, and in a real
-    coordinate frame its normalized signature must have exactly one
-    positive square, so that its zero set carries a round sphere.
+    The member bounds a sphere only when that signature has exactly one
+    positive square; anything else raises ``ValueError``.  The family span
+    is the first four generators of the Segre quadric ideal, so the member
+    lies in the ideal by construction.
     """
-
-    surface: str  # "segre" or "veronese"
-    span: FormSpan
-    quadric: QuadraticForm
-
-    def __post_init__(self):
-        if self.surface not in ("segre", "veronese"):
-            raise ValueError("surface must be 'segre' or 'veronese'")
-        if not self.span.contains(self.quadric):
-            raise ValueError("quadric does not vanish on the surface")
-        sig = self.real_signature
-        if sig.pos != 1:
-            raise ValueError(f"quadric has signature {sig}, not a sphere form")
-
-    @cached_property
-    def real_signature(self) -> Signature:
-        """Normalized signature of the real form, from one congruence."""
-        return signature(self.real_form().matrix)
-
-    def real_form(self) -> QuadraticForm:
-        if self.surface == "segre":
-            out = mu_transform(2, self.quadric)
-        else:
-            out = self.quadric
-        if not out.is_real:
-            raise ValueError("quadric is not defined over the reals of its frame")
-        return out
-
-
-def moebius_pair(c: FamilyCoeffs) -> MoebiusPair:
-    """The Moebius pair of one family member over the double Segre surface."""
-    signs = {x > 0 for x in c.as_tuple() if x}
-    if len(signs) == 2:
-        raise ValueError("coefficients must share one sign")
-    coeffs = c if signs == {True} else c.scale(-1)
-    return MoebiusPair("segre", i2_segre(), family_form(coeffs, "y"))
+    sig = signature(family_form(c, "x").matrix)
+    if sig.pos != 1:
+        raise ValueError(f"quadric has signature {sig}, not a sphere form")
+    return sig
 
 
 @dataclass(frozen=True)
@@ -196,7 +160,7 @@ def classify_family(c: FamilyCoeffs) -> CelestialRecord:
     moduli dimension counts the projective freedom left in the family after
     fixing the support.
     """
-    vanishing, vertex_dim = singular_support(c)  # also checks the Moebius pair
+    vanishing, vertex_dim = singular_support(c)  # also checks the sphere signature
     n = 9 - (vertex_dim + 1) - 2
     moduli = 3 - len(vanishing)
     if not vanishing:
@@ -278,21 +242,20 @@ def _is_monomial(m: Matrix) -> bool:
     return diagonal or antidiagonal
 
 
-def rigidity_sample_check(
-    c: FamilyCoeffs, c_prime: FamilyCoeffs, trials: int = 100, seed: int = 0
-) -> bool:
+def rigidity_sample_check(c: FamilyCoeffs, trials: int = 100, seed: int = 0) -> bool:
     """Sampled necessary condition for rigidity of the family coordinates.
 
-    For pseudorandom determinant-1 pairs outside the stabilizer of the
-    diagonal torus, the transformed quadric must leave the family span;
-    diagonal-torus pairs must fix every family member exactly.  Two members
-    are then equivalent under these symmetries only when their coefficients
-    agree up to scale.  This samples a necessary condition; it is not a
-    proof.
+    For pseudorandom determinant-1 pairs other than pairs of monomial
+    matrices, the transformed quadric must leave the family span, and
+    diagonal-torus pairs must fix the coefficients of the member up to
+    scale.  The skipped monomial pairs normalize the torus and may permute
+    coefficients: with w = [[0, 1], [-1, 0]], ``rep_S(w, I)`` maps
+    Q_(1,1,1,2) to Q_(1,1,2,1), so equivalent members need not have
+    proportional coefficients.  This samples a necessary condition; it is
+    not a proof.
     """
     span = family_basis()
     a_c = family_form(c, "y")
-    a_cp = family_form(c_prime, "y")
 
     def one_trial(k: int) -> bool:
         trial_rng = random.Random(f"rigidity:{seed}:{k}")
@@ -308,7 +271,7 @@ def rigidity_sample_check(
     if not all(one_trial(k) for k in range(trials)):
         return False
 
-    # diagonal torus elements must preserve each member with unchanged
+    # diagonal torus elements must preserve the member with unchanged
     # coefficients up to scale
     for alpha, beta in ((Fraction(2), Fraction(1)), (Fraction(3, 2), Fraction(5))):
         phi1 = Matrix([[alpha, 0], [0, 1 / alpha]])
@@ -318,14 +281,7 @@ def rigidity_sample_check(
         coords = span.coordinates_of(moved)
         if coords is None or not _proportional(coords, [gauss(x) for x in c.as_tuple()]):
             return False
-
-    same_member = _proportional(
-        [gauss(x) for x in c.as_tuple()], [gauss(x) for x in c_prime.as_tuple()]
-    )
-    forms_match = span.coordinates_of(a_cp) is not None and _proportional(
-        span.coordinates_of(a_c), span.coordinates_of(a_cp)
-    )
-    return forms_match == same_member
+    return True
 
 
 def _proportional(u, v) -> bool:
@@ -348,8 +304,3 @@ def corollary_forms() -> tuple[QuadraticForm, QuadraticForm]:
     q = full_invariant.basis[0]
     return mu_transform(0, q), mu_transform(3, q)
 
-
-def corollary_iqf_check() -> tuple[Signature, Signature]:
-    """Normalized signatures of the two rigid invariant hyperquadrics."""
-    q0, q3 = corollary_forms()
-    return signature(q0.matrix), signature(q3.matrix)

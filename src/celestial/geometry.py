@@ -97,7 +97,6 @@ class BlowupConfig:
     second ruling; ``near`` lists (i, j) with j infinitely near i.
     """
 
-    tag: str
     points: tuple[int, ...]
     pi1_fibers: tuple[tuple[int, int], ...] = ()
     pi2_fibers: tuple[tuple[int, int], ...] = ()
@@ -105,17 +104,12 @@ class BlowupConfig:
 
 
 BLOWUP_CONFIGS: dict[str, BlowupConfig] = {
-    "a": BlowupConfig("a", ()),
-    "b": BlowupConfig("b", (1, 2)),
-    "c": BlowupConfig("c", (1, 2), pi2_fibers=((1, 2),)),
-    "d": BlowupConfig(
-        "d", (1, 2, 3, 4), pi1_fibers=((1, 3), (2, 4)), pi2_fibers=((1, 4), (2, 3))
-    ),
-    "e": BlowupConfig(
-        "e", (1, 2, 3, 4), pi1_fibers=((1, 3), (2, 4)), pi2_fibers=((1, 2), (3, 4))
-    ),
+    "a": BlowupConfig(()),
+    "b": BlowupConfig((1, 2)),
+    "c": BlowupConfig((1, 2), pi2_fibers=((1, 2),)),
+    "d": BlowupConfig((1, 2, 3, 4), pi1_fibers=((1, 3), (2, 4)), pi2_fibers=((1, 4), (2, 3))),
+    "e": BlowupConfig((1, 2, 3, 4), pi1_fibers=((1, 3), (2, 4)), pi2_fibers=((1, 2), (3, 4))),
     "f": BlowupConfig(
-        "f",
         (1, 2, 3, 4),
         pi1_fibers=((1, 3), (2, 4)),
         pi2_fibers=((1, 2),),

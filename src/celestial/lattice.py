@@ -195,11 +195,10 @@ def width(p: LatticePolygon, direction: Point) -> int:
     return max(vals) - min(vals)
 
 
-def _candidate_directions(p: LatticePolygon, bound: int | None = None):
-    if bound is None:
-        xs = [v[0] for v in p.vertices]
-        ys = [v[1] for v in p.vertices]
-        bound = max(max(xs) - min(xs), max(ys) - min(ys))
+def _candidate_directions(p: LatticePolygon):
+    xs = [v[0] for v in p.vertices]
+    ys = [v[1] for v in p.vertices]
+    bound = max(max(xs) - min(xs), max(ys) - min(ys))
     dirs = set()
     for a in range(0, bound + 1):
         for b in range(-bound, bound + 1):
@@ -208,14 +207,14 @@ def _candidate_directions(p: LatticePolygon, bound: int | None = None):
     return sorted(dirs)
 
 
-def minimal_width_directions(p: LatticePolygon, bound: int | None = None) -> frozenset[Point]:
+def minimal_width_directions(p: LatticePolygon) -> frozenset[Point]:
     """All primitive directions (up to sign) of globally minimal width.
 
     Directions wider than the coordinate span in both axes are dominated, so
     the search is bounded by the span; the bound is covered by a test against
     an exhaustive search.
     """
-    dirs = _candidate_directions(p, bound)
+    dirs = _candidate_directions(p)
     widths = {d: width(p, d) for d in dirs}
     w = min(widths.values())
     return frozenset(d for d, val in widths.items() if val == w)

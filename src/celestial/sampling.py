@@ -141,8 +141,6 @@ class PointCloud:
     """Projected 3-space samples of one surface."""
 
     points: list[tuple[float, float, float]]
-    surface: str
-    projection: list[list[float]]
     skipped: int
     max_residual: float
 
@@ -168,7 +166,7 @@ def sample(surface: str, resolution: int, projection=None) -> PointCloud:
         worst = max(worst, residual(forms, p))
         affine = [x / p[0] for x in p[1:]]
         out.append(tuple(sum(r * x for r, x in zip(row, affine)) for row in proj))
-    return PointCloud(out, surface, [list(r) for r in proj], skipped, worst)
+    return PointCloud(out, skipped, worst)
 
 
 def write_csv(cloud: PointCloud, path: str) -> None:

@@ -125,10 +125,6 @@ class QuadraticForm:
     def scale(self, c) -> "QuadraticForm":
         return QuadraticForm(self.matrix.scale(c))
 
-    def vec(self) -> tuple[GaussianRational, ...]:
-        """Upper-triangle coefficient vector (the span coordinates)."""
-        return self.matrix.upper().entries()[0]
-
 
 def form_from_pairs(terms, dim: int) -> QuadraticForm:
     """Build sum of c * y_a y_b from ((a, b), c) items."""

@@ -13,7 +13,6 @@ from celestial.forms import (
     FamilyCoeffs,
     classify_family,
     corollary_forms,
-    corollary_iqf_check,
     family_form,
     fixed_records,
     random_fraction,
@@ -97,7 +96,8 @@ def test_classify_family_rows(coeffs, ctype, singular, moduli, full_aut):
 
 def test_classification_is_scale_invariant():
     c = FamilyCoeffs(2, 3, 0, 5)
-    assert classify_family(c) == classify_family(c.scale(Fraction(7, 2)))
+    scaled = FamilyCoeffs(*(Fraction(7, 2) * x for x in c.as_tuple()))
+    assert classify_family(c) == classify_family(scaled)
 
 
 def test_classification_is_constant_on_support_patterns():
@@ -145,32 +145,33 @@ def test_a_record_off_the_table_is_rejected():
 
 
 def test_moebius_pair_validation():
-    pair = forms.moebius_pair(FamilyCoeffs(1, 1, 1, 1))
-    assert pair.surface == "segre"
-    assert signature(pair.real_form().matrix).pos == 1
-    # negative members are normalized to the positive representative
-    assert forms.moebius_pair(FamilyCoeffs(-1, -2, -1, -1))
+    assert forms.moebius_pair(FamilyCoeffs(1, 1, 1, 1)) == Signature(1, 8, 0)
+    assert forms.moebius_pair(FamilyCoeffs(0, 1, 0, 1)) == Signature(1, 4, 4)
+    # mixed signs give at least two positive and two negative squares
+    for coeffs in ((1, -1, 1, 1), (1, -1, 0, 0), (2, 0, -1, 0), (-1, 3, 3, 3)):
+        with pytest.raises(ValueError, match="not a sphere form"):
+            forms.moebius_pair(FamilyCoeffs(*coeffs))
 
-    with pytest.raises(ValueError):
-        forms.MoebiusPair(
-            "segre",
-            i2_segre(),
-            form_from_pairs([((0, 0), 1)], 9),  # not in the ideal
-        )
-    # a quadric of non-sphere signature is rejected
-    big = form_from_pairs(
-        [((0, 0), 2), ((1, 2), -2), ((3, 4), -2), ((5, 6), 1), ((7, 8), 1)], 9
+
+def test_moebius_pair_is_blind_to_an_overall_sign():
+    # the signature is normalized, so a negative member needs no sign flip
+    assert forms.moebius_pair(FamilyCoeffs(-1, -2, -1, -1)) == forms.moebius_pair(
+        FamilyCoeffs(1, 2, 1, 1)
     )
-    with pytest.raises(ValueError):
-        forms.MoebiusPair("segre", i2_segre(), big)
+    assert classify_family(FamilyCoeffs(-1, -2, -1, -1)) == classify_family(
+        FamilyCoeffs(1, 2, 1, 1)
+    )
 
 
-def test_moebius_pair_for_the_veronese_surface():
+def test_family_basis_is_the_head_of_the_segre_ideal_basis():
+    # so every family member lies in the quadric ideal by construction
+    assert forms.family_basis().basis == i2_segre().basis[:4]
+
+
+def test_so3_invariant_form_has_sphere_signature():
     from celestial import geometry
 
-    _, span = geometry.veronese_data()
-    pair = forms.MoebiusPair("veronese", span, geometry.so3_invariant_form())
-    assert signature(pair.real_form().matrix) == Signature(1, 5, 0)
+    assert signature(geometry.so3_invariant_form().matrix) == Signature(1, 5, 0)
 
 
 def test_family_signature_formula():
@@ -205,14 +206,34 @@ def test_rigidity_unipotent_leaves_the_span():
 
 
 def test_rigidity_sample_check():
-    c = FamilyCoeffs(1, 1, 1, 1)
-    assert rigidity_sample_check(c, c, trials=25, seed=3)
-    assert rigidity_sample_check(c, c.scale(2), trials=5, seed=4)
-    assert rigidity_sample_check(c, FamilyCoeffs(2, 1, 1, 1), trials=5, seed=5)
+    assert rigidity_sample_check(FamilyCoeffs(1, 1, 1, 1), trials=25, seed=3)
+    assert rigidity_sample_check(FamilyCoeffs(2, 1, 1, 1), trials=5, seed=5)
+    assert rigidity_sample_check(FamilyCoeffs(0, 1, 0, 1), trials=5, seed=6)
+
+
+def test_rigidity_sample_check_fails_when_the_torus_moves_coefficients(monkeypatch):
+    # report a member other than the one whose quadric the trials transform
+    real_form = forms.family_form
+    other = FamilyCoeffs(1, 2, 1, 1)
+    monkeypatch.setattr(forms, "family_form", lambda c, frame="y": real_form(other, frame))
+    assert not rigidity_sample_check(FamilyCoeffs(1, 1, 1, 1), trials=1, seed=0)
+
+
+def test_a_weyl_pair_swaps_c5_and_c7():
+    # w normalizes the diagonal torus, so members with non-proportional
+    # coefficients can be equivalent
+    w = Matrix([[0, 1], [-1, 0]])
+    a = family_form(FamilyCoeffs(1, 1, 1, 2), "y").matrix
+    for pair in ((w, Matrix.identity(2)), (Matrix.identity(2), w)):
+        s = rep_S(*pair)
+        moved = QuadraticForm(s.transpose() * a * s)
+        assert forms.family_basis().coordinates_of(moved) == tuple(map(gauss, (1, 1, 2, 1)))
+    assert classify_family(FamilyCoeffs(1, 1, 1, 2)) == classify_family(FamilyCoeffs(1, 1, 2, 1))
 
 
 def test_corollary_signatures():
-    assert corollary_iqf_check() == (Signature(4, 5, 0), Signature(3, 6, 0))
+    q0, q3 = corollary_forms()
+    assert (signature(q0.matrix), signature(q3.matrix)) == (Signature(4, 5, 0), Signature(3, 6, 0))
 
 
 def test_corollary_forms_match_the_printed_shapes():

@@ -123,9 +123,17 @@ def test_minimal_width_directions():
 
 
 def test_minimal_width_search_bound_is_conservative():
-    # the default span bound agrees with a much larger exhaustive search
+    # the span bound agrees with an exhaustive search over entries up to 5
+    exhaustive = [
+        lattice._canonical_direction((a, b))
+        for a in range(6)
+        for b in range(-5, 6)
+        if (a, b) != (0, 0) and gcd(a, abs(b)) == 1
+    ]
     for poly in lattice.grid_polygons():
-        assert minimal_width_directions(poly) == minimal_width_directions(poly, bound=5)
+        widths = {d: width(poly, d) for d in exhaustive}
+        w = min(widths.values())
+        assert minimal_width_directions(poly) == {d for d, val in widths.items() if val == w}
 
 
 unimodular_maps = st.sampled_from(
@@ -296,8 +304,8 @@ def test_orbits_that_a_translation_joins_all_fail_the_filters():
     } == set(CONE_PAIRS)
 
 
-def _all_directions(poly, bound=None):
-    return frozenset(lattice._candidate_directions(poly, bound))
+def _all_directions(poly):
+    return frozenset(lattice._candidate_directions(poly))
 
 
 @pytest.mark.parametrize(

@@ -258,7 +258,7 @@ def reference_solve_invariant(tangents, ambient):
     rows = []
     for d in tangents:
         dt = d.transpose()
-        vecs = [QuadraticForm(dt * q.matrix + q.matrix * d).vec() for q in ambient.basis]
+        vecs = [(dt * q.matrix + q.matrix * d).upper().entries()[0] for q in ambient.basis]
         rows.extend(row for row in zip(*vecs) if any(row))
     if not rows:
         return ambient.reduced()

@@ -43,3 +43,11 @@ def test_print_invariant_tables_matches_the_reference_bytes(tmp_path):
     proc = _run_script("print_invariant_tables.py", cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (ROOT / "tests" / "reference" / "print_invariant_tables.txt").read_text()
+
+
+def test_scan_family_grid_matches_the_reference_bytes(tmp_path):
+    # 72 admissible vectors through classify_family: the record of every
+    # support pattern, with coefficients of height up to 2
+    proc = _run_script("scan_family_grid.py", "--max-height", "2", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (ROOT / "tests" / "reference" / "scan_family_grid_h2.txt").read_text()
