@@ -41,7 +41,7 @@ def main() -> None:
         if rec.name not in seen:
             seen.add(rec.name)
             print(f"  {rec.to_json()}")
-    for rec in forms.fixed_records():
+    for rec in verify.fixed_records():
         print(f"  {rec.to_json()}")
 
 

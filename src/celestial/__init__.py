@@ -8,10 +8,14 @@ The subpackages split along the objects involved:
     lattice   lattice polygons, involutions, and the grid classification
     segre     the double Segre surface, its quadrics and real structures
     liealg    sl2+sl2, its real structures, and the invariant-form solver
-    forms     the hyperquadric family and the classification records
+    forms     the hyperquadric family and the record of each member
     geometry  blowup combinatorics, cyclide models, the Veronese track
     sampling  floating-point point-cloud export
-    verify    the end-to-end verification suite
+    verify    the end-to-end verification suite and the one copy of the
+              paper's tables: lattice rows and the eight celestial records
+
+Reference implementations that only the tests compare against live in
+``tests/oracles.py``, not in the package.
 """
 
 __version__ = "0.1.0"

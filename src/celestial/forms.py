@@ -9,8 +9,9 @@ four-parameter family
 
 inside P^8.  The support pattern of c determines the celestial type, the
 singular locus, the symmetry group and the moduli dimension; this module
-computes those from scratch and packages the answers, together with the
-four rigid surfaces outside the family, as classification records.
+computes those from scratch and packages the answer as a classification
+record.  It reads no table: the eight records the paper prints, the four
+rigid surfaces outside the family among them, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
-from .exact import Matrix, Signature, gauss, signature, ZERO
+from .exact import Matrix, Signature, gauss, signature
 from .segre import (
     FormSpan,
     QuadraticForm,
     i2_segre,
     mu_transform,
     rep_S,
-    toric_projection,
 )
 from . import liealg
 
@@ -123,9 +123,6 @@ class CelestialRecord:
     moebius_equals_full_aut: bool
     name: str
 
-    def celestial_type(self) -> tuple[float, int, int]:
-        return (self.circles, self.degree, self.ambient)
-
     def to_json(self) -> dict:
         lam = "inf" if self.circles == INFINITY else int(self.circles)
         return {
@@ -136,20 +133,6 @@ class CelestialRecord:
             "moebius_equals_aut": self.moebius_equals_full_aut,
             "name": self.name,
         }
-
-
-# the eight classification rows; singular loci use the rendering of
-# geometry.DynkinString ("rA1" = real node, "A3" = complex tacnode, ...)
-CLASSIFICATION_TABLE: tuple[CelestialRecord, ...] = (
-    CelestialRecord(2, 8, 7, "", "PSO(2)xPSO(2)", 3, False, "double Segre surface"),
-    CelestialRecord(2, 8, 5, "", "PSO(2)xPSO(2)", 2, False, "projected dS"),
-    CelestialRecord(3, 6, 5, "", "PSO(2)xPSO(2)", 2, True, "dP6"),
-    CelestialRecord(INFINITY, 4, 4, "", "PSO(3)", 0, False, "Veronese surface"),
-    CelestialRecord(4, 4, 3, "A1+A1+A1+A1", "PSO(2)xPSO(2)", 1, True, "ring cyclide"),
-    CelestialRecord(2, 4, 3, "rA1+rA1+A1+A1", "PSO(2)xPSX(1)", 0, True, "spindle cyclide"),
-    CelestialRecord(2, 4, 3, "rA3+A1+A1", "PSO(2)xPSE(1)", 0, True, "horn cyclide"),
-    CelestialRecord(INFINITY, 2, 2, "", "PSO(3,1)", 0, True, "2-sphere"),
-)
 
 
 def classify_family(c: FamilyCoeffs) -> CelestialRecord:
@@ -179,46 +162,9 @@ def classify_family(c: FamilyCoeffs) -> CelestialRecord:
 
 
 def _make_record(circles, degree, ambient, singular, moduli, m_eq_aut, name):
-    rec = CelestialRecord(
+    return CelestialRecord(
         circles, degree, ambient, singular, "PSO(2)xPSO(2)", moduli, m_eq_aut, name
     )
-    if rec not in CLASSIFICATION_TABLE:
-        raise ValueError(f"record does not match any classification row: {rec}")
-    return rec
-
-
-_FIXED_NAMES = ("Veronese surface", "spindle cyclide", "horn cyclide", "2-sphere")
-
-
-def fixed_records() -> list[CelestialRecord]:
-    """The four classification rows that do not move in a family.
-
-    The spindle and horn rows are cross-checked on the fly: the quadrics
-    cutting their standard models must be invariant under the symmetry
-    algebras that define the rows.
-    """
-    ambient = i2_segre()
-    spindle_span = toric_projection({5, 6, 7, 8})[1]
-    horn_span = toric_projection({1, 2, 5, 8})[1]
-    spindle_sym = liealg.invariant_forms(liealg.NAMED_ALGEBRAS["so2xsx1"], ambient)
-    horn_sym = liealg.invariant_forms(liealg.NAMED_ALGEBRAS["so2xse1"], ambient)
-    for q in spindle_span.basis:
-        if not spindle_sym.contains(_embed(q, spindle_span.coords)):
-            raise RuntimeError("spindle quadrics are not symmetry-invariant")
-    for q in horn_span.basis:
-        if not horn_sym.contains(_embed(q, horn_span.coords)):
-            raise RuntimeError("horn quadrics are not symmetry-invariant")
-    rows = {r.name: r for r in CLASSIFICATION_TABLE}
-    return [rows[name] for name in _FIXED_NAMES]
-
-
-def _embed(q: QuadraticForm, coords) -> QuadraticForm:
-    """Lift a form on a coordinate subset back to the full 9x9 frame."""
-    m = [[ZERO] * 9 for _ in range(9)]
-    for a, ca in enumerate(coords):
-        for b, cb in enumerate(coords):
-            m[ca][cb] = q.matrix[a, b]
-    return QuadraticForm(Matrix(m))
 
 
 def random_fraction(rng: random.Random) -> Fraction:

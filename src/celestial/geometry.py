@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    GaussianRational,
-    Matrix,
-    Signature,
-    gauss,
-    signature,
-    ZERO,
-    ONE,
-)
+from .exact import Matrix, Signature, signature, ONE
 from .segre import (
     FormSpan,
     MonomialParam,
@@ -56,9 +48,6 @@ class NSClass:
 
 L0 = NSClass((1, 0, 0, 0, 0, 0))
 L1 = NSClass((0, 1, 0, 0, 0, 0))
-EXCEPTIONAL = tuple(
-    NSClass(tuple(1 if k == 2 + j else 0 for k in range(6))) for j in range(4)
-)
 
 
 def ns_product(a: NSClass, b: NSClass) -> int:
@@ -195,56 +184,7 @@ def dynkin(classes: frozenset[NSClass]) -> DynkinString:
 
 
 # ---------------------------------------------------------------------------
-# exact points with sqrt(2)
-
-
-@dataclass(frozen=True)
-class QuadExt:
-    """a + b*sqrt(2) with Gaussian-rational a and b: the coordinates of model points."""
-
-    a: GaussianRational = ZERO
-    b: GaussianRational = ZERO
-
-    @staticmethod
-    def of(x) -> "QuadExt":
-        return x if isinstance(x, QuadExt) else QuadExt(gauss(x))
-
-    def __add__(self, other) -> "QuadExt":
-        other = QuadExt.of(other)
-        return QuadExt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QuadExt":
-        other = QuadExt.of(other)
-        return QuadExt(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other) -> "QuadExt":
-        if not isinstance(other, QuadExt):
-            other = gauss(other)
-            return QuadExt(self.a * other, self.b * other)
-        return QuadExt(
-            self.a * other.a + gauss(2) * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QuadExt":
-        other = QuadExt.of(other)
-        n = other.a * other.a - gauss(2) * other.b * other.b
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i, sqrt 2)")
-        return self * QuadExt(other.a / n, -other.b / n)
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __str__(self) -> str:
-        return f"({self.a})+({self.b})*sqrt2"
-
-
-SQRT2 = QuadExt(ZERO, ONE)
+# cyclide models
 
 
 def _sqrt2_congruence(form: QuadraticForm, t0: Matrix, t1: Matrix) -> QuadraticForm:
@@ -304,38 +244,6 @@ def sphere_member(span: FormSpan):
     return span.coordinates_of(sphere)
 
 
-def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational point (re, im) on the unit circle from the slope parameter."""
-    den = 1 + t * t
-    return (1 - t * t) / den, 2 * t / den
-
-
-def spindle_point(t: Fraction, u: Fraction):
-    """Exact point of the spindle model over Q(i, sqrt 2), the reference for its integer form."""
-    re, im = _unit_circle_point(Fraction(t))
-    u = Fraction(u)
-    return (
-        QuadExt(ZERO, gauss((u + 1 / u) / 2)),  # (u + 1/u) / sqrt(2)
-        QuadExt(gauss(re)),
-        QuadExt(gauss(im)),
-        QuadExt(ZERO, gauss((1 / u - u) / 2)),  # (1/u - u) / sqrt(2)
-        QuadExt(ONE),
-    )
-
-
-def horn_point(t: Fraction, u: Fraction):
-    """Exact point of the horn model over Q(i, sqrt 2), the reference for its integer form."""
-    re, im = _unit_circle_point(Fraction(t))
-    u = Fraction(u)
-    return (
-        QuadExt(gauss(-u - 1 / u)),
-        QuadExt(gauss(u)),
-        SQRT2,
-        QuadExt(gauss(im / u)),
-        QuadExt(gauss(re / u)),
-    )
-
-
 @dataclass(frozen=True)
 class StereographicReport:
     """Outcome of the cone/cylinder verification on a rational grid."""
@@ -354,9 +262,11 @@ _STEREO_GRID = 7  # grid points per parameter
 
 
 def _spindle_integer_point(t: Fraction, u: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``spindle_point(t, u)`` as integer vectors (A, B): the point is A + sqrt(2)*B.
+    """The spindle model point at (t, u) as integer vectors (A, B): it is A + sqrt(2)*B.
 
-    With t = p/q and u = r/s it is ``spindle_point`` times 2rs(p^2 + q^2).
+    With (c, d) = ((1 - t^2), 2t) / (1 + t^2) on the unit circle, the model
+    point is ((u + 1/u) / sqrt(2), c, d, (1/u - u) / sqrt(2), 1); with
+    t = p/q and u = r/s this is that point times 2rs(p^2 + q^2).
     """
     p, q, r, s = t.numerator, t.denominator, u.numerator, u.denominator
     n = p * p + q * q
@@ -367,9 +277,11 @@ def _spindle_integer_point(t: Fraction, u: Fraction) -> tuple[tuple[int, ...], t
 
 
 def _horn_integer_point(t: Fraction, u: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``horn_point(t, u)`` as integer vectors (A, B): the point is A + sqrt(2)*B.
+    """The horn model point at (t, u) as integer vectors (A, B): it is A + sqrt(2)*B.
 
-    With t = p/q and u = r/s it is ``horn_point`` times rs(p^2 + q^2).
+    With (c, d) = ((1 - t^2), 2t) / (1 + t^2) on the unit circle, the model
+    point is (-u - 1/u, u, sqrt(2), d/u, c/u); with t = p/q and u = r/s this
+    is that point times rs(p^2 + q^2).
     """
     p, q, r, s = t.numerator, t.denominator, u.numerator, u.denominator
     n = p * p + q * q

@@ -6,15 +6,15 @@ the directions of minimal lattice width that the involution fixes up to
 sign record the toric families of circles on the surface.  This module
 enumerates every such pair inside the centered 3x3 grid, keeps those that
 pass filters computed from the pair itself, and returns one representative
-per orbit under unimodular equivalence compatible with the involutions.
-It reads no table: the paper's rows and names live in ``verify``.
+per orbit under affine unimodular equivalence compatible with the
+involutions.  It reads no table: the paper's rows and names live in
+``verify``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 Point = tuple[int, int]
@@ -142,8 +142,7 @@ class UnimodularInvolution:
             raise ValueError("matrix is not an involution")
 
     def apply(self, p: Point) -> Point:
-        (a, b), (c, d) = self.m
-        return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+        return _apply(self.m, p)
 
     def compose(self, other: "UnimodularInvolution") -> "UnimodularInvolution":
         prod = _mat_mul(self.m, other.m)
@@ -164,6 +163,10 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
         (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
     )
+
+
+def _apply(m: IntMatrix, p: Point) -> Point:
+    return (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
 
 
 SIGMA_0 = UnimodularInvolution(((1, 0), (0, 1)))
@@ -264,33 +267,49 @@ class LatticeType:
         return LatticeType(polygon, involution, stable_directions(polygon, involution))
 
 
-_UNIMODULAR_BOUND = 3  # largest absolute entry of the searched matrices
-
-
-@lru_cache(maxsize=1)
-def _unimodular_matrices() -> tuple[IntMatrix, ...]:
-    rng = range(-_UNIMODULAR_BOUND, _UNIMODULAR_BOUND + 1)
-    return tuple(
-        ((a, b), (c, d))
-        for a, b, c, d in itertools.product(rng, rng, rng, rng)
-        if a * d - b * c in (1, -1)
-    )
-
-
 def unimodular_equivalent(a: LatticeType, b: LatticeType) -> bool:
-    """Equivalence by a linear unimodular map compatible with the involutions.
+    """Equivalence by an affine unimodular map compatible with the involutions.
 
-    The search ranges over integer matrices with entries bounded by 3, which
-    is exhaustive for polygons inside the 3x3 grid (cross-checked by tests).
+    A map x -> m x + t taking one polygon onto the other sends consecutive
+    vertices to consecutive vertices, in order or reversed, so where three
+    consecutive vertices of ``a`` go fixes it.  Each start vertex of ``b`` is
+    tried in both orientations; a map counts when m is integral with
+    determinant +-1, the vertex sets match, m sigma_a = sigma_b m and
+    sigma_b t = t.
     """
-    va, vb = set(a.polygon.vertices), set(b.polygon.vertices)
-    if len(va) != len(vb):
+    va, vb = a.polygon.vertices, b.polygon.vertices
+    n = len(va)
+    if len(vb) != n:
         return False
-    for m in _unimodular_matrices():
-        if {(m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in va} == vb:
-            if _mat_mul(m, a.involution.m) == _mat_mul(b.involution.m, m):
+    p0, p1, p2 = va[:3]
+    # m = F E^-1, with the edge vectors at p1 and at its image as columns
+    edges = _columns(p0, p1, p2)
+    det = edges[0][0] * edges[1][1] - edges[0][1] * edges[1][0]
+    adjugate = ((edges[1][1], -edges[0][1]), (-edges[1][0], edges[0][0]))
+    targets = set(vb)
+    for k in range(n):
+        for step in (1, -1):
+            q0, q1, q2 = vb[k], vb[(k + step) % n], vb[(k + 2 * step) % n]
+            scaled = _mat_mul(_columns(q0, q1, q2), adjugate)
+            if any(x % det for row in scaled for x in row):
+                continue
+            m = tuple(tuple(x // det for x in row) for row in scaled)
+            if m[0][0] * m[1][1] - m[0][1] * m[1][0] not in (1, -1):
+                continue
+            image = _apply(m, p0)
+            t = (q0[0] - image[0], q0[1] - image[1])
+            if (
+                {(x + t[0], y + t[1]) for x, y in (_apply(m, v) for v in va)} == targets
+                and _mat_mul(m, a.involution.m) == _mat_mul(b.involution.m, m)
+                and b.involution.apply(t) == t
+            ):
                 return True
     return False
+
+
+def _columns(p0: Point, p1: Point, p2: Point) -> IntMatrix:
+    """The matrix with columns p1 - p0 and p2 - p1."""
+    return ((p1[0] - p0[0], p2[0] - p1[0]), (p1[1] - p0[1], p2[1] - p1[1]))
 
 
 _GRID = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
@@ -333,12 +352,8 @@ def classify_grid() -> list[LatticeType]:
     pairs: the first survivor of each orbit, in grid order.  Naming the
     orbits is left to the caller (``verify.match_lattice_rows``).
 
-    Orbits are taken under linear maps only (``unimodular_equivalent``),
-    without translations.  In the centered grid that is enough: the
-    candidate orbits that an involution-compatible translation joins all
-    fail ``_survives``, and the only ones that get past the edge rule, the
-    four degree-2 cones under sigma_1, fail the degree-2 rule.  A larger
-    grid would count translates as separate orbits.
+    Orbits are taken under affine unimodular maps compatible with the
+    involutions (``unimodular_equivalent``), so translates share an orbit.
     """
     orbits: list[LatticeType] = []
     for poly in grid_polygons():

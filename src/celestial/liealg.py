@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import Matrix, GaussianRational, gauss, kernel, I
+from .exact import Matrix, GaussianRational, kernel, I
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
@@ -31,7 +31,6 @@ _E2 = _m2(0, 0, 0, 0)
 _T = _m2(0, 1, 0, 0)
 _Q = _m2(0, 0, 1, 0)
 _S = _m2(1, 0, 0, -1)
-_R = _m2(0, -1, 1, 0)
 _I3 = Matrix.identity(3)
 
 
@@ -69,22 +68,12 @@ class LieElement:
 T1 = LieElement(_T, _E2)
 Q1 = LieElement(_Q, _E2)
 S1 = LieElement(_S, _E2)
-R1 = LieElement(_R, _E2)
 T2 = LieElement(_E2, _T)
 Q2 = LieElement(_E2, _Q)
 S2 = LieElement(_E2, _S)
-R2 = LieElement(_E2, _R)
 E = LieElement(_E2, _E2)
 
 FULL_BASIS = (T1, Q1, S1, T2, Q2, S2)
-
-# the rotation generator of each factor depends on which real structure is
-# in force: entrywise conjugation fixes r, the unit-circle structures fix i*s
-ROTATION_GENERATORS = {
-    0: (R1, R2),
-    1: (I * S1, R2),
-    2: (I * S1, I * S2),
-}
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
@@ -131,33 +120,6 @@ def span_contains(elements, x: LieElement) -> bool:
     m = Matrix(rows)
     aug = Matrix(rows + [x.vec()])
     return m.rank() == aug.rank()
-
-
-def is_subalgebra(basis) -> bool:
-    """True iff all pairwise brackets lie in the span of the basis."""
-    basis = list(basis)
-    for i, x in enumerate(basis):
-        for y in basis[i + 1 :]:
-            if not span_contains(basis, bracket(x, y)):
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class Subalgebra:
-    """A bracket-closed span of independent elements."""
-
-    basis: tuple[LieElement, ...]
-
-    def __post_init__(self):
-        rows = Matrix([e.vec() for e in self.basis])
-        if rows.rank() != len(self.basis):
-            raise ValueError("subalgebra basis is linearly dependent")
-        if not is_subalgebra(self.basis):
-            raise ValueError("span is not closed under the bracket")
-
-    def __len__(self) -> int:
-        return len(self.basis)
 
 
 def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
@@ -209,8 +171,7 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
     """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span."""
-    basis = g.basis if isinstance(g, Subalgebra) else tuple(g)
-    return _invariant_forms_cached(basis, ambient)
+    return _invariant_forms_cached(tuple(g), ambient)
 
 
 @lru_cache(maxsize=64)
@@ -255,49 +216,6 @@ def real_basis(space: FormSpan, i: int) -> FormSpan:
     out = FormSpan(tuple(forms), coords=space.coords)
     if len(out.basis) != k:
         raise ValueError("fixed locus has unexpected dimension")
-    return out
-
-
-_CATALOG_ALPHAS = (gauss(1), gauss(2), I)
-
-
-def subalgebra_catalog() -> list[tuple[str, Subalgebra]]:
-    """The classified subalgebras of sl2+sl2, up to complex conjugation.
-
-    One-parameter families are instantiated at alpha = 1, 2 and i; the
-    continuum is not enumerated.  Every entry is verified to be closed
-    under the bracket on construction.
-    """
-    out: list[tuple[str, Subalgebra]] = []
-
-    def add(name, *elements):
-        out.append((name, Subalgebra(tuple(elements))))
-
-    add("t1", T1)
-    add("s1", S1)
-    add("t1+t2", T1 + T2)
-    add("t1+s2", T1 + S2)
-    for a in _CATALOG_ALPHAS:
-        add(f"s1+{a}s2", S1 + a * S2)
-    add("t1,s1", T1, S1)
-    add("t1,t2", T1, T2)
-    add("t1,s2", T1, S2)
-    add("s1,s2", S1, S2)
-    add("s1+t2,t1", S1 + T2, T1)
-    add("t1+t2,s1+s2", T1 + T2, S1 + S2)
-    for a in _CATALOG_ALPHAS:
-        add(f"s1+{a}s2,t1", S1 + a * S2, T1)
-    add("t1,q1,s1", T1, Q1, S1)
-    add("t1,s1,t2", T1, S1, T2)
-    add("t1,s1,s2", T1, S1, S2)
-    for a in _CATALOG_ALPHAS:
-        add(f"s1+{a}s2,t1,t2", S1 + a * S2, T1, T2)
-    add("t1+t2,q1+q2,s1+s2", T1 + T2, Q1 + Q2, S1 + S2)
-    add("t1,s1,t2,s2", T1, S1, T2, S2)
-    add("t1,q1,s1,t2", T1, Q1, S1, T2)
-    add("t1,q1,s1,s2", T1, Q1, S1, S2)
-    add("t1,q1,s1,t2,s2", T1, Q1, S1, T2, S2)
-    add("t1,q1,s1,t2,q2,s2", T1, Q1, S1, T2, Q2, S2)
     return out
 
 

@@ -72,14 +72,6 @@ class MonomialParam:
             raise ValueError("torus parameters must be nonzero")
         return tuple(s**a * u**b for a, b in self.exponents)
 
-    def eval_lift(self, s, t, u, w) -> tuple[GaussianRational, ...]:
-        """Evaluate the projective bidegree-(2,2) lift s^(1+a) t^(1-a) u^(1+b) w^(1-b)."""
-        s, t, u, w = (gauss(x) for x in (s, t, u, w))
-        return tuple(
-            s ** (1 + a) * t ** (1 - a) * u ** (1 + b) * w ** (1 - b)
-            for a, b in self.exponents
-        )
-
 
 SEGRE_PARAM = MonomialParam(Y_EXPONENTS)
 
@@ -106,21 +98,6 @@ class QuadraticForm:
     @property
     def is_real(self) -> bool:
         return self.matrix.is_real
-
-    def evaluate(self, point):
-        """The value at a point whose coordinates lie in any ring containing Q(i).
-
-        Summed as sum_i p_i * (sum_j a_ij p_j): one product of two coordinates per row.
-        """
-        total = ZERO
-        for p, row in zip(point, self.matrix.entries()):
-            inner = ZERO
-            for a, q in zip(row, point):
-                if a:
-                    inner = inner + a * q
-            if inner:
-                total = total + p * inner
-        return total
 
     def scale(self, c) -> "QuadraticForm":
         return QuadraticForm(self.matrix.scale(c))

@@ -1,9 +1,12 @@
 """The full verification suite: every classification claim, recomputed.
 
 Each check recomputes one family of published values from scratch through
-the exact machinery and compares against the frozen expected data.  The
-checks are deterministic for a fixed seed; randomized property checks
-derive all randomness from that seed.
+the exact machinery and compares against the frozen expected data.  That
+data lives here and nowhere else: the expected spans, the lattice rows
+(``LATTICE_TABLE``) and the eight celestial records keyed by surface name
+(``RECORD_TABLE``); the computing modules read none of it.  The checks are
+deterministic for a fixed seed; randomized property checks derive all
+randomness from that seed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import GaussianRational, Matrix, Signature, gauss, signature
+from .exact import GaussianRational, Matrix, Signature, ZERO, gauss, signature
 from .segre import (
     FormSpan,
     MonomialParam,
@@ -28,11 +31,12 @@ from .segre import (
     i2_segre,
     mu_transform,
     rep_S,
+    toric_projection,
     toric_quadrics,
     torus_sigma,
 )
 from . import forms, geometry, lattice, liealg, sampling
-from .forms import random_fraction, random_sl2
+from .forms import INFINITY, CelestialRecord, random_fraction, random_sl2
 from .lattice import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
 
 
@@ -200,6 +204,47 @@ EXPECTED_SINGULAR_STRINGS = {
 }
 
 
+# the eight classification rows, keyed by surface name; singular loci use the
+# rendering of geometry.DynkinString ("rA1" = real node, "A3" = complex tacnode, ...)
+RECORD_TABLE: dict[str, CelestialRecord] = {rec.name: rec for rec in (
+    CelestialRecord(2, 8, 7, "", "PSO(2)xPSO(2)", 3, False, "double Segre surface"),
+    CelestialRecord(2, 8, 5, "", "PSO(2)xPSO(2)", 2, False, "projected dS"),
+    CelestialRecord(3, 6, 5, "", "PSO(2)xPSO(2)", 2, True, "dP6"),
+    CelestialRecord(INFINITY, 4, 4, "", "PSO(3)", 0, False, "Veronese surface"),
+    CelestialRecord(4, 4, 3, "A1+A1+A1+A1", "PSO(2)xPSO(2)", 1, True, "ring cyclide"),
+    CelestialRecord(2, 4, 3, "rA1+rA1+A1+A1", "PSO(2)xPSX(1)", 0, True, "spindle cyclide"),
+    CelestialRecord(2, 4, 3, "rA3+A1+A1", "PSO(2)xPSE(1)", 0, True, "horn cyclide"),
+    CelestialRecord(INFINITY, 2, 2, "", "PSO(3,1)", 0, True, "2-sphere"),
+)}
+
+
+def fixed_records() -> list[CelestialRecord]:
+    """The classification rows that no family member reaches, in table order.
+
+    The spindle and horn rows are cross-checked on the fly: the quadrics
+    cutting their standard models must be invariant under the symmetry
+    algebras that define the rows.
+    """
+    for model, drop, algebra in (
+        ("spindle", {5, 6, 7, 8}, "so2xsx1"), ("horn", {1, 2, 5, 8}, "so2xse1")
+    ):
+        span = toric_projection(drop)[1]
+        symmetric = liealg.invariant_forms(liealg.NAMED_ALGEBRAS[algebra], i2_segre())
+        if not all(symmetric.contains(_embed(q, span.coords)) for q in span.basis):
+            raise RuntimeError(f"{model} quadrics are not symmetry-invariant")
+    family = {name for _, name in _FAMILY_CASES}
+    return [rec for name, rec in RECORD_TABLE.items() if name not in family]
+
+
+def _embed(q: QuadraticForm, coords) -> QuadraticForm:
+    """Lift a form on a coordinate subset back to the full 9x9 frame."""
+    m = [[ZERO] * 9 for _ in range(9)]
+    for a, ca in enumerate(coords):
+        for b, cb in enumerate(coords):
+            m[ca][cb] = q.matrix[a, b]
+    return QuadraticForm(Matrix(m))
+
+
 def match_lattice_rows(orbits) -> tuple[list[LatticeRow], list[lattice.LatticeType]]:
     """Name computed lattice orbits by ``LATTICE_TABLE``.
 
@@ -291,27 +336,29 @@ def _invariant_forms(seed: int):
     return ok, f"{sum(results)}/{len(results)} span identities"
 
 
+# one member of every support pattern (two of the full one), with the
+# record it must classify to
 _FAMILY_CASES = [
-    ((1, 1, 1, 1), (2, 8, 7), 3),
-    ((2, 1, 3, 5), (2, 8, 7), 3),
-    ((0, 1, 1, 1), (2, 8, 5), 2),
-    ((1, 0, 1, 1), (2, 8, 5), 2),
-    ((1, 1, 0, 1), (3, 6, 5), 2),
-    ((1, 1, 1, 0), (3, 6, 5), 2),
-    ((0, 1, 0, 1), (4, 4, 3), 1),
-    ((0, 1, 1, 0), (4, 4, 3), 1),
-    ((1, 0, 0, 1), (4, 4, 3), 1),
-    ((1, 0, 1, 0), (4, 4, 3), 1),
-    ((1, 1, 0, 0), (4, 4, 3), 1),
-    ((0, 0, 1, 1), (4, 4, 3), 1),
+    ((1, 1, 1, 1), "double Segre surface"),
+    ((2, 1, 3, 5), "double Segre surface"),
+    ((0, 1, 1, 1), "projected dS"),
+    ((1, 0, 1, 1), "projected dS"),
+    ((1, 1, 0, 1), "dP6"),
+    ((1, 1, 1, 0), "dP6"),
+    ((0, 1, 0, 1), "ring cyclide"),
+    ((0, 1, 1, 0), "ring cyclide"),
+    ((1, 0, 0, 1), "ring cyclide"),
+    ((1, 0, 1, 0), "ring cyclide"),
+    ((1, 1, 0, 0), "ring cyclide"),
+    ((0, 0, 1, 1), "ring cyclide"),
 ]
 
 
 def _family_rows(seed: int):
     # classify_family itself raises when rank(Q_c) - 2 disagrees with the row
-    for coeffs, ctype, moduli in _FAMILY_CASES:
+    for coeffs, name in _FAMILY_CASES:
         rec = forms.classify_family(forms.FamilyCoeffs(*coeffs))
-        if rec.celestial_type() != ctype or rec.moduli_dim != moduli:
+        if rec != RECORD_TABLE[name]:
             return False, f"{coeffs} gave {rec.to_json()}"
     return True, f"{len(_FAMILY_CASES)} support patterns"
 

@@ -1,0 +1,298 @@
+"""Reference implementations that only the tests read.
+
+Each one is the slow, direct version of something the package computes
+another way, or an input catalog the tests iterate over:
+
+    QuadExt, spindle_point, horn_point   exact cyclide model points over
+                                         Q(i, sqrt 2), the reference for the
+                                         integer points of the stereographic check
+    evaluate, eval_lift                  a quadratic form at a point, and the
+                                         bidegree-(2,2) lift of a torus point
+    EXCEPTIONAL                          the exceptional classes e1..e4
+    Subalgebra, subalgebra_catalog       the classified subalgebras of sl2+sl2
+    ROTATION_GENERATORS                  the rotation generator of each real structure
+    linear_equivalent, affine_equivalent lattice types joined by a bounded search over
+                                         matrices, without and with translations
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, gauss
+from celestial.geometry import NSClass
+from celestial.lattice import IntMatrix, LatticeType, _mat_mul
+from celestial.liealg import (
+    LieElement,
+    Q1,
+    Q2,
+    S1,
+    S2,
+    T1,
+    T2,
+    bracket,
+    span_contains,
+)
+
+# ---------------------------------------------------------------------------
+# exact points with sqrt(2)
+
+
+@dataclass(frozen=True)
+class QuadExt:
+    """a + b*sqrt(2) with Gaussian-rational a and b: the coordinates of model points."""
+
+    a: GaussianRational = ZERO
+    b: GaussianRational = ZERO
+
+    @staticmethod
+    def of(x) -> "QuadExt":
+        return x if isinstance(x, QuadExt) else QuadExt(gauss(x))
+
+    def __add__(self, other) -> "QuadExt":
+        other = QuadExt.of(other)
+        return QuadExt(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "QuadExt":
+        other = QuadExt.of(other)
+        return QuadExt(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other) -> "QuadExt":
+        if not isinstance(other, QuadExt):
+            other = gauss(other)
+            return QuadExt(self.a * other, self.b * other)
+        return QuadExt(
+            self.a * other.a + gauss(2) * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "QuadExt":
+        other = QuadExt.of(other)
+        n = other.a * other.a - gauss(2) * other.b * other.b
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(i, sqrt 2)")
+        return self * QuadExt(other.a / n, -other.b / n)
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+    def __str__(self) -> str:
+        return f"({self.a})+({self.b})*sqrt2"
+
+
+SQRT2 = QuadExt(ZERO, ONE)
+
+
+def unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational point (re, im) on the unit circle from the slope parameter."""
+    den = 1 + t * t
+    return (1 - t * t) / den, 2 * t / den
+
+
+def spindle_point(t: Fraction, u: Fraction):
+    """Exact point of the spindle model over Q(i, sqrt 2), the reference for its integer form."""
+    re, im = unit_circle_point(Fraction(t))
+    u = Fraction(u)
+    return (
+        QuadExt(ZERO, gauss((u + 1 / u) / 2)),  # (u + 1/u) / sqrt(2)
+        QuadExt(gauss(re)),
+        QuadExt(gauss(im)),
+        QuadExt(ZERO, gauss((1 / u - u) / 2)),  # (1/u - u) / sqrt(2)
+        QuadExt(ONE),
+    )
+
+
+def horn_point(t: Fraction, u: Fraction):
+    """Exact point of the horn model over Q(i, sqrt 2), the reference for its integer form."""
+    re, im = unit_circle_point(Fraction(t))
+    u = Fraction(u)
+    return (
+        QuadExt(gauss(-u - 1 / u)),
+        QuadExt(gauss(u)),
+        SQRT2,
+        QuadExt(gauss(im / u)),
+        QuadExt(gauss(re / u)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# forms at points
+
+
+def evaluate(q, point):
+    """The value of a quadratic form at a point whose coordinates lie in any ring containing Q(i).
+
+    Summed as sum_i p_i * (sum_j a_ij p_j): one product of two coordinates per row.
+    """
+    total = ZERO
+    for p, row in zip(point, q.matrix.entries()):
+        inner = ZERO
+        for a, x in zip(row, point):
+            if a:
+                inner = inner + a * x
+        if inner:
+            total = total + p * inner
+    return total
+
+
+def eval_lift(param, s, t, u, w) -> tuple[GaussianRational, ...]:
+    """A monomial parametrization at the projective bidegree-(2,2) lift s^(1+a) t^(1-a) u^(1+b) w^(1-b)."""
+    s, t, u, w = (gauss(x) for x in (s, t, u, w))
+    return tuple(
+        s ** (1 + a) * t ** (1 - a) * u ** (1 + b) * w ** (1 - b)
+        for a, b in param.exponents
+    )
+
+
+# ---------------------------------------------------------------------------
+# divisor classes
+
+EXCEPTIONAL = tuple(
+    NSClass(tuple(1 if k == 2 + j else 0 for k in range(6))) for j in range(4)
+)
+
+
+# ---------------------------------------------------------------------------
+# subalgebras of sl2+sl2
+
+R = Matrix([[0, -1], [1, 0]])
+R1 = LieElement(R, Matrix.zero(2, 2))
+R2 = LieElement(Matrix.zero(2, 2), R)
+
+# the rotation generator of each factor depends on which real structure is
+# in force: entrywise conjugation fixes r, the unit-circle structures fix i*s
+ROTATION_GENERATORS = {
+    0: (R1, R2),
+    1: (I * S1, R2),
+    2: (I * S1, I * S2),
+}
+
+
+def is_subalgebra(basis) -> bool:
+    """True iff all pairwise brackets lie in the span of the basis."""
+    basis = list(basis)
+    for i, x in enumerate(basis):
+        for y in basis[i + 1 :]:
+            if not span_contains(basis, bracket(x, y)):
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class Subalgebra:
+    """A bracket-closed span of independent elements."""
+
+    basis: tuple[LieElement, ...]
+
+    def __post_init__(self):
+        rows = Matrix([e.vec() for e in self.basis])
+        if rows.rank() != len(self.basis):
+            raise ValueError("subalgebra basis is linearly dependent")
+        if not is_subalgebra(self.basis):
+            raise ValueError("span is not closed under the bracket")
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+
+CATALOG_ALPHAS = (gauss(1), gauss(2), I)
+
+
+def subalgebra_catalog() -> list[tuple[str, Subalgebra]]:
+    """The classified subalgebras of sl2+sl2, up to complex conjugation.
+
+    One-parameter families are instantiated at alpha = 1, 2 and i; the
+    continuum is not enumerated.  Every entry is verified to be closed
+    under the bracket on construction.
+    """
+    out: list[tuple[str, Subalgebra]] = []
+
+    def add(name, *elements):
+        out.append((name, Subalgebra(tuple(elements))))
+
+    add("t1", T1)
+    add("s1", S1)
+    add("t1+t2", T1 + T2)
+    add("t1+s2", T1 + S2)
+    for a in CATALOG_ALPHAS:
+        add(f"s1+{a}s2", S1 + a * S2)
+    add("t1,s1", T1, S1)
+    add("t1,t2", T1, T2)
+    add("t1,s2", T1, S2)
+    add("s1,s2", S1, S2)
+    add("s1+t2,t1", S1 + T2, T1)
+    add("t1+t2,s1+s2", T1 + T2, S1 + S2)
+    for a in CATALOG_ALPHAS:
+        add(f"s1+{a}s2,t1", S1 + a * S2, T1)
+    add("t1,q1,s1", T1, Q1, S1)
+    add("t1,s1,t2", T1, S1, T2)
+    add("t1,s1,s2", T1, S1, S2)
+    for a in CATALOG_ALPHAS:
+        add(f"s1+{a}s2,t1,t2", S1 + a * S2, T1, T2)
+    add("t1+t2,q1+q2,s1+s2", T1 + T2, Q1 + Q2, S1 + S2)
+    add("t1,s1,t2,s2", T1, S1, T2, S2)
+    add("t1,q1,s1,t2", T1, Q1, S1, T2)
+    add("t1,q1,s1,s2", T1, Q1, S1, S2)
+    add("t1,q1,s1,t2,s2", T1, Q1, S1, T2, S2)
+    add("t1,q1,s1,t2,q2,s2", T1, Q1, S1, T2, Q2, S2)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# lattice types: the bounded linear search
+
+UNIMODULAR_BOUND = 3  # largest absolute entry of the searched matrices
+
+
+@lru_cache(maxsize=1)
+def unimodular_matrices() -> tuple[IntMatrix, ...]:
+    rng = range(-UNIMODULAR_BOUND, UNIMODULAR_BOUND + 1)
+    return tuple(
+        ((a, b), (c, d))
+        for a, b, c, d in itertools.product(rng, rng, rng, rng)
+        if a * d - b * c in (1, -1)
+    )
+
+
+def linear_equivalent(a: LatticeType, b: LatticeType) -> bool:
+    """Equivalence by a linear unimodular map compatible with the involutions.
+
+    The search ranges over integer matrices with entries bounded by 3, which
+    is exhaustive for linear maps between polygons inside the 3x3 grid; it
+    sees no translation.
+    """
+    va, vb = set(a.polygon.vertices), set(b.polygon.vertices)
+    if len(va) != len(vb):
+        return False
+    for m in unimodular_matrices():
+        if {(m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in va} == vb:
+            if _mat_mul(m, a.involution.m) == _mat_mul(b.involution.m, m):
+                return True
+    return False
+
+
+def affine_equivalent(a: LatticeType, b: LatticeType) -> bool:
+    """Whether some x -> m x + t maps a onto b with m sigma_a = sigma_b m and sigma_b t = t.
+
+    m ranges over the bounded matrices of ``linear_equivalent``; t over the
+    translations that send the image of one vertex of a to a vertex of b.
+    """
+    va, vb = set(a.polygon.vertices), set(b.polygon.vertices)
+    x0, y0 = a.polygon.vertices[0]
+    for m in unimodular_matrices():
+        if _mat_mul(m, a.involution.m) != _mat_mul(b.involution.m, m):
+            continue
+        moved = {(m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in va}
+        start = (m[0][0] * x0 + m[0][1] * y0, m[1][0] * x0 + m[1][1] * y0)
+        for w in vb:
+            t = (w[0] - start[0], w[1] - start[1])
+            if b.involution.apply(t) == t and {(x + t[0], y + t[1]) for x, y in moved} == vb:
+                return True
+    return False

@@ -1,5 +1,6 @@
 """The hyperquadric family and the classification records."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,14 +8,13 @@ from fractions import Fraction
 import pytest
 
 from celestial.exact import Matrix, Signature, gauss, signature
-from celestial import forms, verify
+from celestial import forms, lattice, verify
 from celestial.forms import (
     INFINITY,
     FamilyCoeffs,
     classify_family,
     corollary_forms,
     family_form,
-    fixed_records,
     random_fraction,
     random_sl2,
     rigidity_sample_check,
@@ -87,7 +87,7 @@ def test_singular_support_rejections():
 )
 def test_classify_family_rows(coeffs, ctype, singular, moduli, full_aut):
     rec = classify_family(FamilyCoeffs(*coeffs))
-    assert rec.celestial_type() == ctype
+    assert (rec.circles, rec.degree, rec.ambient) == ctype
     assert rec.singular_locus == singular
     assert rec.group_name == "PSO(2)xPSO(2)"
     assert rec.moduli_dim == moduli
@@ -121,7 +121,7 @@ def test_ambient_dimension_matches_rank():
 
 
 def test_fixed_records():
-    records = {r.name: r for r in fixed_records()}
+    records = {r.name: r for r in verify.fixed_records()}
     assert records["spindle cyclide"].group_name == "PSO(2)xPSX(1)"
     assert records["spindle cyclide"].singular_locus == "rA1+rA1+A1+A1"
     assert records["horn cyclide"].singular_locus == "rA3+A1+A1"
@@ -132,16 +132,67 @@ def test_fixed_records():
     assert records["Veronese surface"].moebius_equals_full_aut is False
 
 
+def test_fixed_records_cross_check_the_model_symmetries(monkeypatch):
+    # each model's quadrics must be invariant under its own algebra
+    named = forms.liealg.NAMED_ALGEBRAS
+    for model, stand_in in (("spindle", "sl2xsl2"), ("horn", "so2xsx1")):
+        symmetric = forms.liealg.invariant_forms(named[stand_in], i2_segre())
+        monkeypatch.setattr(forms.liealg, "invariant_forms", lambda g, ambient: symmetric)
+        with pytest.raises(RuntimeError, match=f"{model} quadrics are not symmetry-invariant"):
+            verify.fixed_records()
+        monkeypatch.undo()
+
+
 def test_every_record_matches_a_classification_row():
+    rows = list(verify.RECORD_TABLE.values())
     for coeffs in ((1, 1, 1, 1), (0, 1, 1, 1), (1, 1, 0, 1), (0, 1, 0, 1)):
-        assert classify_family(FamilyCoeffs(*coeffs)) in forms.CLASSIFICATION_TABLE
-    for rec in fixed_records():
-        assert rec in forms.CLASSIFICATION_TABLE
+        assert classify_family(FamilyCoeffs(*coeffs)) in rows
+    for rec in verify.fixed_records():
+        assert rec in rows
+    assert all(name == rec.name for name, rec in verify.RECORD_TABLE.items())
 
 
-def test_a_record_off_the_table_is_rejected():
-    with pytest.raises(ValueError, match="does not match any classification row"):
-        forms._make_record(2, 8, 7, "", 2, False, "double Segre surface")
+def test_family_classification_fails_on_a_wrong_dp6_record(monkeypatch):
+    # the benchmark self-test's mutation: dP6 supports get the projected-dS record
+    make = forms._make_record
+
+    def wrong(*args):
+        rec = make(*args)
+        return make(2, 8, 5, "", 2, False, "projected dS") if rec.name == "dP6" else rec
+
+    monkeypatch.setattr(forms, "_make_record", wrong)
+    (result,) = verify.run_checks(only="family-classification")
+    assert not result.ok
+    assert result.detail.startswith("(1, 1, 0, 1) gave ")
+    assert "'name': 'projected dS'" in result.detail
+
+
+def _degree_mismatches(records, rows):
+    """Surfaces whose record degree, printed lattice degree and polygon degree disagree."""
+    by_name = {"double Segre surface" if r.name == "dS" else r.name: r for r in rows}
+    shared = [name for name in records if name in by_name]
+    off = [
+        name
+        for name in shared
+        if not records[name].degree
+        == by_name[name].counts[2]
+        == lattice.degree(by_name[name].lattice_type.polygon)
+    ]
+    return shared, off
+
+
+def test_record_degrees_are_the_lattice_degrees():
+    # the merged rows a' and a'' repeat row a; "projected dS" has no lattice row
+    rows = [row for row in verify.LATTICE_TABLE if row.merges_with is None]
+    shared, off = _degree_mismatches(verify.RECORD_TABLE, rows)
+    assert len(shared) == 7 and "projected dS" not in shared
+    assert off == []
+    # a wrong degree in either table is caught
+    records = dict(verify.RECORD_TABLE)
+    records["dP6"] = dataclasses.replace(records["dP6"], degree=5)
+    assert _degree_mismatches(records, rows)[1] == ["dP6"]
+    miscounted = [dataclasses.replace(r, counts=(1, 4, 6)) if r.ref == "e" else r for r in rows]
+    assert _degree_mismatches(verify.RECORD_TABLE, miscounted)[1] == ["ring cyclide"]
 
 
 def test_moebius_pair_validation():

@@ -9,12 +9,9 @@ from celestial.exact import Matrix, Signature, gauss, signature
 from celestial import geometry
 from celestial.geometry import (
     BLOWUP_CONFIGS,
-    EXCEPTIONAL,
     L0,
     L1,
     NSClass,
-    QuadExt,
-    SQRT2,
     b_classes,
     cyclide_pipeline,
     dynkin,
@@ -30,6 +27,7 @@ from celestial.geometry import (
 )
 from celestial.segre import form_from_pairs, FormSpan, QuadraticForm
 from celestial.verify import EXPECTED_SINGULAR_STRINGS
+from oracles import EXCEPTIONAL, SQRT2, QuadExt, evaluate, horn_point, spindle_point
 
 
 def test_pairing_values():
@@ -155,12 +153,12 @@ def test_pencils_annihilate_their_parametrizations():
     x_s, x_h = cyclide_pipeline()
     for t in (Fraction(1, 2), Fraction(2), Fraction(3, 5)):
         for u in (Fraction(1, 3), Fraction(2), Fraction(7, 2)):
-            sp = geometry.spindle_point(t, u)
+            sp = spindle_point(t, u)
             for q in x_s.basis:
-                assert not q.evaluate(sp)
-            hp = geometry.horn_point(t, u)
+                assert not evaluate(q, sp)
+            hp = horn_point(t, u)
             for q in x_h.basis:
-                assert not q.evaluate(hp)
+                assert not evaluate(q, hp)
 
 
 def test_stereographic_images_are_a_cone_and_a_cylinder():
@@ -176,7 +174,7 @@ def test_veronese_parametrization_and_ideal():
     assert len(span) == 6
     assert param.eval(1, 1) == tuple(gauss(1) for _ in range(6))
     pt = param.eval(2, 3)
-    assert all(not q.evaluate(pt) for q in span.basis)
+    assert all(not evaluate(q, pt) for q in span.basis)
 
 
 def test_so3_invariant_form_is_the_printed_one():
@@ -226,8 +224,8 @@ _OUTSIDE = (
 
 
 _MODELS = [
-    (0, geometry.spindle_point, geometry._spindle_integer_point),
-    (1, geometry.horn_point, geometry._horn_integer_point),
+    (0, spindle_point, geometry._spindle_integer_point),
+    (1, horn_point, geometry._horn_integer_point),
 ]
 _GRID = [(Fraction(t, 5), Fraction(u, 4)) for t in (-3, 1, 2, 7) for u in (1, 3, 6, -5)]
 
@@ -243,10 +241,10 @@ def test_integer_points_vanish_exactly_where_the_quadext_points_do(index, point,
     for q in pencil.basis + _OUTSIDE:
         one = FormSpan((q,))
         for p, pt in zip(points, ints):
-            assert geometry._vanishes(one, [pt]) == (not q.evaluate(p))
+            assert geometry._vanishes(one, [pt]) == (not evaluate(q, p))
     # a form outside the pencil fails on the whole grid
     for q in _OUTSIDE:
-        assert any(q.evaluate(p) for p in points)
+        assert any(evaluate(q, p) for p in points)
         assert not geometry._vanishes(FormSpan(pencil.basis[:1] + (q,)), ints)
 
 

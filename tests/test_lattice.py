@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celestial import lattice, verify
+import oracles
 from celestial.lattice import (
     SIGMA_0,
     SIGMA_1,
@@ -137,7 +138,7 @@ def test_minimal_width_search_bound_is_conservative():
 
 
 unimodular_maps = st.sampled_from(
-    [m for m in lattice._unimodular_matrices() if max(abs(x) for r in m for x in r) <= 2]
+    [m for m in oracles.unimodular_matrices() if max(abs(x) for r in m for x in r) <= 2]
 )
 
 
@@ -187,6 +188,30 @@ def test_unimodular_equivalence_examples():
     reflection_square = LatticeType.of(SQUARE, SIGMA_1)
     rotation_square = LatticeType.of(SQUARE, SIGMA_2)
     assert not unimodular_equivalent(reflection_square, rotation_square)
+
+
+def test_unimodular_equivalence_is_the_bounded_affine_search():
+    # on every involution-preserved grid candidate, against the search over
+    # matrices with entries up to 3 and the translations they allow; that
+    # search contains the linear one (t = 0)
+    candidates = [
+        LatticeType.of(poly, inv)
+        for poly in lattice.grid_polygons()
+        for inv in lattice.STANDARD_INVOLUTIONS
+        if inv.preserves(poly)
+    ]
+    assert len(candidates) == 210
+    joined_pairs = 0
+    for a, b in itertools.combinations_with_replacement(candidates, 2):
+        joined = unimodular_equivalent(a, b)
+        assert unimodular_equivalent(b, a) == joined
+        # an affine unimodular map keeps the vertex count and the area
+        if len(a.polygon.vertices) != len(b.polygon.vertices) or degree(a.polygon) != degree(b.polygon):
+            assert not joined
+            continue
+        assert joined == oracles.affine_equivalent(a, b)
+        joined_pairs += joined
+    assert joined_pairs == 1726
 
 
 def test_stable_directions_of_the_two_sphere():
@@ -248,40 +273,25 @@ def test_excluded_candidates():
     assert lattice._survives(UNIT_SQUARE, SIGMA_3)
 
 
-_TRANSLATIONS = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
-
-
-def _affine_equivalent(a, b):
-    """Whether some x -> m x + t maps a onto b with m sigma_a = sigma_b m and sigma_b t = t."""
-    va, vb = set(a.polygon.vertices), set(b.polygon.vertices)
-    for m in lattice._unimodular_matrices():
-        if lattice._mat_mul(m, a.involution.m) != lattice._mat_mul(b.involution.m, m):
-            continue
-        moved = {(m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) for x, y in va}
-        for t in _TRANSLATIONS:
-            if b.involution.apply(t) == t and {(x + t[0], y + t[1]) for x, y in moved} == vb:
-                return True
-    return False
-
-
 def test_no_compatible_affine_map_joins_two_classified_orbits():
     orbits = lattice.classify_grid()
     assert len(orbits) == 10
     for a, b in itertools.combinations(orbits, 2):
-        assert not _affine_equivalent(a, b)
+        assert not oracles.affine_equivalent(a, b)
 
 
 def test_orbits_that_a_translation_joins_all_fail_the_filters():
     # the affine search sees translates: (0, 1) moves one sigma_1 cone onto
     # another that no linear map reaches
     a, b = (LatticeType.of(poly, inv) for poly, inv in (CONE_PAIRS[0], CONE_PAIRS[2]))
-    assert not unimodular_equivalent(a, b) and _affine_equivalent(a, b)
+    assert not oracles.linear_equivalent(a, b) and oracles.affine_equivalent(a, b)
+    assert unimodular_equivalent(a, b)
     orbits = []
     for poly in lattice.grid_polygons():
         for inv in lattice.STANDARD_INVOLUTIONS:
             if inv.preserves(poly):
                 lt = LatticeType.of(poly, inv)
-                orbit = next((o for o in orbits if unimodular_equivalent(o[0], lt)), None)
+                orbit = next((o for o in orbits if oracles.linear_equivalent(o[0], lt)), None)
                 if orbit is None:
                     orbits.append([lt])
                 else:
@@ -291,7 +301,7 @@ def test_orbits_that_a_translation_joins_all_fail_the_filters():
         k
         for i, j in itertools.combinations(range(len(orbits)), 2)
         if degree(orbits[i][0].polygon) == degree(orbits[j][0].polygon)
-        and _affine_equivalent(orbits[i][0], orbits[j][0])
+        and oracles.affine_equivalent(orbits[i][0], orbits[j][0])
         for k in (i, j)
     }
     members = [lt for k in joined for lt in orbits[k]]
@@ -311,8 +321,9 @@ def _all_directions(poly):
 @pytest.mark.parametrize(
     "owner, name, replacement, extra_orbits",
     [
-        (lattice, "forbidden_edge", lambda poly, inv: False, 14),
-        (lattice.LatticePolygon, "singular_vertex_count", lambda poly: 0, 2),
+        (lattice, "forbidden_edge", lambda poly, inv: False, 13),
+        # the four sigma_1 cones are translates of one another: one orbit
+        (lattice.LatticePolygon, "singular_vertex_count", lambda poly: 0, 1),
         (lattice, "minimal_width_directions", _all_directions, 5),
     ],
     ids=["forbidden-edge", "cone", "minimal-width"],

@@ -20,16 +20,13 @@ from celestial.liealg import (
     T1,
     T2,
     LieElement,
-    Subalgebra,
     bracket,
     d_rep,
     invariant_forms,
-    is_subalgebra,
     lie_sigma,
     real_basis,
     solve_invariant,
     span_stabilizer,
-    subalgebra_catalog,
 )
 from celestial.segre import (
     Y_FACTORS,
@@ -41,6 +38,7 @@ from celestial.segre import (
     monomial_rep_derivative,
     rep_S,
 )
+from oracles import ROTATION_GENERATORS, Subalgebra, is_subalgebra, subalgebra_catalog
 
 
 def test_bracket_structure_constants():
@@ -80,7 +78,7 @@ def test_swap_conj_is_the_entrywise_swap():
 
 
 def test_rotation_generators_are_fixed_by_their_structures():
-    for idx, pair in liealg.ROTATION_GENERATORS.items():
+    for idx, pair in ROTATION_GENERATORS.items():
         for gen in pair:
             assert lie_sigma(idx, gen) == gen
 
