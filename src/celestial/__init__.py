@@ -15,7 +15,6 @@ The subpackages split along the objects involved:
               paper's tables: lattice rows and the eight celestial records
 
 Reference implementations that only the tests compare against live in
-``tests/oracles.py``, not in the package.
+``tests/oracles.py``, not in the package.  The version lives in
+``pyproject.toml`` alone.
 """
-
-__version__ = "0.1.0"

@@ -192,8 +192,11 @@ def _lift(rows):
     Entries are anything ``gauss`` accepts.  ``real`` tells whether every
     entry is real, and so which kind of Gaussian integer ``ints`` holds.
     Each den is the lcm of its row's reduced denominators, so it is coprime
-    to the row: the canonical form.
+    to the row: the canonical form.  Rows of ints alone are that form
+    already, over 1.
     """
+    if all(type(x) is int for row in rows for x in row):
+        return True, (1,) * len(rows), tuple(map(tuple, rows))
     parts = [[_ratios(x) for x in row] for row in rows]
     real = not any(n for row in parts for _, (n, _) in row)
     dens, out = [], []
@@ -649,6 +652,66 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(a) for a in row) for row in self.entries())
         return f"Matrix[{body}]"
+
+
+def symmetric_images(vecs: Matrix, d: Matrix) -> Matrix:
+    """upper(D^T A + A D) for each row of ``vecs``, A the symmetric matrix with that upper triangle.
+
+    The map is linear in A.  The unit form at upper-triangle position (p, q)
+    puts row q of D in row p of AD and row p of D in row q, and entry (i, j)
+    of D^T A + A D is (AD)[i, j] + (AD)[j, i]; so each position sends each
+    nonzero entry of those rows of D to one position of the image, doubled
+    on the diagonal.  These terms are listed once per call, and each row of
+    ``vecs`` is one pass over its nonzero lifted Gaussian integers, over its
+    den times the common den of D.
+    """
+    n, m = d.rows, vecs.cols
+    if d.cols != n or m != n * (n + 1) // 2:
+        raise ValueError("shape mismatch")
+    index = [[0] * n for _ in range(n)]  # the upper-triangle position of (i, j) and (j, i)
+    pos = 0
+    for i in range(n):
+        for j in range(i, n):
+            index[i][j] = index[j][i] = pos
+            pos += 1
+    dm, dden = d._common()
+    drows = [
+        [(j, x) for j, x in enumerate(row) if x != (0, 0)]
+        for row in (_pairs(dm) if d._real else dm)
+    ]
+    terms = []  # per position of A: (image position, re, im) of each term
+    for p in range(n):
+        for q in range(p, n):
+            ts = []
+            for r, s in ((p, q), (q, p)) if p != q else ((p, p),):
+                for j, (xr, xi) in drows[s]:
+                    f = 2 if r == j else 1
+                    ts.append((index[r][j], f * xr, f * xi))
+            terms.append(ts)
+    real = vecs._real and d._real
+    out = []
+    if real:
+        for row in vecs._ints:
+            acc = [0] * m
+            for a, ts in zip(row, terms):
+                if a:
+                    for t, x, _ in ts:
+                        acc[t] += a * x
+            out.append(acc)
+    else:
+        for row in _pairs(vecs._ints) if vecs._real else vecs._ints:
+            acc_re, acc_im = [0] * m, [0] * m
+            for (ar, ai), ts in zip(row, terms):
+                if ai:
+                    for t, xr, xi in ts:
+                        acc_re[t] += ar * xr - ai * xi
+                        acc_im[t] += ar * xi + ai * xr
+                elif ar:
+                    for t, xr, xi in ts:
+                        acc_re[t] += ar * xr
+                        acc_im[t] += ar * xi
+            out.append(list(zip(acc_re, acc_im)))
+    return Matrix._lifted(real, [den * dden for den in vecs._dens], out, m)
 
 
 def _column(real: bool, values, dens) -> Matrix:

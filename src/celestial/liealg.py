@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import Matrix, GaussianRational, kernel, I
+from .exact import Matrix, GaussianRational, kernel, symmetric_images, I
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
@@ -125,22 +125,24 @@ def span_contains(elements, x: LieElement) -> bool:
 def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
     """Forms A in the ambient span with D^T A + A D = 0 for every tangent D.
 
-    The kernel is computed inside the coefficient space of the span, never
-    in the full space of symmetric matrices, and each tangent only cuts down
-    the span left by the ones before it.  Every basis form A is symmetric,
-    so D^T A + A D = (AD)^T + AD costs one product.
+    The solve stays in the coefficient space of the span.  ``coeffs`` holds
+    the upper triangles of the forms left so far, one row per form; for a
+    tangent D, ``exact.symmetric_images`` gives upper(D^T A + A D) of every
+    row in one pass, and the combinations of rows that it kills are the
+    kernel of its transpose.  Each tangent thus cuts down the rows the ones
+    before it left, and one reduced row echelon form at the end makes the
+    basis canonical, so the result does not depend on the order or the basis
+    of the tangents.
     """
-    span = ambient
+    if not ambient.basis:
+        return ambient
+    coeffs = ambient.coefficients
     for d in tangents:
-        if not span.basis:
-            break
-        # one row per coefficient position, one column per basis form
-        system = Matrix.stack(
-            (p.transpose() + p).upper() for p in (q.matrix * d for q in span.basis)
-        ).transpose()
-        ker = [v.column_vector() for v in kernel(system)]
-        span = FormSpan(tuple(span.combinations(ker)) if ker else (), coords=span.coords)
-    return span.reduced()
+        ker = kernel(symmetric_images(coeffs, d).transpose())
+        if not ker:
+            return FormSpan((), coords=ambient.coords)
+        coeffs = Matrix.stack(v.transpose() for v in ker) * coeffs
+    return FormSpan.row_space(coeffs, coords=ambient.coords)
 
 
 def span_stabilizer(span: FormSpan) -> list[LieElement]:
@@ -149,19 +151,19 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
     One linear system: the unknowns are the coordinates of x in FULL_BASIS
     and, for each basis form A_m, the coordinates c_mn of its image in the
     span, with sum_j x_j (D_j^T A_m + A_m D_j) - sum_n c_mn A_n = 0.  The
-    basis is independent, so x fixes c, and the x parts of the kernel are a
-    basis of the stabilizer.
+    images of all basis forms under one D_j are one ``symmetric_images``
+    call.  The basis is independent, so x fixes c, and the x parts of the
+    kernel are a basis of the stabilizer.
     """
-    tangents = [d_rep(x) for x in FULL_BASIS]
+    images = [symmetric_images(span.coefficients, d_rep(x)) for x in FULL_BASIS]
     k = len(span)
     negated = [-span.coefficients.row(n) for n in range(k)]
     zero = Matrix.zero(1, span.coefficients.cols)
     blocks = []
-    for m, a in enumerate(span.basis):
+    for m in range(k):
         # one column per unknown: x_1..x_6, then c_m'n for m' = 0..k-1, n = 0..k-1
-        images = [(p.transpose() + p).upper() for p in (a.matrix * d for d in tangents)]
         coords = [negated[n] if row == m else zero for row in range(k) for n in range(k)]
-        blocks.append(Matrix.stack(images + coords).transpose())
+        blocks.append(Matrix.stack([img.row(m) for img in images] + coords).transpose())
     out = []
     for v in kernel(Matrix.stack(blocks)):
         x = v.column_vector()[: len(FULL_BASIS)]

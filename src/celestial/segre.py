@@ -153,7 +153,8 @@ class FormSpan:
         """The coefficient vectors as columns, the system ``coordinates_of`` solves."""
         return self.coefficients.transpose()
 
-    def _forms(self, coeffs: Matrix, count: int) -> list[QuadraticForm]:
+    @staticmethod
+    def _forms(coeffs: Matrix, count: int) -> list[QuadraticForm]:
         """The forms whose upper-triangle coefficient vectors are the first rows."""
         return [QuadraticForm(Matrix.symmetric(coeffs.row(i))) for i in range(count)]
 
@@ -177,12 +178,15 @@ class FormSpan:
         sol = solve(self.columns, vec.transpose())
         return None if sol is None else sol.column_vector()
 
-    def reduced(self) -> "FormSpan":
-        """Canonical basis (reduced row echelon on coefficient vectors)."""
-        if not self.basis:
-            return self
-        red, pivots = self.coefficients.rref()
-        return FormSpan(tuple(self._forms(red, len(pivots))), coords=self.coords)
+    @classmethod
+    def row_space(cls, coeffs: Matrix, *, coords) -> "FormSpan":
+        """The span of the forms whose upper triangles are the rows of ``coeffs``.
+
+        Its basis is canonical: the nonzero rows of the reduced row echelon
+        form, so two matrices with the same row space give the same span.
+        """
+        red, pivots = coeffs.rref()
+        return cls(tuple(cls._forms(red, len(pivots))), coords=coords)
 
     def equals(self, other: "FormSpan") -> bool:
         if len(self.basis) != len(other.basis) or self.dim != other.dim:

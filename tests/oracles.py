@@ -3,6 +3,7 @@
 Each one is the slow, direct version of something the package computes
 another way, or an input catalog the tests iterate over:
 
+    lift                                 the lifted form of a matrix, entry by entry
     QuadExt, spindle_point, horn_point   exact cyclide model points over
                                          Q(i, sqrt 2), the reference for the
                                          integer points of the stereographic check
@@ -10,6 +11,9 @@ another way, or an input catalog the tests iterate over:
                                          bidegree-(2,2) lift of a torus point
     EXCEPTIONAL                          the exceptional classes e1..e4
     Subalgebra, subalgebra_catalog       the classified subalgebras of sl2+sl2
+    per_form_solve_invariant,            the invariant-form solver and the span
+    per_form_span_stabilizer             stabilizer with one product, transpose
+                                         and upper triangle per basis form
     ROTATION_GENERATORS                  the rotation generator of each real structure
     linear_equivalent, affine_equivalent lattice types joined by a bounded search over
                                          matrices, without and with translations
@@ -21,11 +25,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, gauss
+from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss, kernel
 from celestial.geometry import NSClass
 from celestial.lattice import IntMatrix, LatticeType, _mat_mul
 from celestial.liealg import (
+    E,
+    FULL_BASIS,
     LieElement,
     Q1,
     Q2,
@@ -34,8 +41,30 @@ from celestial.liealg import (
     T1,
     T2,
     bracket,
+    d_rep,
     span_contains,
 )
+from celestial.segre import FormSpan
+
+# ---------------------------------------------------------------------------
+# the lifted form
+
+
+def lift(rows):
+    """(real, dens, ints) of ``exact._lift``, through the (re, im) ratios of every entry."""
+    parts = [[_ratios(x) for x in row] for row in rows]
+    real = not any(n for row in parts for _, (n, _) in row)
+    dens, out = [], []
+    for row in parts:
+        if real:
+            den = lcm(*[d for (_, d), _ in row])
+            out.append(tuple(n * (den // d) for (n, d), _ in row))
+        else:
+            den = lcm(*[d for entry in row for _, d in entry])
+            out.append(tuple((a * (den // b), c * (den // d)) for (a, b), (c, d) in row))
+        dens.append(den)
+    return real, tuple(dens), tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # exact points with sqrt(2)
@@ -242,6 +271,48 @@ def subalgebra_catalog() -> list[tuple[str, Subalgebra]]:
     add("t1,q1,s1,s2", T1, Q1, S1, S2)
     add("t1,q1,s1,t2,s2", T1, Q1, S1, T2, S2)
     add("t1,q1,s1,t2,q2,s2", T1, Q1, S1, T2, Q2, S2)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# invariant forms, one basis form at a time
+
+
+def per_form_solve_invariant(tangents, ambient):
+    """Forms A in the span with D^T A + A D = 0, each image built as a 9x9 matrix.
+
+    For each tangent, the images (AD)^T + AD of the current basis forms are
+    the columns of the system, and the kernel gives a new, smaller span.
+    """
+    span = ambient
+    for d in tangents:
+        if not span.basis:
+            break
+        system = Matrix.stack(
+            (p.transpose() + p).upper() for p in (q.matrix * d for q in span.basis)
+        ).transpose()
+        ker = [v.column_vector() for v in kernel(system)]
+        span = FormSpan(tuple(span.combinations(ker)) if ker else (), coords=span.coords)
+    if not span.basis:
+        return span
+    return FormSpan.row_space(span.coefficients, coords=span.coords)
+
+
+def per_form_span_stabilizer(span):
+    """The stabilizer of a span in sl2+sl2, with the images of each basis form built one by one."""
+    tangents = [d_rep(x) for x in FULL_BASIS]
+    k = len(span)
+    negated = [-span.coefficients.row(n) for n in range(k)]
+    zero = Matrix.zero(1, span.coefficients.cols)
+    blocks = []
+    for m, a in enumerate(span.basis):
+        images = [(p.transpose() + p).upper() for p in (a.matrix * d for d in tangents)]
+        coords = [negated[n] if row == m else zero for row in range(k) for n in range(k)]
+        blocks.append(Matrix.stack(images + coords).transpose())
+    out = []
+    for v in kernel(Matrix.stack(blocks)):
+        x = v.column_vector()[: len(FULL_BASIS)]
+        out.append(sum((c * b for c, b in zip(x, FULL_BASIS) if c), E))
     return out
 
 

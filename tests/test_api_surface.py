@@ -32,7 +32,7 @@ def _mentioned(node) -> set[str]:
 def _package():
     """((module, name) -> defining statement, names read by top-level code that defines nothing).
 
-    Dunder names such as ``__version__`` are left out: the interpreter and
+    Dunder names such as ``__all__`` are left out: the interpreter and
     packaging tools read them, not the package.
     """
     definitions, loose = {}, set()

@@ -355,9 +355,10 @@ def test_invariant_forms_text(capsys):
     ]
 
 
-_INVARIANT_FORMS_REFERENCE = (
-    Path(__file__).resolve().parent / "reference" / "invariant_forms_so2xsx1_sigma1.json"
-)
+# cases.json lists each recorded command with its exit code, its stderr and
+# the file holding its stdout (null for no output)
+_INVARIANT_FORMS_REFERENCE = Path(__file__).resolve().parent / "reference" / "invariant_forms"
+_INVARIANT_FORMS_CASES = json.loads((_INVARIANT_FORMS_REFERENCE / "cases.json").read_text())
 
 
 def test_invariant_forms_json_matches_the_reference_bytes(capsys):
@@ -365,6 +366,20 @@ def test_invariant_forms_json_matches_the_reference_bytes(capsys):
     code = main(["invariant-forms", "--algebra", "so2xsx1", "--sigma", "1", "--json"])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    assert captured.out == _INVARIANT_FORMS_REFERENCE.read_text()
+    assert captured.out == (_INVARIANT_FORMS_REFERENCE / "so2xsx1_sigma1.json").read_text()
     payload = json.loads(captured.out)
     assert {k: v["frame"] for k, v in payload.items()} == {"x": "x", "y": "y"}
+
+
+def _case_id(case) -> str:
+    argv = case["argv"]
+    return argv[2] + (f"-sigma{argv[argv.index('--sigma') + 1]}" if "--sigma" in argv else "")
+
+
+@pytest.mark.parametrize("case", _INVARIANT_FORMS_CASES, ids=map(_case_id, _INVARIANT_FORMS_CASES))
+def test_invariant_forms_output_matches_the_recorded_bytes(capsys, case):
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    stdout = (_INVARIANT_FORMS_REFERENCE / case["stdout"]).read_text() if case["stdout"] else ""
+    assert (code, captured.err) == (case["code"], case["stderr"])
+    assert captured.out == stdout

@@ -23,7 +23,10 @@ from celestial.exact import (
     kernel,
     signature,
     solve,
+    symmetric_images,
 )
+from celestial.exact import _lift
+from oracles import lift
 
 small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -561,3 +564,128 @@ def test_trace_of_complex_matrices():
     assert m.trace() == GaussianRational(Fraction(1, 6), Fraction(-1))
     assert Matrix([["i", 1], [2, "-i"]]).trace() == ZERO
     assert Matrix([[Fraction(1, 4), 0, 0], [0, Fraction(3, 4), 5]]).trace() == ONE
+
+
+# ---------------------------------------------------------------------------
+# the lifted form of given entries, against the entry-by-entry oracle
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, -2, 0], [7, 0, 3]],
+        [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(4), Fraction(0)]],
+        [[GaussianRational(Fraction(1, 2), Fraction(-1, 3)), I], [ONE, ZERO]],
+        [[1, Fraction(3, 4), "1/2-i"], [I, -5, GaussianRational(Fraction(2))]],
+        [[0, 0, 0], [0, 0, 0]],
+        [[Fraction(0), ZERO, 0]],
+        [[True, 2], [3, 4]],
+        [],
+    ],
+    ids=["int", "fraction", "gaussian", "mixed", "zero-int", "zero-mixed", "bool", "empty"],
+)
+def test_lift_matches_the_entrywise_oracle(rows):
+    # repr also tells an int from a bool
+    assert repr(_lift(rows)) == repr(lift(rows))
+
+
+@given(st.lists(st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=3), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_lift_of_int_rows_is_canonical_over_one(rows):
+    real, dens, ints = _lift(rows)
+    assert (real, dens, ints) == lift(rows)
+    assert all(type(x) is int for row in ints for x in row)
+    assert Matrix(rows).entries() == Matrix([[Fraction(x) for x in row] for row in rows]).entries()
+
+
+# ---------------------------------------------------------------------------
+# the images D^T A + A D of symmetric matrices
+
+
+def _images_by_products(vecs, d):
+    """upper(D^T A + A D) of each row, one Matrix product, transpose and sum per row."""
+    symmetric = [Matrix.symmetric(vecs.row(r)) for r in range(vecs.rows)]
+    return Matrix.stack((d.transpose() * a + a * d).upper() for a in symmetric)
+
+
+@st.composite
+def tangent_problems(draw):
+    """(vecs, D): n = 3, 6 or 9, each real or not, sparse or dense, with zero rows.
+
+    The entries come from a drawn ``Random``: drawing a 9x9 and a 4x45
+    matrix entry by entry would take most of the test's time.
+    """
+    n = draw(st.sampled_from((3, 6, 9)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def grid(rows, cols):
+        real, density = draw(st.booleans()), draw(st.sampled_from((0.2, 0.6, 1.0)))
+        zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1))
+
+        def part():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        def entry():
+            if rng.random() > density:
+                return ZERO
+            return GaussianRational(part(), Fraction(0) if real else part())
+
+        return Matrix(
+            [[ZERO if i in zero_rows else entry() for _ in range(cols)] for i in range(rows)]
+        )
+
+    return grid(draw(st.integers(1, 4)), n * (n + 1) // 2), grid(n, n)
+
+
+@given(tangent_problems())
+@settings(max_examples=60, deadline=None)
+def test_symmetric_images_match_the_matrix_products(problem):
+    vecs, d = problem
+    assert symmetric_images(vecs, d) == _images_by_products(vecs, d)
+
+
+def _sympy_parts(m):
+    """The real and imaginary parts of a matrix as rational sympy matrices."""
+    sympy = pytest.importorskip("sympy")
+    entries = m.entries()
+    return tuple(
+        sympy.Matrix([[sympy.Rational(getattr(x, part)) for x in row] for row in entries])
+        for part in ("re", "im")
+    )
+
+
+@given(tangent_problems())
+@settings(max_examples=20, deadline=None)
+def test_symmetric_images_match_sympy(problem):
+    vecs, d = problem
+    dr, di = _sympy_parts(d)
+    out_re, out_im = _sympy_parts(symmetric_images(vecs, d))
+    n = d.rows
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    for r in range(vecs.rows):
+        ar, ai = _sympy_parts(Matrix.symmetric(vecs.row(r)))
+        # (Dr + i Di)^T (Ar + i Ai) + (Ar + i Ai)(Dr + i Di), split into parts
+        re = dr.T * ar - di.T * ai + ar * dr - ai * di
+        im = dr.T * ai + di.T * ar + ar * di + ai * dr
+        assert [re[i, j] for i, j in upper] == list(out_re.row(r))
+        assert [im[i, j] for i, j in upper] == list(out_im.row(r))
+
+
+@pytest.mark.parametrize("n", (3, 6, 9))
+@pytest.mark.parametrize("real", (True, False), ids=("real", "complex"))
+def test_symmetric_images_of_zero_rows_and_a_zero_tangent(n, real):
+    m = n * (n + 1) // 2
+    c = ONE if real else GaussianRational(Fraction(1, 2), Fraction(-3))
+    d = Matrix([[c * (i - 2 * j) if (i + j) % 3 else ZERO for j in range(n)] for i in range(n)])
+    vecs = Matrix([[ZERO] * m, [c * (k % 4 - 1) for k in range(m)], [ZERO] * m])
+    out = symmetric_images(vecs, d)
+    assert out == _images_by_products(vecs, d)
+    assert not any(out.entries()[0]) and not any(out.entries()[2]) and any(out.entries()[1])
+    assert symmetric_images(vecs, Matrix.zero(n, n)) == Matrix.zero(3, m)
+
+
+def test_symmetric_images_check_the_shapes():
+    with pytest.raises(ValueError):
+        symmetric_images(Matrix.zero(1, 6), Matrix.zero(2, 2))
+    with pytest.raises(ValueError):
+        symmetric_images(Matrix.zero(1, 6), Matrix.zero(3, 2))

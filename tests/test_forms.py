@@ -132,15 +132,22 @@ def test_fixed_records():
     assert records["Veronese surface"].moebius_equals_full_aut is False
 
 
-def test_fixed_records_cross_check_the_model_symmetries(monkeypatch):
-    # each model's quadrics must be invariant under its own algebra
+def test_the_invariant_forms_check_cross_checks_the_model_symmetries(monkeypatch):
+    # each model's quadrics must be invariant under its own algebra; a wrong
+    # algebra under the model's name fails the check and names the exception
     named = forms.liealg.NAMED_ALGEBRAS
-    for model, stand_in in (("spindle", "sl2xsl2"), ("horn", "so2xsx1")):
-        symmetric = forms.liealg.invariant_forms(named[stand_in], i2_segre())
-        monkeypatch.setattr(forms.liealg, "invariant_forms", lambda g, ambient: symmetric)
-        with pytest.raises(RuntimeError, match=f"{model} quadrics are not symmetry-invariant"):
-            verify.fixed_records()
+    for model, algebra, stand_in in (
+        ("spindle", "so2xsx1", "sl2xsl2"), ("horn", "so2xse1", "so2xsx1")
+    ):
+        monkeypatch.setitem(named, algebra, named[stand_in])
+        (result,) = verify.run_checks(only="invariant-forms")
+        assert not result.ok
+        assert result.detail.startswith(
+            f"RuntimeError: {model} quadrics are not symmetry-invariant @ verify.py:"
+        )
         monkeypatch.undo()
+    (result,) = verify.run_checks(only="invariant-forms")
+    assert (result.ok, result.detail) == (True, "11/11 span identities")
 
 
 def test_every_record_matches_a_classification_row():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss, kernel
 from celestial import liealg
+from celestial import geometry
 from celestial.geometry import VERONESE_MONOMIALS
 from celestial.liealg import (
     E,
@@ -38,7 +39,14 @@ from celestial.segre import (
     monomial_rep_derivative,
     rep_S,
 )
-from oracles import ROTATION_GENERATORS, Subalgebra, is_subalgebra, subalgebra_catalog
+from oracles import (
+    ROTATION_GENERATORS,
+    Subalgebra,
+    is_subalgebra,
+    per_form_solve_invariant,
+    per_form_span_stabilizer,
+    subalgebra_catalog,
+)
 
 
 def test_bracket_structure_constants():
@@ -247,7 +255,8 @@ def test_real_basis_rejects_unclosed_spans():
 
 
 # ---------------------------------------------------------------------------
-# the two-product solver that the lifted one replaced, kept as the reference
+# the solvers the coefficient-space one replaced, kept as references: the
+# two-product solver below and the per-form solver of tests/oracles.py
 
 
 def reference_solve_invariant(tangents, ambient):
@@ -259,17 +268,27 @@ def reference_solve_invariant(tangents, ambient):
         vecs = [(dt * q.matrix + q.matrix * d).upper().entries()[0] for q in ambient.basis]
         rows.extend(row for row in zip(*vecs) if any(row))
     if not rows:
-        return ambient.reduced()
+        return FormSpan.row_space(ambient.coefficients, coords=ambient.coords)
     forms = tuple(ambient.combination(v.column_vector()) for v in kernel(Matrix(rows)))
-    return FormSpan(forms, coords=ambient.coords).reduced()
+    if not forms:
+        return FormSpan((), coords=ambient.coords)
+    span = FormSpan(forms, coords=ambient.coords)
+    return FormSpan.row_space(span.coefficients, coords=ambient.coords)
+
+
+def _same_span_as_the_references(tangents, ambient):
+    new = solve_invariant(tangents, ambient)
+    for old in (
+        reference_solve_invariant(tangents, ambient),
+        per_form_solve_invariant(tangents, ambient),
+    ):
+        assert new.coords == old.coords
+        assert [q.matrix for q in new.basis] == [q.matrix for q in old.basis]
+        assert [q.matrix.entries() for q in new.basis] == [q.matrix.entries() for q in old.basis]
 
 
 def _same_reduced_span(elements):
-    tangents = [d_rep(x) for x in elements]
-    new = solve_invariant(tangents, i2_segre())
-    old = reference_solve_invariant(tangents, i2_segre())
-    assert [q.matrix for q in new.basis] == [q.matrix for q in old.basis]
-    assert [q.matrix.entries() for q in new.basis] == [q.matrix.entries() for q in old.basis]
+    _same_span_as_the_references([d_rep(x) for x in elements], i2_segre())
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -302,6 +321,23 @@ def test_solver_matches_the_two_product_reference(elements):
 )
 def test_solver_matches_the_reference_on_the_catalog(elements):
     _same_reduced_span(elements)
+
+
+@pytest.mark.parametrize(
+    "algebra", [geometry.so3_basis(), list(geometry.SL3_BASIS.values())], ids=["so3", "sl3"]
+)
+def test_solver_matches_the_references_on_the_veronese_surface(algebra):
+    _, span = geometry.veronese_data()
+    tangents = [monomial_rep_derivative(g, VERONESE_MONOMIALS) for g in algebra]
+    _same_span_as_the_references(tangents, span)
+    _same_span_as_the_references(tangents[:1], span)
+
+
+def test_solver_keeps_the_span_without_tangents_and_the_empty_span():
+    span = FormSpan(i2_segre().basis[3:7])
+    _same_span_as_the_references([], span)
+    empty = FormSpan((), coords=tuple(range(9)))
+    assert solve_invariant([d_rep(T1)], empty) is empty
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +423,13 @@ def test_the_family_span_is_stabilized_by_the_torus_alone():
 def test_the_whole_ideal_is_stabilized_by_everything():
     stabilizer = span_stabilizer(i2_segre())
     assert len(stabilizer) == 6
+
+
+@pytest.mark.parametrize("name", ["so2xso2", "so2xse1", "sl2xsl2"])
+def test_stabilizer_matches_the_per_form_stabilizer(name):
+    span = invariant_forms(liealg.NAMED_ALGEBRAS[name], i2_segre())
+    new, old = span_stabilizer(span), per_form_span_stabilizer(span)
+    assert [x.vec() for x in new] == [x.vec() for x in old]
 
 
 def test_a_span_off_the_torus_weights_has_a_smaller_stabilizer():
