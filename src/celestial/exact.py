@@ -212,7 +212,7 @@ def _lift(rows):
 
 
 def _drop(real: bool, dens, rows):
-    """Rows of Gaussian rationals ints[i] / dens[i], for positive int dens."""
+    """Rows of Gaussian rationals ints[i] / dens[i], for nonzero int dens."""
     if real:
         return tuple(
             tuple(GaussianRational(Fraction(x, d)) if x else ZERO for x in row)
@@ -430,10 +430,6 @@ class Matrix:
         return Matrix([[0] * cols for _ in range(rows)])
 
     @staticmethod
-    def column(entries) -> "Matrix":
-        return Matrix([[x] for x in entries])
-
-    @staticmethod
     def stack(mats) -> "Matrix":
         """The rows of the given matrices, one below the other."""
         mats = tuple(mats)
@@ -479,11 +475,6 @@ class Matrix:
         if self._e is None:
             self._e = _drop(self._real, self._dens, self._ints)
         return self._e
-
-    def column_vector(self) -> tuple:
-        if self.cols != 1:
-            raise ValueError("not a column vector")
-        return tuple(row[0] for row in self.entries())
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
@@ -714,47 +705,46 @@ def symmetric_images(vecs: Matrix, d: Matrix) -> Matrix:
     return Matrix._lifted(real, [den * dden for den in vecs._dens], out, m)
 
 
-def _column(real: bool, values, dens) -> Matrix:
-    """The column vector values[i] / dens[i], for nonzero Gaussian integers dens[i]."""
-    dens, rows = _over(real, [[x] for x in values], dens)
-    return Matrix._lifted(real, dens, rows, 1)
+def kernel(m: Matrix) -> Matrix:
+    """Exact basis of the right null space {v : m*v = 0}, one vector per row.
 
-
-def kernel(m: Matrix) -> list[Matrix]:
-    """Exact basis of the right null space {v : m*v = 0}, as column vectors."""
+    Row k is 1 at the k-th free column, 0 at the other free ones, and minus
+    that column of the reduced row echelon form at the pivots.  All rows
+    share one denominator, the lcm of the pivot rows' (a trivial kernel has
+    no rows).
+    """
     real = m._real
-    zero, one = (0, 1) if real else ((0, 0), (1, 0))
     rows, levels, pivots, _, _ = _eliminate(m._ints, m.cols, real, reduce=True)
+    dens, rows = _over(real, rows, levels)
+    den = lcm(*dens)
+    rows = [_scaled(row, den // d, real) for d, row in zip(dens, rows)]
+    zero, one = (0, den) if real else ((0, 0), (den, 0))
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
-        v, dens = [zero] * m.cols, [one] * m.cols
+        v = [zero] * m.cols
         v[f] = one
-        for row, q, p in zip(rows, levels, pivots):
+        for row, p in zip(rows, pivots):
             v[p] = -row[f] if real else (-row[f][0], -row[f][1])
-            dens[p] = q
-        basis.append(_column(real, v, dens))
-    return basis
+        basis.append(v)
+    return Matrix._lifted(real, [den] * len(basis), basis, m.cols)
 
 
 def solve(m: Matrix, rhs: Matrix):
-    """One exact solution of m*x = rhs (column), or None if inconsistent."""
-    if (rhs.rows, rhs.cols) != (m.rows, 1):
-        raise ValueError("right-hand side must be one column as tall as the matrix")
-    real = m._real and rhs._real
-    a = m._ints if real or not m._real else _pairs(m._ints)
-    b = rhs._ints if real or not rhs._real else _pairs(rhs._ints)
-    aug = []
-    for da, ra, db, rb in zip(m._dens, a, rhs._dens, b):
-        d = lcm(da, db)
-        aug.append([*_scaled(ra, d // da, real), *_scaled(rb, d // db, real)])
-    rows, levels, pivots, _, _ = _eliminate(aug, m.cols + 1, real, reduce=True)
-    if m.cols in pivots:
+    """One exact solution x of x*m = rhs (one row) as a tuple, or None if inconsistent.
+
+    The free unknowns are 0.
+    """
+    if (rhs.rows, rhs.cols) != (1, m.cols):
+        raise ValueError("right-hand side must be one row as wide as the matrix")
+    aug = Matrix.stack([m, rhs]).transpose()
+    rows, levels, pivots, _, _ = _eliminate(aug._ints, aug.cols, aug._real, reduce=True)
+    if m.rows in pivots:
         return None
-    zero, one = (0, 1) if real else ((0, 0), (1, 0))
-    x, dens = [zero] * m.cols, [one] * m.cols
-    for row, q, p in zip(rows, levels, pivots):
-        x[p], dens[p] = row[m.cols], q
-    return _column(real, x, dens)
+    dens, rows = _over(aug._real, [[row[m.rows]] for row in rows], levels)
+    x = [ZERO] * m.rows
+    for (value,), p in zip(_drop(aug._real, dens, rows), pivots):
+        x[p] = value
+    return tuple(x)
 
 
 @dataclass(frozen=True, slots=True)

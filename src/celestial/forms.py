@@ -193,8 +193,8 @@ def rigidity_sample_check(c: FamilyCoeffs, trials: int = 100, seed: int = 0) -> 
 
     For pseudorandom determinant-1 pairs other than pairs of monomial
     matrices, the transformed quadric must leave the family span, and
-    diagonal-torus pairs must fix the coefficients of the member up to
-    scale.  The skipped monomial pairs normalize the torus and may permute
+    diagonal-torus pairs must fix the coefficients of the member.  The
+    skipped monomial pairs normalize the torus and may permute
     coefficients: with w = [[0, 1], [-1, 0]], ``rep_S(w, I)`` maps
     Q_(1,1,1,2) to Q_(1,1,2,1), so equivalent members need not have
     proportional coefficients.  This samples a necessary condition; it is
@@ -217,28 +217,16 @@ def rigidity_sample_check(c: FamilyCoeffs, trials: int = 100, seed: int = 0) -> 
     if not all(one_trial(k) for k in range(trials)):
         return False
 
-    # diagonal torus elements must preserve the member with unchanged
-    # coefficients up to scale
+    # each generator y0^2 - y_i y_(i+1) has torus weight 0, so diagonal torus
+    # elements must fix the member's coefficients exactly
     for alpha, beta in ((Fraction(2), Fraction(1)), (Fraction(3, 2), Fraction(5))):
         phi1 = Matrix([[alpha, 0], [0, 1 / alpha]])
         phi2 = Matrix([[beta, 0], [0, 1 / beta]])
         s = rep_S(phi1, phi2)
         moved = QuadraticForm(s.transpose() * a_c.matrix * s)
-        coords = span.coordinates_of(moved)
-        if coords is None or not _proportional(coords, [gauss(x) for x in c.as_tuple()]):
+        if span.coordinates_of(moved) != tuple(gauss(x) for x in c.as_tuple()):
             return False
     return True
-
-
-def _proportional(u, v) -> bool:
-    pairs = list(zip(u, v))
-    lead = next(((a, b) for a, b in pairs if a or b), None)
-    if lead is None:
-        return True
-    a0, b0 = lead
-    if not a0 or not b0:
-        return False
-    return all(a * b0 == b * a0 for a, b in pairs)
 
 
 # the two rigid hyperquadric forms of non-Moebius signature, in their real

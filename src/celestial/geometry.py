@@ -304,8 +304,9 @@ def _vanishes(span: FormSpan, points) -> bool:
     monomials = [(i, j, 1 if i == j else 2) for i in range(n) for j in range(i, n)]
     rational = [[w * (a[i] * a[j] + 2 * b[i] * b[j]) for i, j, w in monomials] for a, b in points]
     sqrt2 = [[w * (a[i] * b[j] + b[i] * a[j]) for i, j, w in monomials] for a, b in points]
+    columns = span.coefficients.transpose()
     zero = Matrix.zero(len(points), len(span))
-    return Matrix(rational) * span.columns == zero and Matrix(sqrt2) * span.columns == zero
+    return Matrix(rational) * columns == zero and Matrix(sqrt2) * columns == zero
 
 
 # a + b*sqrt(2) as the int pair (a, b)

@@ -138,17 +138,11 @@ class UnimodularInvolution:
         (a, b), (c, d) = self.m
         if a * d - b * c not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        if self.compose(self).m != ((1, 0), (0, 1)):
+        if _mat_mul(self.m, self.m) != ((1, 0), (0, 1)):
             raise ValueError("matrix is not an involution")
 
     def apply(self, p: Point) -> Point:
         return _apply(self.m, p)
-
-    def compose(self, other: "UnimodularInvolution") -> "UnimodularInvolution":
-        prod = _mat_mul(self.m, other.m)
-        obj = object.__new__(UnimodularInvolution)
-        object.__setattr__(obj, "m", prod)
-        return obj
 
     def fixes_direction(self, d: Point) -> bool:
         img = self.apply(d)
@@ -217,10 +211,7 @@ def minimal_width_directions(p: LatticePolygon) -> frozenset[Point]:
     the search is bounded by the span; the bound is covered by a test against
     an exhaustive search.
     """
-    dirs = _candidate_directions(p)
-    widths = {d: width(p, d) for d in dirs}
-    w = min(widths.values())
-    return frozenset(d for d, val in widths.items() if val == w)
+    return _narrowest(p, _candidate_directions(p))
 
 
 def stable_directions(p: LatticePolygon, inv: UnimodularInvolution) -> frozenset[Point]:
@@ -231,11 +222,13 @@ def stable_directions(p: LatticePolygon, inv: UnimodularInvolution) -> frozenset
     quadric is covered by lines and the minimal-width criterion is vacuous,
     but the involution still singles out its fixed direction classes.
     """
-    fixed = [d for d in _candidate_directions(p) if inv.fixes_direction(d)]
-    if not fixed:
-        return frozenset()
-    widths = {d: width(p, d) for d in fixed}
-    w = min(widths.values())
+    return _narrowest(p, [d for d in _candidate_directions(p) if inv.fixes_direction(d)])
+
+
+def _narrowest(p: LatticePolygon, dirs) -> frozenset[Point]:
+    """The directions among ``dirs`` of least width on p; none if there are none."""
+    widths = {d: width(p, d) for d in dirs}
+    w = min(widths.values(), default=None)
     return frozenset(d for d, val in widths.items() if val == w)
 
 

@@ -139,9 +139,9 @@ def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
     coeffs = ambient.coefficients
     for d in tangents:
         ker = kernel(symmetric_images(coeffs, d).transpose())
-        if not ker:
+        if not ker.rows:
             return FormSpan((), coords=ambient.coords)
-        coeffs = Matrix.stack(v.transpose() for v in ker) * coeffs
+        coeffs = ker * coeffs
     return FormSpan.row_space(coeffs, coords=ambient.coords)
 
 
@@ -150,25 +150,19 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 
     One linear system: the unknowns are the coordinates of x in FULL_BASIS
     and, for each basis form A_m, the coordinates c_mn of its image in the
-    span, with sum_j x_j (D_j^T A_m + A_m D_j) - sum_n c_mn A_n = 0.  The
-    images of all basis forms under one D_j are one ``symmetric_images``
-    call.  The basis is independent, so x fixes c, and the x parts of the
-    kernel are a basis of the stabilizer.
+    span, with sum_j x_j (D_j^T A_m + A_m D_j) - sum_n c_mn A_n = 0.  It is
+    written one row per unknown and one column per equation (m, entry): the
+    images of all basis forms under D_j, one ``symmetric_images`` call, are
+    the row of x_j read row by row, and the rows of the c_mn are minus
+    I_k (x) the coefficient matrix.  The basis is independent, so x fixes
+    c, and the x parts of the kernel of its transpose are a basis of the
+    stabilizer.
     """
-    images = [symmetric_images(span.coefficients, d_rep(x)) for x in FULL_BASIS]
-    k = len(span)
-    negated = [-span.coefficients.row(n) for n in range(k)]
-    zero = Matrix.zero(1, span.coefficients.cols)
-    blocks = []
-    for m in range(k):
-        # one column per unknown: x_1..x_6, then c_m'n for m' = 0..k-1, n = 0..k-1
-        coords = [negated[n] if row == m else zero for row in range(k) for n in range(k)]
-        blocks.append(Matrix.stack([img.row(m) for img in images] + coords).transpose())
-    out = []
-    for v in kernel(Matrix.stack(blocks)):
-        x = v.column_vector()[: len(FULL_BASIS)]
-        out.append(sum((c * b for c, b in zip(x, FULL_BASIS) if c), E))
-    return out
+    coeffs = span.coefficients
+    images = [symmetric_images(coeffs, d_rep(x)).entries() for x in FULL_BASIS]
+    flat = Matrix([[a for row in img for a in row] for img in images])
+    system = Matrix.stack([flat, -Matrix.identity(len(span)).kron(coeffs)]).transpose()
+    return [sum((c * b for c, b in zip(v, FULL_BASIS) if c), E) for v in kernel(system).entries()]
 
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
@@ -207,10 +201,8 @@ def real_basis(space: FormSpan, i: int) -> FormSpan:
         [mi[r][j] for j in range(k)] + [-mr[r][j] - (1 if r == j else 0) for j in range(k)]
         for r in range(k)
     ]
-    fixed = kernel(Matrix(big))
     forms = []
-    for v in fixed:
-        vec = v.column_vector()
+    for vec in kernel(Matrix(big)).entries():
         coeffs = [GaussianRational(vec[j].re, vec[k + j].re) for j in range(k)]
         forms.append(space.combination(coeffs))
     # no echelon normalization here: rescaling by complex units would break

@@ -148,11 +148,6 @@ class FormSpan:
         """The coefficient vectors of the basis forms, one row per form."""
         return Matrix.stack(q.matrix.upper() for q in self.basis)
 
-    @cached_property
-    def columns(self) -> Matrix:
-        """The coefficient vectors as columns, the system ``coordinates_of`` solves."""
-        return self.coefficients.transpose()
-
     @staticmethod
     def _forms(coeffs: Matrix, count: int) -> list[QuadraticForm]:
         """The forms whose upper-triangle coefficient vectors are the first rows."""
@@ -175,8 +170,7 @@ class FormSpan:
         vec = q.matrix.upper()
         if not self.basis:
             return None if any(vec.entries()[0]) else ()
-        sol = solve(self.columns, vec.transpose())
-        return None if sol is None else sol.column_vector()
+        return solve(self.coefficients, vec)
 
     @classmethod
     def row_space(cls, coeffs: Matrix, *, coords) -> "FormSpan":

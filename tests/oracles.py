@@ -4,6 +4,8 @@ Each one is the slow, direct version of something the package computes
 another way, or an input catalog the tests iterate over:
 
     lift                                 the lifted form of a matrix, entry by entry
+    column_kernel, column_solve,         null spaces and solutions as one-column
+    column_vector                        matrices, one lift per vector
     QuadExt, spindle_point, horn_point   exact cyclide model points over
                                          Q(i, sqrt 2), the reference for the
                                          integer points of the stereographic check
@@ -13,7 +15,8 @@ another way, or an input catalog the tests iterate over:
     Subalgebra, subalgebra_catalog       the classified subalgebras of sl2+sl2
     per_form_solve_invariant,            the invariant-form solver and the span
     per_form_span_stabilizer             stabilizer with one product, transpose
-                                         and upper triangle per basis form
+                                         and upper triangle per basis form, on
+                                         the column kernel
     ROTATION_GENERATORS                  the rotation generator of each real structure
     linear_equivalent, affine_equivalent lattice types joined by a bounded search over
                                          matrices, without and with translations
@@ -27,7 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss, kernel
+from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
+from celestial.exact import _eliminate, _over, _pairs, _scaled
 from celestial.geometry import NSClass
 from celestial.lattice import IntMatrix, LatticeType, _mat_mul
 from celestial.liealg import (
@@ -64,6 +68,60 @@ def lift(rows):
             out.append(tuple((a * (den // b), c * (den // d)) for (a, b), (c, d) in row))
         dens.append(den)
     return real, tuple(dens), tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# null spaces and solutions as columns
+
+
+def _column(real: bool, values, dens) -> Matrix:
+    """The column vector values[i] / dens[i], for nonzero Gaussian integers dens[i]."""
+    dens, rows = _over(real, [[x] for x in values], dens)
+    return Matrix._lifted(real, dens, rows, 1)
+
+
+def column_vector(v: Matrix) -> tuple:
+    """The entries of a one-column matrix."""
+    if v.cols != 1:
+        raise ValueError("not a column vector")
+    return tuple(row[0] for row in v.entries())
+
+
+def column_kernel(m: Matrix) -> list[Matrix]:
+    """Exact basis of the right null space {v : m*v = 0}, as column vectors."""
+    real = m._real
+    zero, one = (0, 1) if real else ((0, 0), (1, 0))
+    rows, levels, pivots, _, _ = _eliminate(m._ints, m.cols, real, reduce=True)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v, dens = [zero] * m.cols, [one] * m.cols
+        v[f] = one
+        for row, q, p in zip(rows, levels, pivots):
+            v[p] = -row[f] if real else (-row[f][0], -row[f][1])
+            dens[p] = q
+        basis.append(_column(real, v, dens))
+    return basis
+
+
+def column_solve(m: Matrix, rhs: Matrix):
+    """One exact solution of m*x = rhs (column), or None if inconsistent."""
+    if (rhs.rows, rhs.cols) != (m.rows, 1):
+        raise ValueError("right-hand side must be one column as tall as the matrix")
+    real = m._real and rhs._real
+    a = m._ints if real or not m._real else _pairs(m._ints)
+    b = rhs._ints if real or not rhs._real else _pairs(rhs._ints)
+    aug = []
+    for da, ra, db, rb in zip(m._dens, a, rhs._dens, b):
+        d = lcm(da, db)
+        aug.append([*_scaled(ra, d // da, real), *_scaled(rb, d // db, real)])
+    rows, levels, pivots, _, _ = _eliminate(aug, m.cols + 1, real, reduce=True)
+    if m.cols in pivots:
+        return None
+    zero, one = (0, 1) if real else ((0, 0), (1, 0))
+    x, dens = [zero] * m.cols, [one] * m.cols
+    for row, q, p in zip(rows, levels, pivots):
+        x[p], dens[p] = row[m.cols], q
+    return _column(real, x, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +349,7 @@ def per_form_solve_invariant(tangents, ambient):
         system = Matrix.stack(
             (p.transpose() + p).upper() for p in (q.matrix * d for q in span.basis)
         ).transpose()
-        ker = [v.column_vector() for v in kernel(system)]
+        ker = [column_vector(v) for v in column_kernel(system)]
         span = FormSpan(tuple(span.combinations(ker)) if ker else (), coords=span.coords)
     if not span.basis:
         return span
@@ -310,8 +368,8 @@ def per_form_span_stabilizer(span):
         coords = [negated[n] if row == m else zero for row in range(k) for n in range(k)]
         blocks.append(Matrix.stack(images + coords).transpose())
     out = []
-    for v in kernel(Matrix.stack(blocks)):
-        x = v.column_vector()[: len(FULL_BASIS)]
+    for v in column_kernel(Matrix.stack(blocks)):
+        x = column_vector(v)[: len(FULL_BASIS)]
         out.append(sum((c * b for c, b in zip(x, FULL_BASIS) if c), E))
     return out
 

@@ -1,4 +1,4 @@
-"""Every module-level name of the package is reachable from what runs it.
+"""Every module-level name and every method of the package is read by what runs it.
 
 The roots are the names the scripts read, the names the benchmark reads
 (in its code and in the traced-name strings of ``bench/tracer.py``) and
@@ -6,27 +6,35 @@ The roots are the names the scripts read, the names the benchmark reads
 definition mentions; names are matched across modules by identifier, so
 the closure can only keep too much, never too little.  A name left over is
 read by no script, no benchmark and no command: code that only the tests
-read belongs in ``tests/oracles.py``.
+read belongs in ``tests/oracles.py``.  A method or property of a class is
+checked the same way, without the closure: its name must be mentioned in
+the package outside its own body, or by a script or the benchmark.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "celestial"
 
 
-def _mentioned(node) -> set[str]:
-    """The identifiers a node reads: names, attribute names and imported names."""
-    out = set()
+def _counted(node) -> Counter:
+    """How often a node reads each identifier: names, attribute names and imported names."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name.rpartition(".")[2])
+            out[sub.name.rpartition(".")[2]] += 1
     return out
+
+
+def _mentioned(node) -> set[str]:
+    """The identifiers a node reads."""
+    return set(_counted(node))
 
 
 def _package():
@@ -91,3 +99,28 @@ def test_the_traced_names_are_read():
 
 def test_every_module_level_name_is_reachable():
     assert _unreachable() == []
+
+
+def _unread_methods() -> list[str]:
+    """Non-dunder methods of package classes that nothing but their own body mentions."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    package = sum((_counted(tree) for tree in trees.values()), Counter())
+    outside = _roots()
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = method.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if name not in outside and package[name] == _counted(method)[name]:
+                    unread.append(f"{module}.{cls.name}.{name}")
+    return unread
+
+
+def test_every_method_is_read_outside_its_body():
+    assert _unread_methods() == []

@@ -26,7 +26,7 @@ from celestial.exact import (
     symmetric_images,
 )
 from celestial.exact import _lift
-from oracles import lift
+from oracles import column_kernel, column_solve, column_vector, lift
 
 small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -66,26 +66,26 @@ def test_parse_round_trips():
 
 
 def test_kernel_identity_is_trivial():
-    assert kernel(Matrix.identity(3)) == []
+    basis = kernel(Matrix.identity(3))
+    assert (basis.rows, basis.cols) == (0, 3)
 
 
 def test_kernel_of_zero_matrix():
     basis = kernel(Matrix.zero(2, 2))
-    assert len(basis) == 2
+    assert basis.rows == 2
 
 
 def test_kernel_hermitian_rank_one():
     m = Matrix([[1, "i"], ["-i", 1]])
     basis = kernel(m)
-    assert len(basis) == 1
-    v = basis[0]
-    assert m * v == Matrix.zero(2, 1)
+    assert basis.rows == 1
+    assert m * basis.transpose() == Matrix.zero(2, 1)
 
 
 def test_solve_membership():
     m = Matrix([[1, 0], [0, 0]])
-    assert solve(m, Matrix.column([3, 0])) is not None
-    assert solve(m, Matrix.column([0, 1])) is None
+    assert solve(m, Matrix([[3, 0]])) is not None
+    assert solve(m, Matrix([[0, 1]])) is None
 
 
 def test_congruence_diagonal_input():
@@ -352,23 +352,40 @@ def test_rref_rank_kernel_match_the_fraction_oracle(m):
     assert pivots == old_pivots
     assert red == Matrix(old_red)
     assert m.rank() == len(old_pivots)
-    assert [v.column_vector() for v in kernel(m)] == [tuple(v) for v in oracle_kernel(m.entries(), m.cols)]
+    assert kernel(m).entries() == tuple(tuple(v) for v in oracle_kernel(m.entries(), m.cols))
+
+
+@given(matrices())
+@settings(deadline=None)
+def test_kernel_rows_are_the_column_kernel(m):
+    basis = kernel(m)
+    assert basis.cols == m.cols
+    assert basis.entries() == tuple(column_vector(v) for v in column_kernel(m))
 
 
 @given(matrices(), st.data())
 @settings(deadline=None)
 def test_solve_matches_the_fraction_oracle(m, data):
-    rhs = data.draw(matrices(rows=m.rows, cols=1))
+    rhs = data.draw(matrices(rows=1, cols=m.cols))
     x = solve(m, rhs)
-    red, pivots = oracle_rref([list(row) + [rhs[i, 0]] for i, row in enumerate(m.entries())])
-    if m.cols in pivots:
+    columns = zip(*m.entries())
+    red, pivots = oracle_rref([list(col) + [rhs[0, j]] for j, col in enumerate(columns)])
+    if m.rows in pivots:
         assert x is None
     else:
-        expected = [ZERO] * m.cols
+        expected = [ZERO] * m.rows
         for r, p in enumerate(pivots):
-            expected[p] = red[r][m.cols]
-        assert x == Matrix.column(expected)
-        assert m * x == rhs
+            expected[p] = red[r][m.rows]
+        assert x == tuple(expected)
+        assert Matrix([x]) * m == rhs
+
+
+@given(matrices(), st.data())
+@settings(deadline=None)
+def test_solve_is_the_column_solve_of_the_transpose(m, data):
+    rhs = data.draw(matrices(rows=1, cols=m.cols))
+    old = column_solve(m.transpose(), rhs.transpose())
+    assert solve(m, rhs) == (None if old is None else column_vector(old))
 
 
 @given(square_matrices())

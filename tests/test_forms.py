@@ -61,7 +61,7 @@ def test_singular_support_vertex_is_the_expected_line():
     from celestial.exact import kernel
 
     q = family_form(FamilyCoeffs(0, 1, 1, 1), "y")
-    vectors = [v.column_vector() for v in kernel(q.matrix)]
+    vectors = kernel(q.matrix).entries()
     support = {k for v in vectors for k, x in enumerate(v) if x}
     assert support == {1, 2}
 
@@ -274,6 +274,13 @@ def test_rigidity_sample_check_fails_when_the_torus_moves_coefficients(monkeypat
     real_form = forms.family_form
     other = FamilyCoeffs(1, 2, 1, 1)
     monkeypatch.setattr(forms, "family_form", lambda c, frame="y": real_form(other, frame))
+    assert not rigidity_sample_check(FamilyCoeffs(1, 1, 1, 1), trials=1, seed=0)
+
+
+def test_rigidity_sample_check_fails_when_the_torus_scales_the_member(monkeypatch):
+    # 2*Q_c lies on the same torus orbit line as Q_c, but its coordinates are 2c
+    real_form = forms.family_form
+    monkeypatch.setattr(forms, "family_form", lambda c, frame="y": real_form(c, frame).scale(2))
     assert not rigidity_sample_check(FamilyCoeffs(1, 1, 1, 1), trials=1, seed=0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss, kernel
+from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss
 from celestial import liealg
 from celestial import geometry
 from celestial.geometry import VERONESE_MONOMIALS
@@ -42,6 +42,8 @@ from celestial.segre import (
 from oracles import (
     ROTATION_GENERATORS,
     Subalgebra,
+    column_kernel,
+    column_vector,
     is_subalgebra,
     per_form_solve_invariant,
     per_form_span_stabilizer,
@@ -269,7 +271,7 @@ def reference_solve_invariant(tangents, ambient):
         rows.extend(row for row in zip(*vecs) if any(row))
     if not rows:
         return FormSpan.row_space(ambient.coefficients, coords=ambient.coords)
-    forms = tuple(ambient.combination(v.column_vector()) for v in kernel(Matrix(rows)))
+    forms = tuple(ambient.combination(column_vector(v)) for v in column_kernel(Matrix(rows)))
     if not forms:
         return FormSpan((), coords=ambient.coords)
     span = FormSpan(forms, coords=ambient.coords)

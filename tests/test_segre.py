@@ -459,7 +459,7 @@ def test_rep_matches_the_lift_pointwise():
             p2[0, 0] * u + p2[0, 1] * w,
             p2[1, 0] * u + p2[1, 1] * w,
         )
-        assert m * Matrix.column(lifted) == Matrix.column(moved)
+        assert m * Matrix([lifted]).transpose() == Matrix([moved]).transpose()
 
 
 def test_rep_preserves_the_ideal_span():
