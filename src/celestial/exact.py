@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
 _GAUSS_RE = re.compile(
     r"""^\s*(?P<sign>[+-]?)\s*
@@ -295,17 +295,61 @@ def _gauss_row_product(row, b, ncols: int, real_row: bool):
     return list(zip(sr, si))
 
 
+def _times_int(rows, b, ncols: int, real_rows: bool):
+    """rows * b for an int matrix b, skipping the zero entries of both.
+
+    The entries of rows are ints if ``real_rows``, else pairs.  Each row of
+    b is read once for its nonzero entries, and each nonzero entry of a row
+    meets only those.
+    """
+    terms = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
+    out = []
+    if real_rows:
+        for row in rows:
+            acc = [0] * ncols
+            for x, ts in zip(row, terms):
+                if x:
+                    for j, y in ts:
+                        acc[j] += x * y
+            out.append(acc)
+        return out
+    for row in rows:
+        sr = [0] * ncols
+        si = [0] * ncols
+        for (xr, xi), ts in zip(row, terms):
+            if xi:
+                for j, y in ts:
+                    sr[j] += xr * y
+                    si[j] += xi * y
+            elif xr:
+                for j, y in ts:
+                    sr[j] += xr * y
+        out.append(list(zip(sr, si)))
+    return out
+
+
 def _combine_z(p, row, f, lead, q, start):
-    """(p*row - f*lead) / q from column ``start`` on, over Z; exact."""
+    """(p*row - f*lead) / q from column ``start`` on, over Z; exact.
+
+    An entry whose lead entry is zero takes the one-term update p*a / q,
+    and one where both are zero stays zero.
+    """
     if not f:
         if p == q:
             return row
-        return row[:start] + [p * a // q for a in row[start:]]
-    return row[:start] + [(p * a - f * b) // q for a, b in zip(row[start:], lead[start:])]
+        return row[:start] + [p * a // q if a else 0 for a in row[start:]]
+    return row[:start] + [
+        (p * a - f * b) // q if b else (p * a // q if a else 0)
+        for a, b in zip(row[start:], lead[start:])
+    ]
 
 
 def _combine_zi(p, row, f, lead, q, start):
-    """(p*row - f*lead) / q from column ``start`` on, over Z[i]; exact."""
+    """(p*row - f*lead) / q from column ``start`` on, over Z[i]; exact.
+
+    As in ``_combine_z``, a zero lead entry drops the f*lead terms and a
+    zero pair of entries stays zero.
+    """
     if p == q and f == (0, 0):
         return row
     pr, pi = p
@@ -314,8 +358,15 @@ def _combine_zi(p, row, f, lead, q, start):
     n = qr * qr + qi * qi
     out = row[:start]
     for (ar, ai), (br, bi) in zip(row[start:], lead[start:]):
-        xr = pr * ar - pi * ai - fr * br + fi * bi
-        xi = pr * ai + pi * ar - fr * bi - fi * br
+        if br or bi:
+            xr = pr * ar - pi * ai - fr * br + fi * bi
+            xi = pr * ai + pi * ar - fr * bi - fi * br
+        elif ar or ai:
+            xr = pr * ar - pi * ai
+            xi = pr * ai + pi * ar
+        else:
+            out.append((0, 0))
+            continue
         out.append(((xr * qr + xi * qi) // n, (xi * qr - xr * qi) // n))
     return out
 
@@ -427,7 +478,8 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)])
+        """The zero matrix; with no rows it still has ``cols`` columns."""
+        return Matrix._make(True, (1,) * rows, ((0,) * cols,) * rows, cols)
 
     @staticmethod
     def stack(mats) -> "Matrix":
@@ -461,6 +513,20 @@ class Matrix:
         rows, den = self._common()
         vec = [x for i, row in enumerate(rows) for x in row[i:]]
         return Matrix._lifted(self._real, (den,), (vec,), len(vec))
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The entries, read row by row, refilled row by row into a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("shape mismatch")
+        ints, den = self._common()
+        flat = list(chain.from_iterable(ints))
+        out = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+        return Matrix._lifted(self._real, [den] * rows, out, cols)
+
+    def nonzero_columns(self) -> tuple[int, ...]:
+        """The indices of the columns with a nonzero entry."""
+        zero = 0 if self._real else (0, 0)
+        return tuple(j for j, col in enumerate(zip(*self._ints)) if any(x != zero for x in col))
 
     def row(self, i: int) -> "Matrix":
         """Row i as a one-row matrix."""
@@ -533,11 +599,9 @@ class Matrix:
             raise ValueError("incompatible shapes for product")
         b, db = other._common()
         real = self._real and other._real
-        if real:
-            cols = list(zip(*b))
-            out = [[sum(map(mul, row, col)) for col in cols] for row in self._ints]
+        if other._real:
+            out = _times_int(self._ints, b, other.cols, self._real)
         else:
-            b = _pairs(b) if other._real else b
             out = [_gauss_row_product(row, b, other.cols, self._real) for row in self._ints]
         return Matrix._lifted(real, [d * db for d in self._dens], out, other.cols)
 

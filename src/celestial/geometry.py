@@ -28,7 +28,7 @@ from .segre import (
     toric_projection,
     toric_quadrics,
 )
-from .liealg import solve_invariant
+from .liealg import action_table, solve_invariant
 
 # ---------------------------------------------------------------------------
 # divisor classes on the blown-up surface
@@ -427,7 +427,8 @@ def veronese_invariant_forms(algebra) -> FormSpan:
     """Invariant quadrics in the Veronese ideal for a subalgebra of sl3."""
     _, span = veronese_data()
     tangents = [monomial_rep_derivative(g, VERONESE_MONOMIALS) for g in algebra]
-    return solve_invariant(tangents, span)
+    identity = [[int(i == j) for j in range(len(tangents))] for i in range(len(tangents))]
+    return solve_invariant(identity, action_table(tangents, span))
 
 
 def so3_invariant_form() -> QuadraticForm:

@@ -4,8 +4,11 @@ Elements are pairs of traceless 2x2 matrices over Q(i).  Differentiating
 the symmetric-square action of 2x2 matrix pairs on P^8 turns each element
 into a 9x9 matrix D; a quadratic form A in the ideal of the double Segre
 surface is invariant under the corresponding 1-parameter subgroup exactly
-when D^T A + A D = 0, so invariant forms of a subalgebra come out of one
-exact kernel computation in the coefficient space of the ideal.
+when D^T A + A D = 0.  That map is linear in both D and A, so the action of
+the six basis elements on a span of forms is tabulated once, in the span's
+own coordinates (``ActionTable``), and the invariant forms of a subalgebra
+come out of a few exact kernels of the span's size, read off the
+coordinates of its elements.
 """
 
 from __future__ import annotations
@@ -59,6 +62,15 @@ class LieElement:
 
     def vec(self) -> tuple[GaussianRational, ...]:
         return tuple(x for m in (self.left, self.right) for row in m.entries() for x in row)
+
+    def coordinates(self) -> tuple[GaussianRational, ...]:
+        """The coefficients of the element in FULL_BASIS order.
+
+        A traceless [[a, b], [c, -a]] is a*S + b*T + c*Q, so each side gives (b, c, a).
+        """
+        (la, lb), (lc, _) = self.left.entries()
+        (ra, rb), (rc, _) = self.right.entries()
+        return (lb, lc, la, rb, rc, ra)
 
     @property
     def is_zero(self) -> bool:
@@ -122,27 +134,91 @@ def span_contains(elements, x: LieElement) -> bool:
     return m.rank() == aug.rank()
 
 
-def solve_invariant(tangents, ambient: FormSpan) -> FormSpan:
-    """Forms A in the ambient span with D^T A + A D = 0 for every tangent D.
+@dataclass(frozen=True, eq=False)
+class ActionTable:
+    """Tangents D_j acting on a span of forms, in the span's own coordinates.
 
-    The solve stays in the coefficient space of the span.  ``coeffs`` holds
-    the upper triangles of the forms left so far, one row per form; for a
-    tangent D, ``exact.symmetric_images`` gives upper(D^T A + A D) of every
-    row in one pass, and the combinations of rows that it kills are the
-    kernel of its transpose.  Each tangent thus cuts down the rows the ones
-    before it left, and one reduced row echelon form at the end makes the
-    basis canonical, so the result does not depend on the order or the basis
-    of the tangents.
+    ``reduced`` is R, the rows of the reduced row echelon basis of the span
+    (one upper triangle per row, k rows) with pivot columns P, taken in an
+    order that helps elimination (see ``action_table``).  The images
+    upper(D_j^T A + A D_j) of the rows of R split exactly as Phi_j R + E_j:
+    Phi_j is the k x k block of the images at the columns P, and the
+    residual E_j, the part that leaves the span, is zero at P.
+    ``residual`` lists the columns where some E_j is not zero; there are
+    none when every D_j maps the span into itself, as sl2+sl2 does I2.
+    Row j of ``blocks`` is [Phi_j | E_j at those columns] transposed, a
+    (k + len(residual)) x k matrix, read row by row; so the system of an
+    element x = sum c_j D_j is the row c * blocks, reshaped.
     """
-    if not ambient.basis:
-        return ambient
-    coeffs = ambient.coefficients
-    for d in tangents:
-        ker = kernel(symmetric_images(coeffs, d).transpose())
+
+    reduced: Matrix
+    residual: tuple[int, ...]
+    blocks: Matrix
+    coords: tuple[int, ...]
+
+
+def action_table(tangents, ambient: FormSpan) -> ActionTable:
+    """The ActionTable of the tangent matrices on the ambient span.
+
+    The rows of R go in increasing order of the number of entries of the
+    Phi_j that touch them, each row and column counted: so the elimination
+    of a system meets its sparse rows and columns first (a minimum-degree
+    order), which about halves the first kernel on I2.  Any order of R's rows
+    gives the same spans.
+    """
+    red, pivots = ambient.coefficients.rref()
+    k, m = len(pivots), red.cols
+    images = [symmetric_images(red, d) for d in tangents]
+    degree = [0] * k
+    for img in images:
+        for i, row in enumerate(img.reindex(range(k), pivots).entries()):
+            for c, x in enumerate(row):
+                if x:
+                    degree[i] += 1
+                    degree[c] += 1
+    order = sorted(range(k), key=degree.__getitem__)
+    red = red.reindex(order, range(m))
+    splits = []
+    for img in images:
+        img = img.reindex(order, range(m))
+        phi = img.reindex(range(k), [pivots[i] for i in order])
+        splits.append((phi, img - phi * red))
+    residual = tuple(sorted(set().union(*(res.nonzero_columns() for _, res in splits))))
+    size = (k + len(residual)) * k
+    flat = [
+        Matrix.stack([phi.transpose(), res.reindex(range(k), residual).transpose()]).reshape(1, size)
+        for phi, res in splits
+    ]
+    blocks = Matrix.stack([Matrix.zero(0, size), *flat])
+    return ActionTable(red, residual, blocks, ambient.coords)
+
+
+def solve_invariant(elements, table: ActionTable) -> FormSpan:
+    """Forms A in the table's span with D^T A + A D = 0 for every element's D.
+
+    ``elements`` holds one coordinate row per element, in the table's
+    tangents.  An element acts on the span as the row c * blocks, read back
+    as the system [Phi | E]^T of the table; the combinations of R's rows
+    that it kills are its kernel.  Each later element acts on the kept
+    combinations K R through the system times K^T, and the kernel cuts K
+    down.  One reduced row echelon form of K R at the end makes the basis
+    canonical, so the result does not depend on the order or the basis of
+    the elements.
+    """
+    red = table.reduced
+    k = red.rows
+    width = k + len(table.residual)
+    keep = None  # the kept combinations K of the rows of R; all of them at first
+    systems = Matrix(elements) * table.blocks if elements else Matrix.zero(0, 0)
+    for i in range(systems.rows):
+        system = systems.row(i).reshape(width, k)
+        if keep is not None:
+            system = system * keep.transpose()
+        ker = kernel(system)
         if not ker.rows:
-            return FormSpan((), coords=ambient.coords)
-        coeffs = ker * coeffs
-    return FormSpan.row_space(coeffs, coords=ambient.coords)
+            return FormSpan((), coords=table.coords)
+        keep = ker if keep is None else ker * keep
+    return FormSpan.row_space(red if keep is None else keep * red, coords=table.coords)
 
 
 def span_stabilizer(span: FormSpan) -> list[LieElement]:
@@ -172,7 +248,13 @@ def invariant_forms(g, ambient: FormSpan) -> FormSpan:
 
 @lru_cache(maxsize=64)
 def _invariant_forms_cached(basis, ambient: FormSpan) -> FormSpan:
-    return solve_invariant([d_rep(x) for x in basis], ambient)
+    return solve_invariant([x.coordinates() for x in basis], _full_action_table(ambient))
+
+
+@lru_cache(maxsize=8)
+def _full_action_table(ambient: FormSpan) -> ActionTable:
+    """The ActionTable of FULL_BASIS on a span, built on its first query."""
+    return action_table([d_rep(x) for x in FULL_BASIS], ambient)
 
 
 def real_basis(space: FormSpan, i: int) -> FormSpan:

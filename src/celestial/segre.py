@@ -145,7 +145,13 @@ class FormSpan:
 
     @cached_property
     def coefficients(self) -> Matrix:
-        """The coefficient vectors of the basis forms, one row per form."""
+        """The coefficient vectors of the basis forms, one row per form.
+
+        An empty span has no rows, and still one column per upper-triangle entry.
+        """
+        if not self.basis:
+            n = len(self.coords)
+            return Matrix.zero(0, n * (n + 1) // 2)
         return Matrix.stack(q.matrix.upper() for q in self.basis)
 
     @staticmethod

@@ -13,6 +13,11 @@ another way, or an input catalog the tests iterate over:
                                          bidegree-(2,2) lift of a torus point
     EXCEPTIONAL                          the exceptional classes e1..e4
     Subalgebra, subalgebra_catalog       the classified subalgebras of sl2+sl2
+    dense_combine_z, dense_combine_zi    the Bareiss row updates over every entry,
+                                         zero or not
+    coefficient_row_solve_invariant      the invariant-form solver on the coefficient
+                                         rows of the span: one kernel of the
+                                         transposed images per tangent
     per_form_solve_invariant,            the invariant-form solver and the span
     per_form_span_stabilizer             stabilizer with one product, transpose
                                          and upper triangle per basis form, on
@@ -31,6 +36,7 @@ from functools import lru_cache
 from math import lcm
 
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
+from celestial.exact import kernel, symmetric_images
 from celestial.exact import _eliminate, _over, _pairs, _scaled
 from celestial.geometry import NSClass
 from celestial.lattice import IntMatrix, LatticeType, _mat_mul
@@ -68,6 +74,35 @@ def lift(rows):
             out.append(tuple((a * (den // b), c * (den // d)) for (a, b), (c, d) in row))
         dens.append(den)
     return real, tuple(dens), tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the Bareiss row updates without the zero skips
+
+
+def dense_combine_z(p, row, f, lead, q, start):
+    """(p*row - f*lead) / q from column ``start`` on, over Z, entry by entry."""
+    if not f:
+        if p == q:
+            return row
+        return row[:start] + [p * a // q for a in row[start:]]
+    return row[:start] + [(p * a - f * b) // q for a, b in zip(row[start:], lead[start:])]
+
+
+def dense_combine_zi(p, row, f, lead, q, start):
+    """(p*row - f*lead) / q from column ``start`` on, over Z[i], entry by entry."""
+    if p == q and f == (0, 0):
+        return row
+    pr, pi = p
+    fr, fi = f
+    qr, qi = q
+    n = qr * qr + qi * qi
+    out = row[:start]
+    for (ar, ai), (br, bi) in zip(row[start:], lead[start:]):
+        xr = pr * ar - pi * ai - fr * br + fi * bi
+        xi = pr * ai + pi * ar - fr * bi - fi * br
+        out.append(((xr * qr + xi * qi) // n, (xi * qr - xr * qi) // n))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +369,26 @@ def subalgebra_catalog() -> list[tuple[str, Subalgebra]]:
 
 # ---------------------------------------------------------------------------
 # invariant forms, one basis form at a time
+
+
+def coefficient_row_solve_invariant(tangents, ambient):
+    """Forms A in the span with D^T A + A D = 0, solved on the span's coefficient rows.
+
+    ``coeffs`` holds the upper triangles of the forms left so far, one row
+    per form; for a tangent D, ``symmetric_images`` gives upper(D^T A + A D)
+    of every row, and the combinations of rows that it kills are the kernel
+    of its transpose.  One reduced row echelon form at the end makes the
+    basis canonical.
+    """
+    if not ambient.basis:
+        return ambient
+    coeffs = ambient.coefficients
+    for d in tangents:
+        ker = kernel(symmetric_images(coeffs, d).transpose())
+        if not ker.rows:
+            return FormSpan((), coords=ambient.coords)
+        coeffs = ker * coeffs
+    return FormSpan.row_space(coeffs, coords=ambient.coords)
 
 
 def per_form_solve_invariant(tangents, ambient):

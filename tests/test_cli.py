@@ -356,7 +356,8 @@ def test_invariant_forms_text(capsys):
 
 
 # cases.json lists each recorded command with its exit code, its stderr and
-# the file holding its stdout (null for no output)
+# the file holding its stdout (null for no output); an --algebra value that
+# names a file in the reference directory is read from there
 _INVARIANT_FORMS_REFERENCE = Path(__file__).resolve().parent / "reference" / "invariant_forms"
 _INVARIANT_FORMS_CASES = json.loads((_INVARIANT_FORMS_REFERENCE / "cases.json").read_text())
 
@@ -373,12 +374,20 @@ def test_invariant_forms_json_matches_the_reference_bytes(capsys):
 
 def _case_id(case) -> str:
     argv = case["argv"]
-    return argv[2] + (f"-sigma{argv[argv.index('--sigma') + 1]}" if "--sigma" in argv else "")
+    name = argv[2].removesuffix(".json")
+    return name + (f"-sigma{argv[argv.index('--sigma') + 1]}" if "--sigma" in argv else "")
+
+
+def _resolved(argv):
+    return [
+        str(_INVARIANT_FORMS_REFERENCE / a) if (_INVARIANT_FORMS_REFERENCE / a).is_file() else a
+        for a in argv
+    ]
 
 
 @pytest.mark.parametrize("case", _INVARIANT_FORMS_CASES, ids=map(_case_id, _INVARIANT_FORMS_CASES))
 def test_invariant_forms_output_matches_the_recorded_bytes(capsys, case):
-    code = main(case["argv"])
+    code = main(_resolved(case["argv"]))
     captured = capsys.readouterr()
     stdout = (_INVARIANT_FORMS_REFERENCE / case["stdout"]).read_text() if case["stdout"] else ""
     assert (code, captured.err) == (case["code"], case["stderr"])

@@ -25,8 +25,15 @@ from celestial.exact import (
     solve,
     symmetric_images,
 )
-from celestial.exact import _lift
-from oracles import column_kernel, column_solve, column_vector, lift
+from celestial.exact import _combine_z, _combine_zi, _lift
+from oracles import (
+    column_kernel,
+    column_solve,
+    column_vector,
+    dense_combine_z,
+    dense_combine_zi,
+    lift,
+)
 
 small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -706,3 +713,82 @@ def test_symmetric_images_check_the_shapes():
         symmetric_images(Matrix.zero(1, 6), Matrix.zero(2, 2))
     with pytest.raises(ValueError):
         symmetric_images(Matrix.zero(1, 6), Matrix.zero(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# the Bareiss row updates skip zero entries; the dense updates are the oracle
+
+_ZERO_RUNS = ("both", "lead", "row", "neither")
+
+
+@st.composite
+def combine_problems(draw, real):
+    """(p, row, f, lead, q, start) with runs where both entries, the lead or the row are zero.
+
+    Any ints will do, q nonzero: the skips must agree with the dense update
+    even where the division is not exact.
+    """
+    n = draw(st.integers(1, 12))
+    ints = st.integers(-50, 50)
+    nonzero = ints.filter(bool)
+    if real:
+        num, unit, zero = ints, nonzero, 0
+    else:
+        num = st.tuples(ints, ints)
+        unit = num.filter(lambda z: z != (0, 0))
+        zero = (0, 0)
+    if draw(st.booleans()):
+        row, lead = [zero] * n, [draw(unit) for _ in range(n)]  # an all-zero row
+    else:
+        row, lead = [], []
+        kind = draw(st.sampled_from(_ZERO_RUNS))
+        for _ in range(n):
+            if draw(st.integers(0, 3)) == 0:  # runs: mostly keep the last kind
+                kind = draw(st.sampled_from(_ZERO_RUNS))
+            row.append(zero if kind in ("both", "row") else draw(unit))
+            lead.append(zero if kind in ("both", "lead") else draw(unit))
+    p, q = draw(unit), draw(unit)
+    f = draw(st.one_of(st.just(zero), unit))
+    if draw(st.booleans()):
+        q = p  # the no-op when f is zero
+    return p, row, f, lead, q, draw(st.integers(0, n))
+
+
+@given(combine_problems(real=True))
+@settings(max_examples=200, deadline=None)
+def test_the_integer_row_update_matches_the_dense_update(problem):
+    assert _combine_z(*problem) == dense_combine_z(*problem)
+
+
+@given(combine_problems(real=False))
+@settings(max_examples=200, deadline=None)
+def test_the_gaussian_row_update_matches_the_dense_update(problem):
+    assert _combine_zi(*problem) == dense_combine_zi(*problem)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_reshape_refills_the_entries_row_by_row(m, data):
+    flat = [x for row in m.entries() for x in row]
+    size = len(flat)
+    rows = data.draw(st.sampled_from([r for r in range(1, size + 1) if size % r == 0]))
+    cols = size // rows
+    out = m.reshape(rows, cols)
+    assert out == Matrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+    assert out.reshape(m.rows, m.cols) == m
+    with pytest.raises(ValueError):
+        m.reshape(rows + 1, cols)
+
+
+@given(matrices())
+@settings(max_examples=30, deadline=None)
+def test_nonzero_columns_are_the_columns_with_an_entry(m):
+    expected = tuple(j for j in range(m.cols) if any(row[j] for row in m.entries()))
+    assert m.nonzero_columns() == expected
+
+
+def test_a_zero_matrix_without_rows_keeps_its_columns():
+    z = Matrix.zero(0, 45)
+    assert (z.rows, z.cols, z.entries()) == (0, 45, ())
+    assert z.nonzero_columns() == ()
+    assert Matrix.zero(2, 3) == Matrix([[0, 0, 0], [0, 0, 0]])

@@ -1,13 +1,18 @@
 """Brackets, real structures, the tangent action, and invariant forms."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss
+from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss, symmetric_images
 from celestial import liealg
 from celestial import geometry
 from celestial.geometry import VERONESE_MONOMIALS
@@ -21,6 +26,7 @@ from celestial.liealg import (
     T1,
     T2,
     LieElement,
+    action_table,
     bracket,
     d_rep,
     invariant_forms,
@@ -43,12 +49,15 @@ from oracles import (
     ROTATION_GENERATORS,
     Subalgebra,
     column_kernel,
+    coefficient_row_solve_invariant,
     column_vector,
     is_subalgebra,
     per_form_solve_invariant,
     per_form_span_stabilizer,
     subalgebra_catalog,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_bracket_structure_constants():
@@ -257,8 +266,9 @@ def test_real_basis_rejects_unclosed_spans():
 
 
 # ---------------------------------------------------------------------------
-# the solvers the coefficient-space one replaced, kept as references: the
-# two-product solver below and the per-form solver of tests/oracles.py
+# the solvers the action-table one replaced, kept as references: the
+# two-product solver below, and the coefficient-row and per-form solvers of
+# tests/oracles.py
 
 
 def reference_solve_invariant(tangents, ambient):
@@ -278,10 +288,10 @@ def reference_solve_invariant(tangents, ambient):
     return FormSpan.row_space(span.coefficients, coords=ambient.coords)
 
 
-def _same_span_as_the_references(tangents, ambient):
-    new = solve_invariant(tangents, ambient)
+def _same_span_as_the_references(new, tangents, ambient):
     for old in (
         reference_solve_invariant(tangents, ambient),
+        coefficient_row_solve_invariant(tangents, ambient),
         per_form_solve_invariant(tangents, ambient),
     ):
         assert new.coords == old.coords
@@ -289,8 +299,10 @@ def _same_span_as_the_references(tangents, ambient):
         assert [q.matrix.entries() for q in new.basis] == [q.matrix.entries() for q in old.basis]
 
 
-def _same_reduced_span(elements):
-    _same_span_as_the_references([d_rep(x) for x in elements], i2_segre())
+def _same_reduced_span(elements, ambient=None):
+    ambient = i2_segre() if ambient is None else ambient
+    new = invariant_forms(elements, ambient)
+    _same_span_as_the_references(new, [d_rep(x) for x in elements], ambient)
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -331,15 +343,166 @@ def test_solver_matches_the_reference_on_the_catalog(elements):
 def test_solver_matches_the_references_on_the_veronese_surface(algebra):
     _, span = geometry.veronese_data()
     tangents = [monomial_rep_derivative(g, VERONESE_MONOMIALS) for g in algebra]
-    _same_span_as_the_references(tangents, span)
-    _same_span_as_the_references(tangents[:1], span)
+    _same_span_as_the_references(geometry.veronese_invariant_forms(algebra), tangents, span)
+    _same_span_as_the_references(geometry.veronese_invariant_forms(algebra[:1]), tangents[:1], span)
 
 
 def test_solver_keeps_the_span_without_tangents_and_the_empty_span():
     span = FormSpan(i2_segre().basis[3:7])
-    _same_span_as_the_references([], span)
+    _same_reduced_span([], span)
     empty = FormSpan((), coords=tuple(range(9)))
-    assert solve_invariant([d_rep(T1)], empty) is empty
+    for elements in ([], [T1], FULL_BASIS):
+        out = invariant_forms(elements, empty)
+        assert (out.basis, out.coords) == ((), empty.coords)
+
+
+@pytest.mark.parametrize(
+    "elements", [[], [E], [E, T1], [T1, E, E]], ids=["empty", "zero", "zero,t1", "t1,zero,zero"]
+)
+def test_solver_matches_the_references_on_zero_and_empty_algebras(elements):
+    _same_reduced_span(elements)
+
+
+def test_the_veronese_solver_keeps_everything_for_zero_and_empty_algebras():
+    _, span = geometry.veronese_data()
+    for algebra in ([], [Matrix.zero(3, 3)]):
+        tangents = [monomial_rep_derivative(g, VERONESE_MONOMIALS) for g in algebra]
+        out = geometry.veronese_invariant_forms(algebra)
+        _same_span_as_the_references(out, tangents, span)
+        assert len(out) == len(span)
+
+
+def _check_the_split(table, tangents):
+    """Each block of the table is [Phi_j | E_j] with upper(D_j^T A + A D_j) = Phi_j R + E_j."""
+    red = table.reduced
+    k, m = red.rows, red.cols
+    pivots = red.rref()[1]
+    assert table.blocks.rows == len(tangents)
+    for j, d in enumerate(tangents):
+        block = table.blocks.row(j).reshape(k + len(table.residual), k).transpose().entries()
+        residual = [[ZERO] * m for _ in range(k)]
+        for i in range(k):
+            for c, x in zip(table.residual, block[i][k:]):
+                residual[i][c] = x
+        assert all(not row[p] for row in residual for p in pivots)
+        phi = Matrix([row[:k] for row in block])
+        assert phi * red + Matrix(residual) == symmetric_images(red, d)
+
+
+def test_sl2xsl2_maps_the_ideal_into_itself():
+    tangents = [d_rep(x) for x in FULL_BASIS]
+    table = action_table(tangents, i2_segre())
+    assert table.residual == ()
+    assert (table.blocks.rows, table.blocks.cols) == (6, 20 * 20)
+    _check_the_split(table, tangents)
+    assert table.reduced.rref()[0] == i2_segre().coefficients.rref()[0]
+
+
+@pytest.mark.parametrize("name", list(liealg.NAMED_ALGEBRAS))
+def test_the_family_span_leaves_a_residual_and_matches_the_references(name):
+    family = FormSpan(i2_segre().basis[:4])
+    tangents = [d_rep(x) for x in FULL_BASIS]
+    table = action_table(tangents, family)
+    assert table.residual
+    _check_the_split(table, tangents)
+    _same_reduced_span(liealg.NAMED_ALGEBRAS[name], family)
+
+
+_catalog_bases = st.sampled_from([algebra.basis for _, algebra in subalgebra_catalog()])
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.one_of(_catalog_bases, st.lists(_elements, min_size=1, max_size=2)),
+)
+@settings(max_examples=25, deadline=None)
+def test_solver_matches_the_references_on_random_sub_spans(rng, elements):
+    # some of I2's binomials, which carry torus weights, and a few random
+    # combinations: most elements map such a span partly outside itself
+    coeffs = i2_segre().coefficients
+    rows = [coeffs.row(i) for i in rng.sample(range(len(i2_segre())), rng.randint(1, 10))]
+    mixed = [[rng.randint(-2, 2) for _ in range(coeffs.rows)] for _ in range(rng.randint(0, 2))]
+    if mixed:
+        rows.append(Matrix(mixed) * coeffs)
+    span = FormSpan.row_space(Matrix.stack(rows), coords=tuple(range(9)))
+    _same_reduced_span(elements, span)
+
+
+def test_an_empty_ambient_gets_an_action_table():
+    empty = FormSpan((), coords=tuple(range(9)))
+    table = action_table([d_rep(x) for x in FULL_BASIS], empty)
+    assert (table.reduced.rows, table.reduced.cols, table.residual) == (0, 45, ())
+    assert (table.blocks.rows, table.blocks.cols) == (6, 0)
+    out = solve_invariant([T1.coordinates()], table)
+    assert (out.basis, out.coords) == ((), empty.coords)
+
+
+def test_the_empty_span_has_coefficients_and_the_whole_algebra_as_stabilizer():
+    empty = FormSpan((), coords=tuple(range(9)))
+    assert (empty.coefficients.rows, empty.coefficients.cols) == (0, 45)
+    assert span_stabilizer(empty) == list(FULL_BASIS)
+
+
+def test_lie_coordinates_recover_the_element():
+    for x in [*FULL_BASIS, E, T1 + S2.scale(gauss("2-i")), Q1.scale(3) + T2 + Q2.scale(I)]:
+        c = x.coordinates()
+        assert sum((a * b for a, b in zip(c, FULL_BASIS) if a), E) == x
+
+
+# ---------------------------------------------------------------------------
+# the action table is built once per span, and only when first asked for
+
+
+def test_the_benchmark_set_up_builds_no_action_table():
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    setup = next(
+        ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "SETUP_CODE" for t in stmt.targets)
+    )
+    code = (
+        "import celestial.exact as exact\n"
+        "calls = []\n"
+        "images = exact.symmetric_images\n"
+        "exact.symmetric_images = lambda *args: calls.append(args) or images(*args)\n"
+        + setup
+        + "from celestial import liealg\n"
+        "print(len(calls), liealg._full_action_table.cache_info().currsize)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_a_new_algebra_reuses_the_action_table(monkeypatch):
+    ambient = i2_segre()
+    liealg._invariant_forms_cached.cache_clear()
+    invariant_forms([T1], ambient)  # a solve: the table exists from here on
+    liealg._invariant_forms_cached.cache_clear()
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(liealg, "d_rep", counted(liealg.d_rep))
+    monkeypatch.setattr(liealg, "symmetric_images", counted(liealg.symmetric_images))
+    x = LieElement(
+        Matrix([[gauss("2/7+i"), 3], [gauss("1/5"), gauss("-2/7-i")]]),
+        Matrix([[1, gauss("3i")], [gauss("-4/9"), -1]]),
+    )
+    span = invariant_forms([x, T2], ambient)
+    assert liealg._invariant_forms_cached.cache_info().misses == 1
+    assert calls == []
+    monkeypatch.undo()
+    _same_span_as_the_references(span, [d_rep(x), d_rep(T2)], ambient)
 
 
 # ---------------------------------------------------------------------------
