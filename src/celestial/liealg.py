@@ -224,21 +224,19 @@ def solve_invariant(elements, table: ActionTable) -> FormSpan:
 def span_stabilizer(span: FormSpan) -> list[LieElement]:
     """A basis of the x in sl2+sl2 with D_x^T A + A D_x in the span for each basis form A.
 
-    One linear system: the unknowns are the coordinates of x in FULL_BASIS
-    and, for each basis form A_m, the coordinates c_mn of its image in the
-    span, with sum_j x_j (D_j^T A_m + A_m D_j) - sum_n c_mn A_n = 0.  It is
-    written one row per unknown and one column per equation (m, entry): the
-    images of all basis forms under D_j, one ``symmetric_images`` call, are
-    the row of x_j read row by row, and the rows of the c_mn are minus
-    I_k (x) the coefficient matrix.  The basis is independent, so x fixes
-    c, and the x parts of the kernel of its transpose are a basis of the
-    stabilizer.
+    Read off the span's ActionTable over FULL_BASIS: x = sum_j x_j e_j maps
+    the span into itself exactly when sum_j x_j E_j = 0, so the stabilizer
+    is the kernel of the transposed residual blocks, one column per basis
+    element (the entries of each row of ``blocks`` from k*k on).  The kernel
+    basis is canonical: the identity at its free columns.
     """
-    coeffs = span.coefficients
-    images = [symmetric_images(coeffs, d_rep(x)).entries() for x in FULL_BASIS]
-    flat = Matrix([[a for row in img for a in row] for img in images])
-    system = Matrix.stack([flat, -Matrix.identity(len(span)).kron(coeffs)]).transpose()
-    return [sum((c * b for c, b in zip(v, FULL_BASIS) if c), E) for v in kernel(system).entries()]
+    table = _full_action_table(span)
+    blocks = table.blocks
+    residual = blocks.reindex(range(blocks.rows), range(table.reduced.rows ** 2, blocks.cols))
+    return [
+        sum((c * b for c, b in zip(v, FULL_BASIS) if c), E)
+        for v in kernel(residual.transpose()).entries()
+    ]
 
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:

@@ -194,6 +194,17 @@ class FormSpan:
         return self.coefficients.rref()[0] == other.coefficients.rref()[0]
 
 
+def _sum_fibers(points) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """The fibers of the sum map (a <= b) -> points[a] + points[b], pairs in order."""
+    n = len(points)
+    fibers: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a in range(n):
+        for b in range(a, n):
+            key = (points[a][0] + points[b][0], points[a][1] + points[b][1])
+            fibers.setdefault(key, []).append((a, b))
+    return fibers
+
+
 def toric_quadrics(param: MonomialParam) -> FormSpan:
     """The quadrics through a toric surface, read off its lattice points.
 
@@ -208,14 +219,9 @@ def toric_quadrics(param: MonomialParam) -> FormSpan:
     diffs = {(a - c, b - d) for (a, b) in points for (c, d) in points}
     if Matrix([list(v) for v in diffs]).rank() < 2:
         raise ValueError("lattice points span a degenerate (1-dimensional) parametrization")
-    n = len(points)
-    fibers: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a in range(n):
-        for b in range(a, n):
-            key = (points[a][0] + points[b][0], points[a][1] + points[b][1])
-            fibers.setdefault(key, []).append((a, b))
-    edges = sorted((pairs[0], leaf) for pairs in fibers.values() for leaf in pairs[1:])
-    basis = tuple(form_from_pairs([(root, 1), (leaf, -1)], n) for root, leaf in edges)
+    fibers = _sum_fibers(points).values()
+    edges = sorted((pairs[0], leaf) for pairs in fibers for leaf in pairs[1:])
+    basis = tuple(form_from_pairs([(root, 1), (leaf, -1)], len(points)) for root, leaf in edges)
     return FormSpan(basis, coords=param.coords)
 
 
@@ -402,34 +408,13 @@ def toric_projection(drop) -> tuple[MonomialParam, FormSpan]:
     return param, toric_quadrics(param)
 
 
-_I2_SAMPLES = 60  # evaluation points; five more than the quadratic monomials if that is more
+def i2_dimension(param: MonomialParam) -> int:
+    """Dimension of the degree-2 part of the ideal: n(n+1)/2 - |P + P|.
 
-
-def i2_dimension(param: MonomialParam, seed: int = 7) -> int:
-    """Dimension of the degree-2 part of the ideal, from evaluation-matrix nullity.
-
-    This recomputes the dimension from scratch: evaluate all quadratic
-    monomials in the ambient coordinates at random rational torus points and
-    take the null space dimension, without using any stored generator list.
+    The monomial y_a y_b restricts to the torus character of e_a + e_b, and
+    distinct characters are linearly independent, so the quadrics through
+    the surface are the kernel of the sum map (a <= b) -> e_a + e_b onto
+    P + P, the map whose fibers ``toric_quadrics`` builds.
     """
-    import random
-
     n = len(param)
-    monos = [(i, j) for i in range(n) for j in range(i, n)]
-    a_exps, b_exps = zip(*param.exponents)
-    amin, amax, bmin, bmax = min(a_exps), max(a_exps), min(b_exps), max(b_exps)
-    rng = random.Random(f"i2-dim:{seed}:{param.coords}")
-    rows = []
-    for _ in range(max(_I2_SAMPLES, len(monos) + 5)):
-        s = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
-        u = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
-        # the point s^a u^b times sn^-amin sd^amax un^-bmin ud^bmax, in integers;
-        # the scale multiplies the row by a nonzero constant, so the rank stays
-        (sn, sd), (un, ud) = s.as_integer_ratio(), u.as_integer_ratio()
-        pt = [
-            sn ** (a - amin) * sd ** (amax - a) * un ** (b - bmin) * ud ** (bmax - b)
-            for a, b in param.exponents
-        ]
-        rows.append([pt[i] * pt[j] for i, j in monos])
-    m = Matrix(rows)
-    return m.cols - m.rank()
+    return n * (n + 1) // 2 - len(_sum_fibers(param.exponents))

@@ -11,6 +11,10 @@ another way, or an input catalog the tests iterate over:
                                          integer points of the stereographic check
     evaluate, eval_lift                  a quadratic form at a point, and the
                                          bidegree-(2,2) lift of a torus point
+    evaluation_nullity                   the dimension of the degree-2 ideal of a
+                                         monomial parametrization, as the nullity
+                                         of its quadratic monomials at seeded
+                                         random torus points
     EXCEPTIONAL                          the exceptional classes e1..e4
     Subalgebra, subalgebra_catalog       the classified subalgebras of sl2+sl2
     dense_combine_z, dense_combine_zi    the Bareiss row updates over every entry,
@@ -30,6 +34,7 @@ another way, or an input catalog the tests iterate over:
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -271,6 +276,37 @@ def eval_lift(param, s, t, u, w) -> tuple[GaussianRational, ...]:
         s ** (1 + a) * t ** (1 - a) * u ** (1 + b) * w ** (1 - b)
         for a, b in param.exponents
     )
+
+
+_I2_SAMPLES = 60  # evaluation points; five more than the quadratic monomials if that is more
+
+
+def evaluation_nullity(param, seed: int = 7) -> int:
+    """Dimension of the degree-2 part of the ideal, from evaluation-matrix nullity.
+
+    This recomputes the dimension from scratch: evaluate all quadratic
+    monomials in the ambient coordinates at random rational torus points and
+    take the null space dimension, without using any stored generator list.
+    """
+    n = len(param)
+    monos = [(i, j) for i in range(n) for j in range(i, n)]
+    a_exps, b_exps = zip(*param.exponents)
+    amin, amax, bmin, bmax = min(a_exps), max(a_exps), min(b_exps), max(b_exps)
+    rng = random.Random(f"i2-dim:{seed}:{param.coords}")
+    rows = []
+    for _ in range(max(_I2_SAMPLES, len(monos) + 5)):
+        s = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
+        u = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
+        # the point s^a u^b times sn^-amin sd^amax un^-bmin ud^bmax, in integers;
+        # the scale multiplies the row by a nonzero constant, so the rank stays
+        (sn, sd), (un, ud) = s.as_integer_ratio(), u.as_integer_ratio()
+        pt = [
+            sn ** (a - amin) * sd ** (amax - a) * un ** (b - bmin) * ud ** (bmax - b)
+            for a, b in param.exponents
+        ]
+        rows.append([pt[i] * pt[j] for i, j in monos])
+    m = Matrix(rows)
+    return m.cols - m.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from celestial.segre import (
     torus_sigma,
 )
 from celestial.verify import class_param
+from oracles import evaluation_nullity
 
 SEED = 0
 
@@ -34,7 +35,8 @@ def _report(num, label):
 def test_criterion_01_ideal_dimensions():
     dims = tuple(i2_dimension(class_param(tag)) for tag in "abcdefgh")
     assert dims == (20, 9, 9, 6, 2, 2, 2, 1)
-    _report(1, f"ideal dimensions {dims} recomputed from evaluation nullity")
+    assert dims == tuple(evaluation_nullity(class_param(tag)) for tag in "abcdefgh")
+    _report(1, f"ideal dimensions {dims} counted from P + P and matched to the evaluation nullity")
 
 
 def test_criterion_02_invariant_form_bases():

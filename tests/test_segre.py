@@ -26,7 +26,7 @@ from celestial.segre import (
     torus_sigma,
 )
 from celestial.verify import class_param
-from oracles import eval_lift, evaluate
+from oracles import eval_lift, evaluate, evaluation_nullity
 
 # the generator lists once printed in the package, y_a*y_b - y_c*y_d per pair
 SEGRE_QUADRIC_PAIRS = (
@@ -45,16 +45,6 @@ VERONESE_QUADRIC_PAIRS = (
 def _difference(pair, dim):
     (a, b), (c, d) = pair
     return form_from_pairs([((a, b), 1), ((c, d), -1)], dim).matrix
-
-
-def _binomial_count(points):
-    n = len(points)
-    sums = {
-        (points[a][0] + points[b][0], points[a][1] + points[b][1])
-        for a in range(n)
-        for b in range(a, n)
-    }
-    return n * (n + 1) // 2 - len(sums)
 
 
 def _binomial_terms(q):
@@ -99,6 +89,7 @@ def test_ideal_vanishes_on_deterministic_grid():
 def test_ideal_dimension_recomputation_table():
     dims = {tag: i2_dimension(class_param(tag)) for tag in "abcdefgh"}
     assert dims == {"a": 20, "b": 9, "c": 9, "d": 6, "e": 2, "f": 2, "g": 2, "h": 1}
+    assert dims == {tag: evaluation_nullity(class_param(tag)) for tag in "abcdefgh"}
     # stored generator list is validated against the recomputation
     assert len(i2_segre()) == dims["a"]
 
@@ -139,7 +130,7 @@ def test_every_projection_has_the_full_binomial_span():
             except ValueError:
                 continue
             spans += 1
-            assert len(span) == _binomial_count(param.exponents) == i2_dimension(param)
+            assert len(span) == i2_dimension(param) == evaluation_nullity(param)
             s, u = (Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in "su")
             pt = param.eval(s, u)
             assert not any(evaluate(q, pt) for q in span.basis)
@@ -160,7 +151,7 @@ def test_binomial_span_matches_the_nullity(points):
     ))
     param = MonomialParam(tuple(points))
     span = toric_quadrics(param)
-    assert len(span) == _binomial_count(points) == i2_dimension(param)
+    assert len(span) == i2_dimension(param) == evaluation_nullity(param)
     for q in span.basis:
         ((a, b), _), ((c, d), _) = _binomial_terms(q)
         assert points[a][0] + points[b][0] == points[c][0] + points[d][0]
@@ -183,6 +174,40 @@ def test_lemma_i2_fails_when_a_binomial_count_is_off(monkeypatch):
     assert not result.ok
     # e and f share the diamond, so both parametrizations lose a binomial
     assert result.detail == "a:20 b:9 c:9 d:6 e:2 f:2 g:2 h:1; binomials e:1 f:1"
+
+
+def _pair_sums(points, diagonal: bool) -> list[tuple[int, int]]:
+    n = len(points)
+    return [
+        (points[a][0] + points[b][0], points[a][1] + points[b][1])
+        for a in range(n)
+        for b in range(a if diagonal else a + 1, n)
+    ]
+
+
+def _without_the_diagonal(param):
+    n = len(param)
+    return n * (n + 1) // 2 - len(set(_pair_sums(param.exponents, diagonal=False)))
+
+
+def _with_multiplicity(param):
+    n = len(param)
+    return n * (n + 1) // 2 - len(_pair_sums(param.exponents, diagonal=True))
+
+
+@pytest.mark.parametrize(
+    "count, detail",
+    [
+        (_without_the_diagonal, "a:24 b:15 c:14 d:9 e:6 f:6 g:5 h:5"),
+        (_with_multiplicity, "a:0 b:0 c:0 d:0 e:0 f:0 g:0 h:0"),
+    ],
+    ids=["without-the-diagonal", "with-multiplicity"],
+)
+def test_lemma_i2_fails_on_a_wrong_count_of_the_sums(monkeypatch, count, detail):
+    monkeypatch.setattr(verify, "i2_dimension", count)
+    (result,) = verify.run_checks(only="lemma-i2")
+    assert not result.ok
+    assert result.detail == detail
 
 
 def test_sigma_commutes_with_the_parametrization():
