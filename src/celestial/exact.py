@@ -651,17 +651,6 @@ class Matrix:
         rows = tuple(tuple((xr, -xi) for xr, xi in row) for row in self._ints)
         return Matrix._make(False, self._dens, rows, self.cols)
 
-    def trace(self) -> GaussianRational:
-        """The sum of the diagonal, taken over the lcm of its rows' denominators."""
-        diag = range(min(self.rows, self.cols))
-        den = lcm(*(self._dens[i] for i in diag))
-        terms = [(self._ints[i][i], den // self._dens[i]) for i in diag]
-        if self._real:
-            total = sum(x * f for x, f in terms)
-        else:
-            total = (sum(x * f for (x, _), f in terms), sum(y * f for (_, y), f in terms))
-        return _drop(self._real, (den,), ((total,),))[0][0]
-
     @property
     def is_symmetric(self) -> bool:
         # entry (i, j) is a[i][j] / d[i]

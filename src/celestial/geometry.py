@@ -28,7 +28,7 @@ from .segre import (
     toric_projection,
     toric_quadrics,
 )
-from .liealg import action_table, solve_invariant
+from .liealg import ActionTable, action_table, solve_invariant
 
 # ---------------------------------------------------------------------------
 # divisor classes on the blown-up surface
@@ -130,28 +130,14 @@ def b_classes(cfg: BlowupConfig) -> frozenset[NSClass]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class DynkinString:
-    """Multiset of chain components A_k, each marked real or complex."""
-
-    components: tuple[tuple[int, bool], ...]  # (k, is_real), sorted
-
-    @staticmethod
-    def of(components) -> "DynkinString":
-        ordered = tuple(sorted(components, key=lambda c: (-c[0], not c[1])))
-        return DynkinString(ordered)
-
-    def render(self) -> str:
-        """Canonical string: real components prefixed 'r', largest first."""
-        return "+".join(("r" if real else "") + f"A{k}" for k, real in self.components)
-
-
-def dynkin(classes: frozenset[NSClass]) -> DynkinString:
+def dynkin(classes: frozenset[NSClass]) -> str:
     """Singularity content of a class set: components of the product graph.
 
     Vertices are the classes, edges join positive products; each connected
     component must be a chain and gives one A_k, marked real when the
-    conjugation swap maps the component onto itself.
+    conjugation swap maps the component onto itself.  The string joins the
+    components with '+', largest first and real before complex, a real one
+    prefixed 'r' ("rA3+A1+A1").
     """
     nodes = sorted(classes, key=lambda c: c.coeffs)
     n = len(nodes)
@@ -180,7 +166,8 @@ def dynkin(classes: frozenset[NSClass]) -> DynkinString:
             raise ValueError("component of the class graph is not a chain")
         is_real = {v.conjugate() for v in comp} == set(comp)
         comps.append((len(comp), is_real))
-    return DynkinString.of(comps)
+    comps.sort(key=lambda c: (-c[0], not c[1]))
+    return "+".join(("r" if real else "") + f"A{k}" for k, real in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +211,7 @@ def cyclide_pipeline() -> tuple[FormSpan, FormSpan]:
     """
     spans = []
     for drop, alpha in (({5, 6, 7, 8}, _SPINDLE_ALPHA), ({1, 2, 5, 8}, _HORN_ALPHA)):
-        _, y_span = toric_projection(drop)
+        y_span = toric_projection(drop)
         mu = mu_matrix(1, y_span.coords)
         t0, t1 = Matrix(alpha[0]) * mu, Matrix(alpha[1]) * mu
         forms = tuple(_sqrt2_congruence(q, t0, t1) for q in y_span.basis)
@@ -397,10 +384,9 @@ VERONESE_MONOMIALS = tuple((a, b, 2 - a - b) for a, b in VERONESE_EXPONENTS)
 
 
 @lru_cache(maxsize=1)
-def veronese_data() -> tuple[MonomialParam, FormSpan]:
-    """The Veronese parametrization of P^5 and its 6 quadric generators."""
-    param = MonomialParam(VERONESE_EXPONENTS)
-    return param, toric_quadrics(param)
+def veronese_data() -> FormSpan:
+    """The 6 quadric generators of the Veronese surface in P^5."""
+    return toric_quadrics(MonomialParam(VERONESE_EXPONENTS))
 
 
 SL3_BASIS = {
@@ -423,12 +409,31 @@ def so3_basis() -> list[Matrix]:
     ]
 
 
+@lru_cache(maxsize=1)
+def _veronese_action_table() -> ActionTable:
+    """The ActionTable of the nine gl3 matrix units E_ij on the Veronese quadrics.
+
+    It is built on the first query; the units go row by row, E_00, E_01, ...
+    """
+    units = [Matrix([[int((r, c) == (i, j)) for c in range(3)] for r in range(3)])
+             for i in range(3) for j in range(3)]
+    tangents = [monomial_rep_derivative(u, VERONESE_MONOMIALS) for u in units]
+    return action_table(tangents, veronese_data())
+
+
 def veronese_invariant_forms(algebra) -> FormSpan:
-    """Invariant quadrics in the Veronese ideal for a subalgebra of sl3."""
-    _, span = veronese_data()
-    tangents = [monomial_rep_derivative(g, VERONESE_MONOMIALS) for g in algebra]
-    identity = [[int(i == j) for j in range(len(tangents))] for i in range(len(tangents))]
-    return solve_invariant(identity, action_table(tangents, span))
+    """Invariant quadrics in the Veronese ideal for a subalgebra of sl3.
+
+    The tangent of g is linear in g, so g = sum g_ij E_ij acts on the span
+    through the row of its nine entries, read row by row, in the table of
+    the matrix units E_ij.
+    """
+    rows = []
+    for g in algebra:
+        if g.rows != 3 or g.cols != 3:
+            raise ValueError("Veronese algebra elements must be 3x3")
+        rows.append([x for row in g.entries() for x in row])
+    return solve_invariant(rows, _veronese_action_table())
 
 
 def so3_invariant_form() -> QuadraticForm:
@@ -458,7 +463,7 @@ def veronese_signature_witnesses() -> frozenset[Signature]:
     coefficient rows whose first nonzero entry is positive are diagonalized:
     their negatives give the same signatures.
     """
-    _, span = veronese_data()
+    span = veronese_data()
     coeff_range = range(-_WITNESS_HEIGHT, _WITNESS_HEIGHT + 1)
     rows = [
         c for c in itertools.product(coeff_range, repeat=len(span))

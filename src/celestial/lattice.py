@@ -334,8 +334,10 @@ def _survives(poly: LatticePolygon, inv: UnimodularInvolution) -> bool:
     if degree(poly) == 2:
         return poly.singular_vertex_count() == 0
     # two circles through a general point: two involution-fixed directions of
-    # minimal width, each a pencil of conics
-    return sum(map(inv.fixes_direction, minimal_width_directions(poly))) >= 2
+    # minimal width, each a pencil of circles; a circle is a conic, so the
+    # curves of the pencil have degree 2 and the width is exactly 2
+    fixed = [d for d in minimal_width_directions(poly) if inv.fixes_direction(d)]
+    return len(fixed) >= 2 and min(width(poly, d) for d in fixed) == 2
 
 
 def classify_grid() -> list[LatticeType]:

@@ -48,7 +48,8 @@ class LieElement:
         for half in (self.left, self.right):
             if half.rows != 2 or half.cols != 2:
                 raise ValueError("components must be 2x2")
-            if half.trace():
+            (a, _), (_, d) = half.entries()
+            if a + d:
                 raise ValueError("components must be traceless")
 
     def __add__(self, other: "LieElement") -> "LieElement":
@@ -60,9 +61,6 @@ class LieElement:
     def __rmul__(self, c) -> "LieElement":
         return self.scale(c)
 
-    def vec(self) -> tuple[GaussianRational, ...]:
-        return tuple(x for m in (self.left, self.right) for row in m.entries() for x in row)
-
     def coordinates(self) -> tuple[GaussianRational, ...]:
         """The coefficients of the element in FULL_BASIS order.
 
@@ -71,10 +69,6 @@ class LieElement:
         (la, lb), (lc, _) = self.left.entries()
         (ra, rb), (rc, _) = self.right.entries()
         return (lb, lc, la, rb, rc, ra)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.vec())
 
 
 T1 = LieElement(_T, _E2)
@@ -123,15 +117,6 @@ def d_rep(m: LieElement) -> Matrix:
     dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS)
     dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS)
     return y_order(dl.kron(_I3) + _I3.kron(dr))
-
-
-def span_contains(elements, x: LieElement) -> bool:
-    if x.is_zero:
-        return True
-    rows = [e.vec() for e in elements]
-    m = Matrix(rows)
-    aug = Matrix(rows + [x.vec()])
-    return m.rank() == aug.rank()
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +226,7 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
     """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span."""
-    return _invariant_forms_cached(tuple(g), ambient)
-
-
-@lru_cache(maxsize=64)
-def _invariant_forms_cached(basis, ambient: FormSpan) -> FormSpan:
-    return solve_invariant([x.coordinates() for x in basis], _full_action_table(ambient))
+    return solve_invariant([x.coordinates() for x in g], _full_action_table(ambient))
 
 
 @lru_cache(maxsize=8)

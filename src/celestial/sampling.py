@@ -59,7 +59,7 @@ def _veronese_point(a: float, b: float):
 @lru_cache(maxsize=None)
 def _toric_forms(removed: frozenset[int]):
     """The quadrics of a toric projection, moved to the x frame of sigma_2."""
-    _, span = toric_projection(removed)
+    span = toric_projection(removed)
     return tuple(mu_transform(2, q, span.coords) for q in span.basis)
 
 
@@ -69,7 +69,7 @@ _SURFACES = {
     "ring": (_ring_point, lambda: _toric_forms(frozenset({1, 2, 5, 6}))),
     "spindle": (_spindle_point, lambda: geometry.cyclide_pipeline()[0].basis),
     "horn": (_horn_point, lambda: geometry.cyclide_pipeline()[1].basis),
-    "veronese": (_veronese_point, lambda: geometry.veronese_data()[1].basis),
+    "veronese": (_veronese_point, lambda: geometry.veronese_data().basis),
 }
 
 SURFACES = tuple(_SURFACES)

@@ -395,17 +395,16 @@ def rep_S(phi1: Matrix, phi2: Matrix) -> Matrix:
     return y_order(sym2(phi1).kron(sym2(phi2)))
 
 
-def toric_projection(drop) -> tuple[MonomialParam, FormSpan]:
-    """Omit coordinates of the monomial parametrization, with its quadrics.
+def toric_projection(drop) -> FormSpan:
+    """The quadrics through the projection that omits the dropped coordinates.
 
     The span is ``toric_quadrics`` of the kept lattice points, so it keeps
     exactly the generators that avoid every dropped variable, re-indexed
-    to the surviving coordinates.
+    to the surviving coordinates (its ``coords``).
     """
     drop = frozenset(drop)
     keep = tuple(k for k in range(9) if k not in drop)
-    param = MonomialParam(tuple(Y_EXPONENTS[k] for k in keep), keep)
-    return param, toric_quadrics(param)
+    return toric_quadrics(MonomialParam(tuple(Y_EXPONENTS[k] for k in keep), keep))
 
 
 def i2_dimension(param: MonomialParam) -> int:

@@ -57,7 +57,6 @@ from celestial.liealg import (
     T2,
     bracket,
     d_rep,
-    span_contains,
 )
 from celestial.segre import FormSpan
 
@@ -333,6 +332,12 @@ ROTATION_GENERATORS = {
 }
 
 
+def span_contains(elements, x: LieElement) -> bool:
+    """True iff x is a combination of the elements: its coordinates add no rank."""
+    rows = [e.coordinates() for e in elements]
+    return Matrix(rows).rank() == Matrix(rows + [x.coordinates()]).rank()
+
+
 def is_subalgebra(basis) -> bool:
     """True iff all pairwise brackets lie in the span of the basis."""
     basis = list(basis)
@@ -350,7 +355,7 @@ class Subalgebra:
     basis: tuple[LieElement, ...]
 
     def __post_init__(self):
-        rows = Matrix([e.vec() for e in self.basis])
+        rows = Matrix([e.coordinates() for e in self.basis])
         if rows.rank() != len(self.basis):
             raise ValueError("subalgebra basis is linearly dependent")
         if not is_subalgebra(self.basis):

@@ -127,7 +127,7 @@ def test_criterion_06_cyclide_pipeline():
 
 def test_criterion_07_dynkin_strings():
     rendered = {
-        tag: geometry.dynkin(geometry.b_classes(cfg)).render()
+        tag: geometry.dynkin(geometry.b_classes(cfg))
         for tag, cfg in geometry.BLOWUP_CONFIGS.items()
     }
     assert rendered == verify.EXPECTED_SINGULAR_STRINGS

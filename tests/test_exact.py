@@ -574,22 +574,6 @@ def test_reindex_matches_the_fraction_oracle(m, data):
     assert out == Matrix(expected) and out.is_real == Matrix(expected).is_real
 
 
-@given(matrices(real=False))
-@settings(max_examples=50, deadline=None)
-def test_trace_matches_the_fraction_oracle(m):
-    expected = ZERO
-    for i in range(min(m.rows, m.cols)):
-        expected = expected + m.entries()[i][i]
-    assert m.trace() == expected
-
-
-def test_trace_of_complex_matrices():
-    m = Matrix([["1/2+i", 3], [0, "-1/3-2i"]])
-    assert m.trace() == GaussianRational(Fraction(1, 6), Fraction(-1))
-    assert Matrix([["i", 1], [2, "-i"]]).trace() == ZERO
-    assert Matrix([[Fraction(1, 4), 0, 0], [0, Fraction(3, 4), 5]]).trace() == ONE
-
-
 # ---------------------------------------------------------------------------
 # the lifted form of given entries, against the entry-by-entry oracle
 

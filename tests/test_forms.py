@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from celestial.exact import Matrix, Signature, gauss, signature
-from celestial import forms, lattice, verify
+from celestial import forms, lattice, liealg, verify
 from celestial.forms import (
     INFINITY,
     FamilyCoeffs,
@@ -338,3 +338,16 @@ def test_rigidity_check_fails_for_a_span_with_another_stabilizer(monkeypatch):
     (result,) = verify.run_checks(only="rigidity-sampling")
     assert not result.ok
     assert result.detail == "the family span has a 1-dimensional stabilizer, not the torus"
+
+
+@pytest.mark.parametrize(
+    "stabilizer", [[liealg.S1], [liealg.S1, liealg.S2, liealg.T1], [liealg.S1, liealg.T2]],
+    ids=["s1", "s1,s2,t1", "s1,t2"],
+)
+def test_rigidity_check_fails_when_the_stabilizer_is_not_the_torus(monkeypatch, stabilizer):
+    monkeypatch.setattr(liealg, "span_stabilizer", lambda span: stabilizer)
+    (result,) = verify.run_checks(only="rigidity-sampling")
+    assert not result.ok
+    assert result.detail == (
+        f"the family span has a {len(stabilizer)}-dimensional stabilizer, not the torus"
+    )

@@ -12,6 +12,7 @@ from celestial.geometry import (
     L0,
     L1,
     NSClass,
+    VERONESE_EXPONENTS,
     b_classes,
     cyclide_pipeline,
     dynkin,
@@ -25,7 +26,7 @@ from celestial.geometry import (
     veronese_invariant_forms,
     veronese_signature_witnesses,
 )
-from celestial.segre import form_from_pairs, FormSpan, QuadraticForm
+from celestial.segre import form_from_pairs, FormSpan, MonomialParam, QuadraticForm
 from celestial.verify import EXPECTED_SINGULAR_STRINGS
 from oracles import EXCEPTIONAL, SQRT2, QuadExt, evaluate, horn_point, spindle_point
 
@@ -81,7 +82,7 @@ def test_b_classes_satisfy_the_numerical_constraints():
 
 def test_dynkin_strings():
     for tag, cfg in BLOWUP_CONFIGS.items():
-        assert dynkin(b_classes(cfg)).render() == EXPECTED_SINGULAR_STRINGS[tag]
+        assert dynkin(b_classes(cfg)) == EXPECTED_SINGULAR_STRINGS[tag]
 
 
 def test_dynkin_rejects_branching_graphs():
@@ -170,7 +171,8 @@ def test_stereographic_images_are_a_cone_and_a_cylinder():
 
 
 def test_veronese_parametrization_and_ideal():
-    param, span = veronese_data()
+    span = veronese_data()
+    param = MonomialParam(tuple(VERONESE_EXPONENTS[k] for k in span.coords), span.coords)
     assert len(span) == 6
     assert param.eval(1, 1) == tuple(gauss(1) for _ in range(6))
     pt = param.eval(2, 3)
@@ -191,6 +193,12 @@ def test_full_sl3_leaves_nothing():
     assert len(veronese_invariant_forms(geometry.SL3_BASIS.values())) == 0
 
 
+@pytest.mark.parametrize("g", [Matrix.zero(2, 2), Matrix.zero(1, 9), Matrix.zero(3, 2)])
+def test_veronese_algebra_elements_must_be_3x3(g):
+    with pytest.raises(ValueError, match="3x3"):
+        veronese_invariant_forms([geometry.so3_basis()[0], g])
+
+
 def test_signature_witnesses():
     witnesses = veronese_signature_witnesses()
     required = {
@@ -206,7 +214,7 @@ def test_signature_witnesses():
 
 
 def test_single_generator_witness():
-    _, span = veronese_data()
+    span = veronese_data()
     # the generator comparing the square of one coordinate with a product
     q = span.basis[2]
     assert signature(q.matrix) == Signature(1, 2, 3)
@@ -260,7 +268,7 @@ def test_integer_point_is_a_multiple_of_the_quadext_point(index, point, integer_
 
 
 def test_halved_witnesses_equal_the_full_set():
-    _, span = veronese_data()
+    span = veronese_data()
     rows = [c for c in itertools.product((-1, 0, 1), repeat=len(span)) if any(c)]
     full = frozenset(signature(q.matrix) for q in span.combinations(rows))
     assert len(rows) == 728

@@ -273,6 +273,51 @@ def test_excluded_candidates():
     assert lattice._survives(UNIT_SQUARE, SIGMA_3)
 
 
+def test_two_fixed_directions_of_width_three_are_no_circles():
+    # a circle is a conic: the fixed directions of minimal width must have width 2
+    square = convex_hull([(0, 0), (3, 0), (3, 3), (0, 3)])
+    fixed = [d for d in minimal_width_directions(square) if SIGMA_0.fixes_direction(d)]
+    assert sorted(fixed) == [(0, 1), (1, 0)]
+    assert {width(square, d) for d in fixed} == {3}
+    assert SIGMA_0.preserves(square) and not forbidden_edge(square, SIGMA_0)
+    assert not lattice._survives(square, SIGMA_0)
+
+
+def _strip_hulls(a, k):
+    """The hulls of the lattice points with 0 <= x <= 2 and c <= a*x + k*y <= c + 2, c < k."""
+    hulls = {}
+    for c in range(k):
+        points = [(x, y) for x in range(3) for y in range(-3, 4) if c <= a * x + k * y <= c + 2]
+        for r in range(3, len(points) + 1):
+            for subset in itertools.combinations(points, r):
+                try:
+                    hull = convex_hull(subset)
+                except ValueError:
+                    continue
+                hulls.setdefault(hull.vertices, hull)
+    return list(hulls.values())
+
+
+def test_two_directions_of_width_two_put_a_polygon_in_the_grid():
+    # Up to GL2(Z) the two independent functionals of width <= 2 are x and
+    # a*x + k*y with 0 <= a < k and gcd(a, k) = 1, and a translation puts x in
+    # [0, 2] and the second one in [c, c + 2] with 0 <= c < k.  In the
+    # coordinates (x, a*x + k*y) a triangle of the polygon has k times its
+    # area and fits in a 2x2 square, so k <= 4; k <= 6 is covered.
+    grid = [LatticeType.of(poly, SIGMA_0) for poly in lattice.grid_polygons()]
+    found = {}
+    for k in range(1, 7):
+        for a in range(k):
+            if gcd(a, k) != 1:
+                continue
+            hulls = _strip_hulls(a, k)
+            found[k] = found.get(k, 0) + len(hulls)
+            for hull in hulls:
+                lt = LatticeType.of(hull, SIGMA_0)
+                assert any(unimodular_equivalent(lt, g) for g in grid), hull.vertices
+    assert found == {1: 168, 2: 13, 3: 4, 4: 0, 5: 0, 6: 0}
+
+
 def test_no_compatible_affine_map_joins_two_classified_orbits():
     orbits = lattice.classify_grid()
     assert len(orbits) == 10
@@ -321,10 +366,12 @@ def _all_directions(poly):
 @pytest.mark.parametrize(
     "owner, name, replacement, extra_orbits",
     [
-        (lattice, "forbidden_edge", lambda poly, inv: False, 13),
+        # the conic rule alone stops the degree-1 triangle, whose fixed edges
+        # are lines of width 1
+        (lattice, "forbidden_edge", lambda poly, inv: False, 12),
         # the four sigma_1 cones are translates of one another: one orbit
         (lattice.LatticePolygon, "singular_vertex_count", lambda poly: 0, 1),
-        (lattice, "minimal_width_directions", _all_directions, 5),
+        (lattice, "minimal_width_directions", _all_directions, 3),
     ],
     ids=["forbidden-edge", "cone", "minimal-width"],
 )

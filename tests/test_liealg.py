@@ -54,6 +54,7 @@ from oracles import (
     is_subalgebra,
     per_form_solve_invariant,
     per_form_span_stabilizer,
+    span_contains,
     subalgebra_catalog,
 )
 
@@ -64,12 +65,16 @@ def test_bracket_structure_constants():
     assert bracket(T1, Q1) == S1
     assert bracket(T1, S1) == T1.scale(-2)
     assert bracket(Q1, S1) == Q1.scale(2)
-    assert bracket(T1, T2).is_zero
+    assert bracket(T1, T2) == E
 
 
 def test_lie_elements_must_be_traceless():
     with pytest.raises(ValueError):
         LieElement(Matrix([[1, 0], [0, 0]]), Matrix.zero(2, 2))
+    with pytest.raises(ValueError, match="traceless"):
+        LieElement(Matrix.zero(2, 2), Matrix([["1/2+i", 3], [0, "-1/3-i"]]))
+    x = LieElement(Matrix([["1/2+i", 3], [2, "-1/2-i"]]), Matrix([[0, 1], ["i", 0]]))
+    assert x.coordinates() == (gauss(3), gauss(2), gauss("1/2+i"), gauss(1), I, gauss(0))
 
 
 def test_sigma_rules():
@@ -341,7 +346,7 @@ def test_solver_matches_the_reference_on_the_catalog(elements):
     "algebra", [geometry.so3_basis(), list(geometry.SL3_BASIS.values())], ids=["so3", "sl3"]
 )
 def test_solver_matches_the_references_on_the_veronese_surface(algebra):
-    _, span = geometry.veronese_data()
+    span = geometry.veronese_data()
     tangents = [monomial_rep_derivative(g, VERONESE_MONOMIALS) for g in algebra]
     _same_span_as_the_references(geometry.veronese_invariant_forms(algebra), tangents, span)
     _same_span_as_the_references(geometry.veronese_invariant_forms(algebra[:1]), tangents[:1], span)
@@ -364,7 +369,7 @@ def test_solver_matches_the_references_on_zero_and_empty_algebras(elements):
 
 
 def test_the_veronese_solver_keeps_everything_for_zero_and_empty_algebras():
-    _, span = geometry.veronese_data()
+    span = geometry.veronese_data()
     for algebra in ([], [Matrix.zero(3, 3)]):
         tangents = [monomial_rep_derivative(g, VERONESE_MONOMIALS) for g in algebra]
         out = geometry.veronese_invariant_forms(algebra)
@@ -478,31 +483,49 @@ def test_the_benchmark_set_up_builds_no_action_table():
     assert proc.stdout.split() == ["0", "0"]
 
 
+def _counted(calls, f):
+    """f, appending its name to ``calls`` on every call."""
+
+    def wrapper(*args):
+        calls.append(f.__name__)
+        return f(*args)
+
+    return wrapper
+
+
 def test_a_new_algebra_reuses_the_action_table(monkeypatch):
     ambient = i2_segre()
-    liealg._invariant_forms_cached.cache_clear()
-    invariant_forms([T1], ambient)  # a solve: the table exists from here on
-    liealg._invariant_forms_cached.cache_clear()
+    invariant_forms([T1], ambient)  # the table exists from here on
     calls = []
-
-    def counted(f):
-        def wrapper(*args):
-            calls.append(f.__name__)
-            return f(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(liealg, "d_rep", counted(liealg.d_rep))
-    monkeypatch.setattr(liealg, "symmetric_images", counted(liealg.symmetric_images))
+    monkeypatch.setattr(liealg, "d_rep", _counted(calls, liealg.d_rep))
+    monkeypatch.setattr(liealg, "symmetric_images", _counted(calls, liealg.symmetric_images))
     x = LieElement(
         Matrix([[gauss("2/7+i"), 3], [gauss("1/5"), gauss("-2/7-i")]]),
         Matrix([[1, gauss("3i")], [gauss("-4/9"), -1]]),
     )
     span = invariant_forms([x, T2], ambient)
-    assert liealg._invariant_forms_cached.cache_info().misses == 1
     assert calls == []
     monkeypatch.undo()
     _same_span_as_the_references(span, [d_rep(x), d_rep(T2)], ambient)
+
+
+def test_a_new_veronese_algebra_reuses_the_action_table(monkeypatch):
+    geometry.veronese_invariant_forms(geometry.so3_basis())  # the table exists from here on
+    calls = []
+    monkeypatch.setattr(geometry, "monomial_rep_derivative", _counted(calls, monomial_rep_derivative))
+    monkeypatch.setattr(liealg, "symmetric_images", _counted(calls, liealg.symmetric_images))
+    # a nilpotent element that keeps two forms, and a full gl3 pair that keeps none
+    g = Matrix([[0, gauss("2/7+i"), 3], [0, 0, gauss("-3i")], [0, 0, 0]])
+    h = Matrix([[gauss("2/7+i"), 3, 0], [gauss("1/5"), 1, gauss("-3i")], [2, 0, gauss("-4/9")]])
+    algebras = ([g], [h, g])
+    outs = [geometry.veronese_invariant_forms(a) for a in algebras]
+    assert calls == []
+    assert [len(out) for out in outs] == [2, 0]
+    monkeypatch.undo()
+    span = geometry.veronese_data()
+    for out, algebra in zip(outs, algebras):
+        tangents = [monomial_rep_derivative(x, VERONESE_MONOMIALS) for x in algebra]
+        _same_span_as_the_references(out, tangents, span)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +604,7 @@ def test_d_rep_matches_the_reference_on_the_catalog():
 
 def test_the_family_span_is_stabilized_by_the_torus_alone():
     stabilizer = span_stabilizer(FormSpan(i2_segre().basis[:4]))
-    assert len(stabilizer) == 2
-    assert all(liealg.span_contains(stabilizer, x) for x in (S1, S2))
+    assert stabilizer == [S1, S2]
 
 
 def test_the_whole_ideal_is_stabilized_by_everything():
@@ -606,4 +628,4 @@ def test_a_span_off_the_torus_weights_has_a_smaller_stabilizer():
     mixed = QuadraticForm(basis[3].matrix + basis[4].matrix)
     stabilizer = span_stabilizer(FormSpan(basis[:3] + (mixed,)))
     assert len(stabilizer) == 1
-    assert not liealg.span_contains(stabilizer, S1)
+    assert not span_contains(stabilizer, S1)

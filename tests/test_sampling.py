@@ -10,7 +10,7 @@ def test_surface_quadrics_keep_both_parts_of_complex_forms():
     counts = {s: len(sampling.surface_quadrics(s)) for s in sampling.SURFACES}
     # six of the nine dp6 quadrics are not real in the x frame of sigma_2
     assert counts == {"dp6": 15, "ring": 2, "spindle": 2, "horn": 2, "veronese": 6}
-    _, span = toric_projection({5, 6})
+    span = toric_projection({5, 6})
     q = next(q for q in span.basis if not mu_transform(2, q, span.coords).is_real)
     x = mu_transform(2, q, span.coords)
     im = [[float(a.im) for a in row] for row in x.matrix.entries()]

@@ -12,6 +12,7 @@ from celestial.exact import GaussianRational, Matrix, gauss
 from celestial import geometry, segre, verify
 from celestial.segre import (
     SEGRE_PARAM,
+    Y_EXPONENTS,
     FormSpan,
     MonomialParam,
     apply_sigma,
@@ -40,6 +41,11 @@ VERONESE_QUADRIC_PAIRS = (
     ((1, 1), (4, 5)), ((0, 1), (2, 3)), ((2, 2), (0, 4)),
     ((3, 3), (0, 5)), ((1, 2), (3, 4)), ((1, 3), (2, 5)),
 )
+
+
+def _projection_param(span):
+    """The monomial parametrization of a toric projection, read off its coordinates."""
+    return MonomialParam(tuple(Y_EXPONENTS[k] for k in span.coords), span.coords)
 
 
 def _difference(pair, dim):
@@ -102,7 +108,7 @@ def test_derived_segre_quadrics_match_the_printed_pairs():
 
 
 def test_derived_veronese_quadrics_match_the_printed_pairs_up_to_sign():
-    derived = {q.matrix for q in geometry.veronese_data()[1].basis}
+    derived = {q.matrix for q in geometry.veronese_data().basis}
     printed = [_difference(p, 6) for p in VERONESE_QUADRIC_PAIRS]
     assert len(derived) == len(printed)
     assert all(m in derived or m.scale(-1) in derived for m in printed)
@@ -110,7 +116,7 @@ def test_derived_veronese_quadrics_match_the_printed_pairs_up_to_sign():
 
 @pytest.mark.parametrize("drop", [{5, 6}, {1, 2, 5, 6}, {5, 6, 7, 8}, {1, 2, 5, 8}])
 def test_used_projections_keep_the_order_of_the_restricted_pairs(drop):
-    _, span = toric_projection(drop)
+    span = toric_projection(drop)
     pos = {c: k for k, c in enumerate(span.coords)}
     restricted = [
         _difference(((pos[a], pos[b]), (pos[c], pos[d])), len(pos))
@@ -126,9 +132,10 @@ def test_every_projection_has_the_full_binomial_span():
     for size in range(10):
         for drop in itertools.combinations(range(9), size):
             try:
-                param, span = toric_projection(drop)
+                span = toric_projection(drop)
             except ValueError:
                 continue
+            param = _projection_param(span)
             spans += 1
             assert len(span) == i2_dimension(param) == evaluation_nullity(param)
             s, u = (Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in "su")
@@ -498,7 +505,8 @@ def test_rep_preserves_the_ideal_span():
 
 
 def test_toric_projection_dp6():
-    param, span = toric_projection({5, 6})
+    span = toric_projection({5, 6})
+    param = _projection_param(span)
     assert len(param) == 7
     assert param.coords == (0, 1, 2, 3, 4, 7, 8)
     assert len(span) == 9
@@ -509,7 +517,7 @@ def test_toric_projection_dp6():
 
 
 def test_toric_projection_spindle_and_horn_spans():
-    _, spindle = toric_projection({5, 6, 7, 8})
+    spindle = toric_projection({5, 6, 7, 8})
     assert spindle.coords == (0, 1, 2, 3, 4)
     assert len(spindle) == 2
     expected = FormSpan(
@@ -520,7 +528,7 @@ def test_toric_projection_spindle_and_horn_spans():
     )
     assert spindle.equals(expected)
 
-    _, horn = toric_projection({1, 2, 5, 8})
+    horn = toric_projection({1, 2, 5, 8})
     assert horn.coords == (0, 3, 4, 6, 7)
     assert len(horn) == 2
     expected_h = FormSpan(
@@ -538,7 +546,7 @@ def test_toric_projection_rejects_degenerate_remnant():
 
 
 def test_mu_transform_of_projected_span_is_exact():
-    param, span = toric_projection({5, 6, 7, 8})
+    span = toric_projection({5, 6, 7, 8})
     q = span.basis[0]
     xq = mu_transform(1, q, span.coords)
     expected = form_from_pairs([((0, 0), 1), ((1, 1), -1), ((2, 2), -1)], 5)
