@@ -525,12 +525,19 @@ class Matrix:
 
     def nonzero_columns(self) -> tuple[int, ...]:
         """The indices of the columns with a nonzero entry."""
-        zero = 0 if self._real else (0, 0)
-        return tuple(j for j, col in enumerate(zip(*self._ints)) if any(x != zero for x in col))
+        nonzero = any if self._real else _nonzero_pairs
+        return tuple(j for j, col in enumerate(zip(*self._ints)) if nonzero(col))
 
     def row(self, i: int) -> "Matrix":
-        """Row i as a one-row matrix."""
-        return Matrix._lifted(self._real, self._dens[i : i + 1], self._ints[i : i + 1], self.cols)
+        """Row i as a one-row matrix.
+
+        A row of the canonical form is canonical already, except that a real
+        row of a non-real matrix becomes ints over its den.
+        """
+        row = self._ints[i]
+        if not self._real and not any(xi for _, xi in row):
+            return Matrix._make(True, self._dens[i : i + 1], (tuple(xr for xr, _ in row),), self.cols)
+        return Matrix._make(self._real, self._dens[i : i + 1], (row,), self.cols)
 
     def _common(self):
         """(rows, den): the rows over one common denominator."""

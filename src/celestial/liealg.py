@@ -9,10 +9,21 @@ the six basis elements on a span of forms is tabulated once, in the span's
 own coordinates (``ActionTable``), and the invariant forms of a subalgebra
 come out of a few exact kernels of the span's size, read off the
 coordinates of its elements.
+
+A span that the six basis elements map into itself, such as I2, is a
+representation of sl2+sl2, and it splits into isotypic pieces V_m (x) V_n:
+the joint eigenspaces of the two Casimir elements, with eigenvalues
+m(m+2) and n(n+2) (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 6.2-6.3).  Every element maps each piece into
+itself, so the solver takes one kernel per piece instead of one of the
+whole span; I2 = (V4 (x) V0) + (V0 (x) V4) + (V2 (x) V2) + (V0 (x) V0)
+gives pieces of 5, 5, 9 and 1 forms instead of 20.  By Weyl's theorem the
+pieces fill the span, and the split checks that their dimensions add up.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,12 +134,14 @@ def d_rep(m: LieElement) -> Matrix:
 class ActionTable:
     """Tangents D_j acting on a span of forms, in the span's own coordinates.
 
-    ``reduced`` is R, the rows of the reduced row echelon basis of the span
-    (one upper triangle per row, k rows) with pivot columns P, taken in an
-    order that helps elimination (see ``action_table``).  The images
-    upper(D_j^T A + A D_j) of the rows of R split exactly as Phi_j R + E_j:
-    Phi_j is the k x k block of the images at the columns P, and the
-    residual E_j, the part that leaves the span, is zero at P.
+    ``reduced`` is R, a basis of the span (one upper triangle per row, k
+    rows).  The images upper(D_j^T A + A D_j) of the rows of R split
+    exactly as Phi_j R + E_j, where the residual E_j, the part that leaves
+    the span, is zero at the pivot columns P of the span's reduced row
+    echelon form.  ``action_table`` takes the rows of that form for R, in
+    an order that helps elimination, so Phi_j is the k x k block of the
+    images at P; ``isotypic_pieces`` makes the tables of pieces that every
+    D_j maps into themselves.
     ``residual`` lists the columns where some E_j is not zero; there are
     none when every D_j maps the span into itself, as sl2+sl2 does I2.
     Row j of ``blocks`` is [Phi_j | E_j at those columns] transposed, a
@@ -153,57 +166,133 @@ def action_table(tangents, ambient: FormSpan) -> ActionTable:
     """
     red, pivots = ambient.coefficients.rref()
     k, m = len(pivots), red.cols
-    images = [symmetric_images(red, d) for d in tangents]
-    degree = [0] * k
-    for img in images:
-        for i, row in enumerate(img.reindex(range(k), pivots).entries()):
-            for c, x in enumerate(row):
-                if x:
-                    degree[i] += 1
-                    degree[c] += 1
-    order = sorted(range(k), key=degree.__getitem__)
-    red = red.reindex(order, range(m))
+    free = [c for c in range(m) if c not in pivots]  # E_j is zero at the pivots
+    red_free = red.reindex(range(k), free)
     splits = []
-    for img in images:
-        img = img.reindex(order, range(m))
-        phi = img.reindex(range(k), [pivots[i] for i in order])
-        splits.append((phi, img - phi * red))
-    residual = tuple(sorted(set().union(*(res.nonzero_columns() for _, res in splits))))
+    for d in tangents:
+        img = symmetric_images(red, d)
+        phi = img.reindex(range(k), pivots)
+        splits.append((phi, img.reindex(range(k), free) - phi * red_free))
+    degree = [0] * k
+    for phi, _ in splits:
+        for i in range(k):
+            for c in phi.row(i).nonzero_columns():
+                degree[i] += 1
+                degree[c] += 1
+    # the rows of R, and so of each Phi_j and E_j, and the columns of Phi_j go in this order
+    order = sorted(range(k), key=degree.__getitem__)
+    residual = sorted(set().union(*(res.nonzero_columns() for _, res in splits)))
     size = (k + len(residual)) * k
     flat = [
-        Matrix.stack([phi.transpose(), res.reindex(range(k), residual).transpose()]).reshape(1, size)
+        Matrix.stack([phi.reindex(order, order).transpose(), res.reindex(order, residual).transpose()])
+        .reshape(1, size)
         for phi, res in splits
     ]
     blocks = Matrix.stack([Matrix.zero(0, size), *flat])
-    return ActionTable(red, residual, blocks, ambient.coords)
+    return ActionTable(red.reindex(order, range(m)), tuple(free[c] for c in residual), blocks, ambient.coords)
 
 
-def solve_invariant(elements, table: ActionTable) -> FormSpan:
-    """Forms A in the table's span with D^T A + A D = 0 for every element's D.
+def isotypic_pieces(table: ActionTable) -> tuple[ActionTable, ...]:
+    """The table split into the joint eigenspaces of the two Casimir elements.
 
-    ``elements`` holds one coordinate row per element, in the table's
-    tangents.  An element acts on the span as the row c * blocks, read back
-    as the system [Phi | E]^T of the table; the combinations of R's rows
-    that it kills are its kernel.  Each later element acts on the kept
-    combinations K R through the system times K^T, and the kernel cuts K
-    down.  One reduced row echelon form of K R at the end makes the basis
-    canonical, so the result does not depend on the order or the basis of
-    the elements.
+    ``table`` is over FULL_BASIS.  Only a span that the basis maps into
+    itself (no residual) is a representation; any other table is one piece.
+    The action of e_j on coordinate rows is c -> c Phi_j, and the Casimir
+    C = H^2 + 2(TQ + QT) of each factor commutes with it, so its eigenspaces
+    are invariant; on V_a (x) V_b the two are a(a+2) and b(b+2).  The pairs
+    (a, b) that occur are read off the weights (``_highest_weights``), and
+    C1 + x C2, with x above every a(a+2), tells them apart: each piece is
+    one kernel.  A piece gets the reduced row echelon basis B of its
+    coordinate rows, with pivot columns F: then B Phi_j = Psi_j B, where
+    Psi_j = (B Phi_j) at F, and the piece is the table of the forms B R with
+    systems Psi_j^T.  By Weyl's theorem the pieces of a representation add
+    up to the whole span, so a shortfall is an error, not a case.
     """
-    red = table.reduced
-    k = red.rows
-    width = k + len(table.residual)
-    keep = None  # the kept combinations K of the rows of R; all of them at first
-    systems = Matrix(elements) * table.blocks if elements else Matrix.zero(0, 0)
-    for i in range(systems.rows):
-        system = systems.row(i).reshape(width, k)
-        if keep is not None:
-            system = system * keep.transpose()
-        ker = kernel(system)
-        if not ker.rows:
-            return FormSpan((), coords=table.coords)
-        keep = ker if keep is None else ker * keep
-    return FormSpan.row_space(red if keep is None else keep * red, coords=table.coords)
+    k = table.reduced.rows
+    if table.residual or not k:
+        return (table,)
+    n = len(FULL_BASIS)
+    # [Phi_0 | ... | Phi_5]: row j of blocks is Phi_j transposed, read row by row
+    phis = table.blocks.reshape(n * k, k).transpose()
+    t1, q1, h1, t2, q2, h2 = (phis.reindex(range(k), range(j * k, (j + 1) * k)) for j in range(n))
+    # [Phi_T, Phi_Q] = Phi_H on coordinate rows, so TQ + QT = 2TQ - H
+    c1, c2 = (h * h + (t * q).scale(4) - h.scale(2) for t, q, h in ((t1, q1, h1), (t2, q2, h2)))
+    # the diagonals of the H systems: S1 and S2 are FULL_BASIS[2] and FULL_BASIS[5]
+    tops = _highest_weights(zip(*table.blocks.reindex((2, 5), range(0, k * k, k + 1)).entries()))
+    x = max((a * (a + 2) for a, _ in tops), default=0) + 1
+    casimir, eye = (c1 + c2.scale(x)).transpose(), Matrix.identity(k)
+    pieces = []
+    for a, b in tops:
+        ker = kernel(casimir - eye.scale(a * (a + 2) + x * b * (b + 2)))
+        basis, cols = ker.rref()
+        d = basis.rows
+        psis = basis * phis.reindex(range(k), [j * k + f for j in range(n) for f in cols])
+        blocks = psis.transpose().reshape(n, d * d)
+        pieces.append(ActionTable(basis * table.reduced, (), blocks, table.coords))
+    if sum(piece.reduced.rows for piece in pieces) != k:
+        raise ArithmeticError("the Casimir eigenspaces do not add up to the span")
+    return tuple(pieces)
+
+
+def _highest_weights(diagonals) -> list[tuple]:
+    """The (a, b) with a copy of V_a (x) V_b, from the diagonal entries of the two H systems.
+
+    The rows of R are torus weight vectors, so both systems are diagonal
+    and row i has the weight (h1_ii, h2_ii).  A weight of V_a (x) V_b has
+    the form (a - 2i, b - 2j), so the copies with highest weight (a, b)
+    number N(a, b) - N(a+2, b) - N(a, b+2) + N(a+2, b+2), with N(w) the
+    multiplicity of the weight w.  Were the systems not diagonal, the
+    eigenspaces tried would miss forms, and the split would raise.
+    """
+    weights = Counter((x.re, y.re) for x, y in diagonals)
+    return sorted(
+        (a, b)
+        for a, b in weights
+        if a >= 0 and b >= 0
+        and weights[a, b] - weights[a + 2, b] - weights[a, b + 2] + weights[a + 2, b + 2] > 0
+    )
+
+
+def solve_invariant(elements, pieces) -> FormSpan:
+    """Forms A in the pieces' span with D^T A + A D = 0 for every element's D.
+
+    ``pieces`` are ActionTables over the same tangents whose spans add up
+    to the ambient, each mapped into itself by every tangent (or a single
+    table); ``elements`` holds one coordinate row per element, in those
+    tangents, lifted once for all pieces.  In a piece, an element acts as
+    the row c * blocks, read back as the system [Phi | E]^T of the table;
+    the combinations of R's rows that it kills are its kernel.  Each later
+    element acts on the kept combinations K R through the system times
+    K^T, and the kernel cuts K down; an empty kernel drops the piece.  One
+    reduced row echelon form of the kept rows of every piece at the end
+    makes the basis canonical, so the result does not depend on the order
+    or the basis of the elements, nor on the pieces.
+    """
+    lifted = Matrix(elements) if elements else None
+    kept = []
+    for table in pieces:
+        red = table.reduced
+        k = red.rows
+        width = k + len(table.residual)
+        keep = None  # the kept combinations K of the rows of R; all of them at first
+        systems = lifted * table.blocks if lifted is not None else Matrix.zero(0, 0)
+        for i in range(systems.rows):
+            row = systems.row(i)
+            if not row.nonzero_columns():
+                continue  # the element acts on the piece as zero and keeps it
+            system = row.reshape(width, k)
+            if keep is not None:
+                system = system * keep.transpose()
+            ker = kernel(system)
+            if not ker.rows:
+                break
+            keep = ker if keep is None else ker * keep
+        else:
+            kept.append(red if keep is None else keep * red)
+    coords = pieces[0].coords
+    if not kept:
+        return FormSpan((), coords=coords)
+    return FormSpan.row_space(Matrix.stack(kept), coords=coords)
 
 
 def span_stabilizer(span: FormSpan) -> list[LieElement]:
@@ -226,13 +315,19 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
     """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span."""
-    return solve_invariant([x.coordinates() for x in g], _full_action_table(ambient))
+    return solve_invariant([x.coordinates() for x in g], _full_pieces(ambient))
 
 
 @lru_cache(maxsize=8)
 def _full_action_table(ambient: FormSpan) -> ActionTable:
     """The ActionTable of FULL_BASIS on a span, built on its first query."""
     return action_table([d_rep(x) for x in FULL_BASIS], ambient)
+
+
+@lru_cache(maxsize=8)
+def _full_pieces(ambient: FormSpan) -> tuple[ActionTable, ...]:
+    """The isotypic pieces of a span's full ActionTable, split on its first solve."""
+    return isotypic_pieces(_full_action_table(ambient))
 
 
 def real_basis(space: FormSpan, i: int) -> FormSpan:

@@ -19,6 +19,8 @@ another way, or an input catalog the tests iterate over:
     Subalgebra, subalgebra_catalog       the classified subalgebras of sl2+sl2
     dense_combine_z, dense_combine_zi    the Bareiss row updates over every entry,
                                          zero or not
+    single_table_solve_invariant         the invariant-form solver on one ActionTable
+                                         of the whole span, without isotypic pieces
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
                                          rows of the span: one kernel of the
                                          transposed images per tangent
@@ -410,6 +412,29 @@ def subalgebra_catalog() -> list[tuple[str, Subalgebra]]:
 
 # ---------------------------------------------------------------------------
 # invariant forms, one basis form at a time
+
+
+def single_table_solve_invariant(elements, table):
+    """Forms A in the table's span with D^T A + A D = 0 for every element's D.
+
+    The whole span at once: each element's system c * blocks, times K^T for
+    the combinations K kept so far, and one kernel of the span's size per
+    element; an empty kernel ends the solve.
+    """
+    red = table.reduced
+    k = red.rows
+    width = k + len(table.residual)
+    keep = None
+    systems = Matrix(elements) * table.blocks if elements else Matrix.zero(0, 0)
+    for i in range(systems.rows):
+        system = systems.row(i).reshape(width, k)
+        if keep is not None:
+            system = system * keep.transpose()
+        ker = kernel(system)
+        if not ker.rows:
+            return FormSpan((), coords=table.coords)
+        keep = ker if keep is None else ker * keep
+    return FormSpan.row_space(red if keep is None else keep * red, coords=table.coords)
 
 
 def coefficient_row_solve_invariant(tangents, ambient):

@@ -764,6 +764,33 @@ def test_reshape_refills_the_entries_row_by_row(m, data):
         m.reshape(rows + 1, cols)
 
 
+def _canonical_row(m, i):
+    """Row i of m through the canonicalizing constructor."""
+    return Matrix._lifted(m._real, m._dens[i : i + 1], m._ints[i : i + 1], m.cols)
+
+
+@given(matrices())
+@settings(max_examples=50, deadline=None)
+def test_a_row_matches_the_canonicalized_row(m):
+    for i in range(m.rows):
+        row = m.row(i)
+        assert row == _canonical_row(m, i) == Matrix([m.entries()[i]])
+        assert hash(row) == hash(_canonical_row(m, i))
+        assert row.is_real == all(not x.im for x in m.entries()[i])
+
+
+def test_a_real_row_of_a_complex_matrix_is_real():
+    m = Matrix([["1/2", "3/4", 0], ["i", 1, "2/3"], [0, 0, 0]])
+    assert not m.is_real
+    for i, real in enumerate((True, False, True)):
+        row = m.row(i)
+        assert row == _canonical_row(m, i) == Matrix([m.entries()[i]])
+        assert hash(row) == hash(_canonical_row(m, i))
+        assert (row.is_real, row._dens, row.entries()) == (real, _canonical_row(m, i)._dens, m.entries()[i:i + 1])
+    assert (m.row(0)._dens, m.row(0)._ints) == ((4,), ((2, 3, 0),))
+    assert (m.row(2)._dens, m.row(2)._ints) == ((1,), ((0, 0, 0),))
+
+
 @given(matrices())
 @settings(max_examples=30, deadline=None)
 def test_nonzero_columns_are_the_columns_with_an_entry(m):

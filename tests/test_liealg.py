@@ -30,6 +30,7 @@ from celestial.liealg import (
     bracket,
     d_rep,
     invariant_forms,
+    isotypic_pieces,
     lie_sigma,
     real_basis,
     solve_invariant,
@@ -54,6 +55,7 @@ from oracles import (
     is_subalgebra,
     per_form_solve_invariant,
     per_form_span_stabilizer,
+    single_table_solve_invariant,
     span_contains,
     subalgebra_catalog,
 )
@@ -413,6 +415,119 @@ def test_the_family_span_leaves_a_residual_and_matches_the_references(name):
     _same_reduced_span(liealg.NAMED_ALGEBRAS[name], family)
 
 
+# ---------------------------------------------------------------------------
+# the isotypic pieces of I2 and the solver over them
+
+
+def _systems(piece):
+    """The d x d system of each basis tangent on a piece."""
+    d = piece.reduced.rows
+    return [piece.blocks.row(j).reshape(d, d) for j in range(len(FULL_BASIS))]
+
+
+def _casimir_eigenvalues(piece):
+    """(C1, C2) on the piece, each of which must be a multiple of the identity."""
+    t1, q1, s1, t2, q2, s2 = _systems(piece)
+    d = piece.reduced.rows
+    out = []
+    for t, q, s in ((t1, q1, s1), (t2, q2, s2)):
+        c = s * s + (t * q + q * t).scale(2)
+        value = c[0, 0]
+        assert c == Matrix.identity(d).scale(value)
+        out.append(int(value.re))
+    return tuple(out)
+
+
+def test_i2_splits_into_the_four_isotypic_pieces():
+    table = liealg._full_action_table(i2_segre())
+    pieces = isotypic_pieces(table)
+    found = sorted((_casimir_eigenvalues(p), p.reduced.rows) for p in pieces)
+    assert found == [((0, 0), 1), ((0, 24), 5), ((8, 8), 9), ((24, 0), 5)]
+    tangents = [d_rep(x) for x in FULL_BASIS]
+    for piece in pieces:
+        # the images of the piece's forms under the tangents themselves are
+        # its systems times its forms: nothing leaves the piece
+        assert (piece.residual, piece.coords) == ((), table.coords)
+        _check_the_split(piece, tangents)
+    whole = Matrix.stack(p.reduced for p in pieces)
+    assert whole.rref()[0] == i2_segre().coefficients.rref()[0]
+
+
+def test_a_span_the_basis_does_not_keep_is_one_piece():
+    table = liealg._full_action_table(forms.family_basis())
+    assert table.residual
+    assert isotypic_pieces(table) == (table,)
+
+
+def test_a_table_whose_casimir_eigenspaces_fall_short_raises():
+    table = liealg._full_action_table(i2_segre())
+    k = table.reduced.rows
+    rows = [table.blocks.row(j) for j in range(len(FULL_BASIS))]
+    rows[0] = Matrix.zero(1, k * k)  # without T1 the first Casimir is no longer central
+    broken = liealg.ActionTable(table.reduced, (), Matrix.stack(rows), table.coords)
+    with pytest.raises(ArithmeticError, match="do not add up"):
+        isotypic_pieces(broken)
+
+
+def _seeded_algebra(rng):
+    """1 to 3 elements with coordinates over Q(i), half of them zero, real or not."""
+    complex_entries = rng.random() < 0.5
+
+    def entry():
+        if rng.random() < 0.5:
+            return ZERO
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if complex_entries else Fraction(0)
+        return GaussianRational(re, im)
+
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        coords = [entry() for _ in FULL_BASIS]
+        out.append(sum((c * b for c, b in zip(coords, FULL_BASIS) if c), E))
+    return out
+
+
+def _same_as_the_single_table(elements, ambient):
+    new = invariant_forms(elements, ambient)
+    old = single_table_solve_invariant(
+        [x.coordinates() for x in elements], liealg._full_action_table(ambient)
+    )
+    assert new.coords == old.coords
+    assert new.coefficients == old.coefficients
+    return new
+
+
+def test_the_pieces_solve_like_the_single_table_on_seeded_subalgebras():
+    rng = random.Random(20190318)
+    # I2 and six of its binomials, a span that most elements map partly outside itself
+    ambient, sub_span = i2_segre(), FormSpan(i2_segre().basis[3:9])
+    sizes, complex_count, sub_sizes = [], 0, []
+    for n in range(320):
+        elements = _seeded_algebra(rng)
+        complex_count += any(not x.left.is_real or not x.right.is_real for x in elements)
+        sizes.append(len(_same_as_the_single_table(elements, ambient)))
+        if n % 8 == 0:
+            sub_sizes.append(len(_same_as_the_single_table(elements, sub_span)))
+        if n % 40 == 0:
+            _same_reduced_span(elements)
+    # real and complex elements; on I2 results from one form (every piece
+    # dropped but V0 (x) V0, which every element keeps) to all twenty, and
+    # on the sub-span empty results too
+    assert 0 < complex_count < 320
+    assert min(sizes) == 1 and max(sizes) == 20 and len(set(sizes)) > 4
+    assert 0 in sub_sizes and max(sub_sizes) > 0
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [[], *liealg.NAMED_ALGEBRAS.values(), [T1], [S1], [S1, T2], [E]],
+    ids=["empty", *liealg.NAMED_ALGEBRAS, "t1", "s1", "s1,t2", "zero"],
+)
+def test_the_pieces_solve_like_the_single_table_on_named_algebras(elements):
+    for ambient in (i2_segre(), forms.family_basis(), FormSpan(i2_segre().basis[3:9])):
+        _same_as_the_single_table(list(elements), ambient)
+
+
 _catalog_bases = st.sampled_from([algebra.basis for _, algebra in subalgebra_catalog()])
 
 
@@ -438,7 +553,8 @@ def test_an_empty_ambient_gets_an_action_table():
     table = action_table([d_rep(x) for x in FULL_BASIS], empty)
     assert (table.reduced.rows, table.reduced.cols, table.residual) == (0, 45, ())
     assert (table.blocks.rows, table.blocks.cols) == (6, 0)
-    out = solve_invariant([T1.coordinates()], table)
+    assert isotypic_pieces(table) == (table,)
+    out = solve_invariant([T1.coordinates()], (table,))
     assert (out.basis, out.coords) == ((), empty.coords)
 
 
@@ -472,7 +588,8 @@ def test_the_benchmark_set_up_builds_no_action_table():
         "exact.symmetric_images = lambda *args: calls.append(args) or images(*args)\n"
         + setup
         + "from celestial import liealg\n"
-        "print(len(calls), liealg._full_action_table.cache_info().currsize)\n"
+        "print(len(calls), liealg._full_action_table.cache_info().currsize,"
+        " liealg._full_pieces.cache_info().currsize)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -480,7 +597,7 @@ def test_the_benchmark_set_up_builds_no_action_table():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 def _counted(calls, f):
@@ -499,6 +616,7 @@ def test_a_new_algebra_reuses_the_action_table(monkeypatch):
     calls = []
     monkeypatch.setattr(liealg, "d_rep", _counted(calls, liealg.d_rep))
     monkeypatch.setattr(liealg, "symmetric_images", _counted(calls, liealg.symmetric_images))
+    monkeypatch.setattr(liealg, "isotypic_pieces", _counted(calls, liealg.isotypic_pieces))
     x = LieElement(
         Matrix([[gauss("2/7+i"), 3], [gauss("1/5"), gauss("-2/7-i")]]),
         Matrix([[1, gauss("3i")], [gauss("-4/9"), -1]]),
