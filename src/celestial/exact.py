@@ -111,10 +111,6 @@ class GaussianRational:
         """|z|^2, a nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def __str__(self) -> str:
         if not self.im:
             return str(self.re)
@@ -708,13 +704,14 @@ class Matrix:
 def symmetric_images(vecs: Matrix, d: Matrix) -> Matrix:
     """upper(D^T A + A D) for each row of ``vecs``, A the symmetric matrix with that upper triangle.
 
-    The map is linear in A.  The unit form at upper-triangle position (p, q)
-    puts row q of D in row p of AD and row p of D in row q, and entry (i, j)
-    of D^T A + A D is (AD)[i, j] + (AD)[j, i]; so each position sends each
-    nonzero entry of those rows of D to one position of the image, doubled
-    on the diagonal.  These terms are listed once per call, and each row of
-    ``vecs`` is one pass over its nonzero lifted Gaussian integers, over its
-    den times the common den of D.
+    The map is linear in A, so it is one product ``vecs * op`` with the
+    m x m matrix ``op`` of the map on upper triangles.  The unit form at
+    upper-triangle position (p, q) puts row q of D in row p of AD and row p
+    of D in row q, and entry (i, j) of D^T A + A D is (AD)[i, j] + (AD)[j, i];
+    so row (p, q) of ``op`` sends each nonzero entry of those rows of D to
+    one position of the image, doubled on the diagonal.  ``op`` is built
+    from the lifted integers of D over its common den, as ints when D is
+    real.
     """
     n, m = d.rows, vecs.cols
     if d.cols != n or m != n * (n + 1) // 2:
@@ -726,52 +723,29 @@ def symmetric_images(vecs: Matrix, d: Matrix) -> Matrix:
             index[i][j] = index[j][i] = pos
             pos += 1
     dm, dden = d._common()
-    drows = [
-        [(j, x) for j, x in enumerate(row) if x != (0, 0)]
-        for row in (_pairs(dm) if d._real else dm)
-    ]
-    terms = []  # per position of A: (image position, re, im) of each term
+    parts = (dm,) if d._real else tuple([[x[k] for x in row] for row in dm] for k in (0, 1))
+    zero = 0 if d._real else (0, 0)
+    nonzero = [[j for j, x in enumerate(row) if x != zero] for row in dm]
+    op = []
     for p in range(n):
         for q in range(p, n):
-            ts = []
+            accs = [[0] * m for _ in parts]
             for r, s in ((p, q), (q, p)) if p != q else ((p, p),):
-                for j, (xr, xi) in drows[s]:
+                for j in nonzero[s]:
                     f = 2 if r == j else 1
-                    ts.append((index[r][j], f * xr, f * xi))
-            terms.append(ts)
-    real = vecs._real and d._real
-    out = []
-    if real:
-        for row in vecs._ints:
-            acc = [0] * m
-            for a, ts in zip(row, terms):
-                if a:
-                    for t, x, _ in ts:
-                        acc[t] += a * x
-            out.append(acc)
-    else:
-        for row in _pairs(vecs._ints) if vecs._real else vecs._ints:
-            acc_re, acc_im = [0] * m, [0] * m
-            for (ar, ai), ts in zip(row, terms):
-                if ai:
-                    for t, xr, xi in ts:
-                        acc_re[t] += ar * xr - ai * xi
-                        acc_im[t] += ar * xi + ai * xr
-                elif ar:
-                    for t, xr, xi in ts:
-                        acc_re[t] += ar * xr
-                        acc_im[t] += ar * xi
-            out.append(list(zip(acc_re, acc_im)))
-    return Matrix._lifted(real, [den * dden for den in vecs._dens], out, m)
+                    for acc, part in zip(accs, parts):
+                        acc[index[r][j]] += f * part[s][j]
+            op.append(accs[0] if d._real else list(zip(*accs)))
+    return vecs * Matrix._lifted(d._real, [dden] * m, op, m)
 
 
 def kernel(m: Matrix) -> Matrix:
     """Exact basis of the right null space {v : m*v = 0}, one vector per row.
 
     Row k is 1 at the k-th free column, 0 at the other free ones, and minus
-    that column of the reduced row echelon form at the pivots.  All rows
-    share one denominator, the lcm of the pivot rows' (a trivial kernel has
-    no rows).
+    that column of the reduced row echelon form at the pivots.  Each row is
+    canonical on its own, over its own denominator (a trivial kernel has no
+    rows).
     """
     real = m._real
     rows, levels, pivots, _, _ = _eliminate(m._ints, m.cols, real, reduce=True)
@@ -792,19 +766,17 @@ def kernel(m: Matrix) -> Matrix:
 def solve(m: Matrix, rhs: Matrix):
     """One exact solution x of x*m = rhs (one row) as a tuple, or None if inconsistent.
 
-    The free unknowns are 0.
+    x*m = rhs exactly when (x, -1) lies in the kernel of [m; rhs]^T.  The
+    last column of that matrix is free exactly when the system is
+    consistent, and then the last kernel row is 1 there and 0 at the other
+    free columns: x is minus the rest of that row, with the free unknowns 0.
     """
     if (rhs.rows, rhs.cols) != (1, m.cols):
         raise ValueError("right-hand side must be one row as wide as the matrix")
-    aug = Matrix.stack([m, rhs]).transpose()
-    rows, levels, pivots, _, _ = _eliminate(aug._ints, aug.cols, aug._real, reduce=True)
-    if m.rows in pivots:
+    ker = kernel(Matrix.stack([m, rhs]).transpose())
+    if not ker.rows or not ker[ker.rows - 1, m.rows]:
         return None
-    dens, rows = _over(aug._real, [[row[m.rows]] for row in rows], levels)
-    x = [ZERO] * m.rows
-    for (value,), p in zip(_drop(aug._real, dens, rows), pivots):
-        x[p] = value
-    return tuple(x)
+    return tuple(-x for x in ker.entries()[-1][: m.rows])
 
 
 @dataclass(frozen=True, slots=True)
@@ -842,67 +814,55 @@ def _require_real_symmetric(a: Matrix) -> None:
         raise ValueError("matrix is not symmetric")
 
 
-def congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
-    """Exact congruence P^T * a * P = D with D diagonal and P invertible.
+def congruence_diagonalize(a: Matrix) -> Matrix:
+    """A diagonal D with P^T * a * P = D for some invertible integer P.
 
     Symmetric fraction-free elimination on the integer matrix den*a: each
     step replaces column and row j by (p*col_j - f*col_k) / prev, the
-    Bareiss update, so P stays integral and D[k, k] = prev * p / den, which
-    has the sign of the pivot p / prev of rational elimination.  A zero
-    diagonal pivot with a nonzero off-diagonal partner is repaired by the
-    classical e_k -> e_k + e_j substitution.  D is one diagonal form
-    congruent to a, not a canonical one.
+    Bareiss update, so D[k, k] = prev * p / den, which has the sign of the
+    pivot p / prev of rational elimination.  A zero diagonal pivot with a
+    nonzero off-diagonal partner is repaired by the classical
+    e_k -> e_k + e_j substitution.  P, the product of these column
+    operations, is not built.  D is one diagonal form congruent to a, not a
+    canonical one.
     """
     _require_real_symmetric(a)
     n = a.rows
     rows, den = a._common()
     w = [list(row) for row in rows]
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of P
     diag = []
     prev = 1
-
-    def add_col(dst, src):
-        # column op  col_dst += col_src  paired with the matching row op
-        for row in w:
-            row[dst] += row[src]
-        w[dst] = [x + y for x, y in zip(w[dst], w[src])]
-        cols[dst] = [x + y for x, y in zip(cols[dst], cols[src])]
-
-    def swap_cols(i, j):
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-        w[i], w[j] = w[j], w[i]
-        cols[i], cols[j] = cols[j], cols[i]
-
     for k in range(n):
         if not w[k][k]:
             j = next((j for j in range(k + 1, n) if w[j][j]), None)
-            if j is not None:
-                swap_cols(k, j)
+            if j is not None:  # swap columns and rows k and j
+                for row in w:
+                    row[k], row[j] = row[j], row[k]
+                w[k], w[j] = w[j], w[k]
             else:
                 j = next((j for j in range(k + 1, n) if w[k][j]), None)
                 if j is None:
                     diag.append(0)  # row/column already clear
                     continue
-                add_col(k, j)
+                for row in w:  # col_k += col_j, paired with row_k += row_j
+                    row[k] += row[j]
+                w[k] = [x + y for x, y in zip(w[k], w[j])]
         piv = w[k][k]
         diag.append(prev * piv)
-        lead, col_k = w[k], cols[k]
+        lead = w[k]
         for j in range(k + 1, n):
-            f = lead[j]
-            w[j] = _combine_z(piv, w[j], f, lead, prev, k + 1)
-            cols[j] = _combine_z(piv, cols[j], f, col_k, prev, 0)
+            w[j] = _combine_z(piv, w[j], lead[j], lead, prev, k + 1)
         prev = piv
 
     d = [[0] * n for _ in range(n)]
     for k, x in enumerate(diag):
         d[k][k] = x
-    return Matrix._lifted(True, [den] * n, d, n), Matrix._lifted(True, [1] * n, list(zip(*cols)), n)
+    return Matrix._lifted(True, [den] * n, d, n)
 
 
 def signature(a: Matrix) -> Signature:
     """Normalized inertia of a real symmetric matrix, via exact congruence."""
-    d, _ = congruence_diagonalize(a)
+    d = congruence_diagonalize(a)
     diag = [d._ints[i][i] for i in range(a.rows)]  # over positive denominators
     pos = sum(1 for x in diag if x > 0)
     neg = sum(1 for x in diag if x < 0)

@@ -187,6 +187,10 @@ def _sqrt2_congruence(form: QuadraticForm, t0: Matrix, t1: Matrix) -> QuadraticF
     return QuadraticForm(t0.transpose() * a * t0 + (t1.transpose() * a * t1).scale(2))
 
 
+# the y coordinates that the projections to the spindle and horn models omit
+SPINDLE_DROP = frozenset({5, 6, 7, 8})
+HORN_DROP = frozenset({1, 2, 5, 8})
+
 # the printed coordinate changes alpha = alpha0 + sqrt(2)*alpha1 of the
 # spindle model on (x0, x1, x2, x3, x4) and the horn model on (x0, x3, x4,
 # x6, x7), in that order; each is applied after mu_1
@@ -210,7 +214,7 @@ def cyclide_pipeline() -> tuple[FormSpan, FormSpan]:
     each resulting pencil must contain the 3-sphere form x0^2 - sum x_i^2.
     """
     spans = []
-    for drop, alpha in (({5, 6, 7, 8}, _SPINDLE_ALPHA), ({1, 2, 5, 8}, _HORN_ALPHA)):
+    for drop, alpha in ((SPINDLE_DROP, _SPINDLE_ALPHA), (HORN_DROP, _HORN_ALPHA)):
         y_span = toric_projection(drop)
         mu = mu_matrix(1, y_span.coords)
         t0, t1 = Matrix(alpha[0]) * mu, Matrix(alpha[1]) * mu

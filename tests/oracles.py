@@ -6,6 +6,12 @@ another way, or an input catalog the tests iterate over:
     lift                                 the lifted form of a matrix, entry by entry
     column_kernel, column_solve,         null spaces and solutions as one-column
     column_vector                        matrices, one lift per vector
+    term_symmetric_images                the images upper(D^T A + A D) accumulated
+                                         term by term, without the product
+    elimination_solve                    x*m = rhs read off its own elimination of
+                                         [m; rhs]^T, not off the kernel
+    certified_congruence_diagonalize     the congruence that also builds P with
+                                         P^T A P = D, its certificate
     QuadExt, spindle_point, horn_point   exact cyclide model points over
                                          Q(i, sqrt 2), the reference for the
                                          integer points of the stereographic check
@@ -44,7 +50,8 @@ from math import lcm
 
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
 from celestial.exact import kernel, symmetric_images
-from celestial.exact import _eliminate, _over, _pairs, _scaled
+from celestial.exact import _combine_z, _drop, _eliminate, _over, _pairs, _scaled
+from celestial.exact import _require_real_symmetric
 from celestial.geometry import NSClass
 from celestial.lattice import IntMatrix, LatticeType, _mat_mul
 from celestial.liealg import (
@@ -163,6 +170,140 @@ def column_solve(m: Matrix, rhs: Matrix):
     for row, q, p in zip(rows, levels, pivots):
         x[p], dens[p] = row[m.cols], q
     return _column(real, x, dens)
+
+
+# ---------------------------------------------------------------------------
+# the exact core's own loops, before it read them off the shared product and kernel
+
+
+def term_symmetric_images(vecs: Matrix, d: Matrix) -> Matrix:
+    """upper(D^T A + A D) for each row of ``vecs``, accumulated term by term.
+
+    Each upper-triangle position of A sends each nonzero entry of two rows of
+    D to one position of the image, doubled on the diagonal; each row of
+    ``vecs`` is one pass over its nonzero lifted Gaussian integers, over its
+    den times the common den of D.
+    """
+    n, m = d.rows, vecs.cols
+    if d.cols != n or m != n * (n + 1) // 2:
+        raise ValueError("shape mismatch")
+    index = [[0] * n for _ in range(n)]
+    pos = 0
+    for i in range(n):
+        for j in range(i, n):
+            index[i][j] = index[j][i] = pos
+            pos += 1
+    dm, dden = d._common()
+    drows = [
+        [(j, x) for j, x in enumerate(row) if x != (0, 0)]
+        for row in (_pairs(dm) if d._real else dm)
+    ]
+    terms = []  # per position of A: (image position, re, im) of each term
+    for p in range(n):
+        for q in range(p, n):
+            ts = []
+            for r, s in ((p, q), (q, p)) if p != q else ((p, p),):
+                for j, (xr, xi) in drows[s]:
+                    f = 2 if r == j else 1
+                    ts.append((index[r][j], f * xr, f * xi))
+            terms.append(ts)
+    real = vecs._real and d._real
+    out = []
+    if real:
+        for row in vecs._ints:
+            acc = [0] * m
+            for a, ts in zip(row, terms):
+                if a:
+                    for t, x, _ in ts:
+                        acc[t] += a * x
+            out.append(acc)
+    else:
+        for row in _pairs(vecs._ints) if vecs._real else vecs._ints:
+            acc_re, acc_im = [0] * m, [0] * m
+            for (ar, ai), ts in zip(row, terms):
+                if ai:
+                    for t, xr, xi in ts:
+                        acc_re[t] += ar * xr - ai * xi
+                        acc_im[t] += ar * xi + ai * xr
+                elif ar:
+                    for t, xr, xi in ts:
+                        acc_re[t] += ar * xr
+                        acc_im[t] += ar * xi
+            out.append(list(zip(acc_re, acc_im)))
+    return Matrix._lifted(real, [den * dden for den in vecs._dens], out, m)
+
+
+def elimination_solve(m: Matrix, rhs: Matrix):
+    """One exact solution x of x*m = rhs (one row) as a tuple, or None if inconsistent.
+
+    Read off the pivot rows of the eliminated [m; rhs]^T; the free unknowns are 0.
+    """
+    if (rhs.rows, rhs.cols) != (1, m.cols):
+        raise ValueError("right-hand side must be one row as wide as the matrix")
+    aug = Matrix.stack([m, rhs]).transpose()
+    rows, levels, pivots, _, _ = _eliminate(aug._ints, aug.cols, aug._real, reduce=True)
+    if m.rows in pivots:
+        return None
+    dens, rows = _over(aug._real, [[row[m.rows]] for row in rows], levels)
+    x = [ZERO] * m.rows
+    for (value,), p in zip(_drop(aug._real, dens, rows), pivots):
+        x[p] = value
+    return tuple(x)
+
+
+def certified_congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
+    """Exact congruence P^T * a * P = D with D diagonal and P invertible.
+
+    The same symmetric fraction-free elimination as
+    ``exact.congruence_diagonalize``, with the columns of P carried along:
+    each step applies the Bareiss update to them too, and the zero-pivot
+    repairs swap or add them beside the matrix.
+    """
+    _require_real_symmetric(a)
+    n = a.rows
+    rows, den = a._common()
+    w = [list(row) for row in rows]
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of P
+    diag = []
+    prev = 1
+
+    def add_col(dst, src):
+        # column op  col_dst += col_src  paired with the matching row op
+        for row in w:
+            row[dst] += row[src]
+        w[dst] = [x + y for x, y in zip(w[dst], w[src])]
+        cols[dst] = [x + y for x, y in zip(cols[dst], cols[src])]
+
+    def swap_cols(i, j):
+        for row in w:
+            row[i], row[j] = row[j], row[i]
+        w[i], w[j] = w[j], w[i]
+        cols[i], cols[j] = cols[j], cols[i]
+
+    for k in range(n):
+        if not w[k][k]:
+            j = next((j for j in range(k + 1, n) if w[j][j]), None)
+            if j is not None:
+                swap_cols(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if w[k][j]), None)
+                if j is None:
+                    diag.append(0)  # row/column already clear
+                    continue
+                add_col(k, j)
+        piv = w[k][k]
+        diag.append(prev * piv)
+        lead, col_k = w[k], cols[k]
+        for j in range(k + 1, n):
+            f = lead[j]
+            w[j] = _combine_z(piv, w[j], f, lead, prev, k + 1)
+            cols[j] = _combine_z(piv, cols[j], f, col_k, prev, 0)
+        prev = piv
+
+    d = [[0] * n for _ in range(n)]
+    for k, x in enumerate(diag):
+        d[k][k] = x
+    return Matrix._lifted(True, [den] * n, d, n), Matrix._lifted(True, [1] * n, list(zip(*cols)), n)
 
 
 # ---------------------------------------------------------------------------

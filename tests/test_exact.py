@@ -27,12 +27,15 @@ from celestial.exact import (
 )
 from celestial.exact import _combine_z, _combine_zi, _lift
 from oracles import (
+    certified_congruence_diagonalize,
     column_kernel,
     column_solve,
     column_vector,
     dense_combine_z,
     dense_combine_zi,
+    elimination_solve,
     lift,
+    term_symmetric_images,
 )
 
 small_fractions = st.fractions(
@@ -95,18 +98,27 @@ def test_solve_membership():
     assert solve(m, Matrix([[0, 1]])) is None
 
 
+def _certified(a):
+    """The D of ``congruence_diagonalize``, checked against the oracle that also builds P."""
+    d = congruence_diagonalize(a)
+    expected, p = certified_congruence_diagonalize(a)
+    assert d == expected
+    assert p.transpose() * a * p == d
+    assert p.det()
+    return d, p
+
+
 def test_congruence_diagonal_input():
     a = Matrix([[1, 0], [0, -1]])
-    d, p = congruence_diagonalize(a)
+    d, p = _certified(a)
     assert d == a
     assert p == Matrix.identity(2)
 
 
 def test_congruence_hyperbolic_plane():
+    # no nonzero diagonal entry: the first step takes the e_k += e_j repair
     a = Matrix([[0, 1], [1, 0]])
-    d, p = congruence_diagonalize(a)
-    assert p.transpose() * a * p == d
-    assert p.det()
+    d, _ = _certified(a)
     entries = [d[i, i].re for i in range(2)]
     assert sum(1 for x in entries if x > 0) == 1
     assert sum(1 for x in entries if x < 0) == 1
@@ -125,9 +137,7 @@ def _veronese_invariant_matrix():
 
 def test_congruence_six_dimensional_example():
     a = _veronese_invariant_matrix()
-    d, p = congruence_diagonalize(a)
-    assert p.transpose() * a * p == d
-    assert p.det()
+    d, _ = _certified(a)
     entries = [d[i, i].re for i in range(6)]
     counts = (
         sum(1 for x in entries if x > 0),
@@ -395,6 +405,39 @@ def test_solve_is_the_column_solve_of_the_transpose(m, data):
     assert solve(m, rhs) == (None if old is None else column_vector(old))
 
 
+@st.composite
+def solve_problems(draw):
+    """(m, rhs): a random rhs (often inconsistent), a consistent one x*m, or an empty m."""
+    kind = draw(st.sampled_from(("random", "consistent", "empty")))
+    if kind == "empty":
+        cols = draw(st.integers(1, 6))
+        rhs = draw(st.one_of(st.just(Matrix.zero(1, cols)), matrices(rows=1, cols=cols)))
+        return Matrix.zero(0, cols), rhs
+    m = draw(matrices())
+    if kind == "consistent":
+        return m, draw(matrices(rows=1, cols=m.rows)) * m
+    return m, draw(matrices(rows=1, cols=m.cols))
+
+
+@given(solve_problems())
+@settings(deadline=None)
+def test_solve_matches_the_elimination_oracle(problem):
+    m, rhs = problem
+    x = solve(m, rhs)
+    assert x == elimination_solve(m, rhs)
+    if x is not None:
+        assert Matrix([x]) * m == rhs
+
+
+def test_solve_of_an_inconsistent_system_and_an_empty_matrix():
+    m = Matrix([[1, "i", 0], [2, "2i", 0]])
+    for rhs, expected in (([[0, 0, 1]], None), ([[1, "i", 1]], None), ([[3, "3i", 0]], (gauss(3), ZERO))):
+        assert solve(m, Matrix(rhs)) == elimination_solve(m, Matrix(rhs)) == expected
+    empty = Matrix.zero(0, 3)
+    assert solve(empty, Matrix.zero(1, 3)) == elimination_solve(empty, Matrix.zero(1, 3)) == ()
+    assert solve(empty, Matrix([[0, "i", 0]])) is elimination_solve(empty, Matrix([[0, "i", 0]])) is None
+
+
 @given(square_matrices())
 @settings(deadline=None)
 def test_det_matches_the_fraction_oracle(m):
@@ -411,10 +454,32 @@ def test_product_matches_the_fraction_oracle(a, data):
 @given(symmetric_matrices())
 @settings(deadline=None)
 def test_congruence_keeps_the_oracle_signs(a):
-    d, p = congruence_diagonalize(a)
-    assert p.transpose() * a * p == d
-    assert p.det()
+    d, _ = _certified(a)
     assert all(not d[i, j] for i in range(a.rows) for j in range(a.cols) if i != j)
+    assert [_sign(d[i, i].re) for i in range(a.rows)] == [
+        _sign(x) for x in oracle_congruence_diagonal(a.entries())
+    ]
+
+
+@st.composite
+def singular_zero_diagonal_forms(draw):
+    """A symmetric form with a zero diagonal and one row and column repeated.
+
+    It is singular, and its first pivot can only come from the e_k += e_j
+    repair (or it is zero).
+    """
+    rows = [list(row) for row in draw(symmetric_matrices(zero_diagonal=True)).entries()]
+    i = draw(st.integers(0, len(rows) - 1))
+    rows = [row + [row[i]] for row in rows]
+    rows.append(list(rows[i]))
+    return Matrix(rows)
+
+
+@given(singular_zero_diagonal_forms())
+@settings(deadline=None)
+def test_congruence_of_singular_forms_matches_the_certified_oracle(a):
+    d, _ = _certified(a)
+    assert signature(a).zero >= 1
     assert [_sign(d[i, i].re) for i in range(a.rows)] == [
         _sign(x) for x in oracle_congruence_diagonal(a.entries())
     ]
@@ -499,7 +564,7 @@ def test_operation_chains_match_the_fraction_oracle(m, ops, data):
     # the lifted form is canonical: rebuilding from the entries gives an equal matrix
     rebuilt = Matrix(expected)
     assert m == rebuilt and hash(m) == hash(rebuilt)
-    assert m.is_real == all(x.is_real for row in expected for x in row)
+    assert m.is_real == all(not x.im for row in expected for x in row)
 
 
 def _check_against_the_oracle(m):
@@ -649,7 +714,7 @@ def tangent_problems(draw):
 @settings(max_examples=60, deadline=None)
 def test_symmetric_images_match_the_matrix_products(problem):
     vecs, d = problem
-    assert symmetric_images(vecs, d) == _images_by_products(vecs, d)
+    assert symmetric_images(vecs, d) == _images_by_products(vecs, d) == term_symmetric_images(vecs, d)
 
 
 def _sympy_parts(m):
@@ -687,9 +752,10 @@ def test_symmetric_images_of_zero_rows_and_a_zero_tangent(n, real):
     d = Matrix([[c * (i - 2 * j) if (i + j) % 3 else ZERO for j in range(n)] for i in range(n)])
     vecs = Matrix([[ZERO] * m, [c * (k % 4 - 1) for k in range(m)], [ZERO] * m])
     out = symmetric_images(vecs, d)
-    assert out == _images_by_products(vecs, d)
+    assert out == _images_by_products(vecs, d) == term_symmetric_images(vecs, d)
     assert not any(out.entries()[0]) and not any(out.entries()[2]) and any(out.entries()[1])
-    assert symmetric_images(vecs, Matrix.zero(n, n)) == Matrix.zero(3, m)
+    zero = Matrix.zero(n, n)
+    assert symmetric_images(vecs, zero) == term_symmetric_images(vecs, zero) == Matrix.zero(3, m)
 
 
 def test_symmetric_images_check_the_shapes():
