@@ -127,8 +127,10 @@ class GaussianRational:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty Gaussian rational")
-        # split into signed terms
+        # split into signed terms, which must cover the text: no stray sign
         terms = re.findall(r"[+-]?[^+-]+", s)
+        if "".join(terms) != s:
+            raise ValueError(f"cannot parse {text!r} as a Gaussian rational")
         re_part = Fraction(0)
         im_part = Fraction(0)
         for term in terms:

@@ -58,8 +58,8 @@ class FamilyCoeffs:
 # the four generators y0^2 - y_i y_{i+1}, i = 1, 3, 5, 7, in that order
 @lru_cache(maxsize=1)
 def family_basis() -> FormSpan:
-    span = i2_segre()
-    return FormSpan(span.basis[:4])
+    i2 = i2_segre()
+    return FormSpan.from_rows(Matrix.stack(i2.coefficients.row(i) for i in range(4)), coords=i2.coords)
 
 
 def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:

@@ -289,10 +289,8 @@ def solve_invariant(elements, pieces) -> FormSpan:
             keep = ker if keep is None else ker * keep
         else:
             kept.append(red if keep is None else keep * red)
-    coords = pieces[0].coords
-    if not kept:
-        return FormSpan((), coords=coords)
-    return FormSpan.row_space(Matrix.stack(kept), coords=coords)
+    width = pieces[0].reduced.cols
+    return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
 
 
 def span_stabilizer(span: FormSpan) -> list[LieElement]:
@@ -337,15 +335,10 @@ def real_basis(space: FormSpan, i: int) -> FormSpan:
     of the fixed real form, whose real dimension equals the complex
     dimension of the input.
     """
-    k = len(space.basis)
-    if k == 0:
-        return space
-    images = []
-    for q in space.basis:
-        coeffs = space.coordinates_of(apply_sigma(i, q))
-        if coeffs is None:
-            raise ValueError("span is not closed under the sigma action")
-        images.append(coeffs)
+    k = len(space)
+    images = [space.coordinates_of(apply_sigma(i, q)) for q in space.basis]
+    if None in images:
+        raise ValueError("span is not closed under the sigma action")
     # fixed vectors c = M conj(c); split into real and imaginary parts
     mr = [[images[j][r].re for j in range(k)] for r in range(k)]
     mi = [[images[j][r].im for j in range(k)] for r in range(k)]
@@ -356,14 +349,14 @@ def real_basis(space: FormSpan, i: int) -> FormSpan:
         [mi[r][j] for j in range(k)] + [-mr[r][j] - (1 if r == j else 0) for j in range(k)]
         for r in range(k)
     ]
-    forms = []
-    for vec in kernel(Matrix(big)).entries():
-        coeffs = [GaussianRational(vec[j].re, vec[k + j].re) for j in range(k)]
-        forms.append(space.combination(coeffs))
+    rows = [
+        [GaussianRational(vec[j].re, vec[k + j].re) for j in range(k)]
+        for vec in kernel(Matrix(big)).entries()
+    ]
     # no echelon normalization here: rescaling by complex units would break
     # the fixedness under the antilinear action that this basis certifies
-    out = FormSpan(tuple(forms), coords=space.coords)
-    if len(out.basis) != k:
+    out = FormSpan(space.combinations(rows) if rows else (), coords=space.coords)
+    if len(out) != k:
         raise ValueError("fixed locus has unexpected dimension")
     return out
 

@@ -195,4 +195,7 @@ def load_projection(path: str) -> list[list[float]]:
                 rows.append([float(tok) for tok in line.replace(",", " ").split()])
     if len(rows) != 3:
         raise ValueError("projection file must contain exactly 3 rows")
+    bad = next((x for row in rows for x in row if not math.isfinite(x)), None)
+    if bad is not None:
+        raise ValueError(f"projection entries must be finite numbers, got {bad}")
     return rows

@@ -9,7 +9,9 @@ the frozen coordinate order, the 20-dimensional space of quadrics through
 the surface, the four standard antiholomorphic involutions sigma_i with
 their companion coordinate changes mu_i into real frames, the symmetric
 square representation of 2x2 matrix pairs on P^8, and toric projections
-onto smaller coordinate subsets.
+onto smaller coordinate subsets.  A span of quadrics (``FormSpan``) is
+held as the coefficient rows of its forms, which the toric spans fill
+straight from their lattice points.
 """
 
 from __future__ import annotations
@@ -103,66 +105,70 @@ class QuadraticForm:
         return QuadraticForm(self.matrix.scale(c))
 
 
+def _upper_row(terms, dim: int) -> list[GaussianRational]:
+    """The upper triangle, row by row, of sum c * y_a y_b over ((a, b), c) items."""
+    row = [ZERO] * (dim * (dim + 1) // 2)
+    for (a, b), c in terms:
+        a, b = sorted((a, b))
+        row[a * dim - a * (a - 1) // 2 + b - a] += gauss(c) if a == b else gauss(c) / 2
+    return row
+
+
 def form_from_pairs(terms, dim: int) -> QuadraticForm:
     """Build sum of c * y_a y_b from ((a, b), c) items."""
-    m = [[ZERO] * dim for _ in range(dim)]
-    for (a, b), c in terms:
-        c = gauss(c)
-        if a == b:
-            m[a][a] = m[a][a] + c
-        else:
-            half = c / gauss(2)
-            m[a][b] = m[a][b] + half
-            m[b][a] = m[b][a] + half
-    return QuadraticForm(Matrix(m))
+    return QuadraticForm(Matrix.symmetric(Matrix([_upper_row(terms, dim)])))
 
 
-@dataclass(frozen=True, eq=False)
 class FormSpan:
     """A linearly independent list of quadratic forms on the same coordinates.
 
-    ``coords`` (keyword-only) labels those coordinates by their indices
-    among the nine of P^8.  Spans compare with ``equals``; ``==`` and
-    ``hash`` go by identity, so a span is a cheap cache key.
+    The span is held as ``coefficients``, one independent row per form (its
+    upper triangle, row by row); ``basis``, the forms, is built from the rows
+    on first read.  ``FormSpan(forms)`` checks the rank of the forms' rows;
+    ``from_rows`` takes rows independent by construction and checks nothing.
+    ``coords`` (keyword-only) labels the coordinates by their indices among
+    the nine of P^8.  Spans compare with ``equals``; ``==`` and ``hash`` go
+    by identity, so a span is a cheap cache key.
     """
 
-    basis: tuple[QuadraticForm, ...]
-    coords: tuple[int, ...] = field(default=None, kw_only=True)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.coords is None:
-            dim = self.basis[0].dim if self.basis else 0
-            object.__setattr__(self, "coords", tuple(range(dim)))
-        if self.basis and self.coefficients.rank() != len(self.basis):
+    def __init__(self, forms, *, coords=None):
+        forms = tuple(forms)
+        n = forms[0].dim if forms else len(coords or ())
+        self.coords = tuple(range(n) if coords is None else coords)
+        if len(self.coords) != n:
+            raise ValueError("coords do not match the size of the forms")
+        rows = (q.matrix.upper() for q in forms)
+        self.coefficients = Matrix.stack([Matrix.zero(0, n * (n + 1) // 2), *rows])
+        if self.coefficients.rank() != len(forms):
             raise ValueError("form span basis is linearly dependent")
+        self.basis = forms
+
+    @classmethod
+    def from_rows(cls, coeffs: Matrix, *, coords) -> "FormSpan":
+        """The span whose ``coefficients`` are ``coeffs``, rows the caller knows independent."""
+        span = cls.__new__(cls)
+        span.coefficients, span.coords = coeffs, tuple(coords)
+        return span
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return self.coefficients.rows
 
     @property
     def dim(self) -> int:
-        return self.basis[0].dim if self.basis else len(self.coords)
+        return len(self.coords)
 
     @cached_property
-    def coefficients(self) -> Matrix:
-        """The coefficient vectors of the basis forms, one row per form.
-
-        An empty span has no rows, and still one column per upper-triangle entry.
-        """
-        if not self.basis:
-            n = len(self.coords)
-            return Matrix.zero(0, n * (n + 1) // 2)
-        return Matrix.stack(q.matrix.upper() for q in self.basis)
+    def basis(self) -> tuple[QuadraticForm, ...]:
+        return self._forms(self.coefficients)
 
     @staticmethod
-    def _forms(coeffs: Matrix, count: int) -> list[QuadraticForm]:
-        """The forms whose upper-triangle coefficient vectors are the first rows."""
-        return [QuadraticForm(Matrix.symmetric(coeffs.row(i))) for i in range(count)]
+    def _forms(coeffs: Matrix) -> tuple[QuadraticForm, ...]:
+        """The forms whose upper-triangle coefficient vectors are the rows."""
+        return tuple(QuadraticForm(Matrix.symmetric(coeffs.row(i))) for i in range(coeffs.rows))
 
-    def combinations(self, rows) -> list[QuadraticForm]:
+    def combinations(self, rows) -> tuple[QuadraticForm, ...]:
         """The forms sum_k row[k] * basis[k], one per coefficient row, in one product."""
-        coeffs = Matrix(rows) * self.coefficients
-        return self._forms(coeffs, coeffs.rows)
+        return self._forms(Matrix(rows) * self.coefficients)
 
     def combination(self, coeffs) -> QuadraticForm:
         """The form sum_k coeffs[k] * basis[k]."""
@@ -173,10 +179,7 @@ class FormSpan:
 
     def coordinates_of(self, q: QuadraticForm):
         """Coefficients of q in this basis, or None if outside the span."""
-        vec = q.matrix.upper()
-        if not self.basis:
-            return None if any(vec.entries()[0]) else ()
-        return solve(self.coefficients, vec)
+        return solve(self.coefficients, q.matrix.upper())
 
     @classmethod
     def row_space(cls, coeffs: Matrix, *, coords) -> "FormSpan":
@@ -186,10 +189,10 @@ class FormSpan:
         form, so two matrices with the same row space give the same span.
         """
         red, pivots = coeffs.rref()
-        return cls(tuple(cls._forms(red, len(pivots))), coords=coords)
+        return cls.from_rows(red.reindex(range(len(pivots)), range(red.cols)), coords=coords)
 
     def equals(self, other: "FormSpan") -> bool:
-        if len(self.basis) != len(other.basis) or self.dim != other.dim:
+        if len(self) != len(other) or self.dim != other.dim:
             return False
         return self.coefficients.rref()[0] == other.coefficients.rref()[0]
 
@@ -221,8 +224,11 @@ def toric_quadrics(param: MonomialParam) -> FormSpan:
         raise ValueError("lattice points span a degenerate (1-dimensional) parametrization")
     fibers = _sum_fibers(points).values()
     edges = sorted((pairs[0], leaf) for pairs in fibers for leaf in pairs[1:])
-    basis = tuple(form_from_pairs([(root, 1), (leaf, -1)], len(points)) for root, leaf in edges)
-    return FormSpan(basis, coords=param.coords)
+    # each leaf lies in one fiber and is never a root, so its monomial is in
+    # its own row alone: the rows are independent by construction
+    n = len(points)
+    rows = (Matrix([_upper_row([(root, 1), (leaf, -1)], n)]) for root, leaf in edges)
+    return FormSpan.from_rows(Matrix.stack([Matrix.zero(0, n * (n + 1) // 2), *rows]), coords=param.coords)
 
 
 @lru_cache(maxsize=1)

@@ -15,6 +15,15 @@ another way, or an input catalog the tests iterate over:
     QuadExt, spindle_point, horn_point   exact cyclide model points over
                                          Q(i, sqrt 2), the reference for the
                                          integer points of the stereographic check
+    pair_form                            a form sum c * y_a y_b, each term added
+                                         into an n x n list of entries
+    toric_forms, checked_rows            the binomial forms of a toric surface, one
+                                         pair_form each, and the stack of the
+                                         forms' upper triangles with its rank
+                                         checked: a span built from its forms
+    entrywise_forms, loop_real_basis     the forms of coefficient rows filled entry
+                                         by entry, and the fixed forms of sigma_i
+                                         made one combination at a time
     evaluate, eval_lift                  a quadratic form at a point, and the
                                          bidegree-(2,2) lift of a torus point
     evaluation_nullity                   the dimension of the degree-2 ideal of a
@@ -67,7 +76,7 @@ from celestial.liealg import (
     bracket,
     d_rep,
 )
-from celestial.segre import FormSpan
+from celestial.segre import FormSpan, QuadraticForm, _sum_fibers, apply_sigma
 
 # ---------------------------------------------------------------------------
 # the lifted form
@@ -389,6 +398,82 @@ def horn_point(t: Fraction, u: Fraction):
         QuadExt(gauss(im / u)),
         QuadExt(gauss(re / u)),
     )
+
+
+# ---------------------------------------------------------------------------
+# quadric spans built from their forms
+
+
+def pair_form(terms, dim: int) -> QuadraticForm:
+    """Build sum of c * y_a y_b from ((a, b), c) items, adding into a dim x dim list."""
+    m = [[ZERO] * dim for _ in range(dim)]
+    for (a, b), c in terms:
+        c = gauss(c)
+        if a == b:
+            m[a][a] = m[a][a] + c
+        else:
+            half = c / gauss(2)
+            m[a][b] = m[a][b] + half
+            m[b][a] = m[b][a] + half
+    return QuadraticForm(Matrix(m))
+
+
+def toric_forms(param) -> tuple[QuadraticForm, ...]:
+    """The binomials root - leaf of every fiber of the sum map, sorted by (root, leaf)."""
+    fibers = _sum_fibers(param.exponents).values()
+    edges = sorted((pairs[0], leaf) for pairs in fibers for leaf in pairs[1:])
+    return tuple(pair_form([(root, 1), (leaf, -1)], len(param)) for root, leaf in edges)
+
+
+def checked_rows(forms, dim: int) -> Matrix:
+    """The upper triangles of the forms, one row each, checked independent by the rank."""
+    rows = Matrix.stack([Matrix.zero(0, dim * (dim + 1) // 2), *(q.matrix.upper() for q in forms)])
+    if rows.rank() != len(forms):
+        raise ValueError("the forms are linearly dependent")
+    return rows
+
+
+def entrywise_forms(coeffs: Matrix, dim: int) -> tuple[QuadraticForm, ...]:
+    """The forms whose upper triangles, row by row, are the rows, filled entry by entry."""
+    out = []
+    for row in coeffs.entries():
+        m = [[ZERO] * dim for _ in range(dim)]
+        it = iter(row)
+        for a in range(dim):
+            for b in range(a, dim):
+                m[a][b] = m[b][a] = next(it)
+        out.append(QuadraticForm(Matrix(m)))
+    return tuple(out)
+
+
+def loop_real_basis(space, i: int) -> tuple[QuadraticForm, ...]:
+    """The fixed forms of sigma_i on a span closed under it, one combination at a time.
+
+    c is fixed when c = M conj(c), for M the coordinates of the sigma_i
+    images of the basis; the real and imaginary parts of c make that a real
+    kernel, and each kernel vector gives the form sum_k c_k * basis[k],
+    summed matrix by matrix.
+    """
+    k = len(space.basis)
+    images = [space.coordinates_of(apply_sigma(i, q)) for q in space.basis]
+    if None in images:
+        raise ValueError("span is not closed under the sigma action")
+    mr = [[images[j][r].re for j in range(k)] for r in range(k)]
+    mi = [[images[j][r].im for j in range(k)] for r in range(k)]
+    big = [
+        [mr[r][j] - (r == j) for j in range(k)] + [mi[r][j] for j in range(k)] for r in range(k)
+    ] + [
+        [mi[r][j] for j in range(k)] + [-mr[r][j] - (r == j) for j in range(k)] for r in range(k)
+    ]
+    out = []
+    for vec in kernel(Matrix(big)).entries() if k else ():
+        total = Matrix.zero(space.dim, space.dim)
+        for j, q in enumerate(space.basis):
+            c = GaussianRational(vec[j].re, vec[k + j].re)
+            if c:
+                total = total + q.matrix.scale(c)
+        out.append(QuadraticForm(total))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,6 +223,7 @@ _PAIR = [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
         ("segre", {"elements": [[[[1.5, 0], [0, 0]], [[0, 0], [0, 0]]]]}),
         ("segre", {"elements": [[[["1/0", 0], [0, 0]], [[0, 0], [0, 0]]]]}),
         ("segre", {"elements": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]]]}),
+        ("segre", {"elements": [[[["0", "1-+2"], ["0", "0"]], [[0, 0], [0, 0]]]]}),
         ("segre", {"elements": [_PAIR[0]]}),
         ("segre", {"elements": [[_PAIR[0], _PAIR[1][:1]]]}),
         ("veronese", {"x": 1}),
@@ -231,7 +235,7 @@ _PAIR = [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
     ],
     ids=[
         "no-elements", "not-an-object", "elements-not-a-list", "element-not-a-pair",
-        "float-entry", "zero-denominator", "bool-entry", "lone-matrix", "short-row",
+        "float-entry", "zero-denominator", "bool-entry", "stray-sign", "lone-matrix", "short-row",
         "veronese-no-elements", "veronese-element-not-a-matrix", "veronese-2x3",
         "veronese-3x2", "veronese-float-entry", "veronese-segre-pair",
     ],
@@ -244,7 +248,20 @@ def test_malformed_algebra_file_exits_2_with_one_line(tmp_path, capsys, ambient,
     _one_line_error(capsys)
 
 
-_VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_seed0.json"
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+def test_a_non_finite_projection_entry_exits_2_with_one_line(tmp_path, capsys, entry):
+    proj = tmp_path / "proj.txt"
+    proj.write_text(f"1 0 0 0\n0 1 0 0\n0 0 1 {entry}\n")
+    out_csv = tmp_path / "ring.csv"
+    code = main(["sample", "--surface", "ring", "--resolution", "3",
+                 "--proj", str(proj), "--out", str(out_csv)])
+    assert code == 2
+    assert "must be finite" in _one_line_error(capsys)
+    assert not out_csv.exists()
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_VERIFY_REFERENCE = _ROOT / "bench" / "reference" / "verify_seed0.json"
 
 
 def test_full_verify_json_matches_the_reference_bytes(capsys):
@@ -392,3 +409,44 @@ def test_invariant_forms_output_matches_the_recorded_bytes(capsys, case):
     stdout = (_INVARIANT_FORMS_REFERENCE / case["stdout"]).read_text() if case["stdout"] else ""
     assert (code, captured.err) == (case["code"], case["stderr"])
     assert captured.out == stdout
+
+
+_CERTIFY_FROM_ROWS = """
+import contextlib, io, json, sys
+from celestial import cli, verify
+from celestial.segre import FormSpan
+
+built, from_rows = [], FormSpan.from_rows.__func__
+
+
+def recording(cls, coeffs, *, coords):
+    built.append(coeffs)
+    return from_rows(cls, coeffs, coords=coords)
+
+
+FormSpan.from_rows = classmethod(recording)
+ok = all(r.ok for r in verify.run_checks())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"ok": ok, "codes": codes, "spans": [[c.rank(), c.rows] for c in built]}))
+"""
+
+
+def test_every_span_built_from_rows_has_full_row_rank():
+    # FormSpan.from_rows checks no rank, so certify it on every span that verify
+    # and the recorded invariant-forms cases build; a fresh process, so that the
+    # cached toric spans are built under the wrapper too
+    cases = [_resolved(case["argv"]) for case in _INVARIANT_FORMS_CASES]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_FROM_ROWS, json.dumps(cases)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["ok"] and report["codes"] == [case["code"] for case in _INVARIANT_FORMS_CASES]
+    sizes = {rows for _, rows in report["spans"]}
+    # I2, the Veronese quadrics, the family span and the empty sl3 solve among them
+    assert {20, 6, 4, 0} <= sizes
+    assert all(rank == rows for rank, rows in report["spans"])

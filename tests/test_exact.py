@@ -71,8 +71,13 @@ def test_parse_round_trips():
     for text in ("0", "-3", "1/2", "i", "-i", "2i", "1+2i", "1/2-3/4i"):
         z = GaussianRational.parse(text)
         assert GaussianRational.parse(str(z)) == z
-    with pytest.raises(ValueError):
-        GaussianRational.parse("elephant")
+    half = Fraction(1, 2)
+    for text, value in ((" 1 - i ", (1, -1)), ("-1/2+i", (-half, 1)), ("+i", (0, 1))):
+        assert GaussianRational.parse(text) == GaussianRational(*map(Fraction, value))
+    # every sign must lead a term: a stray one is an error, not a zero or a dropped character
+    for text in ("elephant", "-", "+", "1-", "--1", "1-+2", "i+", "1/2--i"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            GaussianRational.parse(text)
 
 
 def test_kernel_identity_is_trivial():

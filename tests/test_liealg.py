@@ -49,10 +49,13 @@ from celestial.segre import (
 from oracles import (
     ROTATION_GENERATORS,
     Subalgebra,
+    checked_rows,
     column_kernel,
     coefficient_row_solve_invariant,
     column_vector,
+    entrywise_forms,
     is_subalgebra,
+    loop_real_basis,
     per_form_solve_invariant,
     per_form_span_stabilizer,
     single_table_solve_invariant,
@@ -264,6 +267,26 @@ def test_real_basis_of_the_horn_invariants():
     assert len(fixed) == 4
     for q in fixed.basis:
         assert apply_sigma(1, q) == q
+
+
+@pytest.mark.parametrize("name", ["i2", *liealg.NAMED_ALGEBRAS])
+def test_real_basis_matches_the_combinations_made_one_at_a_time(name):
+    i2 = i2_segre()
+    span = i2 if name == "i2" else invariant_forms(liealg.NAMED_ALGEBRAS[name], i2)
+    closed = 0
+    for i in range(4):
+        try:
+            expected = loop_real_basis(span, i)
+        except ValueError:
+            with pytest.raises(ValueError, match="not closed"):
+                real_basis(span, i)
+            continue
+        fixed = real_basis(span, i)
+        closed += 1
+        assert fixed.basis == expected and fixed.coords == span.coords
+        assert fixed.coefficients == checked_rows(expected, 9)
+    # so2xse1 is not closed under sigma_2 and sigma_3; every other span is under all four
+    assert closed == (2 if name == "so2xse1" else 4)
 
 
 def test_real_basis_rejects_unclosed_spans():
@@ -494,7 +517,15 @@ def _same_as_the_single_table(elements, ambient):
     )
     assert new.coords == old.coords
     assert new.coefficients == old.coefficients
+    _same_as_the_span_of_its_forms(new)
     return new
+
+
+def _same_as_the_span_of_its_forms(span):
+    """The span's forms are its rows filled entry by entry, and give back its rows, full rank."""
+    assert span.basis == entrywise_forms(span.coefficients, span.dim)
+    assert span.coefficients == checked_rows(span.basis, span.dim)
+    assert (len(span), span.coefficients.cols) == (len(span.basis), span.dim * (span.dim + 1) // 2)
 
 
 def test_the_pieces_solve_like_the_single_table_on_seeded_subalgebras():

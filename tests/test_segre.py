@@ -27,7 +27,7 @@ from celestial.segre import (
     torus_sigma,
 )
 from celestial.verify import class_param
-from oracles import eval_lift, evaluate, evaluation_nullity
+from oracles import checked_rows, eval_lift, evaluate, evaluation_nullity, toric_forms
 
 # the generator lists once printed in the package, y_a*y_b - y_c*y_d per pair
 SEGRE_QUADRIC_PAIRS = (
@@ -333,6 +333,85 @@ def test_form_span_coords_are_keyword_only():
     with pytest.raises(TypeError):
         segre.QuadraticForm(basis[0].matrix, "y")
     assert FormSpan(basis, coords=tuple(range(1, 10))).coords == tuple(range(1, 10))
+
+
+def test_form_span_coords_must_match_the_size_of_the_forms():
+    i2 = i2_segre()
+    for coords in ((0, 1, 2), tuple(range(10))):
+        with pytest.raises(ValueError, match="coords"):
+            FormSpan(i2.basis[:2], coords=coords)
+    assert FormSpan((), coords=(0, 1, 2)).coefficients.cols == 6
+
+
+def _toric_cases():
+    """I2, the Veronese surface, the eight lattice classes and the four drop sets in use."""
+    cases = {"i2": SEGRE_PARAM, "veronese": MonomialParam(geometry.VERONESE_EXPONENTS)}
+    cases.update((row.ref, class_param(row.ref)) for row in verify.LATTICE_TABLE if not row.merges_with)
+    for drop in (geometry.SPINDLE_DROP, geometry.HORN_DROP, {5, 6}, {1, 2, 5, 6}):
+        cases[f"drop{sorted(drop)}"] = drop
+    return cases
+
+
+_TORIC_CASES = _toric_cases()
+
+
+@pytest.mark.parametrize("name", list(_TORIC_CASES))
+def test_toric_spans_match_the_spans_built_from_their_forms(name):
+    case = _TORIC_CASES[name]
+    if isinstance(case, MonomialParam):
+        param, span = case, toric_quadrics(case)
+    else:
+        span = toric_projection(case)
+        param = _projection_param(span)
+    forms = toric_forms(param)
+    assert span.basis == forms and len(span) == len(forms)
+    assert span.coefficients == checked_rows(forms, len(param))
+    assert (span.coords, span.dim) == (param.coords, len(param))
+
+
+def test_the_family_span_is_the_first_four_forms_of_i2():
+    from celestial import forms
+
+    family = forms.family_basis()
+    expected = toric_forms(SEGRE_PARAM)[:4]
+    assert family.basis == expected
+    assert family.coefficients == checked_rows(expected, 9)
+    assert family.coords == tuple(range(9))
+
+
+def test_spans_built_from_rows_are_never_ranked(monkeypatch):
+    from celestial import forms, liealg
+
+    i2 = i2_segre()
+    liealg.invariant_forms([liealg.S1], i2)  # the action table and its pieces, ranked or not
+    shapes = []
+    rank = Matrix.rank
+
+    def counting(m):
+        shapes.append((m.rows, m.cols))
+        return rank(m)
+
+    monkeypatch.setattr(Matrix, "rank", counting)
+    span = liealg.invariant_forms([liealg.S1, liealg.T2], i2)
+    family = forms.family_basis.__wrapped__()
+    assert (len(span.basis), len(family.basis)) == (len(span), 4)
+    assert shapes == []
+    # the collinearity check on the lattice differences, and not the 20 binomial rows
+    assert len(toric_quadrics(SEGRE_PARAM).basis) == 20
+    assert len(shapes) == 1 and shapes[0][1] == 2
+
+
+def test_an_empty_span_holds_the_zero_form_alone():
+    empty = FormSpan((), coords=tuple(range(9)))
+    assert (len(empty), empty.dim, empty.basis) == (0, 9, ())
+    assert empty.coordinates_of(segre.QuadraticForm(Matrix.zero(9, 9))) == ()
+    assert empty.coordinates_of(i2_segre().basis[0]) is None
+    assert not empty.contains(i2_segre().basis[0])
+
+
+def test_a_solve_that_kills_every_form_keeps_the_ambient_shape():
+    span = geometry.veronese_invariant_forms(geometry.SL3_BASIS.values())
+    assert (len(span), span.coords, span.coefficients.cols, span.basis) == (0, tuple(range(6)), 21, ())
 
 
 def test_mu_two_moves_the_first_generator_to_a_real_frame():
