@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from celestial.exact import GaussianRational, Matrix, gauss
-from celestial import geometry, segre, verify
+from celestial import forms, geometry, liealg, segre, verify
 from celestial.segre import (
     SEGRE_PARAM,
     Y_EXPONENTS,
@@ -363,15 +363,13 @@ def test_toric_spans_match_the_spans_built_from_their_forms(name):
     else:
         span = toric_projection(case)
         param = _projection_param(span)
-    forms = toric_forms(param)
-    assert span.basis == forms and len(span) == len(forms)
-    assert span.coefficients == checked_rows(forms, len(param))
+    expected = toric_forms(param)
+    assert span.basis == expected and len(span) == len(expected)
+    assert span.coefficients == checked_rows(expected, len(param))
     assert (span.coords, span.dim) == (param.coords, len(param))
 
 
 def test_the_family_span_is_the_first_four_forms_of_i2():
-    from celestial import forms
-
     family = forms.family_basis()
     expected = toric_forms(SEGRE_PARAM)[:4]
     assert family.basis == expected
@@ -380,8 +378,6 @@ def test_the_family_span_is_the_first_four_forms_of_i2():
 
 
 def test_spans_built_from_rows_are_never_ranked(monkeypatch):
-    from celestial import forms, liealg
-
     i2 = i2_segre()
     liealg.invariant_forms([liealg.S1], i2)  # the action table and its pieces, ranked or not
     shapes = []
