@@ -819,21 +819,32 @@ def _require_real_symmetric(a: Matrix) -> None:
 def congruence_diagonalize(a: Matrix) -> Matrix:
     """A diagonal D with P^T * a * P = D for some invertible integer P.
 
-    Symmetric fraction-free elimination on the integer matrix den*a: each
-    step replaces column and row j by (p*col_j - f*col_k) / prev, the
-    Bareiss update, so D[k, k] = prev * p / den, which has the sign of the
-    pivot p / prev of rational elimination.  A zero diagonal pivot with a
-    nonzero off-diagonal partner is repaired by the classical
-    e_k -> e_k + e_j substitution.  P, the product of these column
-    operations, is not built.  D is one diagonal form congruent to a, not a
-    canonical one.
+    Symmetric fraction-free elimination on the integer matrix den*a.  As in
+    ``_eliminate``, the step with pivot p = w[k][k] rewrites a row j below,
+    whose own entry f in column k is nonzero, as (p*row_j - f*row_k) / q,
+    with q the pivot the row was last rewritten with (1 at first), and
+    leaves the other rows alone.  A row takes the scalings by prev / q it
+    skipped before it serves as the pivot row or joins a repair, so every
+    pivot is that of the Bareiss scheme, which rewrites every row at every
+    step: D[k, k] = prev * p / den, with the sign of the pivot p / prev of
+    rational elimination.  A zero diagonal pivot with a nonzero
+    off-diagonal partner is repaired by the classical e_k -> e_k + e_j
+    substitution.  P, the product of these column operations, is not
+    built.  D is one diagonal form congruent to a, not a canonical one.
     """
     _require_real_symmetric(a)
     n = a.rows
     rows, den = a._common()
     w = [list(row) for row in rows]
+    levels = [1] * n  # the pivot each row was last rewritten with
     diag = []
     prev = 1
+
+    def catch_up(j, start):
+        if levels[j] != prev:
+            w[j] = _combine_z(prev, w[j], 0, w[j], levels[j], start)
+            levels[j] = prev
+
     for k in range(n):
         if not w[k][k]:
             j = next((j for j in range(k + 1, n) if w[j][j]), None)
@@ -841,19 +852,26 @@ def congruence_diagonalize(a: Matrix) -> Matrix:
                 for row in w:
                     row[k], row[j] = row[j], row[k]
                 w[k], w[j] = w[j], w[k]
+                levels[k], levels[j] = levels[j], levels[k]
             else:
                 j = next((j for j in range(k + 1, n) if w[k][j]), None)
                 if j is None:
                     diag.append(0)  # row/column already clear
                     continue
+                catch_up(k, k)
+                catch_up(j, k)
                 for row in w:  # col_k += col_j, paired with row_k += row_j
                     row[k] += row[j]
                 w[k] = [x + y for x, y in zip(w[k], w[j])]
+        catch_up(k, k)
         piv = w[k][k]
         diag.append(prev * piv)
         lead = w[k]
         for j in range(k + 1, n):
-            w[j] = _combine_z(piv, w[j], lead[j], lead, prev, k + 1)
+            f = w[j][k]
+            if f:
+                w[j] = _combine_z(piv, w[j], f, lead, levels[j], k + 1)
+                levels[j] = piv
         prev = piv
 
     d = [[0] * n for _ in range(n)]

@@ -62,13 +62,26 @@ def family_basis() -> FormSpan:
     return FormSpan.from_rows(Matrix.stack(i2.coefficients.row(i) for i in range(4)), coords=i2.coords)
 
 
+# the same four generators moved to the real frame of sigma_2: a congruence
+# M^T A M keeps them independent, and it is linear in A, so a member's real
+# form is the same combination of these
+@lru_cache(maxsize=1)
+def _family_basis_x() -> FormSpan:
+    span = family_basis()
+    rows = Matrix.stack(mu_transform(2, q).matrix.upper() for q in span.basis)
+    return FormSpan.from_rows(rows, coords=span.coords)
+
+
 def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
-    """The quadric of the family member, in the y frame or its real x frame."""
-    q = family_basis().combination(c.as_tuple())
+    """The quadric of the family member, in the y frame or its real x frame.
+
+    The x-frame form combines the four generators moved to that frame once,
+    which is the same matrix as ``mu_transform(2, ...)`` of the y-frame form.
+    """
     if frame == "y":
-        return q
+        return family_basis().combination(c.as_tuple())
     if frame == "x":
-        return mu_transform(2, q)
+        return _family_basis_x().combination(c.as_tuple())
     raise ValueError("frame must be 'y' or 'x'")
 
 

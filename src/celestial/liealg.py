@@ -276,9 +276,10 @@ def solve_invariant(elements, pieces) -> FormSpan:
         width = k + len(table.residual)
         keep = None  # the kept combinations K of the rows of R; all of them at first
         systems = lifted * table.blocks if lifted is not None else Matrix.zero(0, 0)
+        zero = Matrix.zero(1, systems.cols)  # a zero row is canonical: zeros over 1
         for i in range(systems.rows):
             row = systems.row(i)
-            if not row.nonzero_columns():
+            if row == zero:
                 continue  # the element acts on the piece as zero and keeps it
             system = row.reshape(width, k)
             if keep is not None:

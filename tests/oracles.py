@@ -266,7 +266,9 @@ def certified_congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
     The same symmetric fraction-free elimination as
     ``exact.congruence_diagonalize``, with the columns of P carried along:
     each step applies the Bareiss update to them too, and the zero-pivot
-    repairs swap or add them beside the matrix.
+    repairs swap or add them beside the matrix.  It is the eager scheme,
+    which rewrites every row below the pivot at every step, so it is also
+    the reference for the D of the lazy one.
     """
     _require_real_symmetric(a)
     n = a.rows

@@ -152,6 +152,49 @@ def test_congruence_six_dimensional_example():
     assert signature(a) == Signature(1, 5, 0)
 
 
+def _diagonal(values):
+    n = len(values)
+    return Matrix([[Fraction(values[i]) if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+# each case drives a path where a step leaves rows it would only have rescaled
+LAZY_CONGRUENCE_CASES = {
+    # every row is skipped at every step, and each pivot row takes its
+    # scalings first; the zero entry takes the "already clear" branch
+    "diagonal-9x9": _diagonal([Fraction(1, 4), -1, -1, 2, -3, 0, Fraction(5, 2), -1, 7]),
+    # rows 2 and 3 have no entry in columns 0 and 1, so both steps skip
+    # them; row 2 then becomes the pivot row at level 1 under pivot 5
+    "skipped-twice-then-pivot": Matrix(
+        [[2, 1, 0, 0, 0], [1, 3, 0, 0, 1], [0, 0, 5, 1, 0], [0, 0, 1, 7, 1], [0, 1, 0, 1, 4]]
+    ),
+    # step 0 rewrites row 1 to a zero diagonal and skips rows 2 and 3, so
+    # the e_1 += e_2 repair adds row 2 before it has taken its scaling by 2
+    "repair-with-a-skipped-partner": Matrix(
+        [[2, 2, 0, 0], [2, 2, 3, 0], [0, 3, 0, 1], [0, 0, 1, 0]]
+    ),
+    # step 0 rewrites row 1 to a zero diagonal and skips row 2, which the
+    # swap then moves up to be the pivot row, its level going with it
+    "swap-with-a-stale-row": Matrix(
+        [[4, 2, 0, 0], [2, 1, 0, 1], [0, 0, 3, 1], [0, 1, 1, 0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CONGRUENCE_CASES))
+def test_lazy_congruence_matches_the_eager_oracle(name):
+    a = LAZY_CONGRUENCE_CASES[name]
+    d, _ = _certified(a)
+    assert [_sign(d[i, i].re) for i in range(a.rows)] == [
+        _sign(x) for x in oracle_congruence_diagonal(a.entries())
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CONGRUENCE_CASES))
+def test_lazy_congruence_cases_match_sympy_inertia(name):
+    a = LAZY_CONGRUENCE_CASES[name]
+    assert signature(a) == _sympy_signature(a)
+
+
 def test_signature_normalization():
     assert signature(Matrix.identity(3)) == Signature(0, 3, 0)
     assert signature(Matrix([[0, 1], [1, 0]])) == Signature(1, 1, 0)
@@ -366,6 +409,33 @@ def symmetric_matrices(draw, zero_diagonal=None):
     return Matrix(sym)
 
 
+@st.composite
+def sparse_symmetric_matrices(draw):
+    """Symmetric matrices up to 9x9 that are mostly zeros, or block-diagonal.
+
+    Most steps of the congruence then meet rows with nothing in the pivot
+    column, which it leaves unscaled until they are needed.
+    """
+    n = draw(st.integers(1, 9))
+    sym = [[Fraction(0)] * n for _ in range(n)]
+    if draw(st.booleans()):  # mostly zeros
+        for i in range(n):
+            for j in range(i, n):
+                if draw(st.integers(0, 3)) == 0:
+                    sym[i][j] = sym[j][i] = draw(small_rationals)
+    else:  # dense blocks along the diagonal, some with a zero diagonal
+        start = 0
+        while start < n:
+            end = min(n, start + draw(st.integers(1, 3)))
+            zero_diagonal = draw(st.booleans())
+            for i in range(start, end):
+                for j in range(i, end):
+                    if not (i == j and zero_diagonal):
+                        sym[i][j] = sym[j][i] = draw(small_rationals)
+            start = end
+    return Matrix(sym)
+
+
 @given(matrices())
 @settings(deadline=None)
 def test_rref_rank_kernel_match_the_fraction_oracle(m):
@@ -466,6 +536,15 @@ def test_congruence_keeps_the_oracle_signs(a):
     ]
 
 
+@given(sparse_symmetric_matrices())
+@settings(deadline=None)
+def test_congruence_of_sparse_forms_matches_the_certified_oracle(a):
+    d, _ = _certified(a)
+    assert [_sign(d[i, i].re) for i in range(a.rows)] == [
+        _sign(x) for x in oracle_congruence_diagonal(a.entries())
+    ]
+
+
 @st.composite
 def singular_zero_diagonal_forms(draw):
     """A symmetric form with a zero diagonal and one row and column repeated.
@@ -512,10 +591,9 @@ def test_det_matches_sympy(m):
     assert m.det() == GaussianRational(Fraction(str(sympy.re(det))), Fraction(str(sympy.im(det))))
 
 
-@given(symmetric_matrices())
-@settings(max_examples=40, deadline=None)
-def test_inertia_matches_sympy(a):
-    import sympy
+def _sympy_signature(a):
+    """The normalized inertia of a real symmetric matrix, from sympy's characteristic polynomial."""
+    sympy = pytest.importorskip("sympy")
 
     # all roots of the characteristic polynomial are real, so Descartes'
     # rule of signs counts the positive ones exactly
@@ -524,7 +602,19 @@ def test_inertia_matches_sympy(a):
     nonzero = [c for c in coeffs if c]
     pos = sum(1 for x, y in zip(nonzero, nonzero[1:]) if x * y < 0)
     neg = a.rows - pos - zero
-    assert signature(a) == Signature(min(pos, neg), max(pos, neg), zero)
+    return Signature(min(pos, neg), max(pos, neg), zero)
+
+
+@given(symmetric_matrices())
+@settings(max_examples=40, deadline=None)
+def test_inertia_matches_sympy(a):
+    assert signature(a) == _sympy_signature(a)
+
+
+@given(sparse_symmetric_matrices())
+@settings(max_examples=40, deadline=None)
+def test_inertia_of_sparse_forms_matches_sympy(a):
+    assert signature(a) == _sympy_signature(a)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celestial.exact import Matrix, Signature, gauss, signature
 from celestial import forms, lattice, liealg, verify
@@ -224,6 +226,37 @@ def test_moebius_pair_is_blind_to_an_overall_sign():
 def test_family_basis_is_the_head_of_the_segre_ideal_basis():
     # so every family member lies in the quadric ideal by construction
     assert forms.family_basis().basis == i2_segre().basis[:4]
+
+
+SUPPORTS = [s for r in range(1, 5) for s in itertools.combinations(range(4), r)]
+
+
+@st.composite
+def family_coeffs(draw):
+    """A member on any support pattern, all of one sign (often negative) or mixed.
+
+    The entries mix heights: small rationals beside ones with numerators
+    and denominators up to 10^6.
+    """
+    support = draw(st.sampled_from(SUPPORTS))
+    signs = draw(st.sampled_from(("positive", "negative", "mixed")))
+    low = st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3)
+    high = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+    values = [0] * 4
+    for k in support:
+        x = draw(st.one_of(low, high))
+        if signs == "negative" or (signs == "mixed" and draw(st.booleans())):
+            x = -x
+        values[k] = x
+    return FamilyCoeffs(*values)
+
+
+@given(family_coeffs())
+@settings(deadline=None)
+def test_the_real_form_is_the_moved_y_frame_form(c):
+    # the x-frame generators are moved once; mu_transform of the y-frame
+    # member is the reference
+    assert family_form(c, "x").matrix == mu_transform(2, family_form(c, "y")).matrix
 
 
 def test_so3_invariant_form_has_sphere_signature():
