@@ -442,10 +442,10 @@ class Matrix:
     every entry is real (the integers are ints) or not ((re, im) pairs).
     This form is canonical, so equality and hashing read it directly, and
     every operation below computes on it.  The Gaussian-rational entries
-    are made once, on first access.
+    and the symmetry verdict are made once, on first access.
     """
 
-    __slots__ = ("rows", "cols", "_real", "_dens", "_ints", "_e")
+    __slots__ = ("rows", "cols", "_real", "_dens", "_ints", "_e", "_sym")
 
     def __init__(self, entries):
         rows = [list(row) for row in entries]
@@ -454,7 +454,7 @@ class Matrix:
         if any(len(row) != self.cols for row in rows):
             raise ValueError("ragged rows")
         self._real, self._dens, self._ints = _lift(rows)
-        self._e = None
+        self._e = self._sym = None
 
     @classmethod
     def _make(cls, real, dens, ints, cols):
@@ -462,7 +462,7 @@ class Matrix:
         obj = object.__new__(cls)
         obj.rows = len(ints)
         obj.cols = cols
-        obj._real, obj._dens, obj._ints, obj._e = real, dens, ints, None
+        obj._real, obj._dens, obj._ints, obj._e, obj._sym = real, dens, ints, None, None
         return obj
 
     @classmethod
@@ -504,7 +504,9 @@ class Matrix:
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = next(it)
-        return Matrix._lifted(vec._real, vec._dens * n, m, n)
+        out = Matrix._lifted(vec._real, vec._dens * n, m, n)
+        out._sym = True  # by construction
+        return out
 
     def upper(self) -> "Matrix":
         """The entries on and above the diagonal, row by row, as one row."""
@@ -658,6 +660,11 @@ class Matrix:
 
     @property
     def is_symmetric(self) -> bool:
+        if self._sym is None:
+            self._sym = self._check_symmetric()
+        return self._sym
+
+    def _check_symmetric(self) -> bool:
         # entry (i, j) is a[i][j] / d[i]
         a, d, n = self._ints, self._dens, self.rows
         if n != self.cols:

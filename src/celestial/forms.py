@@ -245,7 +245,7 @@ def rigidity_sample_check(c: FamilyCoeffs, trials: int = 100, seed: int = 0) -> 
 # the two rigid hyperquadric forms of non-Moebius signature, in their real
 # frames (identity frame and the component-swapping frame respectively)
 def corollary_forms() -> tuple[QuadraticForm, QuadraticForm]:
-    full_invariant = liealg.invariant_forms(liealg.FULL_BASIS, i2_segre())
+    full_invariant = liealg.full_invariant_forms()
     if len(full_invariant) != 1:
         raise RuntimeError("full symmetry algebra should leave one quadric")
     q = full_invariant.basis[0]

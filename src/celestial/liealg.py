@@ -32,6 +32,7 @@ from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
     apply_sigma,
+    i2_segre,
     monomial_rep_derivative,
     y_order,
 )
@@ -315,6 +316,12 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
     """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span."""
     return solve_invariant([x.coordinates() for x in g], _full_pieces(ambient))
+
+
+@lru_cache(maxsize=1)
+def full_invariant_forms() -> FormSpan:
+    """The forms of i2_segre() invariant under all of sl2+sl2, solved once."""
+    return invariant_forms(FULL_BASIS, i2_segre())
 
 
 @lru_cache(maxsize=8)

@@ -125,8 +125,15 @@ def sparse_forms(forms) -> list[list[tuple[int, int, float]]]:
 
 
 def residual(forms, point) -> float:
-    """Largest normalized quadric residual |p^T A p| / |p|^2 over the sparse forms."""
-    norm = sum(x * x for x in point)
+    """Largest normalized quadric residual |p^T A p| / |p|^2 over the sparse forms.
+
+    The single-point reference of the sample kernel: every sum is a left
+    fold, as in the kernel, never ``sum()``, whose float result depends on
+    the Python version.
+    """
+    norm = 0
+    for x in point:
+        norm += x * x
     worst = 0.0
     for terms in forms:
         val = 0.0
@@ -150,30 +157,69 @@ def default_projection(ambient_dim: int) -> list[list[float]]:
     return [[1.0 if j == k else 0.0 for j in range(ambient_dim - 1)] for k in range(3)]
 
 
+def _kernel_source(forms, dim: int) -> str:
+    """The straight-line source of one surface's check-and-project loop.
+
+    Point coordinates are locals p0..p{dim-1}, the coefficient of term t of
+    form k is the name c{k}_{t}, and projection entry (k, j) is r{k}_{j}; the
+    source holds names and integer indices only, never a float.
+    """
+    coords = [f"p{i}" for i in range(dim)]
+    entries = [[f"r{k}_{j}" for j in range(1, dim)] for k in range(3)]
+    lines = [
+        "def kernel(pts, proj):",
+        "    " + ", ".join(f"({', '.join(row)},)" for row in entries) + " = proj",
+        "    worst = 0.0",
+        "    out = []",
+        "    append = out.append",
+        f"    for {', '.join(coords)} in pts:",
+        "        norm = 0" + "".join(f" + {x}*{x}" for x in coords),
+    ]
+    for k, terms in enumerate(forms):
+        val = "0.0" + "".join(f" + c{k}_{t}*p{i}*p{j}" for t, (i, j, _) in enumerate(terms))
+        lines += [f"        e = abs({val}) / norm", "        if e > worst:", "            worst = e"]
+    lines += [f"        a{j} = p{j} / p0" for j in range(1, dim)]
+    rows = ("0" + "".join(f" + {r}*a{j}" for j, r in enumerate(row, 1)) for row in entries)
+    lines += [f"        append(({', '.join(rows)}))", "    return out, worst"]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _kernel(surface: str):
+    """The compiled check-and-project loop of a surface, built on its first sample.
+
+    ``kernel(pts, proj)`` returns (projected points, max residual).  It does
+    the float operations of ``residual`` on ``sparse_forms`` and of the left
+    fold ``0 + r*a1 + ...`` of each projection row, in the same order, so
+    its results are those of the per-point reference bit for bit; the
+    coefficients are bound by name and the projection is an argument, so
+    one kernel serves every projection.
+    """
+    dense = surface_quadrics(surface)
+    forms = sparse_forms(dense)
+    namespace = {f"c{k}_{t}": a for k, terms in enumerate(forms) for t, (_, _, a) in enumerate(terms)}
+    source = _kernel_source(forms, len(dense[0]))
+    exec(compile(source, f"<sample kernel {surface}>", "exec"), namespace)  # noqa: S102 - names only
+    return namespace["kernel"]
+
+
 def sample(surface: str, resolution: int, projection=None) -> PointCloud:
     """Sample, verify residuals, and project a surface to 3-space."""
     if surface not in SURFACES:
         raise ValueError(f"unknown surface {surface!r}")
-    forms = sparse_forms(surface_quadrics(surface))
     pts, skipped = surface_points(surface, resolution)
     dim = len(pts[0])
     proj = default_projection(dim) if projection is None else projection
     if len(proj) != 3 or any(len(row) != dim - 1 for row in proj):
         raise ValueError(f"projection must be 3 rows of {dim - 1} entries")
-    worst = 0.0
-    out = []
-    for p in pts:
-        worst = max(worst, residual(forms, p))
-        affine = [x / p[0] for x in p[1:]]
-        out.append(tuple(sum(r * x for r, x in zip(row, affine)) for row in proj))
+    out, worst = _kernel(surface)(pts, proj)
     return PointCloud(out, skipped, worst)
 
 
 def write_csv(cloud: PointCloud, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("x,y,z\n")
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.12g},{y:.12g},{z:.12g}\n")
+        fh.writelines(map("%.12g,%.12g,%.12g\n".__mod__, cloud.points))
 
 
 def write_ply(cloud: PointCloud, path: str) -> None:
@@ -182,8 +228,7 @@ def write_ply(cloud: PointCloud, path: str) -> None:
         fh.write(f"element vertex {len(cloud.points)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("end_header\n")
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.12g} {y:.12g} {z:.12g}\n")
+        fh.writelines(map("%.12g %.12g %.12g\n".__mod__, cloud.points))
 
 
 def load_projection(path: str) -> list[list[float]]:

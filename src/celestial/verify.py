@@ -325,7 +325,7 @@ def _invariant_forms(seed: int):
     se_x = FormSpan(tuple(mu_transform(1, q) for q in se.basis))
     results.append(se_x.equals(expected_horn_invariants_x1()))
 
-    full = liealg.invariant_forms(named["sl2xsl2"], ambient)
+    full = liealg.full_invariant_forms()
     results.append(len(full) == 1)
     results.append(full.equals(FormSpan((expected_full_invariant_y(),))))
 

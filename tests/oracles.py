@@ -46,6 +46,11 @@ another way, or an input catalog the tests iterate over:
     ROTATION_GENERATORS                  the rotation generator of each real structure
     linear_equivalent, affine_equivalent lattice types joined by a bounded search over
                                          matrices, without and with translations
+    loop_sample                          the sample loop point by point: ``residual``
+                                         on the sparse forms, then each projection
+                                         row folded left, without the kernel
+    fstring_write_csv, fstring_write_ply the cloud writers with one f-string write
+                                         per point
 """
 
 from __future__ import annotations
@@ -75,6 +80,14 @@ from celestial.liealg import (
     T2,
     bracket,
     d_rep,
+)
+from celestial.sampling import (
+    PointCloud,
+    default_projection,
+    residual,
+    sparse_forms,
+    surface_points,
+    surface_quadrics,
 )
 from celestial.segre import FormSpan, QuadraticForm, _sum_fibers, apply_sigma
 
@@ -774,3 +787,52 @@ def affine_equivalent(a: LatticeType, b: LatticeType) -> bool:
             if b.involution.apply(t) == t and {(x + t[0], y + t[1]) for x, y in moved} == vb:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the float sampler, one point at a time
+
+
+def loop_sample(surface: str, resolution: int, projection=None) -> PointCloud:
+    """``sampling.sample`` as a loop over the points.
+
+    Every sum is an explicit left fold from the int 0, as ``sum()`` folds
+    through Python 3.11; from 3.12 ``sum()`` of floats is compensated and
+    would not be this reference.
+    """
+    forms = sparse_forms(surface_quadrics(surface))
+    pts, skipped = surface_points(surface, resolution)
+    dim = len(pts[0])
+    proj = default_projection(dim) if projection is None else projection
+    if len(proj) != 3 or any(len(row) != dim - 1 for row in proj):
+        raise ValueError(f"projection must be 3 rows of {dim - 1} entries")
+    worst = 0.0
+    out = []
+    for p in pts:
+        worst = max(worst, residual(forms, p))
+        affine = [x / p[0] for x in p[1:]]
+        point = []
+        for row in proj:
+            acc = 0
+            for r, x in zip(row, affine):
+                acc += r * x
+            point.append(acc)
+        out.append(tuple(point))
+    return PointCloud(out, skipped, worst)
+
+
+def fstring_write_csv(cloud: PointCloud, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("x,y,z\n")
+        for x, y, z in cloud.points:
+            fh.write(f"{x:.12g},{y:.12g},{z:.12g}\n")
+
+
+def fstring_write_ply(cloud: PointCloud, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(cloud.points)}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        fh.write("end_header\n")
+        for x, y, z in cloud.points:
+            fh.write(f"{x:.12g} {y:.12g} {z:.12g}\n")

@@ -26,6 +26,7 @@ from celestial.exact import (
     symmetric_images,
 )
 from celestial.exact import _combine_z, _combine_zi, _lift
+from celestial.segre import QuadraticForm
 from oracles import (
     certified_congruence_diagonalize,
     column_kernel,
@@ -434,6 +435,52 @@ def sparse_symmetric_matrices(draw):
                         sym[i][j] = sym[j][i] = draw(small_rationals)
             start = end
     return Matrix(sym)
+
+
+def _fresh_is_symmetric(m: Matrix) -> bool:
+    e = m.entries()
+    return m.rows == m.cols and all(e[i][j] == e[j][i] for i in range(m.rows) for j in range(i))
+
+
+_squares = st.integers(1, 5).flatmap(lambda n: matrices(rows=n, cols=n))
+_upper_rows = st.integers(1, 4).flatmap(lambda n: matrices(rows=1, cols=n * (n + 1) // 2))
+
+
+@given(
+    st.one_of(
+        matrices(),  # mostly non-square, real or complex
+        _squares,
+        _squares.map(lambda m: m + m.transpose()),  # symmetric, complex half the time
+        symmetric_matrices(),
+        sparse_symmetric_matrices(),
+    )
+)
+@settings(deadline=None)
+def test_symmetry_verdict_is_computed_once_and_matches_a_fresh_one(m):
+    assert m._sym is None
+    fresh = _fresh_is_symmetric(m)
+    assert m.is_symmetric is fresh
+    assert m._sym is fresh
+    assert m.is_symmetric is fresh
+
+
+@given(_upper_rows)
+@settings(deadline=None)
+def test_a_matrix_built_symmetric_carries_a_true_verdict(vec):
+    m = Matrix.symmetric(vec)
+    assert m._sym is True
+    assert _fresh_is_symmetric(m)
+    assert m == Matrix(m.entries()) and Matrix(m.entries()).is_symmetric
+
+
+def test_a_non_symmetric_matrix_is_rejected_by_both_checks():
+    m = Matrix([[1, 2], [3, 4]])
+    for _ in range(2):  # before and after the verdict is cached
+        with pytest.raises(ValueError, match="quadratic form matrix must be symmetric"):
+            QuadraticForm(m)
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            congruence_diagonalize(m)
+    assert m._sym is False
 
 
 @given(matrices())

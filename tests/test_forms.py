@@ -384,3 +384,25 @@ def test_rigidity_check_fails_when_the_stabilizer_is_not_the_torus(monkeypatch, 
     assert result.detail == (
         f"the family span has a {len(stabilizer)}-dimensional stabilizer, not the torus"
     )
+
+
+def test_verify_solves_the_full_invariant_forms_once(monkeypatch):
+    calls = []
+    solve = liealg.invariant_forms
+    monkeypatch.setattr(liealg, "invariant_forms", lambda g, ambient: calls.append(tuple(g)) or solve(g, ambient))
+    liealg.full_invariant_forms.cache_clear()
+    try:
+        results = [verify.run_checks(only=c)[0] for c in ("invariant-forms", "hyperquadric-signatures")]
+    finally:
+        liealg.full_invariant_forms.cache_clear()
+    assert [(r.ok, r.detail) for r in results] == [
+        (True, "11/11 span identities"),
+        (True, "signatures (4,5) and (3,6)"),
+    ]
+    assert calls.count(liealg.FULL_BASIS) == 1
+
+
+def test_hyperquadric_signatures_pass_on_their_own():
+    liealg.full_invariant_forms.cache_clear()
+    (result,) = verify.run_checks(only="hyperquadric-signatures")
+    assert (result.ok, result.detail) == (True, "signatures (4,5) and (3,6)")

@@ -1,9 +1,27 @@
-"""The float quadrics and point samples of the export surfaces."""
+"""The float quadrics and point samples of the export surfaces.
+
+``sampling.sample`` checks and projects every point in one compiled kernel
+per surface; ``oracles.loop_sample`` is the point-by-point loop it replaced,
+and the kernel must give its floats bit for bit.
+"""
+
+import ast
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celestial import sampling
 from celestial.segre import mu_transform, toric_projection
+from oracles import fstring_write_csv, fstring_write_ply, loop_sample
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_surface_quadrics_keep_both_parts_of_complex_forms():
@@ -24,7 +42,9 @@ def test_unknown_surface_is_rejected():
 
 def _dense_residual(forms, point):
     """The dense loop that the sparse residual replaced, kept as the reference."""
-    norm = sum(x * x for x in point)
+    norm = 0
+    for x in point:
+        norm += x * x
     worst = 0.0
     for mat in forms:
         val = 0.0
@@ -43,3 +63,122 @@ def test_sparse_residual_is_the_dense_one_bit_for_bit(surface):
     pts, _ = sampling.surface_points(surface, 24)
     for p in pts:
         assert sampling.residual(sparse, p) == _dense_residual(forms, p)
+
+
+# the number of coordinates of each surface's points
+_DIMS = {"dp6": 7, "ring": 5, "spindle": 5, "horn": 5, "veronese": 6}
+
+
+# projection entries: signed zeros, ints, fractions and floats of every size
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 300)),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def _sample_cases(draw):
+    surface = draw(st.sampled_from(sampling.SURFACES))
+    resolution = draw(st.integers(3, 60))
+    if draw(st.booleans()):
+        return surface, resolution, None
+    width = _DIMS[surface] - 1
+    rows = st.lists(_ENTRIES, min_size=width, max_size=width)
+    return surface, resolution, draw(st.lists(rows, min_size=3, max_size=3))
+
+
+def _hex(cloud):
+    return [tuple(map(float.hex, p)) for p in cloud.points], cloud.skipped, cloud.max_residual.hex()
+
+
+@given(_sample_cases())
+@settings(max_examples=40, deadline=None)
+def test_kernel_is_the_point_loop_bit_for_bit(case):
+    assert _hex(sampling.sample(*case)) == _hex(loop_sample(*case))
+
+
+@pytest.mark.parametrize("surface", sampling.SURFACES)
+def test_every_surface_matches_the_point_loop_with_the_default_projection(surface):
+    assert _hex(sampling.sample(surface, 40)) == _hex(loop_sample(surface, 40))
+
+
+# where %.12g changes form: signed zeros, subnormals, the smallest normal,
+# the switch to exponents at 1e-4 and 1e12, and 1e16, where floats stop
+# holding every integer
+_EDGE_VALUES = [
+    float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 9.99999999999e-5, 0.1, -1.5,
+    999999999999.0, 999999999999.5, 1e12, 1e15, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+]
+
+
+def _edge_cloud():
+    vals = _EDGE_VALUES
+    points = [(x, vals[(k + 7) % len(vals)], -vals[(k + 3) % len(vals)]) for k, x in enumerate(vals)]
+    return sampling.PointCloud(points, 0, 0.0)
+
+
+def _assert_same_files(cloud, tmp_path):
+    for write, reference in ((sampling.write_csv, fstring_write_csv), (sampling.write_ply, fstring_write_ply)):
+        write(cloud, tmp_path / "got")
+        reference(cloud, tmp_path / "want")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_writers_match_the_fstring_writers_on_edge_values(tmp_path):
+    _assert_same_files(_edge_cloud(), tmp_path)
+    _assert_same_files(sampling.PointCloud([], 0, 0.0), tmp_path)
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_writers_match_the_fstring_writers_on_any_floats(points):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_same_files(sampling.PointCloud(points, 0, 0.0), Path(tmp))
+
+
+@pytest.mark.parametrize(
+    "proj",
+    [[[1.0] * 4] * 2, [[1.0] * 4] * 4, [[1.0] * 4, [1.0] * 3, [1.0] * 4], [[1.0] * 5] * 3],
+    ids=["two-rows", "four-rows", "short-row", "long-row"],
+)
+def test_a_misshapen_projection_is_rejected_before_a_kernel_is_built(proj):
+    sampling._kernel.cache_clear()
+    with pytest.raises(ValueError) as got:
+        sampling.sample("ring", 6, proj)
+    with pytest.raises(ValueError) as want:
+        loop_sample("ring", 6, proj)
+    assert str(got.value) == str(want.value) == "projection must be 3 rows of 4 entries"
+    assert sampling._kernel.cache_info().currsize == 0
+
+
+def test_one_kernel_per_surface_serves_every_projection():
+    sampling._kernel.cache_clear()
+    rng = random.Random(50)
+    used = set()
+    for _ in range(50):
+        surface = rng.choice(sampling.SURFACES)
+        proj = [[rng.uniform(-2, 2) for _ in range(_DIMS[surface] - 1)] for _ in range(3)]
+        sampling.sample(surface, rng.randint(3, 12), proj)
+        used.add(surface)
+    info = sampling._kernel.cache_info()
+    assert info.currsize == info.misses == len(used) <= 5
+
+
+@pytest.mark.parametrize("surface", sampling.SURFACES)
+def test_kernel_source_holds_names_not_numbers(surface):
+    dense = sampling.surface_quadrics(surface)
+    source = sampling._kernel_source(sampling.sparse_forms(dense), len(dense[0]))
+    constants = {node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)}
+    assert constants <= {0, 0.0}
+
+
+def test_importing_the_cli_builds_no_kernel():
+    code = "import celestial.cli\nfrom celestial import sampling\nprint(sampling._kernel.cache_info().currsize)\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
