@@ -273,34 +273,33 @@ def _over(real: bool, rows, dens):
     return out_dens, out_rows
 
 
-def _gauss_row_product(row, b, ncols: int, real_row: bool):
-    """row * b for Gaussian-integer pairs b, skipping the zero entries of row.
+def _gauss_row_product(row, terms, ncols: int, real_row: bool):
+    """row * b for the nonzero ``(column, re, im)`` terms of each row of b.
 
-    The entries of row are ints if ``real_row``, else pairs.
+    The entries of row are ints if ``real_row``, else pairs; zero entries of
+    row and of b are skipped.
     """
     sr = [0] * ncols
     si = [0] * ncols
-    for x, brow in zip(row, b):
+    for x, ts in zip(row, terms):
         xr, xi = (x, 0) if real_row else x
         if xi:
-            for j, (yr, yi) in enumerate(brow):
+            for j, yr, yi in ts:
                 sr[j] += xr * yr - xi * yi
                 si[j] += xr * yi + xi * yr
         elif xr:
-            for j, (yr, yi) in enumerate(brow):
+            for j, yr, yi in ts:
                 sr[j] += xr * yr
                 si[j] += xr * yi
     return list(zip(sr, si))
 
 
-def _times_int(rows, b, ncols: int, real_rows: bool):
-    """rows * b for an int matrix b, skipping the zero entries of both.
+def _times_int(rows, terms, ncols: int, real_rows: bool):
+    """rows * b for the nonzero ``(column, entry)`` terms of each row of an int matrix b.
 
-    The entries of rows are ints if ``real_rows``, else pairs.  Each row of
-    b is read once for its nonzero entries, and each nonzero entry of a row
-    meets only those.
+    The entries of rows are ints if ``real_rows``, else pairs.  Each nonzero
+    entry of a row meets only the nonzero entries of its row of b.
     """
-    terms = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
     out = []
     if real_rows:
         for row in rows:
@@ -441,11 +440,12 @@ class Matrix:
     one positive denominator coprime to them, and ``_real`` says whether
     every entry is real (the integers are ints) or not ((re, im) pairs).
     This form is canonical, so equality and hashing read it directly, and
-    every operation below computes on it.  The Gaussian-rational entries
-    and the symmetry verdict are made once, on first access.
+    every operation below computes on it.  The Gaussian-rational entries,
+    the symmetry verdict and the right-factor form (``_right_terms``) are
+    made once, on first access.
     """
 
-    __slots__ = ("rows", "cols", "_real", "_dens", "_ints", "_e", "_sym")
+    __slots__ = ("rows", "cols", "_real", "_dens", "_ints", "_e", "_sym", "_terms")
 
     def __init__(self, entries):
         rows = [list(row) for row in entries]
@@ -454,7 +454,7 @@ class Matrix:
         if any(len(row) != self.cols for row in rows):
             raise ValueError("ragged rows")
         self._real, self._dens, self._ints = _lift(rows)
-        self._e = self._sym = None
+        self._e = self._sym = self._terms = None
 
     @classmethod
     def _make(cls, real, dens, ints, cols):
@@ -462,7 +462,8 @@ class Matrix:
         obj = object.__new__(cls)
         obj.rows = len(ints)
         obj.cols = cols
-        obj._real, obj._dens, obj._ints, obj._e, obj._sym = real, dens, ints, None, None
+        obj._real, obj._dens, obj._ints = real, dens, ints
+        obj._e = obj._sym = obj._terms = None
         return obj
 
     @classmethod
@@ -544,6 +545,24 @@ class Matrix:
         den = lcm(*self._dens)
         return [_scaled(row, den // d, self._real) for d, row in zip(self._dens, self._ints)], den
 
+    def _right_terms(self):
+        """(den, terms): the form of this matrix as a right factor, made once.
+
+        den is the common denominator, and terms[i] lists the nonzero
+        entries of row i over it: ``(column, int)`` pairs for a real matrix,
+        ``(column, re, im)`` triples otherwise.
+        """
+        if self._terms is None:
+            rows, den = self._common()
+            if self._real:
+                terms = tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in rows)
+            else:
+                terms = tuple(
+                    tuple((j, yr, yi) for j, (yr, yi) in enumerate(row) if yr or yi) for row in rows
+                )
+            self._terms = den, terms
+        return self._terms
+
     def entries(self):
         if self._e is None:
             self._e = _drop(self._real, self._dens, self._ints)
@@ -604,12 +623,12 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for product")
-        b, db = other._common()
+        db, terms = other._right_terms()
         real = self._real and other._real
         if other._real:
-            out = _times_int(self._ints, b, other.cols, self._real)
+            out = _times_int(self._ints, terms, other.cols, self._real)
         else:
-            out = [_gauss_row_product(row, b, other.cols, self._real) for row in self._ints]
+            out = [_gauss_row_product(row, terms, other.cols, self._real) for row in self._ints]
         return Matrix._lifted(real, [d * db for d in self._dens], out, other.cols)
 
     def scale(self, c) -> "Matrix":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 Point = tuple[int, int]
@@ -308,8 +309,9 @@ def _columns(p0: Point, p1: Point, p2: Point) -> IntMatrix:
 _GRID = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
 
 
-def grid_polygons() -> list[LatticePolygon]:
-    """All distinct convex lattice polygons inside the centered 3x3 grid."""
+@lru_cache(maxsize=1)
+def grid_polygons() -> tuple[LatticePolygon, ...]:
+    """All distinct convex lattice polygons inside the centered 3x3 grid, built once."""
     seen = {}
     for r in range(3, 10):
         for pts in itertools.combinations(_GRID, r):
@@ -318,7 +320,7 @@ def grid_polygons() -> list[LatticePolygon]:
             except ValueError:
                 continue
             seen.setdefault(hull.vertices, hull)
-    return list(seen.values())
+    return tuple(seen.values())
 
 
 def _survives(poly: LatticePolygon, inv: UnimodularInvolution) -> bool:

@@ -60,8 +60,10 @@ class LieElement:
         for half in (self.left, self.right):
             if half.rows != 2 or half.cols != 2:
                 raise ValueError("components must be 2x2")
-            (a, _), (_, d) = half.entries()
-            if a + d:
+            # a / da + d / dd = 0 on the lifted rows, for each part of a Gaussian a and d
+            (da, dd), ((a, _), (_, d)) = half._dens, half._ints
+            parts = ((a, d),) if half.is_real else zip(a, d)
+            if any(x * dd + y * da for x, y in parts):
                 raise ValueError("components must be traceless")
 
     def __add__(self, other: "LieElement") -> "LieElement":
@@ -120,15 +122,28 @@ def lie_sigma(i: int, m: LieElement) -> LieElement:
     raise ValueError("sigma index must be 0..3")
 
 
+@lru_cache(maxsize=1)
+def _basis_images() -> Matrix:
+    """The d_rep images of FULL_BASIS, one 81-entry row each, by the product rule.
+
+    Each image is D_left (x) I + I (x) D_right in the frozen y order, with D
+    the derivative of each factor's action on (s^2, st, t^2).
+    """
+    rows = []
+    for x in FULL_BASIS:
+        dl = monomial_rep_derivative(x.left, DEGREE2_MONOMIALS_2VARS)
+        dr = monomial_rep_derivative(x.right, DEGREE2_MONOMIALS_2VARS)
+        rows.append(y_order(dl.kron(_I3) + _I3.kron(dr)).reshape(1, 81))
+    return Matrix.stack(rows)
+
+
 def d_rep(m: LieElement) -> Matrix:
     """Derivative at the identity of the symmetric-square action on P^8.
 
-    By the product rule it is D_left (x) I + I (x) D_right in the frozen y
-    order, with D the derivative of each factor's action on (s^2, st, t^2).
+    It is linear in m, so it is the coordinates of m times the images of
+    FULL_BASIS, built once, read back as a 9x9 matrix.
     """
-    dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS)
-    dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS)
-    return y_order(dl.kron(_I3) + _I3.kron(dr))
+    return (Matrix([m.coordinates()]) * _basis_images()).reshape(9, 9)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,42 +18,65 @@ from . import geometry
 _TAN_CUTOFF = 1e8
 
 
-def _dp6_point(a: float, b: float):
-    return (
-        2.0, math.cos(a), math.sin(a), math.cos(b), math.sin(b),
-        math.cos(a - b), -math.sin(a - b),
-    )
+# each parametrization maps the grid angles to the surface's points, row by
+# row (first angle) and column by column (second angle); a grid node at a
+# pole of the angle-to-line substitution gives no point.  Terms of one angle
+# alone are computed once per row or column, with the float operations of a
+# per-node formula, so every point is the same float.
 
 
-def _ring_point(a: float, b: float):
-    return (2.0, math.cos(a), math.sin(a), math.cos(b), math.sin(b))
+def _dp6_points(angles):
+    cols = [(b, math.cos(b), math.sin(b)) for b in angles]
+    pts = []
+    for a in angles:
+        ca, sa = math.cos(a), math.sin(a)
+        pts += [(2.0, ca, sa, cb, sb, math.cos(a - b), -math.sin(a - b)) for b, cb, sb in cols]
+    return pts
 
 
-def _spindle_point(a: float, b: float):
-    u = math.tan(b / 2.0)
-    if u == 0.0 or not math.isfinite(u) or abs(u) > _TAN_CUTOFF:
-        return None
+def _ring_points(angles):
+    cols = [(math.cos(b), math.sin(b)) for b in angles]
+    pts = []
+    for a in angles:
+        ca, sa = math.cos(a), math.sin(a)
+        pts += [(2.0, ca, sa, cb, sb) for cb, sb in cols]
+    return pts
+
+
+def _circle_lines(angles):
+    """tan(b / 2) for each angle b where it is a usable line coordinate: nonzero, finite, not huge."""
+    lines = (math.tan(b / 2.0) for b in angles)
+    return [u for u in lines if u != 0.0 and math.isfinite(u) and abs(u) <= _TAN_CUTOFF]
+
+
+def _spindle_points(angles):
     h = 1.0 / math.sqrt(2.0)
-    return (
-        h * (u + 1.0 / u), math.cos(a), math.sin(a), h * (1.0 / u - u), 1.0,
-    )
+    cols = [(h * (u + 1.0 / u), h * (1.0 / u - u)) for u in _circle_lines(angles)]
+    pts = []
+    for a in angles:
+        ca, sa = math.cos(a), math.sin(a)
+        pts += [(x0, ca, sa, x3, 1.0) for x0, x3 in cols]
+    return pts
 
 
-def _horn_point(a: float, b: float):
-    u = math.tan(b / 2.0)
-    if u == 0.0 or not math.isfinite(u) or abs(u) > _TAN_CUTOFF:
-        return None
-    return (
-        -u - 1.0 / u, u, math.sqrt(2.0), math.sin(a) / u, math.cos(a) / u,
-    )
+def _horn_points(angles):
+    root2 = math.sqrt(2.0)
+    cols = [(-u - 1.0 / u, u) for u in _circle_lines(angles)]
+    pts = []
+    for a in angles:
+        ca, sa = math.cos(a), math.sin(a)
+        pts += [(x0, u, root2, sa / u, ca / u) for x0, u in cols]
+    return pts
 
 
-def _veronese_point(a: float, b: float):
-    s = math.tan(a / 2.0)
-    t = math.tan(b / 2.0)
-    if abs(s) > _TAN_CUTOFF or abs(t) > _TAN_CUTOFF:
-        return None
-    return (1.0, s * t, s, t, s * s, t * t)
+def _veronese_points(angles):
+    lines = [t for t in (math.tan(b / 2.0) for b in angles) if abs(t) <= _TAN_CUTOFF]
+    cols = [(t, t * t) for t in lines]
+    pts = []
+    for s in lines:
+        ss = s * s
+        pts += [(1.0, s * t, s, t, ss, tt) for t, tt in cols]
+    return pts
 
 
 @lru_cache(maxsize=None)
@@ -65,11 +88,11 @@ def _toric_forms(removed: frozenset[int]):
 
 # each surface: its float parametrization and its exact defining quadrics
 _SURFACES = {
-    "dp6": (_dp6_point, lambda: _toric_forms(frozenset({5, 6}))),
-    "ring": (_ring_point, lambda: _toric_forms(frozenset({1, 2, 5, 6}))),
-    "spindle": (_spindle_point, lambda: geometry.cyclide_pipeline()[0].basis),
-    "horn": (_horn_point, lambda: geometry.cyclide_pipeline()[1].basis),
-    "veronese": (_veronese_point, lambda: geometry.veronese_data().basis),
+    "dp6": (_dp6_points, lambda: _toric_forms(frozenset({5, 6}))),
+    "ring": (_ring_points, lambda: _toric_forms(frozenset({1, 2, 5, 6}))),
+    "spindle": (_spindle_points, lambda: geometry.cyclide_pipeline()[0].basis),
+    "horn": (_horn_points, lambda: geometry.cyclide_pipeline()[1].basis),
+    "veronese": (_veronese_points, lambda: geometry.veronese_data().basis),
 }
 
 SURFACES = tuple(_SURFACES)
@@ -100,19 +123,8 @@ def surface_points(surface: str, resolution: int):
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    param = _SURFACES[surface][0]
-    pts = []
-    skipped = 0
-    for i in range(resolution):
-        a = 2.0 * math.pi * i / resolution
-        for j in range(resolution):
-            b = 2.0 * math.pi * j / resolution
-            p = param(a, b)
-            if p is None:
-                skipped += 1
-            else:
-                pts.append(p)
-    return pts, skipped
+    pts = _SURFACES[surface][0]([2.0 * math.pi * i / resolution for i in range(resolution)])
+    return pts, resolution * resolution - len(pts)
 
 
 def sparse_forms(forms) -> list[list[tuple[int, int, float]]]:
@@ -157,15 +169,48 @@ def default_projection(ambient_dim: int) -> list[list[float]]:
     return [[1.0 if j == k else 0.0 for j in range(ambient_dim - 1)] for k in range(3)]
 
 
+def _distinct_forms(forms):
+    """The sparse forms less each one that is, term by term, an earlier one or its negative.
+
+    Float negation is exact, so such a form has the residual of the earlier one.
+    """
+    kept, seen = [], set()
+    for terms in forms:
+        if tuple(terms) in seen or tuple((i, j, -a) for i, j, a in terms) in seen:
+            continue
+        seen.add(tuple(terms))
+        kept.append(terms)
+    return kept
+
+
+def _power_of_two(a: float) -> bool:
+    return abs(math.frexp(a)[0]) == 0.5
+
+
 def _kernel_source(forms, dim: int) -> str:
     """The straight-line source of one surface's check-and-project loop.
 
     Point coordinates are locals p0..p{dim-1}, the coefficient of term t of
     form k is the name c{k}_{t}, and projection entry (k, j) is r{k}_{j}; the
     source holds names and integer indices only, never a float.
+
+    A term whose coefficient c is a power of two reads the product p_i*p_j
+    made once per point as q{i}_{j} (i <= j), and so does the norm: then
+    c*(p_i*p_j) is the float (c*p_i)*p_j, since scaling by a power of two
+    is exact short of overflow and subnormals, which these points never
+    reach.  The largest |v_k| is divided by the norm once: rounding is
+    monotone, so that is the largest quotient, and ``max`` from 0.0 skips a
+    NaN as the comparison ``e > worst`` does.
     """
     coords = [f"p{i}" for i in range(dim)]
     entries = [[f"r{k}_{j}" for j in range(1, dim)] for k in range(3)]
+    shared = sorted({(min(i, j), max(i, j)) for terms in forms for i, j, a in terms if _power_of_two(a)})
+
+    def product(i, j):
+        """The float p_i*p_j: its shared name if it has one."""
+        key = (min(i, j), max(i, j))
+        return f"q{key[0]}_{key[1]}" if key in shared else f"p{i}*p{j}"
+
     lines = [
         "def kernel(pts, proj):",
         "    " + ", ".join(f"({', '.join(row)},)" for row in entries) + " = proj",
@@ -173,11 +218,18 @@ def _kernel_source(forms, dim: int) -> str:
         "    out = []",
         "    append = out.append",
         f"    for {', '.join(coords)} in pts:",
-        "        norm = 0" + "".join(f" + {x}*{x}" for x in coords),
     ]
+    lines += [f"        q{i}_{j} = p{i}*p{j}" for i, j in shared]
+    lines.append("        norm = 0" + "".join(f" + {product(i, i)}" for i in range(dim)))
     for k, terms in enumerate(forms):
-        val = "0.0" + "".join(f" + c{k}_{t}*p{i}*p{j}" for t, (i, j, _) in enumerate(terms))
-        lines += [f"        e = abs({val}) / norm", "        if e > worst:", "            worst = e"]
+        val = "0.0" + "".join(
+            f" + c{k}_{t}*{product(i, j) if _power_of_two(a) else f'p{i}*p{j}'}"
+            for t, (i, j, a) in enumerate(terms)
+        )
+        lines.append(f"        v{k} = {val}")
+    if forms:
+        largest = "max(0.0" + "".join(f", abs(v{k})" for k in range(len(forms))) + ")"
+        lines += [f"        e = {largest} / norm", "        if e > worst:", "            worst = e"]
     lines += [f"        a{j} = p{j} / p0" for j in range(1, dim)]
     rows = ("0" + "".join(f" + {r}*a{j}" for j, r in enumerate(row, 1)) for row in entries)
     lines += [f"        append(({', '.join(rows)}))", "    return out, worst"]
@@ -188,15 +240,14 @@ def _kernel_source(forms, dim: int) -> str:
 def _kernel(surface: str):
     """The compiled check-and-project loop of a surface, built on its first sample.
 
-    ``kernel(pts, proj)`` returns (projected points, max residual).  It does
-    the float operations of ``residual`` on ``sparse_forms`` and of the left
-    fold ``0 + r*a1 + ...`` of each projection row, in the same order, so
-    its results are those of the per-point reference bit for bit; the
+    ``kernel(pts, proj)`` returns (projected points, max residual).  Its
+    residual is that of ``residual`` on ``sparse_forms`` and its points the
+    left folds ``0 + r*a1 + ...`` of each projection row, bit for bit; the
     coefficients are bound by name and the projection is an argument, so
     one kernel serves every projection.
     """
     dense = surface_quadrics(surface)
-    forms = sparse_forms(dense)
+    forms = _distinct_forms(sparse_forms(dense))
     namespace = {f"c{k}_{t}": a for k, terms in enumerate(forms) for t, (_, _, a) in enumerate(terms)}
     source = _kernel_source(forms, len(dense[0]))
     exec(compile(source, f"<sample kernel {surface}>", "exec"), namespace)  # noqa: S102 - names only

@@ -16,6 +16,7 @@ straight from their lattice points.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -72,7 +73,9 @@ class MonomialParam:
         s, u = gauss(s), gauss(u)
         if not s or not u:
             raise ValueError("torus parameters must be nonzero")
-        return tuple(s**a * u**b for a, b in self.exponents)
+        s_pow = {a: s**a for a in {a for a, _ in self.exponents}}
+        u_pow = {b: u**b for b in {b for _, b in self.exponents}}
+        return tuple(s_pow[a] * u_pow[b] for a, b in self.exponents)
 
 
 SEGRE_PARAM = MonomialParam(Y_EXPONENTS)
@@ -174,12 +177,41 @@ class FormSpan:
         """The form sum_k coeffs[k] * basis[k]."""
         return self.combinations([list(coeffs)])[0]
 
+    @cached_property
+    def _frame(self) -> tuple[Matrix, tuple[int, ...], Matrix]:
+        """The span's echelon frame (R, P, T), made once.
+
+        R is the reduced row echelon form of ``coefficients`` (k rows), P its
+        pivot columns, and T the k x k block of ``coefficients`` at P, which
+        is invertible because the rows are independent.
+        """
+        red, pivots = self.coefficients.rref()
+        return red, pivots, self.coefficients.reindex(range(len(self)), pivots)
+
+    def _pivot_entries(self, q: QuadraticForm):
+        """The upper triangle u of q at the pivots P, or None if q is outside the span.
+
+        R is the identity at P, so u lies in its row space exactly when
+        u = (u at P) * R.
+        """
+        u = q.matrix.upper()
+        if u.cols != self.coefficients.cols:
+            raise ValueError("form size does not match the span")
+        red, pivots, _ = self._frame
+        at_pivots = u.reindex((0,), pivots)
+        return at_pivots if at_pivots * red == u else None
+
     def contains(self, q: QuadraticForm) -> bool:
-        return self.coordinates_of(q) is not None
+        return self._pivot_entries(q) is not None
 
     def coordinates_of(self, q: QuadraticForm):
-        """Coefficients of q in this basis, or None if outside the span."""
-        return solve(self.coefficients, q.matrix.upper())
+        """Coefficients of q in this basis, or None if outside the span.
+
+        In the span, x * coefficients = u exactly when x * T = u at P, a
+        k x k system.
+        """
+        at_pivots = self._pivot_entries(q)
+        return None if at_pivots is None else solve(self._frame[2], at_pivots)
 
     @classmethod
     def row_space(cls, coeffs: Matrix, *, coords) -> "FormSpan":
@@ -194,7 +226,7 @@ class FormSpan:
     def equals(self, other: "FormSpan") -> bool:
         if len(self) != len(other) or self.dim != other.dim:
             return False
-        return self.coefficients.rref()[0] == other.coefficients.rref()[0]
+        return self._frame[0] == other._frame[0]
 
 
 def _sum_fibers(points) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -362,9 +394,32 @@ def _on_degree2(tensor: Matrix, monomials) -> Matrix:
     return tensor.reindex(rows, range(tensor.cols)) * fold
 
 
+def _gauss_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gauss_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
 def sym2(phi: Matrix) -> Matrix:
-    """The substitution action of a 2x2 matrix phi on (s^2, st, t^2): phi (x) phi folded."""
-    return _on_degree2(phi.kron(phi), DEGREE2_MONOMIALS_2VARS)
+    """The substitution action of a 2x2 matrix phi on (s^2, st, t^2): phi (x) phi folded.
+
+    In closed form on the lifted rows (a, b) / da and (c, d) / dc of phi it
+    is [[a^2, 2ab, b^2], [ac, ad + bc, bd], [c^2, 2cd, d^2]] over the row
+    denominators (da^2, da dc, dc^2), in ints or in (re, im) pairs.
+    """
+    if phi.rows != 2 or phi.cols != 2:
+        raise ValueError("sym2 acts by 2x2 matrices")
+    (da, dc), ((a, b), (c, d)) = phi._dens, phi._ints
+    mul, add = (operator.mul, operator.add) if phi.is_real else (_gauss_mul, _gauss_add)
+    ab, cd = mul(a, b), mul(c, d)
+    rows = (
+        (mul(a, a), add(ab, ab), mul(b, b)),
+        (mul(a, c), add(mul(a, d), mul(b, c)), mul(b, d)),
+        (mul(c, c), add(cd, cd), mul(d, d)),
+    )
+    return Matrix._lifted(phi.is_real, (da * da, da * dc, dc * dc), rows, 3)
 
 
 def monomial_rep_derivative(g: Matrix, monomials) -> Matrix:

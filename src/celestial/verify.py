@@ -459,15 +459,17 @@ def _random_lie(rng: random.Random) -> liealg.LieElement:
 
 
 def _random_congruence(rng: random.Random, n: int) -> Matrix:
-    m = Matrix.identity(n)
+    """A product of up to 2n random shears I + f E_ij, applied as column operations."""
+    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        shear = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        shear[i][j] = random_fraction(rng)
-        m = m * Matrix(shear)
-    return m
+        f = random_fraction(rng)
+        for row in m:  # m * (I + f E_ij) adds f times column i to column j
+            if row[i]:
+                row[j] += f * row[i]
+    return Matrix(m)
 
 
 def _property_suite(seed: int):

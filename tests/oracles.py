@@ -10,6 +10,9 @@ another way, or an input catalog the tests iterate over:
                                          term by term, without the product
     elimination_solve                    x*m = rhs read off its own elimination of
                                          [m; rhs]^T, not off the kernel
+    rebuilt_terms_product                the product with the right factor's nonzero
+                                         terms listed again on every call, and
+                                         every entry of a Gaussian right factor read
     certified_congruence_diagonalize     the congruence that also builds P with
                                          P^T A P = D, its certificate
     QuadExt, spindle_point, horn_point   exact cyclide model points over
@@ -24,6 +27,14 @@ another way, or an input catalog the tests iterate over:
     entrywise_forms, loop_real_basis     the forms of coefficient rows filled entry
                                          by entry, and the fixed forms of sigma_i
                                          made one combination at a time
+    solve_coordinates_of                 the coordinates of a form in a span, by one
+                                         solve of the whole coefficient system
+    kron_sym2, product_rule_d_rep        sym2 as the folded Kronecker square, and
+                                         d_rep by the product rule on every call
+    entrywise_traceless                  the trace of a 2x2 matrix read off its
+                                         Gaussian-rational entries
+    shear_product_congruence             verify's random congruence as a product of
+                                         shear matrices
     evaluate, eval_lift                  a quadratic form at a point, and the
                                          bidegree-(2,2) lift of a torus point
     evaluation_nullity                   the dimension of the degree-2 ideal of a
@@ -46,6 +57,8 @@ another way, or an input catalog the tests iterate over:
     ROTATION_GENERATORS                  the rotation generator of each real structure
     linear_equivalent, affine_equivalent lattice types joined by a bounded search over
                                          matrices, without and with translations
+    node_surface_points                  the sample grid one node at a time, each
+                                         term of a point computed at its node
     loop_sample                          the sample loop point by point: ``residual``
                                          on the sparse forms, then each projection
                                          row folded left, without the kernel
@@ -56,6 +69,7 @@ another way, or an input catalog the tests iterate over:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,9 +77,10 @@ from functools import lru_cache
 from math import lcm
 
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
-from celestial.exact import kernel, symmetric_images
+from celestial.exact import kernel, solve, symmetric_images
 from celestial.exact import _combine_z, _drop, _eliminate, _over, _pairs, _scaled
 from celestial.exact import _require_real_symmetric
+from celestial.forms import random_fraction
 from celestial.geometry import NSClass
 from celestial.lattice import IntMatrix, LatticeType, _mat_mul
 from celestial.liealg import (
@@ -82,14 +97,23 @@ from celestial.liealg import (
     d_rep,
 )
 from celestial.sampling import (
+    _TAN_CUTOFF as TAN_CUTOFF,
     PointCloud,
     default_projection,
     residual,
     sparse_forms,
-    surface_points,
     surface_quadrics,
 )
-from celestial.segre import FormSpan, QuadraticForm, _sum_fibers, apply_sigma
+from celestial.segre import (
+    DEGREE2_MONOMIALS_2VARS,
+    FormSpan,
+    QuadraticForm,
+    _on_degree2,
+    _sum_fibers,
+    apply_sigma,
+    monomial_rep_derivative,
+    y_order,
+)
 
 # ---------------------------------------------------------------------------
 # the lifted form
@@ -253,6 +277,63 @@ def term_symmetric_images(vecs: Matrix, d: Matrix) -> Matrix:
                         acc_im[t] += ar * xi
             out.append(list(zip(acc_re, acc_im)))
     return Matrix._lifted(real, [den * dden for den in vecs._dens], out, m)
+
+
+def _rebuilt_times_int(rows, b, ncols: int, real_rows: bool):
+    """rows * b for an int matrix b, listing b's nonzero terms again on every call."""
+    terms = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
+    out = []
+    if real_rows:
+        for row in rows:
+            acc = [0] * ncols
+            for x, ts in zip(row, terms):
+                if x:
+                    for j, y in ts:
+                        acc[j] += x * y
+            out.append(acc)
+        return out
+    for row in rows:
+        sr = [0] * ncols
+        si = [0] * ncols
+        for (xr, xi), ts in zip(row, terms):
+            if xi:
+                for j, y in ts:
+                    sr[j] += xr * y
+                    si[j] += xi * y
+            elif xr:
+                for j, y in ts:
+                    sr[j] += xr * y
+        out.append(list(zip(sr, si)))
+    return out
+
+
+def _dense_gauss_row_product(row, b, ncols: int, real_row: bool):
+    """row * b for Gaussian-integer pairs b, over every entry of b, zero or not."""
+    sr = [0] * ncols
+    si = [0] * ncols
+    for x, brow in zip(row, b):
+        xr, xi = (x, 0) if real_row else x
+        if xi:
+            for j, (yr, yi) in enumerate(brow):
+                sr[j] += xr * yr - xi * yi
+                si[j] += xr * yi + xi * yr
+        elif xr:
+            for j, (yr, yi) in enumerate(brow):
+                sr[j] += xr * yr
+                si[j] += xr * yi
+    return list(zip(sr, si))
+
+
+def rebuilt_terms_product(a: Matrix, b: Matrix) -> Matrix:
+    """a * b from b's rows over their common den, rebuilt for this one product."""
+    if a.cols != b.rows:
+        raise ValueError("incompatible shapes for product")
+    rows, db = b._common()
+    if b._real:
+        out = _rebuilt_times_int(a._ints, rows, b.cols, a._real)
+    else:
+        out = [_dense_gauss_row_product(row, rows, b.cols, a._real) for row in a._ints]
+    return Matrix._lifted(a._real and b._real, [d * db for d in a._dens], out, b.cols)
 
 
 def elimination_solve(m: Matrix, rhs: Matrix):
@@ -493,6 +574,45 @@ def loop_real_basis(space, i: int) -> tuple[QuadraticForm, ...]:
 
 # ---------------------------------------------------------------------------
 # forms at points
+
+
+def solve_coordinates_of(span: FormSpan, q: QuadraticForm):
+    """The coefficients of q in the span's basis, or None: one solve of the whole coefficient system."""
+    return solve(span.coefficients, q.matrix.upper())
+
+
+def kron_sym2(phi: Matrix) -> Matrix:
+    """The action of a 2x2 matrix on (s^2, st, t^2): phi (x) phi, read on the monomials and folded."""
+    return _on_degree2(phi.kron(phi), DEGREE2_MONOMIALS_2VARS)
+
+
+_I3 = Matrix.identity(3)
+
+
+def product_rule_d_rep(m: LieElement) -> Matrix:
+    """d_rep by the product rule on each call: D_left (x) I + I (x) D_right in the y order."""
+    dl = monomial_rep_derivative(m.left, DEGREE2_MONOMIALS_2VARS)
+    dr = monomial_rep_derivative(m.right, DEGREE2_MONOMIALS_2VARS)
+    return y_order(dl.kron(_I3) + _I3.kron(dr))
+
+
+def entrywise_traceless(half: Matrix) -> bool:
+    """Whether a 2x2 matrix has trace zero, read off its Gaussian-rational entries."""
+    (a, _), (_, d) = half.entries()
+    return not a + d
+
+
+def shear_product_congruence(rng: random.Random, n: int) -> Matrix:
+    """``verify._random_congruence`` as a product of up to 2n shear matrices, one Matrix each."""
+    m = Matrix.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        shear = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        shear[i][j] = random_fraction(rng)
+        m = m * Matrix(shear)
+    return m
 
 
 def evaluate(q, point):
@@ -793,15 +913,78 @@ def affine_equivalent(a: LatticeType, b: LatticeType) -> bool:
 # the float sampler, one point at a time
 
 
+def _dp6_point(a: float, b: float):
+    return (
+        2.0, math.cos(a), math.sin(a), math.cos(b), math.sin(b),
+        math.cos(a - b), -math.sin(a - b),
+    )
+
+
+def _ring_point(a: float, b: float):
+    return (2.0, math.cos(a), math.sin(a), math.cos(b), math.sin(b))
+
+
+def _spindle_point(a: float, b: float):
+    u = math.tan(b / 2.0)
+    if u == 0.0 or not math.isfinite(u) or abs(u) > TAN_CUTOFF:
+        return None
+    h = 1.0 / math.sqrt(2.0)
+    return (
+        h * (u + 1.0 / u), math.cos(a), math.sin(a), h * (1.0 / u - u), 1.0,
+    )
+
+
+def _horn_point(a: float, b: float):
+    u = math.tan(b / 2.0)
+    if u == 0.0 or not math.isfinite(u) or abs(u) > TAN_CUTOFF:
+        return None
+    return (
+        -u - 1.0 / u, u, math.sqrt(2.0), math.sin(a) / u, math.cos(a) / u,
+    )
+
+
+def _veronese_point(a: float, b: float):
+    s = math.tan(a / 2.0)
+    t = math.tan(b / 2.0)
+    if abs(s) > TAN_CUTOFF or abs(t) > TAN_CUTOFF:
+        return None
+    return (1.0, s * t, s, t, s * s, t * t)
+
+
+_NODE_POINTS = {
+    "dp6": _dp6_point, "ring": _ring_point, "spindle": _spindle_point,
+    "horn": _horn_point, "veronese": _veronese_point,
+}
+
+
+def node_surface_points(surface: str, resolution: int):
+    """``sampling.surface_points`` one grid node at a time, every term computed at the node."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    param = _NODE_POINTS[surface]
+    pts = []
+    skipped = 0
+    for i in range(resolution):
+        a = 2.0 * math.pi * i / resolution
+        for j in range(resolution):
+            b = 2.0 * math.pi * j / resolution
+            p = param(a, b)
+            if p is None:
+                skipped += 1
+            else:
+                pts.append(p)
+    return pts, skipped
+
+
 def loop_sample(surface: str, resolution: int, projection=None) -> PointCloud:
-    """``sampling.sample`` as a loop over the points.
+    """``sampling.sample`` as a loop over the points of ``node_surface_points``.
 
     Every sum is an explicit left fold from the int 0, as ``sum()`` folds
     through Python 3.11; from 3.12 ``sum()`` of floats is compensated and
     would not be this reference.
     """
     forms = sparse_forms(surface_quadrics(surface))
-    pts, skipped = surface_points(surface, resolution)
+    pts, skipped = node_surface_points(surface, resolution)
     dim = len(pts[0])
     proj = default_projection(dim) if projection is None else projection
     if len(proj) != 3 or any(len(row) != dim - 1 for row in proj):

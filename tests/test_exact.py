@@ -36,6 +36,7 @@ from oracles import (
     dense_combine_zi,
     elimination_solve,
     lift,
+    rebuilt_terms_product,
     term_symmetric_images,
 )
 
@@ -571,6 +572,36 @@ def test_det_matches_the_fraction_oracle(m):
 def test_product_matches_the_fraction_oracle(a, data):
     b = data.draw(matrices(rows=a.cols))
     assert a * b == Matrix(oracle_mul(a.entries(), b.entries()))
+
+
+@given(matrices(), st.data())
+@settings(deadline=None)
+def test_product_matches_the_per_call_term_build(a, data):
+    b = data.draw(matrices(rows=a.cols))
+    first = a * b
+    assert first == rebuilt_terms_product(a, b)
+    assert a * b == first  # the second product reads the terms the first one made
+
+
+@given(matrices(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_one_right_factor_serves_real_and_gaussian_left_factors(b, data):
+    for real in (True, False, True):
+        a = data.draw(matrices(real=real, cols=b.rows))
+        assert a * b == rebuilt_terms_product(a, b)
+
+
+def test_products_with_empty_and_zero_factors():
+    cases = [
+        (Matrix.zero(0, 3), Matrix([[1, 2], [0, 0], ["i", 0]])),
+        (Matrix.zero(2, 0), Matrix.zero(0, 3)),
+        (Matrix([[1, "i"], [0, 0]]), Matrix.zero(2, 4)),
+        (Matrix([[0, 0], [2, "1/2"]]), Matrix([[0, 0], ["i", 3]])),
+    ]
+    for a, b in cases:
+        assert a * b == rebuilt_terms_product(a, b)
+    with pytest.raises(ValueError, match="incompatible"):
+        Matrix.zero(2, 3) * Matrix.zero(2, 3)
 
 
 @given(symmetric_matrices())

@@ -23,6 +23,7 @@ from celestial.forms import (
     singular_support,
 )
 from celestial.segre import FormSpan, QuadraticForm, form_from_pairs, i2_segre, mu_transform, rep_S
+from oracles import shear_product_congruence
 
 
 def test_family_coeffs_reject_zero():
@@ -406,3 +407,10 @@ def test_hyperquadric_signatures_pass_on_their_own():
     liealg.full_invariant_forms.cache_clear()
     (result,) = verify.run_checks(only="hyperquadric-signatures")
     assert (result.ok, result.detail) == (True, "signatures (4,5) and (3,6)")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_congruence_is_the_product_of_its_shears(seed):
+    for n in (3, 4, 5):
+        got = verify._random_congruence(random.Random(f"{seed}:{n}"), n)
+        assert got == shear_product_congruence(random.Random(f"{seed}:{n}"), n)

@@ -102,6 +102,7 @@ def test_degrees():
 def test_pick_relation_on_all_grid_polygons():
     polys = lattice.grid_polygons()
     assert len(polys) > 50
+    assert isinstance(polys, tuple) and lattice.grid_polygons() is polys  # built once
     for poly in polys:
         assert degree(poly) == poly.twice_area()
 

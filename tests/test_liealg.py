@@ -54,10 +54,12 @@ from oracles import (
     coefficient_row_solve_invariant,
     column_vector,
     entrywise_forms,
+    entrywise_traceless,
     is_subalgebra,
     loop_real_basis,
     per_form_solve_invariant,
     per_form_span_stabilizer,
+    product_rule_d_rep,
     single_table_solve_invariant,
     span_contains,
     subalgebra_catalog,
@@ -745,6 +747,55 @@ def test_d_rep_matches_the_reference_on_the_catalog():
     for _, algebra in subalgebra_catalog():
         for x in algebra.basis:
             assert d_rep(x) == reference_d_rep(x)
+
+
+@given(_elements)
+@settings(max_examples=80, deadline=None)
+def test_d_rep_is_the_product_rule_on_the_element(x):
+    assert d_rep(x) == product_rule_d_rep(x)
+
+
+def test_d_rep_is_the_product_rule_on_the_basis_and_the_catalog():
+    for x in (E, *FULL_BASIS, *(x for _, algebra in subalgebra_catalog() for x in algebra.basis)):
+        assert d_rep(x) == product_rule_d_rep(x)
+
+
+def test_a_trace_in_the_imaginary_part_alone_is_rejected():
+    for half in (
+        Matrix([["i", 0], [0, 0]]),
+        Matrix([["1+i", 5], [0, -1]]),
+        Matrix([["1/2+1/3i", 0], ["i", "-1/2+1/2i"]]),
+    ):
+        assert not entrywise_traceless(half)
+        with pytest.raises(ValueError, match="traceless"):
+            LieElement(half, Matrix.zero(2, 2))
+        with pytest.raises(ValueError, match="traceless"):
+            LieElement(Matrix.zero(2, 2), half)
+
+
+@st.composite
+def _two_by_two_halves(draw):
+    """A 2x2 matrix over Q(i): traceless, with a real or an imaginary trace, or arbitrary."""
+    a, b, c, d = (draw(_entries) for _ in range(4))
+    kind = draw(st.sampled_from(("traceless", "real-trace", "imaginary-trace", "any")))
+    if kind == "traceless":
+        d = -a
+    elif kind == "real-trace":
+        d = -a + GaussianRational(draw(_small))
+    elif kind == "imaginary-trace":
+        d = -a + GaussianRational(Fraction(0), draw(_small))
+    return Matrix([[a, b], [c, d]])
+
+
+@given(_two_by_two_halves(), _two_by_two_halves())
+@settings(max_examples=150, deadline=None)
+def test_tracelessness_is_read_as_on_the_entries(left, right):
+    try:
+        LieElement(left, right)
+        made = True
+    except ValueError:
+        made = False
+    assert made == (entrywise_traceless(left) and entrywise_traceless(right))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from celestial import sampling
 from celestial.segre import mu_transform, toric_projection
-from oracles import fstring_write_csv, fstring_write_ply, loop_sample
+from oracles import fstring_write_csv, fstring_write_ply, loop_sample, node_surface_points
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,6 +63,37 @@ def test_sparse_residual_is_the_dense_one_bit_for_bit(surface):
     pts, _ = sampling.surface_points(surface, 24)
     for p in pts:
         assert sampling.residual(sparse, p) == _dense_residual(forms, p)
+
+
+def _hex_points(pts):
+    return [tuple(map(float.hex, p)) for p in pts]
+
+
+@pytest.mark.parametrize("surface", sampling.SURFACES)
+def test_grid_points_are_the_node_by_node_points_bit_for_bit(surface):
+    for resolution in (*range(2, 41), 64, 97, 120):
+        pts, skipped = sampling.surface_points(surface, resolution)
+        want, want_skipped = node_surface_points(surface, resolution)
+        assert (_hex_points(pts), skipped) == (_hex_points(want), want_skipped)
+
+
+@pytest.mark.parametrize("surface", ["spindle", "horn"])
+def test_a_cyclide_at_resolution_2_has_no_points_and_still_fails_to_sample(surface):
+    # every node of the 2x2 grid is a pole of tan(b / 2); the empty cloud is
+    # still an IndexError, as the benchmark's reference records it
+    assert sampling.surface_points(surface, 2) == ([], 4)
+    with pytest.raises(IndexError):
+        sampling.sample(surface, 2)
+
+
+@pytest.mark.parametrize("surface", sampling.SURFACES)
+def test_dropping_repeated_forms_keeps_the_residual(surface):
+    forms = sampling.sparse_forms(sampling.surface_quadrics(surface))
+    kept = sampling._distinct_forms(forms)
+    assert len(kept) == {"dp6": 9}.get(surface, len(forms))
+    pts, _ = sampling.surface_points(surface, 24)
+    for p in pts:
+        assert sampling.residual(kept, p) == sampling.residual(forms, p)
 
 
 # the number of coordinates of each surface's points

@@ -12,6 +12,7 @@ from celestial.exact import GaussianRational, Matrix, gauss
 from celestial import forms, geometry, liealg, segre, verify
 from celestial.segre import (
     SEGRE_PARAM,
+    QuadraticForm,
     Y_EXPONENTS,
     FormSpan,
     MonomialParam,
@@ -27,7 +28,15 @@ from celestial.segre import (
     torus_sigma,
 )
 from celestial.verify import class_param
-from oracles import checked_rows, eval_lift, evaluate, evaluation_nullity, toric_forms
+from oracles import (
+    checked_rows,
+    eval_lift,
+    evaluate,
+    evaluation_nullity,
+    kron_sym2,
+    solve_coordinates_of,
+    toric_forms,
+)
 
 # the generator lists once printed in the package, y_a*y_b - y_c*y_d per pair
 SEGRE_QUADRIC_PAIRS = (
@@ -526,6 +535,99 @@ def test_rep_reference_covers_singular_factors():
     for pair in ((singular, Matrix.identity(2)), (Matrix.identity(2), singular)):
         assert _outcome(rep_S, *pair) == "ValueError: singular factor"
         assert _outcome(reference_rep_S, *pair) == "ValueError: singular factor"
+
+
+@st.composite
+def _sym2_inputs(draw):
+    phi = draw(_two_by_two())
+    if draw(st.booleans()):  # a zero row, as over a zero den-1 row
+        rows = [list(row) for row in phi.entries()]
+        rows[draw(st.integers(0, 1))] = [GaussianRational(), GaussianRational()]
+        phi = Matrix(rows)
+    return phi
+
+
+@given(_sym2_inputs())
+@settings(max_examples=150, deadline=None)
+def test_sym2_is_the_folded_kronecker_square(phi):
+    assert segre.sym2(phi) == kron_sym2(phi)
+
+
+def test_sym2_of_zero_identity_and_a_non_square_factor():
+    for phi in (Matrix.zero(2, 2), Matrix.identity(2), Matrix([["i", 0], [0, "-i"]])):
+        assert segre.sym2(phi) == kron_sym2(phi)
+    with pytest.raises(ValueError):
+        segre.sym2(Matrix.identity(3))
+
+
+@st.composite
+def _span_queries(draw):
+    """A span of independent rows, rarely in echelon form, and a form in it, near it or zero."""
+    def rows_of(k, m):
+        return [draw(st.lists(_entries, min_size=m, max_size=m)) for _ in range(k)]
+
+    if draw(st.booleans()):  # combinations of the I2 forms
+        n, k = 9, draw(st.integers(0, 4))
+        coeffs = i2_segre().coefficients
+        rows = Matrix(rows_of(k, coeffs.rows)) * coeffs if k else Matrix.zero(0, coeffs.cols)
+    else:
+        n = draw(st.integers(2, 4))
+        m = n * (n + 1) // 2
+        k = draw(st.integers(0, m))
+        rows = Matrix(rows_of(k, m)) if k else Matrix.zero(0, m)
+    assume(rows.rank() == k)
+    span = FormSpan.from_rows(rows, coords=range(n))
+    kind = draw(st.sampled_from(("member", "near", "zero", "any")))
+    if kind == "any":
+        u = Matrix(rows_of(1, rows.cols))
+    elif kind == "zero" or not k:
+        u = Matrix.zero(1, rows.cols)
+    else:
+        u = Matrix(rows_of(1, k)) * rows
+        if kind == "near":  # one entry moved off the span, as a rule
+            unit = [0] * rows.cols
+            unit[draw(st.integers(0, rows.cols - 1))] = 1
+            u = u + Matrix([unit])
+    return span, QuadraticForm(Matrix.symmetric(u))
+
+
+@given(_span_queries())
+@settings(max_examples=60, deadline=None)
+def test_span_coordinates_match_the_whole_system_solve(case):
+    span, q = case
+    want = solve_coordinates_of(span, q)
+    assert span.coordinates_of(q) == want
+    assert span.contains(q) == (want is not None)
+
+
+def test_span_queries_on_i2_and_its_sigma_images():
+    i2 = i2_segre()
+    for i in range(4):
+        for q in i2.basis:
+            moved = apply_sigma(i, q)
+            assert i2.coordinates_of(moved) == solve_coordinates_of(i2, moved)
+    outside = QuadraticForm(Matrix.identity(9))
+    assert solve_coordinates_of(i2, outside) is None
+    assert i2.coordinates_of(outside) is None and not i2.contains(outside)
+    assert i2._frame is i2._frame  # made once
+
+
+def test_a_form_of_the_wrong_size_is_rejected():
+    with pytest.raises(ValueError):
+        i2_segre().contains(QuadraticForm(Matrix.identity(3)))
+    with pytest.raises(ValueError):
+        i2_segre().coordinates_of(QuadraticForm(Matrix.identity(10)))
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=9),
+    _entries.filter(bool),
+    _entries.filter(bool),
+)
+@settings(max_examples=60, deadline=None)
+def test_monomial_eval_is_the_power_product_of_each_exponent(exponents, s, u):
+    param = MonomialParam(tuple(exponents))
+    assert param.eval(s, u) == tuple(s**a * u**b for a, b in exponents)
 
 
 def test_sym2_is_the_action_on_the_quadratic_monomials():
