@@ -294,6 +294,17 @@ def _gauss_row_product(row, terms, ncols: int, real_row: bool):
     return list(zip(sr, si))
 
 
+def _row_terms(rows, real: bool):
+    """The nonzero entries of each row, the form of a right factor.
+
+    They are ``(column, int)`` pairs if ``real``, else ``(column, re, im)``
+    triples.
+    """
+    if real:
+        return tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in rows)
+    return tuple(tuple((j, yr, yi) for j, (yr, yi) in enumerate(row) if yr or yi) for row in rows)
+
+
 def _times_int(rows, terms, ncols: int, real_rows: bool):
     """rows * b for the nonzero ``(column, entry)`` terms of each row of an int matrix b.
 
@@ -433,6 +444,91 @@ def _eliminate(rows, ncols: int, real: bool, reduce: bool):
     return m[:r], levels[:r], pivots, prev, swaps
 
 
+def _null_rows(rows, ncols: int, real: bool):
+    """A basis of {v : rows * v = 0} over the Gaussian integers, and its free entry D.
+
+    Forward elimination leaves the pivot rows U in echelon form, the pivot
+    of each the leading minor of the rows and pivot columns so far; the
+    last, D, is the pivot minor of the whole matrix.  For each free column
+    f, back substitution from the last pivot row up sets v = D at f and 0
+    at the other free columns, then at the pivot p of row r
+    v[p] = -(U_r . v) / U_r[p] over the entries set so far.  So v is D times
+    the null vector that is 1 at f, which Cramer's rule makes integral: every
+    division is exact.  A step whose sum is zero leaves v[p] zero.
+    """
+    m, _, pivots, last, _ = _eliminate(rows, ncols, real, reduce=False)
+    steps = list(zip(m, pivots))[::-1]
+    zero = 0 if real else (0, 0)
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        v = [zero] * ncols
+        v[f] = last
+        nonzero = [f]
+        for row, p in steps:
+            if real:
+                t = sum([row[j] * v[j] for j in nonzero])
+                if t:
+                    v[p] = -t // row[p]
+                    nonzero.append(p)
+                continue
+            tr = ti = 0
+            for j in nonzero:
+                (ar, ai), (br, bi) = row[j], v[j]
+                tr += ar * br - ai * bi
+                ti += ar * bi + ai * br
+            if tr or ti:  # -t / q = -t * conj(q) / |q|^2
+                qr, qi = row[p]
+                n = qr * qr + qi * qi
+                v[p] = (-(tr * qr + ti * qi) // n, (tr * qi - ti * qr) // n)
+                nonzero.append(p)
+        basis.append(v)
+    return basis, last
+
+
+def _times(rows, right, ncols: int, real: bool):
+    """rows * right for Gaussian-integer rows of one kind, ints if ``real``."""
+    terms = _row_terms(right, real)
+    if real:
+        return _times_int(rows, terms, ncols, True)
+    return [_gauss_row_product(row, terms, ncols, False) for row in rows]
+
+
+def _common_kernel(systems, ncols: int, real: bool):
+    """Rows K over the Gaussian integers spanning the vectors that every system kills.
+
+    Each of ``systems`` is one system read row by row, ``ncols`` entries a
+    row, as Gaussian integers of one kind (ints if ``real``).  K is the
+    kernel of the first nonzero system, and each later one S cuts it down
+    to ker(S K^T) K: c K is killed by S exactly when c is killed by S K^T.
+    Zero systems kill everything and are skipped; with none left the result
+    is None, and an empty K ends the cut.  The rows of K are a basis, not a
+    canonical one; each is divided by the content of its entries, so the
+    products of later cuts stay small.
+    """
+    keep = None
+    for flat in systems:
+        if not (any(flat) if real else _nonzero_pairs(flat)):
+            continue
+        system = [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
+        if keep is None:
+            keep, _ = _null_rows(system, ncols, real)
+        else:
+            cut, _ = _null_rows(_times(system, list(zip(*keep)), len(keep), real), len(keep), real)
+            keep = _times(cut, keep, ncols, real)
+        if not keep:
+            break
+        keep = [_scaled_down(row, real) for row in keep]
+    return keep
+
+
+def _scaled_down(row, real: bool):
+    """row divided by the gcd of its parts."""
+    g = gcd(*row) if real else gcd(*chain.from_iterable(row))
+    if g == 1:
+        return row
+    return [x // g for x in row] if real else [(xr // g, xi // g) for xr, xi in row]
+
+
 class Matrix:
     """Dense immutable matrix over Q(i), row major.
 
@@ -554,13 +650,7 @@ class Matrix:
         """
         if self._terms is None:
             rows, den = self._common()
-            if self._real:
-                terms = tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in rows)
-            else:
-                terms = tuple(
-                    tuple((j, yr, yi) for j, (yr, yi) in enumerate(row) if yr or yi) for row in rows
-                )
-            self._terms = den, terms
+            self._terms = den, _row_terms(rows, self._real)
         return self._terms
 
     def entries(self):
@@ -662,10 +752,24 @@ class Matrix:
         return Matrix._lifted(real, dens, rows, self.cols * other.cols)
 
     def reindex(self, rows, cols) -> "Matrix":
-        """The matrix whose entry (a, b) is self[rows[a], cols[b]]."""
+        """The matrix whose entry (a, b) is self[rows[a], cols[b]].
+
+        When ``cols`` is a permutation of every column, each row keeps its
+        entries and den, so it stays canonical; only a non-real matrix whose
+        chosen rows are all real becomes ints, as in ``row``.
+        """
         rows, cols = tuple(rows), tuple(cols)
-        out = [[self._ints[i][j] for j in cols] for i in rows]
-        return Matrix._lifted(self._real, [self._dens[i] for i in rows], out, len(cols))
+        dens = tuple(self._dens[i] for i in rows)
+        if sorted(cols) != list(range(self.cols)):
+            out = [[self._ints[i][j] for j in cols] for i in rows]
+            return Matrix._lifted(self._real, dens, out, len(cols))
+        if cols == tuple(range(self.cols)):
+            out = tuple(self._ints[i] for i in rows)
+        else:
+            out = tuple(tuple(self._ints[i][j] for j in cols) for i in rows)
+        if self._real or any(xi for row in out for _, xi in row):
+            return Matrix._make(self._real, dens, out, self.cols)
+        return Matrix._make(True, dens, tuple(tuple(xr for xr, _ in row) for row in out), self.cols)
 
     def transpose(self) -> "Matrix":
         rows, den = self._common()
@@ -771,24 +875,13 @@ def kernel(m: Matrix) -> Matrix:
     """Exact basis of the right null space {v : m*v = 0}, one vector per row.
 
     Row k is 1 at the k-th free column, 0 at the other free ones, and minus
-    that column of the reduced row echelon form at the pivots.  Each row is
-    canonical on its own, over its own denominator (a trivial kernel has no
-    rows).
+    that column of the reduced row echelon form at the pivots: the vector
+    of ``_null_rows``, forward elimination and back substitution, over its
+    free entry.  Each row is canonical on its own, over its own denominator
+    (a trivial kernel has no rows).
     """
-    real = m._real
-    rows, levels, pivots, _, _ = _eliminate(m._ints, m.cols, real, reduce=True)
-    dens, rows = _over(real, rows, levels)
-    den = lcm(*dens)
-    rows = [_scaled(row, den // d, real) for d, row in zip(dens, rows)]
-    zero, one = (0, den) if real else ((0, 0), (den, 0))
-    basis = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        v = [zero] * m.cols
-        v[f] = one
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f] if real else (-row[f][0], -row[f][1])
-        basis.append(v)
-    return Matrix._lifted(real, [den] * len(basis), basis, m.cols)
+    basis, last = _null_rows(m._ints, m.cols, m._real)
+    return Matrix._lifted(m._real, *_over(m._real, basis, [last] * len(basis)), m.cols)
 
 
 def solve(m: Matrix, rhs: Matrix):

@@ -437,7 +437,7 @@ def veronese_invariant_forms(algebra) -> FormSpan:
         if g.rows != 3 or g.cols != 3:
             raise ValueError("Veronese algebra elements must be 3x3")
         rows.append([x for row in g.entries() for x in row])
-    return solve_invariant(rows, (_veronese_action_table(),))
+    return solve_invariant(Matrix(rows), (_veronese_action_table(),))
 
 
 def so3_invariant_form() -> QuadraticForm:

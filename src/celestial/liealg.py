@@ -26,8 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
-from .exact import Matrix, GaussianRational, kernel, symmetric_images, I
+from .exact import Matrix, GaussianRational, _common_kernel, kernel, symmetric_images, I
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
@@ -75,14 +76,34 @@ class LieElement:
     def __rmul__(self, c) -> "LieElement":
         return self.scale(c)
 
-    def coordinates(self) -> tuple[GaussianRational, ...]:
-        """The coefficients of the element in FULL_BASIS order.
 
-        A traceless [[a, b], [c, -a]] is a*S + b*T + c*Q, so each side gives (b, c, a).
-        """
-        (la, lb), (lc, _) = self.left.entries()
-        (ra, rb), (rc, _) = self.right.entries()
-        return (lb, lc, la, rb, rc, ra)
+def _coordinate_rows(elements) -> Matrix:
+    """The coefficients of each element in FULL_BASIS order, one row each.
+
+    A traceless [[a, b], [c, -a]] is a*S + b*T + c*Q, so each side gives
+    (b, c, a), read off its lifted rows.  The den of each half's row is the
+    lcm of its parts' denominators, and the two rows hold a, b and c, so
+    the lcm of the four dens is that of the coordinates: the row over it is
+    canonical.  The rows are real exactly when every half is.
+    """
+    halves = [(x.left, x.right) for x in elements]
+    real = all(h.is_real for pair in halves for h in pair)
+    dens, rows = [], []
+    for pair in halves:
+        den = lcm(*pair[0]._dens, *pair[1]._dens)
+        row = []
+        for h in pair:
+            (d0, d1), ((a, b), (c, _)) = h._dens, h._ints
+            for x, f in ((b, den // d0), (c, den // d1), (a, den // d0)):
+                if real:
+                    row.append(x * f)
+                elif h.is_real:
+                    row.append((x * f, 0))
+                else:
+                    row.append((x[0] * f, x[1] * f))
+        dens.append(den)
+        rows.append(tuple(row))
+    return Matrix._make(real, tuple(dens), tuple(rows), len(FULL_BASIS))
 
 
 T1 = LieElement(_T, _E2)
@@ -143,7 +164,7 @@ def d_rep(m: LieElement) -> Matrix:
     It is linear in m, so it is the coordinates of m times the images of
     FULL_BASIS, built once, read back as a 9x9 matrix.
     """
-    return (Matrix([m.coordinates()]) * _basis_images()).reshape(9, 9)
+    return (_coordinate_rows((m,)) * _basis_images()).reshape(9, 9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,43 +290,30 @@ def _highest_weights(diagonals) -> list[tuple]:
     )
 
 
-def solve_invariant(elements, pieces) -> FormSpan:
+def solve_invariant(elements: Matrix, pieces) -> FormSpan:
     """Forms A in the pieces' span with D^T A + A D = 0 for every element's D.
 
     ``pieces`` are ActionTables over the same tangents whose spans add up
     to the ambient, each mapped into itself by every tangent (or a single
     table); ``elements`` holds one coordinate row per element, in those
-    tangents, lifted once for all pieces.  In a piece, an element acts as
-    the row c * blocks, read back as the system [Phi | E]^T of the table;
-    the combinations of R's rows that it kills are its kernel.  Each later
-    element acts on the kept combinations K R through the system times
-    K^T, and the kernel cuts K down; an empty kernel drops the piece.  One
-    reduced row echelon form of the kept rows of every piece at the end
-    makes the basis canonical, so the result does not depend on the order
-    or the basis of the elements, nor on the pieces.
+    tangents.  In a piece, an element acts through the row c * blocks, read
+    as the system [Phi | E]^T of the table; the combinations K of R's rows
+    that every element kills are cut down on the lifted rows of those
+    systems (``_common_kernel``), and the piece keeps the forms K R, or all
+    of R when every element acts on it as zero.  One reduced row echelon
+    form of the kept rows of every piece at the end makes the basis
+    canonical, so the result does not depend on the order or the basis of
+    the elements, nor on the pieces.
     """
-    lifted = Matrix(elements) if elements else None
     kept = []
     for table in pieces:
         red = table.reduced
-        k = red.rows
-        width = k + len(table.residual)
-        keep = None  # the kept combinations K of the rows of R; all of them at first
-        systems = lifted * table.blocks if lifted is not None else Matrix.zero(0, 0)
-        zero = Matrix.zero(1, systems.cols)  # a zero row is canonical: zeros over 1
-        for i in range(systems.rows):
-            row = systems.row(i)
-            if row == zero:
-                continue  # the element acts on the piece as zero and keeps it
-            system = row.reshape(width, k)
-            if keep is not None:
-                system = system * keep.transpose()
-            ker = kernel(system)
-            if not ker.rows:
-                break
-            keep = ker if keep is None else ker * keep
-        else:
-            kept.append(red if keep is None else keep * red)
+        systems = elements * table.blocks if elements.rows else Matrix.zero(0, 0)
+        keep = _common_kernel(systems._ints, red.rows, systems.is_real)
+        if keep is None:
+            kept.append(red)
+        elif keep:
+            kept.append(Matrix._lifted(systems.is_real, (1,) * len(keep), keep, red.rows) * red)
     width = pieces[0].reduced.cols
     return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
 
@@ -330,7 +338,7 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
     """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span."""
-    return solve_invariant([x.coordinates() for x in g], _full_pieces(ambient))
+    return solve_invariant(_coordinate_rows(g), _full_pieces(ambient))
 
 
 @lru_cache(maxsize=1)

@@ -4,6 +4,8 @@ Each one is the slow, direct version of something the package computes
 another way, or an input catalog the tests iterate over:
 
     lift                                 the lifted form of a matrix, entry by entry
+    gauss_jordan_kernel                  the null space read off the reduced row
+                                         echelon form of Gauss-Jordan elimination
     column_kernel, column_solve,         null spaces and solutions as one-column
     column_vector                        matrices, one lift per vector
     term_symmetric_images                the images upper(D^T A + A D) accumulated
@@ -33,6 +35,8 @@ another way, or an input catalog the tests iterate over:
                                          d_rep by the product rule on every call
     entrywise_traceless                  the trace of a 2x2 matrix read off its
                                          Gaussian-rational entries
+    coordinates                          the FULL_BASIS coefficients of an element
+                                         read off its Gaussian-rational entries
     shear_product_congruence             verify's random congruence as a product of
                                          shear matrices
     evaluate, eval_lift                  a quadratic form at a point, and the
@@ -47,6 +51,8 @@ another way, or an input catalog the tests iterate over:
                                          zero or not
     single_table_solve_invariant         the invariant-form solver on one ActionTable
                                          of the whole span, without isotypic pieces
+    matrix_step_solve_invariant          the invariant-form solver on the pieces with
+                                         a Matrix and a Gauss-Jordan kernel per step
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
                                          rows of the span: one kernel of the
                                          transposed images per tangent
@@ -133,6 +139,34 @@ def lift(rows):
             out.append(tuple((a * (den // b), c * (den // d)) for (a, b), (c, d) in row))
         dens.append(den)
     return real, tuple(dens), tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the null space by Gauss-Jordan elimination
+
+
+def gauss_jordan_kernel(m: Matrix) -> Matrix:
+    """The kernel basis of ``exact.kernel``, read off the reduced row echelon form.
+
+    Gauss-Jordan elimination clears the rows above each pivot too, so each
+    pivot row over its q is a row of the reduced form: row k of the basis is
+    1 at the k-th free column, 0 at the other free ones, and minus that
+    column of the reduced form at the pivots.
+    """
+    real = m.is_real
+    rows, levels, pivots, _, _ = _eliminate(m._ints, m.cols, real, reduce=True)
+    dens, rows = _over(real, rows, levels)
+    den = lcm(*dens)
+    rows = [_scaled(row, den // d, real) for d, row in zip(dens, rows)]
+    zero, one = (0, den) if real else ((0, 0), (den, 0))
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [zero] * m.cols
+        v[f] = one
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] if real else (-row[f][0], -row[f][1])
+        basis.append(v)
+    return Matrix._lifted(real, [den] * len(basis), basis, m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +630,16 @@ def product_rule_d_rep(m: LieElement) -> Matrix:
     return y_order(dl.kron(_I3) + _I3.kron(dr))
 
 
+def coordinates(x: LieElement) -> tuple[GaussianRational, ...]:
+    """The coefficients of x in FULL_BASIS order, read off the entries of its halves.
+
+    A traceless [[a, b], [c, -a]] is a*S + b*T + c*Q, so each side gives (b, c, a).
+    """
+    (la, lb), (lc, _) = x.left.entries()
+    (ra, rb), (rc, _) = x.right.entries()
+    return (lb, lc, la, rb, rc, ra)
+
+
 def entrywise_traceless(half: Matrix) -> bool:
     """Whether a 2x2 matrix has trace zero, read off its Gaussian-rational entries."""
     (a, _), (_, d) = half.entries()
@@ -697,8 +741,8 @@ ROTATION_GENERATORS = {
 
 def span_contains(elements, x: LieElement) -> bool:
     """True iff x is a combination of the elements: its coordinates add no rank."""
-    rows = [e.coordinates() for e in elements]
-    return Matrix(rows).rank() == Matrix(rows + [x.coordinates()]).rank()
+    rows = [coordinates(e) for e in elements]
+    return Matrix(rows).rank() == Matrix(rows + [coordinates(x)]).rank()
 
 
 def is_subalgebra(basis) -> bool:
@@ -718,7 +762,7 @@ class Subalgebra:
     basis: tuple[LieElement, ...]
 
     def __post_init__(self):
-        rows = Matrix([e.coordinates() for e in self.basis])
+        rows = Matrix([coordinates(e) for e in self.basis])
         if rows.rank() != len(self.basis):
             raise ValueError("subalgebra basis is linearly dependent")
         if not is_subalgebra(self.basis):
@@ -796,6 +840,40 @@ def single_table_solve_invariant(elements, table):
             return FormSpan((), coords=table.coords)
         keep = ker if keep is None else ker * keep
     return FormSpan.row_space(red if keep is None else keep * red, coords=table.coords)
+
+
+def matrix_step_solve_invariant(elements, pieces):
+    """Forms A in the pieces' span with D^T A + A D = 0, one Matrix per step.
+
+    ``elements`` holds one coordinate row per element.  In each piece an
+    element's system is the row c * blocks as a Matrix, reshaped, times K^T
+    for the combinations K kept so far, and its Gauss-Jordan kernel cuts K
+    down; a zero row keeps the piece and an empty kernel drops it.
+    """
+    lifted = Matrix(elements) if elements else None
+    kept = []
+    for table in pieces:
+        red = table.reduced
+        k = red.rows
+        width = k + len(table.residual)
+        keep = None
+        systems = lifted * table.blocks if lifted is not None else Matrix.zero(0, 0)
+        zero = Matrix.zero(1, systems.cols)
+        for i in range(systems.rows):
+            row = systems.row(i)
+            if row == zero:
+                continue
+            system = row.reshape(width, k)
+            if keep is not None:
+                system = system * keep.transpose()
+            ker = gauss_jordan_kernel(system)
+            if not ker.rows:
+                break
+            keep = ker if keep is None else ker * keep
+        else:
+            kept.append(red if keep is None else keep * red)
+    width = pieces[0].reduced.cols
+    return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
 
 
 def coefficient_row_solve_invariant(tangents, ambient):

@@ -5,7 +5,9 @@ implementation they replaced lives on below as an oracle, and the
 properties at the end compare the two, and both with sympy when installed.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from celestial.exact import (
     solve,
     symmetric_images,
 )
-from celestial.exact import _combine_z, _combine_zi, _lift
+from celestial import exact
+from celestial.exact import _combine_z, _combine_zi, _common_kernel, _lift
 from celestial.segre import QuadraticForm
 from oracles import (
     certified_congruence_diagonalize,
@@ -35,6 +38,7 @@ from oracles import (
     dense_combine_z,
     dense_combine_zi,
     elimination_solve,
+    gauss_jordan_kernel,
     lift,
     rebuilt_terms_product,
     term_symmetric_images,
@@ -780,6 +784,136 @@ def test_a_skipped_row_is_brought_up_to_date_when_it_becomes_the_pivot(unit):
 
 
 # ---------------------------------------------------------------------------
+# the kernel by forward elimination and back substitution, against the
+# Gauss-Jordan kernel it replaced, the Fraction oracle and sympy
+
+
+@st.composite
+def kernel_problems(draw):
+    """Matrices of every rank up to 20 columns, wide or tall, with zero rows and columns.
+
+    A product of a rows x r and an r x cols grid has rank r at most, so
+    ranks run from 0 (no grid) to full; zeroed columns add free columns and
+    zeroed rows rows that elimination drops.  The entries come from a drawn
+    ``Random`` with denominators up to 4, so lifted pivots are rarely units.
+    """
+    real = draw(st.booleans())
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def grid(n, m):
+        return [[GaussianRational(part(), Fraction(0) if real else part()) for _ in range(m)] for _ in range(n)]
+
+    out = oracle_mul(grid(rows, rank), grid(rank, cols)) if rank else [[ZERO] * cols for _ in range(rows)]
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 3))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 3))
+    return Matrix(
+        [[ZERO if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(out)]
+    )
+
+
+def _same_lifted_form(new: Matrix, old: Matrix) -> None:
+    assert (new.rows, new.cols, new.is_real, new._dens, new._ints) == (
+        old.rows, old.cols, old.is_real, old._dens, old._ints
+    )
+
+
+@given(st.one_of(kernel_problems(), matrices()))
+@settings(max_examples=120, deadline=None)
+def test_the_back_substituted_kernel_is_the_gauss_jordan_kernel(m):
+    new = kernel(m)
+    _same_lifted_form(new, gauss_jordan_kernel(m))
+    assert new.entries() == tuple(tuple(v) for v in oracle_kernel(m.entries(), m.cols))
+    assert new.rows == m.cols - m.rank()
+    if new.rows:
+        assert m * new.transpose() == Matrix.zero(m.rows, new.rows)
+
+
+@given(kernel_problems())
+@settings(max_examples=25, deadline=None)
+def test_the_back_substituted_kernel_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    expected = [
+        [GaussianRational(Fraction(str(sympy.re(x))), Fraction(str(sympy.im(x)))) for x in v]
+        for v in _sympy(m).nullspace()
+    ]
+    assert kernel(m).entries() == tuple(map(tuple, expected))
+
+
+@pytest.mark.parametrize("unit", [ONE, I + 2, GaussianRational(Fraction(3, 2), Fraction(-5))])
+def test_kernels_with_several_free_columns_and_pivots_of_norm_above_one(unit):
+    cases = [
+        # three pivots of norm > 1 and four free columns, one of them before the last pivot
+        [[3, 6, 0, 1, 2, 5, 7], [0, 0, 5, 2, 0, 1, 1], [0, 0, 0, 0, 7, 3, 2]],
+        # tall, with a zero row, a repeated row and a zero column
+        [[2, 0, 4], [0, 0, 0], [1, 0, 3], [2, 0, 4], [5, 0, 1]],
+        # wide and rank one
+        [[2 * k - 9 for k in range(20)], [4 * k - 18 for k in range(20)]],
+        [[0, 0, 0]],
+    ]
+    for rows in cases:
+        m = Matrix(rows).scale(unit)
+        _same_lifted_form(kernel(m), gauss_jordan_kernel(m))
+        assert kernel(m).entries() == tuple(tuple(v) for v in oracle_kernel(m.entries(), m.cols))
+
+
+# ---------------------------------------------------------------------------
+# the kernel cut down system by system, on lifted rows
+
+
+def _flat_systems(draw, real, count, width, k):
+    """``count`` systems of ``width`` x k Gaussian integers, one flat row each, some zero."""
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from((0.3, 0.7, 1.0)))
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.2:
+            flat = [0] * (width * k)
+        else:
+            flat = [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(width * k)]
+        out.append(flat if real else [(x, rng.randint(-3, 3) if x else 0) for x in flat])
+    return out
+
+
+@st.composite
+def cut_problems(draw):
+    real = draw(st.booleans())
+    k = draw(st.integers(1, 9))
+    count, width = draw(st.integers(0, 4)), draw(st.integers(1, k + 2))
+    return real, k, _flat_systems(draw, real, count, width, k)
+
+
+def _as_matrix(real, rows, cols):
+    return Matrix._lifted(real, (1,) * len(rows), [tuple(row) for row in rows], cols)
+
+
+@given(cut_problems())
+@settings(max_examples=120, deadline=None)
+def test_the_cut_kernel_spans_the_kernel_of_the_stacked_systems(problem):
+    real, k, systems = problem
+    keep = _common_kernel(systems, k, real)
+    nonzero = [flat for flat in systems if any(flat if real else (x for pair in flat for x in pair))]
+    if not nonzero:
+        assert keep is None
+        return
+    stacked = _as_matrix(real, [flat[i : i + k] for flat in nonzero for i in range(0, len(flat), k)], k)
+    expected = kernel(stacked)
+    if not expected.rows:
+        assert keep == []
+        return
+    got = _as_matrix(real, keep, k)
+    assert got.rank() == got.rows == expected.rows
+    assert got.rref()[0] == expected.rref()[0]
+    for row in keep:  # each row is divided by its content
+        parts = row if real else [x for pair in row for x in pair]
+        assert gcd(*parts) == 1
+
+
+# ---------------------------------------------------------------------------
 # the Kronecker product, reindexing and the trace, against the same oracle
 
 
@@ -810,6 +944,57 @@ def test_reindex_matches_the_fraction_oracle(m, data):
     out = m.reindex(rows, cols)
     assert out.entries() == tuple(map(tuple, expected))
     assert out == Matrix(expected) and out.is_real == Matrix(expected).is_real
+
+
+def _reindex_by_lifting(m, rows, cols):
+    """reindex through the canonicalizing constructor, the path for any rows and columns."""
+    out = [[m._ints[i][j] for j in cols] for i in rows]
+    return Matrix._lifted(m._real, [m._dens[i] for i in rows], out, len(cols))
+
+
+@contextmanager
+def _counting_canonical():
+    """The list of the calls of ``exact._canonical`` made inside the block."""
+    calls, canonical = [], exact._canonical
+    exact._canonical = lambda *args: calls.append(args) or canonical(*args)
+    try:
+        yield calls
+    finally:
+        exact._canonical = canonical
+
+
+@given(matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_reindex_by_a_column_permutation_skips_the_canonical_pass(m, data):
+    rows = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=6))
+    cols = data.draw(st.one_of(st.just(list(range(m.cols))), st.permutations(range(m.cols))))
+    expected = _reindex_by_lifting(m, rows, cols)
+    with _counting_canonical() as calls:
+        out = m.reindex(rows, cols)
+    assert calls == []
+    _same_lifted_form(out, expected)
+
+
+def test_reindex_keeps_the_realness_of_the_chosen_rows():
+    m = Matrix([["1/2", 3, 0], ["i", 1, "2/3"], [5, 0, "1/4"], ["1-i", 0, 0]])
+    for rows, cols, real in [
+        ((0, 2), (2, 0, 1), True),  # the kept rows of a Gaussian matrix are all real
+        ((2, 1, 0), (1, 2, 0), False),
+        ((3, 3), (0, 1, 2), False),
+        ((), (2, 1, 0), True),
+    ]:
+        expected = _reindex_by_lifting(m, rows, cols)
+        with _counting_canonical() as calls:
+            out = m.reindex(rows, cols)
+        assert calls == [] and out.is_real is real
+        _same_lifted_form(out, expected)
+        assert out.entries() == tuple(tuple(m.entries()[i][j] for j in cols) for i in rows)
+    real = Matrix([[1, "2/3"], ["5/2", 0], [0, 0]])
+    _same_lifted_form(real.reindex((2, 0, 0), (1, 0)), _reindex_by_lifting(real, (2, 0, 0), (1, 0)))
+    # a column subset may share a factor with the den: it still goes through the pass
+    with _counting_canonical() as calls:
+        assert real.reindex((0,), (1,)) == Matrix([["2/3"]])
+    assert calls
 
 
 # ---------------------------------------------------------------------------

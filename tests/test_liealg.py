@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,10 +54,12 @@ from oracles import (
     column_kernel,
     coefficient_row_solve_invariant,
     column_vector,
+    coordinates,
     entrywise_forms,
     entrywise_traceless,
     is_subalgebra,
     loop_real_basis,
+    matrix_step_solve_invariant,
     per_form_solve_invariant,
     per_form_span_stabilizer,
     product_rule_d_rep,
@@ -81,7 +84,8 @@ def test_lie_elements_must_be_traceless():
     with pytest.raises(ValueError, match="traceless"):
         LieElement(Matrix.zero(2, 2), Matrix([["1/2+i", 3], [0, "-1/3-i"]]))
     x = LieElement(Matrix([["1/2+i", 3], [2, "-1/2-i"]]), Matrix([[0, 1], ["i", 0]]))
-    assert x.coordinates() == (gauss(3), gauss(2), gauss("1/2+i"), gauss(1), I, gauss(0))
+    assert coordinates(x) == (gauss(3), gauss(2), gauss("1/2+i"), gauss(1), I, gauss(0))
+    assert liealg._coordinate_rows([x]) == Matrix([coordinates(x)])
 
 
 def test_sigma_rules():
@@ -515,7 +519,7 @@ def _seeded_algebra(rng):
 def _same_as_the_single_table(elements, ambient):
     new = invariant_forms(elements, ambient)
     old = single_table_solve_invariant(
-        [x.coordinates() for x in elements], liealg._full_action_table(ambient)
+        [coordinates(x) for x in elements], liealg._full_action_table(ambient)
     )
     assert new.coords == old.coords
     assert new.coefficients == old.coefficients
@@ -587,7 +591,7 @@ def test_an_empty_ambient_gets_an_action_table():
     assert (table.reduced.rows, table.reduced.cols, table.residual) == (0, 45, ())
     assert (table.blocks.rows, table.blocks.cols) == (6, 0)
     assert isotypic_pieces(table) == (table,)
-    out = solve_invariant([T1.coordinates()], (table,))
+    out = solve_invariant(Matrix([coordinates(T1)]), (table,))
     assert (out.basis, out.coords) == ((), empty.coords)
 
 
@@ -599,8 +603,112 @@ def test_the_empty_span_has_coefficients_and_the_whole_algebra_as_stabilizer():
 
 def test_lie_coordinates_recover_the_element():
     for x in [*FULL_BASIS, E, T1 + S2.scale(gauss("2-i")), Q1.scale(3) + T2 + Q2.scale(I)]:
-        c = x.coordinates()
+        c = coordinates(x)
         assert sum((a * b for a, b in zip(c, FULL_BASIS) if a), E) == x
+
+
+def _same_lifted_rows(new, old):
+    """The same canonical Matrix, down to the lifted form: realness, dens and ints."""
+    assert (new.rows, new.cols) == (old.rows, old.cols)
+    assert (new.is_real, new._dens, new._ints) == (old.is_real, old._dens, old._ints)
+
+
+@given(st.lists(st.one_of(_elements, st.just(E), st.sampled_from(FULL_BASIS)), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_coordinate_rows_are_the_rows_of_the_entries(elements):
+    # real and Gaussian halves, mixed in one element and across elements
+    _same_lifted_rows(liealg._coordinate_rows(elements), Matrix([coordinates(x) for x in elements]))
+
+
+def test_coordinate_rows_of_mixed_halves_and_of_no_elements():
+    real_left = LieElement(Matrix([["1/2", 3], ["2/3", "-1/2"]]), Matrix([[0, "i"], ["1/4", 0]]))
+    for elements in ([real_left], [real_left, T1], [T1, S2.scale(Fraction(1, 6))]):
+        _same_lifted_rows(liealg._coordinate_rows(elements), Matrix([coordinates(x) for x in elements]))
+    empty = liealg._coordinate_rows([])
+    assert (empty.rows, empty.cols) == (0, len(FULL_BASIS))
+
+
+# ---------------------------------------------------------------------------
+# the solver on lifted rows against the solver with one Matrix per step
+
+
+def _same_as_the_matrix_steps(rows, pieces):
+    """The lifted solver on coordinate rows gives the per-step solver's canonical span."""
+    new = solve_invariant(Matrix(rows) if rows else Matrix.zero(0, pieces[0].blocks.rows), pieces)
+    old = matrix_step_solve_invariant(rows, pieces)
+    assert new.coords == old.coords
+    _same_lifted_rows(new.coefficients, old.coefficients)
+    return new
+
+
+def _acts_as_zero_between(elements, pieces) -> bool:
+    """Whether, in some piece, an element with a zero system comes after one with a nonzero one."""
+    rows = liealg._coordinate_rows(elements)
+    for piece in pieces:
+        systems = rows * piece.blocks
+        zero = [systems.row(i) == Matrix.zero(1, systems.cols) for i in range(systems.rows)]
+        if False in zero and True in zero[zero.index(False):]:
+            return True
+    return False
+
+
+def test_the_lifted_solver_matches_the_matrix_steps_on_seeded_i2_algebras():
+    rng = random.Random(24)
+    pieces = liealg._full_pieces(i2_segre())
+    left_only = (T1, Q1, S1, T1.scale(I) + S1)  # zero on the pieces V0 (x) Vb
+    counts = Counter()
+    for n in range(240):
+        kind = ("complex", "real", "zero on a piece", "repeated")[n % 4]
+        elements = [] if n % 24 == 0 else _seeded_algebra(rng)[: rng.randint(0, 3)]
+        if kind == "real":
+            elements = [x for x in elements if x.left.is_real and x.right.is_real] or [S1 + T2.scale(3)]
+        elif kind == "zero on a piece":
+            elements.insert(rng.randint(0, len(elements)), rng.choice(left_only))
+            elements.insert(0, S2 + Q2.scale(I))
+        elif kind == "repeated" and elements:
+            elements.insert(rng.randint(0, len(elements)), rng.choice(elements))
+        counts["repeated"] += len(set(elements)) < len(elements)
+        counts["complex"] += any(not x.left.is_real or not x.right.is_real for x in elements)
+        counts["real"] += bool(elements) and all(x.left.is_real and x.right.is_real for x in elements)
+        counts["empty"] += not elements
+        counts["zero between"] += _acts_as_zero_between(elements, pieces)
+        out = _same_as_the_matrix_steps([coordinates(x) for x in elements], pieces)
+        counts[f"size {len(out)}"] += 1
+    assert min(counts["complex"], counts["real"], counts["empty"], counts["zero between"]) > 0
+    assert counts["repeated"] > 0
+    assert counts["size 1"] and counts["size 20"] and len([k for k in counts if k.startswith("size")]) > 4
+
+
+def _random_sl3(rng):
+    """A traceless 3x3 matrix over Q(i), about a third of its entries zero."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return ZERO
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.5 else Fraction(0)
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), im)
+
+    g = [[entry() for _ in range(3)] for _ in range(3)]
+    g[2][2] = -g[0][0] - g[1][1]
+    return Matrix(g)
+
+
+def test_the_lifted_solver_matches_the_matrix_steps_on_the_veronese_table():
+    table = geometry._veronese_action_table()
+
+    def rows(algebra):
+        return [[x for row in g.entries() for x in row] for g in algebra]
+
+    named = [geometry.so3_basis(), list(geometry.SL3_BASIS.values())]
+    assert [len(_same_as_the_matrix_steps(rows(a), (table,))) for a in named] == [1, 0]
+    rng = random.Random(3)
+    sizes = set()
+    for _ in range(40):
+        algebra = [_random_sl3(rng) for _ in range(rng.randint(0, 3))]
+        if algebra and rng.random() < 0.3:
+            algebra.append(rng.choice(geometry.so3_basis()))
+        sizes.add(len(_same_as_the_matrix_steps(rows(algebra), (table,))))
+    assert len(sizes) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +928,7 @@ def test_stabilizer_matches_the_per_form_stabilizer(name):
         span = invariant_forms(liealg.NAMED_ALGEBRAS[name], i2_segre())
     new, old = span_stabilizer(span), per_form_span_stabilizer(span)
     # the kernel basis is canonical, and here it is the oracle's basis in echelon form
-    assert Matrix([x.coordinates() for x in new]) == Matrix([x.coordinates() for x in old]).rref()[0]
+    assert Matrix([coordinates(x) for x in new]) == Matrix([coordinates(x) for x in old]).rref()[0]
 
 
 def test_a_span_off_the_torus_weights_has_a_smaller_stabilizer():
