@@ -606,9 +606,17 @@ class Matrix:
         return out
 
     def upper(self) -> "Matrix":
-        """The entries on and above the diagonal, row by row, as one row."""
+        """The entries on and above the diagonal, row by row, as one row.
+
+        Rows that are each canonical are canonical together over their
+        common den, and the upper triangle of a symmetric matrix holds every
+        entry value, so its gcd and realness are the whole matrix's: when
+        the symmetry verdict is already true, the row is canonical as it is.
+        """
         rows, den = self._common()
         vec = [x for i, row in enumerate(rows) for x in row[i:]]
+        if self._sym:
+            return Matrix._make(self._real, (den,), (tuple(vec),), len(vec))
         return Matrix._lifted(self._real, (den,), (vec,), len(vec))
 
     def reshape(self, rows: int, cols: int) -> "Matrix":

@@ -413,14 +413,17 @@ def so3_basis() -> list[Matrix]:
     ]
 
 
+# the positions (i, j) of the gl3 matrix units E_ij, row by row: E_00, E_01, ...
+_GL3_UNITS = tuple((i, j) for i in range(3) for j in range(3))
+
+
 @lru_cache(maxsize=1)
 def _veronese_action_table() -> ActionTable:
     """The ActionTable of the nine gl3 matrix units E_ij on the Veronese quadrics.
 
-    It is built on the first query; the units go row by row, E_00, E_01, ...
+    It is built on the first query; the units go in the order of ``_GL3_UNITS``.
     """
-    units = [Matrix([[int((r, c) == (i, j)) for c in range(3)] for r in range(3)])
-             for i in range(3) for j in range(3)]
+    units = [Matrix([[int((r, c) == unit) for c in range(3)] for r in range(3)]) for unit in _GL3_UNITS]
     tangents = [monomial_rep_derivative(u, VERONESE_MONOMIALS) for u in units]
     return action_table(tangents, veronese_data())
 
@@ -457,20 +460,115 @@ def so3_invariant_form() -> QuadraticForm:
     return q.scale(ONE / lead)
 
 
-_WITNESS_HEIGHT = 1  # largest absolute generator coefficient tried
+# Y[a][b] is the coordinate whose monomial is the product of variables a and b
+# of (s, t, u): on the surface, Y is the rank-1 symmetric matrix x x^T
+_VERONESE_Y = tuple(
+    tuple(VERONESE_MONOMIALS.index(tuple((c == a) + (c == b) for c in range(3))) for b in range(3))
+    for a in range(3)
+)
+
+# the upper-triangle positions of a symmetric 3x3 matrix, in the order of Matrix.upper
+_SYM3_UPPER = tuple((a, b) for a in range(3) for b in range(a, 3))
+
+# one diagonal matrix for each inertia of a nonzero real symmetric 3x3 matrix up to sign
+_INERTIA_REPRESENTATIVES = ((1, 1, 1), (1, 1, -1), (1, 1, 0), (1, -1, 0), (1, 0, 0))
+
+# the normalized inertias (pos, neg, zero) of the nonzero real symmetric 3x3 matrices
+_NONZERO_INERTIAS = frozenset(
+    Signature(p, n, 3 - p - n).normalized() for p in range(4) for n in range(4 - p) if p + n
+)
+
+
+def _adjugate_terms(i: int, j: int):
+    """Entry (i, j) of adj Y as ((a, b), c) items of c * y_a y_b: the cyclic cofactor rule."""
+    y = _VERONESE_Y
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return (((y[i1][j1], y[i2][j2]), 1), ((y[i1][j2], y[i2][j1]), -1))
+
+
+def adjugate_form(a) -> QuadraticForm:
+    """q_A(y) = tr(A adj Y) for a symmetric 3x3 matrix A, given as rows of numbers.
+
+    q_A vanishes where Y has rank 1, so it is a quadric through the surface.
+    Each term c * y_p y_q adds c to entries (p, q) and (q, p) of the matrix
+    of 2 q_A.
+    """
+    twice = [[0] * 6 for _ in range(6)]
+    for i in range(3):
+        for j in range(3):
+            if a[i][j]:
+                for (p, q), c in _adjugate_terms(i, j):
+                    twice[p][q] += a[i][j] * c
+                    twice[q][p] += a[i][j] * c
+    return QuadraticForm(Matrix(twice).scale(Fraction(1, 2)))
+
+
+def _sym3(a: int, b: int) -> list[list[int]]:
+    """The symmetric 3x3 matrix with ones at (a, b) and (b, a): E_ab + E_ba, or E_aa."""
+    return [[int((p, q) in ((a, b), (b, a))) for q in range(3)] for p in range(3)]
+
+
+def _sym3_action(k: int, l: int) -> Matrix:
+    """The map A -> 2 tr(u) A - u A - A u^T for u = E_kl, on upper triangles.
+
+    Row r is the upper triangle of the image of the basis matrix at
+    ``_SYM3_UPPER[r]``; entry (p, q) of the image is
+    2 [k = l] A_pq - [p = k] A_lq - [q = k] A_pl.
+    """
+    rows = []
+    for a, b in _SYM3_UPPER:
+        s = _sym3(a, b)
+        rows.append([2 * (k == l) * s[p][q] - (p == k) * s[l][q] - (q == k) * s[p][l] for p, q in _SYM3_UPPER])
+    return Matrix(rows)
+
+
+def _equivariant_units(forms: tuple[QuadraticForm, ...]) -> frozenset[tuple[int, int]]:
+    """The units u = E_kl on which A -> q_A intertwines the two gl3 actions.
+
+    ``forms`` are the q_A of the basis matrices at ``_SYM3_UPPER`` and must
+    lie in ``veronese_data()``.  In the coordinates C of the forms on the
+    rows R of the cached ``_veronese_action_table`` (their entries at R's
+    pivots), u acts on the forms by the block Phi_u, and the identity
+    D_u^T M(q_A) + M(q_A) D_u = M(q_{2 tr(u) A - u A - A u^T}) for every
+    basis A is the 6x6 identity C Phi_u = L_u C, with L_u from
+    ``_sym3_action``.  It needs the table to have no residual: gl3 maps the
+    ideal into itself.
+    """
+    table = _veronese_action_table()
+    if table.residual:
+        return frozenset()
+    red, k = table.reduced, table.reduced.rows
+    pivots = [red.row(i).nonzero_columns()[0] for i in range(k)]
+    coords = Matrix.stack([q.matrix.upper() for q in forms]).reindex(range(len(forms)), pivots)
+    blocks = table.blocks
+    return frozenset(
+        unit
+        for j, unit in enumerate(_GL3_UNITS)
+        if coords * blocks.row(j).reshape(k, k).transpose() == _sym3_action(*unit) * coords
+    )
 
 
 def veronese_signature_witnesses() -> frozenset[Signature]:
-    """Normalized signatures realized by small combinations of the generators.
+    """The normalized signatures of the nonzero real quadrics through the Veronese surface.
 
-    ``Signature.normalized`` is invariant under q -> -q, so only the
-    coefficient rows whose first nonzero entry is positive are diagonalized:
-    their negatives give the same signatures.
+    Certified by three exact facts (the argument is in ``verify``'s
+    ``veronese-signatures`` check), raising RuntimeError if one fails:
+
+    1. the six q_A of the basis matrices at ``_SYM3_UPPER`` span
+       ``veronese_data()``;
+    2. A -> q_A is gl3-equivariant on all nine matrix units
+       (``_equivariant_units``);
+    3. ``_INERTIA_REPRESENTATIVES`` has one matrix of each nonzero inertia
+       up to sign.
+
+    The result is the signatures of the q_A of those five representatives.
     """
-    span = veronese_data()
-    coeff_range = range(-_WITNESS_HEIGHT, _WITNESS_HEIGHT + 1)
-    rows = [
-        c for c in itertools.product(coeff_range, repeat=len(span))
-        if next((x for x in c if x), 0) > 0
-    ]
-    return frozenset(signature(q.matrix) for q in span.combinations(rows))
+    forms = tuple(adjugate_form(_sym3(a, b)) for a, b in _SYM3_UPPER)
+    if not FormSpan(forms).equals(veronese_data()):
+        raise RuntimeError("the adjugate forms do not span the Veronese quadrics")
+    if _equivariant_units(forms) != frozenset(itertools.product(range(3), repeat=2)):
+        raise RuntimeError("the adjugate forms are not gl3-equivariant")
+    diagonals = [[[r[p] * (p == q) for q in range(3)] for p in range(3)] for r in _INERTIA_REPRESENTATIVES]
+    if {signature(Matrix(d)) for d in diagonals} != _NONZERO_INERTIAS:
+        raise RuntimeError("the representatives miss a nonzero inertia")
+    return frozenset(signature(adjugate_form(d).matrix) for d in diagonals)

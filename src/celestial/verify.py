@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import random
 import time
-import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -426,6 +425,32 @@ def _dynkin_strings(seed: int):
 
 
 def _veronese_signatures(seed: int):
+    """The signatures of every nonzero real quadric through the Veronese surface.
+
+    Read the six coordinates as the symmetric 3x3 matrix Y over (s, t, u);
+    the surface is where Y has rank 1, and for a symmetric A the form
+    q_A(y) = tr(A adj Y) vanishes there.  ``veronese_signature_witnesses``
+    certifies three exact facts:
+
+    1. the q_A of a basis of the symmetric matrices span the Veronese
+       quadrics, so A -> q_A maps the real A onto the real quadrics;
+    2. for each gl3 matrix unit u, with D_u its action on the coordinates,
+       D_u^T M(q_A) + M(q_A) D_u = M(q_B) for B = 2 tr(u) A - u A - A u^T;
+    3. five diagonal representatives carry the five nonzero inertias of A up
+       to sign, and their q_A the five signatures it returns.
+
+    Fact 2 is the derivative of q_A(g Y g^T) = det(g)^2 q_{g^-1 A g^-T}(Y),
+    from adj(g Y g^T) = det(g)^2 g^-T adj(Y) g^-1.  Both sides are linear
+    actions of GL3(R) whose derivatives agree on a basis of gl3, so they
+    agree on the connected group GL3+(R) that the exponentials generate, and
+    on all of GL3(R), because -I acts trivially on Y and on A and turns the
+    sign of det in odd dimension.  By Sylvester's law a nonzero real A is
+    +-h R h^T for a representative R and an invertible h; then q_A composed
+    with the invertible map Y -> h Y h^T is +-det(h)^2 q_R, so q_A has q_R's
+    normalized signature.  The returned set is thus every signature that
+    occurs, not a sample of them.  The rotation-invariant form, found by an
+    independent solve, must have (1,5).
+    """
     witnesses = geometry.veronese_signature_witnesses()
     required = {
         Signature(1, 2, 3), Signature(1, 3, 2), Signature(1, 5, 0),
@@ -574,6 +599,8 @@ CHECKS = (
 
 def _describe_crash(exc: Exception) -> str:
     """`TypeName: message @ file:line`, naming where the exception was raised."""
+    import traceback  # imported here: a run whose checks pass never needs it
+
     where = traceback.extract_tb(exc.__traceback__)[-1]
     return f"{type(exc).__name__}: {exc} @ {os.path.basename(where.filename)}:{where.lineno}"
 

@@ -22,6 +22,11 @@ another way, or an input catalog the tests iterate over:
                                          integer points of the stereographic check
     pair_form                            a form sum c * y_a y_b, each term added
                                          into an n x n list of entries
+    cofactor_adjugate_form               tr(A adj Y) on the Veronese coordinates, each
+                                         cofactor a signed 2x2 minor of Y
+    combination_witnesses                the signatures of the combinations of the
+                                         Veronese generators with small coefficients,
+                                         one congruence each
     toric_forms, checked_rows            the binomial forms of a toric surface, one
                                          pair_form each, and the stack of the
                                          forms' upper triangles with its rank
@@ -85,9 +90,9 @@ from math import lcm
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
 from celestial.exact import kernel, solve, symmetric_images
 from celestial.exact import _combine_z, _drop, _eliminate, _over, _pairs, _scaled
-from celestial.exact import _require_real_symmetric
+from celestial.exact import _require_real_symmetric, signature
 from celestial.forms import random_fraction
-from celestial.geometry import NSClass
+from celestial.geometry import NSClass, VERONESE_MONOMIALS, veronese_data
 from celestial.lattice import IntMatrix, LatticeType, _mat_mul
 from celestial.liealg import (
     E,
@@ -546,6 +551,39 @@ def pair_form(terms, dim: int) -> QuadraticForm:
             m[a][b] = m[a][b] + half
             m[b][a] = m[b][a] + half
     return QuadraticForm(Matrix(m))
+
+
+def cofactor_adjugate_form(a) -> QuadraticForm:
+    """tr(A adj Y) = sum A_ij C_ij, with C_ij = (-1)^(i+j) times the minor of Y without row i and column j.
+
+    Y[p][q] is the Veronese coordinate whose monomial in (s, t, u) is the
+    product of variables p and q.
+    """
+    index = {m: k for k, m in enumerate(VERONESE_MONOMIALS)}
+
+    def y(p, q):
+        return index[tuple((c == p) + (c == q) for c in range(3))]
+
+    terms = []
+    for i in range(3):
+        for j in range(3):
+            (r0, r1), (c0, c1) = [r for r in range(3) if r != i], [c for c in range(3) if c != j]
+            sign = (-1) ** (i + j) * a[i][j]
+            terms += [((y(r0, c0), y(r1, c1)), sign), ((y(r0, c1), y(r1, c0)), -sign)]
+    return pair_form(terms, 6)
+
+
+def combination_witnesses(height: int = 1) -> frozenset:
+    """The normalized signatures of the combinations of the Veronese generators.
+
+    The coefficients range over [-height, height]; only the rows whose first
+    nonzero entry is positive are diagonalized, since a row and its negative
+    give the same normalized signature.
+    """
+    span = veronese_data()
+    values = range(-height, height + 1)
+    rows = [c for c in itertools.product(values, repeat=len(span)) if next((x for x in c if x), 0) > 0]
+    return frozenset(signature(q.matrix) for q in span.combinations(rows))
 
 
 def toric_forms(param) -> tuple[QuadraticForm, ...]:

@@ -478,6 +478,46 @@ def test_a_matrix_built_symmetric_carries_a_true_verdict(vec):
     assert m == Matrix(m.entries()) and Matrix(m.entries()).is_symmetric
 
 
+def _lifted_upper(m: Matrix) -> Matrix:
+    """The upper triangle through the canonicalizing constructor, the path for any matrix."""
+    rows, den = m._common()
+    vec = [x for i, row in enumerate(rows) for x in row[i:]]
+    return Matrix._lifted(m._real, (den,), (vec,), len(vec))
+
+
+def _entrywise_upper(m: Matrix) -> Matrix:
+    return Matrix([[m[i, j] for i in range(m.rows) for j in range(i, m.cols)]])
+
+
+@given(
+    st.one_of(
+        symmetric_matrices(),  # real
+        sparse_symmetric_matrices(),
+        _squares.map(lambda m: m + m.transpose()),  # Gaussian half the time
+        _upper_rows.map(Matrix.symmetric),
+        st.integers(1, 6).map(lambda n: Matrix.zero(n, n)),
+    )
+)
+@settings(deadline=None)
+def test_the_upper_triangle_of_a_symmetric_matrix_skips_the_canonical_pass(m):
+    assert m.is_symmetric
+    expected = _lifted_upper(m)
+    with _counting_canonical() as calls:
+        up = m.upper()
+    assert calls == []
+    assert (up._real, up._dens, up._ints, up.cols) == (expected._real, expected._dens, expected._ints, expected.cols)
+    assert up == _entrywise_upper(m)
+
+
+@given(_squares)
+@settings(deadline=None)
+def test_the_upper_triangle_of_any_square_matrix_is_its_canonical_form(m):
+    up = m.upper()
+    expected = _lifted_upper(m)
+    assert (up._real, up._dens, up._ints) == (expected._real, expected._dens, expected._ints)
+    assert up == _entrywise_upper(m)
+
+
 def test_a_non_symmetric_matrix_is_rejected_by_both_checks():
     m = Matrix([[1, 2], [3, 4]])
     for _ in range(2):  # before and after the verdict is cached

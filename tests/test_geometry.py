@@ -4,15 +4,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celestial.exact import Matrix, Signature, gauss, signature
-from celestial import geometry
+from celestial import geometry, verify
 from celestial.geometry import (
     BLOWUP_CONFIGS,
     L0,
     L1,
     NSClass,
     VERONESE_EXPONENTS,
+    adjugate_form,
     b_classes,
     cyclide_pipeline,
     dynkin,
@@ -28,7 +31,16 @@ from celestial.geometry import (
 )
 from celestial.segre import form_from_pairs, FormSpan, MonomialParam, QuadraticForm
 from celestial.verify import EXPECTED_SINGULAR_STRINGS
-from oracles import EXCEPTIONAL, SQRT2, QuadExt, evaluate, horn_point, spindle_point
+from oracles import (
+    EXCEPTIONAL,
+    SQRT2,
+    QuadExt,
+    cofactor_adjugate_form,
+    combination_witnesses,
+    evaluate,
+    horn_point,
+    spindle_point,
+)
 
 
 def test_pairing_values():
@@ -218,6 +230,129 @@ def test_single_generator_witness():
     # the generator comparing the square of one coordinate with a product
     q = span.basis[2]
     assert signature(q.matrix) == Signature(1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the adjugate model of the Veronese quadrics
+
+
+def test_the_certificate_gives_the_set_of_the_height_one_enumeration():
+    assert veronese_signature_witnesses() == combination_witnesses()
+
+
+def test_y_is_read_off_the_monomials():
+    # Y_ss = y4, Y_tt = y5, Y_uu = y0, Y_st = y1, Y_su = y2, Y_tu = y3
+    assert geometry._VERONESE_Y == ((4, 1, 2), (1, 5, 3), (2, 3, 0))
+
+
+def _diagonal(r):
+    return [[r[p] * (p == q) for q in range(3)] for p in range(3)]
+
+
+def test_the_representatives_have_the_five_nonzero_inertias():
+    assert geometry._NONZERO_INERTIAS == {
+        Signature(0, 1, 2), Signature(0, 2, 1), Signature(0, 3, 0), Signature(1, 1, 1), Signature(1, 2, 0),
+    }
+    inertias = {signature(Matrix(_diagonal(r))) for r in geometry._INERTIA_REPRESENTATIVES}
+    assert inertias == geometry._NONZERO_INERTIAS
+
+
+@st.composite
+def nonzero_symmetric_3x3(draw):
+    entries = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6).filter(any))
+    it = iter(entries)
+    a = [[0] * 3 for _ in range(3)]
+    for p, q in geometry._SYM3_UPPER:
+        a[p][q] = a[q][p] = next(it)
+    return a
+
+
+@given(nonzero_symmetric_3x3())
+@settings(max_examples=60, deadline=None)
+def test_an_adjugate_form_has_the_signature_of_its_inertia_representative(a):
+    q = adjugate_form(a)
+    assert q == cofactor_adjugate_form(a)
+    assert veronese_data().contains(q)
+    rep = next(r for r in geometry._INERTIA_REPRESENTATIVES
+               if signature(Matrix(_diagonal(r))) == signature(Matrix(a)))
+    assert signature(q.matrix) == signature(adjugate_form(_diagonal(rep)).matrix)
+
+
+@given(nonzero_symmetric_3x3())
+@settings(max_examples=15, deadline=None)
+def test_adjugate_forms_and_their_signatures_match_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    y = sympy.symbols("y0:6")
+    big_y = sympy.Matrix(3, 3, lambda p, q: y[geometry._VERONESE_Y[p][q]])
+    expected = sympy.expand((sympy.Matrix(a) * big_y.adjugate()).trace())
+    m = adjugate_form(a).matrix
+    ours = sum(sympy.Rational(str(m[p, q].re)) * y[p] * y[q] for p in range(6) for q in range(6))
+    assert sympy.expand(ours - expected) == 0
+    # the form is real symmetric, so its characteristic polynomial has real
+    # roots only and Descartes' rule of signs counts the positive ones exactly
+    hessian = sympy.hessian(expected, y) / 2
+    coeffs = sympy.Poly(hessian.charpoly().as_expr()).all_coeffs()
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
+    nonzero = [c for c in coeffs if c]
+    pos = sum(1 for x, w in zip(nonzero, nonzero[1:]) if x * w < 0)
+    neg = 6 - pos - zero
+    assert signature(m) == Signature(min(pos, neg), max(pos, neg), zero)
+
+
+def _veronese_check():
+    (result,) = verify.run_checks(only="veronese-signatures")
+    return result
+
+
+@pytest.mark.parametrize("flip", [(0,), (1,), (0, 1)], ids=["first-term", "second-term", "whole-cofactor"])
+@pytest.mark.parametrize("entry", geometry._GL3_UNITS, ids=str)
+def test_a_wrong_cofactor_sign_fails_the_check(monkeypatch, entry, flip):
+    right = geometry._adjugate_terms
+
+    def wrong(i, j):
+        terms = right(i, j)
+        if (i, j) != entry:
+            return terms
+        return tuple((pair, -c if k in flip else c) for k, (pair, c) in enumerate(terms))
+
+    monkeypatch.setattr(geometry, "_adjugate_terms", wrong)
+    assert not _veronese_check().ok
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_a_representative_of_the_wrong_inertia_fails_the_check(monkeypatch, index):
+    reps = list(geometry._INERTIA_REPRESENTATIVES)
+    reps[index] = reps[(index + 1) % 5]  # one inertia twice, another missing
+    monkeypatch.setattr(geometry, "_INERTIA_REPRESENTATIVES", tuple(reps))
+    result = _veronese_check()
+    assert not result.ok
+    assert result.detail.startswith("RuntimeError: the representatives miss a nonzero inertia @ geometry.py:")
+
+
+@pytest.mark.parametrize("skipped", geometry._GL3_UNITS, ids=str)
+def test_an_equivariance_loop_that_skips_one_unit_fails_the_check(monkeypatch, skipped):
+    geometry._veronese_action_table()  # the cached table keeps all nine units
+    monkeypatch.setattr(geometry, "_GL3_UNITS", tuple(u for u in geometry._GL3_UNITS if u != skipped))
+    result = _veronese_check()
+    assert not result.ok
+    assert result.detail.startswith("RuntimeError: the adjugate forms are not gl3-equivariant @ geometry.py:")
+
+
+@pytest.mark.parametrize(
+    "convention",
+    [
+        lambda right, k, l: right(l, k),  # u^T A + A u in place of u A + A u^T
+        lambda right, k, l: right(k, l).scale(-1),  # the opposite sign
+        lambda right, k, l: right(k, l).transpose(),
+    ],
+    ids=["transposed-unit", "negated", "transposed-map"],
+)
+def test_another_convention_for_the_action_on_a_fails_the_check(monkeypatch, convention):
+    right = geometry._sym3_action
+    monkeypatch.setattr(geometry, "_sym3_action", lambda k, l: convention(right, k, l))
+    result = _veronese_check()
+    assert not result.ok
+    assert result.detail.startswith("RuntimeError: the adjugate forms are not gl3-equivariant @ geometry.py:")
 
 
 # ---------------------------------------------------------------------------
