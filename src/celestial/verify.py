@@ -11,8 +11,10 @@ randomness from that seed.
 
 from __future__ import annotations
 
+import marshal
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -605,19 +607,129 @@ def _describe_crash(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc} @ {os.path.basename(where.filename)}:{where.lineno}"
 
 
+def _run_check(index: int, seed: int) -> tuple:
+    """Run the check at ``CHECKS[index]``: the fields of its ``CheckResult``."""
+    check_id, ref, fn = CHECKS[index]
+    start = time.perf_counter()
+    try:
+        ok, detail = fn(seed)
+    except Exception as exc:  # a crash is a failing check, not a crash of the suite
+        ok, detail = False, _describe_crash(exc)
+    return check_id, ref, ok, detail, time.perf_counter() - start
+
+
+def _take(queue: int):
+    """The check indices this process takes from the queue pipe, one byte at a time."""
+    while index := os.read(queue, 1):
+        yield index[0]
+
+
+def _worker_count(checks: int) -> int:
+    """The workers to fork for this many checks: one per usable CPU after the first.
+
+    No worker where this process cannot fork, or has another live Python
+    thread, whose locks a forked child could inherit held.  ``threading`` is
+    read from ``sys.modules``: a process that never imported it has one thread.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(min(cpus or 1, checks) - 1, 0)
+
+
+def _work(queue: int, report: int, seed: int) -> None:
+    """A forked worker's whole life: run checks from the queue, report each, exit.
+
+    Each check is reported by two marshal records, its index when taken and
+    its result fields when done.  ``os._exit`` runs no ``atexit`` hook,
+    flushes no inherited stdout and never returns into the caller.
+    """
+    status = 1
+    try:
+        with open(report, "wb") as out:
+            for index in _take(queue):
+                marshal.dump(index, out)
+                out.flush()
+                marshal.dump(_run_check(index, seed), out)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(report: int, done: dict) -> int | None:
+    """Store a worker's reported results; the index of a check it took but never reported."""
+    taken = None
+    with open(report, "rb", closefd=False) as stream:
+        while True:
+            try:
+                record = marshal.load(stream)
+            except (EOFError, ValueError):  # the pipe's end, or a record cut short
+                return taken
+            if isinstance(record, int):
+                taken = record
+            else:
+                done[taken], taken = record, None
+
+
+def _lost(index: int, status: int) -> tuple:
+    """The failing result of a check whose worker died before reporting it."""
+    check_id, ref, _ = CHECKS[index]
+    code = os.waitstatus_to_exitcode(status)
+    cause = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    return check_id, ref, False, f"worker process died before reporting: {cause}", 0.0
+
+
 def run_checks(only: str | None = None, seed: int = 0) -> list[CheckResult]:
-    """Run all verification checks (or one of them) and collect results."""
+    """Run all verification checks (or one of them) and collect results in suite order.
+
+    The indices of the selected checks wait in a pipe.  ``min(usable CPUs,
+    checks) - 1`` forked workers and this process each take one index at a
+    time from it and run that check, so the load balances itself.  A check
+    taken by a worker that died before reporting fails with the worker's
+    exit status.  One check, one usable CPU, no ``os.fork``, a failed fork
+    or another live thread leave this process to run every check itself.
+    """
     known = {check_id for check_id, _, _ in CHECKS}
     if only is not None and only not in known:
         raise ValueError(f"unknown check {only!r}; known: {sorted(known)}")
-    out = []
-    for check_id, ref, fn in CHECKS:
-        if only is not None and check_id != only:
-            continue
-        start = time.perf_counter()
-        try:
-            ok, detail = fn(seed)
-        except Exception as exc:  # a crash is a failing check, not a crash of the suite
-            ok, detail = False, _describe_crash(exc)
-        out.append(CheckResult(check_id, ref, ok, detail, time.perf_counter() - start))
-    return out
+    selected = [i for i, (check_id, _, _) in enumerate(CHECKS) if only in (None, check_id)]
+    queue, feed = os.pipe()
+    os.write(feed, bytes(selected))  # one byte per check index, so at most 256 checks
+    os.close(feed)
+    workers: dict[int, int] = {}  # pid -> read end of its report pipe
+    reaped: dict[int, int] = {}  # pid -> wait status
+    done: dict[int, tuple] = {}
+    try:
+        for _ in range(_worker_count(len(selected))):
+            report, sink = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(report)
+                os.close(sink)
+                break
+            if pid == 0:
+                os.close(report)
+                _work(queue, sink, seed)
+            os.close(sink)
+            workers[pid] = report
+        for index in _take(queue):
+            done[index] = _run_check(index, seed)
+        for pid, report in workers.items():
+            taken = _receive(report, done)
+            reaped[pid] = os.waitpid(pid, 0)[1]
+            if taken is not None:
+                done[taken] = _lost(taken, reaped[pid])
+    except BaseException:
+        for pid in workers.keys() - reaped.keys():
+            os.kill(pid, 9)  # SIGKILL, without importing signal
+        raise
+    finally:
+        os.close(queue)
+        for pid, report in workers.items():
+            os.close(report)
+            if pid not in reaped:
+                os.waitpid(pid, 0)
+    return [CheckResult(*done[index]) for index in selected]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from celestial import verify
 from celestial.cli import main
 
 
@@ -295,6 +296,41 @@ def test_verify_timings_add_one_field_and_one_column(capsys):
     assert timed.splitlines()[1:] == plain.splitlines()[1:]
 
 
+def test_full_suite_timings_come_back_from_every_check(capsys):
+    # the full suite runs across forked workers; each entry carries the wall
+    # time measured in the process that ran its check
+    code, out = _run(capsys, "verify", "--json", "--timings")
+    assert code == 0
+    payload = json.loads(out)
+    ids = [check_id for check_id, _, _ in verify.CHECKS]
+    assert [entry["check_id"] for entry in payload["entries"]] == ids
+    for entry in payload["entries"]:
+        assert set(entry) == {"check_id", "ref", "status", "detail", "elapsed_s"}
+        assert isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] > 0
+        del entry["elapsed_s"]
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == _VERIFY_REFERENCE.read_text()
+
+    code, timed = _run(capsys, "verify", "--timings")
+    assert code == 0
+    _, plain = _run(capsys, "verify")
+    lines = timed.splitlines()
+    assert [line[6:30].rstrip() for line in lines[:-1]] == ids
+    assert all(re.fullmatch(r" *\d+\.\d{3}s  ", line[31:41]) for line in lines[:-1])
+    assert [line[:31] + line[41:] for line in lines[:-1]] + lines[-1:] == plain.splitlines()
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # a fresh interpreter, since this one has loaded the test tooling; each of
+    # these would add to the start-up of every command
+    heavy = ["multiprocessing", "concurrent.futures", "pickle", "subprocess"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    script = f"import sys, celestial.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -425,10 +461,14 @@ def recording(cls, coeffs, *, coords):
 
 
 FormSpan.from_rows = classmethod(recording)
-ok = all(r.ok for r in verify.run_checks())
+# one check at a time, so that none runs in a forked worker, whose spans
+# this process would never see
+ok = all(r.ok for check_id, _, _ in verify.CHECKS for r in verify.run_checks(only=check_id))
+verify_spans = len(built)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"ok": ok, "codes": codes, "spans": [[c.rank(), c.rows] for c in built]}))
+print(json.dumps({"ok": ok, "codes": codes, "verify_spans": verify_spans,
+                  "spans": [[c.rank(), c.rows] for c in built]}))
 """
 
 
@@ -446,6 +486,7 @@ def test_every_span_built_from_rows_has_full_row_rank():
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)
     assert report["ok"] and report["codes"] == [case["code"] for case in _INVARIANT_FORMS_CASES]
+    assert report["verify_spans"] == 27  # every span the eleven checks build
     sizes = {rows for _, rows in report["spans"]}
     # I2, the Veronese quadrics, the family span and the empty sl3 solve among them
     assert {20, 6, 4, 0} <= sizes
