@@ -17,7 +17,6 @@ per matrix, when they are first read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
@@ -30,13 +29,60 @@ _GAUSS_RE = re.compile(
     re.VERBOSE,
 )
 
+_setattr = object.__setattr__  # bound once for the hot constructors of this module
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
+
+class Record:
+    """A frozen value: equal, and equally hashed, when its class and compared fields are.
+
+    ``_fields`` names the fields in order; ``repr`` shows them all as
+    ``Name(field=value, ...)``, and ``==`` and ``hash`` go by the tuple
+    ``_key()``, every field unless a subclass compares fewer.  A subclass's
+    ``__init__`` sets its fields with ``object.__setattr__``, since
+    assignment and deletion raise ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class GaussianRational(Record):
     """An element re + im*i of Q(i)."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        _setattr(self, "re", re)
+        _setattr(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -908,8 +954,7 @@ def solve(m: Matrix, rhs: Matrix):
     return tuple(-x for x in ker.entries()[-1][: m.rows])
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(Record):
     """Inertia of a real symmetric matrix, normalized so pos <= neg.
 
     A quadric V(q) equals V(-q), so (pos, neg) and (neg, pos) describe the
@@ -917,9 +962,12 @@ class Signature:
     well-defined.
     """
 
-    pos: int
-    neg: int
-    zero: int = 0
+    __slots__ = _fields = ("pos", "neg", "zero")
+
+    def __init__(self, pos: int, neg: int, zero: int = 0):
+        _setattr(self, "pos", pos)
+        _setattr(self, "neg", neg)
+        _setattr(self, "zero", zero)
 
     def normalized(self) -> "Signature":
         if self.pos > self.neg:

@@ -17,11 +17,10 @@ rigid surfaces outside the family among them, live in ``verify``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
-from .exact import Matrix, Signature, gauss, signature
+from .exact import Matrix, Record, Signature, gauss, signature
 from .segre import (
     FormSpan,
     QuadraticForm,
@@ -36,20 +35,19 @@ INFINITY = float("inf")
 FAMILY_INDICES = (1, 3, 5, 7)
 
 
-@dataclass(frozen=True)
-class FamilyCoeffs:
+class FamilyCoeffs(Record):
     """Coefficients (c1, c3, c5, c7) of a family member, not all zero."""
 
-    c1: Fraction
-    c3: Fraction
-    c5: Fraction
-    c7: Fraction
+    _fields = ("c1", "c3", "c5", "c7")
 
-    def __post_init__(self):
-        for name in ("c1", "c3", "c5", "c7"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not any(self.as_tuple()):
+    def __init__(self, c1, c3, c5, c7):
+        c1, c3, c5, c7 = Fraction(c1), Fraction(c3), Fraction(c5), Fraction(c7)
+        if not (c1 or c3 or c5 or c7):
             raise ValueError("coefficients must not all vanish")
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c3", c3)
+        object.__setattr__(self, "c5", c5)
+        object.__setattr__(self, "c7", c7)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.c1, self.c3, self.c5, self.c7)
@@ -123,18 +121,25 @@ def moebius_pair(c: FamilyCoeffs) -> Signature:
     return sig
 
 
-@dataclass(frozen=True)
-class CelestialRecord:
-    """Classification data of one surface: type, singularities, symmetry."""
+class CelestialRecord(Record):
+    """Classification data of one surface: type, singularities, symmetry.
 
-    circles: float  # number of circles through a general point; inf allowed
-    degree: int
-    ambient: int
-    singular_locus: str
-    group_name: str
-    moduli_dim: int
-    moebius_equals_full_aut: bool
-    name: str
+    ``circles`` is the number of circles through a general point, inf allowed.
+    """
+
+    _fields = ("circles", "degree", "ambient", "singular_locus", "group_name", "moduli_dim",
+               "moebius_equals_full_aut", "name")
+
+    def __init__(self, circles: float, degree: int, ambient: int, singular_locus: str,
+                 group_name: str, moduli_dim: int, moebius_equals_full_aut: bool, name: str):
+        object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "singular_locus", singular_locus)
+        object.__setattr__(self, "group_name", group_name)
+        object.__setattr__(self, "moduli_dim", moduli_dim)
+        object.__setattr__(self, "moebius_equals_full_aut", moebius_equals_full_aut)
+        object.__setattr__(self, "name", name)
 
     def to_json(self) -> dict:
         lam = "inf" if self.circles == INFINITY else int(self.circles)
@@ -209,9 +214,12 @@ def rigidity_sample_check(c: FamilyCoeffs, trials: int = 100, seed: int = 0) -> 
     diagonal-torus pairs must fix the coefficients of the member.  The
     skipped monomial pairs normalize the torus and may permute
     coefficients: with w = [[0, 1], [-1, 0]], ``rep_S(w, I)`` maps
-    Q_(1,1,1,2) to Q_(1,1,2,1), so equivalent members need not have
-    proportional coefficients.  This samples a necessary condition; it is
-    not a proof.
+    Q_(1,1,1,2) to Q_(1,1,2,1).  The factor swap (s, u) -> (u, s), which
+    no pair of SL2 x SL2 gives, normalizes the torus too: it permutes the
+    y coordinates by the exponent map (a, b) -> (b, a), maps the family
+    span to itself, exchanging c1 and c3, and commutes with sigma_2.  So
+    equivalent members need not have proportional coefficients.  This
+    samples a necessary condition; it is not a proof.
     """
     span = family_basis()
     a_c = family_form(c, "y")

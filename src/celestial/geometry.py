@@ -14,11 +14,10 @@ form machinery runs for the Veronese surface in P^5 with its sl3 symmetry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Matrix, Signature, signature, ONE
+from .exact import Matrix, Record, Signature, signature, ONE
 from .segre import (
     FormSpan,
     MonomialParam,
@@ -34,11 +33,13 @@ from .liealg import ActionTable, action_table, solve_invariant
 # divisor classes on the blown-up surface
 
 
-@dataclass(frozen=True)
-class NSClass:
+class NSClass(Record):
     """Integer vector over the basis (l0, l1, e1, e2, e3, e4)."""
 
-    coeffs: tuple[int, int, int, int, int, int]
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, int, int, int, int, int]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     def conjugate(self) -> "NSClass":
         """The real structure swaps e1 <-> e2 and e3 <-> e4."""
@@ -77,8 +78,7 @@ def near_class(i: int, j: int) -> NSClass:
     )
 
 
-@dataclass(frozen=True)
-class BlowupConfig:
+class BlowupConfig(Record):
     """One configuration of blowup points on the doubled projective line.
 
     Points are numbered 1..4 (p, conj p, q, conj q).  ``pi1_fibers`` and
@@ -86,10 +86,14 @@ class BlowupConfig:
     second ruling; ``near`` lists (i, j) with j infinitely near i.
     """
 
-    points: tuple[int, ...]
-    pi1_fibers: tuple[tuple[int, int], ...] = ()
-    pi2_fibers: tuple[tuple[int, int], ...] = ()
-    near: tuple[tuple[int, int], ...] = ()
+    _fields = ("points", "pi1_fibers", "pi2_fibers", "near")
+
+    def __init__(self, points: tuple[int, ...], pi1_fibers: tuple[tuple[int, int], ...] = (),
+                 pi2_fibers: tuple[tuple[int, int], ...] = (), near: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "pi1_fibers", pi1_fibers)
+        object.__setattr__(self, "pi2_fibers", pi2_fibers)
+        object.__setattr__(self, "near", near)
 
 
 BLOWUP_CONFIGS: dict[str, BlowupConfig] = {
@@ -235,21 +239,27 @@ def sphere_member(span: FormSpan):
     return span.coordinates_of(sphere)
 
 
-@dataclass(frozen=True)
-class StereographicReport:
+class StereographicReport(Record):
     """Outcome of the cone/cylinder verification on a rational grid."""
 
-    ok: bool
-    cone_constant: Fraction | None
-    cylinder_radius_sq: Fraction | None
-    samples: int
-    skipped: int
+    _fields = ("ok", "cone_constant", "cylinder_radius_sq", "samples", "skipped")
+
+    def __init__(self, ok: bool, cone_constant: Fraction | None, cylinder_radius_sq: Fraction | None,
+                 samples: int, skipped: int):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "cone_constant", cone_constant)
+        object.__setattr__(self, "cylinder_radius_sq", cylinder_radius_sq)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "skipped", skipped)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-_STEREO_GRID = 7  # grid points per parameter
+# the rational grid of the stereographic check, t-values by u-values
+_STEREO_TS = tuple(Fraction(k, 7) for k in range(1, 8))
+_STEREO_US = tuple(Fraction(k, 3) for k in range(1, 8))
+_STEREO_DEGREE = 4  # of the forms the check evaluates, in (p, q) and in (r, s)
 
 
 def _spindle_integer_point(t: Fraction, u: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -332,13 +342,14 @@ def _fit(points, shape):
     """The one value num / den that shape takes at all points off the projection center.
 
     Returns (value or None, skipped): None when the values differ, the
-    denominator vanishes, or every point is skipped.
+    denominator vanishes, or every point is skipped; ``skipped`` holds the
+    indices of the points at the projection center.
     """
-    values, skipped = set(), 0
-    for a, b in points:
+    values, skipped = set(), set()
+    for k, (a, b) in enumerate(points):
         chart, num, den = shape(list(zip(a, b)))
         if chart == (0, 0):
-            skipped += 1
+            skipped.add(k)
         elif den == (0, 0):
             return None, skipped
         else:
@@ -354,18 +365,34 @@ def stereographic_check() -> StereographicReport:
     coordinate (a circular cylinder), identically over a rational grid;
     grid points hitting the projection center are skipped and counted.
     Each model point is first checked to lie on its pencil.
+
+    The grid proves both identities.  With t = p/q and u = r/s, every
+    coordinate of the integer model points is bihomogeneous of degree
+    (2, 2) in ((p, q), (r, s)), so each pencil form at a point, and each
+    num - c * den of the fit, is a form of degree (4, 4), in each of its
+    rational and sqrt(2) parts.  At a fixed t such a form is a binary
+    quartic in (r, s): zero at 5 distinct u, it is zero for every u.  If
+    that holds at 5 distinct t, then at every u it is a binary quartic in
+    (p, q) with 5 zeros, so it is zero everywhere.  So the check raises
+    ``RuntimeError`` unless at least 5 t-values each keep at least 5
+    u-values after the skips.
     """
     x_s, x_h = cyclide_pipeline()
-    ts = [Fraction(k, _STEREO_GRID) for k in range(1, _STEREO_GRID + 1)]
-    us = [Fraction(k, 3) for k in range(1, _STEREO_GRID + 1)]
-    grid = list(itertools.product(ts, us))
+    grid = list(itertools.product(_STEREO_TS, _STEREO_US))
     spindle = [_spindle_integer_point(t, u) for t, u in grid]
     horn = [_horn_integer_point(t, u) for t, u in grid]
     if not (_vanishes(x_s, spindle) and _vanishes(x_h, horn)):
         return StereographicReport(False, None, None, 0, 0)
     cone_c, skipped_s = _fit(spindle, _spindle_shape)
     radius, skipped_h = _fit(horn, _horn_shape)
-    skipped = skipped_s + skipped_h
+    for skipped in (skipped_s, skipped_h):
+        kept = {}  # t -> the number of its u-values off the skipped points
+        for k, (t, _) in enumerate(grid):
+            kept[t] = kept.get(t, 0) + (k not in skipped)
+        if sum(n > _STEREO_DEGREE for n in kept.values()) <= _STEREO_DEGREE:
+            raise RuntimeError(f"the stereographic grid keeps {sorted(kept.values())} u-values per "
+                               f"t-value, too few to prove a form of degree {_STEREO_DEGREE} zero")
+    skipped = len(skipped_s) + len(skipped_h)
 
     def _positive_rational(v) -> Fraction | None:
         return v[0] if v is not None and not v[1] and v[0] > 0 else None

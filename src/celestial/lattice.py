@@ -14,9 +14,10 @@ involutions.  It reads no table: the paper's rows and names live in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+
+from .exact import Record
 
 Point = tuple[int, int]
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -26,19 +27,19 @@ def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(Record):
     """Convex polygon with vertices in Z^2, counterclockwise, dimension 2."""
 
-    vertices: tuple[Point, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        n = len(self.vertices)
+    def __init__(self, vertices: tuple[Point, ...]):
+        n = len(vertices)
         if n < 3:
             raise ValueError("polygon needs at least 3 vertices")
         for i in range(n):
-            if _cross(self.vertices[i], self.vertices[(i + 1) % n], self.vertices[(i + 2) % n]) <= 0:
+            if _cross(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]) <= 0:
                 raise ValueError("vertices must be strictly convex and counterclockwise")
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def edges(self) -> tuple[tuple[Point, Point], ...]:
@@ -129,18 +130,18 @@ def degree(p: LatticePolygon) -> int:
     return 2 * i + b - 2
 
 
-@dataclass(frozen=True)
-class UnimodularInvolution:
+class UnimodularInvolution(Record):
     """An order-2 linear map of Z^2 with determinant +-1."""
 
-    m: IntMatrix
+    _fields = ("m",)
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.m
+    def __init__(self, m: IntMatrix):
+        (a, b), (c, d) = m
         if a * d - b * c not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        if _mat_mul(self.m, self.m) != ((1, 0), (0, 1)):
+        if _mat_mul(m, m) != ((1, 0), (0, 1)):
             raise ValueError("matrix is not an involution")
+        object.__setattr__(self, "m", m)
 
     def apply(self, p: Point) -> Point:
         return _apply(self.m, p)
@@ -246,13 +247,16 @@ def forbidden_edge(p: LatticePolygon, inv: UnimodularInvolution) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class LatticeType:
+class LatticeType(Record):
     """A polygon, a compatible involution, and its circle directions."""
 
-    polygon: LatticePolygon
-    involution: UnimodularInvolution
-    directions: frozenset[Point]
+    _fields = ("polygon", "involution", "directions")
+
+    def __init__(self, polygon: LatticePolygon, involution: UnimodularInvolution,
+                 directions: frozenset[Point]):
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "directions", directions)
 
     @staticmethod
     def of(polygon: LatticePolygon, involution: UnimodularInvolution) -> "LatticeType":

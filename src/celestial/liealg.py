@@ -24,11 +24,10 @@ pieces fill the span, and the split checks that their dimensions add up.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .exact import Matrix, GaussianRational, _common_kernel, kernel, symmetric_images, I
+from .exact import Matrix, GaussianRational, Record, _common_kernel, kernel, symmetric_images, I
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
@@ -50,15 +49,13 @@ _S = _m2(1, 0, 0, -1)
 _I3 = Matrix.identity(3)
 
 
-@dataclass(frozen=True)
-class LieElement:
+class LieElement(Record):
     """A pair of traceless 2x2 matrices over Q(i)."""
 
-    left: Matrix
-    right: Matrix
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        for half in (self.left, self.right):
+    def __init__(self, left: Matrix, right: Matrix):
+        for half in (left, right):
             if half.rows != 2 or half.cols != 2:
                 raise ValueError("components must be 2x2")
             # a / da + d / dd = 0 on the lifted rows, for each part of a Gaussian a and d
@@ -66,6 +63,8 @@ class LieElement:
             parts = ((a, d),) if half.is_real else zip(a, d)
             if any(x * dd + y * da for x, y in parts):
                 raise ValueError("components must be traceless")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __add__(self, other: "LieElement") -> "LieElement":
         return LieElement(self.left + other.left, self.right + other.right)
@@ -167,8 +166,7 @@ def d_rep(m: LieElement) -> Matrix:
     return (_coordinate_rows((m,)) * _basis_images()).reshape(9, 9)
 
 
-@dataclass(frozen=True, eq=False)
-class ActionTable:
+class ActionTable(Record):
     """Tangents D_j acting on a span of forms, in the span's own coordinates.
 
     ``reduced`` is R, a basis of the span (one upper triangle per row, k
@@ -183,13 +181,19 @@ class ActionTable:
     none when every D_j maps the span into itself, as sl2+sl2 does I2.
     Row j of ``blocks`` is [Phi_j | E_j at those columns] transposed, a
     (k + len(residual)) x k matrix, read row by row; so the system of an
-    element x = sum c_j D_j is the row c * blocks, reshaped.
+    element x = sum c_j D_j is the row c * blocks, reshaped.  Tables
+    compare and hash by identity.
     """
 
-    reduced: Matrix
-    residual: tuple[int, ...]
-    blocks: Matrix
-    coords: tuple[int, ...]
+    _fields = ("reduced", "residual", "blocks", "coords")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, reduced: Matrix, residual: tuple[int, ...], blocks: Matrix, coords: tuple[int, ...]):
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "coords", coords)
 
 
 def action_table(tangents, ambient: FormSpan) -> ActionTable:

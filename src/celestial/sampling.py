@@ -9,7 +9,6 @@ CSV or PLY clouds after an optional linear projection to 3-space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .segre import mu_transform, toric_projection
@@ -155,13 +154,13 @@ def residual(forms, point) -> float:
     return worst
 
 
-@dataclass
 class PointCloud:
     """Projected 3-space samples of one surface."""
 
-    points: list[tuple[float, float, float]]
-    skipped: int
-    max_residual: float
+    def __init__(self, points: list[tuple[float, float, float]], skipped: int, max_residual: float):
+        self.points = points
+        self.skipped = skipped
+        self.max_residual = max_residual
 
 
 def default_projection(ambient_dim: int) -> list[list[float]]:

@@ -17,11 +17,10 @@ straight from their lattice points.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exact import Matrix, GaussianRational, gauss, solve, ZERO, ONE, I
+from .exact import Matrix, GaussianRational, Record, gauss, solve, ZERO, ONE, I
 from .lattice import STANDARD_INVOLUTIONS
 
 # torus exponents of y_0 .. y_8, in the frozen coordinate order
@@ -51,20 +50,19 @@ def torus_sigma(i: int, s: GaussianRational, u: GaussianRational):
     return tuple(cs**a * cu**b for a, b in STANDARD_INVOLUTIONS[i].m)
 
 
-@dataclass(frozen=True)
-class MonomialParam:
+class MonomialParam(Record):
     """Monomial parametrization: one Laurent exponent pair per coordinate.
 
     ``coords`` keeps the labels of the ambient coordinates (indices into the
-    full 9-coordinate frame) so that projections remember where they live.
+    full 9-coordinate frame) so that projections remember where they live;
+    by default they are 0, 1, ..., one per exponent pair.
     """
 
-    exponents: tuple[tuple[int, int], ...]
-    coords: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
+    _fields = ("exponents", "coords")
 
-    def __post_init__(self):
-        if self.coords is None:
-            object.__setattr__(self, "coords", tuple(range(len(self.exponents))))
+    def __init__(self, exponents: tuple[tuple[int, int], ...], coords: tuple[int, ...] | None = None):
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "coords", tuple(range(len(exponents))) if coords is None else coords)
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -81,8 +79,7 @@ class MonomialParam:
 SEGRE_PARAM = MonomialParam(Y_EXPONENTS)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """A quadratic form: a symmetric matrix over Q(i).
 
     The form does not record its coordinates.  Forms are written in the
@@ -90,11 +87,12 @@ class QuadraticForm:
     frame x of some sigma_i; the caller that made a form knows which.
     """
 
-    matrix: Matrix
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        if not self.matrix.is_symmetric:
+    def __init__(self, matrix: Matrix):
+        if not matrix.is_symmetric:
             raise ValueError("quadratic form matrix must be symmetric")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:

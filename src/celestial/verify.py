@@ -16,11 +16,10 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import GaussianRational, Matrix, Signature, ZERO, gauss, signature
+from .exact import GaussianRational, Matrix, Record, Signature, ZERO, gauss, signature
 from .segre import (
     FormSpan,
     MonomialParam,
@@ -147,18 +146,27 @@ def expected_horn_pencil() -> FormSpan:
     )
 
 
-@dataclass(frozen=True)
-class LatticeRow:
-    """One row of the paper's lattice table, as printed."""
+class LatticeRow(Record):
+    """One row of the paper's lattice table, as printed.
 
-    ref: str
-    name: str
-    vertices: tuple[lattice.Point, ...]
-    involution: lattice.UnimodularInvolution
-    counts: tuple[int, int, int]  # (interior, boundary, degree)
-    directions: tuple[lattice.Point, ...]
-    i2_dimension: int
-    merges_with: str | None  # the row naming the same surface, if any
+    ``counts`` is (interior, boundary, degree); ``merges_with`` names the
+    row of the same surface, if any.
+    """
+
+    _fields = ("ref", "name", "vertices", "involution", "counts", "directions", "i2_dimension",
+               "merges_with")
+
+    def __init__(self, ref: str, name: str, vertices: tuple[lattice.Point, ...],
+                 involution: lattice.UnimodularInvolution, counts: tuple[int, int, int],
+                 directions: tuple[lattice.Point, ...], i2_dimension: int, merges_with: str | None):
+        object.__setattr__(self, "ref", ref)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "i2_dimension", i2_dimension)
+        object.__setattr__(self, "merges_with", merges_with)
 
     @cached_property
     def lattice_type(self) -> lattice.LatticeType:
@@ -276,13 +284,20 @@ def class_param(tag: str) -> MonomialParam:
     raise ValueError(f"unknown lattice class {tag!r}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    ref: str
-    ok: bool
-    detail: str
-    elapsed_s: float = field(default=0.0, compare=False)  # wall time of the check
+class CheckResult(Record):
+    """The outcome of one check; ``elapsed_s``, its wall time, is left out of ``==``."""
+
+    _fields = ("check_id", "ref", "ok", "detail", "elapsed_s")
+
+    def __init__(self, check_id: str, ref: str, ok: bool, detail: str, elapsed_s: float = 0.0):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "ref", ref)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed_s", elapsed_s)
+
+    def _key(self) -> tuple:
+        return (self.check_id, self.ref, self.ok, self.detail)
 
     @property
     def status(self) -> str:

@@ -321,14 +321,25 @@ def test_full_suite_timings_come_back_from_every_check(capsys):
 
 def test_importing_the_cli_loads_no_process_machinery():
     # a fresh interpreter, since this one has loaded the test tooling; each of
-    # these would add to the start-up of every command
-    heavy = ["multiprocessing", "concurrent.futures", "pickle", "subprocess"]
+    # these would add to the start-up of every command, and dataclasses alone
+    # (with inspect, which it imports) took about 10 ms of an 18 ms import.
+    # Only modules new after start-up count, whatever a site hook loads.
+    heavy = ["multiprocessing", "concurrent.futures", "pickle", "subprocess", "dataclasses", "inspect"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    script = f"import sys, celestial.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded(): return [m for m in HEAVY if m in sys.modules and m not in before]\n"
+        "import celestial.cli\n"
+        "imported = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = celestial.cli.main(['verify', '--json'])\n"
+        "print(imported, code, len(out.getvalue()) > 0, loaded())\n"
+    ).replace("HEAVY", repr(heavy))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=60)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[] 0 True []\n")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """The hyperquadric family and the classification records."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -22,7 +21,16 @@ from celestial.forms import (
     rigidity_sample_check,
     singular_support,
 )
-from celestial.segre import FormSpan, QuadraticForm, form_from_pairs, i2_segre, mu_transform, rep_S
+from celestial.segre import (
+    Y_EXPONENTS,
+    FormSpan,
+    QuadraticForm,
+    apply_sigma,
+    form_from_pairs,
+    i2_segre,
+    mu_transform,
+    rep_S,
+)
 from oracles import shear_product_congruence
 
 
@@ -199,9 +207,15 @@ def test_record_degrees_are_the_lattice_degrees():
     assert off == []
     # a wrong degree in either table is caught
     records = dict(verify.RECORD_TABLE)
-    records["dP6"] = dataclasses.replace(records["dP6"], degree=5)
+    dp6 = records["dP6"]
+    records["dP6"] = forms.CelestialRecord(dp6.circles, 5, dp6.ambient, dp6.singular_locus, dp6.group_name,
+                                           dp6.moduli_dim, dp6.moebius_equals_full_aut, dp6.name)
     assert _degree_mismatches(records, rows)[1] == ["dP6"]
-    miscounted = [dataclasses.replace(r, counts=(1, 4, 6)) if r.ref == "e" else r for r in rows]
+    miscounted = [
+        verify.LatticeRow(r.ref, r.name, r.vertices, r.involution, (1, 4, 6), r.directions,
+                          r.i2_dimension, r.merges_with) if r.ref == "e" else r
+        for r in rows
+    ]
     assert _degree_mismatches(verify.RECORD_TABLE, miscounted)[1] == ["ring cyclide"]
 
 
@@ -328,6 +342,27 @@ def test_a_weyl_pair_swaps_c5_and_c7():
         moved = QuadraticForm(s.transpose() * a * s)
         assert forms.family_basis().coordinates_of(moved) == tuple(map(gauss, (1, 1, 2, 1)))
     assert classify_family(FamilyCoeffs(1, 1, 1, 2)) == classify_family(FamilyCoeffs(1, 1, 2, 1))
+
+
+def test_the_factor_swap_exchanges_c1_and_c3():
+    # tau: (s, u) -> (u, s) permutes the y coordinates by the exponent map
+    # (a, b) -> (b, a); it lies in Aut(P^1 x P^1) outside PGL2 x PGL2, so it
+    # also normalizes the torus, and maps I2 and the family span to themselves
+    tau = tuple(Y_EXPONENTS.index((b, a)) for a, b in Y_EXPONENTS)
+
+    def swap(q):
+        return QuadraticForm(q.matrix.reindex(tau, tau))
+
+    i2, family = i2_segre(), forms.family_basis()
+    assert all(i2.contains(swap(q)) for q in i2.basis)
+    images = [family.coordinates_of(swap(q)) for q in family.basis]
+    swapped = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert images == [tuple(map(gauss, row)) for row in swapped]
+    # a real equivalence in the frames of sigma_0, sigma_2 (the family's) and
+    # sigma_3, but not of sigma_1
+    commutes = [all(apply_sigma(i, swap(q)) == swap(apply_sigma(i, q)) for q in i2.basis) for i in range(4)]
+    assert commutes == [True, False, True, True]
+    assert classify_family(FamilyCoeffs(1, 2, 3, 5)) == classify_family(FamilyCoeffs(2, 1, 3, 5))
 
 
 def test_corollary_signatures():

@@ -182,6 +182,32 @@ def test_stereographic_images_are_a_cone_and_a_cylinder():
     assert report.samples == 2 * 49 - report.skipped
 
 
+def _skipping_three_u_values(fit):
+    def skipping(points, shape):
+        value, skipped = fit(points, shape)
+        return value, skipped | {k for k in range(len(points)) if k % 7 < 3}
+    return skipping
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("_STEREO_TS", lambda ts: ts[:4]),
+        ("_STEREO_US", lambda us: us[:4]),
+        ("_fit", _skipping_three_u_values),
+    ],
+    ids=["four-t-values", "four-u-values", "four-u-values-left-by-skips"],
+)
+def test_a_grid_with_four_values_on_one_axis_proves_nothing(monkeypatch, name, mutate):
+    # a form of degree 4 on a line can vanish at 4 points, so the fit would
+    # hold on such a grid without proving the identity
+    monkeypatch.setattr(geometry, name, mutate(getattr(geometry, name)))
+    with pytest.raises(RuntimeError, match="too few to prove a form of degree 4 zero"):
+        stereographic_check()
+    (result,) = verify.run_checks(only="cyclide-pipeline")
+    assert not result.ok and "RuntimeError" in result.detail
+
+
 def test_veronese_parametrization_and_ideal():
     span = veronese_data()
     param = MonomialParam(tuple(VERONESE_EXPONENTS[k] for k in span.coords), span.coords)
