@@ -20,16 +20,11 @@ def main() -> None:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for surface in sampling.SURFACES:
-        cloud = sampling.sample(surface, args.resolution)
         path = out / f"{surface}.ply"
-        sampling.write_ply(cloud, str(path))
-        print(
-            f"{surface:<9} {len(cloud.points):>6} points  "
-            f"max residual {cloud.max_residual:.2e}  -> {path}"
-        )
-    dense = sampling.sample("dp6", 2 * args.resolution)
-    sampling.write_csv(dense, str(out / "dp6_dense.csv"))
-    print(f"dp6 dense {len(dense.points):>6} points  -> {out / 'dp6_dense.csv'}")
+        count, _, worst = sampling.export(surface, args.resolution, None, str(path), "ply")
+        print(f"{surface:<9} {count:>6} points  max residual {worst:.2e}  -> {path}")
+    count, _, _ = sampling.export("dp6", 2 * args.resolution, None, str(out / "dp6_dense.csv"), "csv")
+    print(f"dp6 dense {count:>6} points  -> {out / 'dp6_dense.csv'}")
 
 
 if __name__ == "__main__":

@@ -226,15 +226,17 @@ def _cmd_family(args) -> int:
 
 def _cmd_sample(args) -> int:
     projection = sampling.load_projection(args.proj) if args.proj else None
-    cloud = sampling.sample(args.surface, args.resolution, projection)
-    if args.format == "csv":
-        sampling.write_csv(cloud, args.out)
-    else:
-        sampling.write_ply(cloud, args.out)
+    try:
+        count, skipped, worst = sampling.export(
+            args.surface, args.resolution, projection, args.out, args.format
+        )
+    except sampling.ResidualError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(
-        f"wrote {len(cloud.points)} points to {args.out} "
-        f"({cloud.skipped} degenerate samples skipped, "
-        f"max quadric residual {cloud.max_residual:.3e})"
+        f"wrote {count} points to {args.out} "
+        f"({skipped} degenerate samples skipped, "
+        f"max quadric residual {worst:.3e})"
     )
     return 0
 

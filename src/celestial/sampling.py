@@ -8,13 +8,28 @@ CSV or PLY clouds after an optional linear projection to 3-space.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from functools import lru_cache
+from itertools import islice
 
 from .segre import mu_transform, toric_projection
+from .workers import worker_count
 from . import geometry
 
 _TAN_CUTOFF = 1e8
+
+# the largest normalized quadric residual an exported or checked point may have
+RESIDUAL_LIMIT = 1e-9
+
+# the fewest points a chunk of an exported grid may hold, so a grid is split
+# only from 2 * MIN_CHUNK points on.  A fork and reap costs about 0.9 ms.
+# Split in two on a shared 2-core machine (Python 3.11.7, medians of 31),
+# ring CSV exports of 1,600, 2,025, 2,500 and 4,900 points went from 2.44 to
+# 2.61 ms (slower), 3.01 to 2.92, 3.76 to 3.24 and 6.74 to 5.17 ms; horn
+# broke even at about 2,000 points too, dp6 at about 1,000.
+MIN_CHUNK = 1000
 
 
 # each parametrization maps the grid angles to the surface's points, row by
@@ -253,8 +268,8 @@ def _kernel(surface: str):
     return namespace["kernel"]
 
 
-def sample(surface: str, resolution: int, projection=None) -> PointCloud:
-    """Sample, verify residuals, and project a surface to 3-space."""
+def _grid(surface: str, resolution: int, projection):
+    """The grid points of a surface, its skipped nodes and the projection checked against them."""
     if surface not in SURFACES:
         raise ValueError(f"unknown surface {surface!r}")
     pts, skipped = surface_points(surface, resolution)
@@ -262,23 +277,165 @@ def sample(surface: str, resolution: int, projection=None) -> PointCloud:
     proj = default_projection(dim) if projection is None else projection
     if len(proj) != 3 or any(len(row) != dim - 1 for row in proj):
         raise ValueError(f"projection must be 3 rows of {dim - 1} entries")
+    return pts, skipped, proj
+
+
+def sample(surface: str, resolution: int, projection=None) -> PointCloud:
+    """Sample, verify residuals, and project a surface to 3-space."""
+    pts, skipped, proj = _grid(surface, resolution, projection)
     out, worst = _kernel(surface)(pts, proj)
     return PointCloud(out, skipped, worst)
 
 
+# the line of one point in each output format
+_LINES = {"csv": b"%.12g,%.12g,%.12g\n", "ply": b"%.12g %.12g %.12g\n"}
+
+
+def _header(fmt: str, count: int) -> bytes:
+    if fmt == "csv":
+        return b"x,y,z\n"
+    return (
+        b"ply\nformat ascii 1.0\nelement vertex %d\n" % count
+        + b"property float x\nproperty float y\nproperty float z\nend_header\n"
+    )
+
+
+def _write(cloud: PointCloud, path: str, fmt: str) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_header(fmt, len(cloud.points)))
+        fh.writelines(map(_LINES[fmt].__mod__, cloud.points))
+
+
 def write_csv(cloud: PointCloud, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y,z\n")
-        fh.writelines(map("%.12g,%.12g,%.12g\n".__mod__, cloud.points))
+    _write(cloud, path, "csv")
 
 
 def write_ply(cloud: PointCloud, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(cloud.points)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write("end_header\n")
-        fh.writelines(map("%.12g %.12g %.12g\n".__mod__, cloud.points))
+    _write(cloud, path, "ply")
+
+
+class ResidualError(ArithmeticError):
+    """A sampled point lies off its surface's quadrics by RESIDUAL_LIMIT or more."""
+
+
+def export(surface: str, resolution: int, projection, path: str, fmt: str) -> tuple[int, int, float]:
+    """Sample a surface and write its cloud to ``path`` as "csv" or "ply".
+
+    Returns (points written, degenerate nodes skipped, max residual).  The
+    file holds the bytes that ``sample`` and ``write_csv``/``write_ply``
+    give.  The grid is cut into contiguous chunks of at least ``MIN_CHUNK``
+    points, at most one per usable CPU (``workers.worker_count``); this
+    process keeps the first and forks a worker for each further chunk, which
+    checks, projects and formats it and sends back its max residual and its
+    bytes.  This process writes the header, its own lines and then each
+    chunk's bytes in order, so the file does not depend on the split.  It
+    computes a chunk itself when no worker was forked for it or the worker
+    died before sending all of it.  A grid that is empty or a misshapen
+    projection raises before the file is opened; a max residual that is not
+    below ``RESIDUAL_LIMIT`` removes the written file and raises
+    ``ResidualError``.
+    """
+    pts, skipped, proj = _grid(surface, resolution, projection)
+    kernel, line = _kernel(surface), _LINES[fmt]
+    with open(path, "wb") as fh:
+        worst = _write_chunks(fh, _header(fmt, len(pts)), kernel, pts, proj, line)
+    if not worst < RESIDUAL_LIMIT:
+        if os.path.isfile(path) and not os.path.islink(path):  # never a device or a link
+            os.remove(path)
+        raise ResidualError(
+            f"max quadric residual {worst:.3e} of {surface} is not below {RESIDUAL_LIMIT:.0e}"
+        )
+    return len(pts), skipped, worst
+
+
+def _write_chunks(fh, header: bytes, kernel, pts, proj, line: bytes) -> float:
+    """Write the header and every chunk's lines, forking workers for the chunks after the first."""
+    chunks = 1 + worker_count(len(pts) // MIN_CHUNK)
+    cuts = [len(pts) * c // chunks for c in range(chunks + 1)]
+    workers: dict[int, tuple[int, int]] = {}  # chunk -> (pid, read end of its pipe)
+    reaped: set[int] = set()
+    try:
+        for c in range(1, chunks):
+            source, sink = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(source)
+                os.close(sink)
+                break
+            if pid == 0:
+                os.close(source)
+                _work(sink, kernel, islice(pts, cuts[c], cuts[c + 1]), proj, line)
+            os.close(sink)
+            workers[c] = pid, source
+        fh.write(header)
+        worst = 0.0
+        for c in range(chunks):
+            payload = None
+            if c in workers:
+                pid, source = workers[c]
+                payload = _receive(source)
+                os.waitpid(pid, 0)
+                reaped.add(c)
+            if payload is None:
+                found = _write_own(fh, kernel, islice(pts, cuts[c], cuts[c + 1]), proj, line)
+            else:
+                found, data = payload
+                fh.write(data)
+            if found > worst:
+                worst = found
+    except BaseException:
+        for c in workers.keys() - reaped:
+            os.kill(workers[c][0], 9)  # SIGKILL, without importing signal
+        raise
+    finally:
+        for c, (pid, source) in workers.items():
+            os.close(source)
+            if c not in reaped:
+                os.waitpid(pid, 0)
+    return worst
+
+
+def _write_own(fh, kernel, chunk, proj, line: bytes) -> float:
+    """Check, project and write one chunk in this process: its max residual.
+
+    The chunk's points are freed on return, before the next chunk's bytes are read.
+    """
+    out, worst = kernel(chunk, proj)
+    fh.writelines(map(line.__mod__, out))
+    return worst
+
+
+def _work(sink: int, kernel, chunk, proj, line: bytes) -> None:
+    """A forked worker's whole life: check, project and format one chunk, send it, exit.
+
+    It sends a marshal record (max residual, byte count), then the chunk's
+    lines.  They are formatted in memory first, since a worker writing line
+    by line would wait on the full pipe while this process still computes
+    its own chunk.  ``os._exit`` runs no ``atexit`` hook, flushes no
+    inherited buffer, the output file's included, and never returns.
+    """
+    status = 1
+    try:
+        out, worst = kernel(chunk, proj)
+        data = b"".join(map(line.__mod__, out))
+        with open(sink, "wb") as pipe:
+            pipe.write(marshal.dumps((worst, len(data))))
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(source: int) -> tuple[float, bytes] | None:
+    """A worker's (max residual, chunk bytes), or None if what it sent is cut short."""
+    with open(source, "rb", closefd=False) as pipe:
+        try:
+            worst, size = marshal.load(pipe)
+        except (EOFError, ValueError, TypeError):  # nothing sent, or a record cut short
+            return None
+        data = pipe.read(size)
+    return (worst, data) if len(data) == size else None
 
 
 def load_projection(path: str) -> list[list[float]]:

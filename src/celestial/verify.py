@@ -14,7 +14,6 @@ from __future__ import annotations
 import marshal
 import os
 import random
-import sys
 import time
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +37,7 @@ from .segre import (
 from . import forms, geometry, lattice, liealg, sampling
 from .forms import INFINITY, CelestialRecord, random_fraction, random_sl2
 from .lattice import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
+from .workers import worker_count
 
 
 def _span(term_lists, dim) -> FormSpan:
@@ -594,7 +594,7 @@ def _sample_residuals(seed: int):
     ):
         cloud = sampling.sample(surface, resolution)
         worst[surface] = cloud.max_residual
-    ok = all(r < 1e-9 for r in worst.values())
+    ok = all(r < sampling.RESIDUAL_LIMIT for r in worst.values())
     detail = " ".join(f"{s}:{r:.2e}" for s, r in sorted(worst.items()))
     return ok, detail
 
@@ -637,20 +637,6 @@ def _take(queue: int):
     """The check indices this process takes from the queue pipe, one byte at a time."""
     while index := os.read(queue, 1):
         yield index[0]
-
-
-def _worker_count(checks: int) -> int:
-    """The workers to fork for this many checks: one per usable CPU after the first.
-
-    No worker where this process cannot fork, or has another live Python
-    thread, whose locks a forked child could inherit held.  ``threading`` is
-    read from ``sys.modules``: a process that never imported it has one thread.
-    """
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(min(cpus or 1, checks) - 1, 0)
 
 
 def _work(queue: int, report: int, seed: int) -> None:
@@ -717,7 +703,7 @@ def run_checks(only: str | None = None, seed: int = 0) -> list[CheckResult]:
     reaped: dict[int, int] = {}  # pid -> wait status
     done: dict[int, tuple] = {}
     try:
-        for _ in range(_worker_count(len(selected))):
+        for _ in range(worker_count(len(selected))):
             report, sink = os.pipe()
             try:
                 pid = os.fork()

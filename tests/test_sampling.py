@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celestial import sampling
+from celestial import cli, sampling
 from celestial.segre import mu_transform, toric_projection
 from oracles import fstring_write_csv, fstring_write_ply, loop_sample, node_surface_points
 
@@ -84,6 +84,16 @@ def test_a_cyclide_at_resolution_2_has_no_points_and_still_fails_to_sample(surfa
     assert sampling.surface_points(surface, 2) == ([], 4)
     with pytest.raises(IndexError):
         sampling.sample(surface, 2)
+
+
+def test_the_cli_fails_on_a_cyclide_at_resolution_2_before_opening_the_file(tmp_path):
+    # the export keeps the IndexError of the empty cloud, which the benchmark's
+    # reference records, until ROADMAP item 1's `benchmark` change makes it an
+    # empty cloud; the file is never created
+    out = tmp_path / "f.csv"
+    with pytest.raises(IndexError):
+        cli.main(["sample", "--surface", "spindle", "--resolution", "2", "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("surface", sampling.SURFACES)

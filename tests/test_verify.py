@@ -172,10 +172,3 @@ def test_a_live_second_thread_means_no_fork(monkeypatch, two_cpus):
     assert not thread.is_alive()
     assert forks == []
     assert [r.check_id for r in results] == _IDS and all(r.ok for r in results)
-
-
-@pytest.mark.parametrize("cpus, checks, workers", [(1, 11, 0), (2, 11, 1), (4, 11, 3), (4, 1, 0), (16, 3, 2)])
-def test_one_worker_per_further_usable_cpu(monkeypatch, cpus, checks, workers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert verify._worker_count(checks) == workers
