@@ -8,14 +8,14 @@ CSV or PLY clouds after an optional linear projection to 3-space.
 
 from __future__ import annotations
 
-import marshal
+import io
 import math
 import os
 from functools import lru_cache
 from itertools import islice
 
 from .segre import mu_transform, toric_projection
-from .workers import worker_count
+from .workers import run_tasks, worker_count
 from . import geometry
 
 _TAN_CUTOFF = 1e8
@@ -324,118 +324,54 @@ def export(surface: str, resolution: int, projection, path: str, fmt: str) -> tu
     Returns (points written, degenerate nodes skipped, max residual).  The
     file holds the bytes that ``sample`` and ``write_csv``/``write_ply``
     give.  The grid is cut into contiguous chunks of at least ``MIN_CHUNK``
-    points, at most one per usable CPU (``workers.worker_count``); this
-    process keeps the first and forks a worker for each further chunk, which
-    checks, projects and formats it and sends back its max residual and its
-    bytes.  This process writes the header, its own lines and then each
-    chunk's bytes in order, so the file does not depend on the split.  It
-    computes a chunk itself when no worker was forked for it or the worker
-    died before sending all of it.  A grid that is empty or a misshapen
-    projection raises before the file is opened; a max residual that is not
-    below ``RESIDUAL_LIMIT`` removes the written file and raises
-    ``ResidualError``.
+    points, at most one per usable CPU (``workers.worker_count``).  The
+    chunks are the tasks of ``workers.run_tasks``: forked workers and this
+    process each check, project and format the next chunk into its max
+    residual and its bytes.  This process then writes the header and each
+    chunk's bytes in order, so the file does not depend on the split, and
+    computes again any chunk whose worker died or sent it cut short.  A
+    grid that is empty or a misshapen projection raises before the file is
+    opened.  Once it is opened, any exception removes the file (a regular
+    file only, never a device or a link) before it propagates; a max
+    residual that is not below ``RESIDUAL_LIMIT`` raises ``ResidualError``.
     """
     pts, skipped, proj = _grid(surface, resolution, projection)
     kernel, line = _kernel(surface), _LINES[fmt]
-    with open(path, "wb") as fh:
-        worst = _write_chunks(fh, _header(fmt, len(pts)), kernel, pts, proj, line)
-    if not worst < RESIDUAL_LIMIT:
+    fh = open(path, "wb")
+    try:
+        with fh:
+            worst = _write_chunks(fh, _header(fmt, len(pts)), kernel, pts, proj, line)
+        if not worst < RESIDUAL_LIMIT:
+            raise ResidualError(
+                f"max quadric residual {worst:.3e} of {surface} is not below {RESIDUAL_LIMIT:.0e}"
+            )
+    except BaseException:
         if os.path.isfile(path) and not os.path.islink(path):  # never a device or a link
             os.remove(path)
-        raise ResidualError(
-            f"max quadric residual {worst:.3e} of {surface} is not below {RESIDUAL_LIMIT:.0e}"
-        )
+        raise
     return len(pts), skipped, worst
 
 
 def _write_chunks(fh, header: bytes, kernel, pts, proj, line: bytes) -> float:
-    """Write the header and every chunk's lines, forking workers for the chunks after the first."""
+    """Write the header and every chunk's lines, formatted here and in forked workers."""
     chunks = 1 + worker_count(len(pts) // MIN_CHUNK)
     cuts = [len(pts) * c // chunks for c in range(chunks + 1)]
-    workers: dict[int, tuple[int, int]] = {}  # chunk -> (pid, read end of its pipe)
-    reaped: set[int] = set()
-    try:
-        for c in range(1, chunks):
-            source, sink = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(source)
-                os.close(sink)
-                break
-            if pid == 0:
-                os.close(source)
-                _work(sink, kernel, islice(pts, cuts[c], cuts[c + 1]), proj, line)
-            os.close(sink)
-            workers[c] = pid, source
-        fh.write(header)
-        worst = 0.0
-        for c in range(chunks):
-            payload = None
-            if c in workers:
-                pid, source = workers[c]
-                payload = _receive(source)
-                os.waitpid(pid, 0)
-                reaped.add(c)
-            if payload is None:
-                found = _write_own(fh, kernel, islice(pts, cuts[c], cuts[c + 1]), proj, line)
-            else:
-                found, data = payload
-                fh.write(data)
-            if found > worst:
-                worst = found
-    except BaseException:
-        for c in workers.keys() - reaped:
-            os.kill(workers[c][0], 9)  # SIGKILL, without importing signal
-        raise
-    finally:
-        for c, (pid, source) in workers.items():
-            os.close(source)
-            if c not in reaped:
-                os.waitpid(pid, 0)
+
+    def run(c: int) -> tuple[float, bytes]:
+        out, worst = kernel(islice(pts, cuts[c], cuts[c + 1]), proj)
+        data = io.BytesIO()
+        data.writelines(map(line.__mod__, out))
+        return worst, data.getvalue()
+
+    done, _ = run_tasks(run, chunks)
+    fh.write(header)
+    worst = 0.0
+    for c in range(chunks):
+        found, data = done[c] if c in done else run(c)
+        fh.write(data)
+        if found > worst:
+            worst = found
     return worst
-
-
-def _write_own(fh, kernel, chunk, proj, line: bytes) -> float:
-    """Check, project and write one chunk in this process: its max residual.
-
-    The chunk's points are freed on return, before the next chunk's bytes are read.
-    """
-    out, worst = kernel(chunk, proj)
-    fh.writelines(map(line.__mod__, out))
-    return worst
-
-
-def _work(sink: int, kernel, chunk, proj, line: bytes) -> None:
-    """A forked worker's whole life: check, project and format one chunk, send it, exit.
-
-    It sends a marshal record (max residual, byte count), then the chunk's
-    lines.  They are formatted in memory first, since a worker writing line
-    by line would wait on the full pipe while this process still computes
-    its own chunk.  ``os._exit`` runs no ``atexit`` hook, flushes no
-    inherited buffer, the output file's included, and never returns.
-    """
-    status = 1
-    try:
-        out, worst = kernel(chunk, proj)
-        data = b"".join(map(line.__mod__, out))
-        with open(sink, "wb") as pipe:
-            pipe.write(marshal.dumps((worst, len(data))))
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(source: int) -> tuple[float, bytes] | None:
-    """A worker's (max residual, chunk bytes), or None if what it sent is cut short."""
-    with open(source, "rb", closefd=False) as pipe:
-        try:
-            worst, size = marshal.load(pipe)
-        except (EOFError, ValueError, TypeError):  # nothing sent, or a record cut short
-            return None
-        data = pipe.read(size)
-    return (worst, data) if len(data) == size else None
 
 
 def load_projection(path: str) -> list[list[float]]:

@@ -11,7 +11,6 @@ randomness from that seed.
 
 from __future__ import annotations
 
-import marshal
 import os
 import random
 import time
@@ -37,7 +36,7 @@ from .segre import (
 from . import forms, geometry, lattice, liealg, sampling
 from .forms import INFINITY, CelestialRecord, random_fraction, random_sl2
 from .lattice import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
-from .workers import worker_count
+from .workers import run_tasks
 
 
 def _span(term_lists, dim) -> FormSpan:
@@ -633,47 +632,6 @@ def _run_check(index: int, seed: int) -> tuple:
     return check_id, ref, ok, detail, time.perf_counter() - start
 
 
-def _take(queue: int):
-    """The check indices this process takes from the queue pipe, one byte at a time."""
-    while index := os.read(queue, 1):
-        yield index[0]
-
-
-def _work(queue: int, report: int, seed: int) -> None:
-    """A forked worker's whole life: run checks from the queue, report each, exit.
-
-    Each check is reported by two marshal records, its index when taken and
-    its result fields when done.  ``os._exit`` runs no ``atexit`` hook,
-    flushes no inherited stdout and never returns into the caller.
-    """
-    status = 1
-    try:
-        with open(report, "wb") as out:
-            for index in _take(queue):
-                marshal.dump(index, out)
-                out.flush()
-                marshal.dump(_run_check(index, seed), out)
-                out.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(report: int, done: dict) -> int | None:
-    """Store a worker's reported results; the index of a check it took but never reported."""
-    taken = None
-    with open(report, "rb", closefd=False) as stream:
-        while True:
-            try:
-                record = marshal.load(stream)
-            except (EOFError, ValueError):  # the pipe's end, or a record cut short
-                return taken
-            if isinstance(record, int):
-                taken = record
-            else:
-                done[taken], taken = record, None
-
-
 def _lost(index: int, status: int) -> tuple:
     """The failing result of a check whose worker died before reporting it."""
     check_id, ref, _ = CHECKS[index]
@@ -685,52 +643,18 @@ def _lost(index: int, status: int) -> tuple:
 def run_checks(only: str | None = None, seed: int = 0) -> list[CheckResult]:
     """Run all verification checks (or one of them) and collect results in suite order.
 
-    The indices of the selected checks wait in a pipe.  ``min(usable CPUs,
-    checks) - 1`` forked workers and this process each take one index at a
-    time from it and run that check, so the load balances itself.  A check
-    taken by a worker that died before reporting fails with the worker's
-    exit status.  One check, one usable CPU, no ``os.fork``, a failed fork
-    or another live thread leave this process to run every check itself.
+    The selected checks are the tasks of ``workers.run_tasks``: forked
+    workers and this process each take the next check as they finish, so
+    the load balances itself.  A check taken by a worker that died before
+    reporting it fails with the worker's exit status.  One check, one usable
+    CPU, no ``os.fork``, a failed fork or another live thread leave this
+    process to run every check itself.
     """
     known = {check_id for check_id, _, _ in CHECKS}
     if only is not None and only not in known:
         raise ValueError(f"unknown check {only!r}; known: {sorted(known)}")
     selected = [i for i, (check_id, _, _) in enumerate(CHECKS) if only in (None, check_id)]
-    queue, feed = os.pipe()
-    os.write(feed, bytes(selected))  # one byte per check index, so at most 256 checks
-    os.close(feed)
-    workers: dict[int, int] = {}  # pid -> read end of its report pipe
-    reaped: dict[int, int] = {}  # pid -> wait status
-    done: dict[int, tuple] = {}
-    try:
-        for _ in range(worker_count(len(selected))):
-            report, sink = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(report)
-                os.close(sink)
-                break
-            if pid == 0:
-                os.close(report)
-                _work(queue, sink, seed)
-            os.close(sink)
-            workers[pid] = report
-        for index in _take(queue):
-            done[index] = _run_check(index, seed)
-        for pid, report in workers.items():
-            taken = _receive(report, done)
-            reaped[pid] = os.waitpid(pid, 0)[1]
-            if taken is not None:
-                done[taken] = _lost(taken, reaped[pid])
-    except BaseException:
-        for pid in workers.keys() - reaped.keys():
-            os.kill(pid, 9)  # SIGKILL, without importing signal
-        raise
-    finally:
-        os.close(queue)
-        for pid, report in workers.items():
-            os.close(report)
-            if pid not in reaped:
-                os.waitpid(pid, 0)
-    return [CheckResult(*done[index]) for index in selected]
+    done, lost = run_tasks(lambda k: _run_check(selected[k], seed), len(selected))
+    for k, status in lost.items():
+        done[k] = _lost(selected[k], status)
+    return [CheckResult(*done[k]) for k in range(len(selected))]

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from celestial import sampling
+from celestial import sampling, workers
 from celestial.cli import main
 
 _WAIT_S = 60  # a bound on every wait below, so a lost worker fails instead of hanging
@@ -108,15 +108,41 @@ def _kernel_that(monkeypatch, in_worker, in_parent=lambda: None):
     monkeypatch.setattr(sampling, "_kernel", wrapped)
 
 
+@pytest.fixture
+def handshake():
+    """(took, wait): a worker calls ``took()`` once it has taken a chunk, and
+    this process's first ``wait()`` returns once both workers have.
+
+    Without it this process could drain the queue before a worker takes a
+    chunk, and a test of a lost chunk would pass without losing one.
+    """
+    ready, took_fd = os.pipe()
+    waited = []
+
+    def took():
+        os.write(took_fd, b"x")
+
+    def wait():
+        for _ in range(0 if waited else 2):
+            assert select.select([ready], [], [], _WAIT_S)[0], "a worker never took a chunk"
+            os.read(ready, 1)
+        waited.append(True)
+
+    yield took, wait
+    os.close(ready)
+    os.close(took_fd)
+
+
 @pytest.mark.parametrize(
     "die",
     [lambda: os._exit(7), lambda: os.kill(os.getpid(), signal.SIGKILL)],
     ids=["exit", "signal"],
 )
-def test_a_chunk_whose_worker_dies_is_computed_here(monkeypatch, capsys, tmp_path, forks, die):
+def test_a_chunk_whose_worker_dies_is_computed_here(monkeypatch, capsys, tmp_path, forks, handshake, die):
+    took, wait = handshake
     monkeypatch.setattr(sampling, "MIN_CHUNK", 7)
     want, cloud = _expected(tmp_path, "dp6", "csv")
-    _kernel_that(monkeypatch, die)
+    _kernel_that(monkeypatch, lambda: (took(), die()), wait)
     code, out, printed, err = _export(capsys, tmp_path, "dp6", "csv")
     _assert_no_child_left()
     assert (code, err, printed) == (0, "", _line(out, cloud))
@@ -124,15 +150,20 @@ def test_a_chunk_whose_worker_dies_is_computed_here(monkeypatch, capsys, tmp_pat
     assert len(forks) == 2
 
 
-def test_a_chunk_cut_short_is_computed_here(monkeypatch, capsys, tmp_path, forks):
-    # a worker that exits 0 after sending part of its chunk
-    def work(sink, kernel, chunk, proj, line):
-        os.write(sink, marshal.dumps((0.0, 100)) + b"1,2,3\n")
+def test_a_chunk_cut_short_is_computed_here(monkeypatch, capsys, tmp_path, forks, handshake):
+    # a worker that takes a chunk, sends part of its record and exits 0
+    took, wait = handshake
+
+    def work(queue, report, run):
+        k = os.read(queue, 1)[0]
+        os.write(report, marshal.dumps(k) + marshal.dumps((0.0, b"1,2,3\n" * 100))[:50])
+        took()
         os._exit(0)
 
     monkeypatch.setattr(sampling, "MIN_CHUNK", 7)
-    monkeypatch.setattr(sampling, "_work", work)
+    monkeypatch.setattr(workers, "_work", work)
     want, cloud = _expected(tmp_path, "ring", "ply")
+    _kernel_that(monkeypatch, lambda: None, wait)
     code, out, printed, err = _export(capsys, tmp_path, "ring", "ply")
     _assert_no_child_left()
     assert (code, err, printed) == (0, "", _line(out, cloud))
@@ -230,5 +261,28 @@ def test_a_residual_above_the_limit_exits_1_and_leaves_no_file(monkeypatch, caps
     _assert_no_child_left()
     assert (code, printed) == (1, "")
     assert err == "error: max quadric residual 1.000e-06 of ring is not below 1e-09\n"
+    assert not out.exists()
+    assert len(forks) == (2 if split else 0)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-chunk", "three-chunks"])
+def test_an_error_while_writing_exits_2_and_leaves_no_file(monkeypatch, capsys, tmp_path, forks, split):
+    # an OSError in this process's kernel, as a full disk would raise while
+    # writing; each worker blocks in its kernel, so this process takes a chunk
+    block, keep_open = os.pipe()
+
+    def in_parent():
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sampling, "MIN_CHUNK", 7 if split else _RESOLUTION ** 2)
+    _kernel_that(monkeypatch, lambda: select.select([block], [], [], _WAIT_S), in_parent)
+    try:
+        code, out, printed, err = _export(capsys, tmp_path, "dp6", "csv")
+    finally:
+        os.close(block)
+        os.close(keep_open)
+    _assert_no_child_left()
+    assert (code, printed) == (2, "")
+    assert err == "error: [Errno 28] No space left on device\n"
     assert not out.exists()
     assert len(forks) == (2 if split else 0)
