@@ -539,22 +539,76 @@ def _times(rows, right, ncols: int, real: bool):
     return [_gauss_row_product(row, terms, ncols, False) for row in rows]
 
 
+# A prime P = 1 (mod 4) and a square root S of -1 modulo P: i -> S is a ring
+# homomorphism Z[i] -> F_P, and a product of two residues fits one CPython digit.
+_P = 32749
+_S = 15645
+
+
+def _full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
+    """Whether the rows of the stacked systems have rank ncols once mapped into F_P.
+
+    Each system is read as in ``_common_kernel``.  The rows go into F_P by
+    i -> S and are reduced one by one against an echelon basis, until ncols
+    pivots are found.  A yes is a proof that the stacked rows have full
+    rank over Q(i): some ncols-minor is nonzero mod P, so it is nonzero
+    over Z[i].  A no proves nothing, since a minor over Z[i] can be a
+    multiple of a prime of Z[i] over P.
+    """
+    basis = [None] * ncols  # basis[c]: an echelon row that is 1 at c and 0 before it
+    rank = 0
+    for flat in systems:
+        if real:
+            residues = [x % _P for x in flat]
+        else:
+            residues = [(xr + _S * xi) % _P for xr, xi in flat]
+        for start in range(0, len(residues), ncols):
+            row = residues[start : start + ncols]
+            for c, lead in enumerate(basis):
+                f = row[c]
+                if not f:
+                    continue
+                if lead is None:
+                    inv = pow(f, -1, _P)
+                    basis[c] = [0] * c + [x * inv % _P for x in row[c:]]
+                    rank += 1
+                    if rank == ncols:
+                        return True
+                    break
+                row[c:] = [(x - f * y) % _P for x, y in zip(row[c:], lead[c:])]
+    return False
+
+
 def _common_kernel(systems, ncols: int, real: bool):
     """Rows K over the Gaussian integers spanning the vectors that every system kills.
 
     Each of ``systems`` is one system read row by row, ``ncols`` entries a
-    row, as Gaussian integers of one kind (ints if ``real``).  K is the
-    kernel of the first nonzero system, and each later one S cuts it down
-    to ker(S K^T) K: c K is killed by S exactly when c is killed by S K^T.
-    Zero systems kill everything and are skipped; with none left the result
-    is None, and an empty K ends the cut.  The rows of K are a basis, not a
+    row, as Gaussian integers of one kind (ints if ``real``).  Zero systems
+    kill everything and are skipped; with none left the result is None.
+
+    With two or more left, ``_full_rank_mod_p`` may first prove that the
+    stacked rows have full rank, and then K is empty ([]) with no exact
+    elimination.  The test is one-sided: a full-rank stack can look
+    singular mod P (a minor divisible by P), and then the exact cut below
+    decides, so a miss costs time, never a wrong answer.  A single system
+    is not tested: an element's system on an invariant piece is k x k of
+    rank k - 1.
+
+    The exact cut is the only source of kernel rows.  K is the kernel of
+    the first nonzero system, and each later one S cuts it down to
+    ker(S K^T) K, since c K is killed by S exactly when c is killed by
+    S K^T; an empty K ends the cut.  The rows of K are a basis, not a
     canonical one; each is divided by the content of its entries, so the
     products of later cuts stay small.
     """
+    nonzero = any if real else _nonzero_pairs
+    live = [flat for flat in systems if nonzero(flat)]
+    if not live:
+        return None
+    if len(live) > 1 and _full_rank_mod_p(live, ncols, real):
+        return []
     keep = None
-    for flat in systems:
-        if not (any(flat) if real else _nonzero_pairs(flat)):
-            continue
+    for flat in live:
         system = [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
         if keep is None:
             keep, _ = _null_rows(system, ncols, real)
@@ -765,6 +819,15 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        return Matrix._lifted(*self._product(other), other.cols)
+
+    def _product(self, other: "Matrix"):
+        """(real, dens, rows): self * other as rows[i] / dens[i], not yet canonical.
+
+        The rows are Gaussian integers of one kind, ints if ``real``; a
+        product of a real and a non-real matrix is pairs, even when every
+        imaginary part comes out zero.
+        """
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for product")
         db, terms = other._right_terms()
@@ -773,7 +836,7 @@ class Matrix:
             out = _times_int(self._ints, terms, other.cols, self._real)
         else:
             out = [_gauss_row_product(row, terms, other.cols, self._real) for row in self._ints]
-        return Matrix._lifted(real, [d * db for d in self._dens], out, other.cols)
+        return real, [d * db for d in self._dens], out
 
     def scale(self, c) -> "Matrix":
         c_real, (cd,), ((c,),) = _lift(((gauss(c),),))

@@ -301,23 +301,27 @@ def solve_invariant(elements: Matrix, pieces) -> FormSpan:
     to the ambient, each mapped into itself by every tangent (or a single
     table); ``elements`` holds one coordinate row per element, in those
     tangents.  In a piece, an element acts through the row c * blocks, read
-    as the system [Phi | E]^T of the table; the combinations K of R's rows
-    that every element kills are cut down on the lifted rows of those
-    systems (``_common_kernel``), and the piece keeps the forms K R, or all
-    of R when every element acts on it as zero.  One reduced row echelon
-    form of the kept rows of every piece at the end makes the basis
-    canonical, so the result does not depend on the order or the basis of
-    the elements, nor on the pieces.
+    as the system [Phi | E]^T of the table.  The systems are the raw
+    Gaussian-integer rows of that product, each a multiple of the system,
+    with no canonical Matrix made of them; the combinations K of R's rows
+    that every element kills are cut down on them (``_common_kernel``,
+    which proves most empty K by a rank test modulo a prime first), and
+    the piece keeps the forms K R, or all of R when every element acts on
+    it as zero.  One reduced row echelon form of the kept rows of every
+    piece at the end makes the basis canonical, so the result does not
+    depend on the order or the basis of the elements, nor on the pieces.
     """
     kept = []
     for table in pieces:
         red = table.reduced
-        systems = elements * table.blocks if elements.rows else Matrix.zero(0, 0)
-        keep = _common_kernel(systems._ints, red.rows, systems.is_real)
+        real, systems = True, ()
+        if elements.rows:
+            real, _, systems = elements._product(table.blocks)
+        keep = _common_kernel(systems, red.rows, real)
         if keep is None:
             kept.append(red)
         elif keep:
-            kept.append(Matrix._lifted(systems.is_real, (1,) * len(keep), keep, red.rows) * red)
+            kept.append(Matrix._lifted(real, (1,) * len(keep), keep, red.rows) * red)
     width = pieces[0].reduced.cols
     return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
 

@@ -58,6 +58,9 @@ another way, or an input catalog the tests iterate over:
                                          of the whole span, without isotypic pieces
     matrix_step_solve_invariant          the invariant-form solver on the pieces with
                                          a Matrix and a Gauss-Jordan kernel per step
+    exact_cut_common_kernel              the common kernel of Gaussian-integer systems
+                                         by the exact cut alone, with no rank test
+                                         modulo a prime first
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
                                          rows of the span: one kernel of the
                                          transposed images per tangent
@@ -90,6 +93,7 @@ from math import lcm
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
 from celestial.exact import kernel, solve, symmetric_images
 from celestial.exact import _combine_z, _drop, _eliminate, _over, _pairs, _scaled
+from celestial.exact import _nonzero_pairs, _null_rows, _scaled_down, _times
 from celestial.exact import _require_real_symmetric, signature
 from celestial.forms import random_fraction
 from celestial.geometry import NSClass, VERONESE_MONOMIALS, veronese_data
@@ -912,6 +916,30 @@ def matrix_step_solve_invariant(elements, pieces):
             kept.append(red if keep is None else keep * red)
     width = pieces[0].reduced.cols
     return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
+
+
+def exact_cut_common_kernel(systems, ncols, real):
+    """Rows K over the Gaussian integers spanning the vectors that every system kills.
+
+    The exact cut with nothing in front of it: K is the kernel of the first
+    nonzero system, and each later one S cuts it down to ker(S K^T) K; zero
+    systems are skipped, none left gives None, and an empty K ends the cut.
+    Each row of K is divided by the content of its entries.
+    """
+    keep = None
+    for flat in systems:
+        if not (any(flat) if real else _nonzero_pairs(flat)):
+            continue
+        system = [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
+        if keep is None:
+            keep, _ = _null_rows(system, ncols, real)
+        else:
+            cut, _ = _null_rows(_times(system, list(zip(*keep)), len(keep), real), len(keep), real)
+            keep = _times(cut, keep, ncols, real)
+        if not keep:
+            break
+        keep = [_scaled_down(row, real) for row in keep]
+    return keep
 
 
 def coefficient_row_solve_invariant(tangents, ambient):

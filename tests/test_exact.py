@@ -7,7 +7,7 @@ properties at the end compare the two, and both with sympy when installed.
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +38,7 @@ from oracles import (
     dense_combine_z,
     dense_combine_zi,
     elimination_solve,
+    exact_cut_common_kernel,
     gauss_jordan_kernel,
     lift,
     rebuilt_terms_product,
@@ -946,8 +947,21 @@ def test_kernels_with_several_free_columns_and_pivots_of_norm_above_one(unit):
 # the kernel cut down system by system, on lifted rows
 
 
+# nonzero Gaussian integers that the map i -> S sends to zero in F_P, and
+# 90^2 + 157^2 = P, so one of 90 + 157i and 90 - 157i goes to zero too
+_P, _S = exact._P, exact._S
+_VANISHING_MOD_P = {
+    True: (_P, -_P, 2 * _P, _P * _P),
+    False: ((_P, 0), (0, -_P), (_S, -1), (-_S, 1), (_S * 3, -3), (90, 157), (90, -157)),
+}
+
+
 def _flat_systems(draw, real, count, width, k):
-    """``count`` systems of ``width`` x k Gaussian integers, one flat row each, some zero."""
+    """``count`` systems of ``width`` x k Gaussian integers, one flat row each, some zero.
+
+    Some systems have entries that vanish modulo the prime of
+    ``exact._full_rank_mod_p``, where it can miss a full rank.
+    """
     rng = draw(st.randoms(use_true_random=False))
     density = draw(st.sampled_from((0.3, 0.7, 1.0)))
     out = []
@@ -956,7 +970,11 @@ def _flat_systems(draw, real, count, width, k):
             flat = [0] * (width * k)
         else:
             flat = [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(width * k)]
-        out.append(flat if real else [(x, rng.randint(-3, 3) if x else 0) for x in flat])
+        if not real:
+            flat = [(x, rng.randint(-3, 3) if x else 0) for x in flat]
+        if rng.random() < 0.2:
+            flat = [rng.choice(_VANISHING_MOD_P[real]) if rng.random() < 0.3 else x for x in flat]
+        out.append(flat)
     return out
 
 
@@ -992,6 +1010,75 @@ def test_the_cut_kernel_spans_the_kernel_of_the_stacked_systems(problem):
     for row in keep:  # each row is divided by its content
         parts = row if real else [x for pair in row for x in pair]
         assert gcd(*parts) == 1
+
+
+@given(cut_problems())
+@settings(max_examples=120, deadline=None)
+def test_the_cut_kernel_spans_the_exact_cuts_kernel(problem):
+    # the exact cut alone, with no rank test modulo P in front, is the reference
+    real, k, systems = problem
+    keep, old = _common_kernel(systems, k, real), exact_cut_common_kernel(systems, k, real)
+    if not old:
+        assert keep == old
+        return
+    assert keep
+    assert _as_matrix(real, keep, k).rref()[0] == _as_matrix(real, old, k).rref()[0]
+
+
+# ---------------------------------------------------------------------------
+# the rank test modulo P: a yes is a proof of full rank, a no proves nothing
+
+
+def test_the_modulus_is_a_prime_one_mod_four_and_s_a_root_of_minus_one():
+    assert _P > 2 and all(_P % d for d in range(2, isqrt(_P) + 1))
+    assert _P % 4 == 1
+    assert (_S * _S + 1) % _P == 0
+    assert (_P - 1) ** 2 < 2**30  # a product of two residues is one CPython digit
+
+
+def test_a_singular_gaussian_matrix_is_not_certified():
+    # [[1, i], [i, -1]] has rank 1 over Q(i); under a wrong root of -1 it has rank 2 mod P
+    rows = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]
+    assert _as_matrix(False, rows, 2).rank() == 1
+    assert not exact._full_rank_mod_p([[x for row in rows for x in row]], 2, False)
+    keep = _common_kernel(rows, 2, False)  # one system per row
+    assert keep and _as_matrix(False, keep, 2).rref()[0] == kernel(Matrix([[1, I], [I, -1]])).rref()[0]
+
+
+@pytest.mark.parametrize(
+    "real, rows",
+    [
+        (True, [[_P]]),
+        (False, [[(_S, -1)]]),  # S - i goes to S - S
+        (False, [[(90, 157), (1, 0)], [(0, 0), (90, -157)]]),  # det (90 + 157i)(90 - 157i) = P
+    ],
+)
+def test_a_full_rank_matrix_singular_mod_p_is_left_to_the_exact_cut(real, rows):
+    n = len(rows)
+    assert 90**2 + 157**2 == _P
+    assert _as_matrix(real, rows, n).rank() == n
+    assert not exact._full_rank_mod_p([[x for row in rows for x in row]], n, real)
+    systems = [*rows, rows[0]]  # one system per row, two or more, so the test runs
+    assert _common_kernel(systems, n, real) == []
+
+
+@st.composite
+def stacks_with_multiples_of_p(draw):
+    """(real, ncols, rows): Gaussian-integer rows, some entries multiples of P or zero mod P."""
+    real = draw(st.booleans())
+    ncols = draw(st.integers(1, 5))
+    part = st.one_of(st.integers(-3, 3), st.sampled_from((_P, -_P, 2 * _P, 3 * _P + 1)))
+    entry = part if real else st.one_of(st.tuples(part, part), st.sampled_from(_VANISHING_MOD_P[False]))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=ncols + 3))
+    return real, ncols, rows
+
+
+@given(stacks_with_multiples_of_p())
+@settings(max_examples=200, deadline=None)
+def test_a_certified_stack_has_full_rank_over_q_i(problem):
+    real, ncols, rows = problem
+    if exact._full_rank_mod_p(rows, ncols, real):  # one system per row
+        assert _as_matrix(real, rows, ncols).rank() == ncols
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss, symmetric_images
-from celestial import forms, liealg
+from celestial import exact, forms, liealg
 from celestial import geometry
 from celestial.geometry import VERONESE_MONOMIALS
 from celestial.liealg import (
@@ -709,6 +709,49 @@ def test_the_lifted_solver_matches_the_matrix_steps_on_the_veronese_table():
             algebra.append(rng.choice(geometry.so3_basis()))
         sizes.add(len(_same_as_the_matrix_steps(rows(algebra), (table,))))
     assert len(sizes) > 1
+
+
+def _nonempty_common_kernels(rows, pieces) -> int:
+    """The pieces where two or more elements act as nonzero and still kill a common nonzero form."""
+    elements, count = Matrix(rows), 0
+    for piece in pieces:
+        real, _, systems = elements._product(piece.blocks)
+        live = [flat for flat in systems if any(flat if real else (x for pair in flat for x in pair))]
+        count += len(live) > 1 and bool(exact._common_kernel(systems, piece.reduced.rows, real))
+    return count
+
+
+def test_the_lifted_solver_matches_the_matrix_steps_where_common_kernels_are_not_empty():
+    # there the rank test modulo P cannot answer, and the exact cut decides
+    pieces = liealg._full_pieces(i2_segre())
+    torus = (
+        [S1, S2],
+        [S1 + S2.scale(3), S2],
+        [S1.scale(I) + S2, S1 + S2],
+        [S1.scale(gauss("2-i")), S2.scale(I), S1 + S2],
+    )
+    real = ([T1 + T2, Q1 + Q2], [T1 + T2, Q1 + Q2, S1 + S2], [S1 + S2, T1 + T2], [T1, S2])
+    assert all(x.left.is_real and x.right.is_real for algebra in real for x in algebra)
+    for algebra in (*torus, *real):
+        rows = [coordinates(x) for x in algebra]
+        assert _nonempty_common_kernels(rows, pieces) > 0
+        assert len(_same_as_the_matrix_steps(rows, pieces)) > 0
+
+
+def test_the_rank_test_modulo_p_decides_empty_common_kernels_alone(monkeypatch):
+    # were the rank test switched off, the exact cut would run here and raise
+    ambient = i2_segre()
+    algebra = [T1 + S2, Q1 + T2.scale(2) + S1]  # generates all of sl2+sl2
+    full = liealg.full_invariant_forms()
+    _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, full.coefficients)
+    assert len(geometry.veronese_invariant_forms(geometry.SL3_BASIS.values())) == 0  # tables built
+
+    def no_exact_cut(*args):
+        raise AssertionError("the exact cut ran on a kernel the rank test should have decided")
+
+    monkeypatch.setattr(exact, "_null_rows", no_exact_cut)
+    _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, full.coefficients)
+    assert len(geometry.veronese_invariant_forms(geometry.SL3_BASIS.values())) == 0
 
 
 # ---------------------------------------------------------------------------
