@@ -550,12 +550,16 @@ def _full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
 
     Each system is read as in ``_common_kernel``.  The rows go into F_P by
     i -> S and are reduced one by one against an echelon basis, until ncols
-    pivots are found.  A yes is a proof that the stacked rows have full
-    rank over Q(i): some ncols-minor is nonzero mod P, so it is nonzero
-    over Z[i].  A no proves nothing, since a minor over Z[i] can be a
-    multiple of a prime of Z[i] over P.
+    pivots are found.  A basis row keeps only its nonzero entries right of
+    its pivot, and a reduction rewrites a row only there: the entries left
+    of a pivot are never read again.  A yes is a proof that the stacked
+    rows have full rank over Q(i): some ncols-minor is nonzero mod P, so it
+    is nonzero over Z[i].  A no proves nothing, since a minor over Z[i] can
+    be a multiple of a prime of Z[i] over P.
     """
-    basis = [None] * ncols  # basis[c]: an echelon row that is 1 at c and 0 before it
+    # basis[c]: the nonzero (column, residue) entries right of c of an echelon
+    # row that is 1 at c and 0 before it
+    basis = [None] * ncols
     rank = 0
     for flat in systems:
         if real:
@@ -570,12 +574,13 @@ def _full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
                     continue
                 if lead is None:
                     inv = pow(f, -1, _P)
-                    basis[c] = [0] * c + [x * inv % _P for x in row[c:]]
+                    basis[c] = [(j, row[j] * inv % _P) for j in range(c + 1, ncols) if row[j]]
                     rank += 1
                     if rank == ncols:
                         return True
                     break
-                row[c:] = [(x - f * y) % _P for x, y in zip(row[c:], lead[c:])]
+                for j, y in lead:
+                    row[j] = (row[j] - f * y) % _P
     return False
 
 
@@ -1069,6 +1074,13 @@ def congruence_diagonalize(a: Matrix) -> Matrix:
     off-diagonal partner is repaired by the classical e_k -> e_k + e_j
     substitution.  P, the product of these column operations, is not
     built.  D is one diagonal form congruent to a, not a canonical one.
+
+    A pivot row with nothing right of the pivot rewrites no row: the rows
+    below are multiples of those of the symmetric Bareiss matrix, so none
+    has an entry in its column either.  Such a step takes the pivot
+    w[k][k] * prev / q that the catch-up would give, and skips both the
+    catch-up and the sweep below; on a diagonal form no row is ever
+    rewritten.  Each row of D, x over den, is divided by gcd(x, den).
     """
     _require_real_symmetric(a)
     n = a.rows
@@ -1101,21 +1113,26 @@ def congruence_diagonalize(a: Matrix) -> Matrix:
                 for row in w:  # col_k += col_j, paired with row_k += row_j
                     row[k] += row[j]
                 w[k] = [x + y for x, y in zip(w[k], w[j])]
-        catch_up(k, k)
-        piv = w[k][k]
+        if not any(w[k][k + 1 :]):  # so no row below has an entry in column k
+            piv = w[k][k] * prev // levels[k]
+        else:
+            catch_up(k, k)
+            piv = w[k][k]
+            lead = w[k]
+            for j in range(k + 1, n):
+                f = w[j][k]
+                if f:
+                    w[j] = _combine_z(piv, w[j], f, lead, levels[j], k + 1)
+                    levels[j] = piv
         diag.append(prev * piv)
-        lead = w[k]
-        for j in range(k + 1, n):
-            f = w[j][k]
-            if f:
-                w[j] = _combine_z(piv, w[j], f, lead, levels[j], k + 1)
-                levels[j] = piv
         prev = piv
 
-    d = [[0] * n for _ in range(n)]
-    for k, x in enumerate(diag):
-        d[k][k] = x
-    return Matrix._lifted(True, [den] * n, d, n)
+    dens, ints = [], []
+    for k, x in enumerate(diag):  # row k is x / den, over its gcd
+        g = gcd(x, den)
+        dens.append(den // g)
+        ints.append((0,) * k + (x // g,) + (0,) * (n - 1 - k))
+    return Matrix._make(True, tuple(dens), tuple(ints), n)
 
 
 def signature(a: Matrix) -> Signature:

@@ -17,6 +17,11 @@ another way, or an input catalog the tests iterate over:
                                          every entry of a Gaussian right factor read
     certified_congruence_diagonalize     the congruence that also builds P with
                                          P^T A P = D, its certificate
+    lazy_congruence_diagonalize          the congruence that catches up and sweeps
+                                         below every pivot row, even one with
+                                         nothing right of its pivot
+    oracle_congruence_diagonal           the diagonal of the rational symmetric
+                                         elimination, in Fraction arithmetic
     QuadExt, spindle_point, horn_point   exact cyclide model points over
                                          Q(i, sqrt 2), the reference for the
                                          integer points of the stereographic check
@@ -61,6 +66,8 @@ another way, or an input catalog the tests iterate over:
     exact_cut_common_kernel              the common kernel of Gaussian-integer systems
                                          by the exact cut alone, with no rank test
                                          modulo a prime first
+    dense_full_rank_mod_p                the rank test modulo a prime, each reduction
+                                         rebuilding the whole row tail
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
                                          rows of the span: one kernel of the
                                          transposed images per tangent
@@ -93,7 +100,7 @@ from math import lcm
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
 from celestial.exact import kernel, solve, symmetric_images
 from celestial.exact import _combine_z, _drop, _eliminate, _over, _pairs, _scaled
-from celestial.exact import _nonzero_pairs, _null_rows, _scaled_down, _times
+from celestial.exact import _P, _S, _nonzero_pairs, _null_rows, _scaled_down, _times
 from celestial.exact import _require_real_symmetric, signature
 from celestial.forms import random_fraction
 from celestial.geometry import NSClass, VERONESE_MONOMIALS, veronese_data
@@ -452,6 +459,94 @@ def certified_congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
     for k, x in enumerate(diag):
         d[k][k] = x
     return Matrix._lifted(True, [den] * n, d, n), Matrix._lifted(True, [1] * n, list(zip(*cols)), n)
+
+
+def oracle_congruence_diagonal(rows):
+    """Diagonal of the rational symmetric elimination (pivots, not minors)."""
+    n = len(rows)
+    m = [[x.re for x in row] for row in rows]
+
+    def add_col(dst, src, f):
+        for i in range(n):
+            m[i][dst] += f * m[i][src]
+        for i in range(n):
+            m[dst][i] += f * m[src][i]
+
+    def swap_cols(i, j):
+        for r in range(n):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        m[i], m[j] = m[j], m[i]
+
+    for k in range(n):
+        if not m[k][k]:
+            j = next((j for j in range(k + 1, n) if m[j][j]), None)
+            if j is not None:
+                swap_cols(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if m[k][j]), None)
+                if j is None:
+                    continue
+                add_col(k, j, Fraction(1))
+        piv = m[k][k]
+        for j in range(k + 1, n):
+            if m[k][j]:
+                add_col(j, k, -m[k][j] / piv)
+    return [m[i][i] for i in range(n)]
+
+
+def lazy_congruence_diagonalize(a: Matrix) -> Matrix:
+    """The D of ``exact.congruence_diagonalize`` by the lazy scheme on every step.
+
+    Each pivot row takes the scalings it skipped before it serves, and each
+    step scans every row below the pivot, even where the pivot row has
+    nothing right of its pivot; D is made canonical by ``Matrix._lifted``.
+    """
+    _require_real_symmetric(a)
+    n = a.rows
+    rows, den = a._common()
+    w = [list(row) for row in rows]
+    levels = [1] * n  # the pivot each row was last rewritten with
+    diag = []
+    prev = 1
+
+    def catch_up(j, start):
+        if levels[j] != prev:
+            w[j] = _combine_z(prev, w[j], 0, w[j], levels[j], start)
+            levels[j] = prev
+
+    for k in range(n):
+        if not w[k][k]:
+            j = next((j for j in range(k + 1, n) if w[j][j]), None)
+            if j is not None:  # swap columns and rows k and j
+                for row in w:
+                    row[k], row[j] = row[j], row[k]
+                w[k], w[j] = w[j], w[k]
+                levels[k], levels[j] = levels[j], levels[k]
+            else:
+                j = next((j for j in range(k + 1, n) if w[k][j]), None)
+                if j is None:
+                    diag.append(0)  # row/column already clear
+                    continue
+                catch_up(k, k)
+                catch_up(j, k)
+                for row in w:  # col_k += col_j, paired with row_k += row_j
+                    row[k] += row[j]
+                w[k] = [x + y for x, y in zip(w[k], w[j])]
+        catch_up(k, k)
+        piv = w[k][k]
+        diag.append(prev * piv)
+        lead = w[k]
+        for j in range(k + 1, n):
+            f = w[j][k]
+            if f:
+                w[j] = _combine_z(piv, w[j], f, lead, levels[j], k + 1)
+                levels[j] = piv
+        prev = piv
+
+    d = [[0] * n for _ in range(n)]
+    for k, x in enumerate(diag):
+        d[k][k] = x
+    return Matrix._lifted(True, [den] * n, d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +1035,36 @@ def exact_cut_common_kernel(systems, ncols, real):
             break
         keep = [_scaled_down(row, real) for row in keep]
     return keep
+
+
+def dense_full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
+    """``exact._full_rank_mod_p`` with each reduction rebuilding the whole row tail.
+
+    A row is reduced against the pivot row of column c at every column from
+    c on, zero entries of the pivot row included.
+    """
+    basis = [None] * ncols  # basis[c]: an echelon row that is 1 at c and 0 before it
+    rank = 0
+    for flat in systems:
+        if real:
+            residues = [x % _P for x in flat]
+        else:
+            residues = [(xr + _S * xi) % _P for xr, xi in flat]
+        for start in range(0, len(residues), ncols):
+            row = residues[start : start + ncols]
+            for c, lead in enumerate(basis):
+                f = row[c]
+                if not f:
+                    continue
+                if lead is None:
+                    inv = pow(f, -1, _P)
+                    basis[c] = [0] * c + [x * inv % _P for x in row[c:]]
+                    rank += 1
+                    if rank == ncols:
+                        return True
+                    break
+                row[c:] = [(x - f * y) % _P for x, y in zip(row[c:], lead[c:])]
+    return False
 
 
 def coefficient_row_solve_invariant(tangents, ambient):

@@ -502,3 +502,53 @@ def test_every_span_built_from_rows_has_full_row_rank():
     # I2, the Veronese quadrics, the family span and the empty sl3 solve among them
     assert {20, 6, 4, 0} <= sizes
     assert all(rank == rows for rank, rows in report["spans"])
+
+
+_CHECK_SIGNATURES = """
+import json
+from celestial import exact, forms, geometry, verify
+from oracles import oracle_congruence_diagonal
+
+seen = {"forms": [], "geometry": [], "verify": []}
+
+
+def recording(name):
+    def checked(a):
+        sig = exact.signature(a)
+        seen[name].append((a, sig))
+        return sig
+    return checked
+
+
+for module in (forms, geometry, verify):
+    module.signature = recording(module.__name__.rpartition(".")[2])
+# one check at a time, so that none runs in a forked worker
+ok = all(r.ok for check_id, _, _ in verify.CHECKS for r in verify.run_checks(only=check_id))
+wrong, sizes = [], set()
+for name, calls in seen.items():
+    for a, sig in calls:
+        diag = oracle_congruence_diagonal(a.entries())
+        pos, neg = sum(x > 0 for x in diag), sum(x < 0 for x in diag)
+        if exact.Signature(pos, neg, a.rows - pos - neg).normalized() != sig:
+            wrong.append([name, str(a.entries()), str(sig)])
+        sizes.add(a.rows)
+print(json.dumps({"ok": ok, "counts": {name: len(calls) for name, calls in seen.items()},
+                  "wrong": wrong, "sizes": sorted(sizes)}))
+"""
+
+
+def test_every_signature_verify_computes_is_the_fraction_oracles_inertia():
+    # wrap signature where forms, geometry and verify bind it, in a fresh
+    # process, and count the signs of the rational elimination of each matrix
+    env = dict(os.environ)
+    paths = (str(_ROOT / "src"), str(_ROOT / "tests"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECK_SIGNATURES],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["ok"] and report["wrong"] == []
+    assert report["counts"] == {"forms": 12, "geometry": 10, "verify": 45}
+    assert report["sizes"] == [3, 4, 5, 6, 9]  # the family members are 9x9

@@ -37,17 +37,31 @@ from oracles import (
     column_vector,
     dense_combine_z,
     dense_combine_zi,
+    dense_full_rank_mod_p,
     elimination_solve,
     exact_cut_common_kernel,
     gauss_jordan_kernel,
+    lazy_congruence_diagonalize,
     lift,
+    oracle_congruence_diagonal,
     rebuilt_terms_product,
     term_symmetric_images,
 )
 
-small_fractions = st.fractions(
-    min_value=-10, max_value=10, max_denominator=12
-)
+
+def _simplest_first(bound: int, max_den: int) -> tuple[Fraction, ...]:
+    """Every x = p/q in lowest terms with q <= max_den and |x| <= bound, simplest first.
+
+    This is the value space of ``st.fractions(-bound, bound, max_denominator=max_den)``.
+    Sampled from, each value is one integer draw, its index: far cheaper than
+    ``st.fractions``.  The order (denominator, then |numerator|, then sign)
+    makes an index that shrinks toward 0 shrink x toward 0, 1, -1, 2, ...
+    """
+    values = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(-bound * q, bound * q + 1)}
+    return tuple(sorted(values, key=lambda x: (x.denominator, abs(x.numerator), x < 0)))
+
+
+small_fractions = st.sampled_from(_simplest_first(10, 12))
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
 
 
@@ -330,39 +344,6 @@ def oracle_kernel(rows, ncols):
     return basis
 
 
-def oracle_congruence_diagonal(rows):
-    """Diagonal of the rational symmetric elimination (pivots, not minors)."""
-    n = len(rows)
-    m = [[x.re for x in row] for row in rows]
-
-    def add_col(dst, src, f):
-        for i in range(n):
-            m[i][dst] += f * m[i][src]
-        for i in range(n):
-            m[dst][i] += f * m[src][i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-
-    for k in range(n):
-        if not m[k][k]:
-            j = next((j for j in range(k + 1, n) if m[j][j]), None)
-            if j is not None:
-                swap_cols(k, j)
-            else:
-                j = next((j for j in range(k + 1, n) if m[k][j]), None)
-                if j is None:
-                    continue
-                add_col(k, j, Fraction(1))
-        piv = m[k][k]
-        for j in range(k + 1, n):
-            if m[k][j]:
-                add_col(j, k, -m[k][j] / piv)
-    return [m[i][i] for i in range(n)]
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -370,7 +351,7 @@ def _sign(x) -> int:
 # ---------------------------------------------------------------------------
 # matrices: real or Gaussian, full rank or not, with repeated and zero rows
 
-small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_rationals = st.sampled_from(_simplest_first(6, 4))
 
 
 @st.composite
@@ -378,11 +359,13 @@ def matrices(draw, real=None, rows=None, cols=None):
     real = draw(st.booleans()) if real is None else real
     rows = draw(st.integers(1, 5)) if rows is None else rows
     cols = draw(st.integers(1, 6)) if cols is None else cols
-    im = st.just(Fraction(0)) if real else small_rationals
-    entry = st.builds(GaussianRational, small_rationals, im)
 
     def grid(n, m):
-        return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+        # one index draw per part of each entry, in a flat run; no nested list strategies
+        zero = Fraction(0)
+        flat = [GaussianRational(draw(small_rationals), zero if real else draw(small_rationals))
+                for _ in range(n * m)]
+        return [flat[i : i + m] for i in range(0, n * m, m)]
 
     shape = draw(st.sampled_from(("plain", "low-rank", "repeated-row", "zero-row")))
     if shape == "low-rank" and min(rows, cols) > 1:
@@ -690,6 +673,58 @@ def test_congruence_of_singular_forms_matches_the_certified_oracle(a):
     assert [_sign(d[i, i].re) for i in range(a.rows)] == [
         _sign(x) for x in oracle_congruence_diagonal(a.entries())
     ]
+
+
+@st.composite
+def forms_with_bare_pivot_rows(draw):
+    """Symmetric forms in which some pivot rows have nothing right of the pivot.
+
+    There a step rewrites no row.  The kinds: a diagonal form with zero,
+    negative and non-integer entries; blocks of 1 to 3 rows along the
+    diagonal, so 1x1 ones at the first, last or middle positions, where a
+    zero block is a zero row and column that forces a swap and a
+    zero-diagonal block forces the e_k += e_j repair; and a form with one
+    row whose only entry right of its pivot is in the last column.
+    """
+    n = draw(st.integers(1, 9))
+    sym = [[Fraction(0)] * n for _ in range(n)]
+    kind = draw(st.sampled_from(("diagonal", "blocks", "last-column")))
+    if kind == "diagonal":
+        for i in range(n):
+            sym[i][i] = draw(small_rationals)
+        return Matrix(sym)
+    if kind == "blocks":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(n - sum(sizes), draw(st.integers(1, 3))))
+        start = 0
+        for size in sizes:
+            block = draw(st.sampled_from(("dense", "zero-diagonal", "zero")))
+            for i in range(start, start + size):
+                for j in range(i, start + size):
+                    if block == "dense" or (block == "zero-diagonal" and i != j):
+                        sym[i][j] = sym[j][i] = draw(small_rationals)
+            start += size
+        return Matrix(sym)
+    for i in range(n):
+        for j in range(i, n):
+            sym[i][j] = sym[j][i] = draw(small_rationals)
+    k = draw(st.integers(0, n - 1))
+    for j in range(k + 1, n - 1):
+        sym[k][j] = sym[j][k] = Fraction(0)
+    if k < n - 1 and not sym[k][n - 1]:
+        sym[k][n - 1] = sym[n - 1][k] = Fraction(1)
+    return Matrix(sym)
+
+
+@given(st.one_of(forms_with_bare_pivot_rows(), sparse_symmetric_matrices(), symmetric_matrices()))
+@settings(deadline=None)
+def test_the_congruence_is_the_lazy_scheme_that_sweeps_every_step(a):
+    # a step whose pivot row has nothing right of the pivot rewrites no row:
+    # the same D, byte for byte, as the scheme that catches up and sweeps anyway
+    d = congruence_diagonalize(a)
+    for old in (lazy_congruence_diagonalize(a), certified_congruence_diagonalize(a)[0]):
+        assert (d._real, d._dens, d._ints) == (old._real, old._dens, old._ints)
 
 
 def _sympy(m):
@@ -1079,6 +1114,14 @@ def test_a_certified_stack_has_full_rank_over_q_i(problem):
     real, ncols, rows = problem
     if exact._full_rank_mod_p(rows, ncols, real):  # one system per row
         assert _as_matrix(real, rows, ncols).rank() == ncols
+
+
+@given(cut_problems())
+@settings(max_examples=120, deadline=None)
+def test_the_rank_test_reduces_only_where_the_pivot_row_is_nonzero(problem):
+    # the reference rebuilds the whole row tail at each reduction
+    real, k, systems = problem
+    assert exact._full_rank_mod_p(systems, k, real) == dense_full_rank_mod_p(systems, k, real)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celestial.exact import Matrix, Signature, gauss, signature
-from celestial import forms, lattice, liealg, verify
+from celestial import exact, forms, lattice, liealg, verify
 from celestial.forms import (
     INFINITY,
     FamilyCoeffs,
@@ -183,6 +183,21 @@ def test_family_classification_fails_on_a_wrong_dp6_record(monkeypatch):
     assert not result.ok
     assert result.detail.startswith("(1, 1, 0, 1) gave ")
     assert "'name': 'projected dS'" in result.detail
+
+
+def test_a_member_is_classified_with_no_row_rewritten(monkeypatch):
+    # the real form of a member is diagonal, so no pivot row of its congruence
+    # has an entry right of its pivot, and no row is ever rewritten
+    forms._family_basis_x()  # built once per process, before the patch
+
+    def rewrite(*args):
+        raise AssertionError("a row of the congruence was rewritten")
+
+    monkeypatch.setattr(exact, "_combine_z", rewrite)
+    for coeffs, name in verify._FAMILY_CASES:
+        for sign in (1, -1):
+            member = FamilyCoeffs(*(sign * x for x in coeffs))
+            assert classify_family(member) == verify.RECORD_TABLE[name]
 
 
 def _degree_mismatches(records, rows):
