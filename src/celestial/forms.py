@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exact import Matrix, Record, Signature, gauss, signature
 from .segre import (
@@ -60,27 +61,56 @@ def family_basis() -> FormSpan:
     return FormSpan.from_rows(Matrix.stack(i2.coefficients.row(i) for i in range(4)), coords=i2.coords)
 
 
-# the same four generators moved to the real frame of sigma_2: a congruence
-# M^T A M keeps them independent, and it is linear in A, so a member's real
-# form is the same combination of these
 @lru_cache(maxsize=1)
-def _family_basis_x() -> FormSpan:
-    span = family_basis()
-    rows = Matrix.stack(mu_transform(2, q).matrix.upper() for q in span.basis)
-    return FormSpan.from_rows(rows, coords=span.coords)
+def _family_diagonals_x() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The four family generators moved once to the real frame of sigma_2,
+    each as (den d_k, its diagonal ints).
+
+    A congruence M^T A M is linear in A, so a member's real form is the same
+    combination of these.  Raises ``ArithmeticError`` if a moved generator
+    is not a real diagonal form: ``family_form`` sums members on the
+    diagonal only because every generator lies there.
+    """
+    out = []
+    for q in family_basis().basis:
+        m = mu_transform(2, q).matrix
+        if not m._real or any(x for i, row in enumerate(m._ints) for j, x in enumerate(row) if j != i):
+            raise ArithmeticError("a family generator is not a real diagonal form in the x frame")
+        d = lcm(*m._dens)
+        out.append((d, tuple(row[i] * (d // e) for i, (e, row) in enumerate(zip(m._dens, m._ints)))))
+    return tuple(out)
 
 
 def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
     """The quadric of the family member, in the y frame or its real x frame.
 
-    The x-frame form combines the four generators moved to that frame once,
-    which is the same matrix as ``mu_transform(2, ...)`` of the y-frame form.
+    The x-frame form is diagonal: entry j is sum_k c_k * diag_k[j] / d_k
+    over the generators of ``_family_diagonals_x``, summed over one common
+    den and written straight as the canonical matrix, each row reduced by
+    its gcd with that den.  It is the same matrix as ``mu_transform(2, ...)``
+    of the y-frame form.
     """
     if frame == "y":
         return family_basis().combination(c.as_tuple())
-    if frame == "x":
-        return _family_basis_x().combination(c.as_tuple())
-    raise ValueError("frame must be 'y' or 'x'")
+    if frame != "x":
+        raise ValueError("frame must be 'y' or 'x'")
+    gens = _family_diagonals_x()
+    coeffs = c.as_tuple()
+    den = lcm(*(x.denominator * d for x, (d, _) in zip(coeffs, gens)))
+    sums = [0] * len(gens[0][1])
+    for x, (d, diag) in zip(coeffs, gens):
+        if x:
+            f = x.numerator * (den // (x.denominator * d))
+            sums = [s + f * v for s, v in zip(sums, diag)]
+    n = len(sums)
+    dens, rows = [], []
+    for j, s in enumerate(sums):
+        g = gcd(s, den)
+        dens.append(den // g)
+        rows.append((0,) * j + (s // g,) + (0,) * (n - 1 - j))
+    m = Matrix._make(True, tuple(dens), tuple(rows), n)
+    m._sym = True  # diagonal
+    return QuadraticForm(m)
 
 
 def singular_support(c: FamilyCoeffs) -> tuple[frozenset[int], int]:

@@ -3,6 +3,10 @@
 Each one is the slow, direct version of something the package computes
 another way, or an input catalog the tests iterate over:
 
+    simplest_first                       every rational of bounded height and
+                                         denominator, simplest first: the value
+                                         space the tests' Hypothesis strategies
+                                         sample small fractions from
     lift                                 the lifted form of a matrix, entry by entry
     gauss_jordan_kernel                  the null space read off the reduced row
                                          echelon form of Gauss-Jordan elimination
@@ -39,6 +43,9 @@ another way, or an input catalog the tests iterate over:
     entrywise_forms, loop_real_basis     the forms of coefficient rows filled entry
                                          by entry, and the fixed forms of sigma_i
                                          made one combination at a time
+    combination_family_form_x            a family member's real form as the combination
+                                         of the span of the moved generators: one
+                                         product, then ``Matrix.symmetric``
     solve_coordinates_of                 the coordinates of a form in a span, by one
                                          solve of the whole coefficient system
     kron_sym2, product_rule_d_rep        sym2 as the folded Kronecker square, and
@@ -102,7 +109,7 @@ from celestial.exact import kernel, solve, symmetric_images
 from celestial.exact import _combine_z, _drop, _eliminate, _over, _pairs, _scaled
 from celestial.exact import _P, _S, _nonzero_pairs, _null_rows, _scaled_down, _times
 from celestial.exact import _require_real_symmetric, signature
-from celestial.forms import random_fraction
+from celestial.forms import FamilyCoeffs, family_basis, random_fraction
 from celestial.geometry import NSClass, VERONESE_MONOMIALS, veronese_data
 from celestial.lattice import IntMatrix, LatticeType, _mat_mul
 from celestial.liealg import (
@@ -134,8 +141,25 @@ from celestial.segre import (
     _sum_fibers,
     apply_sigma,
     monomial_rep_derivative,
+    mu_transform,
     y_order,
 )
+
+# ---------------------------------------------------------------------------
+# small rationals to sample from
+
+
+def simplest_first(bound: int, max_den: int) -> tuple[Fraction, ...]:
+    """Every x = p/q in lowest terms with q <= max_den and |x| <= bound, simplest first.
+
+    This is the value space of ``st.fractions(-bound, bound, max_denominator=max_den)``.
+    Sampled from, each value is one integer draw, its index: far cheaper than
+    ``st.fractions``.  The order (denominator, then |numerator|, then sign)
+    makes an index that shrinks toward 0 shrink x toward 0, 1, -1, 2, ...
+    """
+    values = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(-bound * q, bound * q + 1)}
+    return tuple(sorted(values, key=lambda x: (x.denominator, abs(x.numerator), x < 0)))
+
 
 # ---------------------------------------------------------------------------
 # the lifted form
@@ -741,6 +765,14 @@ def loop_real_basis(space, i: int) -> tuple[QuadraticForm, ...]:
                 total = total + q.matrix.scale(c)
         out.append(QuadraticForm(total))
     return tuple(out)
+
+
+def combination_family_form_x(c: FamilyCoeffs) -> QuadraticForm:
+    """The real form of a family member: the span of the four generators moved
+    by ``mu_transform(2, .)``, then its combination with c."""
+    moved = Matrix.stack(mu_transform(2, q).matrix.upper() for q in family_basis().basis)
+    span = FormSpan.from_rows(moved, coords=family_basis().coords)
+    return span.combination(c.as_tuple())
 
 
 # ---------------------------------------------------------------------------

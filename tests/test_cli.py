@@ -497,7 +497,7 @@ def test_every_span_built_from_rows_has_full_row_rank():
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)
     assert report["ok"] and report["codes"] == [case["code"] for case in _INVARIANT_FORMS_CASES]
-    assert report["verify_spans"] == 27  # every span the eleven checks build
+    assert report["verify_spans"] == 26  # every span the eleven checks build
     sizes = {rows for _, rows in report["spans"]}
     # I2, the Veronese quadrics, the family span and the empty sl3 solve among them
     assert {20, 6, 4, 0} <= sizes

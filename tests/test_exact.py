@@ -45,23 +45,12 @@ from oracles import (
     lift,
     oracle_congruence_diagonal,
     rebuilt_terms_product,
+    simplest_first,
     term_symmetric_images,
 )
 
 
-def _simplest_first(bound: int, max_den: int) -> tuple[Fraction, ...]:
-    """Every x = p/q in lowest terms with q <= max_den and |x| <= bound, simplest first.
-
-    This is the value space of ``st.fractions(-bound, bound, max_denominator=max_den)``.
-    Sampled from, each value is one integer draw, its index: far cheaper than
-    ``st.fractions``.  The order (denominator, then |numerator|, then sign)
-    makes an index that shrinks toward 0 shrink x toward 0, 1, -1, 2, ...
-    """
-    values = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(-bound * q, bound * q + 1)}
-    return tuple(sorted(values, key=lambda x: (x.denominator, abs(x.numerator), x < 0)))
-
-
-small_fractions = st.sampled_from(_simplest_first(10, 12))
+small_fractions = st.sampled_from(simplest_first(10, 12))
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
 
 
@@ -351,7 +340,7 @@ def _sign(x) -> int:
 # ---------------------------------------------------------------------------
 # matrices: real or Gaussian, full rank or not, with repeated and zero rows
 
-small_rationals = st.sampled_from(_simplest_first(6, 4))
+small_rationals = st.sampled_from(simplest_first(6, 4))
 
 
 @st.composite
@@ -991,34 +980,55 @@ _VANISHING_MOD_P = {
 }
 
 
-def _flat_systems(draw, real, count, width, k):
-    """``count`` systems of ``width`` x k Gaussian integers, one flat row each, some zero.
+def _entries(real, density, share):
+    """One entry of a system, drawn like ``randint(-4, 4)`` at the given
+    density and zero otherwise (a nonzero one with an imaginary part in
+    -3..3 unless real), a nonzero entry being a ``_VANISHING_MOD_P`` value
+    with probability ``share``.
+
+    Each entry is one index into a tuple of values, zero first, so a
+    shrinking index shrinks the entry toward zero.
+    """
+    plain = [x for a in range(1, 5) for x in (a, -a)]
+    if not real:
+        plain = [(x, y) for x in plain for y in (0, 1, -1, 2, -2, 3, -3)]
+    vanishing = list(_VANISHING_MOD_P[real])
+    nonzero = plain * round(10 * (1 - share)) + vanishing * round(10 * share * len(plain) / len(vanishing))
+    # randint(-4, 4) is nonzero with probability 8/9
+    zeros = round(len(nonzero) * (9 / (8 * density) - 1))
+    return st.sampled_from([0 if real else (0, 0)] * zeros + nonzero)
+
+
+@st.composite
+def _flat_systems(draw, real, k):
+    """Up to 4 systems of 1 to k + 2 rows of k Gaussian integers, each read flat, some zero.
 
     Some systems have entries that vanish modulo the prime of
-    ``exact._full_rank_mod_p``, where it can miss a full rank.
+    ``exact._full_rank_mod_p``, some only such entries, where it can miss a
+    full rank.  Each system draws its own density, so dense pivot rows meet
+    sparse rows whose zeros they fill in.  Every entry is its own small
+    draw, and systems and rows are lists that the shrinker can cut, so a
+    failing example shrinks quickly.
     """
-    rng = draw(st.randoms(use_true_random=False))
-    density = draw(st.sampled_from((0.3, 0.7, 1.0)))
-    out = []
-    for _ in range(count):
-        if rng.random() < 0.2:
-            flat = [0] * (width * k)
+
+    @st.composite
+    def system(draw):
+        if not draw(st.integers(0, 4)):  # one system in five is zero
+            entry = st.just(0 if real else (0, 0))
         else:
-            flat = [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(width * k)]
-        if not real:
-            flat = [(x, rng.randint(-3, 3) if x else 0) for x in flat]
-        if rng.random() < 0.2:
-            flat = [rng.choice(_VANISHING_MOD_P[real]) if rng.random() < 0.3 else x for x in flat]
-        out.append(flat)
-    return out
+            density = draw(st.sampled_from((0.3, 0.7, 1.0)))
+            entry = _entries(real, density, draw(st.sampled_from((0, 0.3, 1))))
+        rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=k + 2))
+        return [x for row in rows for x in row]
+
+    return draw(st.lists(system(), max_size=4))
 
 
 @st.composite
 def cut_problems(draw):
     real = draw(st.booleans())
     k = draw(st.integers(1, 9))
-    count, width = draw(st.integers(0, 4)), draw(st.integers(1, k + 2))
-    return real, k, _flat_systems(draw, real, count, width, k)
+    return real, k, draw(_flat_systems(real, k))
 
 
 def _as_matrix(real, rows, cols):

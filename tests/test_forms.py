@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celestial.exact import Matrix, Signature, gauss, signature
-from celestial import exact, forms, lattice, liealg, verify
+from celestial import exact, forms, lattice, liealg, segre, verify
 from celestial.forms import (
     INFINITY,
     FamilyCoeffs,
@@ -31,7 +31,7 @@ from celestial.segre import (
     mu_transform,
     rep_S,
 )
-from oracles import shear_product_congruence
+from oracles import combination_family_form_x, shear_product_congruence
 
 
 def test_family_coeffs_reject_zero():
@@ -188,7 +188,7 @@ def test_family_classification_fails_on_a_wrong_dp6_record(monkeypatch):
 def test_a_member_is_classified_with_no_row_rewritten(monkeypatch):
     # the real form of a member is diagonal, so no pivot row of its congruence
     # has an entry right of its pivot, and no row is ever rewritten
-    forms._family_basis_x()  # built once per process, before the patch
+    forms._family_diagonals_x()  # built once per process, before the patch
 
     def rewrite(*args):
         raise AssertionError("a row of the congruence was rewritten")
@@ -198,6 +198,41 @@ def test_a_member_is_classified_with_no_row_rewritten(monkeypatch):
         for sign in (1, -1):
             member = FamilyCoeffs(*(sign * x for x in coeffs))
             assert classify_family(member) == verify.RECORD_TABLE[name]
+
+
+def test_a_member_is_classified_with_no_generic_form_build(monkeypatch):
+    # the real form of a member is summed on the diagonal and written
+    # canonical as it is: no combination, no symmetric fill, no row reduced
+    forms._family_diagonals_x()  # built once per process, before the patch
+
+    def build(*args, **kwargs):
+        raise AssertionError("the member's form went through a generic build")
+
+    monkeypatch.setattr(exact.Matrix, "symmetric", staticmethod(build))
+    monkeypatch.setattr(exact, "_canonical", build)
+    monkeypatch.setattr(segre.FormSpan, "combination", build)
+    for coeffs, name in verify._FAMILY_CASES:
+        for sign in (1, -1):
+            member = FamilyCoeffs(*(sign * x for x in coeffs))
+            assert classify_family(member) == verify.RECORD_TABLE[name]
+
+
+def test_a_generator_off_the_diagonal_is_refused(monkeypatch):
+    # the diagonal sum is sound only while every moved generator is diagonal
+    moved = mu_transform
+
+    def skewed(i, q, coords=None):
+        rows = [list(row) for row in moved(i, q, coords).matrix.entries()]
+        rows[0][1] = rows[1][0] = 1
+        return QuadraticForm(Matrix(rows))
+
+    monkeypatch.setattr(forms, "mu_transform", skewed)
+    forms._family_diagonals_x.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            forms._family_diagonals_x()
+    finally:
+        forms._family_diagonals_x.cache_clear()
 
 
 def _degree_mismatches(records, rows):
@@ -287,6 +322,15 @@ def test_the_real_form_is_the_moved_y_frame_form(c):
     # the x-frame generators are moved once; mu_transform of the y-frame
     # member is the reference
     assert family_form(c, "x").matrix == mu_transform(2, family_form(c, "y")).matrix
+
+
+@given(family_coeffs())
+@settings(deadline=None)
+def test_the_real_form_is_the_combination_of_the_moved_generators(c):
+    # summed on the diagonal, it is the old combination of the moved span
+    # byte for byte, down to the den of each zero entry
+    got, want = family_form(c, "x").matrix, combination_family_form_x(c).matrix
+    assert (got._real, got._dens, got._ints) == (want._real, want._dens, want._ints)
 
 
 def test_so3_invariant_form_has_sphere_signature():

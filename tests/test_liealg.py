@@ -63,6 +63,7 @@ from oracles import (
     per_form_solve_invariant,
     per_form_span_stabilizer,
     product_rule_d_rep,
+    simplest_first,
     single_table_solve_invariant,
     span_contains,
     subalgebra_catalog,
@@ -341,7 +342,7 @@ def _same_reduced_span(elements, ambient=None):
     _same_span_as_the_references(new, [d_rep(x) for x in elements], ambient)
 
 
-_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_small = st.sampled_from(simplest_first(3, 3))
 _entries = st.one_of(
     st.builds(GaussianRational, _small),  # real
     st.builds(GaussianRational, _small, _small),

@@ -34,6 +34,7 @@ from oracles import (
     evaluate,
     evaluation_nullity,
     kron_sym2,
+    simplest_first,
     solve_coordinates_of,
     toric_forms,
 )
@@ -500,7 +501,7 @@ def reference_rep_S(phi1, phi2):
     return Matrix([s1[f][h] * s2[g][k] for h, k in segre.Y_FACTORS] for f, g in segre.Y_FACTORS)
 
 
-_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_small = st.sampled_from(simplest_first(3, 3))
 _entries = st.one_of(
     st.builds(GaussianRational, _small),  # real
     st.builds(GaussianRational, _small, _small),

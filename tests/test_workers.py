@@ -37,22 +37,26 @@ def two_cpus(monkeypatch):
 @pytest.fixture
 def handshake():
     """(took, wait): the worker calls ``took()`` once it has taken a task, and
-    this process's first ``wait()`` returns once it has, so the worker takes
-    at least one task whatever the scheduling."""
+    this process calls ``wait()`` once it has.  Each waits for the other: the
+    first ``wait()`` returns once the worker has taken a task, and ``took()``
+    once this process has, so each takes at least one whatever the scheduling."""
     ready, took_fd = os.pipe()
+    here, here_fd = os.pipe()
     waited = []
 
     def took():
         os.write(took_fd, b"x")
+        assert select.select([here], [], [], _WAIT_S)[0], "this process never took a task"
 
     def wait():
         if not waited:
+            os.write(here_fd, b"x")
             assert select.select([ready], [], [], _WAIT_S)[0], "the worker never took a task"
             waited.append(os.read(ready, 1))
 
     yield took, wait
-    os.close(ready)
-    os.close(took_fd)
+    for fd in (ready, took_fd, here, here_fd):
+        os.close(fd)
 
 
 def _tasks(parent, in_worker, in_parent):
