@@ -308,15 +308,36 @@ def _scaled(row, f: int, real: bool):
     return [(xr * f, xi * f) for xr, xi in row]
 
 
-def _over(real: bool, rows, dens):
-    """(int dens, rows) of rows[i] / dens[i] for nonzero Gaussian integers dens[i]."""
+def _canonical_over(real: bool, rows, dens):
+    """The canonical lifted form of rows[i] / dens[i], for nonzero Gaussian integers dens[i].
+
+    One pass that touches only the nonzero entries: over a non-real den p,
+    x / p = x * conj(p) / |p|^2, while a real den divides as it is; each
+    row is then divided by its common factor with its den, made positive,
+    and the rows become ints when no imaginary part is left.  Dens of ints
+    (``real``) go to ``_canonical`` as they are.
+    """
     if real:
-        return list(dens), rows
+        return _canonical(True, dens, rows)
+    zero = (0, 0)
     out_dens, out_rows = [], []
-    for (pr, pi), row in zip(dens, rows):  # x / p = x * conj(p) / |p|^2
-        out_dens.append(pr * pr + pi * pi)
-        out_rows.append([(xr * pr + xi * pi, xi * pr - xr * pi) for xr, xi in row])
-    return out_dens, out_rows
+    for (pr, pi), row in zip(dens, rows):
+        if pi:
+            d = pr * pr + pi * pi
+            row = [(xr * pr + xi * pi, xi * pr - xr * pi) if xr or xi else zero for xr, xi in row]
+        else:
+            d = pr
+        g = gcd(d, *chain.from_iterable(row))
+        if d < 0:
+            g = -g
+        if g != 1:
+            d //= g
+            row = [(xr // g, xi // g) if xr or xi else zero for xr, xi in row]
+        out_dens.append(d)
+        out_rows.append(row)
+    if any(map(itemgetter(1), chain.from_iterable(out_rows))):
+        return False, tuple(out_dens), tuple(map(tuple, out_rows))
+    return True, tuple(out_dens), tuple(tuple(xr for xr, _ in row) for row in out_rows)
 
 
 def _gauss_row_product(row, terms, ncols: int, real_row: bool):
@@ -545,29 +566,46 @@ _P = 32749
 _S = 15645
 
 
-def _full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
-    """Whether the rows of the stacked systems have rank ncols once mapped into F_P.
+def _residues(flat, real: bool) -> list[int]:
+    """Gaussian integers of one kind (ints if ``real``) mapped into F_P by i -> S."""
+    if real:
+        return [x % _P for x in flat]
+    return [(xr + _S * xi) % _P for xr, xi in flat]
 
-    Each system is read as in ``_common_kernel``.  The rows go into F_P by
-    i -> S and are reduced one by one against an echelon basis, until ncols
-    pivots are found.  A basis row keeps only its nonzero entries right of
-    its pivot, and a reduction rewrites a row only there: the entries left
-    of a pivot are never read again.  A yes is a proof that the stacked
-    rows have full rank over Q(i): some ncols-minor is nonzero mod P, so it
-    is nonzero over Z[i].  A no proves nothing, since a minor over Z[i] can
-    be a multiple of a prime of Z[i] over P.
+
+def _times_mod_p(row, terms, ncols: int) -> list[int]:
+    """row * b over F_P: a row of residues, and the nonzero ``(column, residue)`` terms of b's rows."""
+    acc = [0] * ncols
+    for x, ts in zip(row, terms):
+        if x:
+            for j, y in ts:
+                acc[j] += x * y
+    return [v % _P for v in acc]
+
+
+def _rank_mod_p(systems, ncols: int) -> int:
+    """The rank over F_P of the rows of the stacked systems of residues, counted up to ncols.
+
+    Each system is a list of residues read row by row, ``ncols`` a row, as
+    ``_residues`` makes them from the systems of ``_common_kernel``.  The
+    rows are reduced one by one against an echelon basis, and the count
+    stops once ncols pivots are found, so later systems are never read.  A
+    basis row keeps only its nonzero entries right of its pivot, and a
+    reduction rewrites a row only there: the entries left of a pivot are
+    never read again.  The rank over F_P is at most the rank over Q(i) of
+    the Gaussian integers the residues came from, since a minor that is
+    nonzero mod P is nonzero over Z[i] (Dixon, Numer. Math. 40, 1982); it
+    can be less, when every larger minor is a multiple of a prime of Z[i]
+    over P.  So ncols is a proof of full rank over Q(i), and a smaller
+    count is a lower bound only.
     """
     # basis[c]: the nonzero (column, residue) entries right of c of an echelon
     # row that is 1 at c and 0 before it
     basis = [None] * ncols
     rank = 0
     for flat in systems:
-        if real:
-            residues = [x % _P for x in flat]
-        else:
-            residues = [(xr + _S * xi) % _P for xr, xi in flat]
-        for start in range(0, len(residues), ncols):
-            row = residues[start : start + ncols]
+        for start in range(0, len(flat), ncols):
+            row = flat[start : start + ncols]
             for c, lead in enumerate(basis):
                 f = row[c]
                 if not f:
@@ -577,11 +615,11 @@ def _full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
                     basis[c] = [(j, row[j] * inv % _P) for j in range(c + 1, ncols) if row[j]]
                     rank += 1
                     if rank == ncols:
-                        return True
+                        return rank
                     break
                 for j, y in lead:
                     row[j] = (row[j] - f * y) % _P
-    return False
+    return rank
 
 
 def _common_kernel(systems, ncols: int, real: bool):
@@ -591,7 +629,7 @@ def _common_kernel(systems, ncols: int, real: bool):
     row, as Gaussian integers of one kind (ints if ``real``).  Zero systems
     kill everything and are skipped; with none left the result is None.
 
-    With two or more left, ``_full_rank_mod_p`` may first prove that the
+    With two or more left, ``_rank_mod_p`` may first prove that the
     stacked rows have full rank, and then K is empty ([]) with no exact
     elimination.  The test is one-sided: a full-rank stack can look
     singular mod P (a minor divisible by P), and then the exact cut below
@@ -610,7 +648,7 @@ def _common_kernel(systems, ncols: int, real: bool):
     live = [flat for flat in systems if nonzero(flat)]
     if not live:
         return None
-    if len(live) > 1 and _full_rank_mod_p(live, ncols, real):
+    if len(live) > 1 and _rank_mod_p((_residues(flat, real) for flat in live), ncols) == ncols:
         return []
     keep = None
     for flat in live:
@@ -931,12 +969,10 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         m, levels, pivots, _, _ = _eliminate(self._ints, self.cols, self._real, reduce=True)
-        rank = len(pivots)
-        dens, rows = _over(self._real, m, levels)
-        zero = 0 if self._real else (0, 0)
-        rows += [[zero] * self.cols] * (self.rows - rank)
-        dens += [1] * (self.rows - rank)
-        return Matrix._lifted(self._real, dens, rows, self.cols), tuple(pivots)
+        real, dens, rows = _canonical_over(self._real, m, levels)
+        pad = self.rows - len(pivots)
+        zero = (0 if real else (0, 0),) * self.cols
+        return Matrix._make(real, dens + (1,) * pad, rows + (zero,) * pad, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(_eliminate(self._ints, self.cols, self._real, reduce=False)[2])
@@ -1003,7 +1039,7 @@ def kernel(m: Matrix) -> Matrix:
     (a trivial kernel has no rows).
     """
     basis, last = _null_rows(m._ints, m.cols, m._real)
-    return Matrix._lifted(m._real, *_over(m._real, basis, [last] * len(basis)), m.cols)
+    return Matrix._make(*_canonical_over(m._real, basis, [last] * len(basis)), m.cols)
 
 
 def solve(m: Matrix, rhs: Matrix):

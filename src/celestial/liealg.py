@@ -27,7 +27,8 @@ from collections import Counter
 from functools import lru_cache
 from math import lcm
 
-from .exact import Matrix, GaussianRational, Record, _common_kernel, kernel, symmetric_images, I
+from .exact import Matrix, GaussianRational, Record, I, kernel, symmetric_images
+from .exact import _P, _S, _common_kernel, _rank_mod_p, _residues, _times_int, _times_mod_p
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
@@ -294,23 +295,58 @@ def _highest_weights(diagonals) -> list[tuple]:
     )
 
 
-def solve_invariant(elements: Matrix, pieces) -> FormSpan:
+def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     """Forms A in the pieces' span with D^T A + A D = 0 for every element's D.
 
     ``pieces`` are ActionTables over the same tangents whose spans add up
     to the ambient, each mapped into itself by every tangent (or a single
     table); ``elements`` holds one coordinate row per element, in those
     tangents.  In a piece, an element acts through the row c * blocks, read
-    as the system [Phi | E]^T of the table.  The systems are the raw
-    Gaussian-integer rows of that product, each a multiple of the system,
-    with no canonical Matrix made of them; the combinations K of R's rows
-    that every element kills are cut down on them (``_common_kernel``,
-    which proves most empty K by a rank test modulo a prime first), and
-    the piece keeps the forms K R, or all of R when every element acts on
-    it as zero.  One reduced row echelon form of the kept rows of every
-    piece at the end makes the basis canonical, so the result does not
-    depend on the order or the basis of the elements, nor on the pieces.
+    as the system [Phi | E]^T of the table, and the answer in the piece is
+    the kernel of the element systems stacked.
+
+    Each solve is first decided by two bounds on the dimension of the
+    answer.  The upper bound is sum_p (k_p - rank_P(p)), with rank_P(p) the
+    rank over F_P of a piece's stacked systems made from residues alone
+    (``_mod_p_pieces``), at most their rank over Q(i).  The lower bound is
+    the rank of forms known to be invariant and to lie in the span: the
+    rows of the pieces every tangent kills and, for one element over
+    FULL_BASIS, B_XX, B_XY and B_YY from the table ``polarizations(pieces)``
+    (``_polarizations``), asked for only when one element leaves a bound
+    of at most four per invariant form.  When the two agree, the known
+    forms span the answer, and their reduced row echelon form is it.
+
+    Otherwise the exact path decides, and it is the only source of kernel
+    rows.  The systems are the raw Gaussian-integer rows of the product
+    elements * blocks, each a multiple of the system, with no canonical
+    Matrix made of them; the combinations K of R's rows that every element
+    kills are cut down on them (``_common_kernel``, which proves most empty
+    K by a rank test modulo a prime first), and the piece keeps the forms
+    K R, or all of R when every element acts on it as zero.  One reduced
+    row echelon form of the kept rows of every piece at the end makes the
+    basis canonical, so on either path the result does not depend on the
+    order or the basis of the elements, nor on the pieces.
     """
+    coords, width = pieces[0].coords, pieces[0].reduced.cols
+    if elements.rows:
+        residues, invariants = _mod_p_pieces(pieces)
+        rows = [_residues(row, elements._real) for row in elements._ints]
+        bound = 0
+        for table, terms in zip(pieces, residues):
+            k, size = table.reduced.rows, table.blocks.cols
+            if k:
+                bound += k - _rank_mod_p([_times_mod_p(row, terms, size) for row in rows], k)
+        known, q = None, invariants.rows
+        if bound == q:
+            known = invariants
+        elif polarizations is not None and elements.rows == 1 and bound <= 4 * q:
+            tables = polarizations(pieces)
+            if tables is not None:
+                known = Matrix.stack([invariants, *_element_forms(elements, tables)])
+        if known is not None:
+            red, pivots = known.rref()
+            if len(pivots) == bound:
+                return FormSpan.from_rows(red.reindex(range(bound), range(width)), coords=coords)
     kept = []
     for table in pieces:
         red = table.reduced
@@ -322,8 +358,110 @@ def solve_invariant(elements: Matrix, pieces) -> FormSpan:
             kept.append(red)
         elif keep:
             kept.append(Matrix._lifted(real, (1,) * len(keep), keep, red.rows) * red)
-    width = pieces[0].reduced.cols
-    return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
+    return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=coords)
+
+
+@lru_cache(maxsize=8)
+def _mod_p_pieces(pieces) -> tuple[tuple, Matrix]:
+    """The pieces' blocks as residue terms mod P, and the forms every tangent kills, made once.
+
+    Row j of a piece's blocks over their common den is a row of Gaussian
+    integers, an integral nonzero multiple of the row, so no inverse mod P
+    is needed; its nonzero residues, ``(column, residue)`` pairs, turn the
+    residues of an element's coordinate row into its system mod P, the
+    residues of the rows that ``Matrix._product`` would give.  A piece
+    whose blocks are zero is killed by every tangent, so its rows are
+    invariant forms of every subalgebra; on I2 that is the piece V0 (x) V0,
+    the span of ``full_invariant_forms()``.
+    """
+    residues, invariants = [], [Matrix.zero(0, pieces[0].reduced.cols)]
+    for table in pieces:
+        _, terms = table.blocks._right_terms()
+        if table.blocks.is_real:
+            rows = [[(j, y % _P) for j, y in ts] for ts in terms]
+        else:
+            rows = [[(j, (yr + _S * yi) % _P) for j, yr, yi in ts] for ts in terms]
+        residues.append(tuple(tuple((j, r) for j, r in row if r) for row in rows))
+        if not any(terms):
+            invariants.append(table.reduced)
+    return tuple(residues), Matrix.stack(invariants)
+
+
+def _element_forms(elements: Matrix, tables) -> list[Matrix]:
+    """2 B_XX, B_XY and 2 B_YY of one element, for each polarization table.
+
+    Pair (j, l), j <= l, of FULL_BASIS takes c_j c_l in B_XY when j < 3 <= l,
+    and in B_XX (both below 3) or B_YY (both from 3) it takes 2 c_j c_l, or
+    c_j^2 when j = l, since the table holds D_j^T A D_l + D_l^T A D_j.  The
+    three monomial rows of the lifted coordinate row c then meet the
+    nonzero terms of each (real) table.
+    """
+    (c,), real = elements._ints, elements._real
+    zero = 0 if real else (0, 0)
+    rows = [[zero] * len(_PAIRS) for _ in range(3)]
+    for k, (j, l) in enumerate(_PAIRS):
+        if real:
+            v = c[j] * c[l]
+        else:
+            (ar, ai), (br, bi) = c[j], c[l]
+            v = (ar * br - ai * bi, ar * bi + ai * br)
+        which = (j >= 3) + (l >= 3)  # B_XX, B_XY or B_YY
+        if which != 1 and j != l:
+            v = 2 * v if real else (2 * v[0], 2 * v[1])
+        rows[which][k] = v
+    out = []
+    for table in tables:
+        den, terms = table._right_terms()
+        forms = _times_int(rows, terms, table.cols, real)
+        out.append(Matrix._lifted(real, (den,) * 3, forms, table.cols))
+    return out
+
+
+_PAIRS = tuple((j, l) for j in range(6) for l in range(j, 6))
+
+
+@lru_cache(maxsize=8)
+def _polarizations(pieces) -> tuple[Matrix, ...] | None:
+    """For each invariant form A of the pieces, the 21 x m table of upper(D_j^T A D_l + D_l^T A D_j).
+
+    The pairs j <= l run over FULL_BASIS in ``_PAIRS`` order, with D_j its
+    d_rep images, and the invariant forms are those of ``_mod_p_pieces``.
+    For one element x = (X, Y), let D_X and D_Y be the images of (X, 0) and
+    (0, Y).  Then B_XX = D_X^T A D_X, B_YY = D_Y^T A D_Y and
+    B_XY = D_X^T A D_Y + D_Y^T A D_X are x-invariant: A is killed by each
+    half alone, and D_X and D_Y commute, so for D = D_X + D_Y
+    D^T B_XX + B_XX D = D_X^T (D_X^T A + A D_X) D_X + D_X^T (D_Y^T A + A D_Y) D_X = 0,
+    and the same for the other two.  Each is quadratic in x's six
+    coordinates, so its upper triangle is the monomials of x times this
+    table (``_element_forms``).  The table is built once, when a solve
+    first needs it, and only if every left basis image commutes with every
+    right one and every row lies in the pieces' span (u = u[P] * R for the
+    reduced row echelon form R of the span, with pivots P), and is real;
+    otherwise there is none (None), and the exact path decides every solve.
+    """
+    images = _basis_images()
+    d = [images.row(j).reshape(9, 9) for j in range(len(FULL_BASIS))]
+    if any(d[j] * d[l] != d[l] * d[j] for j in range(3) for l in range(3, 6)):
+        return None
+    _, invariants = _mod_p_pieces(pieces)
+    forms = (Matrix.symmetric(invariants.row(i)) for i in range(invariants.rows))
+    tables = tuple(_polarization_rows(a, d) for a in forms)
+    red, pivots = Matrix.stack([table.reduced for table in pieces]).rref()
+    red = red.reindex(range(len(pivots)), range(red.cols))
+    if any(not t.is_real or t.reindex(range(t.rows), pivots) * red != t for t in tables):
+        return None
+    return tables
+
+
+def _polarization_rows(a: Matrix, d) -> Matrix:
+    """upper(D_j^T a D_l + D_l^T a D_j) for the pairs j <= l, one row each; a symmetric."""
+    rows = []
+    for j in range(len(d)):
+        left = d[j].transpose() * a
+        for l in range(j, len(d)):
+            m = left * d[l]  # D_l^T a D_j is its transpose
+            rows.append((m + m.transpose()).upper())
+    return Matrix.stack(rows)
 
 
 def span_stabilizer(span: FormSpan) -> list[LieElement]:
@@ -346,7 +484,7 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
     """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span."""
-    return solve_invariant(_coordinate_rows(g), _full_pieces(ambient))
+    return solve_invariant(_coordinate_rows(g), _full_pieces(ambient), _polarizations)
 
 
 @lru_cache(maxsize=1)

@@ -8,6 +8,9 @@ another way, or an input catalog the tests iterate over:
                                          space the tests' Hypothesis strategies
                                          sample small fractions from
     lift                                 the lifted form of a matrix, entry by entry
+    two_pass_rref                        the reduced row echelon form whose tail
+                                         divides by the pivots and then makes the
+                                         rows canonical, two passes over every entry
     gauss_jordan_kernel                  the null space read off the reduced row
                                          echelon form of Gauss-Jordan elimination
     column_kernel, column_solve,         null spaces and solutions as one-column
@@ -70,10 +73,13 @@ another way, or an input catalog the tests iterate over:
                                          of the whole span, without isotypic pieces
     matrix_step_solve_invariant          the invariant-form solver on the pieces with
                                          a Matrix and a Gauss-Jordan kernel per step
+    lifted_solve_invariant               the invariant-form solver on the pieces by
+                                         the exact path alone, with no dimension
+                                         bound modulo a prime and no known forms
     exact_cut_common_kernel              the common kernel of Gaussian-integer systems
                                          by the exact cut alone, with no rank test
                                          modulo a prime first
-    dense_full_rank_mod_p                the rank test modulo a prime, each reduction
+    dense_rank_mod_p                     the rank modulo a prime, each reduction
                                          rebuilding the whole row tail
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
                                          rows of the span: one kernel of the
@@ -106,8 +112,8 @@ from math import lcm
 
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
 from celestial.exact import kernel, solve, symmetric_images
-from celestial.exact import _combine_z, _drop, _eliminate, _over, _pairs, _scaled
-from celestial.exact import _P, _S, _nonzero_pairs, _null_rows, _scaled_down, _times
+from celestial.exact import _canonical, _combine_z, _drop, _eliminate, _pairs, _scaled
+from celestial.exact import _P, _S, _common_kernel, _nonzero_pairs, _null_rows, _scaled_down, _times
 from celestial.exact import _require_real_symmetric, signature
 from celestial.forms import FamilyCoeffs, family_basis, random_fraction
 from celestial.geometry import NSClass, VERONESE_MONOMIALS, veronese_data
@@ -179,6 +185,36 @@ def lift(rows):
             out.append(tuple((a * (den // b), c * (den // d)) for (a, b), (c, d) in row))
         dens.append(den)
     return real, tuple(dens), tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the reduced row echelon form with a two-pass tail
+
+
+def _over(real: bool, rows, dens):
+    """(int dens, rows) of rows[i] / dens[i] for nonzero Gaussian integers dens[i], every entry."""
+    if real:
+        return list(dens), rows
+    out_dens, out_rows = [], []
+    for (pr, pi), row in zip(dens, rows):  # x / p = x * conj(p) / |p|^2
+        out_dens.append(pr * pr + pi * pi)
+        out_rows.append([(xr * pr + xi * pi, xi * pr - xr * pi) for xr, xi in row])
+    return out_dens, out_rows
+
+
+def two_pass_rref(m: Matrix):
+    """``Matrix.rref`` with the tail in two passes over every entry, zeros included.
+
+    The Gauss-Jordan rows over their pivots go to int dens (``_over``), and
+    then to the canonical form (``_canonical``), each pass visiting every
+    entry of every row.
+    """
+    rows, levels, pivots, _, _ = _eliminate(m._ints, m.cols, m.is_real, reduce=True)
+    dens, rows = _over(m.is_real, rows, levels)
+    zero = 0 if m.is_real else (0, 0)
+    rows += [[zero] * m.cols] * (m.rows - len(pivots))
+    dens += [1] * (m.rows - len(pivots))
+    return Matrix._make(*_canonical(m.is_real, dens, rows), m.cols), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,6 +1081,31 @@ def matrix_step_solve_invariant(elements, pieces):
     return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
 
 
+def lifted_solve_invariant(elements: Matrix, pieces):
+    """Forms A in the pieces' span with D^T A + A D = 0, always by the exact path.
+
+    The solver before the dimension bound: in each piece, the raw rows of
+    the product elements * blocks are the systems, ``exact._common_kernel``
+    cuts the combinations K of R's rows that every element kills (a rank
+    test modulo P first), the piece keeps K R, or all of R when every
+    element acts on it as zero, and one reduced row echelon form of all the
+    kept rows is the basis.
+    """
+    kept = []
+    for table in pieces:
+        red = table.reduced
+        real, systems = True, ()
+        if elements.rows:
+            real, _, systems = elements._product(table.blocks)
+        keep = _common_kernel(systems, red.rows, real)
+        if keep is None:
+            kept.append(red)
+        elif keep:
+            kept.append(Matrix._lifted(real, (1,) * len(keep), keep, red.rows) * red)
+    width = pieces[0].reduced.cols
+    return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
+
+
 def exact_cut_common_kernel(systems, ncols, real):
     """Rows K over the Gaussian integers spanning the vectors that every system kills.
 
@@ -1069,11 +1130,11 @@ def exact_cut_common_kernel(systems, ncols, real):
     return keep
 
 
-def dense_full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
-    """``exact._full_rank_mod_p`` with each reduction rebuilding the whole row tail.
+def dense_rank_mod_p(systems, ncols: int, real: bool) -> int:
+    """``exact._rank_mod_p`` of the systems' residues, each reduction rebuilding the whole row tail.
 
     A row is reduced against the pivot row of column c at every column from
-    c on, zero entries of the pivot row included.
+    c on, zero entries of the pivot row included; the count stops at ncols.
     """
     basis = [None] * ncols  # basis[c]: an echelon row that is 1 at c and 0 before it
     rank = 0
@@ -1093,10 +1154,10 @@ def dense_full_rank_mod_p(systems, ncols: int, real: bool) -> bool:
                     basis[c] = [0] * c + [x * inv % _P for x in row[c:]]
                     rank += 1
                     if rank == ncols:
-                        return True
+                        return rank
                     break
                 row[c:] = [(x - f * y) % _P for x, y in zip(row[c:], lead[c:])]
-    return False
+    return rank
 
 
 def coefficient_row_solve_invariant(tangents, ambient):

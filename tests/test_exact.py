@@ -37,7 +37,7 @@ from oracles import (
     column_vector,
     dense_combine_z,
     dense_combine_zi,
-    dense_full_rank_mod_p,
+    dense_rank_mod_p,
     elimination_solve,
     exact_cut_common_kernel,
     gauss_jordan_kernel,
@@ -47,6 +47,7 @@ from oracles import (
     rebuilt_terms_product,
     simplest_first,
     term_symmetric_images,
+    two_pass_rref,
 )
 
 
@@ -510,6 +511,25 @@ def test_rref_rank_kernel_match_the_fraction_oracle(m):
     assert red == Matrix(old_red)
     assert m.rank() == len(old_pivots)
     assert kernel(m).entries() == tuple(tuple(v) for v in oracle_kernel(m.entries(), m.cols))
+
+
+@st.composite
+def real_rows_times_gaussians(draw):
+    """A real matrix with each row times a nonzero Gaussian: a real rref, mostly of non-real rows."""
+    m = draw(matrices(real=True))
+    factors = [draw(gaussians.filter(bool)) for _ in range(m.rows)]
+    return Matrix([[f * x for x in row] for f, row in zip(factors, m.entries())])
+
+
+@given(st.one_of(matrices(), real_rows_times_gaussians()))
+@settings(max_examples=150, deadline=None)
+def test_the_fused_rref_tail_matches_the_two_pass_tail(m):
+    # plain, low-rank, repeated-row and zero-row shapes, all real or not, and
+    # Gaussian rows whose imaginary parts all cancel in the reduced form
+    red, pivots = m.rref()
+    old, old_pivots = two_pass_rref(m)
+    assert pivots == old_pivots
+    assert (red.is_real, red._dens, red._ints) == (old.is_real, old._dens, old._ints)
 
 
 @given(matrices())
@@ -1004,7 +1024,7 @@ def _flat_systems(draw, real, k):
     """Up to 4 systems of 1 to k + 2 rows of k Gaussian integers, each read flat, some zero.
 
     Some systems have entries that vanish modulo the prime of
-    ``exact._full_rank_mod_p``, some only such entries, where it can miss a
+    ``exact._rank_mod_p``, some only such entries, where it can miss a
     full rank.  Each system draws its own density, so dense pivot rows meet
     sparse rows whose zeros they fill in.  Every entry is its own small
     draw, and systems and rows are lists that the shrinker can cut, so a
@@ -1074,6 +1094,11 @@ def test_the_cut_kernel_spans_the_exact_cuts_kernel(problem):
 # the rank test modulo P: a yes is a proof of full rank, a no proves nothing
 
 
+def _rank_mod_p(systems, ncols, real):
+    """``exact._rank_mod_p`` of the systems' residues."""
+    return exact._rank_mod_p((exact._residues(flat, real) for flat in systems), ncols)
+
+
 def test_the_modulus_is_a_prime_one_mod_four_and_s_a_root_of_minus_one():
     assert _P > 2 and all(_P % d for d in range(2, isqrt(_P) + 1))
     assert _P % 4 == 1
@@ -1085,7 +1110,7 @@ def test_a_singular_gaussian_matrix_is_not_certified():
     # [[1, i], [i, -1]] has rank 1 over Q(i); under a wrong root of -1 it has rank 2 mod P
     rows = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]
     assert _as_matrix(False, rows, 2).rank() == 1
-    assert not exact._full_rank_mod_p([[x for row in rows for x in row]], 2, False)
+    assert _rank_mod_p([[x for row in rows for x in row]], 2, False) == 1
     keep = _common_kernel(rows, 2, False)  # one system per row
     assert keep and _as_matrix(False, keep, 2).rref()[0] == kernel(Matrix([[1, I], [I, -1]])).rref()[0]
 
@@ -1102,7 +1127,7 @@ def test_a_full_rank_matrix_singular_mod_p_is_left_to_the_exact_cut(real, rows):
     n = len(rows)
     assert 90**2 + 157**2 == _P
     assert _as_matrix(real, rows, n).rank() == n
-    assert not exact._full_rank_mod_p([[x for row in rows for x in row]], n, real)
+    assert _rank_mod_p([[x for row in rows for x in row]], n, real) < n
     systems = [*rows, rows[0]]  # one system per row, two or more, so the test runs
     assert _common_kernel(systems, n, real) == []
 
@@ -1122,8 +1147,11 @@ def stacks_with_multiples_of_p(draw):
 @settings(max_examples=200, deadline=None)
 def test_a_certified_stack_has_full_rank_over_q_i(problem):
     real, ncols, rows = problem
-    if exact._full_rank_mod_p(rows, ncols, real):  # one system per row
-        assert _as_matrix(real, rows, ncols).rank() == ncols
+    rank = _as_matrix(real, rows, ncols).rank() if rows else 0
+    found = _rank_mod_p(rows, ncols, real)  # one system per row
+    assert found <= rank  # the rank over F_P is a lower bound
+    if found == ncols:
+        assert rank == ncols
 
 
 @given(cut_problems())
@@ -1131,7 +1159,7 @@ def test_a_certified_stack_has_full_rank_over_q_i(problem):
 def test_the_rank_test_reduces_only_where_the_pivot_row_is_nonzero(problem):
     # the reference rebuilds the whole row tail at each reduction
     real, k, systems = problem
-    assert exact._full_rank_mod_p(systems, k, real) == dense_full_rank_mod_p(systems, k, real)
+    assert _rank_mod_p(systems, k, real) == dense_rank_mod_p(systems, k, real)
 
 
 # ---------------------------------------------------------------------------

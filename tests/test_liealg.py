@@ -58,6 +58,7 @@ from oracles import (
     entrywise_forms,
     entrywise_traceless,
     is_subalgebra,
+    lifted_solve_invariant,
     loop_real_basis,
     matrix_step_solve_invariant,
     per_form_solve_invariant,
@@ -756,6 +757,202 @@ def test_the_rank_test_modulo_p_decides_empty_common_kernels_alone(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the solve decided by a dimension bound modulo P that known invariant forms meet
+
+
+def _same_as_the_exact_path(elements, ambient=None):
+    """The solver's span is the exact path's, down to the lifted rows."""
+    ambient = i2_segre() if ambient is None else ambient
+    new = invariant_forms(elements, ambient)
+    old = lifted_solve_invariant(liealg._coordinate_rows(elements), liealg._full_pieces(ambient))
+    assert new.coords == old.coords
+    _same_lifted_rows(new.coefficients, old.coefficients)
+    return new
+
+
+def _decided_by_the_bound(elements, ambient=None) -> bool:
+    """Whether the solve ends with no exact product of the element systems."""
+    pieces = liealg._full_pieces(i2_segre() if ambient is None else ambient)
+    calls = []
+    product = Matrix._product
+    Matrix._product = lambda *args: calls.append(args) or product(*args)
+    try:
+        solve_invariant(liealg._coordinate_rows(elements), pieces, liealg._polarizations)
+    finally:
+        Matrix._product = product
+    return not calls
+
+
+_MULTIPLES_OF_P = st.sampled_from(
+    [GaussianRational(Fraction(m * exact._P, d), Fraction(n * exact._P, d))
+     for m, n, d in ((1, 0, 1), (-2, 0, 3), (0, 1, 1), (1, -1, 2), (3, 2, 1))]
+)
+
+
+@st.composite
+def _degenerate_halves(draw):
+    """A pair of traceless halves: generic, one zero, nilpotent, of equal -det, real, or vanishing mod P."""
+    kind = draw(st.sampled_from(("generic", "one half zero", "nilpotent", "equal -det", "real", "mod P")))
+    x, y = draw(_sl2()), draw(_sl2())
+    zero = Matrix.zero(2, 2)
+    if kind == "one half zero":
+        x, y = draw(st.sampled_from(((x, zero), (zero, y))))
+    elif kind == "nilpotent":
+        t, u = draw(_entries), draw(_entries)
+        x = Matrix([[t * u, t * t], [-(u * u), -(t * u)]])  # a^2 + bc = 0
+        y = draw(st.sampled_from((y, x.transpose(), zero)))
+    elif kind == "equal -det":
+        # y is x conjugated or negated; x semisimple gives a 3-dimensional V2 (x) V2 kernel
+        g = Matrix([[1, draw(_entries)], [0, 1]])
+        g_inv = Matrix([[1, -g[0, 1]], [0, 1]])
+        y = draw(st.sampled_from((x, -x, x.transpose(), g * x * g_inv)))
+    elif kind == "real":
+        real = st.builds(GaussianRational, _small)
+        a, b, c, d, e, f = (draw(real) for _ in range(6))
+        x, y = Matrix([[a, b], [c, -a]]), Matrix([[d, e], [f, -d]])
+    elif kind == "mod P":
+        # some or all coordinates vanish modulo P, so the bound sees less rank
+        a, b, c = (draw(st.one_of(_MULTIPLES_OF_P, _entries)) for _ in range(3))
+        x = Matrix([[a, b], [c, -a]])
+        y = draw(st.sampled_from((y, y.scale(exact._P), zero)))
+    return LieElement(x, y)
+
+
+@given(st.lists(_degenerate_halves(), max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_the_bounded_solver_matches_the_exact_path(elements):
+    _same_as_the_exact_path(elements)
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [algebra.basis for _, algebra in subalgebra_catalog()] + list(liealg.NAMED_ALGEBRAS.values()),
+)
+def test_the_bounded_solver_matches_the_exact_path_on_the_catalog(elements):
+    for ambient in (i2_segre(), forms.family_basis(), FormSpan(i2_segre().basis[3:9])):
+        _same_as_the_exact_path(list(elements), ambient)
+
+
+def test_the_bound_decides_generic_elements_and_leaves_the_rest_exact():
+    x = LieElement(Matrix([[1, 2], [3, -1]]), Matrix([[gauss("1/2"), 0], [gauss("i"), gauss("-1/2")]]))
+    y = LieElement(Matrix([[0, 1], [gauss("2-i"), 0]]), Matrix([[2, 5], [-1, -2]]))
+    z = x + y.scale(3)
+    decided = {"x": [x], "y": [y], "x, y": [x, y], "x, y, z": [x, y, z], "all": FULL_BASIS}
+    equal_det = LieElement(x.left, x.left)  # a 3-dimensional V2 (x) V2 kernel: bound 6 > 4
+    left_only = [T1]  # the bound is 10, so no table
+    vanishing = [x.scale(exact._P)]  # every coordinate is 0 mod P: the bound is 20
+    torus = [S1, S2]  # the bound is 4 with two elements: only the invariant is known
+    exact_path = {"equal -det": [equal_det], "t1": left_only, "mod P": vanishing, "torus": torus}
+    sizes = {}
+    for name, elements in {**decided, **exact_path}.items():
+        sizes[name] = len(_same_as_the_exact_path(list(elements)))
+        assert _decided_by_the_bound(list(elements)) == (name in decided), name
+    assert [sizes[name] for name in ("x", "equal -det", "t1", "mod P", "torus")] == [4, 6, 10, 4, 4]
+
+
+def _generic_coordinates(rng):
+    """Six nonzero coordinates over Q(i), all real or not."""
+    im = rng.random() < 0.5
+
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+
+    return [GaussianRational(part(), part() if im else Fraction(0)) for _ in FULL_BASIS]
+
+
+def test_generic_algebras_solve_with_no_exact_kernel_or_product(monkeypatch):
+    ambient = i2_segre()
+    pieces = liealg._full_pieces(ambient)
+    rng = random.Random(33)
+
+    def generic():  # every coordinate nonzero, real or not
+        return sum((c * b for c, b in zip(_generic_coordinates(rng), FULL_BASIS)), E)
+
+    algebras = [[generic() for _ in range(n)] for n in (1, 2, 3) for _ in range(12)]
+    expected = [lifted_solve_invariant(liealg._coordinate_rows(a), pieces) for a in algebras]
+    invariant_forms([S1 + S2.scale(2)], ambient)  # the pieces, residues and table exist from here on
+    assert liealg._polarizations(pieces) is not None
+
+    def raises(*args):
+        raise AssertionError("the exact path ran on an algebra the bound should have decided")
+
+    monkeypatch.setattr(exact, "_null_rows", raises)
+    monkeypatch.setattr(Matrix, "_product", raises)
+    for algebra, old in zip(algebras, expected):
+        _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, old.coefficients)
+    assert {len(old) for old in expected} == {1, 4}  # one element keeps four forms, more keep one
+
+
+def test_known_forms_short_of_the_bound_leave_the_solve_to_the_exact_path():
+    # tables that know fewer forms than the bound, patched in: the rank of the
+    # known forms falls short, and the answer must still be the exact one
+    pieces = liealg._full_pieces(i2_segre())
+    x = LieElement(Matrix([[1, 2], [3, -1]]), Matrix([[gauss("1/2"), 0], [gauss("i"), gauss("-1/2")]]))
+    rows = liealg._coordinate_rows([x])
+    old = lifted_solve_invariant(rows, pieces)
+    (table,) = liealg._polarizations(pieces)
+    zero = Matrix.zero(1, table.cols)
+    no_mixed = Matrix.stack([zero if (j >= 3) + (l >= 3) == 1 else table.row(k)
+                             for k, (j, l) in enumerate(liealg._PAIRS)])
+    for short in (Matrix.zero(table.rows, table.cols), no_mixed):
+        new = solve_invariant(rows, pieces, lambda _: (short,))
+        _same_lifted_rows(new.coefficients, old.coefficients)
+    assert len(old) == 4
+
+
+def test_a_polarization_outside_the_span_gives_no_table(monkeypatch):
+    pieces = liealg._full_pieces(i2_segre())
+    rows = liealg._polarization_rows
+
+    def off_the_span(a, d):
+        out = rows(a, d)
+        unit = Matrix([[1] + [0] * (out.cols - 1)])  # y0^2 does not vanish on the surface
+        return Matrix.stack([out.row(0) + unit, out.reindex(range(1, out.rows), range(out.cols))])
+
+    liealg._polarizations.cache_clear()
+    monkeypatch.setattr(liealg, "_polarization_rows", off_the_span)
+    assert liealg._polarizations(pieces) is None
+    monkeypatch.undo()
+    liealg._polarizations.cache_clear()
+    assert liealg._polarizations(pieces) is not None
+
+
+def test_a_non_commuting_pair_of_basis_images_gives_no_table(monkeypatch):
+    pieces = liealg._full_pieces(i2_segre())
+    images = liealg._basis_images()
+    # T2's image becomes that of Q1 + T2, which T1's image does not commute with
+    mixed = Matrix.stack([images.reindex(range(3), range(81)), images.row(1) + images.row(3),
+                          images.reindex((4, 5), range(81))])
+    liealg._polarizations.cache_clear()
+    monkeypatch.setattr(liealg, "_basis_images", lambda: mixed)
+    assert liealg._polarizations(pieces) is None
+    monkeypatch.undo()
+    liealg._polarizations.cache_clear()
+    assert liealg._polarizations(pieces) is not None
+
+
+_NO_TABLE_IN_VERIFY = """
+from celestial import liealg, verify
+from celestial.segre import i2_segre
+liealg.invariant_forms([liealg.T1], i2_segre())
+after_t1 = liealg._polarizations.cache_info().currsize
+# one check at a time, so that none runs in a forked worker
+ok = all(r.ok for check_id, _, _ in verify.CHECKS for r in verify.run_checks(only=check_id))
+print(ok, after_t1, liealg._polarizations.cache_info().currsize, liealg._mod_p_pieces.cache_info().currsize > 0)
+"""
+
+
+def test_neither_a_left_element_nor_verify_builds_the_polarization_table():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_TABLE_IN_VERIFY], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["True", "0", "0", "True"]
+
+
+# ---------------------------------------------------------------------------
 # the action table is built once per span, and only when first asked for
 
 
@@ -774,7 +971,8 @@ def test_the_benchmark_set_up_builds_no_action_table():
         + setup
         + "from celestial import liealg\n"
         "print(len(calls), liealg._full_action_table.cache_info().currsize,"
-        " liealg._full_pieces.cache_info().currsize)\n"
+        " liealg._full_pieces.cache_info().currsize, liealg._mod_p_pieces.cache_info().currsize,"
+        " liealg._polarizations.cache_info().currsize)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -782,7 +980,7 @@ def test_the_benchmark_set_up_builds_no_action_table():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.split() == ["0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0", "0", "0"]
 
 
 def _counted(calls, f):

@@ -28,6 +28,7 @@ def _run_script(name, *args, cwd):
         ("print_invariant_tables.py", [], "== classification records ==", []),
         ("export_surface_clouds.py", ["--resolution", "4", "--out-dir", "clouds"], "dp6 dense",
          ["clouds/dp6_dense.csv", "clouds/ring.ply"]),
+        ("time_query_ops.py", ["--seed", "7", "--ops", "8", "--repeat", "1"], "invariant/", []),
     ],
 )
 def test_script_exits_0(tmp_path, name, args, expect, files):
