@@ -6,8 +6,10 @@ bench/streams.py (imported, never written), builds their inputs once, and
 runs them in stream order --repeat times after one untimed pass that builds
 the caches.  Prints the best of those runs in microseconds per op for the
 family ops (`forms.classify_family`) and for the invariant-form ops
-(`liealg.invariant_forms` on I2) with one, two and three elements.  Only
-the library call is timed: no input parsing, output check or fresh process.
+(`liealg.invariant_forms` on I2) with one, two and three elements, and a
+`stream` line over all the ops in the stream's own mix, whose inverse is
+what the benchmark's `query` `ref_work_per_s` measures.  Only the library
+call is timed: no input parsing, output check or fresh process.
 
     PYTHONPATH=src python3 scripts/time_query_ops.py --seed 13 --ops 4000 --repeat 7
 """
@@ -72,14 +74,15 @@ def main() -> None:
             start = time.perf_counter()
             call()
             totals[kind] = totals.get(kind, 0.0) + time.perf_counter() - start
+        totals["stream"] = sum(totals.values())
         for kind, total in totals.items():
             best[kind] = min(best.get(kind, total), total)
 
-    counts = {}
+    counts = {"stream": len(calls)}
     for kind, _ in calls:
         counts[kind] = counts.get(kind, 0) + 1
     print(f"seed {args.seed}, first {args.ops} query ops, best of {args.repeat}, us per op")
-    for kind in ("family", "invariant/1", "invariant/2", "invariant/3"):
+    for kind in ("family", "invariant/1", "invariant/2", "invariant/3", "stream"):
         if kind in counts:
             print(f"{kind:<12} {counts[kind]:>6} ops {best[kind] / counts[kind] * 1e6:>10.1f}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
@@ -1086,6 +1087,30 @@ class Signature(Record):
         return f"({self.pos},{self.neg})" + (f"+0^{self.zero}" if self.zero else "")
 
 
+@lru_cache(maxsize=16)
+def _zero_pads(n: int) -> tuple[tuple[int, ...], ...]:
+    """The zero tuples of lengths 0 to n - 1."""
+    return tuple((0,) * j for j in range(n))
+
+
+def _diagonal_matrix(diag, den: int) -> Matrix:
+    """The real diagonal Matrix with entries diag[k] / den, for ints diag[k] and den > 0.
+
+    Row k is diag[k] over den, each divided by their gcd, so the rows are
+    canonical as built.
+    """
+    n = len(diag)
+    pads = _zero_pads(n)
+    dens, ints = [], []
+    for k, x in enumerate(diag):
+        g = gcd(x, den)
+        dens.append(den // g)
+        ints.append(pads[k] + (x // g,) + pads[n - 1 - k])
+    m = Matrix._make(True, tuple(dens), tuple(ints), n)
+    m._sym = True  # diagonal
+    return m
+
+
 def _require_real_symmetric(a: Matrix) -> None:
     if a.rows != a.cols:
         raise ValueError("matrix is not square")
@@ -1117,9 +1142,23 @@ def congruence_diagonalize(a: Matrix) -> Matrix:
     w[k][k] * prev / q that the catch-up would give, and skips both the
     catch-up and the sweep below; on a diagonal form no row is ever
     rewritten.  Each row of D, x over den, is divided by gcd(x, den).
+
+    So a diagonal form takes its pivots straight off its diagonal, with no
+    common-den matrix, row copy or swap: the swaps past its zero entries are
+    a stable partition of the nonzero entries x_k (over the common den)
+    ahead of the zeros, and each nonzero x_k gives the pivot x_k * prev.
     """
     _require_real_symmetric(a)
     n = a.rows
+    if all(row.count(0) + (row[k] != 0) == n for k, row in enumerate(a._ints)):
+        den = lcm(*a._dens)
+        diag, prev = [], 1
+        for k, (d, row) in enumerate(zip(a._dens, a._ints)):
+            if row[k]:
+                piv = row[k] * (den // d) * prev
+                diag.append(prev * piv)
+                prev = piv
+        return _diagonal_matrix(diag + [0] * (n - len(diag)), den)
     rows, den = a._common()
     w = [list(row) for row in rows]
     levels = [1] * n  # the pivot each row was last rewritten with
@@ -1162,13 +1201,7 @@ def congruence_diagonalize(a: Matrix) -> Matrix:
                     levels[j] = piv
         diag.append(prev * piv)
         prev = piv
-
-    dens, ints = [], []
-    for k, x in enumerate(diag):  # row k is x / den, over its gcd
-        g = gcd(x, den)
-        dens.append(den // g)
-        ints.append((0,) * k + (x // g,) + (0,) * (n - 1 - k))
-    return Matrix._make(True, tuple(dens), tuple(ints), n)
+    return _diagonal_matrix(diag, den)
 
 
 def signature(a: Matrix) -> Signature:

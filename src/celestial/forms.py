@@ -19,9 +19,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .exact import Matrix, Record, Signature, gauss, signature
+from .exact import Matrix, Record, Signature, _diagonal_matrix, gauss, signature
 from .segre import (
     FormSpan,
     QuadraticForm,
@@ -62,14 +62,15 @@ def family_basis() -> FormSpan:
 
 
 @lru_cache(maxsize=1)
-def _family_diagonals_x() -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _family_diagonals_x() -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """The four family generators moved once to the real frame of sigma_2,
-    each as (den d_k, its diagonal ints).
+    each as (den d_k, its nonzero diagonal entries as (j, int) pairs).
 
     A congruence M^T A M is linear in A, so a member's real form is the same
-    combination of these.  Raises ``ArithmeticError`` if a moved generator
-    is not a real diagonal form: ``family_form`` sums members on the
-    diagonal only because every generator lies there.
+    combination of these.  Generator k moves to a form with three nonzero
+    entries, at 0, i and i + 1.  Raises ``ArithmeticError`` if a moved
+    generator is not a real diagonal form: ``family_form`` sums members on
+    the diagonal only because every generator lies there.
     """
     out = []
     for q in family_basis().basis:
@@ -77,18 +78,19 @@ def _family_diagonals_x() -> tuple[tuple[int, tuple[int, ...]], ...]:
         if not m._real or any(x for i, row in enumerate(m._ints) for j, x in enumerate(row) if j != i):
             raise ArithmeticError("a family generator is not a real diagonal form in the x frame")
         d = lcm(*m._dens)
-        out.append((d, tuple(row[i] * (d // e) for i, (e, row) in enumerate(zip(m._dens, m._ints)))))
+        diag = (row[i] * (d // e) for i, (e, row) in enumerate(zip(m._dens, m._ints)))
+        out.append((d, tuple((j, v) for j, v in enumerate(diag) if v)))
     return tuple(out)
 
 
 def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
     """The quadric of the family member, in the y frame or its real x frame.
 
-    The x-frame form is diagonal: entry j is sum_k c_k * diag_k[j] / d_k
-    over the generators of ``_family_diagonals_x``, summed over one common
-    den and written straight as the canonical matrix, each row reduced by
-    its gcd with that den.  It is the same matrix as ``mu_transform(2, ...)``
-    of the y-frame form.
+    The x-frame form is diagonal: entry j is sum_k c_k * v / d_k over the
+    entries (j, v) of the generators of ``_family_diagonals_x``, summed over
+    one common den and written straight as the canonical matrix, each row
+    reduced by its gcd with that den.  It is the same matrix as
+    ``mu_transform(2, ...)`` of the y-frame form.
     """
     if frame == "y":
         return family_basis().combination(c.as_tuple())
@@ -97,20 +99,13 @@ def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
     gens = _family_diagonals_x()
     coeffs = c.as_tuple()
     den = lcm(*(x.denominator * d for x, (d, _) in zip(coeffs, gens)))
-    sums = [0] * len(gens[0][1])
-    for x, (d, diag) in zip(coeffs, gens):
+    sums = [0] * 9
+    for x, (d, entries) in zip(coeffs, gens):
         if x:
             f = x.numerator * (den // (x.denominator * d))
-            sums = [s + f * v for s, v in zip(sums, diag)]
-    n = len(sums)
-    dens, rows = [], []
-    for j, s in enumerate(sums):
-        g = gcd(s, den)
-        dens.append(den // g)
-        rows.append((0,) * j + (s // g,) + (0,) * (n - 1 - j))
-    m = Matrix._make(True, tuple(dens), tuple(rows), n)
-    m._sym = True  # diagonal
-    return QuadraticForm(m)
+            for j, v in entries:
+                sums[j] += f * v
+    return QuadraticForm(_diagonal_matrix(sums, den))
 
 
 def singular_support(c: FamilyCoeffs) -> tuple[frozenset[int], int]:
@@ -209,7 +204,9 @@ def classify_family(c: FamilyCoeffs) -> CelestialRecord:
     return rec
 
 
+@lru_cache(maxsize=None)
 def _make_record(circles, degree, ambient, singular, moduli, m_eq_aut, name):
+    # made once per support pattern: the arguments are constants, and records are immutable
     return CelestialRecord(
         circles, degree, ambient, singular, "PSO(2)xPSO(2)", moduli, m_eq_aut, name
     )

@@ -314,7 +314,8 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     FULL_BASIS, B_XX, B_XY and B_YY from the table ``polarizations(pieces)``
     (``_polarizations``), asked for only when one element leaves a bound
     of at most four per invariant form.  When the two agree, the known
-    forms span the answer, and their reduced row echelon form is it.
+    forms span the answer, and their reduced row echelon form is it; for
+    the pieces' forms alone, that form is made once (``_reduced_invariants``).
 
     Otherwise the exact path decides, and it is the only source of kernel
     rows.  The systems are the raw Gaussian-integer rows of the product
@@ -336,17 +337,16 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
             k, size = table.reduced.rows, table.blocks.cols
             if k:
                 bound += k - _rank_mod_p([_times_mod_p(row, terms, size) for row in rows], k)
-        known, q = None, invariants.rows
+        reduced, q = None, invariants.rows
         if bound == q:
-            known = invariants
+            reduced, pivots = _reduced_invariants(pieces)
         elif polarizations is not None and elements.rows == 1 and bound <= 4 * q:
             tables = polarizations(pieces)
             if tables is not None:
-                known = Matrix.stack([invariants, *_element_forms(elements, tables)])
-        if known is not None:
-            red, pivots = known.rref()
-            if len(pivots) == bound:
-                return FormSpan.from_rows(red.reindex(range(bound), range(width)), coords=coords)
+                red, pivots = Matrix.stack([invariants, *_element_forms(elements, tables)]).rref()
+                reduced = red.reindex(range(len(pivots)), range(width))
+        if reduced is not None and len(pivots) == bound:
+            return FormSpan.from_rows(reduced, coords=coords)
     kept = []
     for table in pieces:
         red = table.reduced
@@ -385,6 +385,17 @@ def _mod_p_pieces(pieces) -> tuple[tuple, Matrix]:
         if not any(terms):
             invariants.append(table.reduced)
     return tuple(residues), Matrix.stack(invariants)
+
+
+@lru_cache(maxsize=8)
+def _reduced_invariants(pieces) -> tuple[Matrix, tuple[int, ...]]:
+    """The nonzero rows of the rref of the forms every tangent kills, and its pivots, made once.
+
+    A solve whose upper bound is the number of those forms ends with them
+    when they are independent, so it reads this in place of its own rref.
+    """
+    red, pivots = _mod_p_pieces(pieces)[1].rref()
+    return red.reindex(range(len(pivots)), range(red.cols)), pivots
 
 
 def _element_forms(elements: Matrix, tables) -> list[Matrix]:

@@ -736,6 +736,64 @@ def test_the_congruence_is_the_lazy_scheme_that_sweeps_every_step(a):
         assert (d._real, d._dens, d._ints) == (old._real, old._dens, old._ints)
 
 
+_nonzero_rationals = st.sampled_from(simplest_first(6, 4)[1:])
+
+
+@st.composite
+def diagonal_forms(draw):
+    """Diagonal forms of 1 to 9 rows with mixed signs and a den per row.
+
+    The zeros are drawn as a pattern: none, all of them, a leading run, or
+    any subset, so the swaps of the general loop meet zeros everywhere.
+    """
+    n = draw(st.integers(1, 9))
+    pattern = draw(st.sampled_from(("none", "all", "leading", "any")))
+    if pattern == "none":
+        zeros = set()
+    elif pattern == "all":
+        zeros = set(range(n))
+    elif pattern == "leading":
+        zeros = set(range(draw(st.integers(1, n))))
+    else:
+        zeros = {k for k in range(n) if draw(st.booleans())}
+    sym = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        if k not in zeros:
+            sym[k][k] = draw(_nonzero_rationals)
+    return sym
+
+
+def _same_d_as_the_oracles(a):
+    d = congruence_diagonalize(a)
+    for old in (lazy_congruence_diagonalize(a), certified_congruence_diagonalize(a)[0]):
+        assert (d._real, d._dens, d._ints) == (old._real, old._dens, old._ints)
+    return d
+
+
+@given(diagonal_forms())
+@settings(deadline=None)
+def test_a_diagonal_form_gives_the_oracles_d(sym):
+    # read off the diagonal: the nonzero entries in order, then the zeros
+    d = _same_d_as_the_oracles(Matrix(sym))
+    n = len(sym)
+    nonzero = [sym[k][k] for k in range(n) if sym[k][k]]
+    assert [_sign(d[k, k].re) for k in range(n)] == [_sign(x) for x in nonzero] + [0] * (n - len(nonzero))
+
+
+@given(diagonal_forms(), st.data())
+@settings(deadline=None)
+def test_a_diagonal_form_with_one_off_diagonal_pair_gives_the_oracles_d(sym, data):
+    # one entry off the diagonal, and its mirror: the general loop decides
+    n = len(sym)
+    if n < 2:
+        sym = [[sym[0][0], Fraction(0)], [Fraction(0), Fraction(0)]]
+        n = 2
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    sym[i][j] = sym[j][i] = data.draw(_nonzero_rationals)
+    _same_d_as_the_oracles(Matrix(sym))
+
+
 def _sympy(m):
     sympy = pytest.importorskip("sympy")
     return sympy.Matrix(

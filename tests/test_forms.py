@@ -217,6 +217,21 @@ def test_a_member_is_classified_with_no_generic_form_build(monkeypatch):
             assert classify_family(member) == verify.RECORD_TABLE[name]
 
 
+def test_a_member_is_classified_with_no_common_den_matrix(monkeypatch):
+    # the congruence of a diagonal form reads its pivots off the diagonal:
+    # no rows rescaled to a common den, copied or swapped
+    forms._family_diagonals_x()  # built once per process, before the patch
+
+    def common(self):
+        raise AssertionError("the member's congruence rescaled its rows to a common den")
+
+    monkeypatch.setattr(exact.Matrix, "_common", common)
+    for coeffs, name in verify._FAMILY_CASES:
+        for sign in (1, -1):
+            member = FamilyCoeffs(*(sign * x for x in coeffs))
+            assert classify_family(member) == verify.RECORD_TABLE[name]
+
+
 def test_a_generator_off_the_diagonal_is_refused(monkeypatch):
     # the diagonal sum is sound only while every moved generator is diagonal
     moved = mu_transform

@@ -883,6 +883,28 @@ def test_generic_algebras_solve_with_no_exact_kernel_or_product(monkeypatch):
     assert {len(old) for old in expected} == {1, 4}  # one element keeps four forms, more keep one
 
 
+def test_warm_two_element_solves_take_no_rref_of_their_own(monkeypatch):
+    # a generic pair is bounded by the one invariant form, and the solve reads
+    # the reduced invariants made once: no rref runs on a warm solve
+    ambient = i2_segre()
+    pieces = liealg._full_pieces(ambient)
+    rng = random.Random(34)
+    algebras = [
+        [sum((c * b for c, b in zip(_generic_coordinates(rng), FULL_BASIS)), E) for _ in range(2)]
+        for _ in range(12)
+    ]
+    expected = [lifted_solve_invariant(liealg._coordinate_rows(a), pieces) for a in algebras]
+    invariant_forms(algebras[0], ambient)  # the pieces, residues and reduced invariants exist from here on
+
+    def raises(*args):
+        raise AssertionError("a warm two-element solve took a rref")
+
+    monkeypatch.setattr(Matrix, "rref", raises)
+    for algebra, old in zip(algebras, expected):
+        _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, old.coefficients)
+    assert {len(old) for old in expected} == {1}
+
+
 def test_known_forms_short_of_the_bound_leave_the_solve_to_the_exact_path():
     # tables that know fewer forms than the bound, patched in: the rank of the
     # known forms falls short, and the answer must still be the exact one

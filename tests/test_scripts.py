@@ -52,3 +52,14 @@ def test_scan_family_grid_matches_the_reference_bytes(tmp_path):
     proc = _run_script("scan_family_grid.py", "--max-height", "2", cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (ROOT / "tests" / "reference" / "scan_family_grid_h2.txt").read_text()
+
+
+def test_time_query_ops_prints_a_stream_line(tmp_path):
+    # the stream line covers every op in the stream's own mix, the inverse
+    # of what the benchmark's query ref_work_per_s measures
+    proc = _run_script("time_query_ops.py", "--seed", "7", "--ops", "8", "--repeat", "1", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "seed 7, first 8 query ops, best of 1, us per op"
+    assert lines[-1].split()[:3] == ["stream", "8", "ops"]
+    assert sum(int(line.split()[1]) for line in lines[1:-1]) == 8
