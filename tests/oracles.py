@@ -960,6 +960,29 @@ def is_subalgebra(basis) -> bool:
     return True
 
 
+def generated_dimension(elements) -> int:
+    """The dimension of the subalgebra the elements generate, closed under the bracket exactly.
+
+    The span of the elements grows by every bracket of two of its basis
+    elements that it does not contain, until none is left; each containment
+    is a rank over Q(i) of coordinate rows.
+    """
+    basis = []
+
+    def grow(x) -> None:
+        if Matrix([coordinates(e) for e in basis + [x]]).rank() > len(basis):
+            basis.append(x)
+
+    for x in elements:
+        grow(x)
+    i = 1
+    while i < len(basis):
+        for y in basis[:i]:
+            grow(bracket(basis[i], y))
+        i += 1
+    return len(basis)
+
+
 @dataclass(frozen=True)
 class Subalgebra:
     """A bracket-closed span of independent elements."""

@@ -520,8 +520,18 @@ def recording(name):
     return checked
 
 
-for module in (forms, geometry, verify):
+def recording_members(moebius_pair):
+    # a family member's inertia is read off its diagonal sums, with no signature call
+    def checked(c):
+        sig = moebius_pair(c)
+        seen["forms"].append((forms.family_form(c, "x").matrix, sig))
+        return sig
+    return checked
+
+
+for module in (geometry, verify):
     module.signature = recording(module.__name__.rpartition(".")[2])
+forms.moebius_pair = recording_members(forms.moebius_pair)
 # one check at a time, so that none runs in a forked worker
 ok = all(r.ok for check_id, _, _ in verify.CHECKS for r in verify.run_checks(only=check_id))
 wrong, sizes = [], set()
@@ -538,8 +548,9 @@ print(json.dumps({"ok": ok, "counts": {name: len(calls) for name, calls in seen.
 
 
 def test_every_signature_verify_computes_is_the_fraction_oracles_inertia():
-    # wrap signature where forms, geometry and verify bind it, in a fresh
-    # process, and count the signs of the rational elimination of each matrix
+    # wrap signature where geometry and verify bind it, and the family inertia
+    # of forms.moebius_pair, in a fresh process, and count the signs of the
+    # rational elimination of each matrix
     env = dict(os.environ)
     paths = (str(_ROOT / "src"), str(_ROOT / "tests"), env.get("PYTHONPATH"))
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)

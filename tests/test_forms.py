@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,8 @@ def test_a_generator_off_the_diagonal_is_refused(monkeypatch):
     try:
         with pytest.raises(ArithmeticError):
             forms._family_diagonals_x()
+        with pytest.raises(ArithmeticError):  # the inertia is read off the same sums
+            forms.moebius_pair(FamilyCoeffs(1, 1, 1, 1))
     finally:
         forms._family_diagonals_x.cache_clear()
 
@@ -291,6 +294,22 @@ def test_moebius_pair_validation():
     for coeffs in ((1, -1, 1, 1), (1, -1, 0, 0), (2, 0, -1, 0), (-1, 3, 3, 3)):
         with pytest.raises(ValueError, match="not a sphere form"):
             forms.moebius_pair(FamilyCoeffs(*coeffs))
+
+
+_COEFFICIENT = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+@given(st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT, _COEFFICIENT).filter(any))
+@settings(max_examples=200, deadline=None)
+def test_the_sign_count_is_the_signature_of_the_member(coeffs):
+    # the inertia read off the diagonal sums is the congruence's, and so is the refusal
+    c = FamilyCoeffs(*coeffs)
+    expected = signature(family_form(c, "x").matrix)
+    if expected.pos == 1:
+        assert forms.moebius_pair(c) == expected
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"quadric has signature {expected}, not a sphere form")):
+            forms.moebius_pair(c)
 
 
 def test_moebius_pair_is_blind_to_an_overall_sign():
@@ -498,22 +517,22 @@ def test_rigidity_check_fails_when_the_stabilizer_is_not_the_torus(monkeypatch, 
 
 def test_verify_solves_the_full_invariant_forms_once(monkeypatch):
     calls = []
-    solve = liealg.invariant_forms
-    monkeypatch.setattr(liealg, "invariant_forms", lambda g, ambient: calls.append(tuple(g)) or solve(g, ambient))
-    liealg.full_invariant_forms.cache_clear()
+    solve = liealg.solve_invariant
+    monkeypatch.setattr(liealg, "solve_invariant", lambda rows, *args: calls.append(rows) or solve(rows, *args))
+    liealg._full_forms.cache_clear()
     try:
         results = [verify.run_checks(only=c)[0] for c in ("invariant-forms", "hyperquadric-signatures")]
     finally:
-        liealg.full_invariant_forms.cache_clear()
+        liealg._full_forms.cache_clear()
     assert [(r.ok, r.detail) for r in results] == [
         (True, "11/11 span identities"),
         (True, "signatures (4,5) and (3,6)"),
     ]
-    assert calls.count(liealg.FULL_BASIS) == 1
+    assert calls.count(liealg._coordinate_rows(liealg.FULL_BASIS)) == 1
 
 
 def test_hyperquadric_signatures_pass_on_their_own():
-    liealg.full_invariant_forms.cache_clear()
+    liealg._full_forms.cache_clear()
     (result,) = verify.run_checks(only="hyperquadric-signatures")
     assert (result.ok, result.detail) == (True, "signatures (4,5) and (3,6)")
 

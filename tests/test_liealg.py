@@ -1,6 +1,7 @@
 """Brackets, real structures, the tangent action, and invariant forms."""
 
 import ast
+import functools
 import os
 import random
 import subprocess
@@ -57,6 +58,7 @@ from oracles import (
     coordinates,
     entrywise_forms,
     entrywise_traceless,
+    generated_dimension,
     is_subalgebra,
     lifted_solve_invariant,
     loop_real_basis,
@@ -884,8 +886,8 @@ def test_generic_algebras_solve_with_no_exact_kernel_or_product(monkeypatch):
 
 
 def test_warm_two_element_solves_take_no_rref_of_their_own(monkeypatch):
-    # a generic pair is bounded by the one invariant form, and the solve reads
-    # the reduced invariants made once: no rref runs on a warm solve
+    # a generic pair generates all of sl2+sl2, and the solve reads the span's
+    # one FULL_BASIS solve, made once: no rref runs on a warm solve
     ambient = i2_segre()
     pieces = liealg._full_pieces(ambient)
     rng = random.Random(34)
@@ -1201,3 +1203,144 @@ def test_a_span_off_the_torus_weights_has_a_smaller_stabilizer():
     stabilizer = span_stabilizer(FormSpan(basis[:3] + (mixed,)))
     assert len(stabilizer) == 1
     assert not span_contains(stabilizer, S1)
+
+
+# ---------------------------------------------------------------------------
+# the solve decided by the subalgebra that the elements generate
+
+
+def test_d_rep_is_a_lie_homomorphism_on_every_pair_of_the_basis():
+    # both sides are bilinear and antisymmetric, so these 15 pairs prove
+    # D_[x,y] = [D_x, D_y] for all x and y, which the shortcut rests on
+    images = [d_rep(x) for x in FULL_BASIS]
+    pairs = [(j, l) for j in range(len(FULL_BASIS)) for l in range(j + 1, len(FULL_BASIS))]
+    assert len(pairs) == 15
+    for j, l in pairs:
+        lhs = d_rep(bracket(FULL_BASIS[j], FULL_BASIS[l]))
+        assert lhs == images[j] * images[l] - images[l] * images[j], (j, l)
+
+
+def test_the_bracket_table_is_the_bracket_modulo_p():
+    table = {}
+    for j, l, k, c in liealg._bracket_terms():
+        table.setdefault((j, l), [0] * len(FULL_BASIS))[k] = c % exact._P
+    pairs = [(j, x, l, y) for j, x in enumerate(FULL_BASIS) for l, y in enumerate(FULL_BASIS)]
+    assert len(pairs) == 36
+    for j, x, l, y in pairs:
+        row = liealg._coordinate_rows((bracket(x, y),))
+        assert row._dens == (1,)
+        assert table.get((j, l), [0] * len(FULL_BASIS)) == exact._residues(row._ints[0], row.is_real), (j, l)
+    assert len(liealg._bracket_terms()) == 12  # [T, Q], [T, S] and [Q, S] in each half, both ways
+
+
+_GENERIC_X = LieElement(Matrix([[1, 2], [3, -1]]), Matrix([[gauss("1/2"), 0], [gauss("i"), gauss("-1/2")]]))
+_GENERIC_Y = LieElement(Matrix([[0, 1], [gauss("2-i"), 0]]), Matrix([[2, 5], [-1, -2]]))
+_LEFT_ONLY = LieElement(_GENERIC_X.left, Matrix.zero(2, 2))
+
+# elements, the dimension of the subalgebra they generate, and its rank modulo P
+_GENERATED = {
+    "torus": ([S1, S2], 2, 2),
+    "scaled torus": ([I * S1, S2.scale(-3)], 2, 2),
+    "Borel": ([T1, S1], 2, 2),
+    "diagonal": ([T1 + T2, Q1 + Q2], 3, 3),
+    "zero half": ([_LEFT_ONLY, LieElement(_GENERIC_Y.left, Matrix.zero(2, 2))], 3, 3),
+    "repeated": ([_GENERIC_X, _GENERIC_X.scale(2)], 1, 1),
+    "sl2 + Borel": ([T1, Q1 + S2, T2], 5, 5),
+    "Borel + Borel": ([T1 + T2, S1, S2], 4, 4),
+    "diagonal Borel": ([T1 + T2, S1 + S2.scale(2)], 3, 3),
+    "generic pair": ([_GENERIC_X, _GENERIC_Y], 6, 6),
+    "generic triple": ([_GENERIC_X, _GENERIC_Y, _GENERIC_X + _GENERIC_Y.scale(3)], 6, 6),
+    "repeated in a triple": ([_GENERIC_X, _GENERIC_Y, _GENERIC_X], 6, 6),
+    "full basis": (list(FULL_BASIS), 6, 6),
+    "a multiple of P": ([_GENERIC_X.scale(exact._P), _GENERIC_Y], 6, 1),  # x vanishes mod P
+}
+
+
+@pytest.mark.parametrize("name", list(_GENERATED))
+def test_the_rank_modulo_p_of_the_generated_subalgebra(name):
+    elements, dimension, rank = _GENERATED[name]
+    assert generated_dimension(elements) == dimension
+    assert liealg._generated_rank_mod_p(liealg._coordinate_rows(elements)) == rank
+
+
+@pytest.mark.parametrize("name", list(_GENERATED))
+def test_the_shortcut_is_taken_exactly_when_the_elements_generate_everything(name, monkeypatch):
+    elements, _, rank = _GENERATED[name]
+    liealg._full_forms(i2_segre())  # the one FULL_BASIS solve is made from here on
+    calls = []
+    solve = liealg.solve_invariant
+    monkeypatch.setattr(liealg, "solve_invariant", lambda *args: calls.append(args) or solve(*args))
+    _same_as_the_exact_path(elements)
+    assert bool(calls) == (rank < len(FULL_BASIS))
+
+
+@functools.lru_cache(maxsize=None)
+def _non_real_spans() -> tuple[FormSpan, ...]:
+    """Spans of I2's binomials mixed over Q(i): their tables and residues are not real."""
+    c = i2_segre().coefficients
+    mixes = ([(0, 5), (1, 7), (2, None)], [(3, 4), (6, None), (8, 9), (10, 11)])
+    return tuple(
+        FormSpan.row_space(
+            Matrix.stack([c.row(a) if b is None else c.row(a) + c.row(b).scale(I) for a, b in mix]),
+            coords=tuple(range(9)),
+        )
+        for mix in mixes
+    )
+
+
+@pytest.mark.parametrize("name", ["torus", "Borel", "generic pair", "generic triple", "sl2 + Borel"])
+def test_solves_on_non_real_spans_match_the_exact_path(name):
+    elements = _GENERATED[name][0]
+    for span in _non_real_spans():
+        assert not span.coefficients.is_real
+        assert not any(table.blocks.is_real for table in liealg._full_pieces(span))
+        for k in range(1, len(elements) + 1):
+            _same_as_the_exact_path(elements[:k], span)
+
+
+_SPECIAL_ALGEBRAS = st.sampled_from([elements for elements, _, _ in _GENERATED.values() if len(elements) <= 3])
+
+
+@st.composite
+def _two_or_three_elements(draw):
+    """2 or 3 elements: a listed algebra, drawn degenerate halves, or those with one repeated."""
+    kind = draw(st.sampled_from(("listed", "drawn", "repeated")))
+    if kind == "listed":
+        return list(draw(_SPECIAL_ALGEBRAS))
+    elements = draw(st.lists(_degenerate_halves(), min_size=2, max_size=3))
+    if kind == "repeated":
+        elements = elements[:2] + [draw(st.sampled_from(elements[:2]))]
+    return elements
+
+
+@given(_two_or_three_elements(), st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_two_and_three_element_solves_match_the_exact_path(elements, which):
+    ambient = (i2_segre(), forms.family_basis(), *_non_real_spans())[which]
+    _same_as_the_exact_path(elements, ambient)
+    # the rank modulo P is a lower bound on the dimension, so 6 is a proof
+    assert liealg._generated_rank_mod_p(liealg._coordinate_rows(elements)) <= generated_dimension(elements)
+
+
+def test_warm_generic_solves_take_no_rank_modulo_p(monkeypatch):
+    # a generic pair or triple generates all of sl2+sl2, and the closure
+    # modulo P proves it: no piece system is made or ranked modulo P
+    ambient = i2_segre()
+    pieces = liealg._full_pieces(ambient)
+    rng = random.Random(35)
+    algebras = [
+        [sum((c * b for c, b in zip(_generic_coordinates(rng), FULL_BASIS)), E) for _ in range(n)]
+        for n in (2, 3) for _ in range(8)
+    ]
+    expected = [lifted_solve_invariant(liealg._coordinate_rows(a), pieces) for a in algebras]
+    invariant_forms(algebras[0], ambient)  # the structure constants and the FULL_BASIS answer exist from here on
+
+    def raises(*args):
+        raise AssertionError("a warm generic solve bounded its pieces modulo P")
+
+    monkeypatch.setattr(liealg, "_times_mod_p", raises)
+    monkeypatch.setattr(liealg, "_rank_mod_p", raises)
+    monkeypatch.setattr(exact, "_rank_mod_p", raises)
+    for algebra, old in zip(algebras, expected):
+        _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, old.coefficients)
+    assert {len(old) for old in expected} == {1}
