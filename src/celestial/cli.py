@@ -142,7 +142,10 @@ def _algebra_from_file(path: str, size: int = 2):
     strings such as "1/2-i".
     """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
         raise ValueError(f"{path}: expected a JSON object with an \"elements\" list")
     if size == 2:

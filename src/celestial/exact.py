@@ -574,6 +574,19 @@ def _residues(flat, real: bool) -> list[int]:
     return [(xr + _S * xi) % _P for xr, xi in flat]
 
 
+def _residue_terms(m) -> tuple:
+    """The nonzero ``(column, residue)`` terms of m's rows over their common den, a right factor mod P.
+
+    Those rows are Gaussian integers, so no inverse mod P is needed.
+    """
+    _, terms = m._right_terms()
+    if m._real:
+        rows = ([(j, y % _P) for j, y in ts] for ts in terms)
+    else:
+        rows = ([(j, (yr + _S * yi) % _P) for j, yr, yi in ts] for ts in terms)
+    return tuple(tuple((j, r) for j, r in row if r) for row in rows)
+
+
 def _times_mod_p(row, terms, ncols: int) -> list[int]:
     """row * b over F_P: a row of residues, and the nonzero ``(column, residue)`` terms of b's rows."""
     acc = [0] * ncols
@@ -584,42 +597,50 @@ def _times_mod_p(row, terms, ncols: int) -> list[int]:
     return [v % _P for v in acc]
 
 
+def _take_mod_p(row, basis) -> bool:
+    """Reduce a row of residues against an echelon basis over F_P, and take it (True) if it stays nonzero.
+
+    basis[c] is None, or the nonzero ``(column, residue)`` entries right of
+    c of an echelon row that is 1 at c and 0 before it.  The row is reduced
+    in place, only where a basis row is nonzero and never left of its pivot,
+    where nothing is read again.  At its first entry left nonzero with no
+    basis row, the row scaled to 1 there becomes that basis row.
+
+    Rows taken are independent over F_P, and so over Q(i) are the Gaussian
+    integers their residues came from: a minor that is nonzero mod P is
+    nonzero over Z[i] (Dixon, Numer. Math. 40, 1982).  The converse fails
+    when every larger minor is divisible by a prime of Z[i] over P, so a
+    count of the rows taken bounds the rank over Q(i) from below only.
+    """
+    for c, lead in enumerate(basis):
+        f = row[c]
+        if not f:
+            continue
+        if lead is None:
+            inv = pow(f, -1, _P)
+            basis[c] = [(j, row[j] * inv % _P) for j in range(c + 1, len(basis)) if row[j]]
+            return True
+        for j, y in lead:
+            row[j] = (row[j] - f * y) % _P
+    return False
+
+
 def _rank_mod_p(systems, ncols: int) -> int:
     """The rank over F_P of the rows of the stacked systems of residues, counted up to ncols.
 
-    Each system is a list of residues read row by row, ``ncols`` a row, as
-    ``_residues`` makes them from the systems of ``_common_kernel``.  The
-    rows are reduced one by one against an echelon basis, and the count
-    stops once ncols pivots are found, so later systems are never read.  A
-    basis row keeps only its nonzero entries right of its pivot, and a
-    reduction rewrites a row only there: the entries left of a pivot are
-    never read again.  The rank over F_P is at most the rank over Q(i) of
-    the Gaussian integers the residues came from, since a minor that is
-    nonzero mod P is nonzero over Z[i] (Dixon, Numer. Math. 40, 1982); it
-    can be less, when every larger minor is a multiple of a prime of Z[i]
-    over P.  So ncols is a proof of full rank over Q(i), and a smaller
-    count is a lower bound only.
+    Each system is a list of residues read row by row, ``ncols`` a row.  The
+    rows are taken one by one (``_take_mod_p``), and the count stops once
+    ncols pivots are found, so later systems are never read.  So ncols is a
+    proof of full rank over Q(i), and a smaller count a lower bound only.
     """
-    # basis[c]: the nonzero (column, residue) entries right of c of an echelon
-    # row that is 1 at c and 0 before it
     basis = [None] * ncols
     rank = 0
     for flat in systems:
         for start in range(0, len(flat), ncols):
-            row = flat[start : start + ncols]
-            for c, lead in enumerate(basis):
-                f = row[c]
-                if not f:
-                    continue
-                if lead is None:
-                    inv = pow(f, -1, _P)
-                    basis[c] = [(j, row[j] * inv % _P) for j in range(c + 1, ncols) if row[j]]
-                    rank += 1
-                    if rank == ncols:
-                        return rank
-                    break
-                for j, y in lead:
-                    row[j] = (row[j] - f * y) % _P
+            if _take_mod_p(flat[start : start + ncols], basis):
+                rank += 1
+                if rank == ncols:
+                    return rank
     return rank
 
 
@@ -630,29 +651,17 @@ def _common_kernel(systems, ncols: int, real: bool):
     row, as Gaussian integers of one kind (ints if ``real``).  Zero systems
     kill everything and are skipped; with none left the result is None.
 
-    With two or more left, ``_rank_mod_p`` may first prove that the
-    stacked rows have full rank, and then K is empty ([]) with no exact
-    elimination.  The test is one-sided: a full-rank stack can look
-    singular mod P (a minor divisible by P), and then the exact cut below
-    decides, so a miss costs time, never a wrong answer.  A single system
-    is not tested: an element's system on an invariant piece is k x k of
-    rank k - 1.
-
-    The exact cut is the only source of kernel rows.  K is the kernel of
-    the first nonzero system, and each later one S cuts it down to
-    ker(S K^T) K, since c K is killed by S exactly when c is killed by
-    S K^T; an empty K ends the cut.  The rows of K are a basis, not a
-    canonical one; each is divided by the content of its entries, so the
-    products of later cuts stay small.
+    K is the kernel of the first nonzero system, and each later one S cuts
+    it down to ker(S K^T) K, since c K is killed by S exactly when c is
+    killed by S K^T; an empty K ends the cut.  The rows of K are a basis,
+    not a canonical one; each is divided by the content of its entries, so
+    the products of later cuts stay small.
     """
     nonzero = any if real else _nonzero_pairs
-    live = [flat for flat in systems if nonzero(flat)]
-    if not live:
-        return None
-    if len(live) > 1 and _rank_mod_p((_residues(flat, real) for flat in live), ncols) == ncols:
-        return []
     keep = None
-    for flat in live:
+    for flat in systems:
+        if not nonzero(flat):
+            continue
         system = [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
         if keep is None:
             keep, _ = _null_rows(system, ncols, real)

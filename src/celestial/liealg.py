@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import lcm
 
 from .exact import Matrix, GaussianRational, Record, I, kernel, symmetric_images
-from .exact import _P, _S as _SQRT_MINUS_ONE, _common_kernel, _rank_mod_p, _residues, _times_int, _times_mod_p
+from .exact import _common_kernel, _rank_mod_p, _residue_terms, _residues, _take_mod_p, _times_int, _times_mod_p
 from .segre import (
     DEGREE2_MONOMIALS_2VARS,
     FormSpan,
@@ -46,7 +46,7 @@ def _m2(a, b, c, d) -> Matrix:
 _E2 = _m2(0, 0, 0, 0)
 _T = _m2(0, 1, 0, 0)
 _Q = _m2(0, 0, 1, 0)
-_S = _m2(1, 0, 0, -1)
+_H = _m2(1, 0, 0, -1)
 _I3 = Matrix.identity(3)
 
 
@@ -108,10 +108,10 @@ def _coordinate_rows(elements) -> Matrix:
 
 T1 = LieElement(_T, _E2)
 Q1 = LieElement(_Q, _E2)
-S1 = LieElement(_S, _E2)
+S1 = LieElement(_H, _E2)
 T2 = LieElement(_E2, _T)
 Q2 = LieElement(_E2, _Q)
-S2 = LieElement(_E2, _S)
+S2 = LieElement(_E2, _H)
 E = LieElement(_E2, _E2)
 
 FULL_BASIS = (T1, Q1, S1, T2, Q2, S2)
@@ -308,24 +308,24 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     Each solve is first decided by two bounds on the dimension of the
     answer.  The upper bound is sum_p (k_p - rank_P(p)), with rank_P(p) the
     rank over F_P of a piece's stacked systems made from residues alone
-    (``_mod_p_pieces``), at most their rank over Q(i).  The lower bound is
-    the rank of forms known to be invariant and to lie in the span: the
-    rows of the pieces every tangent kills and, for one element over
-    FULL_BASIS, B_XX, B_XY and B_YY from the table ``polarizations(pieces)``
-    (``_polarizations``), asked for only when one element leaves a bound
-    of at most four per invariant form.  When the two agree, the known
-    forms span the answer, and their reduced row echelon form is it.
+    (``_mod_p_pieces``), at most their rank over Q(i) (``_take_mod_p``).
+    The lower bound is the rank of forms known to be invariant and to lie
+    in the span: the rows of the pieces every tangent kills and, for one
+    element over FULL_BASIS, B_XX, B_XY and B_YY from the table
+    ``polarizations(pieces)`` (``_polarizations``), asked for only when one
+    element leaves a bound of at most four per invariant form.  When the
+    two agree, the known forms span the answer, and their reduced row
+    echelon form is it.
 
     Otherwise the exact path decides, and it is the only source of kernel
     rows.  The systems are the raw Gaussian-integer rows of the product
     elements * blocks, each a multiple of the system, with no canonical
     Matrix made of them; the combinations K of R's rows that every element
-    kills are cut down on them (``_common_kernel``, which proves most empty
-    K by a rank test modulo a prime first), and the piece keeps the forms
-    K R, or all of R when every element acts on it as zero.  One reduced
-    row echelon form of the kept rows of every piece at the end makes the
-    basis canonical, so on either path the result does not depend on the
-    order or the basis of the elements, nor on the pieces.
+    kills are cut down on them (``_common_kernel``), and the piece keeps the
+    forms K R, or all of R when every element acts on it as zero.  One
+    reduced row echelon form of the kept rows of every piece at the end
+    makes the basis canonical, so on either path the result does not depend
+    on the order or the basis of the elements, nor on the pieces.
 
     ``invariant_forms`` calls this for one element, or for elements not
     proved to generate all of sl2+sl2.  A form that the elements kill is
@@ -370,9 +370,7 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
 def _mod_p_pieces(pieces) -> tuple[tuple, Matrix]:
     """The pieces' blocks as residue terms mod P, and the forms every tangent kills, made once.
 
-    Row j of a piece's blocks over their common den is a row of Gaussian
-    integers, an integral nonzero multiple of the row, so no inverse mod P
-    is needed; its nonzero residues, ``(column, residue)`` pairs, turn the
+    The residue terms of a piece's blocks (``_residue_terms``) turn the
     residues of an element's coordinate row into its system mod P, the
     residues of the rows that ``Matrix._product`` would give.  A piece
     whose blocks are zero is killed by every tangent, so its rows are
@@ -381,13 +379,8 @@ def _mod_p_pieces(pieces) -> tuple[tuple, Matrix]:
     """
     residues, invariants = [], [Matrix.zero(0, pieces[0].reduced.cols)]
     for table in pieces:
-        _, terms = table.blocks._right_terms()
-        if table.blocks.is_real:
-            rows = [[(j, y % _P) for j, y in ts] for ts in terms]
-        else:
-            rows = [[(j, (yr + _SQRT_MINUS_ONE * yi) % _P) for j, yr, yi in ts] for ts in terms]
-        residues.append(tuple(tuple((j, r) for j, r in row if r) for row in rows))
-        if not any(terms):
+        residues.append(_residue_terms(table.blocks))
+        if not any(table.blocks._right_terms()[1]):
             invariants.append(table.reduced)
     return tuple(residues), Matrix.stack(invariants)
 
@@ -531,37 +524,25 @@ def _generated_rank_mod_p(elements: Matrix) -> int:
     Each lifted coordinate row, a Gaussian-integer multiple of its element,
     is mapped into F_P (``_residues``), and the rows are closed under the
     bracket by the integer structure constants (``_bracket_terms``): a row
-    that is independent of those taken so far is taken, and each taken row
-    is bracketed with every earlier one, so the span of the taken rows is
-    closed when the loop ends.  The bracket commutes with the map into F_P,
-    so each taken row is the residue of an iterated bracket of the lifted
-    rows.  A rank of 6 therefore gives six iterated brackets whose 6-minor
-    is nonzero mod P, hence nonzero over Z[i] (Dixon, as in
-    ``_rank_mod_p``): the elements generate all of sl2+sl2.  The count stops
-    there.  A smaller rank is only a lower bound on the dimension of the
-    subalgebra, and decides nothing.  Independence is tested as in
-    ``_rank_mod_p``, against an echelon basis that keeps each row's nonzero
-    entries right of its pivot.
+    that is independent of those taken so far (``_take_mod_p``) is taken,
+    and each taken row is bracketed with every earlier one, so the span of
+    the taken rows is closed when the loop ends.  The bracket commutes with
+    the map into F_P, so each taken row is the residue of an iterated
+    bracket of the lifted rows.  A rank of 6 therefore gives six iterated
+    brackets that are independent over Q(i) (Dixon, as in ``_take_mod_p``):
+    the elements generate all of sl2+sl2.  The count stops there.  A
+    smaller rank is only a lower bound on the dimension of the subalgebra,
+    and decides nothing.
     """
     n = len(FULL_BASIS)
     terms = _bracket_terms()
-    leads = [None] * n  # leads[c]: the nonzero (column, residue) entries right of c of an echelon row 1 at c
+    leads = [None] * n
     taken = []
 
     def take(v) -> bool:
-        row = v.copy()
-        for c, lead in enumerate(leads):
-            f = row[c]
-            if not f:
-                continue
-            if lead is None:
-                inv = pow(f, -1, _P)
-                leads[c] = [(j, row[j] * inv % _P) for j in range(c + 1, n) if row[j]]
-                taken.append(v)
-                return len(taken) == n
-            for j, y in lead:
-                row[j] = (row[j] - f * y) % _P
-        return False
+        if _take_mod_p(v.copy(), leads):
+            taken.append(v)
+        return len(taken) == n
 
     for flat in elements._ints:
         if take(_residues(flat, elements._real)):
@@ -573,7 +554,7 @@ def _generated_rank_mod_p(elements: Matrix) -> int:
             v = [0] * n
             for j, l, k, c in terms:
                 v[k] += c * u[j] * w[l]
-            if take([x % _P for x in v]):
+            if take(_residues(v, True)):
                 return n
         i += 1
     return len(taken)

@@ -377,10 +377,13 @@ def _write_chunks(fh, header: bytes, kernel, pts, proj, line: bytes) -> float:
 def load_projection(path: str) -> list[list[float]]:
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.replace(",", " ").split()])
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    rows.append([float(tok) for tok in line.replace(",", " ").split()])
+        except ValueError as exc:  # not UTF-8, or not numbers
+            raise ValueError(f"{path}: {exc}") from None
     if len(rows) != 3:
         raise ValueError("projection file must contain exactly 3 rows")
     bad = next((x for row in rows for x in row if not math.isfinite(x)), None)

@@ -76,9 +76,6 @@ another way, or an input catalog the tests iterate over:
     lifted_solve_invariant               the invariant-form solver on the pieces by
                                          the exact path alone, with no dimension
                                          bound modulo a prime and no known forms
-    exact_cut_common_kernel              the common kernel of Gaussian-integer systems
-                                         by the exact cut alone, with no rank test
-                                         modulo a prime first
     dense_rank_mod_p                     the rank modulo a prime, each reduction
                                          rebuilding the whole row tail
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
@@ -113,7 +110,7 @@ from math import lcm
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
 from celestial.exact import kernel, solve, symmetric_images
 from celestial.exact import _canonical, _combine_z, _drop, _eliminate, _pairs, _scaled
-from celestial.exact import _P, _S, _common_kernel, _nonzero_pairs, _null_rows, _scaled_down, _times
+from celestial.exact import _P, _S, _common_kernel
 from celestial.exact import _require_real_symmetric, signature
 from celestial.forms import FamilyCoeffs, family_basis, random_fraction
 from celestial.geometry import NSClass, VERONESE_MONOMIALS, veronese_data
@@ -960,17 +957,32 @@ def is_subalgebra(basis) -> bool:
     return True
 
 
-def generated_dimension(elements) -> int:
+def generated_dimension(elements, modulo_p: bool = False) -> int:
     """The dimension of the subalgebra the elements generate, closed under the bracket exactly.
 
     The span of the elements grows by every bracket of two of its basis
     elements that it does not contain, until none is left; each containment
-    is a rank over Q(i) of coordinate rows.
+    is a rank over Q(i) of coordinate rows.  With ``modulo_p``, each element
+    is first scaled by the lcm of its coordinates' denominators, so its
+    coordinates and those of every bracket are Gaussian integers, and each
+    containment is their ``dense_rank_mod_p``: the result is the dimension
+    over F_P of the subalgebra that the residues of the elements generate.
     """
+    if modulo_p:
+        elements = [x.scale(lcm(*(p.denominator for c in coordinates(x) for p in (c.re, c.im))))
+                    for x in elements]
+
+    def rank(xs) -> int:
+        rows = [coordinates(e) for e in xs]
+        if not modulo_p:
+            return Matrix(rows).rank()
+        flat = [(int(c.re), int(c.im)) for row in rows for c in row]
+        return dense_rank_mod_p([flat], len(FULL_BASIS), False)
+
     basis = []
 
     def grow(x) -> None:
-        if Matrix([coordinates(e) for e in basis + [x]]).rank() > len(basis):
+        if rank(basis + [x]) > len(basis):
             basis.append(x)
 
     for x in elements:
@@ -1109,10 +1121,9 @@ def lifted_solve_invariant(elements: Matrix, pieces):
 
     The solver before the dimension bound: in each piece, the raw rows of
     the product elements * blocks are the systems, ``exact._common_kernel``
-    cuts the combinations K of R's rows that every element kills (a rank
-    test modulo P first), the piece keeps K R, or all of R when every
-    element acts on it as zero, and one reduced row echelon form of all the
-    kept rows is the basis.
+    cuts the combinations K of R's rows that every element kills, the piece
+    keeps K R, or all of R when every element acts on it as zero, and one
+    reduced row echelon form of all the kept rows is the basis.
     """
     kept = []
     for table in pieces:
@@ -1127,30 +1138,6 @@ def lifted_solve_invariant(elements: Matrix, pieces):
             kept.append(Matrix._lifted(real, (1,) * len(keep), keep, red.rows) * red)
     width = pieces[0].reduced.cols
     return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=pieces[0].coords)
-
-
-def exact_cut_common_kernel(systems, ncols, real):
-    """Rows K over the Gaussian integers spanning the vectors that every system kills.
-
-    The exact cut with nothing in front of it: K is the kernel of the first
-    nonzero system, and each later one S cuts it down to ker(S K^T) K; zero
-    systems are skipped, none left gives None, and an empty K ends the cut.
-    Each row of K is divided by the content of its entries.
-    """
-    keep = None
-    for flat in systems:
-        if not (any(flat) if real else _nonzero_pairs(flat)):
-            continue
-        system = [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
-        if keep is None:
-            keep, _ = _null_rows(system, ncols, real)
-        else:
-            cut, _ = _null_rows(_times(system, list(zip(*keep)), len(keep), real), len(keep), real)
-            keep = _times(cut, keep, ncols, real)
-        if not keep:
-            break
-        keep = [_scaled_down(row, real) for row in keep]
-    return keep
 
 
 def dense_rank_mod_p(systems, ncols: int, real: bool) -> int:

@@ -9,6 +9,9 @@ read by no script, no benchmark and no command: code that only the tests
 read belongs in ``tests/oracles.py``.  A method or property of a class is
 checked the same way, without the closure: its name must be mentioned in
 the package outside its own body, or by a script or the benchmark.
+
+One decision also stays inside one module: the prime P and the root S of
+-1 that map the Gaussian integers into F_P are named only in ``exact.py``.
 """
 
 import ast
@@ -124,3 +127,16 @@ def _unread_methods() -> list[str]:
 
 def test_every_method_is_read_outside_its_body():
     assert _unread_methods() == []
+
+
+def test_only_the_exact_core_names_the_prime_and_its_root_of_minus_one():
+    # another module reaches F_P through exact's helpers, so the map
+    # Z[i] -> F_P can change in one place
+    named = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "exact.py"
+        for name in _counted(ast.parse(path.read_text()))
+        if name in ("_P", "_S")
+    }
+    assert named == set()

@@ -199,6 +199,29 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     assert "does-not-exist" in _one_line_error(capsys)
 
 
+_ALGEBRA = ["invariant-forms", "--algebra", "{path}"]
+_PROJ = ["sample", "--surface", "ring", "--resolution", "5", "--proj", "{path}", "--out", "{tmp}/x.csv"]
+
+
+@pytest.mark.parametrize(
+    "data, argv, needle",
+    [
+        (b"not json\n", _ALGEBRA, "Expecting value"),
+        (b"\xff\xfe{}", _ALGEBRA, "can't decode"),
+        (b"a b c\n1 2 3\n0 0 1\n", _PROJ, "could not convert"),
+        (b"\xff 0 0\n0 1 0\n0 0 1\n", _PROJ, "can't decode"),
+    ],
+    ids=["algebra-not-json", "algebra-not-utf8", "proj-not-numbers", "proj-not-utf8"],
+)
+def test_unparsable_input_files_are_named_in_the_error(tmp_path, capsys, data, argv, needle):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main([a.format(path=path, tmp=tmp_path) for a in argv]) == 2
+    err = _one_line_error(capsys)
+    assert err.startswith(f"error: {path}: ") and needle in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_crashing_check_names_type_and_place(monkeypatch):
     from celestial import verify
 

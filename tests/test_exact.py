@@ -39,7 +39,6 @@ from oracles import (
     dense_combine_zi,
     dense_rank_mod_p,
     elimination_solve,
-    exact_cut_common_kernel,
     gauss_jordan_kernel,
     lazy_congruence_diagonalize,
     lift,
@@ -1135,19 +1134,6 @@ def test_the_cut_kernel_spans_the_kernel_of_the_stacked_systems(problem):
         assert gcd(*parts) == 1
 
 
-@given(cut_problems())
-@settings(max_examples=120, deadline=None)
-def test_the_cut_kernel_spans_the_exact_cuts_kernel(problem):
-    # the exact cut alone, with no rank test modulo P in front, is the reference
-    real, k, systems = problem
-    keep, old = _common_kernel(systems, k, real), exact_cut_common_kernel(systems, k, real)
-    if not old:
-        assert keep == old
-        return
-    assert keep
-    assert _as_matrix(real, keep, k).rref()[0] == _as_matrix(real, old, k).rref()[0]
-
-
 # ---------------------------------------------------------------------------
 # the rank test modulo P: a yes is a proof of full rank, a no proves nothing
 
@@ -1186,7 +1172,7 @@ def test_a_full_rank_matrix_singular_mod_p_is_left_to_the_exact_cut(real, rows):
     assert 90**2 + 157**2 == _P
     assert _as_matrix(real, rows, n).rank() == n
     assert _rank_mod_p([[x for row in rows for x in row]], n, real) < n
-    systems = [*rows, rows[0]]  # one system per row, two or more, so the test runs
+    systems = [*rows, rows[0]]  # one system per row, the first repeated
     assert _common_kernel(systems, n, real) == []
 
 

@@ -726,7 +726,7 @@ def _nonempty_common_kernels(rows, pieces) -> int:
 
 
 def test_the_lifted_solver_matches_the_matrix_steps_where_common_kernels_are_not_empty():
-    # there the rank test modulo P cannot answer, and the exact cut decides
+    # there the exact cut ends with kernel rows, not with an empty K
     pieces = liealg._full_pieces(i2_segre())
     torus = (
         [S1, S2],
@@ -742,8 +742,9 @@ def test_the_lifted_solver_matches_the_matrix_steps_where_common_kernels_are_not
         assert len(_same_as_the_matrix_steps(rows, pieces)) > 0
 
 
-def test_the_rank_test_modulo_p_decides_empty_common_kernels_alone(monkeypatch):
-    # were the rank test switched off, the exact cut would run here and raise
+def test_a_generating_pair_and_the_sl3_veronese_solve_take_no_exact_cut(monkeypatch):
+    # the closure modulo P proves that the pair generates all of sl2+sl2,
+    # and the SL3 Veronese solve ends at a dimension bound of 0
     ambient = i2_segre()
     algebra = [T1 + S2, Q1 + T2.scale(2) + S1]  # generates all of sl2+sl2
     full = liealg.full_invariant_forms()
@@ -751,7 +752,7 @@ def test_the_rank_test_modulo_p_decides_empty_common_kernels_alone(monkeypatch):
     assert len(geometry.veronese_invariant_forms(geometry.SL3_BASIS.values())) == 0  # tables built
 
     def no_exact_cut(*args):
-        raise AssertionError("the exact cut ran on a kernel the rank test should have decided")
+        raise AssertionError("the exact cut ran on a solve the closure or the bound should have decided")
 
     monkeypatch.setattr(exact, "_null_rows", no_exact_cut)
     _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, full.coefficients)
@@ -1260,6 +1261,7 @@ _GENERATED = {
 def test_the_rank_modulo_p_of_the_generated_subalgebra(name):
     elements, dimension, rank = _GENERATED[name]
     assert generated_dimension(elements) == dimension
+    assert generated_dimension(elements, modulo_p=True) == rank
     assert liealg._generated_rank_mod_p(liealg._coordinate_rows(elements)) == rank
 
 
@@ -1319,7 +1321,8 @@ def test_two_and_three_element_solves_match_the_exact_path(elements, which):
     ambient = (i2_segre(), forms.family_basis(), *_non_real_spans())[which]
     _same_as_the_exact_path(elements, ambient)
     # the rank modulo P is a lower bound on the dimension, so 6 is a proof
-    assert liealg._generated_rank_mod_p(liealg._coordinate_rows(elements)) <= generated_dimension(elements)
+    rank = liealg._generated_rank_mod_p(liealg._coordinate_rows(elements))
+    assert rank == generated_dimension(elements, modulo_p=True) <= generated_dimension(elements)
 
 
 def test_warm_generic_solves_take_no_rank_modulo_p(monkeypatch):
@@ -1338,9 +1341,10 @@ def test_warm_generic_solves_take_no_rank_modulo_p(monkeypatch):
     def raises(*args):
         raise AssertionError("a warm generic solve bounded its pieces modulo P")
 
+    # the bound alone makes (_times_mod_p) and ranks (_rank_mod_p) piece
+    # systems modulo P; the closure shares only their step, _take_mod_p
     monkeypatch.setattr(liealg, "_times_mod_p", raises)
     monkeypatch.setattr(liealg, "_rank_mod_p", raises)
-    monkeypatch.setattr(exact, "_rank_mod_p", raises)
     for algebra, old in zip(algebras, expected):
         _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, old.coefficients)
     assert {len(old) for old in expected} == {1}
