@@ -139,7 +139,7 @@ def _algebra_from_file(path: str, size: int = 2):
 
     An sl2+sl2 element (size 2) is a [left, right] pair of 2x2 matrices, a
     Veronese element (size 3) one 3x3 matrix; entries are integers or Q(i)
-    strings such as "1/2-i".
+    strings such as "1/2-i".  Every error names the file.
     """
     with open(path) as fh:
         try:
@@ -148,11 +148,14 @@ def _algebra_from_file(path: str, size: int = 2):
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
         raise ValueError(f"{path}: expected a JSON object with an \"elements\" list")
-    if size == 2:
-        pairs = (_json_element(e, (2, 2, 2), "[left, right] pair of 2x2 matrices")
-                 for e in data["elements"])
-        return [liealg.LieElement(Matrix(left), Matrix(right)) for left, right in pairs]
-    return [Matrix(_json_element(e, (3, 3), "3x3 matrix")) for e in data["elements"]]
+    try:
+        if size == 2:
+            pairs = (_json_element(e, (2, 2, 2), "[left, right] pair of 2x2 matrices")
+                     for e in data["elements"])
+            return [liealg.LieElement(Matrix(left), Matrix(right)) for left, right in pairs]
+        return [Matrix(_json_element(e, (3, 3), "3x3 matrix")) for e in data["elements"]]
+    except ValueError as exc:  # a bad shape or entry, or a half with a trace
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _json_element(element, shape, what: str):

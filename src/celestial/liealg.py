@@ -182,19 +182,29 @@ class ActionTable(Record):
     none when every D_j maps the span into itself, as sl2+sl2 does I2.
     Row j of ``blocks`` is [Phi_j | E_j at those columns] transposed, a
     (k + len(residual)) x k matrix, read row by row; so the system of an
-    element x = sum c_j D_j is the row c * blocks, reshaped.  Tables
+    element x = sum c_j D_j is the row c * blocks, reshaped.  ``weights``
+    is the (a, b) of a piece of copies of V_a (x) V_b, as
+    ``isotypic_pieces`` records it, and None for any other table.  Tables
     compare and hash by identity.
     """
 
-    _fields = ("reduced", "residual", "blocks", "coords")
+    _fields = ("reduced", "residual", "blocks", "coords", "weights")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, reduced: Matrix, residual: tuple[int, ...], blocks: Matrix, coords: tuple[int, ...]):
+    def __init__(
+        self,
+        reduced: Matrix,
+        residual: tuple[int, ...],
+        blocks: Matrix,
+        coords: tuple[int, ...],
+        weights: tuple[int, int] | None = None,
+    ):
         object.__setattr__(self, "reduced", reduced)
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "weights", weights)
 
 
 def action_table(tangents, ambient: FormSpan) -> ActionTable:
@@ -247,8 +257,10 @@ def isotypic_pieces(table: ActionTable) -> tuple[ActionTable, ...]:
     one kernel.  A piece gets the reduced row echelon basis B of its
     coordinate rows, with pivot columns F: then B Phi_j = Psi_j B, where
     Psi_j = (B Phi_j) at F, and the piece is the table of the forms B R with
-    systems Psi_j^T.  By Weyl's theorem the pieces of a representation add
-    up to the whole span, so a shortfall is an error, not a case.
+    systems Psi_j^T and weights (a, b), which ``solve_invariant`` reads
+    (``_jordan_dimension``).  By Weyl's theorem the pieces of a
+    representation add up to the whole span, so a shortfall is an error,
+    not a case.  A table that is returned whole keeps no weights.
     """
     k = table.reduced.rows
     if table.residual or not k:
@@ -270,7 +282,7 @@ def isotypic_pieces(table: ActionTable) -> tuple[ActionTable, ...]:
         d = basis.rows
         psis = basis * phis.reindex(range(k), [j * k + f for j in range(n) for f in cols])
         blocks = psis.transpose().reshape(n, d * d)
-        pieces.append(ActionTable(basis * table.reduced, (), blocks, table.coords))
+        pieces.append(ActionTable(basis * table.reduced, (), blocks, table.coords, (a, b)))
     if sum(piece.reduced.rows for piece in pieces) != k:
         raise ArithmeticError("the Casimir eigenspaces do not add up to the span")
     return tuple(pieces)
@@ -284,11 +296,14 @@ def _highest_weights(diagonals) -> list[tuple]:
     the form (a - 2i, b - 2j), so the copies with highest weight (a, b)
     number N(a, b) - N(a+2, b) - N(a, b+2) + N(a+2, b+2), with N(w) the
     multiplicity of the weight w.  Were the systems not diagonal, the
-    eigenspaces tried would miss forms, and the split would raise.
+    eigenspaces tried would miss forms, and the split would raise; a weight
+    that is not an integer raises here.
     """
     weights = Counter((x.re, y.re) for x, y in diagonals)
+    if any(w.denominator != 1 for pair in weights for w in pair):
+        raise ArithmeticError("a torus weight is not an integer")
     return sorted(
-        (a, b)
+        (int(a), int(b))
         for a, b in weights
         if a >= 0 and b >= 0
         and weights[a, b] - weights[a + 2, b] - weights[a, b + 2] + weights[a + 2, b + 2] > 0
@@ -306,16 +321,19 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     the kernel of the element systems stacked.
 
     Each solve is first decided by two bounds on the dimension of the
-    answer.  The upper bound is sum_p (k_p - rank_P(p)), with rank_P(p) the
-    rank over F_P of a piece's stacked systems made from residues alone
-    (``_mod_p_pieces``), at most their rank over Q(i) (``_take_mod_p``).
+    answer.  The upper bound is exact for one element on pieces with
+    weights: the sum over the pieces of the kernel that the element's
+    Jordan type gives on each copy of V_a (x) V_b (``_jordan_dimension``).
+    Otherwise it is sum_p (k_p - rank_P(p)), with rank_P(p) the rank over
+    F_P of a piece's stacked systems made from residues alone
+    (``_residue_pieces``), at most their rank over Q(i) (``_take_mod_p``).
     The lower bound is the rank of forms known to be invariant and to lie
-    in the span: the rows of the pieces every tangent kills and, for one
-    element over FULL_BASIS, B_XX, B_XY and B_YY from the table
-    ``polarizations(pieces)`` (``_polarizations``), asked for only when one
-    element leaves a bound of at most four per invariant form.  When the
-    two agree, the known forms span the answer, and their reduced row
-    echelon form is it.
+    in the span: the rows of the pieces every tangent kills
+    (``_invariant_rows``) and, for one element over FULL_BASIS, B_XX, B_XY
+    and B_YY from the table ``polarizations(pieces)`` (``_polarizations``),
+    asked for only when one element leaves a bound of at most four per
+    invariant form.  When the two agree, the known forms span the answer,
+    and their reduced row echelon form is it.
 
     Otherwise the exact path decides, and it is the only source of kernel
     rows.  The systems are the raw Gaussian-integer rows of the product
@@ -334,13 +352,10 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     """
     coords, width = pieces[0].coords, pieces[0].reduced.cols
     if elements.rows:
-        residues, invariants = _mod_p_pieces(pieces)
-        rows = [_residues(row, elements._real) for row in elements._ints]
-        bound = 0
-        for table, terms in zip(pieces, residues):
-            k, size = table.reduced.rows, table.blocks.cols
-            if k:
-                bound += k - _rank_mod_p([_times_mod_p(row, terms, size) for row in rows], k)
+        bound = _jordan_dimension(elements, pieces)
+        if bound is None:
+            bound = _mod_p_bound(elements, pieces)
+        invariants = _invariant_rows(pieces)
         known, q = None, invariants.rows
         if bound == q:
             known = invariants
@@ -366,23 +381,107 @@ def solve_invariant(elements: Matrix, pieces, polarizations=None) -> FormSpan:
     return FormSpan.row_space(Matrix.stack([Matrix.zero(0, width), *kept]), coords=coords)
 
 
-@lru_cache(maxsize=8)
-def _mod_p_pieces(pieces) -> tuple[tuple, Matrix]:
-    """The pieces' blocks as residue terms mod P, and the forms every tangent kills, made once.
+_NILPOTENT = (0, 0)  # the det of a nonzero nilpotent half
 
-    The residue terms of a piece's blocks (``_residue_terms``) turn the
-    residues of an element's coordinate row into its system mod P, the
-    residues of the rows that ``Matrix._product`` would give.  A piece
-    whose blocks are zero is killed by every tangent, so its rows are
-    invariant forms of every subalgebra; on I2 that is the piece V0 (x) V0,
-    the span of ``full_invariant_forms()``.
+
+def _jordan_dimension(elements: Matrix, pieces) -> int | None:
+    """The dimension of the forms that one element kills, from its Jordan type, when every piece has weights.
+
+    Otherwise, or for more than one element, it is None.  In sl2,
+    Z^2 = -det Z * I, so a half Z of x = (X, Y) is zero, nilpotent
+    (det Z = 0) or semisimple, and x acts on a copy of V_a (x) V_b as
+    rho_a(X) (x) 1 + 1 (x) rho_b(Y) (``_copy_kernel``).  The lifted
+    coordinate row is one integral multiple of x, which scales both dets by
+    the same square: the zero tests and the ratio of the dets are those of
+    x.  A piece of k forms holds k / ((a+1)(b+1)) copies.
     """
-    residues, invariants = [], [Matrix.zero(0, pieces[0].reduced.cols)]
+    if elements.rows != 1 or any(table.weights is None for table in pieces):
+        return None
+    (c,), real = elements._ints, elements._real
+    halves = []
+    for t, q, h in (c[:3], c[3:]):  # Z = [[h, t], [q, -h]] in FULL_BASIS order, det Z = -(h^2 + t q)
+        if real:
+            halves.append((-(h * h + t * q), 0) if t or q or h else None)
+        else:
+            (tr, ti), (qr, qi), (hr, hi) = t, q, h
+            det = (hi * hi - hr * hr - tr * qr + ti * qi, -(2 * hr * hi + tr * qi + ti * qr))
+            halves.append(det if tr or ti or qr or qi or hr or hi else None)
+    x, y = halves
+    total = 0
     for table in pieces:
-        residues.append(_residue_terms(table.blocks))
+        a, b = table.weights
+        total += table.reduced.rows // ((a + 1) * (b + 1)) * _copy_kernel(a, b, x, y)
+    return total
+
+
+def _copy_kernel(a: int, b: int, x, y) -> int:
+    """The dimension of the kernel of x = (X, Y) on one copy of V_a (x) V_b.
+
+    x and y are None for a zero half, and det X and det Y as (re, im)
+    otherwise.  With one half zero, or one nilpotent and one semisimple,
+    the kernel is the product of the halves' kernels (``_half_kernel``):
+    for commuting S semisimple and N nilpotent, ker(S + N) is ker S
+    intersected with ker N.  Two nonzero nilpotent halves keep one vector
+    per summand V_c of V_a (x) V_b, c = a + b, a + b - 2, ..., |a - b|
+    (Clebsch-Gordan).  Two semisimple halves, with eigenvalues +-u and +-v
+    (u^2 = -det X, v^2 = -det Y), act on the weight vector v_p (x) v_q as
+    pu + qv: that is zero for p = q = 0, which needs a and b even, and for
+    p != 0 exactly when p^2 det X = q^2 det Y and q has the one sign of the
+    two that makes pu = -qv.
+    """
+    if x is None or y is None or (x == _NILPOTENT) != (y == _NILPOTENT):
+        return _half_kernel(a, x) * _half_kernel(b, y)
+    if x == _NILPOTENT:
+        return min(a, b) + 1
+    (xr, xi), (yr, yi) = x, y
+    count = int(a % 2 == 0 and b % 2 == 0)
+    for p in range(a, 0, -2):
+        for q in range(b, 0, -2):
+            if p * p * xr == q * q * yr and p * p * xi == q * q * yi:
+                count += 2  # p and -p
+    return count
+
+
+def _half_kernel(n: int, z) -> int:
+    """The kernel of rho_n(Z) on V_n: all of it for Z = 0, the top vector for a nilpotent Z, the weight 0 otherwise."""
+    if z is None:
+        return n + 1
+    return 1 if z == _NILPOTENT or n % 2 == 0 else 0
+
+
+def _mod_p_bound(elements: Matrix, pieces) -> int:
+    """sum_p (k_p - rank_P(p)): the elements' systems on each piece, ranked over F_P from residues alone."""
+    rows = [_residues(row, elements._real) for row in elements._ints]
+    bound = 0
+    for table, terms in zip(pieces, _residue_pieces(pieces)):
+        k, size = table.reduced.rows, table.blocks.cols
+        if k:
+            bound += k - _rank_mod_p([_times_mod_p(row, terms, size) for row in rows], k)
+    return bound
+
+
+@lru_cache(maxsize=8)
+def _residue_pieces(pieces) -> tuple:
+    """The pieces' blocks as residue terms mod P (``_residue_terms``), made once.
+
+    They turn the residues of an element's coordinate row into its system
+    mod P, the residues of the rows that ``Matrix._product`` would give.
+    """
+    return tuple(_residue_terms(table.blocks) for table in pieces)
+
+
+@lru_cache(maxsize=8)
+def _invariant_rows(pieces) -> Matrix:
+    """The forms every tangent kills: the rows of the pieces whose blocks are zero, made once.
+
+    Those rows are invariant forms of every subalgebra; on I2 they are the
+    piece V0 (x) V0, the span of ``full_invariant_forms()``.
+    """
+    invariants = [Matrix.zero(0, pieces[0].reduced.cols)]
+    for table in pieces:
         if not any(table.blocks._right_terms()[1]):
             invariants.append(table.reduced)
-    return tuple(residues), Matrix.stack(invariants)
+    return Matrix.stack(invariants)
 
 
 def _element_forms(elements: Matrix, tables) -> list[Matrix]:
@@ -423,7 +522,7 @@ def _polarizations(pieces) -> tuple[Matrix, ...] | None:
     """For each invariant form A of the pieces, the 21 x m table of upper(D_j^T A D_l + D_l^T A D_j).
 
     The pairs j <= l run over FULL_BASIS in ``_PAIRS`` order, with D_j its
-    d_rep images, and the invariant forms are those of ``_mod_p_pieces``.
+    d_rep images, and the invariant forms are those of ``_invariant_rows``.
     For one element x = (X, Y), let D_X and D_Y be the images of (X, 0) and
     (0, Y).  Then B_XX = D_X^T A D_X, B_YY = D_Y^T A D_Y and
     B_XY = D_X^T A D_Y + D_Y^T A D_X are x-invariant: A is killed by each
@@ -441,7 +540,7 @@ def _polarizations(pieces) -> tuple[Matrix, ...] | None:
     d = [images.row(j).reshape(9, 9) for j in range(len(FULL_BASIS))]
     if any(d[j] * d[l] != d[l] * d[j] for j in range(3) for l in range(3, 6)):
         return None
-    _, invariants = _mod_p_pieces(pieces)
+    invariants = _invariant_rows(pieces)
     forms = (Matrix.symmetric(invariants.row(i)) for i in range(invariants.rows))
     tables = tuple(_polarization_rows(a, d) for a in forms)
     red, pivots = Matrix.stack([table.reduced for table in pieces]).rref()

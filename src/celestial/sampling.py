@@ -385,8 +385,8 @@ def load_projection(path: str) -> list[list[float]]:
         except ValueError as exc:  # not UTF-8, or not numbers
             raise ValueError(f"{path}: {exc}") from None
     if len(rows) != 3:
-        raise ValueError("projection file must contain exactly 3 rows")
+        raise ValueError(f"{path}: projection file must contain exactly 3 rows")
     bad = next((x for row in rows for x in row if not math.isfinite(x)), None)
     if bad is not None:
-        raise ValueError(f"projection entries must be finite numbers, got {bad}")
+        raise ValueError(f"{path}: projection entries must be finite numbers, got {bad}")
     return rows

@@ -78,6 +78,10 @@ another way, or an input catalog the tests iterate over:
                                          bound modulo a prime and no known forms
     dense_rank_mod_p                     the rank modulo a prime, each reduction
                                          rebuilding the whole row tail
+    mod_p_dimension_bound                the upper bound on an invariant-form answer
+                                         that decided one-element solves before their
+                                         Jordan type did: each piece's size less the
+                                         rank modulo a prime of its stacked systems
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
                                          rows of the span: one kernel of the
                                          transposed images per tangent
@@ -1168,6 +1172,22 @@ def dense_rank_mod_p(systems, ncols: int, real: bool) -> int:
                     break
                 row[c:] = [(x - f * y) % _P for x, y in zip(row[c:], lead[c:])]
     return rank
+
+
+def mod_p_dimension_bound(elements: Matrix, pieces) -> int:
+    """sum_p (k_p - rank_P(p)) over the pieces: at least the dimension of the invariant-form answer.
+
+    rank_P(p) is the ``dense_rank_mod_p`` of the raw rows of the product
+    elements * blocks, the piece's element systems stacked; it is at most
+    their rank over Q(i), so the sum is an upper bound.
+    """
+    bound = 0
+    for table in pieces:
+        k = table.reduced.rows
+        if k:
+            real, _, systems = elements._product(table.blocks)
+            bound += k - dense_rank_mod_p(systems, k, real)
+    return bound
 
 
 def coefficient_row_solve_invariant(tangents, ambient):

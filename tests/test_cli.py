@@ -210,8 +210,19 @@ _PROJ = ["sample", "--surface", "ring", "--resolution", "5", "--proj", "{path}",
         (b"\xff\xfe{}", _ALGEBRA, "can't decode"),
         (b"a b c\n1 2 3\n0 0 1\n", _PROJ, "could not convert"),
         (b"\xff 0 0\n0 1 0\n0 0 1\n", _PROJ, "can't decode"),
+        (b"1 0 0 0\n0 1 0 0\n", _PROJ, "exactly 3 rows"),
+        (b"1 0 0 0\n0 1 0 0\n0 0 1 nan\n", _PROJ, "must be finite"),
+        (b'{"elements": [[[["0", "1"], ["0", "0"]]]]}', _ALGEBRA, "is not a [left, right] pair"),
+        (b'{"elements": [[[[1.5, 0], [0, 0]], [[0, 0], [0, 0]]]]}', _ALGEBRA, "neither an integer"),
+        (b'{"elements": [[[["1/0", 0], [0, 0]], [[0, 0], [0, 0]]]]}', _ALGEBRA, "divides by zero"),
+        (b'{"elements": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}', _ALGEBRA, "traceless"),
+        (b'{"elements": [[[0, 1], [0, 0], [0, 0]]]}', [*_ALGEBRA, "--ambient", "veronese"], "is not a 3x3 matrix"),
     ],
-    ids=["algebra-not-json", "algebra-not-utf8", "proj-not-numbers", "proj-not-utf8"],
+    ids=[
+        "algebra-not-json", "algebra-not-utf8", "proj-not-numbers", "proj-not-utf8", "proj-two-rows",
+        "proj-not-finite", "algebra-not-a-pair", "algebra-float-entry", "algebra-zero-denominator",
+        "algebra-trace", "veronese-3x2",
+    ],
 )
 def test_unparsable_input_files_are_named_in_the_error(tmp_path, capsys, data, argv, needle):
     path = tmp_path / "input"

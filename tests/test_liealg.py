@@ -63,6 +63,7 @@ from oracles import (
     lifted_solve_invariant,
     loop_real_basis,
     matrix_step_solve_invariant,
+    mod_p_dimension_bound,
     per_form_solve_invariant,
     per_form_span_stabilizer,
     product_rule_d_rep,
@@ -840,17 +841,20 @@ def test_the_bound_decides_generic_elements_and_leaves_the_rest_exact():
     x = LieElement(Matrix([[1, 2], [3, -1]]), Matrix([[gauss("1/2"), 0], [gauss("i"), gauss("-1/2")]]))
     y = LieElement(Matrix([[0, 1], [gauss("2-i"), 0]]), Matrix([[2, 5], [-1, -2]]))
     z = x + y.scale(3)
-    decided = {"x": [x], "y": [y], "x, y": [x, y], "x, y, z": [x, y, z], "all": FULL_BASIS}
-    equal_det = LieElement(x.left, x.left)  # a 3-dimensional V2 (x) V2 kernel: bound 6 > 4
-    left_only = [T1]  # the bound is 10, so no table
-    vanishing = [x.scale(exact._P)]  # every coordinate is 0 mod P: the bound is 20
+    # every coordinate of x P is 0 mod P, but its Jordan type is that of x: dimension 4
+    vanishing = [x.scale(exact._P)]
+    decided = {"x": [x], "y": [y], "x, y": [x, y], "x, y, z": [x, y, z], "all": FULL_BASIS, "mod P": vanishing}
+    equal_det = LieElement(x.left, x.left)  # a 3-dimensional V2 (x) V2 kernel: dimension 6 > 4
+    left_only = [T1]  # the dimension is 10, so no table
     torus = [S1, S2]  # the bound is 4 with two elements: only the invariant is known
-    exact_path = {"equal -det": [equal_det], "t1": left_only, "mod P": vanishing, "torus": torus}
+    vanishing_pair = [x.scale(exact._P), y.scale(exact._P)]  # no closure and a bound of 20 mod P
+    exact_path = {"equal -det": [equal_det], "t1": left_only, "torus": torus, "mod P pair": vanishing_pair}
     sizes = {}
     for name, elements in {**decided, **exact_path}.items():
         sizes[name] = len(_same_as_the_exact_path(list(elements)))
         assert _decided_by_the_bound(list(elements)) == (name in decided), name
-    assert [sizes[name] for name in ("x", "equal -det", "t1", "mod P", "torus")] == [4, 6, 10, 4, 4]
+    names = ("x", "equal -det", "t1", "mod P", "torus", "mod P pair")
+    assert [sizes[name] for name in names] == [4, 6, 10, 4, 4, 1]
 
 
 def _generic_coordinates(rng):
@@ -873,7 +877,7 @@ def test_generic_algebras_solve_with_no_exact_kernel_or_product(monkeypatch):
 
     algebras = [[generic() for _ in range(n)] for n in (1, 2, 3) for _ in range(12)]
     expected = [lifted_solve_invariant(liealg._coordinate_rows(a), pieces) for a in algebras]
-    invariant_forms([S1 + S2.scale(2)], ambient)  # the pieces, residues and table exist from here on
+    invariant_forms([S1 + S2.scale(2)], ambient)  # the pieces, their invariant rows and the table exist from here on
     assert liealg._polarizations(pieces) is not None
 
     def raises(*args):
@@ -963,7 +967,7 @@ liealg.invariant_forms([liealg.T1], i2_segre())
 after_t1 = liealg._polarizations.cache_info().currsize
 # one check at a time, so that none runs in a forked worker
 ok = all(r.ok for check_id, _, _ in verify.CHECKS for r in verify.run_checks(only=check_id))
-print(ok, after_t1, liealg._polarizations.cache_info().currsize, liealg._mod_p_pieces.cache_info().currsize > 0)
+print(ok, after_t1, liealg._polarizations.cache_info().currsize, liealg._invariant_rows.cache_info().currsize > 0)
 """
 
 
@@ -996,8 +1000,8 @@ def test_the_benchmark_set_up_builds_no_action_table():
         + setup
         + "from celestial import liealg\n"
         "print(len(calls), liealg._full_action_table.cache_info().currsize,"
-        " liealg._full_pieces.cache_info().currsize, liealg._mod_p_pieces.cache_info().currsize,"
-        " liealg._polarizations.cache_info().currsize)\n"
+        " liealg._full_pieces.cache_info().currsize, liealg._invariant_rows.cache_info().currsize,"
+        " liealg._residue_pieces.cache_info().currsize, liealg._polarizations.cache_info().currsize)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -1005,7 +1009,7 @@ def test_the_benchmark_set_up_builds_no_action_table():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.split() == ["0", "0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0", "0", "0", "0"]
 
 
 def _counted(calls, f):
@@ -1348,3 +1352,169 @@ def test_warm_generic_solves_take_no_rank_modulo_p(monkeypatch):
     for algebra, old in zip(algebras, expected):
         _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, old.coefficients)
     assert {len(old) for old in expected} == {1}
+
+
+# ---------------------------------------------------------------------------
+# one element decided by its Jordan type, on pieces of known weights
+
+
+@functools.lru_cache(maxsize=None)
+def _all_quadrics() -> FormSpan:
+    """Every quadric on P^8: Sym^2(V2 (x) V2), whose pieces add V4 (x) V4 to those of I2."""
+    return FormSpan.from_rows(Matrix.identity(45), coords=tuple(range(9)))
+
+
+def _doubled(piece):
+    """Two copies of a piece as one table: each system twice on the diagonal, over 2d unit rows."""
+    d = piece.reduced.rows
+    zero = [ZERO] * d
+    blocks = []
+    for j in range(len(FULL_BASIS)):
+        system = piece.blocks.row(j).reshape(d, d).entries()
+        doubled = [list(row) + zero for row in system] + [zero + list(row) for row in system]
+        blocks.append(Matrix(doubled).reshape(1, 4 * d * d))
+    return liealg.ActionTable(Matrix.identity(2 * d), (), Matrix.stack(blocks), (), piece.weights)
+
+
+def _kernel_dimension(rows, pieces) -> int:
+    """The sum over the pieces of k less the rank of the element's system, [Phi | E]^T."""
+    total = 0
+    for table in pieces:
+        k = table.reduced.rows
+        total += k - (rows * table.blocks).reshape(k + len(table.residual), k).rank()
+    return total
+
+
+_NONZERO = _entries.filter(bool)
+
+
+@st.composite
+def _half(draw, kind):
+    """A traceless 2x2 half of one Jordan type."""
+    if kind == "zero":
+        return Matrix.zero(2, 2)
+    if kind == "nilpotent":  # [[tu, t^2], [-u^2, -tu]] with t != 0
+        t, u = draw(_NONZERO), draw(_entries)
+        return Matrix([[t * u, t * t], [-(u * u), -(t * u)]])
+    part = st.builds(GaussianRational, _small) if kind == "real semisimple" else _entries
+    a, b, c = draw(part), draw(part), draw(part)
+    if not a * a + b * c:  # -det: nudge it off zero
+        a = a + 1
+    return Matrix([[a, b], [c, -a]])
+
+
+_HALF_KINDS = ("zero", "nilpotent", "real semisimple", "Gaussian semisimple")
+
+
+@st.composite
+def _jordan_elements(draw):
+    """One element: halves of drawn Jordan types, two nilpotent halves, or semisimple halves with det Y = c det X.
+
+    c is 1, -1 or 4.
+    """
+    kind = draw(st.sampled_from(("halves", "nilpotent", "det X = det Y", "det X = -det Y", "det Y = 4 det X")))
+    if kind in ("halves", "nilpotent"):
+        kinds = _HALF_KINDS if kind == "halves" else ("nilpotent",)
+        x, y = (draw(_half(draw(st.sampled_from(kinds)))) for _ in range(2))
+        return LieElement(x, y)
+    x = draw(_half(draw(st.sampled_from(_HALF_KINDS[2:]))))
+    g = Matrix([[1, draw(_entries)], [0, 1]])
+    g_inv = Matrix([[1, -g[0, 1]], [0, 1]])
+    y = draw(st.sampled_from((x, -x, x.transpose(), g * x * g_inv)))
+    if kind == "det X = -det Y":
+        y = y.scale(I)  # det(iY) = -det Y
+    elif kind == "det Y = 4 det X":
+        y = y.scale(2)
+    return LieElement(*draw(st.permutations((x, y))))
+
+
+def _jordan_pieces():
+    """I2's pieces, those of every quadric, and two copies of I2's V4 (x) V0 as one table."""
+    i2 = liealg._full_pieces(i2_segre())
+    return i2, liealg._full_pieces(_all_quadrics()), (_doubled(next(p for p in i2 if p.weights == (4, 0))),)
+
+
+@given(_jordan_elements())
+@settings(max_examples=150, deadline=None)
+def test_the_jordan_type_gives_the_dimension_of_the_answer(x):
+    rows = liealg._coordinate_rows([x])
+    for pieces in _jordan_pieces():
+        assert all(table.weights for table in pieces)
+        found = liealg._jordan_dimension(rows, pieces)
+        assert found == _kernel_dimension(rows, pieces) <= mod_p_dimension_bound(rows, pieces)
+    for ambient in (i2_segre(), _all_quadrics()):
+        pieces = liealg._full_pieces(ambient)
+        assert len(_same_as_the_exact_path([x], ambient)) == liealg._jordan_dimension(rows, pieces)
+
+
+_T, _Q, _H = (x.left for x in (T1, Q1, S1))
+
+# one element, and the dimension of its answer on I2 and on every quadric
+_JORDAN_TYPES = {
+    "zero": (E, 20, 45),
+    "nilpotent, zero": (T1, 10, 15),
+    "zero, semisimple": (S2, 10, 15),
+    "nilpotent, nilpotent": (LieElement(_T, _Q), 6, 11),  # Clebsch-Gordan on V4 (x) V4: 5, not 9
+    "nilpotent, semisimple": (LieElement(_T, _H), 4, 5),
+    "det X = det Y": (LieElement(_H, _H.transpose()), 6, 11),
+    "det X = -det Y": (LieElement(_H, _H.scale(I)), 4, 5),
+    "det Y = 4 det X": (LieElement(_H, _H.scale(2)), 4, 7),
+    "det X = 4 det Y": (LieElement((_T + _Q).scale(2), _H), 4, 7),
+    "generic": (_GENERIC_X, 4, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_JORDAN_TYPES))
+def test_the_jordan_type_meets_the_bound_modulo_p_on_listed_elements(name):
+    x, on_i2, on_all = _JORDAN_TYPES[name]
+    rows = liealg._coordinate_rows([x])
+    for ambient, expected in ((i2_segre(), on_i2), (_all_quadrics(), on_all)):
+        pieces = liealg._full_pieces(ambient)
+        assert liealg._jordan_dimension(rows, pieces) == mod_p_dimension_bound(rows, pieces) == expected
+        assert len(_same_as_the_exact_path([x], ambient)) == expected
+
+
+@pytest.mark.parametrize("which", ["family", "I2 rows 3-8", "non-real 0", "non-real 1", "unsplit I2", "Veronese"])
+def test_tables_without_weights_keep_the_bound_modulo_p(which, monkeypatch):
+    # a table with a residual, or one not split into isotypic pieces (the
+    # whole I2 table, the Veronese table over gl3) has no weights: the
+    # formula must not be used, and the bound modulo P decides
+    spans = {"family": forms.family_basis(), "I2 rows 3-8": FormSpan(i2_segre().basis[3:9])}
+    spans.update({f"non-real {i}": span for i, span in enumerate(_non_real_spans())})
+    if which == "Veronese":
+        pieces = (geometry._veronese_action_table(),)
+        rows = Matrix([[x for row in geometry.so3_basis()[0].entries() for x in row]])
+    elif which == "unsplit I2":
+        pieces, rows = (liealg._full_action_table(i2_segre()),), liealg._coordinate_rows([_GENERIC_X])
+    else:
+        pieces, rows = liealg._full_pieces(spans[which]), liealg._coordinate_rows([_GENERIC_X])
+    assert all(table.weights is None for table in pieces)
+    assert bool(pieces[0].residual) == (which not in ("unsplit I2", "Veronese"))
+    assert liealg._jordan_dimension(rows, pieces) is None
+    calls = []
+    bound = liealg._mod_p_bound
+    monkeypatch.setattr(liealg, "_mod_p_bound", lambda *args: calls.append(args) or bound(*args))
+    new = solve_invariant(rows, pieces, liealg._polarizations)
+    _same_lifted_rows(new.coefficients, lifted_solve_invariant(rows, pieces).coefficients)
+    assert len(calls) == 1
+
+
+def test_warm_one_element_solves_take_no_rank_modulo_p(monkeypatch):
+    # one element on I2's pieces is decided by its Jordan type: no piece
+    # system is made or ranked modulo P, on the known forms or on the exact path
+    ambient = i2_segre()
+    pieces = liealg._full_pieces(ambient)
+    rng = random.Random(37)
+    generic = [sum((c * b for c, b in zip(_generic_coordinates(rng), FULL_BASIS)), E) for _ in range(8)]
+    algebras = [[x] for x in generic] + [[x] for x, _, _ in _JORDAN_TYPES.values()]
+    expected = [lifted_solve_invariant(liealg._coordinate_rows(a), pieces) for a in algebras]
+    invariant_forms(algebras[0], ambient)  # the pieces, their invariant rows and the table exist from here on
+
+    def raises(*args):
+        raise AssertionError("a warm one-element solve bounded its pieces modulo P")
+
+    monkeypatch.setattr(liealg, "_times_mod_p", raises)
+    monkeypatch.setattr(liealg, "_rank_mod_p", raises)
+    for algebra, old in zip(algebras, expected):
+        _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, old.coefficients)
+    assert {len(old) for old in expected} == {4, 6, 10, 20}

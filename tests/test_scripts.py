@@ -1,5 +1,6 @@
 """The command line scripts under scripts/ run to completion on small inputs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -63,3 +64,35 @@ def test_time_query_ops_prints_a_stream_line(tmp_path):
     assert lines[0] == "seed 7, first 8 query ops, best of 1, us per op"
     assert lines[-1].split()[:3] == ["stream", "8", "ops"]
     assert sum(int(line.split()[1]) for line in lines[1:-1]) == 8
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarizes_each_metric_by_its_better_side():
+    summarize = _bench_pairs().summarize
+    # ref_work_per_s: higher is better; the change is ahead in 3 of 4 pairs, tied in one
+    s = summarize([(100, 110), (104, 120), (96, 96), (100, 130)], "higher")
+    assert s["parent"] == (99.0, 100.0, 101.0) and s["change"] == (106.5, 115.0, 122.5)
+    assert (s["ahead"], s["pairs"], s["shift"], s["spread"]) == (3, 4, 15.0, 2.0)
+    assert s["relative"] == 0.15
+    # setup_s: lower is better, so a rise is a negative shift and the change is ahead nowhere
+    s = summarize([(0.05, 0.06), (0.07, 0.08), (0.06, 0.07)], "lower")
+    assert s["parent"][1] == 0.06 and s["ahead"] == 0 and s["shift"] < 0 < s["spread"]
+    # one pair: its values are all three quartiles
+    s = summarize([(1.0, 1.0)], "higher")
+    assert s["parent"] == s["change"] == (1.0, 1.0, 1.0) and (s["ahead"], s["shift"], s["spread"]) == (0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        summarize([(1.0, 2.0)], "faster")
+    with pytest.raises(ValueError):
+        summarize([], "higher")
+
+
+def test_bench_pairs_reads_the_end_to_end_metrics_of_the_benchmark():
+    assert _bench_pairs()._end_to_end() == [
+        ("setup_s", "lower"), ("peak_rss_mb", "lower"), ("success_rate", "higher"), ("ref_work_per_s", "higher")
+    ]
