@@ -611,6 +611,10 @@ def _take_mod_p(row, basis) -> bool:
     nonzero over Z[i] (Dixon, Numer. Math. 40, 1982).  The converse fails
     when every larger minor is divisible by a prime of Z[i] over P, so a
     count of the rows taken bounds the rank over Q(i) from below only.
+    The same argument holds for any polynomial with integer coefficients
+    in Gaussian integers: a nonzero residue proves it nonzero.  This step
+    counts the rank for ``_rank_mod_p`` and keeps the independent rows of
+    the elements that ``liealg._generates_all`` tests.
     """
     for c, lead in enumerate(basis):
         f = row[c]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
 from .exact import Matrix, GaussianRational, Record, I, kernel, symmetric_images
@@ -587,76 +588,95 @@ def invariant_forms(g, ambient: FormSpan) -> FormSpan:
     M(D) = D^T A + A D,
     M([X, Y]) = Y^T M(X) - X^T M(Y) + M(X) Y - M(Y) X,
     which is zero when M(X) and M(Y) are.
-    So the forms that the elements kill are those that the subalgebra they
-    generate kills.  With two or more elements, that subalgebra is first
-    spanned modulo P (``_generated_rank_mod_p``); a rank of 6 proves that
-    it is all of sl2+sl2, and the answer is the span's forms that FULL_BASIS
-    kills, solved once per span (``_full_forms``).  Any smaller rank leaves
-    the solve to ``solve_invariant``.
+    So the forms that the elements kill are those that the subalgebra g
+    they generate kills, and when g is all of sl2+sl2 the answer is the
+    span's forms that FULL_BASIS kills, solved once per span
+    (``_full_forms``).  Whether it is comes from Goursat's lemma
+    (``_generates_all``).  Write x_k = (X_k, Y_k) and B(X, X') = tr(X X').
+    The projections of g onto the factors are the subalgebras of sl2 that
+    the X_k and the Y_k generate.  A proper subalgebra of sl2 is 0, a line
+    or a Borel, and a plane on which B is degenerate is the Borel N^perp
+    of a nilpotent N; so the X_k generate sl2 iff they span it (some
+    tr(X_k [X_l, X_n]) != 0) or span a plane on which B is not degenerate
+    (some B(X_k, X_k) B(X_l, X_l) - B(X_k, X_l)^2 != 0).  When both
+    projections are onto, g meets 0 + sl2 and sl2 + 0 in ideals of sl2,
+    so g is everything, or the graph of an automorphism phi with
+    Y_k = phi(X_k).  The automorphisms of sl2 are exactly the isometries of
+    B of determinant 1 (Ad PSL2 = SO(3)), so a graph keeps every B(X_k, X_l)
+    and every tr(X_k [X_l, X_n]).  Conversely, when all of them agree, the
+    map X_k -> Y_k is an isometry between nondegenerate spans, which
+    extends (Witt) to an isometry of sl2: of determinant 1, the ratio of
+    the triple products, when the X_k span sl2, and made so by the
+    reflection in the normal when they span a plane.  So g is everything
+    iff both projections are onto and some B or triple product differs;
+    a g of dimension 4 or more is no graph, so there only the projections
+    count.  Any other verdict leaves the solve to ``solve_invariant``.
     """
     elements = _coordinate_rows(g)
-    if elements.rows > 1 and _generated_rank_mod_p(elements) == len(FULL_BASIS):
+    if elements.rows > 1 and _generates_all(elements):
         return _full_forms(ambient)
     return solve_invariant(elements, _full_pieces(ambient), _polarizations)
 
 
-@lru_cache(maxsize=1)
-def _bracket_terms() -> tuple[tuple[int, int, int, int], ...]:
-    """The nonzero structure constants of FULL_BASIS, as (j, l, k, c) with c in [e_j, e_l] at e_k.
+def _generates_all(elements: Matrix) -> bool:
+    """Whether the elements' coordinate rows are proved to generate all of sl2+sl2 (``invariant_forms``).
 
-    Read once off ``bracket``; they are integers ([T, Q] = S, [S, T] = 2T
-    and [S, Q] = -2Q in each half), so they map into F_P with no inverse.
+    Each test is that a polynomial in the lifted coordinates, a Gaussian
+    integer, is nonzero, or that two differ; its residue mod P being
+    nonzero proves it (Dixon, as in ``_take_mod_p``).  A lifted row is one
+    multiple of both its halves, so the comparisons of the two halves'
+    B and triple products are those of the elements times one nonzero
+    number.  On the (t, q, h) coordinates of a half, B is
+    2hh' + tq' + qt' and tr(X_k [X_l, X_n]) is twice the determinant of the
+    three rows.  More than three rows are first cut down to those that are
+    independent modulo P (``_take_mod_p``); if more than three are left, g
+    has dimension at least 4 and only the projections are tested.  A False
+    proves nothing: a residue may vanish where the number does not.
     """
-    out = []
-    for j, x in enumerate(FULL_BASIS):
-        for l, y in enumerate(FULL_BASIS):
-            row = _coordinate_rows((bracket(x, y),))
-            if not row.is_real or row._dens != (1,):
-                raise ArithmeticError("a structure constant of FULL_BASIS is not an integer")
-            out.extend((j, l, k, c) for k, c in enumerate(row._ints[0]) if c)
-    return tuple(out)
+    rows = [_residues(flat, elements._real) for flat in elements._ints]
+    if len(rows) > 3:
+        leads = [None] * len(FULL_BASIS)
+        rows = [row for row in rows if _take_mod_p(row.copy(), leads)]
+    n = len(rows)
+    x, y = _trace_invariants(rows)
+    return (n > 3 or x != y) and _spans_sl2(x, n) and _spans_sl2(y, n)
 
 
-def _generated_rank_mod_p(elements: Matrix) -> int:
-    """The rank over F_P of the subalgebra that the elements' coordinate rows generate modulo P.
+def _trace_invariants(rows) -> tuple[list[int], list[int]]:
+    """For each half of the residue rows, B(Z_k, Z_l) for k <= l and then det(Z_k, Z_l, Z_n) for k < l < n, mod P.
 
-    Each lifted coordinate row, a Gaussian-integer multiple of its element,
-    is mapped into F_P (``_residues``), and the rows are closed under the
-    bracket by the integer structure constants (``_bracket_terms``): a row
-    that is independent of those taken so far (``_take_mod_p``) is taken,
-    and each taken row is bracketed with every earlier one, so the span of
-    the taken rows is closed when the loop ends.  The bracket commutes with
-    the map into F_P, so each taken row is the residue of an iterated
-    bracket of the lifted rows.  A rank of 6 therefore gives six iterated
-    brackets that are independent over Q(i) (Dixon, as in ``_take_mod_p``):
-    the elements generate all of sl2+sl2.  The count stops there.  A
-    smaller rank is only a lower bound on the dimension of the subalgebra,
-    and decides nothing.
+    A row is (t, q, h) of the left half and then of the right one; both
+    halves are read in one pass.
     """
-    n = len(FULL_BASIS)
-    terms = _bracket_terms()
-    leads = [None] * n
-    taken = []
+    x, y = [], []
+    for k, (t, q, h, t_, q_, h_) in enumerate(rows):
+        for t2, q2, h2, t2_, q2_, h2_ in rows[k:]:
+            x.append(2 * h * h2 + t * q2 + q * t2)
+            y.append(2 * h_ * h2_ + t_ * q2_ + q_ * t2_)
+    for (t1, q1, h1, t1_, q1_, h1_), (t2, q2, h2, t2_, q2_, h2_), (t3, q3, h3, t3_, q3_, h3_) in combinations(rows, 3):
+        x.append(t1 * (q2 * h3 - h2 * q3) + q1 * (h2 * t3 - t2 * h3) + h1 * (t2 * q3 - q2 * t3))
+        y.append(t1_ * (q2_ * h3_ - h2_ * q3_) + q1_ * (h2_ * t3_ - t2_ * h3_) + h1_ * (t2_ * q3_ - q2_ * t3_))
+    return _residues(x, True), _residues(y, True)
 
-    def take(v) -> bool:
-        if _take_mod_p(v.copy(), leads):
-            taken.append(v)
-        return len(taken) == n
 
-    for flat in elements._ints:
-        if take(_residues(flat, elements._real)):
-            return n
-    i = 1
-    while i < len(taken):  # rows are taken as the loop runs
-        u = taken[i]
-        for w in taken[:i]:
-            v = [0] * n
-            for j, l, k, c in terms:
-                v[k] += c * u[j] * w[l]
-            if take(_residues(v, True)):
-                return n
-        i += 1
-    return len(taken)
+def _spans_sl2(values, n: int) -> bool:
+    """Whether n rows of a half generate sl2, read off its ``_trace_invariants``.
+
+    They do when a triple spans sl2, or a pair spans a plane on which B is
+    not degenerate: B_kk B_ll - B_kl^2 != 0 mod P.
+    """
+    if any(values[n * (n + 1) // 2 :]):
+        return True
+    return any(_residues([values[a] * values[b] - values[c] * values[c] for a, b, c in _GRAM_PAIRS[n]], True))
+
+
+def _gram_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """For n rows, the places of B_kk, B_ll and B_kl among the B of ``_trace_invariants``, for each pair k < l."""
+    upper = [(k, l) for k in range(n) for l in range(k, n)]
+    return tuple((upper.index((k, k)), upper.index((l, l)), upper.index((k, l))) for k, l in combinations(range(n), 2))
+
+
+_GRAM_PAIRS = tuple(_gram_pairs(n) for n in range(len(FULL_BASIS) + 1))
 
 
 @lru_cache(maxsize=8)

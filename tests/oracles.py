@@ -29,6 +29,10 @@ another way, or an input catalog the tests iterate over:
                                          nothing right of its pivot
     oracle_congruence_diagonal           the diagonal of the rational symmetric
                                          elimination, in Fraction arithmetic
+    kernel_witness_errors                what is wrong with a kernel basis K of M,
+                                         checked in (re, im) Fraction pairs: M K^T,
+                                         K at the free columns, and rows(K) against
+                                         cols - rank(M)
     QuadExt, spindle_point, horn_point   exact cyclide model points over
                                          Q(i, sqrt 2), the reference for the
                                          integer points of the stereographic check
@@ -82,6 +86,12 @@ another way, or an input catalog the tests iterate over:
                                          that decided one-element solves before their
                                          Jordan type did: each piece's size less the
                                          rank modulo a prime of its stacked systems
+    bracket_terms, generated_rank_mod_p  the structure constants of FULL_BASIS, and
+                                         the rank over F_P of the subalgebra the
+                                         residues of coordinate rows generate,
+                                         closed under the bracket: the test that
+                                         decided whether elements generate all of
+                                         sl2+sl2 before Goursat's lemma did
     coefficient_row_solve_invariant      the invariant-form solver on the coefficient
                                          rows of the span: one kernel of the
                                          transposed images per tangent
@@ -114,7 +124,7 @@ from math import lcm
 from celestial.exact import GaussianRational, I, Matrix, ONE, ZERO, _ratios, gauss
 from celestial.exact import kernel, solve, symmetric_images
 from celestial.exact import _canonical, _combine_z, _drop, _eliminate, _pairs, _scaled
-from celestial.exact import _P, _S, _common_kernel
+from celestial.exact import _P, _S, _common_kernel, _residues, _take_mod_p
 from celestial.exact import _require_real_symmetric, signature
 from celestial.forms import FamilyCoeffs, family_basis, random_fraction
 from celestial.geometry import NSClass, VERONESE_MONOMIALS, veronese_data
@@ -129,6 +139,7 @@ from celestial.liealg import (
     S2,
     T1,
     T2,
+    _coordinate_rows,
     bracket,
     d_rep,
 )
@@ -520,6 +531,62 @@ def certified_congruence_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
     for k, x in enumerate(diag):
         d[k][k] = x
     return Matrix._lifted(True, [den] * n, d, n), Matrix._lifted(True, [1] * n, list(zip(*cols)), n)
+
+
+def _gaussian_pairs(rows) -> list[list[tuple[Fraction, Fraction]]]:
+    return [[(Fraction(x.re), Fraction(x.im)) for x in row] for row in rows]
+
+
+def _pair_times(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _pivot_columns(rows, ncols: int) -> list[int]:
+    """The pivot columns of the Gauss-Jordan elimination of (re, im) Fraction rows."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = next((r for r in range(len(pivots), len(m)) if m[r][c] != (0, 0)), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        m[top], m[r] = m[r], m[top]
+        a, b = m[top][c]
+        inv = (a / (a * a + b * b), -b / (a * a + b * b))
+        m[top] = [_pair_times(inv, x) for x in m[top]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != top and f != (0, 0):
+                m[i] = [(x[0] - g[0], x[1] - g[1]) for x, g in zip(m[i], (_pair_times(f, y) for y in m[top]))]
+        pivots.append(c)
+    return pivots
+
+
+def kernel_witness_errors(m: Matrix, k: Matrix) -> list[str]:
+    """What is wrong with K as ``exact.kernel(m)``, in (re, im) Fraction arithmetic; empty if nothing.
+
+    K must be killed by M (M K^T = 0), have cols - rank(M) rows, and row i
+    must be 1 at the i-th free column of M's reduced row echelon form and 0
+    at the other free columns; those rows are independent by shape, so K
+    is a basis of the kernel.
+    """
+    rows, basis = _gaussian_pairs(m.entries()), _gaussian_pairs(k.entries())
+    errors = []
+    for i, v in enumerate(basis):
+        for r, row in enumerate(rows):
+            acc = (Fraction(0), Fraction(0))
+            for x, y in zip(row, v):
+                p = _pair_times(x, y)
+                acc = (acc[0] + p[0], acc[1] + p[1])
+            if acc != (0, 0):
+                errors.append(f"row {r} of M does not kill row {i} of K")
+    free = sorted(set(range(m.cols)).difference(_pivot_columns(rows, m.cols)))
+    if len(basis) != len(free):
+        errors.append(f"K has {len(basis)} rows, but M has {len(free)} free columns")
+    for i, v in enumerate(basis[: len(free)]):
+        if [v[f] for f in free] != [(1, 0) if j == i else (0, 0) for j in range(len(free))]:
+            errors.append(f"row {i} of K is not 1 at free column {free[i]} and 0 at the others")
+    return errors
 
 
 def oracle_congruence_diagonal(rows):
@@ -998,6 +1065,61 @@ def generated_dimension(elements, modulo_p: bool = False) -> int:
         i += 1
     return len(basis)
 
+
+
+@lru_cache(maxsize=1)
+def bracket_terms() -> tuple[tuple[int, int, int, int], ...]:
+    """The nonzero structure constants of FULL_BASIS, as (j, l, k, c) with c in [e_j, e_l] at e_k.
+
+    Read once off ``bracket``; they are integers ([T, Q] = S, [S, T] = 2T
+    and [S, Q] = -2Q in each half), so they map into F_P with no inverse.
+    """
+    out = []
+    for j, x in enumerate(FULL_BASIS):
+        for l, y in enumerate(FULL_BASIS):
+            row = _coordinate_rows((bracket(x, y),))
+            if not row.is_real or row._dens != (1,):
+                raise ArithmeticError("a structure constant of FULL_BASIS is not an integer")
+            out.extend((j, l, k, c) for k, c in enumerate(row._ints[0]) if c)
+    return tuple(out)
+
+
+def generated_rank_mod_p(elements: Matrix) -> int:
+    """The rank over F_P of the subalgebra that the elements' coordinate rows generate modulo P.
+
+    Each lifted coordinate row is mapped into F_P (``_residues``), and the
+    rows are closed under the bracket by the integer structure constants
+    (``bracket_terms``): a row that is independent of those taken so far
+    (``_take_mod_p``) is taken, and each taken row is bracketed with every
+    earlier one, so the span of the taken rows is closed when the loop
+    ends.  Each taken row is the residue of an iterated bracket of the
+    lifted rows, so a rank of 6 proves that the elements generate all of
+    sl2+sl2; a smaller rank decides nothing.  The count stops at 6.
+    """
+    n = len(FULL_BASIS)
+    terms = bracket_terms()
+    leads = [None] * n
+    taken = []
+
+    def take(v) -> bool:
+        if _take_mod_p(v.copy(), leads):
+            taken.append(v)
+        return len(taken) == n
+
+    for flat in elements._ints:
+        if take(_residues(flat, elements._real)):
+            return n
+    i = 1
+    while i < len(taken):  # rows are taken as the loop runs
+        u = taken[i]
+        for w in taken[:i]:
+            v = [0] * n
+            for j, l, k, c in terms:
+                v[k] += c * u[j] * w[l]
+            if take(_residues(v, True)):
+                return n
+        i += 1
+    return len(taken)
 
 @dataclass(frozen=True)
 class Subalgebra:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from celestial import verify
+from celestial import exact, verify
 from celestial.cli import main
+from celestial.exact import Matrix, gauss
 
 
 def _run(capsys, *argv):
@@ -597,3 +598,75 @@ def test_every_signature_verify_computes_is_the_fraction_oracles_inertia():
     assert report["ok"] and report["wrong"] == []
     assert report["counts"] == {"forms": 12, "geometry": 10, "verify": 45}
     assert report["sizes"] == [3, 4, 5, 6, 9]  # the family members are 9x9
+
+
+_CHECK_KERNELS = """
+import json
+from celestial import cli, exact, forms, geometry, lattice, liealg, sampling, segre, verify
+from oracles import kernel_witness_errors
+
+kernel, seen = exact.kernel, []
+
+
+def recording(m):
+    k = kernel(m)
+    seen.append((m, k))
+    return k
+
+
+# every module that binds exact.kernel, exact itself (solve reads it there) among them
+bound = [mod for mod in (cli, exact, forms, geometry, lattice, liealg, sampling, segre, verify)
+         if getattr(mod, "kernel", None) is kernel]
+for mod in bound:
+    mod.kernel = recording
+counts, wrong, shapes = {}, [], set()
+ok = True
+for check_id, _, _ in verify.CHECKS:  # one check at a time, so that none runs in a forked worker
+    start = len(seen)
+    ok = all(r.ok for r in verify.run_checks(only=check_id)) and ok
+    counts[check_id] = len(seen) - start
+for m, k in seen:
+    wrong.extend(f"{m.rows}x{m.cols}: {e}" for e in kernel_witness_errors(m, k))
+    shapes.add((m.cols, m.cols - k.rows))
+print(json.dumps({"ok": ok, "bound": sorted(mod.__name__ for mod in bound), "counts": counts,
+                  "wrong": wrong, "ranks": sorted(shapes)}))
+"""
+
+
+def test_every_kernel_verify_computes_has_a_checked_witness():
+    # wrap exact.kernel wherever a module binds it, in a fresh process so
+    # that the cached pieces are built under the wrapper, and check each
+    # basis K of M in Fraction arithmetic: M K^T = 0, K is the identity at
+    # the free columns, and it has cols - rank(M) rows
+    env = dict(os.environ)
+    paths = (str(_ROOT / "src"), str(_ROOT / "tests"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECK_KERNELS],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["wrong"] == []
+    assert report["ok"]
+    assert report["bound"] == ["celestial.exact", "celestial.liealg"]
+    # the Casimir split of I2 and the real bases of the cyclides and the sampled pairs
+    assert {name: n for name, n in report["counts"].items() if n} == {
+        "invariant-forms": 4, "cyclide-pipeline": 4, "rigidity-sampling": 3,
+    }
+    # (cols, rank): the I2 pieces are kernels of a 20-column Casimir system
+    assert {(20, 15), (20, 11), (20, 19)} <= {tuple(shape) for shape in report["ranks"]}
+
+
+def test_the_kernel_witness_check_refuses_a_row_not_killed_and_a_dropped_row():
+    from oracles import kernel_witness_errors
+
+    m = Matrix([[1, 2, 0, 1], [0, 0, 1, gauss("i")], [1, 2, 1, gauss("1+i")]])
+    k = exact.kernel(m)
+    assert k.rows == 2 and kernel_witness_errors(m, k) == []
+    rows = k.entries()
+    not_killed = Matrix([rows[0], [x + 1 if j == 0 else x for j, x in enumerate(rows[1])]])
+    assert any("does not kill" in e for e in kernel_witness_errors(m, not_killed))
+    assert any("free columns" in e for e in kernel_witness_errors(m, Matrix([rows[0]])))
+    scaled = Matrix([rows[0], [2 * x for x in rows[1]]])  # still killed, but not 1 at its free column
+    assert kernel_witness_errors(m, scaled) == ["row 1 of K is not 1 at free column 3 and 0 at the others"]

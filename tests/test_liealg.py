@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import json
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celestial.exact import GaussianRational, I, Matrix, ZERO, gauss, symmetric_images
-from celestial import exact, forms, liealg
+from celestial import cli, exact, forms, liealg
 from celestial import geometry
 from celestial.geometry import VERONESE_MONOMIALS
 from celestial.liealg import (
@@ -51,6 +52,7 @@ from celestial.segre import (
 from oracles import (
     ROTATION_GENERATORS,
     Subalgebra,
+    bracket_terms,
     checked_rows,
     column_kernel,
     coefficient_row_solve_invariant,
@@ -59,6 +61,7 @@ from oracles import (
     entrywise_forms,
     entrywise_traceless,
     generated_dimension,
+    generated_rank_mod_p,
     is_subalgebra,
     lifted_solve_invariant,
     loop_real_basis,
@@ -744,8 +747,8 @@ def test_the_lifted_solver_matches_the_matrix_steps_where_common_kernels_are_not
 
 
 def test_a_generating_pair_and_the_sl3_veronese_solve_take_no_exact_cut(monkeypatch):
-    # the closure modulo P proves that the pair generates all of sl2+sl2,
-    # and the SL3 Veronese solve ends at a dimension bound of 0
+    # Goursat's lemma, checked modulo P, proves that the pair generates all
+    # of sl2+sl2, and the SL3 Veronese solve ends at a dimension bound of 0
     ambient = i2_segre()
     algebra = [T1 + S2, Q1 + T2.scale(2) + S1]  # generates all of sl2+sl2
     full = liealg.full_invariant_forms()
@@ -753,7 +756,7 @@ def test_a_generating_pair_and_the_sl3_veronese_solve_take_no_exact_cut(monkeypa
     assert len(geometry.veronese_invariant_forms(geometry.SL3_BASIS.values())) == 0  # tables built
 
     def no_exact_cut(*args):
-        raise AssertionError("the exact cut ran on a solve the closure or the bound should have decided")
+        raise AssertionError("the exact cut ran on a solve the verdict or the bound should have decided")
 
     monkeypatch.setattr(exact, "_null_rows", no_exact_cut)
     _same_lifted_rows(invariant_forms(algebra, ambient).coefficients, full.coefficients)
@@ -847,7 +850,7 @@ def test_the_bound_decides_generic_elements_and_leaves_the_rest_exact():
     equal_det = LieElement(x.left, x.left)  # a 3-dimensional V2 (x) V2 kernel: dimension 6 > 4
     left_only = [T1]  # the dimension is 10, so no table
     torus = [S1, S2]  # the bound is 4 with two elements: only the invariant is known
-    vanishing_pair = [x.scale(exact._P), y.scale(exact._P)]  # no closure and a bound of 20 mod P
+    vanishing_pair = [x.scale(exact._P), y.scale(exact._P)]  # no verdict and a bound of 20 mod P
     exact_path = {"equal -det": [equal_det], "t1": left_only, "torus": torus, "mod P pair": vanishing_pair}
     sizes = {}
     for name, elements in {**decided, **exact_path}.items():
@@ -1211,7 +1214,7 @@ def test_a_span_off_the_torus_weights_has_a_smaller_stabilizer():
 
 
 # ---------------------------------------------------------------------------
-# the solve decided by the subalgebra that the elements generate
+# the solve decided by the subalgebra that the elements generate (Goursat)
 
 
 def test_d_rep_is_a_lie_homomorphism_on_every_pair_of_the_basis():
@@ -1226,8 +1229,9 @@ def test_d_rep_is_a_lie_homomorphism_on_every_pair_of_the_basis():
 
 
 def test_the_bracket_table_is_the_bracket_modulo_p():
+    # the structure constants of the reference closure, generated_rank_mod_p
     table = {}
-    for j, l, k, c in liealg._bracket_terms():
+    for j, l, k, c in bracket_terms():
         table.setdefault((j, l), [0] * len(FULL_BASIS))[k] = c % exact._P
     pairs = [(j, x, l, y) for j, x in enumerate(FULL_BASIS) for l, y in enumerate(FULL_BASIS)]
     assert len(pairs) == 36
@@ -1235,12 +1239,29 @@ def test_the_bracket_table_is_the_bracket_modulo_p():
         row = liealg._coordinate_rows((bracket(x, y),))
         assert row._dens == (1,)
         assert table.get((j, l), [0] * len(FULL_BASIS)) == exact._residues(row._ints[0], row.is_real), (j, l)
-    assert len(liealg._bracket_terms()) == 12  # [T, Q], [T, S] and [Q, S] in each half, both ways
+    assert len(bracket_terms()) == 12  # [T, Q], [T, S] and [Q, S] in each half, both ways
 
 
 _GENERIC_X = LieElement(Matrix([[1, 2], [3, -1]]), Matrix([[gauss("1/2"), 0], [gauss("i"), gauss("-1/2")]]))
 _GENERIC_Y = LieElement(Matrix([[0, 1], [gauss("2-i"), 0]]), Matrix([[2, 5], [-1, -2]]))
 _LEFT_ONLY = LieElement(_GENERIC_X.left, Matrix.zero(2, 2))
+_T, _Q, _H = (x.left for x in (T1, Q1, S1))
+_G, _G_INV = Matrix([[2, 1], [1, 1]]), Matrix([[1, -1], [-1, 2]])
+_X_HALVES = (_GENERIC_X.left, _GENERIC_Y.left, _GENERIC_X.right)  # they span sl2
+
+
+def _graph(phi, halves=_X_HALVES[:2]):
+    """The elements (X, phi(X)) for the given halves X."""
+    return [LieElement(x, phi(x)) for x in halves]
+
+
+def _conjugate(x):
+    return _G * x * _G_INV
+
+
+def _chevalley(x):
+    return -x.transpose()
+
 
 # elements, the dimension of the subalgebra they generate, and its rank modulo P
 _GENERATED = {
@@ -1258,15 +1279,35 @@ _GENERATED = {
     "repeated in a triple": ([_GENERIC_X, _GENERIC_Y, _GENERIC_X], 6, 6),
     "full basis": (list(FULL_BASIS), 6, 6),
     "a multiple of P": ([_GENERIC_X.scale(exact._P), _GENERIC_Y], 6, 1),  # x vanishes mod P
+    # graphs of automorphisms: every B(X_k, X_l) and triple product is kept
+    "conjugate pair": (_graph(_conjugate), 3, 3),
+    "conjugate triple": (_graph(_conjugate, _X_HALVES), 3, 3),
+    "Chevalley pair": (_graph(_chevalley), 3, 3),
+    "Chevalley triple": (_graph(_chevalley, _X_HALVES), 3, 3),
+    "negated pair": (_graph(lambda x: -x), 3, 3),  # the rotation by pi about the normal of the pair
+    # -1 on all of sl2 has determinant -1: the triple products change sign
+    "negated triple": (_graph(lambda x: -x, _X_HALVES), 6, 6),
+    # B(X_k, X_k) = B(Y_k, Y_k), but B(H, T + Q) = 0 and B(H, 3/5 H + 4/5 (T + Q)) = 6/5
+    "equal norms": ([S1 + S2, LieElement(_T + _Q, (_H.scale(3) + (_T + _Q).scale(4)).scale(gauss("1/5")))], 6, 6),
+    # (T, 2T) is a degenerate pair of the left halves, (T, Q) is not
+    "a degenerate first pair": ([LieElement(_T, _H), LieElement(_T.scale(2), _T), LieElement(_Q, _Q)], 6, 6),
+    "four, everything": ([T1, Q1, T2 + S1, Q2], 6, 6),
+    "four, Borel + Borel": ([T1, S1, T2, S2], 4, 4),
+    "four, a Chevalley graph": (_graph(_chevalley, (*_X_HALVES, _X_HALVES[0] + _X_HALVES[1])), 3, 3),
+    "five, sl2 + Borel": ([T1, Q1, S1, T2, S2], 5, 5),
 }
 
 
 @pytest.mark.parametrize("name", list(_GENERATED))
 def test_the_rank_modulo_p_of_the_generated_subalgebra(name):
+    # the verdict of Goursat's lemma modulo P is the reference closure's:
+    # everything exactly when the residues generate a subalgebra of rank 6
     elements, dimension, rank = _GENERATED[name]
+    rows = liealg._coordinate_rows(elements)
     assert generated_dimension(elements) == dimension
     assert generated_dimension(elements, modulo_p=True) == rank
-    assert liealg._generated_rank_mod_p(liealg._coordinate_rows(elements)) == rank
+    assert generated_rank_mod_p(rows) == rank
+    assert liealg._generates_all(rows) == (rank == len(FULL_BASIS))
 
 
 @pytest.mark.parametrize("name", list(_GENERATED))
@@ -1278,6 +1319,23 @@ def test_the_shortcut_is_taken_exactly_when_the_elements_generate_everything(nam
     monkeypatch.setattr(liealg, "solve_invariant", lambda *args: calls.append(args) or solve(*args))
     _same_as_the_exact_path(elements)
     assert bool(calls) == (rank < len(FULL_BASIS))
+
+
+def test_the_named_algebra_and_a_file_of_more_than_three_elements_take_the_full_forms(tmp_path, monkeypatch):
+    full = liealg.full_invariant_forms()
+    path = tmp_path / "algebra.json"
+    # T1 + S2, Q1, T2, Q2: four elements, as `invariant-forms --algebra` reads them
+    zero, t, q, h = [[0, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]
+    path.write_text(json.dumps({"elements": [[t, h], [q, zero], [zero, t], [zero, q]]}))
+    algebras = {name: cli._parse_algebra(name, "segre") for name in ("sl2xsl2", str(path))}
+
+    def no_solve(*args):
+        raise AssertionError("an algebra that generates sl2+sl2 was solved")
+
+    monkeypatch.setattr(liealg, "solve_invariant", no_solve)
+    for name, algebra in algebras.items():
+        assert len(algebra) > 3, name
+        _same_lifted_rows(invariant_forms(algebra, i2_segre()).coefficients, full.coefficients)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1307,30 +1365,52 @@ def test_solves_on_non_real_spans_match_the_exact_path(name):
 _SPECIAL_ALGEBRAS = st.sampled_from([elements for elements, _, _ in _GENERATED.values() if len(elements) <= 3])
 
 
+_AUTOMORPHISMS = st.sampled_from((_conjugate, _chevalley, lambda x: -x, lambda x: x))
+
+
 @st.composite
-def _two_or_three_elements(draw):
-    """2 or 3 elements: a listed algebra, drawn degenerate halves, or those with one repeated."""
-    kind = draw(st.sampled_from(("listed", "drawn", "repeated")))
-    if kind == "listed":
-        return list(draw(_SPECIAL_ALGEBRAS))
-    elements = draw(st.lists(_degenerate_halves(), min_size=2, max_size=3))
+def _elements(draw, sizes):
+    """Elements: drawn degenerate halves, those with one repeated, or a graph, kept or with one right half moved off it."""
+    kind = draw(st.sampled_from(("drawn", "repeated", "graph", "near graph")))
+    elements = draw(st.lists(_degenerate_halves(), min_size=sizes[0], max_size=sizes[1]))
     if kind == "repeated":
-        elements = elements[:2] + [draw(st.sampled_from(elements[:2]))]
+        elements[-1] = draw(st.sampled_from(elements[:-1]))
+    elif kind in ("graph", "near graph"):
+        elements = _graph(draw(_AUTOMORPHISMS), [x.left for x in elements])
+    if kind == "near graph":
+        x, y = elements[-1].left, elements[-1].right
+        elements[-1] = LieElement(x, draw(st.sampled_from((y.scale(2), y.transpose(), -y))))
     return elements
 
 
-@given(_two_or_three_elements(), st.integers(0, 3))
+_TWO_OR_THREE_ELEMENTS = st.one_of(_SPECIAL_ALGEBRAS.map(list), _elements((2, 3)))
+
+
+def _same_verdict_as_the_closure(elements):
+    """The verdict of Goursat's lemma modulo P is the reference closure's, which bounds the dimension."""
+    rows = liealg._coordinate_rows(elements)
+    rank = generated_rank_mod_p(rows)
+    # the rank modulo P is a lower bound on the dimension, so 6 is a proof
+    assert rank == generated_dimension(elements, modulo_p=True) <= generated_dimension(elements)
+    assert liealg._generates_all(rows) == (rank == len(FULL_BASIS))
+
+
+@given(_TWO_OR_THREE_ELEMENTS, st.integers(0, 3))
 @settings(max_examples=120, deadline=None)
 def test_two_and_three_element_solves_match_the_exact_path(elements, which):
     ambient = (i2_segre(), forms.family_basis(), *_non_real_spans())[which]
     _same_as_the_exact_path(elements, ambient)
-    # the rank modulo P is a lower bound on the dimension, so 6 is a proof
-    rank = liealg._generated_rank_mod_p(liealg._coordinate_rows(elements))
-    assert rank == generated_dimension(elements, modulo_p=True) <= generated_dimension(elements)
+    _same_verdict_as_the_closure(elements)
+
+
+@given(_elements((4, 6)))
+@settings(max_examples=80, deadline=None)
+def test_the_verdict_on_four_to_six_elements_is_the_closures(elements):
+    _same_verdict_as_the_closure(elements)
 
 
 def test_warm_generic_solves_take_no_rank_modulo_p(monkeypatch):
-    # a generic pair or triple generates all of sl2+sl2, and the closure
+    # a generic pair or triple generates all of sl2+sl2, and Goursat's lemma
     # modulo P proves it: no piece system is made or ranked modulo P
     ambient = i2_segre()
     pieces = liealg._full_pieces(ambient)
@@ -1340,13 +1420,13 @@ def test_warm_generic_solves_take_no_rank_modulo_p(monkeypatch):
         for n in (2, 3) for _ in range(8)
     ]
     expected = [lifted_solve_invariant(liealg._coordinate_rows(a), pieces) for a in algebras]
-    invariant_forms(algebras[0], ambient)  # the structure constants and the FULL_BASIS answer exist from here on
+    invariant_forms(algebras[0], ambient)  # the FULL_BASIS answer exists from here on
 
     def raises(*args):
         raise AssertionError("a warm generic solve bounded its pieces modulo P")
 
     # the bound alone makes (_times_mod_p) and ranks (_rank_mod_p) piece
-    # systems modulo P; the closure shares only their step, _take_mod_p
+    # systems modulo P; the verdict shares only their residues, _residues
     monkeypatch.setattr(liealg, "_times_mod_p", raises)
     monkeypatch.setattr(liealg, "_rank_mod_p", raises)
     for algebra, old in zip(algebras, expected):
@@ -1446,8 +1526,6 @@ def test_the_jordan_type_gives_the_dimension_of_the_answer(x):
         pieces = liealg._full_pieces(ambient)
         assert len(_same_as_the_exact_path([x], ambient)) == liealg._jordan_dimension(rows, pieces)
 
-
-_T, _Q, _H = (x.left for x in (T1, Q1, S1))
 
 # one element, and the dimension of its answer on I2 and on every quadric
 _JORDAN_TYPES = {

@@ -96,3 +96,21 @@ def test_bench_pairs_reads_the_end_to_end_metrics_of_the_benchmark():
     assert _bench_pairs()._end_to_end() == [
         ("setup_s", "lower"), ("peak_rss_mb", "lower"), ("success_rate", "higher"), ("ref_work_per_s", "higher")
     ]
+
+
+def test_time_query_ops_builds_each_family_member_before_the_clock(monkeypatch):
+    # the benchmark's query worker builds FamilyCoeffs outside its timer, so
+    # a timed family call must be classify_family alone
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ on it
+    spec = importlib.util.spec_from_file_location("time_query_ops", ROOT / "scripts" / "time_query_ops.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = module._calls(7, 40)
+    assert sum(kind == "family" for kind, _ in calls) == 30
+
+    def built(*args):
+        raise AssertionError("a family member was built inside the timed call")
+
+    monkeypatch.setattr(module.forms, "FamilyCoeffs", built)
+    for _, call in calls:
+        call()
